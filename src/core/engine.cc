@@ -88,32 +88,32 @@ Status EngineBase::RunUntilIdle() {
       wave.push_back(std::move(inst));
     }
 
-    // Endpoints whose installed fault injector depends on the global call
-    // arrival order (outage windows, phases): instances claiming one must
-    // serialize so that order stays the serial order.
-    std::set<std::string> stateful_endpoints;
-    for (const WaveInstance& inst : wave) {
-      for (const ResourceClaim& c : inst.def->claims) {
-        if (c.kind != ResourceClaim::Kind::kEndpoint) continue;
-        Result<net::Endpoint*> ep = network_->Get(c.name);
-        if (!ep.ok()) continue;
-        net::FaultInjector* injector = (*ep)->fault_injector();
-        if (injector != nullptr && injector->IsOrderStateful()) {
-          stateful_endpoints.insert(c.name);
-        }
-      }
-    }
-
-    std::vector<WaveNode> nodes;
-    nodes.reserve(wave.size());
-    for (const WaveInstance& inst : wave) {
-      nodes.push_back(WaveNode{inst.def, &inst.ev.after_types});
-    }
-    const WaveEdges edges =
-        BuildWaveEdges(nodes, stateful_endpoints, SerializesSameProcessType());
-
     Status abort_status;
     WaveRunner::Hooks hooks;
+    hooks.edges = [&] {
+      // Endpoints whose installed fault injector depends on the global call
+      // arrival order (outage windows, phases): instances claiming one must
+      // serialize so that order stays the serial order.
+      std::set<std::string> stateful_endpoints;
+      for (const WaveInstance& inst : wave) {
+        for (const ResourceClaim& c : inst.def->claims) {
+          if (c.kind != ResourceClaim::Kind::kEndpoint) continue;
+          Result<net::Endpoint*> ep = network_->Get(c.name);
+          if (!ep.ok()) continue;
+          net::FaultInjector* injector = (*ep)->fault_injector();
+          if (injector != nullptr && injector->IsOrderStateful()) {
+            stateful_endpoints.insert(c.name);
+          }
+        }
+      }
+      std::vector<WaveNode> nodes;
+      nodes.reserve(wave.size());
+      for (const WaveInstance& inst : wave) {
+        nodes.push_back(WaveNode{inst.def, &inst.ev.after_types});
+      }
+      return BuildWaveEdges(nodes, stateful_endpoints,
+                            SerializesSameProcessType());
+    };
     // Worker side: run the instance's attempts back-to-back against the
     // external systems, capturing results at virtual base time 0. Returns
     // false when the instance defers (budget-limited retries continue in
@@ -170,7 +170,8 @@ Status EngineBase::RunUntilIdle() {
     hooks.replay = [&](int i) -> bool {
       return ReplayInstance(&wave[i], max_attempts, &abort_status);
     };
-    if (!WaveRunner::Run(edges, exec_workers_, hooks)) {
+    if (!WaveRunner::Run(static_cast<int>(wave.size()), exec_workers_,
+                         hooks)) {
       return abort_status;
     }
   }

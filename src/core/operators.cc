@@ -30,11 +30,11 @@ Status ExecuteBody(const std::vector<OpPtr>& body, ProcessContext* ctx) {
       trace.cp_ms = ctx->costs().cp_ms - before.cp_ms;
       ctx->AddTrace(std::move(trace));
       if (rec != nullptr) rec->EndSpan(span_id, ctx->ObsNow());
-      DIP_RETURN_NOT_OK(st.WithContext(op->Describe()));
+      if (!st.ok()) return st.WithContext(op->Describe());
     } else {
       Status st = op->Execute(ctx);
       if (rec != nullptr) rec->EndSpan(span_id, ctx->ObsNow());
-      DIP_RETURN_NOT_OK(st.WithContext(op->Describe()));
+      if (!st.ok()) return st.WithContext(op->Describe());
     }
   }
   return Status::OK();
@@ -483,7 +483,9 @@ class SubprocessOp : public Operator {
     ctx->ChargeOperator();
     // Invoking a subprocess instantiates its plan (management cost).
     ctx->ChargeManagement(ctx->weights().plan_instantiation_ms);
-    return ExecuteBody(ops_, ctx).WithContext("subprocess " + name_);
+    Status st = ExecuteBody(ops_, ctx);
+    if (!st.ok()) return st.WithContext("subprocess " + name_);
+    return st;
   }
   std::string Describe() const override { return "SUBPROCESS " + name_; }
 

@@ -162,8 +162,7 @@ WaveEdges BuildWaveEdges(const std::vector<WaveNode>& nodes,
   return out;
 }
 
-bool WaveRunner::Run(const WaveEdges& edges, int workers, const Hooks& hooks) {
-  const int n = static_cast<int>(edges.capture_preds.size());
+bool WaveRunner::Run(int n, int workers, const Hooks& hooks) {
   if (n == 0) return true;
 
   // A single-instance wave (every batch-stream tick is one) or a single
@@ -177,6 +176,7 @@ bool WaveRunner::Run(const WaveEdges& edges, int workers, const Hooks& hooks) {
     return true;
   }
 
+  const WaveEdges edges = hooks.edges();
   // A node's indegree counts capture edges AND replay edges; an edge present
   // in both lists is released twice (once at the predecessor's capture, once
   // at its replay), so the double count cancels — no dedup needed.

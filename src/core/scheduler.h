@@ -88,17 +88,23 @@ WaveEdges BuildWaveEdges(const std::vector<WaveNode>& nodes,
 /// first, but no new instance starts, and later replays never run (their
 /// external side effects may persist; see SPECIFICATION.md §13).
 ///
-/// workers <= 1 degenerates to `execute(i); replay(i)` in serial order on
-/// the calling thread — structurally identical to the serial engine.
+/// workers <= 1, or a wave of one instance, degenerates to
+/// `execute(i); replay(i)` in serial order on the calling thread —
+/// structurally identical to the serial engine — and never builds the
+/// dependency DAG.
 class WaveRunner {
  public:
   struct Hooks {
+    /// Builds the wave's dependency DAG (one entry per instance). Called
+    /// once, and only when the wave runs on the pool.
+    std::function<WaveEdges()> edges;
     std::function<bool(int)> execute;
     std::function<bool(int)> replay;
   };
 
-  /// Returns true when every instance replayed, false on abort.
-  static bool Run(const WaveEdges& edges, int workers, const Hooks& hooks);
+  /// Runs a wave of `n` instances. Returns true when every instance
+  /// replayed, false on abort.
+  static bool Run(int n, int workers, const Hooks& hooks);
 };
 
 }  // namespace core

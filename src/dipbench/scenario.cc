@@ -402,9 +402,10 @@ Status Scenario::BuildCdb() {
           Value citykey = Value::Null();
           bool dirty = false;
           if (!r[c_custkey].is_null()) {
-            auto found = cust->FindByKey({r[c_custkey]});
-            if (found.ok()) {
-              citykey = (*found)[2];
+            Result<const Row*> found =
+                cust->FindByKeyRef({&r[c_custkey], 1});
+            if (found.ok() && *found != nullptr) {
+              citykey = (**found)[2];
             } else {
               dirty = true;  // unknown customer
             }
@@ -532,8 +533,8 @@ Status Scenario::BuildCdb() {
         DIP_ASSIGN_OR_RETURN(Table * cust, d->GetTable("customer"));
         RowSet out;
         out.schema = cust->schema();
-        auto found = cust->FindByKey({params[0]});
-        if (found.ok()) out.rows.push_back(*found);
+        Result<const Row*> found = cust->FindByKeyRef(params);
+        if (found.ok() && *found != nullptr) out.rows.push_back(**found);
         return out;
       }));
 
@@ -639,7 +640,7 @@ Status Scenario::BuildDwh() {
           // SUM over ints may come back integral; the MV column is DOUBLE.
           DIP_ASSIGN_OR_RETURN(Value rev, row[3].CastTo(DataType::kDouble));
           row[3] = rev;
-          DIP_RETURN_NOT_OK(mv->Insert(row));
+          DIP_RETURN_NOT_OK(mv->Insert(std::move(row)));
         }
         return Status::OK();
       }));
@@ -803,7 +804,7 @@ Status Scenario::BuildDataMarts() {
           for (auto& row : cube.rows) {
             DIP_ASSIGN_OR_RETURN(Value rev, row[3].CastTo(DataType::kDouble));
             row[3] = rev;
-            DIP_RETURN_NOT_OK(mv->Insert(row));
+            DIP_RETURN_NOT_OK(mv->Insert(std::move(row)));
           }
           return Status::OK();
         }));

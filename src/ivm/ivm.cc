@@ -100,8 +100,9 @@ Status FoldOrdersMvDelta(Database* d) {
           .Run(&ec));
   for (const Row& c : contrib.rows) {
     const Value& rev = c[3];
-    Result<Row> found = mv->FindByKey({c[0], c[1], c[2]});
-    if (!found.ok()) {
+    DIP_ASSIGN_OR_RETURN(const Row* group,
+                         mv->FindByKeyRef(std::span(c.data(), 3)));
+    if (group == nullptr) {
       // New group: SUM of one row (NULL input -> NULL sum), COUNT(*) = 1.
       Value revenue =
           rev.is_null() ? Value::Null() : Value::Double(0.0 + rev.AsDouble());
@@ -109,14 +110,15 @@ Status FoldOrdersMvDelta(Database* d) {
           mv->Insert({c[0], c[1], c[2], revenue, Value::Int(1)}));
       continue;
     }
-    Row group = *found;
-    Value revenue = group[3];
+    // Read the group before the upsert below moves the table's rows.
+    Value revenue = (*group)[3];
+    const int64_t count = (*group)[4].AsInt() + 1;
     if (!rev.is_null()) {
       double acc = revenue.is_null() ? 0.0 : revenue.AsDouble();
       revenue = Value::Double(acc + rev.AsDouble());
     }
     DIP_RETURN_NOT_OK(mv->InsertOrReplace(
-        {c[0], c[1], c[2], revenue, Value::Int(group[4].AsInt() + 1)}));
+        {c[0], c[1], c[2], revenue, Value::Int(count)}));
   }
   return AdvanceToEnd(orders, kMvCursor);
 }

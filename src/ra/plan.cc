@@ -1,6 +1,7 @@
 #include "src/ra/plan.h"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
 #include <map>
 #include <memory>
@@ -337,6 +338,15 @@ class ProjectCursor : public BatchCursor {
   std::vector<size_t> col_idx_;  // SIZE_MAX = not a bare column reference
 };
 
+/// The probe row followed by the build row, allocated at its final width.
+Row JoinRows(const Row& lrow, const Row& rrow) {
+  Row joined;
+  joined.reserve(lrow.size() + rrow.size());
+  joined.insert(joined.end(), lrow.begin(), lrow.end());
+  joined.insert(joined.end(), rrow.begin(), rrow.end());
+  return joined;
+}
+
 /// Build side (right) is drained and hashed at Open; probe side streams.
 class HashJoinCursor : public BatchCursor {
  public:
@@ -392,9 +402,7 @@ class HashJoinCursor : public BatchCursor {
             }
           }
           if (!match) continue;
-          Row joined = lrow;
-          joined.insert(joined.end(), rrow.begin(), rrow.end());
-          batch->rows.push_back(std::move(joined));
+          batch->rows.push_back(JoinRows(lrow, rrow));
         }
       }
       if (!batch->rows.empty()) return Status::OK();
@@ -561,17 +569,107 @@ Status AccumulateAggValues(const Row& row,
   return Status::OK();
 }
 
-Status AccumulateAggRow(const Row& row, const std::vector<AggregateItem>& aggs,
-                        const std::vector<size_t>& group_idx,
-                        const std::vector<size_t>& agg_idx,
-                        std::map<std::string, AggGroupState>* groups) {
-  Row key;
-  for (size_t gi : group_idx) key.push_back(row[gi]);
-  std::string key_str = RowToString(key);
-  auto [it, inserted] = groups->try_emplace(std::move(key_str));
-  if (inserted) InitAggState(&it->second, std::move(key), aggs.size());
-  return AccumulateAggValues(row, aggs, agg_idx, &it->second);
-}
+/// The group table every aggregation path shares (row, columnar, spill).
+///
+/// Group identity is the serialized key: the group cells rendered and
+/// joined like RowToString, so Int(5) and Double(5.0) are one group,
+/// doubles group by their lossy "%.6g" rendering, and NULL renders as "".
+/// A group keeps the key cells of its first row, and groups come out in
+/// serialized-key order. While every key seen is a tuple of non-NULL INT64
+/// cells the table is keyed by the cells' raw bytes instead, and no string
+/// is built per row; INT64 renderings are injective, so both keyings make
+/// the same groups. The first other key migrates every group to the
+/// serialized-key map for the rest of the input.
+class AggGroupTable {
+ public:
+  AggGroupTable(const std::vector<size_t>& group_idx, size_t naggs)
+      : group_idx_(group_idx), naggs_(naggs) {}
+
+  /// The group of `row`, whose key cells sit at group_idx; created on
+  /// first sight. The pointer is valid until the next lookup.
+  AggGroupState* Find(const Row& row) {
+    if (int_keyed_) {
+      cells_.clear();
+      for (size_t gi : group_idx_) {
+        if (row[gi].type() != DataType::kInt64) break;
+        cells_.push_back(row[gi].AsInt());
+      }
+      if (cells_.size() == group_idx_.size()) {
+        return FindInt(cells_, [&] { return KeyRow(row); });
+      }
+      MigrateToSerialized();
+    }
+    key_buf_.clear();
+    AppendRowKeyString(row, group_idx_, &key_buf_);
+    auto it = by_key_.find(key_buf_);
+    if (it == by_key_.end()) {
+      it = by_key_.try_emplace(key_buf_).first;
+      InitAggState(&it->second, KeyRow(row), naggs_);
+    }
+    return &it->second;
+  }
+
+  /// Find for a key of INT64 cells, one per group column, while the table
+  /// is still int-keyed (no non-INT64 key seen). `make_key` builds the key
+  /// row of a new group.
+  template <typename MakeKey>
+  AggGroupState* FindInt(std::span<const int64_t> cells,
+                         const MakeKey& make_key) {
+    assert(int_keyed_);
+    key_buf_.assign(reinterpret_cast<const char*>(cells.data()),
+                    cells.size_bytes());
+    auto [it, inserted] = by_raw_.try_emplace(key_buf_, groups_.size());
+    if (inserted) {
+      groups_.emplace_back();
+      InitAggState(&groups_.back(), make_key(), naggs_);
+    }
+    return &groups_[it->second];
+  }
+
+  /// Calls fn(serialized key, group) for every group in serialized-key
+  /// order.
+  template <typename Fn>
+  void ForEachOrdered(const Fn& fn) const {
+    if (!int_keyed_) {
+      for (const auto& [key, st] : by_key_) fn(key, st);
+      return;
+    }
+    std::vector<std::pair<std::string, const AggGroupState*>> ordered;
+    ordered.reserve(groups_.size());
+    for (const AggGroupState& st : groups_) {
+      ordered.emplace_back(RowToString(st.key), &st);
+    }
+    std::sort(ordered.begin(), ordered.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [key, st] : ordered) fn(key, *st);
+  }
+
+ private:
+  Row KeyRow(const Row& row) const {
+    Row key;
+    key.reserve(group_idx_.size());
+    for (size_t gi : group_idx_) key.push_back(row[gi]);
+    return key;
+  }
+
+  void MigrateToSerialized() {
+    for (AggGroupState& st : groups_) {
+      by_key_.emplace(RowToString(st.key), std::move(st));
+    }
+    groups_.clear();
+    by_raw_.clear();
+    int_keyed_ = false;
+  }
+
+  const std::vector<size_t>& group_idx_;
+  size_t naggs_;
+  bool int_keyed_ = true;
+  std::unordered_map<std::string, size_t> by_raw_;  // raw key -> groups_ index
+  std::vector<AggGroupState> groups_;
+  std::map<std::string, AggGroupState> by_key_;  // serialized key -> group
+  std::vector<int64_t> cells_;
+  std::string key_buf_;
+};
 
 Row FinalizeAggGroup(const AggGroupState& st,
                      const std::vector<AggregateItem>& aggs) {
@@ -881,13 +979,14 @@ double ColNum(const ColumnVector& c, uint32_t p) {
 }
 
 /// Blocking columnar aggregation (kColumnar mode, unlimited budget).
-/// Consumes a columnar child; group columns that are uniformly int-family
-/// without nulls use raw 8-byte key concatenation into an unordered_map.
-/// When a batch violates that shape (strings, nulls, mixed types), every
-/// accumulated group migrates to the row path's std::map<serialized key,
-/// state> and accumulation continues row at a time. Output rows, schema,
-/// order (serialized-key lexicographic), and per-group double-summation
-/// order are identical to the row implementation.
+/// Consumes a columnar child. While every batch has non-NULL INT64 group
+/// columns and numeric aggregate inputs, rows accumulate straight from the
+/// typed arrays into the shared AggGroupTable's raw INT64 keys. The first
+/// batch of another shape switches accumulation to the row path for the
+/// rest of the input (the table itself migrates on the first non-INT64
+/// key). Output rows, schema, order (serialized-key lexicographic), and
+/// per-group double-summation order are identical to the row
+/// implementation.
 class ColumnarAggregateCursor : public BatchCursor {
  public:
   ColumnarAggregateCursor(ColumnarCursorPtr child,
@@ -900,41 +999,31 @@ class ColumnarAggregateCursor : public BatchCursor {
     DIP_RETURN_NOT_OK(child_->Open());
     DIP_RETURN_NOT_OK(ResolveAggIndexes(child_->schema(), *group_by_, *aggs_,
                                         &group_idx_, &agg_idx_));
+    AggGroupTable groups(group_idx_, aggs_->size());
     ColumnBatch in;
     for (;;) {
       DIP_RETURN_NOT_OK(child_->Next(&in));
       if (in.empty()) break;
       ctx_->rows_processed += in.size();
-      if (fast_ && !FastEligible(in)) MigrateToSlow();
+      // The fast path keeps numeric min/max mirrors the row path does not
+      // update, so once off it accumulation stays on the row path.
+      if (fast_ && !FastEligible(in)) fast_ = false;
       if (fast_) {
-        AccumulateFast(in);
+        AccumulateFast(in, &groups);
       } else {
         for (size_t r = 0; r < in.size(); ++r) {
           Row row = MaterializeColumnRow(in, r);
           DIP_RETURN_NOT_OK(
-              AccumulateAggRow(row, *aggs_, group_idx_, agg_idx_, &slow_groups_));
+              AccumulateAggValues(row, *aggs_, agg_idx_, groups.Find(row)));
         }
       }
     }
     ctx_->operator_invocations++;
     out_schema_ = AggOutputSchema(child_->schema(), *group_by_, group_idx_,
                                   *aggs_);
-    if (fast_) {
-      std::vector<std::pair<std::string, const AggGroupState*>> ordered;
-      ordered.reserve(fast_groups_.size());
-      for (const auto& st : fast_groups_) {
-        ordered.emplace_back(RowToString(st.key), &st);
-      }
-      std::sort(ordered.begin(), ordered.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      for (const auto& [key_str, st] : ordered) {
-        out_rows_.push_back(FinalizeAggGroup(*st, *aggs_));
-      }
-    } else {
-      for (const auto& [key_str, st] : slow_groups_) {
-        out_rows_.push_back(FinalizeAggGroup(st, *aggs_));
-      }
-    }
+    groups.ForEachOrdered([&](const std::string&, const AggGroupState& st) {
+      out_rows_.push_back(FinalizeAggGroup(st, *aggs_));
+    });
     CloseChild();
     pos_ = 0;
     return Status::OK();
@@ -957,7 +1046,10 @@ class ColumnarAggregateCursor : public BatchCursor {
     for (size_t gi : group_idx_) {
       if (gi >= in.columns.size()) return false;
       const ColumnVector& c = *in.columns[gi];
-      if (c.rep() != ColumnVector::Rep::kInt || c.has_nulls()) return false;
+      if (c.rep() != ColumnVector::Rep::kInt ||
+          c.value_type() != DataType::kInt64 || c.has_nulls()) {
+        return false;
+      }
     }
     for (size_t a = 0; a < aggs_->size(); ++a) {
       if (agg_idx_[a] == SIZE_MAX) continue;
@@ -972,25 +1064,18 @@ class ColumnarAggregateCursor : public BatchCursor {
     return true;
   }
 
-  void AccumulateFast(const ColumnBatch& in) {
+  void AccumulateFast(const ColumnBatch& in, AggGroupTable* groups) {
     const size_t naggs = aggs_->size();
     const size_t n = in.size();
     for (size_t r = 0; r < n; ++r) {
       uint32_t p = in.phys(r);
-      key_buf_.clear();
-      for (size_t gi : group_idx_) {
-        int64_t kv = in.columns[gi]->ints()[p];
-        key_buf_.append(reinterpret_cast<const char*>(&kv), sizeof(kv));
-      }
-      auto [it, inserted] = fast_lookup_.try_emplace(key_buf_,
-                                                     fast_groups_.size());
-      if (inserted) {
-        fast_groups_.emplace_back();
+      cells_.clear();
+      for (size_t gi : group_idx_) cells_.push_back(in.columns[gi]->ints()[p]);
+      AggGroupState& st = *groups->FindInt(cells_, [&] {
         Row key;
         for (size_t gi : group_idx_) key.push_back(in.columns[gi]->GetValue(p));
-        InitAggState(&fast_groups_.back(), std::move(key), naggs);
-      }
-      AggGroupState& st = fast_groups_[it->second];
+        return key;
+      });
       for (size_t a = 0; a < naggs; ++a) {
         const size_t ai = agg_idx_[a];
         if ((*aggs_)[a].func == AggFunc::kCount) {
@@ -1015,15 +1100,6 @@ class ColumnarAggregateCursor : public BatchCursor {
     }
   }
 
-  void MigrateToSlow() {
-    for (auto& st : fast_groups_) {
-      slow_groups_.emplace(RowToString(st.key), std::move(st));
-    }
-    fast_groups_.clear();
-    fast_lookup_.clear();
-    fast_ = false;
-  }
-
   void CloseChild() {
     if (child_closed_) return;
     child_closed_ = true;
@@ -1036,10 +1112,7 @@ class ColumnarAggregateCursor : public BatchCursor {
   ExecContext* ctx_;
   std::vector<size_t> group_idx_, agg_idx_;
   bool fast_ = true;
-  std::unordered_map<std::string, size_t> fast_lookup_;  // raw key -> index
-  std::vector<AggGroupState> fast_groups_;
-  std::map<std::string, AggGroupState> slow_groups_;
-  std::string key_buf_;
+  std::vector<int64_t> cells_;
   Schema out_schema_;
   std::vector<Row> out_rows_;
   size_t pos_ = 0;
@@ -1243,34 +1316,35 @@ class SpillAggregateCursor : public BatchCursor {
     CloseChild();
     ctx_->operator_invocations++;
     if (!spilled_) {
-      std::map<std::string, AggGroupState> groups;
+      AggGroupTable groups(group_idx_, aggs_->size());
       for (const Row& row : buffer_) {
         DIP_RETURN_NOT_OK(
-            AccumulateAggRow(row, *aggs_, group_idx_, agg_idx_, &groups));
+            AccumulateAggValues(row, *aggs_, agg_idx_, groups.Find(row)));
       }
       buffer_.clear();
-      for (const auto& [key_str, st] : groups) {
+      groups.ForEachOrdered([&](const std::string&, const AggGroupState& st) {
         out_rows_.push_back(FinalizeAggGroup(st, *aggs_));
-      }
+      });
       pos_ = 0;
       return Status::OK();
     }
     for (auto& w : writers_) DIP_RETURN_NOT_OK(w->Finish());
     CountSpillMerge();
     for (size_t p = 0; p < kSpillPartitions; ++p) {
-      std::map<std::string, AggGroupState> groups;
+      AggGroupTable groups(group_idx_, aggs_->size());
       {
         SpillRunReader reader(dir_, RunName("agg_in_", p));
         Row row;
         while (reader.Next(&row)) {
           DIP_RETURN_NOT_OK(
-              AccumulateAggRow(row, *aggs_, group_idx_, agg_idx_, &groups));
+              AccumulateAggValues(row, *aggs_, agg_idx_, groups.Find(row)));
         }
       }
       SpillRunWriter w(dir_, RunName("agg_out_", p));
-      for (const auto& [key_str, st] : groups) {
-        w.AddKeyed(0, key_str, FinalizeAggGroup(st, *aggs_));
-      }
+      groups.ForEachOrdered(
+          [&](const std::string& key_str, const AggGroupState& st) {
+            w.AddKeyed(0, key_str, FinalizeAggGroup(st, *aggs_));
+          });
       DIP_RETURN_NOT_OK(w.Finish());
     }
     for (size_t p = 0; p < kSpillPartitions; ++p) {
@@ -1328,9 +1402,9 @@ class SpillAggregateCursor : public BatchCursor {
     buffer_.clear();
   }
   void RouteRow(const Row& row) {
-    Row key;
-    for (size_t gi : group_idx_) key.push_back(row[gi]);
-    writers_[Fnv1a(RowToString(key)) % kSpillPartitions]->Add(row);
+    key_buf_.clear();
+    AppendRowKeyString(row, group_idx_, &key_buf_);
+    writers_[Fnv1a(key_buf_) % kSpillPartitions]->Add(row);
   }
   void CloseChild() {
     if (child_closed_) return;
@@ -1344,6 +1418,7 @@ class SpillAggregateCursor : public BatchCursor {
   ExecContext* ctx_;
   std::vector<size_t> group_idx_, agg_idx_;
   bool spilled_ = false;
+  std::string key_buf_;
   std::vector<Row> buffer_;
   std::shared_ptr<SpillDir> dir_;
   std::vector<std::unique_ptr<SpillRunWriter>> writers_;
@@ -1649,9 +1724,7 @@ class GraceHashJoinCursor : public BatchCursor {
         for (auto it = range.first; it != range.second; ++it) {
           const Row& rrow = part_build[it->second];
           if (!KeysMatch(lrow, rrow)) continue;
-          Row joined = lrow;
-          joined.insert(joined.end(), rrow.begin(), rrow.end());
-          out.AddTagged(tag, joined);
+          out.AddTagged(tag, JoinRows(lrow, rrow));
         }
       }
       DIP_RETURN_NOT_OK(out.Finish());
@@ -1682,9 +1755,7 @@ class GraceHashJoinCursor : public BatchCursor {
           for (auto it = range.first; it != range.second; ++it) {
             const Row& rrow = build_rows_[it->second];
             if (!KeysMatch(lrow, rrow)) continue;
-            Row joined = lrow;
-            joined.insert(joined.end(), rrow.begin(), rrow.end());
-            batch->rows.push_back(std::move(joined));
+            batch->rows.push_back(JoinRows(lrow, rrow));
           }
         }
         if (!batch->rows.empty()) return Status::OK();
@@ -2059,9 +2130,7 @@ class HashJoinNode : public PlanNode {
           }
         }
         if (!match) continue;
-        Row joined = lrow;
-        joined.insert(joined.end(), rrow.begin(), rrow.end());
-        out.rows.push_back(std::move(joined));
+        out.rows.push_back(JoinRows(lrow, rrow));
       }
     }
     return out;
@@ -2194,18 +2263,17 @@ class AggregateNode : public PlanNode {
     std::vector<size_t> group_idx, agg_idx;
     DIP_RETURN_NOT_OK(
         ResolveAggIndexes(in.schema, group_by_, aggs_, &group_idx, &agg_idx));
-    // Keyed by serialized group key for deterministic iteration below.
-    std::map<std::string, AggGroupState> groups;
+    AggGroupTable groups(group_idx, aggs_.size());
     for (const auto& row : in.rows) {
       ctx->rows_processed++;
       DIP_RETURN_NOT_OK(
-          AccumulateAggRow(row, aggs_, group_idx, agg_idx, &groups));
+          AccumulateAggValues(row, aggs_, agg_idx, groups.Find(row)));
     }
     RowSet out;
     out.schema = AggOutputSchema(in.schema, group_by_, group_idx, aggs_);
-    for (const auto& [key_str, st] : groups) {
+    groups.ForEachOrdered([&](const std::string&, const AggGroupState& st) {
       out.rows.push_back(FinalizeAggGroup(st, aggs_));
-    }
+    });
     return out;
   }
 

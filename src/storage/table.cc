@@ -60,57 +60,65 @@ Status Table::CheckRow(const Row& row) const {
   return Status::OK();
 }
 
-Row Table::ExtractKey(const Row& row) const {
-  Row key;
-  key.reserve(schema_.primary_key().size());
-  for (size_t idx : schema_.primary_key()) key.push_back(row[idx]);
-  return key;
+size_t Table::PkHash(const Row& row) const {
+  const std::vector<size_t>& pk = schema_.primary_key();
+  return pk.empty() ? 0 : HashRowKey(row, pk);
 }
 
-size_t Table::KeyHash(const Row& key) const { return HashRow(key); }
-
-size_t Table::FindSlotByKey(const Row& key) const {
-  if (schema_.primary_key().empty()) return SIZE_MAX;
-  size_t h = KeyHash(key);
-  auto range = pk_index_.equal_range(h);
-  for (auto it = range.first; it != range.second; ++it) {
-    size_t slot = it->second;
-    if (!live_[slot]) continue;
-    Row candidate = ExtractKey(rows_[slot]);
-    if (RowsEqual(candidate, key)) return slot;
+bool Table::SameKey(const Row& a, const Row& b) const {
+  for (size_t c : schema_.primary_key()) {
+    if (a[c].Compare(b[c]) != 0) return false;
   }
-  return SIZE_MAX;
+  return true;
 }
 
-void Table::IndexRow(size_t slot) {
-  if (!schema_.primary_key().empty()) {
-    pk_index_.emplace(KeyHash(ExtractKey(rows_[slot])), slot);
-  }
-  for (auto& [name, idx] : secondary_) {
-    Row key;
-    for (size_t c : idx.columns) key.push_back(rows_[slot][c]);
-    idx.map.emplace(HashRow(key), slot);
-  }
-  for (auto& [name, idx] : ordered_) {
-    idx.map.emplace(rows_[slot][idx.column], slot);
-  }
+std::string Table::KeyString(const Row& row) const {
+  std::string out;
+  AppendRowKeyString(row, schema_.primary_key(), &out);
+  return out;
+}
+
+size_t Table::FindSlotByKey(std::span<const Value> key) const {
+  const std::vector<size_t>& pk = schema_.primary_key();
+  if (pk.empty() || key.size() != pk.size()) return KeyIndex::kNotFound;
+  return pk_index_.Find(HashRow(key), [&](size_t slot) {
+    const Row& row = rows_[slot];
+    for (size_t i = 0; i < pk.size(); ++i) {
+      if (key[i].Compare(row[pk[i]]) != 0) return false;
+    }
+    return true;
+  });
+}
+
+size_t Table::FindSlotOfRow(const Row& row, size_t pk_hash) const {
+  return pk_index_.Find(pk_hash,
+                        [&](size_t slot) { return SameKey(rows_[slot], row); });
+}
+
+void Table::IndexRow(size_t slot, size_t pk_hash) {
+  if (!schema_.primary_key().empty()) pk_index_.Insert(pk_hash, slot);
+  IndexSecondary(rows_[slot], slot);
 }
 
 void Table::UnindexRow(size_t slot) {
   if (!schema_.primary_key().empty()) {
-    size_t h = KeyHash(ExtractKey(rows_[slot]));
-    auto range = pk_index_.equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == slot) {
-        pk_index_.erase(it);
-        break;
-      }
-    }
+    pk_index_.Erase(PkHash(rows_[slot]), slot);
   }
+  UnindexSecondary(rows_[slot], slot);
+}
+
+void Table::IndexSecondary(const Row& row, size_t slot) {
   for (auto& [name, idx] : secondary_) {
-    Row key;
-    for (size_t c : idx.columns) key.push_back(rows_[slot][c]);
-    auto range = idx.map.equal_range(HashRow(key));
+    idx.map.emplace(HashRowKey(row, idx.columns), slot);
+  }
+  for (auto& [name, idx] : ordered_) {
+    idx.map.emplace(row[idx.column], slot);
+  }
+}
+
+void Table::UnindexSecondary(const Row& row, size_t slot) {
+  for (auto& [name, idx] : secondary_) {
+    auto range = idx.map.equal_range(HashRowKey(row, idx.columns));
     for (auto it = range.first; it != range.second; ++it) {
       if (it->second == slot) {
         idx.map.erase(it);
@@ -119,7 +127,7 @@ void Table::UnindexRow(size_t slot) {
     }
   }
   for (auto& [name, idx] : ordered_) {
-    auto range = idx.map.equal_range(rows_[slot][idx.column]);
+    auto range = idx.map.equal_range(row[idx.column]);
     for (auto it = range.first; it != range.second; ++it) {
       if (it->second == slot) {
         idx.map.erase(it);
@@ -136,18 +144,16 @@ Status Table::Insert(Row row) {
     }
   }
   DIP_RETURN_NOT_OK(CheckRow(row));
-  if (!schema_.primary_key().empty()) {
-    Row key = ExtractKey(row);
-    if (FindSlotByKey(key) != SIZE_MAX) {
-      return Status::AlreadyExists("duplicate key " + RowToString(key) +
-                                   " in " + name_);
-    }
+  const size_t pk_hash = PkHash(row);
+  if (FindSlotOfRow(row, pk_hash) != KeyIndex::kNotFound) {
+    return Status::AlreadyExists("duplicate key " + KeyString(row) + " in " +
+                                 name_);
   }
   rows_.push_back(std::move(row));
   live_.push_back(true);
   ++live_count_;
   ++rows_written_;
-  IndexRow(rows_.size() - 1);
+  IndexRow(rows_.size() - 1, pk_hash);
   Touch();
   Capture(storage::ChangeEntry::Op::kInsert, rows_.back());
   return Status::OK();
@@ -169,12 +175,14 @@ Status Table::BufferedInsert(AppendBuffer* buf, Row row) {
     // The base table is not consulted here — another instance may be
     // flushing into it concurrently — so base duplicates are skipped at
     // FlushAppends instead.
-    std::string key = RowToString(ExtractKey(row));
-    if (!buf->keys.insert(std::move(key)).second) {
-      return Status::AlreadyExists("duplicate key " +
-                                   RowToString(ExtractKey(row)) + " in " +
-                                   name_ + " (append buffer)");
+    const size_t pk_hash = PkHash(row);
+    if (buf->keys.Find(pk_hash, [&](size_t i) {
+          return SameKey(buf->rows[i], row);
+        }) != KeyIndex::kNotFound) {
+      return Status::AlreadyExists("duplicate key " + KeyString(row) +
+                                   " in " + name_ + " (append buffer)");
     }
+    buf->keys.Insert(pk_hash, buf->rows.size());
   }
   buf->rows.push_back(std::move(row));
   return Status::OK();
@@ -192,7 +200,7 @@ Status Table::FlushAppends(AppendBuffer* buf) {
     if (!st.ok() && st.code() != StatusCode::kAlreadyExists) return st;
   }
   buf->rows.clear();
-  buf->keys.clear();
+  buf->keys.Clear();
   return Status::OK();
 }
 
@@ -207,20 +215,19 @@ Status Table::InsertOrReplace(Row row) {
   }
   DIP_RETURN_NOT_OK(CheckRow(row));
   bool replaced = false;
-  if (!schema_.primary_key().empty()) {
-    size_t slot = FindSlotByKey(ExtractKey(row));
-    if (slot != SIZE_MAX) {
-      UnindexRow(slot);
-      live_[slot] = false;
-      --live_count_;
-      replaced = true;
-    }
+  const size_t pk_hash = PkHash(row);
+  const size_t slot = FindSlotOfRow(row, pk_hash);
+  if (slot != KeyIndex::kNotFound) {
+    UnindexRow(slot);
+    live_[slot] = false;
+    --live_count_;
+    replaced = true;
   }
   rows_.push_back(std::move(row));
   live_.push_back(true);
   ++live_count_;
   ++rows_written_;
-  IndexRow(rows_.size() - 1);
+  IndexRow(rows_.size() - 1, pk_hash);
   Touch();
   Capture(replaced ? storage::ChangeEntry::Op::kUpdate
                    : storage::ChangeEntry::Op::kInsert,
@@ -228,7 +235,7 @@ Status Table::InsertOrReplace(Row row) {
   return Status::OK();
 }
 
-Result<Row> Table::FindByKey(const Row& key) const {
+Result<const Row*> Table::FindByKeyRef(std::span<const Value> key) const {
   if (schema_.primary_key().empty()) {
     return Status::InvalidArgument("table " + name_ + " has no primary key");
   }
@@ -237,15 +244,21 @@ Result<Row> Table::FindByKey(const Row& key) const {
   }
   size_t slot = FindSlotByKey(key);
   ++rows_read_;
-  if (slot == SIZE_MAX) {
+  const Row* found = slot == KeyIndex::kNotFound ? nullptr : &rows_[slot];
+  return found;
+}
+
+Result<Row> Table::FindByKey(const Row& key) const {
+  DIP_ASSIGN_OR_RETURN(const Row* found, FindByKeyRef(key));
+  if (found == nullptr) {
     return Status::NotFound("key " + RowToString(key) + " not in " + name_);
   }
-  return rows_[slot];
+  return *found;
 }
 
 bool Table::ContainsKey(const Row& key) const {
   ++rows_read_;
-  return FindSlotByKey(key) != SIZE_MAX;
+  return FindSlotByKey(key) != KeyIndex::kNotFound;
 }
 
 size_t Table::DeleteWhere(const std::function<bool(const Row&)>& pred) {
@@ -272,7 +285,7 @@ void Table::Clear() {
   rows_.clear();
   live_.clear();
   live_count_ = 0;
-  pk_index_.clear();
+  pk_index_.Clear();
   for (auto& [name, idx] : secondary_) idx.map.clear();
   for (auto& [name, idx] : ordered_) idx.map.clear();
   Touch();
@@ -282,29 +295,32 @@ void Table::Clear() {
 
 Result<size_t> Table::UpdateWhere(const std::function<bool(const Row&)>& pred,
                                   const std::function<void(Row*)>& update) {
+  const bool has_secondary = !secondary_.empty() || !ordered_.empty();
   size_t updated = 0;
+  Row before;  // the row as it was before `update`; reused across rows
   for (size_t slot = 0; slot < rows_.size(); ++slot) {
     if (!live_[slot]) continue;
     ++rows_read_;
     if (!pred(rows_[slot])) continue;
-    Row old_key =
-        schema_.primary_key().empty() ? Row{} : ExtractKey(rows_[slot]);
-    UnindexRow(slot);
+    before = rows_[slot];
     update(&rows_[slot]);
     Status st = CheckRow(rows_[slot]);
-    if (!st.ok()) {
-      IndexRow(slot);  // restore index entries before bailing
-      Touch();         // the updater already mutated the row in place
-      return st;
-    }
-    if (!schema_.primary_key().empty() &&
-        !RowsEqual(old_key, ExtractKey(rows_[slot]))) {
-      IndexRow(slot);
-      Touch();
-      return Status::ConstraintViolation(
+    if (st.ok() && !SameKey(before, rows_[slot])) {
+      st = Status::ConstraintViolation(
           "update must not modify primary key of " + name_);
     }
-    IndexRow(slot);
+    if (!st.ok()) {
+      // Put the row back as it was. Its index entries never moved: the
+      // primary key is unchanged on success, and secondary entries move
+      // only below.
+      rows_[slot] = std::move(before);
+      Touch();
+      return st;
+    }
+    if (has_secondary) {
+      UnindexSecondary(before, slot);
+      IndexSecondary(rows_[slot], slot);
+    }
     ++updated;
     ++rows_written_;
     if (changelog_ != nullptr) {
@@ -372,9 +388,7 @@ Status Table::CreateIndex(const std::string& index_name,
   }
   for (size_t slot = 0; slot < rows_.size(); ++slot) {
     if (!live_[slot]) continue;
-    Row key;
-    for (size_t c : idx.columns) key.push_back(rows_[slot][c]);
-    idx.map.emplace(HashRow(key), slot);
+    idx.map.emplace(HashRowKey(rows_[slot], idx.columns), slot);
   }
   secondary_.emplace(index_name, std::move(idx));
   return Status::OK();
@@ -393,13 +407,16 @@ Result<std::vector<Row>> Table::LookupIndex(const std::string& index_name,
   std::vector<Row> out;
   auto range = idx.map.equal_range(HashRow(key));
   for (auto kv = range.first; kv != range.second; ++kv) {
-    size_t slot = kv->second;
+    const size_t slot = kv->second;
     if (!live_[slot]) continue;
-    Row candidate;
-    for (size_t c : idx.columns) candidate.push_back(rows_[slot][c]);
-    if (RowsEqual(candidate, key)) {
+    const Row& row = rows_[slot];
+    bool match = true;
+    for (size_t i = 0; i < key.size() && match; ++i) {
+      match = key[i].Compare(row[idx.columns[i]]) == 0;
+    }
+    if (match) {
       ++rows_read_;
-      out.push_back(rows_[slot]);
+      out.push_back(row);
     }
   }
   return out;
@@ -468,9 +485,7 @@ void Table::RestoreState(State state) {
       idx.map.clear();
       for (size_t slot = 0; slot < rows_.size(); ++slot) {
         if (!live_[slot]) continue;
-        Row key;
-        for (size_t c : idx.columns) key.push_back(rows_[slot][c]);
-        idx.map.emplace(HashRow(key), slot);
+        idx.map.emplace(HashRowKey(rows_[slot], idx.columns), slot);
       }
     }
   }

@@ -7,14 +7,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/storage/changelog.h"
+#include "src/storage/key_index.h"
 #include "src/types/column.h"
 #include "src/types/schema.h"
 
@@ -26,13 +27,13 @@ class Table;
 /// SPECIFICATION.md §13): rows an append-claimed process body inserted
 /// while capturing, held back until the scheduler flushes them in serial
 /// instance order at replay. `keys` dup-checks the buffer against itself
-/// (retries re-inserting their own rows are skipped exactly like the
-/// serial engine skips rows already in the table); duplicates against the
-/// base table are skipped at flush.
+/// with the table's key equality (retries re-inserting their own rows are
+/// skipped exactly like the serial engine skips rows already in the
+/// table); duplicates against the base table are skipped at flush.
 struct AppendBuffer {
   Table* table = nullptr;  ///< Bound on first buffered insert.
   std::vector<Row> rows;
-  std::unordered_set<std::string> keys;  ///< serialized PKs already buffered
+  KeyIndex keys;  ///< primary-key hash -> position in `rows`
 };
 
 /// Thread-local redirection of Table::Insert into per-instance buffers.
@@ -76,9 +77,11 @@ class AppendOverlay {
 
 /// An in-memory row-store table.
 ///
-/// Rows live in an append-only vector with tombstones; a hash index over the
-/// primary key (when the schema declares one) enforces uniqueness and serves
-/// point lookups. Secondary hash indexes can be added per column set.
+/// Rows live in an append-only vector with tombstones; a flat hash index
+/// over the primary key (when the schema declares one) enforces uniqueness
+/// and serves point lookups. Keys are hashed (HashRowKey) and compared
+/// (Value::Compare per key column) in place in the rows; no key row is
+/// built. Secondary hash indexes can be added per column set.
 /// The table counts rows read/written so callers (the simulated external
 /// systems) can derive deterministic processing costs.
 class Table {
@@ -117,8 +120,13 @@ class Table {
   /// Insert, replacing any existing row with the same primary key.
   Status InsertOrReplace(Row row);
 
-  /// Point lookup by primary-key values (one Value per PK column, in schema
-  /// PK order). Requires a primary key.
+  /// Borrowed point lookup by primary-key values (one Value per PK column,
+  /// in schema PK order): the live row, or nullptr when no row has the key.
+  /// Errors (no primary key, wrong key arity) charge nothing; a hit or a
+  /// miss charges one rows_read(). The pointer stays valid until the table
+  /// is mutated.
+  Result<const Row*> FindByKeyRef(std::span<const Value> key) const;
+  /// Copying FindByKeyRef: the row, or NotFound. Same rows_read() charge.
   Result<Row> FindByKey(const Row& key) const;
   bool ContainsKey(const Row& key) const;
 
@@ -128,7 +136,10 @@ class Table {
   void Clear();
 
   /// In-place update of rows matching `pred`. The updater mutates the row;
-  /// primary-key columns must not change (enforced). Returns rows updated.
+  /// primary-key columns must not change (enforced). Atomic per row: a row
+  /// the updater leaves invalid (schema violation or changed key) is
+  /// restored as it was, with its index entries, and the error returned;
+  /// rows updated before it stay updated. Returns rows updated.
   Result<size_t> UpdateWhere(const std::function<bool(const Row&)>& pred,
                              const std::function<void(Row*)>& update);
 
@@ -212,7 +223,7 @@ class Table {
     std::vector<Row> rows;
     std::vector<bool> live;
     size_t live_count = 0;
-    std::unordered_multimap<size_t, size_t> pk_index;
+    KeyIndex pk_index;
     std::map<std::string, std::unordered_multimap<size_t, size_t>>
         secondary_maps;
     size_t changelog_end = 0;  ///< change-log watermark at capture time
@@ -274,12 +285,22 @@ class Table {
 
   Status BufferedInsert(AppendBuffer* buf, Row row);
   Status CheckRow(const Row& row) const;
-  Row ExtractKey(const Row& row) const;
-  size_t KeyHash(const Row& key) const;
-  // Finds the slot of the live row with this PK, or SIZE_MAX.
-  size_t FindSlotByKey(const Row& key) const;
-  void IndexRow(size_t slot);
+  // HashRowKey over the primary-key columns; 0 without a primary key.
+  size_t PkHash(const Row& row) const;
+  // Whether two rows agree on every primary-key column (Value::Compare).
+  bool SameKey(const Row& a, const Row& b) const;
+  // The primary-key cells rendered like RowToString (error messages).
+  std::string KeyString(const Row& row) const;
+  // Slot of the live row with these primary-key cells, or kNotFound.
+  size_t FindSlotByKey(std::span<const Value> key) const;
+  // Slot of the live row whose primary key equals `row`'s, or kNotFound
+  // (always without a primary key: the index stays empty).
+  size_t FindSlotOfRow(const Row& row, size_t pk_hash) const;
+  void IndexRow(size_t slot, size_t pk_hash);
   void UnindexRow(size_t slot);
+  // Secondary and ordered index entries of `row`, stored at `slot`.
+  void IndexSecondary(const Row& row, size_t slot);
+  void UnindexSecondary(const Row& row, size_t slot);
 
   std::string name_;
   std::string database_name_;
@@ -287,8 +308,8 @@ class Table {
   std::vector<Row> rows_;
   std::vector<bool> live_;
   size_t live_count_ = 0;
-  // Primary-key hash -> slot candidates.
-  std::unordered_multimap<size_t, size_t> pk_index_;
+  // Primary-key hash -> slot of the live row; empty without a primary key.
+  KeyIndex pk_index_;
   std::unordered_map<std::string, SecondaryIndex> secondary_;
   std::map<std::string, OrderedIndex> ordered_;
   mutable std::atomic<uint64_t> rows_read_{0};

@@ -55,7 +55,7 @@ std::string Schema::ToString() const {
   return "(" + StrJoin(parts, ", ") + ")";
 }
 
-size_t HashRow(const Row& row) {
+size_t HashRow(std::span<const Value> row) {
   size_t h = 0x345678;
   for (const auto& v : row) {
     h = h * 1000003 ^ v.Hash();
@@ -77,6 +77,14 @@ bool RowsEqual(const Row& a, const Row& b) {
     if (a[i].Compare(b[i]) != 0) return false;
   }
   return true;
+}
+
+void AppendRowKeyString(const Row& row, const std::vector<size_t>& key_indexes,
+                        std::string* out) {
+  for (size_t i = 0; i < key_indexes.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    out->append(row[key_indexes[i]].ToString());
+  }
 }
 
 std::string RowToString(const Row& row) {

@@ -2,6 +2,7 @@
 #define DIPBENCH_TYPES_SCHEMA_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,7 +75,10 @@ class Schema {
 using Row = std::vector<Value>;
 
 /// Hash of a full row (order-sensitive), consistent with Value::Hash.
-size_t HashRow(const Row& row);
+/// HashRow of the cells of `row` at `key_indexes` equals
+/// HashRowKey(row, key_indexes), so a key given as its own cells hashes
+/// like the key columns of a row holding it.
+size_t HashRow(std::span<const Value> row);
 
 /// Hash of selected row fields (for join keys and DISTINCT keys).
 size_t HashRowKey(const Row& row, const std::vector<size_t>& key_indexes);
@@ -84,6 +88,12 @@ bool RowsEqual(const Row& a, const Row& b);
 
 /// Renders a row as comma-separated values.
 std::string RowToString(const Row& row);
+
+/// Appends selected row fields to *out, rendered exactly like RowToString
+/// of a row holding just those fields (key messages, serialized GROUP BY
+/// keys).
+void AppendRowKeyString(const Row& row, const std::vector<size_t>& key_indexes,
+                        std::string* out);
 
 }  // namespace dipbench
 

@@ -179,13 +179,24 @@ bool IsNumericFamily(DataType t) {
 
 }  // namespace
 
+double Value::NumericUnchecked() const {
+  switch (type_) {
+    case DataType::kBool:
+      return AsBool() ? 1.0 : 0.0;
+    case DataType::kDouble:
+      return AsDouble();
+    default:  // kInt64, kDate
+      return static_cast<double>(std::get<int64_t>(data_));
+  }
+}
+
 int Value::Compare(const Value& other) const {
   if (is_null() && other.is_null()) return 0;
   if (is_null()) return -1;
   if (other.is_null()) return 1;
   if (IsNumericFamily(type_) && IsNumericFamily(other.type_)) {
-    double a = *ToNumeric();
-    double b = *other.ToNumeric();
+    double a = NumericUnchecked();
+    double b = other.NumericUnchecked();
     if (a < b) return -1;
     if (a > b) return 1;
     return 0;
@@ -206,7 +217,7 @@ size_t Value::Hash() const {
     case DataType::kDouble:
     case DataType::kDate: {
       // Hash via the numeric value so 1 == 1.0 hash-agree with Compare().
-      double d = *ToNumeric();
+      double d = NumericUnchecked();
       if (d == 0.0) d = 0.0;  // normalize -0.0
       return std::hash<double>()(d);
     }

@@ -114,6 +114,10 @@ class Value {
   size_t ByteSize() const;
 
  private:
+  /// ToNumeric for a value known to be in the numeric family, without the
+  /// Result wrapper (Compare and Hash run it on every key probe).
+  double NumericUnchecked() const;
+
   DataType type_;
   std::variant<std::monostate, bool, int64_t, double, std::string> data_;
 };

@@ -309,13 +309,22 @@ TEST_P(StorageModelTest, MatchesMapReference) {
         EXPECT_EQ(removed, model.erase(key));
         break;
       }
-      case 3: {  // point lookup
+      case 3: {  // point lookup, copying and borrowed
+        const uint64_t read_before = table.rows_read();
         auto found = table.FindByKey({Value::Int(key)});
+        const Value cell = Value::Int(key);
+        auto ref = table.FindByKeyRef({&cell, 1});
+        ASSERT_TRUE(ref.ok());
+        EXPECT_EQ(table.rows_read() - read_before, 2u)
+            << "each lookup charges one row read, hit or miss";
         if (model.count(key)) {
           ASSERT_TRUE(found.ok());
           EXPECT_EQ((*found)[1].AsString(), model[key]);
+          ASSERT_NE(*ref, nullptr);
+          EXPECT_EQ((**ref)[1].AsString(), model[key]);
         } else {
           EXPECT_TRUE(found.status().IsNotFound());
+          EXPECT_EQ(*ref, nullptr);
         }
         break;
       }
@@ -338,6 +347,128 @@ TEST_P(StorageModelTest, MatchesMapReference) {
     auto it = model.find(r[0].AsInt());
     ASSERT_NE(it, model.end());
     EXPECT_EQ(r[1].AsString(), it->second);
+  }
+}
+
+// The shape of the CDB and DWH `orders` keys: a composite (INT64, STRING)
+// primary key. Over a wider key space than above, so the flat index grows
+// through several capacities, with bursts that insert and then delete a run
+// of keys (many deleted entries to reuse), Clear() steps, and key-changing
+// updates the table must reject without a trace.
+TEST_P(StorageModelTest, CompositeKeyMatchesMapReference) {
+  Schema schema;
+  schema.AddColumn("k", DataType::kInt64, false)
+      .AddColumn("src", DataType::kString, false)
+      .AddColumn("v", DataType::kString)
+      .SetPrimaryKey({"k", "src"});
+  Table table("orders", schema);
+  using Key = std::pair<int64_t, std::string>;
+  std::map<Key, std::string> model;
+  Rng rng(GetParam());
+  // Sources whose comma-joined renderings would collide with each other.
+  const std::vector<std::string> sources = {"", "a", "a,b", "b", "b,"};
+  auto random_key = [&]() -> Key {
+    return {rng.NextInt(0, 400),
+            sources[rng.NextBounded(static_cast<uint64_t>(sources.size()))]};
+  };
+  auto row_of = [](const Key& k, const std::string& v) {
+    return Row{Value::Int(k.first), Value::String(k.second),
+               Value::String(v)};
+  };
+  auto is_key = [](const Key& k) {
+    return [k](const Row& r) {
+      return r[0].AsInt() == k.first && r[1].AsString() == k.second;
+    };
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    Key key = random_key();
+    const uint64_t op = rng.NextBounded(100);
+    if (op < 30) {  // insert
+      std::string v = rng.NextString(3);
+      Status st = table.Insert(row_of(key, v));
+      if (model.count(key)) {
+        EXPECT_EQ(st.code(), StatusCode::kAlreadyExists);
+      } else {
+        EXPECT_TRUE(st.ok()) << st;
+        model[key] = v;
+      }
+    } else if (op < 45) {  // upsert
+      std::string v = rng.NextString(3);
+      EXPECT_TRUE(table.InsertOrReplace(row_of(key, v)).ok());
+      model[key] = v;
+    } else if (op < 60) {  // delete
+      EXPECT_EQ(table.DeleteWhere(is_key(key)), model.erase(key));
+    } else if (op < 75) {  // point lookups charge one read each, hit or miss
+      const uint64_t read_before = table.rows_read();
+      auto found = table.FindByKey({Value::Int(key.first),
+                                    Value::String(key.second)});
+      const Value cells[] = {Value::Int(key.first), Value::String(key.second)};
+      auto ref = table.FindByKeyRef(cells);
+      ASSERT_TRUE(ref.ok());
+      EXPECT_EQ(table.rows_read() - read_before, 2u);
+      auto it = model.find(key);
+      if (it == model.end()) {
+        EXPECT_TRUE(found.status().IsNotFound());
+        EXPECT_EQ(*ref, nullptr);
+      } else {
+        ASSERT_TRUE(found.ok());
+        EXPECT_EQ((*found)[2].AsString(), it->second);
+        ASSERT_NE(*ref, nullptr);
+        EXPECT_EQ((**ref)[2].AsString(), it->second);
+      }
+    } else if (op < 85) {  // non-key update
+      auto updated = table.UpdateWhere(
+          is_key(key), [](Row* r) { (*r)[2] = Value::String("UPD"); });
+      ASSERT_TRUE(updated.ok());
+      EXPECT_EQ(*updated, model.count(key));
+      if (model.count(key)) model[key] = "UPD";
+    } else if (op < 93) {  // key-changing update: rejected, row untouched
+      Key target = random_key();
+      auto updated = table.UpdateWhere(is_key(key), [&](Row* r) {
+        (*r)[0] = Value::Int(target.first);
+        (*r)[1] = Value::String(target.second);
+        (*r)[2] = Value::String("MOVED");
+      });
+      if (model.count(key) && target != key) {
+        EXPECT_EQ(updated.status().code(), StatusCode::kConstraintViolation);
+      } else {
+        ASSERT_TRUE(updated.ok());
+        if (model.count(key)) model[key] = "MOVED";
+      }
+    } else if (op < 99) {  // burst: a run of fresh keys in, then out again
+      const int64_t base = 1000 + rng.NextInt(0, 1000) * 100;
+      const size_t n = 20 + rng.NextBounded(80);
+      for (size_t i = 0; i < n; ++i) {
+        Key k{base + static_cast<int64_t>(i), sources[i % sources.size()]};
+        if (model.count(k)) continue;
+        ASSERT_TRUE(table.Insert(row_of(k, "burst")).ok());
+        model[k] = "burst";
+      }
+      ASSERT_EQ(table.size(), model.size());
+      for (size_t i = 0; i < n; i += 2) {
+        Key k{base + static_cast<int64_t>(i), sources[i % sources.size()]};
+        EXPECT_EQ(table.DeleteWhere(is_key(k)), model.erase(k));
+      }
+    } else {  // clear
+      table.Clear();
+      model.clear();
+    }
+    ASSERT_EQ(table.size(), model.size());
+  }
+  // Every model key is found through the index, and the scan agrees.
+  for (const auto& [key, v] : model) {
+    auto found = table.FindByKey({Value::Int(key.first),
+                                  Value::String(key.second)});
+    ASSERT_TRUE(found.ok()) << key.first << "/" << key.second;
+    EXPECT_EQ((*found)[2].AsString(), v);
+  }
+  auto rows = table.ScanAll();
+  ASSERT_EQ(rows.size(), model.size());
+  for (const auto& r : rows) {
+    auto it = model.find({r[0].AsInt(), r[1].AsString()});
+    ASSERT_NE(it, model.end());
+    EXPECT_EQ(r[2].AsString(), it->second);
   }
 }
 

@@ -157,6 +157,41 @@ TEST_F(RaTest, AggregateGrouped) {
   EXPECT_EQ(total, 10);
 }
 
+TEST_F(RaTest, AggregateGroupIdentityAcrossKeyMigration) {
+  // INT64 keys start on the raw-integer group table; Double(5.0) migrates
+  // it to the serialized-key map mid-input. Identity is the serialized key
+  // ("5" for Int(5) and Double(5.0)), a group keeps its first row's key
+  // cells, and groups come out in serialized-key order: "" < "10" < "5".
+  Schema s;
+  s.AddColumn("k", DataType::kInt64).AddColumn("v", DataType::kInt64);
+  RowSet in{s,
+            {{Value::Int(10), Value::Int(1)},
+             {Value::Int(5), Value::Int(2)},
+             {Value::Double(5.0), Value::Int(3)},
+             {Value::Null(), Value::Int(4)},
+             {Value::Int(5), Value::Int(5)}}};
+  for (ExecMode mode :
+       {ExecMode::kMaterialize, ExecMode::kPipeline, ExecMode::kColumnar}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ScopedExecMode scoped(mode);
+    auto rs = Aggregate(ScanValues(in), {"k"},
+                        {{"n", AggFunc::kCount, ""},
+                         {"sum_v", AggFunc::kSum, "v"}})
+                  ->Execute(&ctx_);
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    ASSERT_EQ(rs->rows.size(), 3u);
+    EXPECT_TRUE(rs->rows[0][0].is_null());
+    EXPECT_EQ(rs->rows[0][1].AsInt(), 1);
+    EXPECT_EQ(rs->rows[1][0].type(), DataType::kInt64);
+    EXPECT_EQ(rs->rows[1][0].AsInt(), 10);
+    EXPECT_EQ(rs->rows[1][1].AsInt(), 1);
+    EXPECT_EQ(rs->rows[2][0].type(), DataType::kInt64);
+    EXPECT_EQ(rs->rows[2][0].AsInt(), 5);
+    EXPECT_EQ(rs->rows[2][1].AsInt(), 3);
+    EXPECT_EQ(rs->rows[2][2].AsInt(), 10);
+  }
+}
+
 TEST_F(RaTest, SortAscendingDescending) {
   auto rs = Sort(ScanTable(orders_), {{"total", false}})->Execute(&ctx_);
   ASSERT_TRUE(rs.ok());

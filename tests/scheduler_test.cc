@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/core/engine.h"
@@ -323,7 +324,8 @@ TEST(WaveRunnerTest, ReplaysInSerialOrderAndRespectsEdges) {
       replay_order.push_back(i);
       return true;
     };
-    ASSERT_TRUE(WaveRunner::Run(CapEdges(preds), workers, hooks));
+    hooks.edges = [&] { return CapEdges(preds); };
+    ASSERT_TRUE(WaveRunner::Run(n, workers, hooks));
     EXPECT_EQ(executed.load(), n);
     ASSERT_EQ(replay_order.size(), static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) EXPECT_EQ(replay_order[i], i);
@@ -339,8 +341,8 @@ TEST(WaveRunnerTest, AbortStopsLaterReplays) {
     replayed.push_back(i);
     return i != 3;  // abort at node 3
   };
-  EXPECT_FALSE(
-      WaveRunner::Run(CapEdges(std::vector<std::vector<int>>(n)), 4, hooks));
+  hooks.edges = [&] { return CapEdges(std::vector<std::vector<int>>(n)); };
+  EXPECT_FALSE(WaveRunner::Run(n, 4, hooks));
   ASSERT_EQ(replayed.size(), 4u);
   EXPECT_EQ(replayed.back(), 3);
 }
@@ -360,7 +362,8 @@ TEST(WaveRunnerTest, DeferredInstanceHoldsSuccessorsUntilReplay) {
     if (i == 0) zero_replayed.store(true);
     return true;
   };
-  ASSERT_TRUE(WaveRunner::Run(CapEdges({{}, {0}}), 4, hooks));
+  hooks.edges = [] { return CapEdges({{}, {0}}); };
+  ASSERT_TRUE(WaveRunner::Run(2, 4, hooks));
   EXPECT_TRUE(order_ok);
 }
 
@@ -381,7 +384,8 @@ TEST(WaveRunnerTest, ReplayEdgeHoldsSuccessorUntilReplay) {
     if (i == 0) zero_replayed.store(true);
     return true;
   };
-  ASSERT_TRUE(WaveRunner::Run(edges, 4, hooks));
+  hooks.edges = [&] { return edges; };
+  ASSERT_TRUE(WaveRunner::Run(2, 4, hooks));
   EXPECT_TRUE(order_ok);
 }
 
@@ -399,9 +403,37 @@ TEST(WaveRunnerTest, DuplicateCaptureAndReplayEdgeStillReleases) {
     replay_order.push_back(i);
     return true;
   };
-  ASSERT_TRUE(WaveRunner::Run(edges, 4, hooks));
+  hooks.edges = [&] { return edges; };
+  ASSERT_TRUE(WaveRunner::Run(2, 4, hooks));
   ASSERT_EQ(replay_order.size(), 2u);
   EXPECT_EQ(replay_order[1], 1);
+}
+
+TEST(WaveRunnerTest, SerialPathBuildsNoEdges) {
+  // One worker, or one instance, runs the inline loop: the dependency DAG
+  // is never needed, so it is never built.
+  for (auto [n, workers, want_edges] :
+       {std::tuple{3, 1, false}, std::tuple{1, 4, false},
+        std::tuple{3, 4, true}}) {
+    SCOPED_TRACE("n=" + std::to_string(n) +
+                 " workers=" + std::to_string(workers));
+    int built = 0;
+    std::vector<int> replay_order;
+    WaveRunner::Hooks hooks;
+    hooks.edges = [&] {
+      ++built;
+      return CapEdges(std::vector<std::vector<int>>(n));
+    };
+    hooks.execute = [](int) { return true; };
+    hooks.replay = [&](int i) {
+      replay_order.push_back(i);
+      return true;
+    };
+    ASSERT_TRUE(WaveRunner::Run(n, workers, hooks));
+    EXPECT_EQ(built, want_edges ? 1 : 0);
+    ASSERT_EQ(replay_order.size(), static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) EXPECT_EQ(replay_order[i], i);
+  }
 }
 
 // --- Histogram concurrency ----------------------------------------------

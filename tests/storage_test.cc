@@ -106,6 +106,56 @@ TEST(TableTest, UpdateCannotChangePrimaryKey) {
   auto updated = t.UpdateWhere([](const Row&) { return true; },
                                [](Row* r) { (*r)[0] = Value::Int(2); });
   EXPECT_EQ(updated.status().code(), StatusCode::kConstraintViolation);
+  // The rejected row is back, untouched, under its old key only.
+  auto row = t.FindByKey({Value::Int(1)});
+  ASSERT_TRUE(row.ok()) << row.status();
+  EXPECT_EQ((*row)[1].AsString(), "a");
+  EXPECT_TRUE(t.FindByKey({Value::Int(2)}).status().IsNotFound());
+  EXPECT_EQ(t.size(), 1u);
+
+  // A change onto an existing key leaves both rows as they were.
+  ASSERT_TRUE(t.Insert(Cust(2, "b", 2.0)).ok());
+  updated = t.UpdateWhere([](const Row& r) { return r[0].AsInt() == 1; },
+                          [](Row* r) {
+                            (*r)[0] = Value::Int(2);
+                            (*r)[1] = Value::String("clobbered");
+                          });
+  EXPECT_EQ(updated.status().code(), StatusCode::kConstraintViolation);
+  EXPECT_EQ(t.size(), 2u);
+  EXPECT_EQ((*t.FindByKey({Value::Int(1)}))[1].AsString(), "a");
+  EXPECT_EQ((*t.FindByKey({Value::Int(2)}))[1].AsString(), "b");
+  auto rows = t.ScanAll();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][0].AsInt(), 1);
+  EXPECT_EQ(rows[0][1].AsString(), "a");
+  EXPECT_EQ(rows[1][0].AsInt(), 2);
+
+  // A schema violation is undone the same way.
+  updated = t.UpdateWhere([](const Row& r) { return r[0].AsInt() == 2; },
+                          [](Row* r) { (*r)[1] = Value::Int(7); });
+  EXPECT_EQ(updated.status().code(), StatusCode::kTypeMismatch);
+  EXPECT_EQ((*t.FindByKey({Value::Int(2)}))[1].AsString(), "b");
+}
+
+TEST(TableTest, BorrowedLookupChargesLikeFindByKey) {
+  Table t("customer", CustomerSchema());
+  ASSERT_TRUE(t.Insert(Cust(1, "a", 1.0)).ok());
+  const Value hit = Value::Int(1);
+  const Value miss = Value::Int(9);
+  uint64_t before = t.rows_read();
+  auto found = t.FindByKeyRef({&hit, 1});
+  ASSERT_TRUE(found.ok());
+  ASSERT_NE(*found, nullptr);
+  EXPECT_EQ((**found)[1].AsString(), "a");
+  auto missed = t.FindByKeyRef({&miss, 1});
+  ASSERT_TRUE(missed.ok());
+  EXPECT_EQ(*missed, nullptr);
+  EXPECT_EQ(t.rows_read() - before, 2u);
+  // Errors charge nothing, on either lookup.
+  before = t.rows_read();
+  EXPECT_EQ(t.FindByKeyRef({}).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.FindByKey({}).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.rows_read(), before);
 }
 
 TEST(TableTest, ScanAllPreservesInsertionOrder) {
@@ -285,6 +335,47 @@ TEST(AppendOverlayTest, BufferedInsertsLandOnlyAtFlush) {
   EXPECT_EQ((*t->FindByKey({Value::Int(3)}))[1].AsString(), "buffered");
 }
 
+TEST(AppendOverlayTest, BufferDupCheckUsesTableKeyEquality) {
+  // Keys that only render alike are distinct keys to the table, so the
+  // buffer must keep them too: DOUBLEs equal under %.6g, and composite
+  // string keys whose comma-joined cells coincide.
+  Database db("cdb_db");
+  Schema dbl;
+  dbl.AddColumn("k", DataType::kDouble, false)
+      .AddColumn("v", DataType::kString)
+      .SetPrimaryKey({"k"});
+  Schema pair;
+  pair.AddColumn("a", DataType::kString, false)
+      .AddColumn("b", DataType::kString, false)
+      .SetPrimaryKey({"a", "b"});
+  ASSERT_TRUE(db.CreateTable("dbl", dbl).ok());
+  ASSERT_TRUE(db.CreateTable("pair", pair).ok());
+  Table* td = *db.GetTable("dbl");
+  Table* tp = *db.GetTable("pair");
+
+  AppendOverlay overlay;
+  overlay.Allow("cdb_db", "dbl");
+  overlay.Allow("cdb_db", "pair");
+  {
+    AppendOverlay::Scope scope(&overlay);
+    EXPECT_TRUE(td->Insert({Value::Double(1.0000001), Value::String("x")}).ok());
+    EXPECT_TRUE(td->Insert({Value::Double(1.0000002), Value::String("y")}).ok());
+    EXPECT_EQ(td->Insert({Value::Double(1.0000001), Value::String("z")}).code(),
+              StatusCode::kAlreadyExists);
+    EXPECT_TRUE(tp->Insert({Value::String("a,b"), Value::String("c")}).ok());
+    EXPECT_TRUE(tp->Insert({Value::String("a"), Value::String("b,c")}).ok());
+    EXPECT_EQ(tp->Insert({Value::String("a"), Value::String("b,c")}).code(),
+              StatusCode::kAlreadyExists);
+  }
+  ASSERT_TRUE(td->FlushAppends(overlay.Find("cdb_db", "dbl")).ok());
+  ASSERT_TRUE(tp->FlushAppends(overlay.Find("cdb_db", "pair")).ok());
+  EXPECT_EQ(td->size(), 2u);
+  EXPECT_EQ(tp->size(), 2u);
+  const Value second[] = {Value::Double(1.0000002)};
+  ASSERT_NE(*td->FindByKeyRef(second), nullptr);
+  EXPECT_EQ((**td->FindByKeyRef(second))[1].AsString(), "y");
+}
+
 TEST(AppendOverlayTest, OnlyAllowedTablesAreRedirected) {
   Database db("cdb_db");
   ASSERT_TRUE(db.CreateTable("orders", CustomerSchema()).ok());
@@ -324,6 +415,55 @@ TEST(AppendOverlayTest, ScopeRestoresPreviousOverlay) {
   EXPECT_EQ(AppendOverlay::Current(), nullptr);
   ASSERT_TRUE(t->Insert(Cust(1, "direct", 0.0)).ok());
   EXPECT_EQ(t->size(), 1u);
+}
+
+// --- Flat key index -------------------------------------------------------
+
+TEST(KeyIndexTest, GrowthRuleTombstonesAndClear) {
+  KeyIndex index;
+  EXPECT_EQ(index.capacity(), 0u) << "nothing allocated before an insert";
+  auto same = [](size_t) { return true; };
+  // Hash = pos * 2: positions are distinct, hashes collide on no home.
+  for (size_t pos = 0; pos < 6; ++pos) index.Insert(pos * 2, pos);
+  EXPECT_EQ(index.capacity(), 8u);
+  // The seventh would pass 3/4 of 8: rebuilt at the smallest power of two
+  // holding twice the 7 live entries.
+  index.Insert(12, 6);
+  EXPECT_EQ(index.capacity(), 16u);
+  EXPECT_EQ(index.size(), 7u);
+  for (size_t pos = 0; pos < 7; ++pos) {
+    EXPECT_EQ(index.Find(pos * 2, same), pos);
+  }
+  EXPECT_EQ(index.Find(99, same), KeyIndex::kNotFound);
+
+  // Entries sharing one hash are told apart by the caller's match.
+  index.Insert(4, 100);
+  EXPECT_EQ(index.Find(4, [](size_t pos) { return pos == 100; }), 100u);
+  EXPECT_EQ(index.Find(4, [](size_t pos) { return pos == 2; }), 2u);
+  index.Erase(4, 2);
+  EXPECT_EQ(index.Find(4, [](size_t pos) { return pos == 2; }),
+            KeyIndex::kNotFound);
+  EXPECT_EQ(index.Find(4, same), 100u);
+  EXPECT_EQ(index.size(), 7u);
+
+  // Clear empties the index and keeps its capacity.
+  index.Clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.capacity(), 16u);
+  EXPECT_EQ(index.Find(0, same), KeyIndex::kNotFound);
+
+  // Churn: many deletes and inserts at a steady live count reuse deleted
+  // entries instead of growing.
+  for (size_t pos = 0; pos < 4; ++pos) index.Insert(pos * 7919, pos);
+  for (size_t pos = 4; pos < 2000; ++pos) {
+    index.Erase((pos - 4) * 7919, pos - 4);
+    index.Insert(pos * 7919, pos);
+    ASSERT_EQ(index.size(), 4u);
+  }
+  EXPECT_EQ(index.capacity(), 16u);
+  for (size_t pos = 1996; pos < 2000; ++pos) {
+    EXPECT_EQ(index.Find(pos * 7919, same), pos);
+  }
 }
 
 // ByteSize is memoized per content version; every mutator must invalidate
