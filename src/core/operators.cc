@@ -1,6 +1,8 @@
 #include "src/core/operators.h"
 
 #include <algorithm>
+#include <optional>
+#include <unordered_map>
 
 #include "src/xml/bridge.h"
 #include "src/xml/path.h"
@@ -512,22 +514,22 @@ class EnrichOp : public Operator {
                          rows->schema.RequireIndexOf(key_column_));
     DIP_ASSIGN_OR_RETURN(net::Endpoint * ep, ctx->network()->Get(service_));
 
-    // One lookup per distinct key; results keyed by the value's text.
-    std::map<std::string, std::optional<Row>> cache;
+    // One lookup per distinct key. Keys are equal as storage keys are
+    // (Value::Hash and Value::Compare), never by their rendered text, which
+    // merges doubles that differ beyond "%.6g".
+    std::unordered_map<Value, std::optional<Row>, ValueHash> cache;
     Schema lookup_schema;
     for (const Row& r : rows->rows) {
-      if (r[key_idx].is_null()) continue;
-      std::string key_text = r[key_idx].ToString();
-      if (cache.count(key_text) > 0) continue;
+      const Value& key = r[key_idx];
+      if (key.is_null() || cache.count(key) > 0) continue;
       net::NetStats stats;
-      DIP_ASSIGN_OR_RETURN(RowSet hit,
-                           ep->Query(lookup_op_, {r[key_idx]}, &stats));
+      DIP_ASSIGN_OR_RETURN(RowSet hit, ep->Query(lookup_op_, {key}, &stats));
       ctx->ChargeComm(stats);
       if (!hit.rows.empty()) {
         lookup_schema = hit.schema;
-        cache[key_text] = hit.rows[0];
+        cache[key] = hit.rows[0];
       } else {
-        cache[key_text] = std::nullopt;
+        cache[key] = std::nullopt;
       }
     }
     RowSet out;
@@ -543,7 +545,7 @@ class EnrichOp : public Operator {
       Row enriched = r;
       const std::optional<Row>* hit = nullptr;
       if (!r[key_idx].is_null()) {
-        auto it = cache.find(r[key_idx].ToString());
+        auto it = cache.find(r[key_idx]);
         if (it != cache.end()) hit = &it->second;
       }
       for (size_t i = 0; i < appended; ++i) {

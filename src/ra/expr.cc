@@ -2,17 +2,54 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "src/common/string_util.h"
 
 namespace dipbench {
 
-Status Expr::EvalBatch(const RowRefs& rows, const Schema& schema,
+Result<CellRef> TupleRefs::Resolve(const std::string& name,
+                                   const Schema& schema) const {
+  DIP_ASSIGN_OR_RETURN(size_t idx, schema.RequireIndexOf(name));
+  if (!layout_->cells.empty() && idx >= layout_->cells.size()) {
+    return Status::Internal("row narrower than schema");
+  }
+  const CellRef c = layout_->Cell(idx);
+  for (size_t i = 0; i < size_; ++i) {
+    if (c.offset >= tuple(i)[c.input]->size()) {
+      return Status::Internal("row narrower than schema");
+    }
+  }
+  return c;
+}
+
+Result<Row> TupleRefs::Materialize(size_t i) const {
+  const Row* const* t = tuple(i);
+  if (layout_->cells.empty()) return *t[0];
+  Row row;
+  row.reserve(layout_->cells.size());
+  for (CellRef c : layout_->cells) {
+    const Row& src = *t[c.input];
+    if (c.offset >= src.size()) {
+      return Status::Internal("row narrower than schema");
+    }
+    row.push_back(src[c.offset]);
+  }
+  return row;
+}
+
+Status Expr::EvalBatch(const TupleRefs& rows, const Schema& schema,
                        std::vector<Value>* out) const {
   out->clear();
   out->reserve(rows.size());
-  for (const Row* row : rows) {
-    DIP_ASSIGN_OR_RETURN(Value v, Eval(*row, schema));
+  const bool plain = rows.layout().cells.empty();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Row scratch;
+    if (!plain) {
+      DIP_ASSIGN_OR_RETURN(scratch, rows.Materialize(i));
+    }
+    DIP_ASSIGN_OR_RETURN(Value v,
+                         Eval(plain ? *rows.tuple(i)[0] : scratch, schema));
     out->push_back(std::move(v));
   }
   return Status::OK();
@@ -44,7 +81,7 @@ class LiteralExpr : public Expr {
   Result<Value> Eval(const Row&, const Schema&) const override {
     return value_;
   }
-  Status EvalBatch(const RowRefs& rows, const Schema&,
+  Status EvalBatch(const TupleRefs& rows, const Schema&,
                    std::vector<Value>* out) const override {
     out->assign(rows.size(), value_);
     return Status::OK();
@@ -68,18 +105,13 @@ class ColumnRefExpr : public Expr {
     if (idx >= row.size()) return Status::Internal("row narrower than schema");
     return row[idx];
   }
-  Status EvalBatch(const RowRefs& rows, const Schema& schema,
+  Status EvalBatch(const TupleRefs& rows, const Schema& schema,
                    std::vector<Value>* out) const override {
     // The payoff of batching: one name resolution for the whole chunk.
-    DIP_ASSIGN_OR_RETURN(size_t idx, schema.RequireIndexOf(name_));
+    DIP_ASSIGN_OR_RETURN(CellRef cell, rows.Resolve(name_, schema));
     out->clear();
     out->reserve(rows.size());
-    for (const Row* row : rows) {
-      if (idx >= row->size()) {
-        return Status::Internal("row narrower than schema");
-      }
-      out->push_back((*row)[idx]);
-    }
+    for (size_t i = 0; i < rows.size(); ++i) out->push_back(rows.at(i, cell));
     return Status::OK();
   }
   std::string ToString() const override { return name_; }
@@ -89,24 +121,20 @@ class ColumnRefExpr : public Expr {
 };
 
 /// One input of a vectorized evaluation, bound once per batch. Bare column
-/// references are read in place (no per-row Value copies), literals are
-/// evaluated once, and everything else falls back to a per-row buffer.
+/// references are read in place through the tuple's cell map (no per-row
+/// Value copies), literals are evaluated once, and everything else falls
+/// back to a per-row buffer.
 class Operand {
  public:
-  Status Bind(const Expr& e, const RowRefs& rows, const Schema& schema) {
-    idx_ = kNotColumn;
+  Status Bind(const Expr& e, const TupleRefs& rows, const Schema& schema) {
+    column_ = false;
     constant_ = nullptr;
     switch (e.kind()) {
       case ExprKind::kColumnRef: {
         DIP_ASSIGN_OR_RETURN(
-            size_t idx,
-            schema.RequireIndexOf(static_cast<const ColumnRefExpr&>(e).name()));
-        for (const Row* row : rows) {
-          if (idx >= row->size()) {
-            return Status::Internal("row narrower than schema");
-          }
-        }
-        idx_ = idx;
+            cell_,
+            rows.Resolve(static_cast<const ColumnRefExpr&>(e).name(), schema));
+        column_ = true;
         return Status::OK();
       }
       case ExprKind::kLiteral:
@@ -117,15 +145,15 @@ class Operand {
     }
   }
 
-  const Value& at(const RowRefs& rows, size_t i) const {
-    if (idx_ != kNotColumn) return (*rows[i])[idx_];
+  const Value& at(const TupleRefs& rows, size_t i) const {
+    if (column_) return rows.at(i, cell_);
     if (constant_ != nullptr) return *constant_;
     return buf_[i];
   }
 
  private:
-  static constexpr size_t kNotColumn = static_cast<size_t>(-1);
-  size_t idx_ = kNotColumn;
+  bool column_ = false;
+  CellRef cell_;
   const Value* constant_ = nullptr;
   std::vector<Value> buf_;
 };
@@ -267,7 +295,7 @@ class CompareExpr : public Expr {
     DIP_ASSIGN_OR_RETURN(Value b, rhs_->Eval(row, schema));
     return Apply(a, b);
   }
-  Status EvalBatch(const RowRefs& rows, const Schema& schema,
+  Status EvalBatch(const TupleRefs& rows, const Schema& schema,
                    std::vector<Value>* out) const override {
     Operand lhs, rhs;
     DIP_RETURN_NOT_OK(lhs.Bind(*lhs_, rows, schema));
@@ -402,12 +430,17 @@ class LogicalExpr : public Expr {
     bool bv = !b.is_null() && b.type() == DataType::kBool && b.AsBool();
     return Value::Bool(bv);
   }
-  Status EvalBatch(const RowRefs& rows, const Schema& schema,
+  Status EvalBatch(const TupleRefs& rows, const Schema& schema,
                    std::vector<Value>* out) const override {
     Operand lhs;
     DIP_RETURN_NOT_OK(lhs.Bind(*lhs_, rows, schema));
     out->clear();
     out->reserve(rows.size());
+    // Tuples whose result the left side does not decide, gathered so the
+    // right side runs as one batch over exactly them.
+    std::vector<size_t> open;
+    std::vector<const Row*> open_ptrs;
+    const size_t width = rows.layout().width;
     for (size_t i = 0; i < rows.size(); ++i) {
       const Value& a = lhs.at(rows, i);
       bool av = !a.is_null() && a.type() == DataType::kBool && a.AsBool();
@@ -423,12 +456,22 @@ class LogicalExpr : public Expr {
         out->push_back(Value::Bool(true));
         continue;
       }
-      // Short-circuit semantics preserved: the right side is evaluated only
-      // for the rows the scalar path would evaluate it for (a batched rhs
-      // could surface eval errors on rows the scalar path never touches).
-      DIP_ASSIGN_OR_RETURN(Value b, rhs_->Eval(*rows[i], schema));
-      out->push_back(Value::Bool(!b.is_null() &&
-                                 b.type() == DataType::kBool && b.AsBool()));
+      out->push_back(Value::Bool(false));  // decided by the right side below
+      open.push_back(i);
+      open_ptrs.insert(open_ptrs.end(), rows.tuple(i), rows.tuple(i) + width);
+    }
+    if (open.empty()) return Status::OK();
+    // Short-circuit semantics preserved: the right side is evaluated only
+    // for the rows the scalar path would evaluate it for (a batched rhs over
+    // every row could surface eval errors on rows the scalar path never
+    // touches).
+    std::vector<Value> rhs;
+    DIP_RETURN_NOT_OK(rhs_->EvalBatch(
+        TupleRefs(open_ptrs.data(), open.size(), rows.layout()), schema, &rhs));
+    for (size_t j = 0; j < open.size(); ++j) {
+      const Value& b = rhs[j];
+      (*out)[open[j]] = Value::Bool(!b.is_null() &&
+                                    b.type() == DataType::kBool && b.AsBool());
     }
     return Status::OK();
   }
@@ -507,7 +550,7 @@ class ArithmeticExpr : public Expr {
     DIP_ASSIGN_OR_RETURN(Value b, rhs_->Eval(row, schema));
     return Apply(a, b);
   }
-  Status EvalBatch(const RowRefs& rows, const Schema& schema,
+  Status EvalBatch(const TupleRefs& rows, const Schema& schema,
                    std::vector<Value>* out) const override {
     Operand lhs, rhs;
     DIP_RETURN_NOT_OK(lhs.Bind(*lhs_, rows, schema));
@@ -583,7 +626,7 @@ class IsNullExpr : public Expr {
     DIP_ASSIGN_OR_RETURN(Value v, operand_->Eval(row, schema));
     return Value::Bool(v.is_null());
   }
-  Status EvalBatch(const RowRefs& rows, const Schema& schema,
+  Status EvalBatch(const TupleRefs& rows, const Schema& schema,
                    std::vector<Value>* out) const override {
     Operand operand;
     DIP_RETURN_NOT_OK(operand.Bind(*operand_, rows, schema));
@@ -633,7 +676,7 @@ class InListExpr : public Expr {
     }
     return Value::Bool(false);
   }
-  Status EvalBatch(const RowRefs& rows, const Schema& schema,
+  Status EvalBatch(const TupleRefs& rows, const Schema& schema,
                    std::vector<Value>* out) const override {
     Operand needle;
     DIP_RETURN_NOT_OK(needle.Bind(*needle_, rows, schema));
@@ -668,7 +711,7 @@ class InListExpr : public Expr {
 class FunctionExpr : public Expr {
  public:
   FunctionExpr(std::string name, std::vector<ExprPtr> args)
-      : name_(StrLower(name)), args_(std::move(args)) {}
+      : name_(StrLower(name)), fn_(Resolve(name_)), args_(std::move(args)) {}
   ExprKind kind() const override { return ExprKind::kFunction; }
 
   Result<Value> Eval(const Row& row, const Schema& schema) const override {
@@ -678,23 +721,26 @@ class FunctionExpr : public Expr {
       DIP_ASSIGN_OR_RETURN(Value v, a->Eval(row, schema));
       vals.push_back(std::move(v));
     }
-    return Apply(vals);
+    std::vector<const Value*> ptrs;
+    ptrs.reserve(vals.size());
+    for (const Value& v : vals) ptrs.push_back(&v);
+    return Apply(ptrs);
   }
 
-  Status EvalBatch(const RowRefs& rows, const Schema& schema,
+  Status EvalBatch(const TupleRefs& rows, const Schema& schema,
                    std::vector<Value>* out) const override {
-    // Evaluate each argument once over the whole batch, then assemble the
-    // per-row argument vector. Costs one transpose but saves the per-row
-    // recursive dispatch into the argument subtrees.
-    std::vector<std::vector<Value>> cols(args_.size());
+    // Each argument is bound once over the whole batch (column references
+    // read in place, literals once); per row only pointers to the argument
+    // values are gathered, never the values themselves.
+    std::vector<Operand> ops(args_.size());
     for (size_t a = 0; a < args_.size(); ++a) {
-      DIP_RETURN_NOT_OK(args_[a]->EvalBatch(rows, schema, &cols[a]));
+      DIP_RETURN_NOT_OK(ops[a].Bind(*args_[a], rows, schema));
     }
     out->clear();
     out->reserve(rows.size());
-    std::vector<Value> vals(args_.size());
+    std::vector<const Value*> vals(args_.size());
     for (size_t i = 0; i < rows.size(); ++i) {
-      for (size_t a = 0; a < args_.size(); ++a) vals[a] = cols[a][i];
+      for (size_t a = 0; a < args_.size(); ++a) vals[a] = &ops[a].at(rows, i);
       DIP_ASSIGN_OR_RETURN(Value v, Apply(vals));
       out->push_back(std::move(v));
     }
@@ -708,7 +754,38 @@ class FunctionExpr : public Expr {
   }
 
  private:
-  Result<Value> Apply(const std::vector<Value>& vals) const {
+  enum class Fn {
+    kYear,
+    kMonth,
+    kDay,
+    kLower,
+    kUpper,
+    kConcat,
+    kSubstr,
+    kLength,
+    kAbs,
+    kCoalesce,
+    kDecode,
+    kHashMod,
+    kUnknown,
+  };
+
+  static Fn Resolve(const std::string& name) {
+    static const std::pair<const char*, Fn> kNames[] = {
+        {"year", Fn::kYear},       {"month", Fn::kMonth},
+        {"day", Fn::kDay},         {"lower", Fn::kLower},
+        {"upper", Fn::kUpper},     {"concat", Fn::kConcat},
+        {"substr", Fn::kSubstr},   {"length", Fn::kLength},
+        {"abs", Fn::kAbs},         {"coalesce", Fn::kCoalesce},
+        {"decode", Fn::kDecode},   {"hash_mod", Fn::kHashMod},
+    };
+    for (const auto& [n, fn] : kNames) {
+      if (name == n) return fn;
+    }
+    return Fn::kUnknown;
+  }
+
+  Result<Value> Apply(std::span<const Value* const> vals) const {
     auto require_arity = [&](size_t n) -> Status {
       if (vals.size() != n) {
         return Status::InvalidArgument(name_ + " expects " +
@@ -716,93 +793,102 @@ class FunctionExpr : public Expr {
       }
       return Status::OK();
     };
-    if (name_ == "year" || name_ == "month" || name_ == "day") {
-      DIP_RETURN_NOT_OK(require_arity(1));
-      if (vals[0].is_null()) return Value::Null();
-      Result<int64_t> part = name_ == "year"    ? vals[0].DateYear()
-                             : name_ == "month" ? vals[0].DateMonth()
-                                                : vals[0].DateDay();
-      if (!part.ok()) return part.status();
-      return Value::Int(*part);
-    }
-    if (name_ == "lower" || name_ == "upper") {
-      DIP_RETURN_NOT_OK(require_arity(1));
-      if (vals[0].is_null()) return Value::Null();
-      if (vals[0].type() != DataType::kString) {
-        return Status::TypeMismatch(name_ + " expects string");
+    switch (fn_) {
+      case Fn::kYear:
+      case Fn::kMonth:
+      case Fn::kDay: {
+        DIP_RETURN_NOT_OK(require_arity(1));
+        const Value& d = *vals[0];
+        if (d.is_null()) return Value::Null();
+        Result<int64_t> part = fn_ == Fn::kYear    ? d.DateYear()
+                               : fn_ == Fn::kMonth ? d.DateMonth()
+                                                   : d.DateDay();
+        if (!part.ok()) return part.status();
+        return Value::Int(*part);
       }
-      std::string s = vals[0].AsString();
-      for (char& c : s) {
-        if (name_ == "lower" && c >= 'A' && c <= 'Z') c += 'a' - 'A';
-        if (name_ == "upper" && c >= 'a' && c <= 'z') c -= 'a' - 'A';
+      case Fn::kLower:
+      case Fn::kUpper: {
+        DIP_RETURN_NOT_OK(require_arity(1));
+        if (vals[0]->is_null()) return Value::Null();
+        if (vals[0]->type() != DataType::kString) {
+          return Status::TypeMismatch(name_ + " expects string");
+        }
+        std::string s = vals[0]->AsString();
+        for (char& c : s) {
+          if (fn_ == Fn::kLower && c >= 'A' && c <= 'Z') c += 'a' - 'A';
+          if (fn_ == Fn::kUpper && c >= 'a' && c <= 'z') c -= 'a' - 'A';
+        }
+        return Value::String(std::move(s));
       }
-      return Value::String(std::move(s));
-    }
-    if (name_ == "concat") {
-      std::string out;
-      for (const auto& v : vals) out += v.ToString();
-      return Value::String(std::move(out));
-    }
-    if (name_ == "substr") {
-      DIP_RETURN_NOT_OK(require_arity(3));
-      if (vals[0].is_null()) return Value::Null();
-      if (vals[0].type() != DataType::kString) {
-        return Status::TypeMismatch("substr expects string");
+      case Fn::kConcat: {
+        std::string out;
+        for (const Value* v : vals) out += v->ToString();
+        return Value::String(std::move(out));
       }
-      DIP_ASSIGN_OR_RETURN(int64_t pos, vals[1].ToInt());
-      DIP_ASSIGN_OR_RETURN(int64_t len, vals[2].ToInt());
-      const std::string& s = vals[0].AsString();
-      if (pos < 0 || static_cast<size_t>(pos) >= s.size() || len < 0) {
-        return Value::String("");
+      case Fn::kSubstr: {
+        DIP_RETURN_NOT_OK(require_arity(3));
+        if (vals[0]->is_null()) return Value::Null();
+        if (vals[0]->type() != DataType::kString) {
+          return Status::TypeMismatch("substr expects string");
+        }
+        DIP_ASSIGN_OR_RETURN(int64_t pos, vals[1]->ToInt());
+        DIP_ASSIGN_OR_RETURN(int64_t len, vals[2]->ToInt());
+        const std::string& s = vals[0]->AsString();
+        if (pos < 0 || static_cast<size_t>(pos) >= s.size() || len < 0) {
+          return Value::String("");
+        }
+        return Value::String(s.substr(pos, len));
       }
-      return Value::String(s.substr(pos, len));
-    }
-    if (name_ == "length") {
-      DIP_RETURN_NOT_OK(require_arity(1));
-      if (vals[0].is_null()) return Value::Null();
-      if (vals[0].type() != DataType::kString) {
-        return Status::TypeMismatch("length expects string");
+      case Fn::kLength: {
+        DIP_RETURN_NOT_OK(require_arity(1));
+        if (vals[0]->is_null()) return Value::Null();
+        if (vals[0]->type() != DataType::kString) {
+          return Status::TypeMismatch("length expects string");
+        }
+        return Value::Int(static_cast<int64_t>(vals[0]->AsString().size()));
       }
-      return Value::Int(static_cast<int64_t>(vals[0].AsString().size()));
-    }
-    if (name_ == "abs") {
-      DIP_RETURN_NOT_OK(require_arity(1));
-      if (vals[0].is_null()) return Value::Null();
-      if (vals[0].type() == DataType::kInt64) {
-        return Value::Int(std::llabs(vals[0].AsInt()));
+      case Fn::kAbs: {
+        DIP_RETURN_NOT_OK(require_arity(1));
+        if (vals[0]->is_null()) return Value::Null();
+        if (vals[0]->type() == DataType::kInt64) {
+          return Value::Int(std::llabs(vals[0]->AsInt()));
+        }
+        DIP_ASSIGN_OR_RETURN(double d, vals[0]->ToNumeric());
+        return Value::Double(std::fabs(d));
       }
-      DIP_ASSIGN_OR_RETURN(double d, vals[0].ToNumeric());
-      return Value::Double(std::fabs(d));
-    }
-    if (name_ == "coalesce") {
-      for (const auto& v : vals) {
-        if (!v.is_null()) return v;
+      case Fn::kCoalesce: {
+        for (const Value* v : vals) {
+          if (!v->is_null()) return *v;
+        }
+        return Value::Null();
       }
-      return Value::Null();
-    }
-    if (name_ == "decode") {
-      // decode(x, k1, v1, k2, v2, ..., [default]) — Oracle-style value map.
-      if (vals.size() < 3) {
-        return Status::InvalidArgument("decode needs at least 3 args");
+      case Fn::kDecode: {
+        // decode(x, k1, v1, k2, v2, ..., [default]) — Oracle-style value map.
+        if (vals.size() < 3) {
+          return Status::InvalidArgument("decode needs at least 3 args");
+        }
+        size_t i = 1;
+        for (; i + 1 < vals.size(); i += 2) {
+          if (vals[0]->Compare(*vals[i]) == 0) return *vals[i + 1];
+        }
+        // Odd remaining argument is the default.
+        if (i < vals.size()) return *vals[i];
+        return Value::Null();
       }
-      size_t i = 1;
-      for (; i + 1 < vals.size(); i += 2) {
-        if (vals[0].Compare(vals[i]) == 0) return vals[i + 1];
+      case Fn::kHashMod: {
+        DIP_RETURN_NOT_OK(require_arity(2));
+        DIP_ASSIGN_OR_RETURN(int64_t m, vals[1]->ToInt());
+        if (m <= 0) return Status::InvalidArgument("hash_mod modulus <= 0");
+        return Value::Int(static_cast<int64_t>(vals[0]->Hash() % m));
       }
-      // Odd remaining argument is the default.
-      if (i < vals.size()) return vals[i];
-      return Value::Null();
-    }
-    if (name_ == "hash_mod") {
-      DIP_RETURN_NOT_OK(require_arity(2));
-      DIP_ASSIGN_OR_RETURN(int64_t m, vals[1].ToInt());
-      if (m <= 0) return Status::InvalidArgument("hash_mod modulus <= 0");
-      return Value::Int(static_cast<int64_t>(vals[0].Hash() % m));
+      case Fn::kUnknown:
+        break;
     }
     return Status::NotFound("unknown function " + name_);
   }
 
   std::string name_;
+  Fn fn_;  ///< resolved from name_ once, at construction
   std::vector<ExprPtr> args_;
 };
 

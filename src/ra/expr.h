@@ -1,6 +1,7 @@
 #ifndef DIPBENCH_RA_EXPR_H_
 #define DIPBENCH_RA_EXPR_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,10 +16,58 @@ namespace dipbench {
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
-/// A batch of rows by reference — the unit of vectorized evaluation. The
-/// pointees typically live in table storage or an upstream operator's batch
-/// buffer, so no row is copied just to be evaluated.
-using RowRefs = std::vector<const Row*>;
+/// Where one logical column of a reference tuple lives: which of the
+/// tuple's row pointers holds it, and at which offset of that row.
+struct CellRef {
+  uint32_t input = 0;
+  uint32_t offset = 0;
+};
+
+/// The shape of a stream of reference tuples. A reference tuple is `width`
+/// borrowed row pointers whose cells, read through `cells`, form one
+/// logical row — a hash join emits the probe tuple's pointers followed by
+/// the build tuple's instead of copying both rows into a new one. A plain
+/// row is the one-input case: width 1 and the identity map (empty `cells`).
+struct TupleLayout {
+  size_t width = 1;
+  std::vector<CellRef> cells;  ///< one per logical column; empty = identity
+
+  CellRef Cell(size_t column) const {
+    return cells.empty() ? CellRef{0, static_cast<uint32_t>(column)}
+                         : cells[column];
+  }
+};
+
+/// A batch of reference tuples — the unit of vectorized evaluation. `ptrs`
+/// holds size() * layout.width row pointers, tuple-major; the pointees live
+/// in table or RowSet storage (or an operator's batch buffer), so no row is
+/// built just to be evaluated. Non-owning: the pointer array and the
+/// layout must outlive the view.
+class TupleRefs {
+ public:
+  TupleRefs(const Row* const* ptrs, size_t size, const TupleLayout& layout)
+      : ptrs_(ptrs), size_(size), layout_(&layout) {}
+
+  size_t size() const { return size_; }
+  const TupleLayout& layout() const { return *layout_; }
+  /// The layout().width row pointers of tuple i.
+  const Row* const* tuple(size_t i) const { return ptrs_ + i * layout_->width; }
+  /// The cell at `c` of tuple i (`c` already checked by Resolve).
+  const Value& at(size_t i, CellRef c) const {
+    return (*ptrs_[i * layout_->width + c.input])[c.offset];
+  }
+
+  /// Resolves column `name` of `schema` to its cell, checking that every
+  /// tuple's row is wide enough to hold it.
+  Result<CellRef> Resolve(const std::string& name, const Schema& schema) const;
+  /// Builds logical row i (the fallback for code without a tuple path).
+  Result<Row> Materialize(size_t i) const;
+
+ private:
+  const Row* const* ptrs_;
+  size_t size_;
+  const TupleLayout* layout_;
+};
 
 /// Expression node kinds.
 enum class ExprKind {
@@ -60,14 +109,16 @@ class Expr {
   /// Evaluates against one row. Type errors surface as Status.
   virtual Result<Value> Eval(const Row& row, const Schema& schema) const = 0;
 
-  /// Evaluates against a whole batch of rows at once: `*out` is resized to
-  /// `rows.size()` and out[i] receives the value for *rows[i]. The base
-  /// implementation loops the scalar Eval; concrete nodes override it with
-  /// tight loops that resolve column indices once per batch and skip the
-  /// per-row virtual dispatch into their children. Semantics are identical
-  /// to row-at-a-time evaluation (AND/OR short-circuiting included); only
-  /// the order in which per-row type errors are discovered may differ.
-  virtual Status EvalBatch(const RowRefs& rows, const Schema& schema,
+  /// Evaluates against a whole batch of reference tuples at once: `*out` is
+  /// resized to `rows.size()` and out[i] receives the value for tuple i,
+  /// whose columns `schema` names. The base implementation materializes
+  /// each tuple and loops the scalar Eval; concrete nodes override it with
+  /// tight loops that resolve each column to its cell once per batch, read
+  /// it in place, and skip the per-row virtual dispatch into their
+  /// children. Semantics are identical to row-at-a-time evaluation (AND/OR
+  /// short-circuiting included); only the order in which per-row type
+  /// errors are discovered may differ.
+  virtual Status EvalBatch(const TupleRefs& rows, const Schema& schema,
                            std::vector<Value>* out) const;
 
   /// Evaluates this expression as a PREDICATE over a columnar batch:

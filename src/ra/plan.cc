@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -35,6 +38,53 @@ thread_local ExecMode g_exec_mode = ExecMode::kPipeline;
 ExecMode CurrentExecMode() { return g_exec_mode; }
 void SetExecMode(ExecMode mode) { g_exec_mode = mode; }
 
+namespace {
+
+const TupleLayout kPlainLayout;
+
+/// Read-only tuple view of a batch from a cursor with `layout`: borrowed
+/// batches already are pointer vectors; owned ones (always the plain
+/// layout) get one built in `scratch`.
+TupleRefs BatchView(const Batch& in, const TupleLayout& layout,
+                    std::vector<const Row*>* scratch) {
+  if (in.borrowed()) return TupleRefs(in.refs.data(), in.size(), layout);
+  scratch->clear();
+  scratch->reserve(in.rows.size());
+  for (const Row& row : in.rows) scratch->push_back(&row);
+  return TupleRefs(scratch->data(), scratch->size(), kPlainLayout);
+}
+
+/// Appends the logical rows of `batch` (from a cursor with `layout`) to
+/// *out: owned rows move, each reference tuple is built into one row at its
+/// final width. The one way operators without a tuple path consume input.
+Status AppendRows(Batch* batch, const TupleLayout& layout,
+                  std::vector<Row>* out) {
+  if (!batch->borrowed()) {
+    for (Row& row : batch->rows) out->push_back(std::move(row));
+    return Status::OK();
+  }
+  TupleRefs view(batch->refs.data(), batch->size(), layout);
+  for (size_t i = 0; i < view.size(); ++i) {
+    DIP_ASSIGN_OR_RETURN(Row row, view.Materialize(i));
+    out->push_back(std::move(row));
+  }
+  return Status::OK();
+}
+
+/// Moves the next chunk of `rows`, from *pos on, into the owned batch.
+void EmitOwned(std::vector<Row>* rows, size_t* pos, Batch* batch) {
+  size_t n = std::min(kBatchCapacity, rows->size() - *pos);
+  batch->rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    batch->rows.push_back(std::move((*rows)[*pos + i]));
+  }
+  *pos += n;
+}
+
+}  // namespace
+
+const TupleLayout& BatchCursor::layout() const { return kPlainLayout; }
+
 Result<RowSet> DrainCursor(BatchCursor* cursor) {
   DIP_RETURN_NOT_OK(cursor->Open());
   RowSet out;
@@ -43,13 +93,8 @@ Result<RowSet> DrainCursor(BatchCursor* cursor) {
     DIP_RETURN_NOT_OK(cursor->Next(&batch));
     if (batch.empty()) break;
     // No per-batch reserve: exact-sized reserves would defeat the vector's
-    // geometric growth and reallocate once per batch. Borrowed batches are
-    // copied (their pointees die with the next Next()); owned ones move.
-    if (batch.borrowed()) {
-      for (const Row* row : batch.refs) out.rows.push_back(*row);
-    } else {
-      for (Row& row : batch.rows) out.rows.push_back(std::move(row));
-    }
+    // geometric growth and reallocate once per batch.
+    DIP_RETURN_NOT_OK(AppendRows(&batch, cursor->layout(), &out.rows));
   }
   // Read the schema only after end of stream: type-inferring operators
   // (Project) finalize it as the last rows pass through.
@@ -76,12 +121,7 @@ class RowSetCursor : public BatchCursor {
   }
   Status Next(Batch* batch) override {
     batch->clear();
-    size_t n = std::min(kBatchCapacity, data_.rows.size() - pos_);
-    batch->rows.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      batch->rows.push_back(std::move(data_.rows[pos_ + i]));
-    }
-    pos_ += n;
+    EmitOwned(&data_.rows, &pos_, batch);
     return Status::OK();
   }
   void Close() override {}
@@ -113,16 +153,6 @@ ColumnarCursorPtr PlanNode::MakeColumnarCursor(ExecContext*) const {
 }
 
 namespace {
-
-/// Read-only view of a batch for vectorized evaluation: borrowed batches
-/// already are pointer vectors; owned ones get one built in `scratch`.
-const RowRefs& BatchView(const Batch& in, RowRefs* scratch) {
-  if (in.borrowed() || in.rows.empty()) return in.refs;
-  scratch->clear();
-  scratch->reserve(in.rows.size());
-  for (const Row& row : in.rows) scratch->push_back(&row);
-  return *scratch;
-}
 
 /// Streams a table's live rows through Table::ScanCursor as borrowed
 /// pointers — neither an up-front full copy nor per-batch row copies.
@@ -199,15 +229,17 @@ class FilterCursor : public BatchCursor {
       DIP_RETURN_NOT_OK(child_->Next(&in_));
       if (in_.empty()) return Status::OK();
       ctx_->rows_processed += in_.size();
-      const RowRefs& view = BatchView(in_, &view_scratch_);
+      TupleRefs view = BatchView(in_, child_->layout(), &view_scratch_);
       DIP_RETURN_NOT_OK(predicate_->EvalBatch(view, child_->schema(), &keep_));
       // Dropped rows are never copied: borrowed inputs forward the kept
-      // pointers; owned inputs move the kept rows out.
-      for (size_t i = 0; i < in_.size(); ++i) {
+      // tuples' pointers; owned inputs move the kept rows out.
+      batch->width = in_.width;
+      for (size_t i = 0; i < view.size(); ++i) {
         const Value& k = keep_[i];
         if (!k.is_null() && k.type() == DataType::kBool && k.AsBool()) {
           if (in_.borrowed()) {
-            batch->refs.push_back(in_.refs[i]);
+            batch->refs.insert(batch->refs.end(), view.tuple(i),
+                               view.tuple(i) + in_.width);
           } else {
             batch->rows.push_back(std::move(in_.rows[i]));
           }
@@ -218,16 +250,19 @@ class FilterCursor : public BatchCursor {
   }
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return child_->schema(); }
+  const TupleLayout& layout() const override { return child_->layout(); }
 
  private:
   CursorPtr child_;
   ExprPtr predicate_;
   ExecContext* ctx_;
   Batch in_;
-  RowRefs view_scratch_;
+  std::vector<const Row*> view_scratch_;
   std::vector<Value> keep_;
 };
 
+/// Builds each output row exactly once, reading bare column references
+/// straight from the input tuples' cells.
 class ProjectCursor : public BatchCursor {
  public:
   ProjectCursor(CursorPtr child, const std::vector<ProjectionItem>* items,
@@ -250,41 +285,52 @@ class ProjectCursor : public BatchCursor {
     ctx_->rows_processed += in_.size();
     const Schema& in_schema = child_->schema();
     const auto& items = *items_;
-    const RowRefs& view = BatchView(in_, &view_scratch_);
-    // Column-at-a-time: one EvalBatch per projection item per batch. Bare
-    // uncast column references skip the value buffer entirely — the index is
-    // resolved once per batch and values are copied straight from the input
-    // rows in the row-build loop below.
+    TupleRefs view = BatchView(in_, child_->layout(), &view_scratch_);
+    // Column-at-a-time: one EvalBatch per computed item per batch. Column
+    // references resolve to their cell once per batch and skip the value
+    // buffer entirely: bare ones are copied straight into the output rows
+    // below, cast ones are cast straight from the cell.
     cols_.resize(items.size());
-    col_idx_.assign(items.size(), SIZE_MAX);
+    cells_.resize(items.size());
+    bare_.assign(items.size(), false);
     bool inferred_changed = false;
     for (size_t i = 0; i < items.size(); ++i) {
-      const std::string* col = items[i].cast_to == DataType::kNull
-                                   ? ColumnRefName(*items[i].expr)
-                                   : nullptr;
-      if (col != nullptr) {
-        DIP_ASSIGN_OR_RETURN(size_t idx, in_schema.RequireIndexOf(*col));
-        for (const Row* row : view) {
-          if (idx >= row->size()) {
-            return Status::Internal("row narrower than schema");
-          }
-        }
-        col_idx_[i] = idx;
-        if (inferred_[i] == DataType::kNull) {
-          for (const Row* row : view) {
-            if (!(*row)[idx].is_null()) {
-              inferred_[i] = (*row)[idx].type();
-              inferred_changed = true;
-              break;
+      const ProjectionItem& item = items[i];
+      if (const std::string* col = ColumnRefName(*item.expr)) {
+        DIP_ASSIGN_OR_RETURN(cells_[i], view.Resolve(*col, in_schema));
+        if (item.cast_to == DataType::kNull) {
+          bare_[i] = true;
+          if (inferred_[i] == DataType::kNull) {
+            for (size_t r = 0; r < view.size(); ++r) {
+              const Value& v = view.at(r, cells_[i]);
+              if (!v.is_null()) {
+                inferred_[i] = v.type();
+                inferred_changed = true;
+                break;
+              }
             }
           }
+          continue;
         }
-        continue;
-      }
-      DIP_RETURN_NOT_OK(items[i].expr->EvalBatch(view, in_schema, &cols_[i]));
-      if (items[i].cast_to != DataType::kNull) {
-        for (Value& v : cols_[i]) {
-          DIP_ASSIGN_OR_RETURN(v, v.CastTo(items[i].cast_to));
+        cols_[i].clear();
+        cols_[i].reserve(view.size());
+        for (size_t r = 0; r < view.size(); ++r) {
+          const Value& cell = view.at(r, cells_[i]);
+          if (cell.type() == item.cast_to) {
+            cols_[i].push_back(cell);  // what CastTo returns
+          } else {
+            DIP_ASSIGN_OR_RETURN(Value v, cell.CastTo(item.cast_to));
+            cols_[i].push_back(std::move(v));
+          }
+        }
+      } else {
+        DIP_RETURN_NOT_OK(item.expr->EvalBatch(view, in_schema, &cols_[i]));
+        if (item.cast_to != DataType::kNull) {
+          for (Value& v : cols_[i]) {
+            if (v.type() != item.cast_to) {
+              DIP_ASSIGN_OR_RETURN(v, v.CastTo(item.cast_to));
+            }
+          }
         }
       }
       if (inferred_[i] == DataType::kNull) {
@@ -297,13 +343,13 @@ class ProjectCursor : public BatchCursor {
         }
       }
     }
-    batch->rows.reserve(in_.size());
-    for (size_t r = 0; r < in_.size(); ++r) {
+    batch->rows.reserve(view.size());
+    for (size_t r = 0; r < view.size(); ++r) {
       Row projected;
       projected.reserve(items.size());
       for (size_t i = 0; i < items.size(); ++i) {
-        if (col_idx_[i] != SIZE_MAX) {
-          projected.push_back((*view[r])[col_idx_[i]]);
+        if (bare_[i]) {
+          projected.push_back(view.at(r, cells_[i]));
         } else {
           projected.push_back(std::move(cols_[i][r]));
         }
@@ -333,9 +379,10 @@ class ProjectCursor : public BatchCursor {
   std::vector<DataType> inferred_;
   Schema schema_;
   Batch in_;
-  RowRefs view_scratch_;
+  std::vector<const Row*> view_scratch_;
   std::vector<std::vector<Value>> cols_;
-  std::vector<size_t> col_idx_;  // SIZE_MAX = not a bare column reference
+  std::vector<CellRef> cells_;  // per column-reference item
+  std::vector<bool> bare_;      // uncast column reference: copied in place
 };
 
 /// The probe row followed by the build row, allocated at its final width.
@@ -347,7 +394,80 @@ Row JoinRows(const Row& lrow, const Row& rrow) {
   return joined;
 }
 
-/// Build side (right) is drained and hashed at Open; probe side streams.
+/// The joined schema: probe columns, then build columns, a build column
+/// whose name is taken getting "r_" prefixes until it is free.
+Schema JoinedSchema(const Schema& left, const Schema& right) {
+  Schema s = left;
+  for (const auto& col : right.columns()) {
+    std::string name = col.name;
+    while (s.HasColumn(name)) name = "r_" + name;
+    s.AddColumn(name, col.type, col.nullable);
+  }
+  return s;
+}
+
+const Value& CellAt(const Row* const* tuple, CellRef c) {
+  return (*tuple[c.input])[c.offset];
+}
+
+/// HashRowKey of the key cells of the logical row `tuple` forms.
+size_t HashTupleKey(const Row* const* tuple, const std::vector<CellRef>& keys) {
+  size_t h = 0x345678;
+  for (CellRef c : keys) h = h * 1000003 ^ CellAt(tuple, c).Hash();
+  return h;
+}
+
+/// Build side of the in-memory hash joins: one key hash per build row,
+/// chained through flat arrays rather than one multimap node per row.
+/// Chains run from the newest row to the oldest, so one probe's matches
+/// come out in descending build-row order — the order
+/// unordered_multimap::equal_range gives equal keys, which first-wins
+/// inserts downstream of a join depend on.
+class JoinHashTable {
+ public:
+  /// Indexes build rows 0..hashes.size()-1 by their key hashes.
+  void Build(std::vector<size_t> hashes) {
+    hashes_ = std::move(hashes);
+    size_t buckets = 2;
+    shift_ = 63;
+    while (buckets < 2 * hashes_.size()) {
+      buckets <<= 1;
+      --shift_;
+    }
+    heads_.assign(buckets, kEnd);
+    next_.resize(hashes_.size());
+    for (size_t i = 0; i < hashes_.size(); ++i) {
+      size_t& head = heads_[Bucket(hashes_[i])];
+      next_[i] = head;
+      head = i;
+    }
+  }
+
+  /// Calls fn(i) for every build row i whose key hash is `h`, newest first.
+  template <typename Fn>
+  void ForEach(size_t h, const Fn& fn) const {
+    for (size_t i = heads_[Bucket(h)]; i != kEnd; i = next_[i]) {
+      if (hashes_[i] == h) fn(i);
+    }
+  }
+
+ private:
+  static constexpr size_t kEnd = SIZE_MAX;
+  // Fibonacci hashing: the top bits of the product pick the bucket.
+  size_t Bucket(size_t h) const {
+    return (h * 0x9E3779B97F4A7C15ull) >> shift_;
+  }
+
+  std::vector<size_t> hashes_, heads_, next_;
+  int shift_ = 63;
+};
+
+/// In-memory hash join over reference tuples. The build side (right) is
+/// drained at Open and kept as borrowed tuples — rows it was handed owned
+/// are kept in build_rows_ — hashed into a JoinHashTable. The probe side
+/// streams, and each match is emitted as the probe tuple's pointers
+/// followed by the build tuple's; no joined row is built. The joined
+/// schema and the column→cell layout are computed once at Open.
 class HashJoinCursor : public BatchCursor {
  public:
   HashJoinCursor(CursorPtr left, CursorPtr right,
@@ -361,77 +481,139 @@ class HashJoinCursor : public BatchCursor {
 
   Status Open() override {
     DIP_RETURN_NOT_OK(left_->Open());
-    DIP_ASSIGN_OR_RETURN(build_data_, DrainCursor(right_.get()));
+    DIP_RETURN_NOT_OK(DrainBuild());
     ctx_->operator_invocations++;
     if (lkeys_->size() != rkeys_->size() || lkeys_->empty()) {
       return Status::InvalidArgument("join key arity mismatch");
     }
     for (const auto& k : *lkeys_) {
-      DIP_ASSIGN_OR_RETURN(size_t i, left_->schema().RequireIndexOf(k));
-      lidx_.push_back(i);
+      DIP_RETURN_NOT_OK(left_->schema().RequireIndexOf(k).status());
     }
+    const size_t bw = build_layout_.width;
+    TupleRefs build(build_refs_.data(), build_refs_.size() / bw,
+                    build_layout_);
     for (const auto& k : *rkeys_) {
-      DIP_ASSIGN_OR_RETURN(size_t i, build_data_.schema.RequireIndexOf(k));
-      ridx_.push_back(i);
+      DIP_ASSIGN_OR_RETURN(CellRef c, build.Resolve(k, build_schema_));
+      rcells_.push_back(c);
     }
-    build_.reserve(build_data_.rows.size());
-    for (size_t i = 0; i < build_data_.rows.size(); ++i) {
+    std::vector<size_t> hashes(build.size());
+    for (size_t i = 0; i < build.size(); ++i) {
       ctx_->rows_processed++;
-      build_.emplace(HashRowKey(build_data_.rows[i], ridx_), i);
+      hashes[i] = HashTupleKey(build.tuple(i), rcells_);
     }
+    table_.Build(std::move(hashes));
+    const TupleLayout& probe = left_->layout();
+    layout_.width = probe.width + bw;
+    layout_.cells.clear();
+    for (size_t c = 0; c < left_->schema().num_columns(); ++c) {
+      layout_.cells.push_back(probe.Cell(c));
+    }
+    for (size_t c = 0; c < build_schema_.num_columns(); ++c) {
+      CellRef cell = build_layout_.Cell(c);
+      cell.input += static_cast<uint32_t>(probe.width);
+      layout_.cells.push_back(cell);
+    }
+    schema_ = JoinedSchema(left_->schema(), build_schema_);
     return Status::OK();
   }
   Status Next(Batch* batch) override {
     batch->clear();
+    batch->width = layout_.width;
+    const size_t pw = left_->layout().width;
+    const size_t bw = build_layout_.width;
     for (;;) {
       DIP_RETURN_NOT_OK(left_->Next(&in_));
+      SyncProbeTypes();
       if (in_.empty()) return Status::OK();
-      for (size_t r = 0; r < in_.size(); ++r) {
-        const Row& lrow = in_.row(r);
+      TupleRefs probe = BatchView(in_, left_->layout(), &probe_scratch_);
+      lcells_.clear();
+      for (const auto& k : *lkeys_) {
+        DIP_ASSIGN_OR_RETURN(CellRef c, probe.Resolve(k, left_->schema()));
+        lcells_.push_back(c);
+      }
+      const size_t emitted_before = batch->refs.size();
+      for (size_t r = 0; r < probe.size(); ++r) {
         ctx_->rows_processed++;
-        size_t h = HashRowKey(lrow, lidx_);
-        auto range = build_.equal_range(h);
-        for (auto it = range.first; it != range.second; ++it) {
-          const Row& rrow = build_data_.rows[it->second];
-          bool match = true;
-          for (size_t k = 0; k < lidx_.size(); ++k) {
-            if (lrow[lidx_[k]].Compare(rrow[ridx_[k]]) != 0 ||
-                lrow[lidx_[k]].is_null()) {
-              match = false;
-              break;
+        const Row* const* lt = probe.tuple(r);
+        table_.ForEach(HashTupleKey(lt, lcells_), [&](size_t i) {
+          const Row* const* rt = &build_refs_[i * bw];
+          for (size_t k = 0; k < lcells_.size(); ++k) {
+            const Value& lv = CellAt(lt, lcells_[k]);
+            if (lv.is_null() || lv.Compare(CellAt(rt, rcells_[k])) != 0) {
+              return;
             }
           }
-          if (!match) continue;
-          batch->rows.push_back(JoinRows(lrow, rrow));
-        }
+          batch->refs.insert(batch->refs.end(), lt, lt + pw);
+          batch->refs.insert(batch->refs.end(), rt, rt + bw);
+        });
       }
-      if (!batch->rows.empty()) return Status::OK();
+      // An owned probe batch is refilled by the next pull; the emitted
+      // tuples point into it, so its rows live on with this cursor.
+      if (!in_.borrowed() && batch->refs.size() > emitted_before) {
+        probe_rows_.push_back(std::move(in_.rows));
+      }
+      if (!batch->refs.empty()) return Status::OK();
     }
   }
   void Close() override { left_->Close(); }
-  const Schema& schema() const override {
-    // The probe-side schema may still be provisional mid-stream, so the
-    // joined schema is rebuilt on demand rather than fixed at Open.
-    Schema s = left_->schema();
-    for (const auto& col : build_data_.schema.columns()) {
-      std::string name = col.name;
-      while (s.HasColumn(name)) name = "r_" + name;
-      s.AddColumn(name, col.type, col.nullable);
-    }
-    schema_cache_ = std::move(s);
-    return schema_cache_;
-  }
+  const Schema& schema() const override { return schema_; }
+  const TupleLayout& layout() const override { return layout_; }
 
  private:
+  /// Opens, drains and closes the build input, keeping its tuples.
+  Status DrainBuild() {
+    DIP_RETURN_NOT_OK(right_->Open());
+    Batch in;
+    for (;;) {
+      DIP_RETURN_NOT_OK(right_->Next(&in));
+      if (in.empty()) break;
+      if (in.borrowed()) {
+        build_refs_.insert(build_refs_.end(), in.refs.begin(), in.refs.end());
+        continue;
+      }
+      for (Row& row : in.rows) {
+        build_refs_.push_back(nullptr);  // pointed at build_rows_ below
+        build_rows_.push_back(std::move(row));
+      }
+    }
+    build_schema_ = right_->schema();
+    build_layout_ = right_->layout();
+    right_->Close();
+    // Owned rows (only ever one-row tuples) are addressable once
+    // build_rows_ stops growing.
+    size_t next_owned = 0;
+    for (const Row*& p : build_refs_) {
+      if (p == nullptr) p = &build_rows_[next_owned++];
+    }
+    return Status::OK();
+  }
+
+  /// Names are fixed at Open, but a projection below the probe side infers
+  /// its column types as rows pass; the joined schema follows them.
+  void SyncProbeTypes() {
+    const Schema& probe = left_->schema();
+    for (size_t c = 0; c < probe.num_columns(); ++c) {
+      if (probe.column(c).type != schema_.column(c).type ||
+          probe.column(c).nullable != schema_.column(c).nullable) {
+        schema_ = JoinedSchema(probe, build_schema_);
+        return;
+      }
+    }
+  }
+
   CursorPtr left_, right_;
   const std::vector<std::string>* lkeys_;
   const std::vector<std::string>* rkeys_;
   ExecContext* ctx_;
-  RowSet build_data_;
-  std::unordered_multimap<size_t, size_t> build_;
-  std::vector<size_t> lidx_, ridx_;
+  Schema build_schema_, schema_;
+  TupleLayout build_layout_, layout_;
+  std::vector<const Row*> build_refs_;  // build tuples, tuple-major
+  std::vector<Row> build_rows_;         // build rows handed over owned
+  std::vector<CellRef> lcells_, rcells_;
+  JoinHashTable table_;
   Batch in_;
-  mutable Schema schema_cache_;
+  std::vector<const Row*> probe_scratch_;
+  std::vector<std::vector<Row>> probe_rows_;  // owned probe rows emitted
 };
 
 /// Emits the first `limit` rows and then SHORT-CIRCUITS: the moment the
@@ -461,9 +643,11 @@ class LimitCursor : public BatchCursor {
     if (in_.empty()) return Status::OK();
     size_t take = std::min(limit_ - emitted_, in_.size());
     if (in_.borrowed()) {
-      // Borrowed pointees live in table / RowSet storage, which outlives the
-      // eager CloseChild() below — forwarding them stays safe.
-      batch->refs.assign(in_.refs.begin(), in_.refs.begin() + take);
+      // Borrowed pointees outlive the plan's execution (Batch), so the
+      // eager CloseChild() below cannot invalidate them.
+      batch->width = in_.width;
+      batch->refs.assign(in_.refs.begin(),
+                         in_.refs.begin() + take * in_.width);
     } else {
       batch->rows.reserve(take);
       for (size_t i = 0; i < take; ++i) {
@@ -477,6 +661,7 @@ class LimitCursor : public BatchCursor {
   }
   void Close() override { CloseChild(); }
   const Schema& schema() const override { return child_->schema(); }
+  const TupleLayout& layout() const override { return child_->layout(); }
 
  private:
   void CloseChild() {
@@ -495,31 +680,35 @@ class LimitCursor : public BatchCursor {
 
 /// --- Shared grouped-aggregation core ------------------------------------
 ///
-/// Every aggregation path (materialized, columnar, spilling) funnels
-/// through these helpers so group semantics, double-summation order, and
-/// output shape can never drift apart across execution modes.
+/// Every aggregation path (materialized, streaming, columnar, spilling)
+/// funnels through these helpers so group semantics, double-summation
+/// order, and output shape can never drift apart across execution modes.
+/// They read a group's input cells through the input's tuple layout; plain
+/// rows are one-row tuples.
 
-struct AggGroupState {
-  Row key;
-  std::vector<double> sum;
-  std::vector<int64_t> count;
-  std::vector<Value> min_v, max_v;
-  std::vector<bool> all_int;
+/// The running state of one aggregate in one group; each function reads
+/// and updates only its own fields.
+struct AggAccumulator {
+  double sum = 0.0;      // SUM, AVG
+  int64_t count = 0;     // COUNT, SUM, AVG
+  int64_t int_sum = 0;   // SUM while every input is INT64
+  bool all_int = true;   // SUM
+  bool int_overflow = false;
+  Value min_v, max_v;    // MIN, MAX
   // Numeric mirrors of min_v/max_v for the columnar fast path (Value::
   // Compare on the numeric family is double comparison); the row paths
   // leave them untouched.
-  std::vector<double> min_num, max_num;
+  double min_num = 0.0, max_num = 0.0;
+};
+
+struct AggGroupState {
+  Row key;  ///< reserved for the aggregates FinalizeAggGroup appends
+  std::vector<AggAccumulator> aggs;
 };
 
 void InitAggState(AggGroupState* st, Row key, size_t naggs) {
   st->key = std::move(key);
-  st->sum.assign(naggs, 0.0);
-  st->count.assign(naggs, 0);
-  st->min_v.assign(naggs, Value::Null());
-  st->max_v.assign(naggs, Value::Null());
-  st->all_int.assign(naggs, true);
-  st->min_num.assign(naggs, 0.0);
-  st->max_num.assign(naggs, 0.0);
+  st->aggs.assign(naggs, AggAccumulator{});
 }
 
 Status ResolveAggIndexes(const Schema& schema,
@@ -544,26 +733,64 @@ Status ResolveAggIndexes(const Schema& schema,
   return Status::OK();
 }
 
-Status AccumulateAggValues(const Row& row,
+/// The input cell of each aggregate under `layout`; none for COUNT(*).
+std::vector<std::optional<CellRef>> AggInputCells(
+    const TupleLayout& layout, const std::vector<size_t>& agg_idx) {
+  std::vector<std::optional<CellRef>> cells(agg_idx.size());
+  for (size_t a = 0; a < agg_idx.size(); ++a) {
+    if (agg_idx[a] != SIZE_MAX) cells[a] = layout.Cell(agg_idx[a]);
+  }
+  return cells;
+}
+
+/// Adds one SUM input: the double sum always (a group that sees a DOUBLE
+/// keeps exactly the arithmetic it always had), and the checked INT64 sum
+/// while every input is INT64 (`exact` non-null).
+void AddToSum(AggAccumulator* acc, double num, const int64_t* exact) {
+  acc->sum += num;
+  acc->count++;
+  if (exact == nullptr) {
+    acc->all_int = false;
+  } else if (acc->all_int &&
+             __builtin_add_overflow(acc->int_sum, *exact, &acc->int_sum)) {
+    acc->int_overflow = true;
+  }
+}
+
+/// Folds one tuple's aggregate inputs into its group. Each aggregate
+/// updates only the state its function reads.
+Status AccumulateAggValues(const Row* const* tuple,
                            const std::vector<AggregateItem>& aggs,
-                           const std::vector<size_t>& agg_idx,
+                           const std::vector<std::optional<CellRef>>& cells,
                            AggGroupState* st) {
   for (size_t a = 0; a < aggs.size(); ++a) {
-    const Value* v = agg_idx[a] == SIZE_MAX ? nullptr : &row[agg_idx[a]];
+    AggAccumulator& acc = st->aggs[a];
+    const Value* v = cells[a] ? &CellAt(tuple, *cells[a]) : nullptr;
     if (aggs[a].func == AggFunc::kCount) {
-      if (v == nullptr || !v->is_null()) st->count[a]++;
+      if (v == nullptr || !v->is_null()) acc.count++;
       continue;
     }
     if (v == nullptr || v->is_null()) continue;
     DIP_ASSIGN_OR_RETURN(double num, v->ToNumeric());
-    st->sum[a] += num;
-    st->count[a]++;
-    if (v->type() != DataType::kInt64) st->all_int[a] = false;
-    if (st->min_v[a].is_null() || v->Compare(st->min_v[a]) < 0) {
-      st->min_v[a] = *v;
-    }
-    if (st->max_v[a].is_null() || v->Compare(st->max_v[a]) > 0) {
-      st->max_v[a] = *v;
+    switch (aggs[a].func) {
+      case AggFunc::kSum: {
+        const bool is_int = v->type() == DataType::kInt64;
+        const int64_t exact = is_int ? v->AsInt() : 0;
+        AddToSum(&acc, num, is_int ? &exact : nullptr);
+        break;
+      }
+      case AggFunc::kAvg:
+        acc.sum += num;
+        acc.count++;
+        break;
+      case AggFunc::kMin:
+        if (acc.min_v.is_null() || v->Compare(acc.min_v) < 0) acc.min_v = *v;
+        break;
+      case AggFunc::kMax:
+        if (acc.max_v.is_null() || v->Compare(acc.max_v) > 0) acc.max_v = *v;
+        break;
+      case AggFunc::kCount:
+        break;
     }
   }
   return Status::OK();
@@ -576,35 +803,44 @@ Status AccumulateAggValues(const Row& row,
 /// doubles group by their lossy "%.6g" rendering, and NULL renders as "".
 /// A group keeps the key cells of its first row, and groups come out in
 /// serialized-key order. While every key seen is a tuple of non-NULL INT64
-/// cells the table is keyed by the cells' raw bytes instead, and no string
-/// is built per row; INT64 renderings are injective, so both keyings make
-/// the same groups. The first other key migrates every group to the
-/// serialized-key map for the rest of the input.
+/// cells the table is keyed by the cells themselves instead, in a flat
+/// open-addressing index, and no string is built per row; INT64
+/// renderings are injective, so both keyings make the same groups. The
+/// first other key migrates every group to the serialized-key map for the
+/// rest of the input.
 class AggGroupTable {
  public:
-  AggGroupTable(const std::vector<size_t>& group_idx, size_t naggs)
-      : group_idx_(group_idx), naggs_(naggs) {}
+  /// Groups by the columns `group_idx` of inputs shaped like `layout`.
+  AggGroupTable(const std::vector<size_t>& group_idx,
+                const TupleLayout& layout, size_t naggs)
+      : naggs_(naggs) {
+    for (size_t gi : group_idx) group_.push_back(layout.Cell(gi));
+  }
 
-  /// The group of `row`, whose key cells sit at group_idx; created on
-  /// first sight. The pointer is valid until the next lookup.
-  AggGroupState* Find(const Row& row) {
+  /// The group of `tuple`, created on first sight. The pointer is valid
+  /// until the next lookup.
+  AggGroupState* Find(const Row* const* tuple) {
     if (int_keyed_) {
       cells_.clear();
-      for (size_t gi : group_idx_) {
-        if (row[gi].type() != DataType::kInt64) break;
-        cells_.push_back(row[gi].AsInt());
+      for (CellRef c : group_) {
+        const Value& v = CellAt(tuple, c);
+        if (v.type() != DataType::kInt64) break;
+        cells_.push_back(v.AsInt());
       }
-      if (cells_.size() == group_idx_.size()) {
-        return FindInt(cells_, [&] { return KeyRow(row); });
+      if (cells_.size() == group_.size()) {
+        return FindInt(cells_, [&] { return KeyRow(tuple); });
       }
       MigrateToSerialized();
     }
     key_buf_.clear();
-    AppendRowKeyString(row, group_idx_, &key_buf_);
+    for (size_t g = 0; g < group_.size(); ++g) {
+      if (g > 0) key_buf_.push_back(',');
+      key_buf_.append(CellAt(tuple, group_[g]).ToString());
+    }
     auto it = by_key_.find(key_buf_);
     if (it == by_key_.end()) {
       it = by_key_.try_emplace(key_buf_).first;
-      InitAggState(&it->second, KeyRow(row), naggs_);
+      InitAggState(&it->second, KeyRow(tuple), naggs_);
     }
     return &it->second;
   }
@@ -616,39 +852,84 @@ class AggGroupTable {
   AggGroupState* FindInt(std::span<const int64_t> cells,
                          const MakeKey& make_key) {
     assert(int_keyed_);
-    key_buf_.assign(reinterpret_cast<const char*>(cells.data()),
-                    cells.size_bytes());
-    auto [it, inserted] = by_raw_.try_emplace(key_buf_, groups_.size());
-    if (inserted) {
-      groups_.emplace_back();
-      InitAggState(&groups_.back(), make_key(), naggs_);
+    if (2 * (groups_.size() + 1) > slots_.size()) GrowSlots();
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = HashInts(cells) & mask;; s = (s + 1) & mask) {
+      const uint32_t g = slots_[s];
+      if (g == kEmptySlot) {
+        slots_[s] = static_cast<uint32_t>(groups_.size());
+        raw_keys_.insert(raw_keys_.end(), cells.begin(), cells.end());
+        groups_.emplace_back();
+        InitAggState(&groups_.back(), make_key(), naggs_);
+        return &groups_.back();
+      }
+      if (std::equal(cells.begin(), cells.end(),
+                     raw_keys_.begin() + g * cells.size())) {
+        return &groups_[g];
+      }
     }
-    return &groups_[it->second];
   }
 
   /// Calls fn(serialized key, group) for every group in serialized-key
-  /// order.
+  /// order, stopping at the first error fn returns. fn may consume the
+  /// group; the table is spent afterwards.
   template <typename Fn>
-  void ForEachOrdered(const Fn& fn) const {
+  Status ForEachOrdered(const Fn& fn) {
     if (!int_keyed_) {
-      for (const auto& [key, st] : by_key_) fn(key, st);
-      return;
+      for (auto& [key, st] : by_key_) DIP_RETURN_NOT_OK(fn(key, st));
+      return Status::OK();
     }
-    std::vector<std::pair<std::string, const AggGroupState*>> ordered;
+    std::vector<std::pair<std::string, AggGroupState*>> ordered;
     ordered.reserve(groups_.size());
-    for (const AggGroupState& st : groups_) {
-      ordered.emplace_back(RowToString(st.key), &st);
+    for (AggGroupState& st : groups_) {
+      ordered.emplace_back(IntKeyString(st.key), &st);
     }
     std::sort(ordered.begin(), ordered.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [key, st] : ordered) fn(key, *st);
+    for (auto& [key, st] : ordered) DIP_RETURN_NOT_OK(fn(key, *st));
+    return Status::OK();
   }
 
  private:
-  Row KeyRow(const Row& row) const {
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  static size_t HashInts(std::span<const int64_t> cells) {
+    uint64_t h = 0x345678;
+    for (int64_t c : cells) {
+      h = (h ^ static_cast<uint64_t>(c)) * 0x9E3779B97F4A7C15ull;
+      h ^= h >> 32;
+    }
+    return h;
+  }
+
+  /// RowToString of an all-INT64 key, without the per-cell strings.
+  static std::string IntKeyString(const Row& key) {
+    std::string out;
+    char buf[24];
+    for (size_t i = 0; i < key.size(); ++i) {
+      if (i > 0) out.push_back(',');
+      auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), key[i].AsInt());
+      out.append(buf, end);
+    }
+    return out;
+  }
+
+  void GrowSlots() {
+    slots_.assign(std::max<size_t>(16, 2 * slots_.size()), kEmptySlot);
+    const size_t mask = slots_.size() - 1;
+    const size_t k = group_.size();
+    for (size_t g = 0; g < groups_.size(); ++g) {
+      std::span<const int64_t> cells(raw_keys_.data() + g * k, k);
+      size_t s = HashInts(cells) & mask;
+      while (slots_[s] != kEmptySlot) s = (s + 1) & mask;
+      slots_[s] = static_cast<uint32_t>(g);
+    }
+  }
+
+  Row KeyRow(const Row* const* tuple) const {
     Row key;
-    key.reserve(group_idx_.size());
-    for (size_t gi : group_idx_) key.push_back(row[gi]);
+    key.reserve(group_.size() + naggs_);
+    for (CellRef c : group_) key.push_back(CellAt(tuple, c));
     return key;
   }
 
@@ -657,48 +938,71 @@ class AggGroupTable {
       by_key_.emplace(RowToString(st.key), std::move(st));
     }
     groups_.clear();
-    by_raw_.clear();
+    raw_keys_.clear();
+    slots_.clear();
     int_keyed_ = false;
   }
 
-  const std::vector<size_t>& group_idx_;
+  std::vector<CellRef> group_;
   size_t naggs_;
   bool int_keyed_ = true;
-  std::unordered_map<std::string, size_t> by_raw_;  // raw key -> groups_ index
-  std::vector<AggGroupState> groups_;
+  std::vector<AggGroupState> groups_;  // int-keyed, in arrival order
+  std::vector<int64_t> raw_keys_;      // group g's cells at [g*k, g*k+k)
+  std::vector<uint32_t> slots_;        // open addressing over groups_
   std::map<std::string, AggGroupState> by_key_;  // serialized key -> group
   std::vector<int64_t> cells_;
   std::string key_buf_;
 };
 
-Row FinalizeAggGroup(const AggGroupState& st,
-                     const std::vector<AggregateItem>& aggs) {
-  Row row = st.key;
+/// The output row of a group: its key cells, then one value per
+/// aggregate. Consumes the group's key.
+Result<Row> FinalizeAggGroup(AggGroupState* st,
+                             const std::vector<AggregateItem>& aggs) {
+  Row row = std::move(st->key);
+  row.reserve(row.size() + aggs.size());
   for (size_t a = 0; a < aggs.size(); ++a) {
+    const AggAccumulator& acc = st->aggs[a];
     switch (aggs[a].func) {
       case AggFunc::kCount:
-        row.push_back(Value::Int(st.count[a]));
+        row.push_back(Value::Int(acc.count));
         break;
       case AggFunc::kSum:
-        row.push_back(st.count[a] == 0 ? Value::Null()
-                      : st.all_int[a]
-                          ? Value::Int(static_cast<int64_t>(st.sum[a]))
-                          : Value::Double(st.sum[a]));
+        if (acc.count == 0) {
+          row.push_back(Value::Null());
+        } else if (!acc.all_int) {
+          row.push_back(Value::Double(acc.sum));
+        } else if (acc.int_overflow) {
+          return Status::InvalidArgument("SUM of " + aggs[a].input_column +
+                                         " overflows INT64");
+        } else {
+          row.push_back(Value::Int(acc.int_sum));
+        }
         break;
       case AggFunc::kAvg:
-        row.push_back(st.count[a] == 0
-                          ? Value::Null()
-                          : Value::Double(st.sum[a] / st.count[a]));
+        row.push_back(acc.count == 0 ? Value::Null()
+                                     : Value::Double(acc.sum / acc.count));
         break;
       case AggFunc::kMin:
-        row.push_back(st.min_v[a]);
+        row.push_back(acc.min_v);
         break;
       case AggFunc::kMax:
-        row.push_back(st.max_v[a]);
+        row.push_back(acc.max_v);
         break;
     }
   }
   return row;
+}
+
+/// Appends every group's output row to *out, in serialized-key order.
+Status FinalizeGroups(AggGroupTable* groups,
+                      const std::vector<AggregateItem>& aggs,
+                      std::vector<Row>* out) {
+  return groups->ForEachOrdered(
+      [&](const std::string&, AggGroupState& st) -> Status {
+        DIP_ASSIGN_OR_RETURN(Row row, FinalizeAggGroup(&st, aggs));
+        out->push_back(std::move(row));
+        return Status::OK();
+      });
 }
 
 Schema AggOutputSchema(const Schema& in_schema,
@@ -978,70 +1282,97 @@ double ColNum(const ColumnVector& c, uint32_t p) {
                                             : c.doubles()[p];
 }
 
-/// Blocking columnar aggregation (kColumnar mode, unlimited budget).
-/// Consumes a columnar child. While every batch has non-NULL INT64 group
-/// columns and numeric aggregate inputs, rows accumulate straight from the
-/// typed arrays into the shared AggGroupTable's raw INT64 keys. The first
-/// batch of another shape switches accumulation to the row path for the
-/// rest of the input (the table itself migrates on the first non-INT64
-/// key). Output rows, schema, order (serialized-key lexicographic), and
-/// per-group double-summation order are identical to the row
-/// implementation.
-class ColumnarAggregateCursor : public BatchCursor {
+/// Grouped aggregation under an unlimited budget. It streams its input:
+/// each batch is folded into the shared group table as it arrives and the
+/// groups are emitted after end of stream. A row child's tuples are read in
+/// place through its layout. A columnar child (kColumnar) is folded straight
+/// from the typed arrays while every batch has non-NULL INT64 group columns
+/// and numeric aggregate inputs; the first batch of another shape switches
+/// to materialized rows for the rest of the input (the table itself
+/// migrates on the first non-INT64 key). Rows, schema, order
+/// (serialized-key lexicographic), per-group summation order and counters
+/// are identical to the materializing path.
+class AggregateCursor : public BatchCursor {
  public:
-  ColumnarAggregateCursor(ColumnarCursorPtr child,
-                          const std::vector<std::string>* group_by,
-                          const std::vector<AggregateItem>* aggs,
-                          ExecContext* ctx)
-      : child_(std::move(child)), group_by_(group_by), aggs_(aggs), ctx_(ctx) {}
+  /// Exactly one of `child` and `columnar` is set.
+  AggregateCursor(CursorPtr child, ColumnarCursorPtr columnar,
+                  const std::vector<std::string>* group_by,
+                  const std::vector<AggregateItem>* aggs, ExecContext* ctx)
+      : child_(std::move(child)),
+        columnar_(std::move(columnar)),
+        group_by_(group_by),
+        aggs_(aggs),
+        ctx_(ctx) {}
 
   Status Open() override {
-    DIP_RETURN_NOT_OK(child_->Open());
-    DIP_RETURN_NOT_OK(ResolveAggIndexes(child_->schema(), *group_by_, *aggs_,
+    DIP_RETURN_NOT_OK(columnar_ ? columnar_->Open() : child_->Open());
+    DIP_RETURN_NOT_OK(ResolveAggIndexes(InputSchema(), *group_by_, *aggs_,
                                         &group_idx_, &agg_idx_));
-    AggGroupTable groups(group_idx_, aggs_->size());
-    ColumnBatch in;
-    for (;;) {
-      DIP_RETURN_NOT_OK(child_->Next(&in));
-      if (in.empty()) break;
-      ctx_->rows_processed += in.size();
-      // The fast path keeps numeric min/max mirrors the row path does not
-      // update, so once off it accumulation stays on the row path.
-      if (fast_ && !FastEligible(in)) fast_ = false;
-      if (fast_) {
-        AccumulateFast(in, &groups);
-      } else {
-        for (size_t r = 0; r < in.size(); ++r) {
-          Row row = MaterializeColumnRow(in, r);
-          DIP_RETURN_NOT_OK(
-              AccumulateAggValues(row, *aggs_, agg_idx_, groups.Find(row)));
-        }
-      }
-    }
+    const TupleLayout& layout = columnar_ ? kPlainLayout : child_->layout();
+    AggGroupTable groups(group_idx_, layout, aggs_->size());
+    DIP_RETURN_NOT_OK(columnar_ ? FoldColumns(&groups)
+                                : FoldRows(layout, &groups));
     ctx_->operator_invocations++;
-    out_schema_ = AggOutputSchema(child_->schema(), *group_by_, group_idx_,
-                                  *aggs_);
-    groups.ForEachOrdered([&](const std::string&, const AggGroupState& st) {
-      out_rows_.push_back(FinalizeAggGroup(st, *aggs_));
-    });
+    out_schema_ =
+        AggOutputSchema(InputSchema(), *group_by_, group_idx_, *aggs_);
     CloseChild();
     pos_ = 0;
-    return Status::OK();
+    return FinalizeGroups(&groups, *aggs_, &out_rows_);
   }
   Status Next(Batch* batch) override {
     batch->clear();
-    size_t n = std::min(kBatchCapacity, out_rows_.size() - pos_);
-    batch->rows.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      batch->rows.push_back(std::move(out_rows_[pos_ + i]));
-    }
-    pos_ += n;
+    EmitOwned(&out_rows_, &pos_, batch);
     return Status::OK();
   }
   void Close() override { CloseChild(); }
   const Schema& schema() const override { return out_schema_; }
 
  private:
+  const Schema& InputSchema() const {
+    return columnar_ ? columnar_->schema() : child_->schema();
+  }
+
+  Status FoldRows(const TupleLayout& layout, AggGroupTable* groups) {
+    const auto agg_cells = AggInputCells(layout, agg_idx_);
+    Batch in;
+    std::vector<const Row*> scratch;
+    for (;;) {
+      DIP_RETURN_NOT_OK(child_->Next(&in));
+      if (in.empty()) return Status::OK();
+      ctx_->rows_processed += in.size();
+      TupleRefs view = BatchView(in, layout, &scratch);
+      for (size_t r = 0; r < view.size(); ++r) {
+        const Row* const* t = view.tuple(r);
+        DIP_RETURN_NOT_OK(
+            AccumulateAggValues(t, *aggs_, agg_cells, groups->Find(t)));
+      }
+    }
+  }
+
+  Status FoldColumns(AggGroupTable* groups) {
+    const auto agg_cells = AggInputCells(kPlainLayout, agg_idx_);
+    ColumnBatch in;
+    bool fast = true;
+    for (;;) {
+      DIP_RETURN_NOT_OK(columnar_->Next(&in));
+      if (in.empty()) return Status::OK();
+      ctx_->rows_processed += in.size();
+      // The fast path keeps numeric min/max mirrors the row path does not
+      // update, so once off it accumulation stays on the row path.
+      if (fast && !FastEligible(in)) fast = false;
+      if (fast) {
+        AccumulateFast(in, groups);
+        continue;
+      }
+      for (size_t r = 0; r < in.size(); ++r) {
+        Row row = MaterializeColumnRow(in, r);
+        const Row* t = &row;
+        DIP_RETURN_NOT_OK(
+            AccumulateAggValues(&t, *aggs_, agg_cells, groups->Find(&t)));
+      }
+    }
+  }
+
   bool FastEligible(const ColumnBatch& in) const {
     for (size_t gi : group_idx_) {
       if (gi >= in.columns.size()) return false;
@@ -1073,28 +1404,46 @@ class ColumnarAggregateCursor : public BatchCursor {
       for (size_t gi : group_idx_) cells_.push_back(in.columns[gi]->ints()[p]);
       AggGroupState& st = *groups->FindInt(cells_, [&] {
         Row key;
+        key.reserve(group_idx_.size() + naggs);
         for (size_t gi : group_idx_) key.push_back(in.columns[gi]->GetValue(p));
         return key;
       });
       for (size_t a = 0; a < naggs; ++a) {
+        AggAccumulator& acc = st.aggs[a];
         const size_t ai = agg_idx_[a];
         if ((*aggs_)[a].func == AggFunc::kCount) {
-          if (ai == SIZE_MAX || !in.columns[ai]->IsNull(p)) st.count[a]++;
+          if (ai == SIZE_MAX || !in.columns[ai]->IsNull(p)) acc.count++;
           continue;
         }
         const ColumnVector& col = *in.columns[ai];
         if (col.IsNull(p)) continue;
         double num = ColNum(col, p);
-        st.sum[a] += num;
-        st.count[a]++;
-        if (col.value_type() != DataType::kInt64) st.all_int[a] = false;
-        if (st.count[a] == 1 || num < st.min_num[a]) {
-          st.min_num[a] = num;
-          st.min_v[a] = col.GetValue(p);
-        }
-        if (st.count[a] == 1 || num > st.max_num[a]) {
-          st.max_num[a] = num;
-          st.max_v[a] = col.GetValue(p);
+        switch ((*aggs_)[a].func) {
+          case AggFunc::kSum:
+            AddToSum(&acc, num,
+                     col.rep() == ColumnVector::Rep::kInt &&
+                             col.value_type() == DataType::kInt64
+                         ? &col.ints()[p]
+                         : nullptr);
+            break;
+          case AggFunc::kAvg:
+            acc.sum += num;
+            acc.count++;
+            break;
+          case AggFunc::kMin:
+            if (acc.min_v.is_null() || num < acc.min_num) {
+              acc.min_num = num;
+              acc.min_v = col.GetValue(p);
+            }
+            break;
+          case AggFunc::kMax:
+            if (acc.max_v.is_null() || num > acc.max_num) {
+              acc.max_num = num;
+              acc.max_v = col.GetValue(p);
+            }
+            break;
+          case AggFunc::kCount:
+            break;
         }
       }
     }
@@ -1103,15 +1452,19 @@ class ColumnarAggregateCursor : public BatchCursor {
   void CloseChild() {
     if (child_closed_) return;
     child_closed_ = true;
-    child_->Close();
+    if (columnar_) {
+      columnar_->Close();
+    } else {
+      child_->Close();
+    }
   }
 
-  ColumnarCursorPtr child_;
+  CursorPtr child_;
+  ColumnarCursorPtr columnar_;
   const std::vector<std::string>* group_by_;
   const std::vector<AggregateItem>* aggs_;
   ExecContext* ctx_;
   std::vector<size_t> group_idx_, agg_idx_;
-  bool fast_ = true;
   std::vector<int64_t> cells_;
   Schema out_schema_;
   std::vector<Row> out_rows_;
@@ -1152,16 +1505,10 @@ class SpillSortCursor : public BatchCursor {
       DIP_RETURN_NOT_OK(child_->Next(&in));
       if (in.empty()) break;
       ctx_->rows_processed += in.size();
-      if (in.borrowed()) {
-        for (const Row* r : in.refs) {
-          bytes += ApproxRowBytes(*r);
-          buffer_.push_back(*r);
-        }
-      } else {
-        for (Row& r : in.rows) {
-          bytes += ApproxRowBytes(r);
-          buffer_.push_back(std::move(r));
-        }
+      const size_t first = buffer_.size();
+      DIP_RETURN_NOT_OK(AppendRows(&in, child_->layout(), &buffer_));
+      for (size_t i = first; i < buffer_.size(); ++i) {
+        bytes += ApproxRowBytes(buffer_[i]);
       }
       if (budget > 0 && bytes > budget) {
         DIP_RETURN_NOT_OK(FlushRun());
@@ -1190,12 +1537,7 @@ class SpillSortCursor : public BatchCursor {
   Status Next(Batch* batch) override {
     batch->clear();
     if (runs_ == 0) {
-      size_t n = std::min(kBatchCapacity, buffer_.size() - pos_);
-      batch->rows.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        batch->rows.push_back(std::move(buffer_[pos_ + i]));
-      }
-      pos_ += n;
+      EmitOwned(&buffer_, &pos_, batch);
       return Status::OK();
     }
     HeapCmp cmp{this};
@@ -1300,8 +1642,9 @@ class SpillAggregateCursor : public BatchCursor {
       DIP_RETURN_NOT_OK(child_->Next(&in));
       if (in.empty()) break;
       ctx_->rows_processed += in.size();
-      for (size_t i = 0; i < in.size(); ++i) {
-        Row row = in.borrowed() ? *in.refs[i] : std::move(in.rows[i]);
+      rows_.clear();
+      DIP_RETURN_NOT_OK(AppendRows(&in, child_->layout(), &rows_));
+      for (Row& row : rows_) {
         if (!spilled_) {
           bytes += ApproxRowBytes(row);
           buffer_.push_back(std::move(row));
@@ -1315,36 +1658,38 @@ class SpillAggregateCursor : public BatchCursor {
                                   *aggs_);
     CloseChild();
     ctx_->operator_invocations++;
+    const auto agg_cells = AggInputCells(kPlainLayout, agg_idx_);
     if (!spilled_) {
-      AggGroupTable groups(group_idx_, aggs_->size());
+      AggGroupTable groups(group_idx_, kPlainLayout, aggs_->size());
       for (const Row& row : buffer_) {
+        const Row* t = &row;
         DIP_RETURN_NOT_OK(
-            AccumulateAggValues(row, *aggs_, agg_idx_, groups.Find(row)));
+            AccumulateAggValues(&t, *aggs_, agg_cells, groups.Find(&t)));
       }
       buffer_.clear();
-      groups.ForEachOrdered([&](const std::string&, const AggGroupState& st) {
-        out_rows_.push_back(FinalizeAggGroup(st, *aggs_));
-      });
       pos_ = 0;
-      return Status::OK();
+      return FinalizeGroups(&groups, *aggs_, &out_rows_);
     }
     for (auto& w : writers_) DIP_RETURN_NOT_OK(w->Finish());
     CountSpillMerge();
     for (size_t p = 0; p < kSpillPartitions; ++p) {
-      AggGroupTable groups(group_idx_, aggs_->size());
+      AggGroupTable groups(group_idx_, kPlainLayout, aggs_->size());
       {
         SpillRunReader reader(dir_, RunName("agg_in_", p));
         Row row;
         while (reader.Next(&row)) {
+          const Row* t = &row;
           DIP_RETURN_NOT_OK(
-              AccumulateAggValues(row, *aggs_, agg_idx_, groups.Find(row)));
+              AccumulateAggValues(&t, *aggs_, agg_cells, groups.Find(&t)));
         }
       }
       SpillRunWriter w(dir_, RunName("agg_out_", p));
-      groups.ForEachOrdered(
-          [&](const std::string& key_str, const AggGroupState& st) {
-            w.AddKeyed(0, key_str, FinalizeAggGroup(st, *aggs_));
-          });
+      DIP_RETURN_NOT_OK(groups.ForEachOrdered(
+          [&](const std::string& key_str, AggGroupState& st) -> Status {
+            DIP_ASSIGN_OR_RETURN(Row row, FinalizeAggGroup(&st, *aggs_));
+            w.AddKeyed(0, key_str, row);
+            return Status::OK();
+          }));
       DIP_RETURN_NOT_OK(w.Finish());
     }
     for (size_t p = 0; p < kSpillPartitions; ++p) {
@@ -1363,12 +1708,7 @@ class SpillAggregateCursor : public BatchCursor {
   Status Next(Batch* batch) override {
     batch->clear();
     if (!spilled_) {
-      size_t n = std::min(kBatchCapacity, out_rows_.size() - pos_);
-      batch->rows.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        batch->rows.push_back(std::move(out_rows_[pos_ + i]));
-      }
-      pos_ += n;
+      EmitOwned(&out_rows_, &pos_, batch);
       return Status::OK();
     }
     KeyHeapCmp cmp;
@@ -1419,6 +1759,7 @@ class SpillAggregateCursor : public BatchCursor {
   std::vector<size_t> group_idx_, agg_idx_;
   bool spilled_ = false;
   std::string key_buf_;
+  std::vector<Row> rows_;  // the current input batch
   std::vector<Row> buffer_;
   std::shared_ptr<SpillDir> dir_;
   std::vector<std::unique_ptr<SpillRunWriter>> writers_;
@@ -1472,8 +1813,9 @@ class SpillUnionDistinctCursor : public BatchCursor {
         DIP_RETURN_NOT_OK(child->Next(&in));
         if (in.empty()) break;
         ctx_->rows_processed += in.size();
-        for (size_t i = 0; i < in.size(); ++i) {
-          Row row = in.borrowed() ? *in.refs[i] : std::move(in.rows[i]);
+        rows_.clear();
+        DIP_RETURN_NOT_OK(AppendRows(&in, child->layout(), &rows_));
+        for (Row& row : rows_) {
           if (!spilled_) {
             bytes += ApproxRowBytes(row);
             buffer_.push_back({seq, std::move(row), 0});
@@ -1540,12 +1882,7 @@ class SpillUnionDistinctCursor : public BatchCursor {
   Status Next(Batch* batch) override {
     batch->clear();
     if (!spilled_) {
-      size_t n = std::min(kBatchCapacity, out_rows_.size() - pos_);
-      batch->rows.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        batch->rows.push_back(std::move(out_rows_[pos_ + i]));
-      }
-      pos_ += n;
+      EmitOwned(&out_rows_, &pos_, batch);
       return Status::OK();
     }
     SeqHeapCmp cmp;
@@ -1609,6 +1946,7 @@ class SpillUnionDistinctCursor : public BatchCursor {
   ExecContext* ctx_;
   std::vector<size_t> key_idx_;
   bool spilled_ = false;
+  std::vector<Row> rows_;  // the current input batch
   std::vector<SeqEntry> buffer_;
   std::shared_ptr<SpillDir> dir_;
   std::vector<std::unique_ptr<SpillRunWriter>> writers_;
@@ -1623,12 +1961,11 @@ class SpillUnionDistinctCursor : public BatchCursor {
 /// Grace hash join under a memory budget. The build side buffers until the
 /// budget trips, then hash-partitions to disk; once spilled, probe rows are
 /// sequence-tagged and partitioned by the same key hash. Each partition
-/// rebuilds its build multimap in arrival order — the equal_range iteration
-/// order of equal keys depends only on their relative insertion order,
-/// which partitioning preserves — and re-probes, so merging the joined runs
-/// back by probe sequence reproduces the in-memory output exactly. Under
-/// budget, the in-memory HashJoinCursor algorithm runs as is (streaming
-/// probe).
+/// rebuilds its JoinHashTable in arrival order — the match order of equal
+/// keys depends only on their relative insertion order, which partitioning
+/// preserves — and re-probes, so merging the joined runs back by probe
+/// sequence reproduces the in-memory output exactly. Under budget, the
+/// build rows are hashed the same way and the probe side streams.
 class GraceHashJoinCursor : public BatchCursor {
  public:
   GraceHashJoinCursor(CursorPtr left, CursorPtr right,
@@ -1661,8 +1998,9 @@ class GraceHashJoinCursor : public BatchCursor {
       DIP_RETURN_NOT_OK(right_->Next(&in));
       if (in.empty()) break;
       ctx_->rows_processed += in.size();
-      for (size_t i = 0; i < in.size(); ++i) {
-        Row row = in.borrowed() ? *in.refs[i] : std::move(in.rows[i]);
+      rows_.clear();
+      DIP_RETURN_NOT_OK(AppendRows(&in, right_->layout(), &rows_));
+      for (Row& row : rows_) {
         if (!spilled_) {
           bytes += ApproxRowBytes(row);
           build_rows_.push_back(std::move(row));
@@ -1677,10 +2015,7 @@ class GraceHashJoinCursor : public BatchCursor {
     right_closed_ = true;
     ctx_->operator_invocations++;
     if (!spilled_) {
-      build_.reserve(build_rows_.size());
-      for (size_t i = 0; i < build_rows_.size(); ++i) {
-        build_.emplace(HashRowKey(build_rows_[i], ridx_), i);
-      }
+      BuildTable(build_rows_, &build_);
       return Status::OK();
     }
     // Spilled: sequence-tag and partition the probe side too.
@@ -1689,8 +2024,9 @@ class GraceHashJoinCursor : public BatchCursor {
       DIP_RETURN_NOT_OK(left_->Next(&in));
       if (in.empty()) break;
       ctx_->rows_processed += in.size();
-      for (size_t i = 0; i < in.size(); ++i) {
-        const Row& lrow = in.row(i);
+      rows_.clear();
+      DIP_RETURN_NOT_OK(AppendRows(&in, left_->layout(), &rows_));
+      for (const Row& lrow : rows_) {
         probe_writers_[HashRowKey(lrow, lidx_) % kSpillPartitions]->AddTagged(
             seq, lrow);
         ++seq;
@@ -1709,23 +2045,17 @@ class GraceHashJoinCursor : public BatchCursor {
         Row row;
         while (r.Next(&row)) part_build.push_back(std::move(row));
       }
-      std::unordered_multimap<size_t, size_t> map;
-      map.reserve(part_build.size());
-      for (size_t i = 0; i < part_build.size(); ++i) {
-        map.emplace(HashRowKey(part_build[i], ridx_), i);
-      }
+      JoinHashTable table;
+      BuildTable(part_build, &table);
       SpillRunReader probe(dir_, RunName("join_probe_", p));
       SpillRunWriter out(dir_, RunName("join_out_", p));
       uint64_t tag;
       std::string key;
       Row lrow;
       while (probe.Next(&tag, &key, &lrow)) {
-        auto range = map.equal_range(HashRowKey(lrow, lidx_));
-        for (auto it = range.first; it != range.second; ++it) {
-          const Row& rrow = part_build[it->second];
-          if (!KeysMatch(lrow, rrow)) continue;
+        ForEachMatch(table, part_build, lrow, [&](const Row& rrow) {
           out.AddTagged(tag, JoinRows(lrow, rrow));
-        }
+        });
       }
       DIP_RETURN_NOT_OK(out.Finish());
     }
@@ -1748,15 +2078,13 @@ class GraceHashJoinCursor : public BatchCursor {
       for (;;) {
         DIP_RETURN_NOT_OK(left_->Next(&in_));
         if (in_.empty()) return Status::OK();
-        for (size_t r = 0; r < in_.size(); ++r) {
-          const Row& lrow = in_.row(r);
+        rows_.clear();
+        DIP_RETURN_NOT_OK(AppendRows(&in_, left_->layout(), &rows_));
+        for (const Row& lrow : rows_) {
           ctx_->rows_processed++;
-          auto range = build_.equal_range(HashRowKey(lrow, lidx_));
-          for (auto it = range.first; it != range.second; ++it) {
-            const Row& rrow = build_rows_[it->second];
-            if (!KeysMatch(lrow, rrow)) continue;
+          ForEachMatch(build_, build_rows_, lrow, [&](const Row& rrow) {
             batch->rows.push_back(JoinRows(lrow, rrow));
-          }
+          });
         }
         if (!batch->rows.empty()) return Status::OK();
       }
@@ -1789,26 +2117,35 @@ class GraceHashJoinCursor : public BatchCursor {
   }
   const Schema& schema() const override {
     // Rebuilt on demand: the probe-side schema may still be provisional
-    // mid-stream in the in-memory mode (mirrors HashJoinCursor).
-    Schema s = spilled_ ? left_schema_ : left_->schema();
-    for (const auto& col : build_schema_.columns()) {
-      std::string name = col.name;
-      while (s.HasColumn(name)) name = "r_" + name;
-      s.AddColumn(name, col.type, col.nullable);
-    }
-    schema_cache_ = std::move(s);
+    // mid-stream in the in-memory mode.
+    schema_cache_ =
+        JoinedSchema(spilled_ ? left_schema_ : left_->schema(), build_schema_);
     return schema_cache_;
   }
 
  private:
-  bool KeysMatch(const Row& lrow, const Row& rrow) const {
-    for (size_t k = 0; k < lidx_.size(); ++k) {
-      if (lrow[lidx_[k]].Compare(rrow[ridx_[k]]) != 0 ||
-          lrow[lidx_[k]].is_null()) {
-        return false;
-      }
+  void BuildTable(const std::vector<Row>& build, JoinHashTable* table) const {
+    std::vector<size_t> hashes(build.size());
+    for (size_t i = 0; i < build.size(); ++i) {
+      hashes[i] = HashRowKey(build[i], ridx_);
     }
-    return true;
+    table->Build(std::move(hashes));
+  }
+  /// Calls emit(build row) for every build row joining `lrow`, in the
+  /// table's match order.
+  template <typename Emit>
+  void ForEachMatch(const JoinHashTable& table, const std::vector<Row>& build,
+                    const Row& lrow, const Emit& emit) const {
+    table.ForEach(HashRowKey(lrow, lidx_), [&](size_t i) {
+      const Row& rrow = build[i];
+      for (size_t k = 0; k < lidx_.size(); ++k) {
+        if (lrow[lidx_[k]].Compare(rrow[ridx_[k]]) != 0 ||
+            lrow[lidx_[k]].is_null()) {
+          return;
+        }
+      }
+      emit(rrow);
+    });
   }
   void StartSpill() {
     spilled_ = true;
@@ -1831,8 +2168,9 @@ class GraceHashJoinCursor : public BatchCursor {
   ExecContext* ctx_;
   std::vector<size_t> lidx_, ridx_;
   bool spilled_ = false;
+  std::vector<Row> rows_;  // the current input batch
   std::vector<Row> build_rows_;
-  std::unordered_multimap<size_t, size_t> build_;
+  JoinHashTable build_;
   std::shared_ptr<SpillDir> dir_;
   std::vector<std::unique_ptr<SpillRunWriter>> build_writers_, probe_writers_;
   std::vector<std::unique_ptr<SpillRunReader>> readers_;
@@ -2240,12 +2578,12 @@ class AggregateNode : public PlanNode {
     }
     if (CurrentExecMode() == ExecMode::kColumnar) {
       if (ColumnarCursorPtr cc = child_->MakeColumnarCursor(ctx)) {
-        return std::make_unique<ColumnarAggregateCursor>(std::move(cc),
-                                                         &group_by_, &aggs_,
-                                                         ctx);
+        return std::make_unique<AggregateCursor>(nullptr, std::move(cc),
+                                                 &group_by_, &aggs_, ctx);
       }
     }
-    return PlanNode::MakeCursor(ctx);
+    return std::make_unique<AggregateCursor>(child_->MakeCursor(ctx), nullptr,
+                                             &group_by_, &aggs_, ctx);
   }
 
   std::string ToString() const override {
@@ -2254,8 +2592,8 @@ class AggregateNode : public PlanNode {
   }
 
  protected:
-  // Blocking: groups close only at end of input. Child streams via Execute.
-  // Shares the grouped-aggregation core with the columnar and spilling
+  // Blocking: groups close only at end of input. Shares the
+  // grouped-aggregation core with the streaming, columnar and spilling
   // cursors — one implementation of the group semantics for every mode.
   Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
     DIP_ASSIGN_OR_RETURN(RowSet in, child_->Execute(ctx));
@@ -2263,17 +2601,17 @@ class AggregateNode : public PlanNode {
     std::vector<size_t> group_idx, agg_idx;
     DIP_RETURN_NOT_OK(
         ResolveAggIndexes(in.schema, group_by_, aggs_, &group_idx, &agg_idx));
-    AggGroupTable groups(group_idx, aggs_.size());
+    AggGroupTable groups(group_idx, kPlainLayout, aggs_.size());
+    const auto agg_cells = AggInputCells(kPlainLayout, agg_idx);
     for (const auto& row : in.rows) {
       ctx->rows_processed++;
+      const Row* t = &row;
       DIP_RETURN_NOT_OK(
-          AccumulateAggValues(row, aggs_, agg_idx, groups.Find(row)));
+          AccumulateAggValues(&t, aggs_, agg_cells, groups.Find(&t)));
     }
     RowSet out;
     out.schema = AggOutputSchema(in.schema, group_by_, group_idx, aggs_);
-    groups.ForEachOrdered([&](const std::string&, const AggGroupState& st) {
-      out.rows.push_back(FinalizeAggGroup(st, aggs_));
-    });
+    DIP_RETURN_NOT_OK(FinalizeGroups(&groups, aggs_, &out.rows));
     return out;
   }
 

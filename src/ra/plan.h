@@ -48,8 +48,9 @@ struct ExecContext {
 ///   kMaterialize — every operator produces a full RowSet (legacy behavior).
 ///   kPipeline    — operators stream fixed-capacity batches through an
 ///                  Open/Next/Close cursor chain; only inherently blocking
-///                  operators (sort, aggregation, union-distinct, index range
-///                  scan, and the hash-join build side) materialize.
+///                  operators (sort, union-distinct, index range scan, and
+///                  the hash-join build side) materialize. Aggregation folds
+///                  its input batches as they arrive.
 ///   kColumnar    — like kPipeline, but scan→filter→project prefixes run as
 ///                  column-at-a-time kernels over shared table snapshots
 ///                  (selection vectors instead of row copies) and grouped
@@ -88,24 +89,28 @@ inline constexpr size_t kBatchCapacity = 1024;
 
 /// One chunk of rows flowing through a cursor chain. A batch is either
 /// *owned* (`rows` filled, `refs` empty — operators that build new rows:
-/// projection, join output, the materializing adapter) or *borrowed*
-/// (`refs` filled, `rows` empty — leaf scans point straight into table /
-/// RowSet storage, and pass-through operators like filter and limit forward
-/// the pointers). Borrowed pointees stay valid only until the next Next()
-/// or Close() call on the cursor that produced them, which is exactly the
-/// window a pull-based consumer uses them in.
+/// projection, aggregation, the materializing adapter) or *borrowed*
+/// (`refs` filled, `rows` empty): reference tuples of `width` row pointers
+/// each, read through the producing cursor's layout(). Leaf scans emit
+/// one-pointer tuples into table / RowSet storage, a hash join emits the
+/// probe tuple's pointers followed by the build tuple's, and pass-through
+/// operators like filter and limit forward the pointers. Borrowed pointees
+/// live in a table or RowSet that outlives the plan's execution (a join
+/// keeps the rows it was handed owned for as long as it lives), so a
+/// consumer may keep the pointers — a hash join's build side does.
 struct Batch {
   std::vector<Row> rows;
   std::vector<const Row*> refs;
+  size_t width = 1;  ///< row pointers per borrowed tuple
 
   bool borrowed() const { return !refs.empty(); }
-  size_t size() const { return borrowed() ? refs.size() : rows.size(); }
+  size_t size() const { return borrowed() ? refs.size() / width : rows.size(); }
   bool empty() const { return rows.empty() && refs.empty(); }
   void clear() {
     rows.clear();
     refs.clear();
+    width = 1;
   }
-  const Row& row(size_t i) const { return borrowed() ? *refs[i] : rows[i]; }
 };
 
 /// Pull-based iterator over a plan subtree (Volcano style, batch at a time).
@@ -125,6 +130,10 @@ class BatchCursor {
   virtual Status Next(Batch* batch) = 0;
   virtual void Close() = 0;
   virtual const Schema& schema() const = 0;
+  /// How the cells of this cursor's batches map to schema() columns; fixed
+  /// from Open() on. The default is the plain one-row layout, which every
+  /// owned batch has.
+  virtual const TupleLayout& layout() const;
 };
 
 using CursorPtr = std::unique_ptr<BatchCursor>;
@@ -149,7 +158,8 @@ class ColumnarCursor {
 using ColumnarCursorPtr = std::unique_ptr<ColumnarCursor>;
 
 /// Opens `cursor`, pulls it to end of stream, and returns the accumulated
-/// RowSet (schema read after end of stream, when it is final).
+/// RowSet (schema read after end of stream, when it is final). Owned rows
+/// move; each reference tuple is built into its one output row.
 Result<RowSet> DrainCursor(BatchCursor* cursor);
 
 /// Base class for plan operators. Execution dispatches on CurrentExecMode():
@@ -234,7 +244,8 @@ PlanPtr Project(PlanPtr child, std::vector<ProjectionItem> items);
 /// Inner hash equi-join on (left_keys[i] == right_keys[i]).
 /// Output schema concatenates left columns then right columns; name
 /// collisions on the right get a "r_" prefix. The right (build) side is
-/// blocking; the left (probe) side streams.
+/// blocking; the left (probe) side streams. One probe row's matches come
+/// out in descending build-row order.
 PlanPtr HashJoin(PlanPtr left, PlanPtr right,
                  std::vector<std::string> left_keys,
                  std::vector<std::string> right_keys);

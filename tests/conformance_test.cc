@@ -412,14 +412,11 @@ TEST(ConformanceEndToEndTest, InjectedDivergenceIsCaughtShrunkAndReplayed) {
       << without_hook->findings.front().diff.ToString();
 }
 
-/// Locates a repo-relative directory from wherever ctest runs the binary
-/// (build/tests, build/, or the repo root).
+/// A directory of the source tree the binary was built from, wherever the
+/// build directory is; empty when it does not exist.
 std::string FindRepoDir(const std::string& relative) {
-  for (const char* prefix : {"", "../", "../../", "../../../"}) {
-    std::string candidate = prefix + relative;
-    if (std::filesystem::is_directory(candidate)) return candidate;
-  }
-  return "";
+  std::string dir = std::string(DIPBENCH_SOURCE_DIR) + "/" + relative;
+  return std::filesystem::is_directory(dir) ? dir : "";
 }
 
 TEST(ConformanceEndToEndTest, CommittedReproCorpusReplaysConformant) {
@@ -427,8 +424,8 @@ TEST(ConformanceEndToEndTest, CommittedReproCorpusReplaysConformant) {
   // hook-dependent self-test divergences); replayed without any hook they
   // must be conformant. A repro that starts failing here is a regression.
   std::string dir = FindRepoDir("tests/repros");
-  ASSERT_FALSE(dir.empty()) << "tests/repros not found from cwd "
-                            << std::filesystem::current_path();
+  ASSERT_FALSE(dir.empty()) << "tests/repros not found under "
+                            << DIPBENCH_SOURCE_DIR;
   std::vector<std::string> paths;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() == ".json") {

@@ -137,6 +137,42 @@ TEST_F(ExtensionsTest, EnrichCachesDistinctKeys) {
   EXPECT_EQ(ctx.net_stats().interactions - before.interactions, 3u);
 }
 
+TEST_F(ExtensionsTest, EnrichCacheKeysByValueNotRenderedText) {
+  // 1.0000001 and 1.0000002 both render as "1" under "%.6g"; they are
+  // distinct keys and each must get its own lookup result.
+  auto echo = std::make_unique<net::DatabaseEndpoint>("echo", db_.get(),
+                                                      net::Channel(), 0.01);
+  ASSERT_TRUE(echo->RegisterQuery(
+                      "echo",
+                      [](Database*, const std::vector<Value>& params)
+                          -> Result<RowSet> {
+                        RowSet out;
+                        out.schema.AddColumn("echoed", DataType::kDouble);
+                        out.rows.push_back({params[0]});
+                        return out;
+                      })
+                  .ok());
+  ASSERT_TRUE(net_.AddEndpoint(std::move(echo)).ok());
+  auto ctx = MakeCtx();
+  RowSet in;
+  in.schema.AddColumn("k", DataType::kDouble);
+  in.rows = {{Value::Double(1.0000001)},
+             {Value::Double(1.0000002)},
+             {Value::Double(1.0000001)}};
+  ctx.Set("in", core::MtmMessage::FromRows(std::move(in)));
+  net::NetStats before = ctx.net_stats();
+  ASSERT_TRUE(core::Enrich("in", "out", "echo", "echo", "k")
+                  ->Execute(&ctx)
+                  .ok());
+  EXPECT_EQ(ctx.net_stats().interactions - before.interactions, 2u);
+  auto rows = *ctx.Get("out")->Rows();
+  ASSERT_EQ(rows->rows.size(), 3u);
+  for (const Row& r : rows->rows) {
+    ASSERT_EQ(r.size(), 2u);
+    EXPECT_EQ(r[1].AsDouble(), r[0].AsDouble());
+  }
+}
+
 TEST_F(ExtensionsTest, GroupByAggregates) {
   auto ctx = MakeCtx();
   ASSERT_TRUE(

@@ -35,14 +35,11 @@ ScaleConfig GoldenConfig() {
   return config;  // seed, error_rate, worker_slots: compiled-in defaults
 }
 
-/// Finds tests/golden/ from wherever ctest runs the binary (build/tests,
-/// build/, or the repo root).
+/// tests/golden/ of the source tree the binary was built from, wherever
+/// the build directory is.
 std::string GoldenDir() {
-  for (const char* prefix : {"", "../", "../../", "../../../"}) {
-    std::string candidate = std::string(prefix) + "tests/golden";
-    if (std::filesystem::is_directory(candidate)) return candidate;
-  }
-  return "";
+  std::string dir = std::string(DIPBENCH_SOURCE_DIR) + "/tests/golden";
+  return std::filesystem::is_directory(dir) ? dir : "";
 }
 
 std::string ReadFile(const std::string& path, bool* ok) {
@@ -90,8 +87,8 @@ std::string FirstLineDiff(const std::string& golden,
 
 void CheckGoldenCsv(const std::string& engine) {
   std::string dir = GoldenDir();
-  ASSERT_FALSE(dir.empty()) << "tests/golden not found from cwd "
-                            << std::filesystem::current_path();
+  ASSERT_FALSE(dir.empty()) << "tests/golden not found under "
+                            << DIPBENCH_SOURCE_DIR;
   std::string path = dir + "/monitor_" + engine + "_d001.csv";
 
   harness::RunSpec spec;

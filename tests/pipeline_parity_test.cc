@@ -198,6 +198,159 @@ TEST_F(PipelineParityTest, HashJoin) {
       {"custkey"}, {"custkey"}));
 }
 
+/// Location tables shaped like the DWH's orders ⋈ city ⋈ nation ⋈ region
+/// extract: every dimension has a `name`, so the joined schema carries
+/// `name`, `r_name` and `r_r_name`. `city` has no primary key and holds a
+/// duplicate citykey (3, rows "C3a" then "C3b") and a NULL one; probe
+/// orders reference missing and NULL cities too, and one nation has a NULL
+/// regionkey. The probe table is larger than one batch.
+class NestedJoinParityTest : public PipelineParityTest {
+ protected:
+  void SetUp() override {
+    PipelineParityTest::SetUp();
+    Schema region;
+    region.AddColumn("regionkey", DataType::kInt64, false)
+        .AddColumn("name", DataType::kString)
+        .SetPrimaryKey({"regionkey"});
+    region_ = *db_.CreateTable("region", region);
+    for (int r = 0; r < 3; ++r) {
+      ASSERT_TRUE(region_
+                      ->Insert({Value::Int(r),
+                                Value::String("R" + std::to_string(r))})
+                      .ok());
+    }
+    Schema nation;
+    nation.AddColumn("nationkey", DataType::kInt64, false)
+        .AddColumn("name", DataType::kString)
+        .AddColumn("regionkey", DataType::kInt64)
+        .SetPrimaryKey({"nationkey"});
+    nation_ = *db_.CreateTable("nation", nation);
+    for (int n = 0; n < 6; ++n) {
+      ASSERT_TRUE(nation_
+                      ->Insert({Value::Int(n),
+                                Value::String("N" + std::to_string(n)),
+                                n == 5 ? Value::Null() : Value::Int(n % 3)})
+                      .ok());
+    }
+    Schema city;  // no primary key: duplicate join keys allowed
+    city.AddColumn("citykey", DataType::kInt64)
+        .AddColumn("name", DataType::kString)
+        .AddColumn("nationkey", DataType::kInt64);
+    city_ = *db_.CreateTable("city", city);
+    for (int c = 0; c < 10; ++c) {
+      std::string name = "C" + std::to_string(c) + (c == 3 ? "a" : "");
+      ASSERT_TRUE(city_
+                      ->Insert({Value::Int(c), Value::String(name),
+                                Value::Int(c % 6)})
+                      .ok());
+    }
+    ASSERT_TRUE(city_
+                    ->Insert({Value::Int(3), Value::String("C3b"),
+                              Value::Int(4)})
+                    .ok());
+    ASSERT_TRUE(city_
+                    ->Insert({Value::Null(), Value::String("Cnull"),
+                              Value::Int(1)})
+                    .ok());
+    Schema sales;
+    sales.AddColumn("okey", DataType::kInt64, false)
+        .AddColumn("citykey", DataType::kInt64)
+        .AddColumn("amount", DataType::kDouble)
+        .SetPrimaryKey({"okey"});
+    sales_ = *db_.CreateTable("sales", sales);
+    for (size_t i = 0; i < kBatchCapacity + 300; ++i) {
+      const int64_t k = static_cast<int64_t>(i);
+      ASSERT_TRUE(sales_
+                      ->Insert({Value::Int(k),
+                                i % 7 == 0 ? Value::Null() : Value::Int(k % 12),
+                                Value::Double(static_cast<double>(k % 50))})
+                      .ok());
+    }
+  }
+
+  /// sales ⋈ city ⋈ nation ⋈ region with the build sides given.
+  PlanPtr Chain(PlanPtr city, PlanPtr nation, PlanPtr region) {
+    return HashJoin(
+        HashJoin(HashJoin(ScanTable(sales_), std::move(city), {"citykey"},
+                          {"citykey"}),
+                 std::move(nation), {"nationkey"}, {"nationkey"}),
+        std::move(region), {"regionkey"}, {"regionkey"});
+  }
+  PlanPtr Chain() {
+    return Chain(ScanTable(city_), ScanTable(nation_), ScanTable(region_));
+  }
+
+  Table* region_ = nullptr;
+  Table* nation_ = nullptr;
+  Table* city_ = nullptr;
+  Table* sales_ = nullptr;
+};
+
+TEST_F(NestedJoinParityTest, ThreeJoinChainWithFinalSelect) {
+  ExpectParity(Chain());
+  ExpectParity(Project(Chain(), {{"okey", Col("okey"), DataType::kNull},
+                                 {"citykey", Col("citykey"), DataType::kNull},
+                                 {"city", Col("name"), DataType::kNull},
+                                 {"nation", Col("r_name"), DataType::kNull},
+                                 {"region", Col("r_r_name"), DataType::kNull},
+                                 {"gross", Mul(Col("amount"), Lit(1.19)),
+                                  DataType::kNull}}));
+}
+
+TEST_F(NestedJoinParityTest, OwnedAndBorrowedBuildSides) {
+  // Projections hand their build rows over owned; the table scans lend
+  // theirs. Mixed along one chain, and as the probe side too.
+  PlanPtr owned_region =
+      Project(ScanTable(region_),
+              {{"regionkey", Col("regionkey"), DataType::kNull},
+               {"name", Func("lower", {Col("name")}), DataType::kNull}});
+  PlanPtr owned_city = Project(
+      ScanTable(city_), {{"citykey", Col("citykey"), DataType::kNull},
+                         {"name", Col("name"), DataType::kNull},
+                         {"nationkey", Col("nationkey"), DataType::kNull}});
+  ExpectParity(Chain(ScanTable(city_), ScanTable(nation_), owned_region));
+  ExpectParity(Chain(owned_city, ScanTable(nation_), ScanTable(region_)));
+  ExpectParity(HashJoin(
+      Project(ScanTable(sales_), {{"okey", Col("okey"), DataType::kNull},
+                                  {"citykey", Col("citykey"),
+                                   DataType::kNull}}),
+      ScanTable(city_), {"citykey"}, {"citykey"}));
+  // A build side that is itself a join: two-row build tuples.
+  ExpectParity(HashJoin(ScanTable(sales_),
+                        HashJoin(ScanTable(city_), ScanTable(nation_),
+                                 {"nationkey"}, {"nationkey"}),
+                        {"citykey"}, {"citykey"}));
+}
+
+TEST_F(NestedJoinParityTest, OperatorsAboveTheChain) {
+  ExpectParity(Filter(Chain(), And(Gt(Col("amount"), Lit(20.0)),
+                                   Ne(Col("r_r_name"), Lit("R1")))));
+  ExpectParity(Aggregate(Chain(), {"r_r_name", "r_name"},
+                         {{"n", AggFunc::kCount, ""},
+                          {"total", AggFunc::kSum, "amount"},
+                          {"lo", AggFunc::kMin, "amount"},
+                          {"hi", AggFunc::kMax, "okey"},
+                          {"mean", AggFunc::kAvg, "amount"}}));
+  ExpectParity(Sort(Chain(), {{"r_r_name", true}, {"okey", false}}));
+  ExpectParity(Limit(Chain(), 1u << 20));
+  ExpectRowsWithBoundedWork(Limit(Chain(), 25));
+}
+
+TEST_F(NestedJoinParityTest, DuplicateBuildKeysMatchNewestFirst) {
+  // One probe row (citykey 3) meets two build rows with its key: they come
+  // out in descending build-row order, "C3b" before "C3a", in every mode.
+  PlanPtr plan = Project(
+      HashJoin(Filter(ScanTable(sales_), Eq(Col("okey"), Lit(int64_t{3}))),
+               ScanTable(city_), {"citykey"}, {"citykey"}),
+      {{"city", Col("name"), DataType::kNull}});
+  ExpectParity(plan);
+  for (ExecMode mode :
+       {ExecMode::kMaterialize, ExecMode::kPipeline, ExecMode::kColumnar}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    EXPECT_EQ(RunIn(plan, mode).dump, "city:STRING\nC3b\nC3a\n");
+  }
+}
+
 TEST_F(PipelineParityTest, IndexRangeScan) {
   ASSERT_TRUE(orders_->CreateOrderedIndex("by_total", "total").ok());
   ExpectParity(IndexRangeScan(orders_, "by_total", Value::Double(25.0),

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "src/ra/expr.h"
 #include "src/ra/plan.h"
 #include "src/ra/query.h"
@@ -189,6 +193,82 @@ TEST_F(RaTest, AggregateGroupIdentityAcrossKeyMigration) {
     EXPECT_EQ(rs->rows[2][0].AsInt(), 5);
     EXPECT_EQ(rs->rows[2][1].AsInt(), 3);
     EXPECT_EQ(rs->rows[2][2].AsInt(), 10);
+  }
+}
+
+// SUM over INT64 inputs is exact and checked. The inputs come from a table
+// scan, so the columnar mode runs its typed fast path, not the row path.
+Table* IntTable(Database* db,
+                const std::vector<std::pair<int64_t, int64_t>>& rows) {
+  Schema s;
+  s.AddColumn("id", DataType::kInt64, false)
+      .AddColumn("g", DataType::kInt64, false)
+      .AddColumn("v", DataType::kInt64)
+      .SetPrimaryKey({"id"});
+  Table* t = *db->CreateTable("ints", s);
+  int64_t id = 0;
+  for (const auto& [g, v] : rows) {
+    EXPECT_TRUE(
+        t->Insert({Value::Int(id++), Value::Int(g), Value::Int(v)}).ok());
+  }
+  return t;
+}
+
+Result<RowSet> SumByGroup(const Table* t, ExecMode mode, ExecContext* ctx) {
+  ScopedExecMode scoped(mode);
+  return Aggregate(ScanTable(t), {"g"}, {{"total", AggFunc::kSum, "v"}})
+      ->Execute(ctx);
+}
+
+TEST_F(RaTest, Int64SumIsExact) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  // Group 1: 2^53 + 1, which a double sum rounds to 2^53. Group 2:
+  // INT64_MAX - 1, whose double sum is out of INT64's range.
+  Table* t = IntTable(&db_, {{1, kTwo53}, {1, 1}, {2, kMax}, {2, -1}});
+  for (ExecMode mode :
+       {ExecMode::kMaterialize, ExecMode::kPipeline, ExecMode::kColumnar}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    auto rs = SumByGroup(t, mode, &ctx_);
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    ASSERT_EQ(rs->rows.size(), 2u);
+    EXPECT_EQ(rs->rows[0][1].type(), DataType::kInt64);
+    EXPECT_EQ(rs->rows[0][1].AsInt(), kTwo53 + 1);
+    EXPECT_EQ(rs->rows[1][1].type(), DataType::kInt64);
+    EXPECT_EQ(rs->rows[1][1].AsInt(), kMax - 1);
+  }
+}
+
+TEST_F(RaTest, Int64SumOverflowFailsTheQuery) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Table* t = IntTable(&db_, {{1, 5}, {2, kMax}, {2, 1}});
+  for (ExecMode mode :
+       {ExecMode::kMaterialize, ExecMode::kPipeline, ExecMode::kColumnar}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    auto rs = SumByGroup(t, mode, &ctx_);
+    ASSERT_FALSE(rs.ok());
+    EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument)
+        << rs.status();
+  }
+}
+
+TEST_F(RaTest, SumThatSeesADoubleKeepsDoubleArithmetic) {
+  // Once a DOUBLE arrives the group is summed in doubles from its first
+  // input on: 2^53 + 1 rounds back to 2^53 before the 1.0 is added.
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  Schema s;
+  s.AddColumn("v", DataType::kDouble);
+  RowSet in{s, {{Value::Int(kTwo53)}, {Value::Int(1)}, {Value::Double(1.0)}}};
+  for (ExecMode mode :
+       {ExecMode::kMaterialize, ExecMode::kPipeline, ExecMode::kColumnar}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ScopedExecMode scoped(mode);
+    auto rs = Aggregate(ScanValues(in), {}, {{"total", AggFunc::kSum, "v"}})
+                  ->Execute(&ctx_);
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    ASSERT_EQ(rs->rows.size(), 1u);
+    EXPECT_EQ(rs->rows[0][0].type(), DataType::kDouble);
+    EXPECT_EQ(rs->rows[0][0].AsDouble(), static_cast<double>(kTwo53));
   }
 }
 
