@@ -40,11 +40,11 @@ std::shared_ptr<const xml::StxTransformer> OrderStx() {
 }
 
 std::shared_ptr<const xml::Node> MakeMessage(int i) {
-  auto doc = std::make_unique<xml::Node>("Order");
-  if (i % 4 != 3) doc->AddText("Key", std::to_string(1000 + i));  // 25% bad
-  doc->AddText("Qty", std::to_string(1 + i % 5));
-  doc->AddText("Prio", i % 2 == 0 ? "U" : "N");
-  return std::shared_ptr<const xml::Node>(std::move(doc));
+  xml::Node doc("Order");
+  if (i % 4 != 3) doc.AddText("Key", std::to_string(1000 + i));  // 25% bad
+  doc.AddText("Qty", std::to_string(1 + i % 5));
+  doc.AddText("Prio", i % 2 == 0 ? "U" : "N");
+  return std::make_shared<const xml::Node>(std::move(doc));
 }
 
 }  // namespace

@@ -194,25 +194,6 @@ class Parser {
     }
   }
 
-  /// Appends the UTF-8 encoding of `cp` to `out`.
-  static void AppendUtf8(uint32_t cp, std::string* out) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
   Status ParseHex4(uint32_t* out) {
     uint32_t value = 0;
     for (int i = 0; i < 4; ++i) {

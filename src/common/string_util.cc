@@ -77,31 +77,65 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-std::string XmlEscape(std::string_view input) {
-  std::string out;
-  out.reserve(input.size());
-  for (char c : input) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      case '\'':
-        out += "&apos;";
-        break;
-      default:
-        out.push_back(c);
-    }
+namespace {
+
+/// The entity that escapes `c`, or an empty view when `c` needs none.
+std::string_view XmlEntity(char c) {
+  switch (c) {
+    case '&':
+      return "&amp;";
+    case '<':
+      return "&lt;";
+    case '>':
+      return "&gt;";
+    case '"':
+      return "&quot;";
+    case '\'':
+      return "&apos;";
+    default:
+      return {};
   }
-  return out;
+}
+
+}  // namespace
+
+void AppendXmlEscaped(std::string_view input, std::string* out) {
+  size_t run = 0;
+  for (size_t i = 0; i < input.size(); ++i) {
+    std::string_view entity = XmlEntity(input[i]);
+    if (entity.empty()) continue;
+    out->append(input.substr(run, i - run));
+    out->append(entity);
+    run = i + 1;
+  }
+  out->append(input.substr(run));
+}
+
+size_t XmlEscapedSize(std::string_view input) {
+  size_t size = input.size();
+  for (char c : input) {
+    size_t entity = XmlEntity(c).size();
+    if (entity != 0) size += entity - 1;
+  }
+  return size;
+}
+
+void AppendUtf8(uint32_t code_point, std::string* out) {
+  if (code_point < 0x80) {
+    out->push_back(static_cast<char>(code_point));
+  } else if (code_point < 0x800) {
+    out->push_back(static_cast<char>(0xC0 | (code_point >> 6)));
+    out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
+  } else if (code_point < 0x10000) {
+    out->push_back(static_cast<char>(0xE0 | (code_point >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((code_point >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (code_point >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((code_point >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((code_point >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
+  }
 }
 
 std::string CsvEscape(std::string_view field) {

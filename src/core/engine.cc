@@ -461,9 +461,9 @@ Status FederatedEngine::Deploy(const ProcessDefinition& def) {
           }
           // The trigger re-parses the queued CLOB into the message the
           // process body consumes ("evaluating the logical table inserted").
-          DIP_ASSIGN_OR_RETURN(xml::NodePtr doc,
+          DIP_ASSIGN_OR_RETURN(xml::Node doc,
                                xml::ParseXml(inserted[1].AsString()));
-          current_ctx_->ChargeXmlNodes(doc->SubtreeSize());
+          current_ctx_->ChargeXmlNodes(doc.SubtreeSize());
           current_ctx_->SetInput(MtmMessage::FromXml(std::move(doc)));
           return ExecuteBody(processes_.at(process_id).body, current_ctx_);
         }));
@@ -486,22 +486,25 @@ Status FederatedEngine::Deploy(const ProcessDefinition& def) {
 
 Status FederatedEngine::ExecuteInstance(const ProcessDefinition& def,
                                         ProcessContext* ctx) {
-  current_ctx_ = ctx;
-  Status st;
+  // The trigger and procedure bodies find the instance through
+  // current_ctx_; it must not outlive `ctx` on any exit path.
+  struct ContextScope {
+    explicit ContextScope(ProcessContext* ctx) { current_ctx_ = ctx; }
+    ~ContextScope() { current_ctx_ = nullptr; }
+  } scope(ctx);
   if (def.event_type == EventType::kMessage) {
     DIP_ASSIGN_OR_RETURN(auto doc, ctx->input().Xml());
-    std::string text = xml::WriteXml(*doc);
     // INSERT INTO <id>_queue VALUES (@msg) — the trigger runs the process.
     int64_t tid = engine_db_.NextSequenceValue(def.id + "_tid");
     ctx->ChargeXmlNodes(doc->SubtreeSize());  // serialize into the CLOB
-    st = engine_db_.InsertWithTriggers(
-        def.id + "_queue", Row{Value::Int(tid), Value::String(text)});
-  } else {
-    // EXECUTE <procedure>.
-    st = engine_db_.CallProcedure("exec_" + def.id, {});
+    Row row;
+    row.reserve(2);
+    row.push_back(Value::Int(tid));
+    row.push_back(Value::String(xml::WriteXml(*doc)));
+    return engine_db_.InsertWithTriggers(def.id + "_queue", std::move(row));
   }
-  current_ctx_ = nullptr;
-  return st;
+  // EXECUTE <procedure>.
+  return engine_db_.CallProcedure("exec_" + def.id, {});
 }
 
 }  // namespace core

@@ -23,8 +23,8 @@ class MtmMessage {
     m.doc_ = std::move(doc);
     return m;
   }
-  static MtmMessage FromXml(xml::NodePtr doc) {
-    return FromXml(std::shared_ptr<const xml::Node>(std::move(doc)));
+  static MtmMessage FromXml(xml::Node doc) {
+    return FromXml(std::make_shared<const xml::Node>(std::move(doc)));
   }
   static MtmMessage FromRows(RowSet rows) {
     MtmMessage m;

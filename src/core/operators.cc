@@ -96,10 +96,9 @@ class InvokeQueryOp : public Operator {
     DIP_ASSIGN_OR_RETURN(net::Endpoint * ep, ctx->network()->Get(service_));
     net::NetStats stats;
     if (as_xml_) {
-      DIP_ASSIGN_OR_RETURN(xml::NodePtr doc,
-                           ep->QueryXml(op_, params_, &stats));
+      DIP_ASSIGN_OR_RETURN(xml::Node doc, ep->QueryXml(op_, params_, &stats));
       ctx->ChargeComm(stats);
-      ctx->ChargeXmlNodes(doc->SubtreeSize());
+      ctx->ChargeXmlNodes(doc.SubtreeSize());
       ctx->Set(out_var_, MtmMessage::FromXml(std::move(doc)));
     } else {
       DIP_ASSIGN_OR_RETURN(RowSet rows, ep->Query(op_, params_, &stats));
@@ -206,7 +205,7 @@ class TranslateOp : public Operator {
     DIP_ASSIGN_OR_RETURN(MtmMessage msg, ctx->Get(in_var_));
     DIP_ASSIGN_OR_RETURN(auto doc, msg.Xml());
     size_t visited = 0;
-    DIP_ASSIGN_OR_RETURN(xml::NodePtr out, stx_->Transform(*doc, &visited));
+    DIP_ASSIGN_OR_RETURN(xml::Node out, stx_->Transform(*doc, &visited));
     ctx->ChargeXmlNodes(visited);
     ctx->Set(out_var_, MtmMessage::FromXml(std::move(out)));
     return Status::OK();
@@ -262,8 +261,8 @@ class RowsToXmlOp : public Operator {
     DIP_ASSIGN_OR_RETURN(MtmMessage msg, ctx->Get(in_var_));
     DIP_ASSIGN_OR_RETURN(auto rows, msg.Rows());
     ctx->ChargeRows(rows->size());
-    xml::NodePtr doc = xml::RowSetToXml(*rows, root_name_, row_name_);
-    ctx->ChargeXmlNodes(doc->SubtreeSize());
+    xml::Node doc = xml::RowSetToXml(*rows, root_name_, row_name_);
+    ctx->ChargeXmlNodes(doc.SubtreeSize());
     ctx->Set(out_var_, MtmMessage::FromXml(std::move(doc)));
     return Status::OK();
   }

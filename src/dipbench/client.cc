@@ -63,6 +63,9 @@ Status Client::SubmitSeries(const std::string& process_id, int k,
   // traffic shape for the process's stream (the compiled-in schedule).
   std::vector<double> series =
       Schedule::ShapedSeriesTu(process_id, k, config_);
+  auto share = [](xml::Node doc) {
+    return std::make_shared<const xml::Node>(std::move(doc));
+  };
   for (size_t m = 0; m < series.size(); ++m) {
     core::ProcessEvent ev;
     ev.process_id = process_id;
@@ -71,15 +74,15 @@ Status Client::SubmitSeries(const std::string& process_id, int k,
     ev.after_types = Schedule::Predecessors(process_id);
     int idx = static_cast<int>(m) + 1;
     if (process_id == "P01") {
-      ev.message = initializer_.MakeBeijingCustomer(k, idx);
+      ev.message = share(initializer_.MakeBeijingCustomer(k, idx));
     } else if (process_id == "P02") {
-      ev.message = initializer_.MakeMdmCustomer(k, idx);
+      ev.message = share(initializer_.MakeMdmCustomer(k, idx));
     } else if (process_id == "P04") {
-      ev.message = initializer_.MakeViennaOrder(k, idx);
+      ev.message = share(initializer_.MakeViennaOrder(k, idx));
     } else if (process_id == "P08") {
-      ev.message = initializer_.MakeHongkongSale(k, idx);
+      ev.message = share(initializer_.MakeHongkongSale(k, idx));
     } else if (process_id == "P10") {
-      ev.message = initializer_.MakeSanDiegoOrder(k, idx);
+      ev.message = share(initializer_.MakeSanDiegoOrder(k, idx));
     }
     DIP_RETURN_NOT_OK(engine_->Submit(std::move(ev)));
   }

@@ -1,8 +1,10 @@
 #include "src/dipbench/datagen.h"
 
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <thread>
 
@@ -488,9 +490,9 @@ Status Initializer::ExportSourceData(net::FileStore* store) {
       RowSet rows;
       rows.schema = table->schema();
       rows.rows = table->ScanAll();
-      xml::NodePtr doc = xml::RowSetToXml(rows, "resultset", "row");
       store->Write(std::string(db_name) + "." + table_name + ".xml",
-                   xml::WriteXml(*doc, /*indent=*/2));
+                   xml::WriteXml(xml::RowSetToXml(rows, "resultset", "row"),
+                                 /*indent=*/2));
     }
   }
   return Status::OK();
@@ -500,94 +502,107 @@ Status Initializer::ExportSourceData(net::FileStore* store) {
 // E1 message fabrication.
 // ---------------------------------------------------------------------------
 
-xml::NodePtr Initializer::MakeBeijingCustomer(int period, int m) {
+std::string Initializer::FormatPrice(double price) {
+  // Room for any double: sign, 309 integer digits, point, two decimals.
+  char buf[std::numeric_limits<double>::max_exponent10 + 6];
+  char* end = std::to_chars(buf, buf + sizeof(buf), price,
+                            std::chars_format::fixed, 2)
+                  .ptr;
+  return std::string(buf, end);
+}
+
+xml::Node Initializer::MakeBeijingCustomer(int period, int m) {
   Sizes sizes = SizesForConfig();
   int64_t k = 1 + 3 * ((static_cast<int64_t>(period) * 31 + m) %
                        std::max<int64_t>(1, (sizes.customers + 1) / 3));
   const CityRow& c = kCities[CityOf(k) - 1];
-  auto doc = std::make_unique<xml::Node>("CustomerB");
-  doc->AddText("CKey", std::to_string(k));
-  doc->AddText("CName", "Cust#" + std::to_string(k) + "u" +
-                            std::to_string(period));
-  doc->AddText("City", c.city);
-  doc->AddText("Nation", c.nation);
-  doc->AddText("Priority", std::string(CdbPriority(k)) == "HIGH"     ? "H"
-                           : std::string(CdbPriority(k)) == "MEDIUM" ? "M"
-                                                                     : "L");
+  xml::Node doc("CustomerB");
+  doc.ReserveChildren(5);
+  doc.AddText("CKey", std::to_string(k));
+  doc.AddText("CName", "Cust#" + std::to_string(k) + "u" +
+                           std::to_string(period));
+  doc.AddText("City", c.city);
+  doc.AddText("Nation", c.nation);
+  doc.AddText("Priority", std::string(CdbPriority(k)) == "HIGH"     ? "H"
+                          : std::string(CdbPriority(k)) == "MEDIUM" ? "M"
+                                                                    : "L");
   return doc;
 }
 
-xml::NodePtr Initializer::MakeMdmCustomer(int period, int m) {
+xml::Node Initializer::MakeMdmCustomer(int period, int m) {
   Sizes sizes = SizesForConfig();
   int64_t k = 3 * (1 + (static_cast<int64_t>(period) * 17 + m) %
                            std::max<int64_t>(1, sizes.customers / 3));
   const CityRow& c = kCities[CityOf(k) - 1];
-  auto doc = std::make_unique<xml::Node>("KundenStamm");
-  doc->AddText("Kdnr", std::to_string(k));
-  doc->AddText("Name", "Kunde#" + std::to_string(k) + "v" +
-                           std::to_string(period));
-  doc->AddText("Stadt", c.city);
-  doc->AddText("Land", c.nation);
-  doc->AddText("Prio", std::string(CdbPriority(k)) == "HIGH"     ? "1"
-                       : std::string(CdbPriority(k)) == "MEDIUM" ? "2"
-                                                                 : "3");
+  xml::Node doc("KundenStamm");
+  doc.ReserveChildren(5);
+  doc.AddText("Kdnr", std::to_string(k));
+  doc.AddText("Name", "Kunde#" + std::to_string(k) + "v" +
+                          std::to_string(period));
+  doc.AddText("Stadt", c.city);
+  doc.AddText("Land", c.nation);
+  doc.AddText("Prio", std::string(CdbPriority(k)) == "HIGH"     ? "1"
+                      : std::string(CdbPriority(k)) == "MEDIUM" ? "2"
+                                                                : "3");
   return doc;
 }
 
-xml::NodePtr Initializer::MakeViennaOrder(int period, int m) {
+xml::Node Initializer::MakeViennaOrder(int period, int m) {
   Sizes sizes = SizesForConfig();
   int64_t anr = OrderKey(period, /*source_id=*/10, m);
   int64_t kdnr = 3 * (1 + (static_cast<int64_t>(period) * 13 + m) %
                               std::max<int64_t>(1, sizes.customers / 3));
-  auto doc = std::make_unique<xml::Node>("Bestellung");
-  doc->AddText("Anr", std::to_string(anr));
-  doc->AddText("Kdnr", std::to_string(kdnr));
-  doc->AddText("Datum", std::to_string(OrderDate(period, m)));
   int lines = 1 + m % 3;
+  xml::Node doc("Bestellung");
+  doc.ReserveChildren(3 + lines);
+  doc.AddText("Anr", std::to_string(anr));
+  doc.AddText("Kdnr", std::to_string(kdnr));
+  doc.AddText("Datum", std::to_string(OrderDate(period, m)));
   for (int i = 1; i <= lines; ++i) {
-    xml::Node* pos = doc->AddChild("Position");
+    xml::Node* pos = doc.AddChild("Position");
+    pos->ReserveChildren(3);
     pos->AddText("Pnr", std::to_string(1 + (m * 7 + i) % sizes.products));
     pos->AddText("Menge", std::to_string(1 + (m + i) % 5));
     pos->AddText("Preis",
-                 StrFormat("%.2f", 5.0 + msg_rng_.NextDoubleIn(0.0, 495.0)));
+                 FormatPrice(5.0 + msg_rng_.NextDoubleIn(0.0, 495.0)));
   }
   return doc;
 }
 
-xml::NodePtr Initializer::MakeHongkongSale(int period, int m) {
+xml::Node Initializer::MakeHongkongSale(int period, int m) {
   Sizes sizes = SizesForConfig();
   int64_t okey = OrderKey(period, /*source_id=*/11, m);
   int64_t ckey = 1 + 3 * ((static_cast<int64_t>(period) * 19 + m) %
                           std::max<int64_t>(1, (sizes.customers + 1) / 3));
-  auto doc = std::make_unique<xml::Node>("sale");
-  doc->AddText("orderkey", std::to_string(okey));
-  doc->AddText("custkey", std::to_string(ckey));
-  doc->AddText("prodkey", std::to_string(1 + (m * 11) % sizes.products));
-  doc->AddText("qty", std::to_string(1 + m % 4));
-  doc->AddText("price",
-               StrFormat("%.2f", 5.0 + msg_rng_.NextDoubleIn(0.0, 495.0)));
-  doc->AddText("odate", std::to_string(OrderDate(period, m)));
+  xml::Node doc("sale");
+  doc.ReserveChildren(6);
+  doc.AddText("orderkey", std::to_string(okey));
+  doc.AddText("custkey", std::to_string(ckey));
+  doc.AddText("prodkey", std::to_string(1 + (m * 11) % sizes.products));
+  doc.AddText("qty", std::to_string(1 + m % 4));
+  doc.AddText("price", FormatPrice(5.0 + msg_rng_.NextDoubleIn(0.0, 495.0)));
+  doc.AddText("odate", std::to_string(OrderDate(period, m)));
   return doc;
 }
 
-xml::NodePtr Initializer::MakeSanDiegoOrder(int period, int m) {
+xml::Node Initializer::MakeSanDiegoOrder(int period, int m) {
   Sizes sizes = SizesForConfig();
   int64_t okey = OrderKey(period, /*source_id=*/12, m);
   int64_t ckey = 2 + 3 * ((static_cast<int64_t>(period) * 23 + m) %
                           std::max<int64_t>(1, (sizes.customers + 2) / 3));
   if (ckey > sizes.customers) ckey = 2;
-  auto doc = std::make_unique<xml::Node>("SDOrder");
+  xml::Node doc("SDOrder");
+  doc.ReserveChildren(7);
   // "It is assumed that this application is very error-prone": roughly a
   // fifth of the messages violate the XSD in one of several ways.
   int error_kind = (period + m) % 10;
-  if (error_kind != 1) doc->AddText("OKey", std::to_string(okey));
-  if (error_kind != 3) doc->AddText("CKey", std::to_string(ckey));
-  doc->AddText("PKey", std::to_string(1 + (m * 13) % sizes.products));
-  doc->AddText("Qty", error_kind == 7 ? "many" : std::to_string(1 + m % 6));
-  doc->AddText("Price",
-               StrFormat("%.2f", 5.0 + msg_rng_.NextDoubleIn(0.0, 495.0)));
-  doc->AddText("ODate", std::to_string(OrderDate(period, m)));
-  doc->AddText("Prio", m % 3 == 0 ? "U" : m % 3 == 1 ? "N" : "L");
+  if (error_kind != 1) doc.AddText("OKey", std::to_string(okey));
+  if (error_kind != 3) doc.AddText("CKey", std::to_string(ckey));
+  doc.AddText("PKey", std::to_string(1 + (m * 13) % sizes.products));
+  doc.AddText("Qty", error_kind == 7 ? "many" : std::to_string(1 + m % 6));
+  doc.AddText("Price", FormatPrice(5.0 + msg_rng_.NextDoubleIn(0.0, 495.0)));
+  doc.AddText("ODate", std::to_string(OrderDate(period, m)));
+  doc.AddText("Prio", m % 3 == 0 ? "U" : m % 3 == 1 ? "N" : "L");
   return doc;
 }
 

@@ -63,11 +63,16 @@ class Initializer {
   Status ExportSourceData(net::FileStore* store);
 
   /// --- E1 message fabrication (used by the Client) ---
-  xml::NodePtr MakeBeijingCustomer(int period, int m);  // P01
-  xml::NodePtr MakeMdmCustomer(int period, int m);      // P02
-  xml::NodePtr MakeViennaOrder(int period, int m);      // P04
-  xml::NodePtr MakeHongkongSale(int period, int m);     // P08
-  xml::NodePtr MakeSanDiegoOrder(int period, int m);    // P10
+  xml::Node MakeBeijingCustomer(int period, int m);  // P01
+  xml::Node MakeMdmCustomer(int period, int m);      // P02
+  xml::Node MakeViennaOrder(int period, int m);      // P04
+  xml::Node MakeHongkongSale(int period, int m);     // P08
+  xml::Node MakeSanDiegoOrder(int period, int m);    // P10
+
+  /// A message price as text: the same digits as StrFormat("%.2f", price)
+  /// (the exact binary value rounded to nearest, ties to even), formatted
+  /// without printf's two passes. Prices are in [5, 500].
+  static std::string FormatPrice(double price);
 
   /// Region of a customer key (0 = Europe, 1 = Asia, 2 = America).
   static int RegionOf(int64_t custkey) {

@@ -193,13 +193,13 @@ OpPtr EnrichViennaWithMasterData() {
     DIP_ASSIGN_OR_RETURN(RowSet master,
                          cdb->Query("lookup_customer", {kdnr}, &stats));
     ctx->ChargeComm(stats);
-    xml::NodePtr enriched = doc->Clone();
+    xml::Node enriched = doc->Clone();
     if (!master.rows.empty() && !master.rows[0][3].is_null()) {
-      enriched->AddText("Prio", master.rows[0][3].AsString());
+      enriched.AddText("Prio", master.rows[0][3].AsString());
     } else {
-      enriched->AddText("Prio", "MEDIUM");
+      enriched.AddText("Prio", "MEDIUM");
     }
-    ctx->ChargeXmlNodes(enriched->SubtreeSize());
+    ctx->ChargeXmlNodes(enriched.SubtreeSize());
     ctx->Set("msg1e", MtmMessage::FromXml(std::move(enriched)));
     return Status::OK();
   });

@@ -61,9 +61,9 @@ Result<RowSet> Endpoint::Query(const std::string& op,
   return DoQuery(op, params, stats);
 }
 
-Result<xml::NodePtr> Endpoint::QueryXml(const std::string& op,
-                                        const std::vector<Value>& params,
-                                        NetStats* stats) {
+Result<xml::Node> Endpoint::QueryXml(const std::string& op,
+                                     const std::vector<Value>& params,
+                                     NetStats* stats) {
   DIP_RETURN_NOT_OK(MaybeInjectFault(stats));
   return DoQueryXml(op, params, stats);
 }
@@ -102,9 +102,9 @@ Result<RowSet> Endpoint::DoQuery(const std::string& op,
   return rows;
 }
 
-Result<xml::NodePtr> Endpoint::DoQueryXml(const std::string& op,
-                                          const std::vector<Value>& params,
-                                          NetStats* stats) {
+Result<xml::Node> Endpoint::DoQueryXml(const std::string& op,
+                                       const std::vector<Value>& params,
+                                       NetStats* stats) {
   // Dispatches to DoQuery directly: the fault gate already ran in the
   // public QueryXml, and one endpoint call is exactly one fault draw.
   DIP_ASSIGN_OR_RETURN(RowSet rows, DoQuery(op, params, stats));
@@ -149,7 +149,7 @@ WebServiceEndpoint::WebServiceEndpoint(std::string name, Database* db,
     : Endpoint(std::move(name), db, channel, per_row_ms),
       per_node_ms_(per_node_ms) {}
 
-Result<xml::NodePtr> WebServiceEndpoint::DoQueryXml(
+Result<xml::Node> WebServiceEndpoint::DoQueryXml(
     const std::string& op, const std::vector<Value>& params, NetStats* stats) {
   auto it = queries_.find(op);
   if (it == queries_.end()) {
@@ -158,14 +158,13 @@ Result<xml::NodePtr> WebServiceEndpoint::DoQueryXml(
   DIP_ASSIGN_OR_RETURN(RowSet rows, it->second(db_, params));
   // Marshal through the generic result-set XSD: serialize on the service
   // side, ship the text, parse on the caller side. The full path runs.
-  xml::NodePtr doc = xml::RowSetToXml(rows, "resultset", "row");
-  std::string text = xml::WriteXml(*doc);
-  DIP_ASSIGN_OR_RETURN(xml::NodePtr reparsed, xml::ParseXml(text));
+  std::string text = xml::WriteXml(xml::RowSetToXml(rows, "resultset", "row"));
+  DIP_ASSIGN_OR_RETURN(xml::Node reparsed, xml::ParseXml(text));
   size_t request_bytes = 128 + params.size() * 16;
   Charge(request_bytes, text.size(), rows.size(), stats);
   if (stats != nullptr) {
     stats->comm_ms +=
-        per_node_ms_ * static_cast<double>(reparsed->SubtreeSize());
+        per_node_ms_ * static_cast<double>(reparsed.SubtreeSize());
   }
   return reparsed;
 }
@@ -179,16 +178,15 @@ Result<RowSet> WebServiceEndpoint::DoQuery(const std::string& op,
   }
   // Peek the schema via the op itself, then unmarshal the XML result.
   DIP_ASSIGN_OR_RETURN(RowSet rows, it->second(db_, params));
-  xml::NodePtr doc = xml::RowSetToXml(rows, "resultset", "row");
-  std::string text = xml::WriteXml(*doc);
-  DIP_ASSIGN_OR_RETURN(xml::NodePtr reparsed, xml::ParseXml(text));
+  std::string text = xml::WriteXml(xml::RowSetToXml(rows, "resultset", "row"));
+  DIP_ASSIGN_OR_RETURN(xml::Node reparsed, xml::ParseXml(text));
   DIP_ASSIGN_OR_RETURN(RowSet back,
-                       xml::XmlToRowSet(*reparsed, rows.schema, "row"));
+                       xml::XmlToRowSet(reparsed, rows.schema, "row"));
   size_t request_bytes = 128 + params.size() * 16;
   Charge(request_bytes, text.size(), back.size(), stats);
   if (stats != nullptr) {
     stats->comm_ms +=
-        per_node_ms_ * static_cast<double>(reparsed->SubtreeSize());
+        per_node_ms_ * static_cast<double>(reparsed.SubtreeSize());
   }
   return back;
 }
@@ -201,16 +199,15 @@ Result<size_t> WebServiceEndpoint::DoUpdate(const std::string& op,
     return Status::NotFound("no update op " + op + " on " + name_);
   }
   // Rows travel as XML: serialize, ship, parse on the service side.
-  xml::NodePtr doc = xml::RowSetToXml(rows, "update", "row");
-  std::string text = xml::WriteXml(*doc);
-  DIP_ASSIGN_OR_RETURN(xml::NodePtr reparsed, xml::ParseXml(text));
+  std::string text = xml::WriteXml(xml::RowSetToXml(rows, "update", "row"));
+  DIP_ASSIGN_OR_RETURN(xml::Node reparsed, xml::ParseXml(text));
   DIP_ASSIGN_OR_RETURN(RowSet unmarshaled,
-                       xml::XmlToRowSet(*reparsed, rows.schema, "row"));
+                       xml::XmlToRowSet(reparsed, rows.schema, "row"));
   DIP_ASSIGN_OR_RETURN(size_t written, it->second(db_, unmarshaled));
   Charge(text.size(), 32, written, stats);
   if (stats != nullptr) {
     stats->comm_ms +=
-        per_node_ms_ * static_cast<double>(reparsed->SubtreeSize());
+        per_node_ms_ * static_cast<double>(reparsed.SubtreeSize());
   }
   return written;
 }

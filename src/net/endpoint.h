@@ -78,9 +78,9 @@ class Endpoint {
   /// Executes a query operation and returns the generic XML result-set
   /// document (region-Asia extraction path: the caller translates it with
   /// STX before loading).
-  Result<xml::NodePtr> QueryXml(const std::string& op,
-                                const std::vector<Value>& params,
-                                NetStats* stats);
+  Result<xml::Node> QueryXml(const std::string& op,
+                             const std::vector<Value>& params,
+                             NetStats* stats);
 
   /// Executes an update operation with a rows payload.
   Result<size_t> Update(const std::string& op, const RowSet& rows,
@@ -101,9 +101,9 @@ class Endpoint {
   virtual Result<RowSet> DoQuery(const std::string& op,
                                  const std::vector<Value>& params,
                                  NetStats* stats);
-  virtual Result<xml::NodePtr> DoQueryXml(const std::string& op,
-                                          const std::vector<Value>& params,
-                                          NetStats* stats);
+  virtual Result<xml::Node> DoQueryXml(const std::string& op,
+                                       const std::vector<Value>& params,
+                                       NetStats* stats);
   virtual Result<size_t> DoUpdate(const std::string& op, const RowSet& rows,
                                   NetStats* stats);
   virtual Status DoSendMessage(const std::string& queue_table,
@@ -147,9 +147,9 @@ class WebServiceEndpoint : public Endpoint {
   Result<RowSet> DoQuery(const std::string& op,
                          const std::vector<Value>& params,
                          NetStats* stats) override;
-  Result<xml::NodePtr> DoQueryXml(const std::string& op,
-                                  const std::vector<Value>& params,
-                                  NetStats* stats) override;
+  Result<xml::Node> DoQueryXml(const std::string& op,
+                               const std::vector<Value>& params,
+                               NetStats* stats) override;
   Result<size_t> DoUpdate(const std::string& op, const RowSet& rows,
                           NetStats* stats) override;
 

@@ -154,12 +154,12 @@ Result<RowSet> XmlFileEndpoint::DoQuery(const std::string& op,
   }
   const FileQuery& q = it->second;
   DIP_ASSIGN_OR_RETURN(std::string text, store_->Read(q.file_name));
-  DIP_ASSIGN_OR_RETURN(xml::NodePtr doc, xml::ParseXml(text));
+  DIP_ASSIGN_OR_RETURN(xml::Node doc, xml::ParseXml(text));
   DIP_ASSIGN_OR_RETURN(RowSet rows,
-                       xml::XmlToRowSet(*doc, q.schema, q.row_name));
+                       xml::XmlToRowSet(doc, q.schema, q.row_name));
   Charge(64, text.size(), rows.size(), stats);
   if (stats != nullptr) {
-    stats->comm_ms += per_node_ms_ * static_cast<double>(doc->SubtreeSize());
+    stats->comm_ms += per_node_ms_ * static_cast<double>(doc.SubtreeSize());
   }
   return rows;
 }
@@ -171,21 +171,20 @@ Result<size_t> XmlFileEndpoint::DoUpdate(const std::string& op,
     return Status::NotFound("no file update " + op + " on " + name_);
   }
   const FileUpdate& u = it->second;
-  xml::NodePtr doc;
+  xml::Node doc(u.root_name);
   if (u.append && store_->Exists(u.file_name)) {
     DIP_ASSIGN_OR_RETURN(std::string existing, store_->Read(u.file_name));
     DIP_ASSIGN_OR_RETURN(doc, xml::ParseXml(existing));
-  } else {
-    doc = std::make_unique<xml::Node>(u.root_name);
   }
+  doc.ReserveChildren(doc.child_count() + rows.rows.size());
   for (const Row& row : rows.rows) {
-    doc->AddChild(xml::RowToXml(row, rows.schema, u.row_name));
+    doc.AddChild(xml::RowToXml(row, rows.schema, u.row_name));
   }
-  std::string text = xml::WriteXml(*doc);
+  std::string text = xml::WriteXml(doc);
   store_->Write(u.file_name, text);
   Charge(text.size(), 32, rows.size(), stats);
   if (stats != nullptr) {
-    stats->comm_ms += per_node_ms_ * static_cast<double>(doc->SubtreeSize());
+    stats->comm_ms += per_node_ms_ * static_cast<double>(doc.SubtreeSize());
   }
   return rows.size();
 }

@@ -1,13 +1,17 @@
 #include "src/xml/bridge.h"
 
+#include <algorithm>
+
 namespace dipbench {
 namespace xml {
 
-NodePtr RowSetToXml(const RowSet& rows, const std::string& root_name,
-                    const std::string& row_name) {
-  auto root = std::make_unique<Node>(root_name);
+Node RowSetToXml(const RowSet& rows, const std::string& root_name,
+                 const std::string& row_name) {
+  Node root(root_name);
+  root.ReserveChildren(rows.rows.size());
   for (const auto& row : rows.rows) {
-    Node* row_el = root->AddChild(row_name);
+    Node* row_el = root.AddChild(row_name);
+    row_el->ReserveChildren(rows.schema.num_columns());
     for (size_t i = 0; i < rows.schema.num_columns(); ++i) {
       const Column& col = rows.schema.column(i);
       if (i < row.size() && !row[i].is_null()) {
@@ -46,22 +50,24 @@ Result<RowSet> XmlToRowSet(const Node& root, const Schema& schema,
     out.rows.push_back(std::move(row));
     return out;
   }
-  for (const auto& child : root.children()) {
-    if (child->name() != row_name) continue;
-    DIP_ASSIGN_OR_RETURN(Row row, XmlToRow(*child, schema));
+  for (const Node& child : root.children()) {
+    if (child.name() != row_name) continue;
+    DIP_ASSIGN_OR_RETURN(Row row, XmlToRow(child, schema));
     out.rows.push_back(std::move(row));
   }
   return out;
 }
 
-NodePtr RowToXml(const Row& row, const Schema& schema,
-                 const std::string& element_name) {
-  auto el = std::make_unique<Node>(element_name);
-  for (size_t i = 0; i < schema.num_columns() && i < row.size(); ++i) {
+Node RowToXml(const Row& row, const Schema& schema,
+              const std::string& element_name) {
+  Node el(element_name);
+  size_t n = std::min(schema.num_columns(), row.size());
+  el.ReserveChildren(n);
+  for (size_t i = 0; i < n; ++i) {
     if (!row[i].is_null()) {
-      el->AddText(schema.column(i).name, row[i].ToString());
+      el.AddText(schema.column(i).name, row[i].ToString());
     } else {
-      el->AddChild(schema.column(i).name);
+      el.AddChild(schema.column(i).name);
     }
   }
   return el;

@@ -19,8 +19,8 @@ namespace xml {
 ///       <colname>value</colname> ...
 ///     </row_name> ...
 ///   </root_name>
-NodePtr RowSetToXml(const RowSet& rows, const std::string& root_name,
-                    const std::string& row_name);
+Node RowSetToXml(const RowSet& rows, const std::string& root_name,
+                 const std::string& row_name);
 
 /// Parses a generic result-set document back into rows conforming to
 /// `schema`: each `row_name` child becomes a row; column values come from
@@ -34,8 +34,8 @@ Result<RowSet> XmlToRowSet(const Node& root, const Schema& schema,
 Result<Row> XmlToRow(const Node& element, const Schema& schema);
 
 /// Renders a row as an element with one leaf child per column.
-NodePtr RowToXml(const Row& row, const Schema& schema,
-                 const std::string& element_name);
+Node RowToXml(const Row& row, const Schema& schema,
+              const std::string& element_name);
 
 }  // namespace xml
 }  // namespace dipbench

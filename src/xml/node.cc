@@ -21,39 +21,37 @@ const std::string* Node::GetAttr(const std::string& key) const {
 }
 
 Node* Node::AddChild(std::string name) {
-  children_.push_back(std::make_unique<Node>(std::move(name)));
-  return children_.back().get();
+  return &children_.emplace_back(std::move(name));
 }
 
-Node* Node::AddChild(NodePtr child) {
-  children_.push_back(std::move(child));
-  return children_.back().get();
+Node* Node::AddChild(Node child) {
+  return &children_.emplace_back(std::move(child));
 }
 
-Node* Node::AddText(const std::string& name, const std::string& text) {
-  Node* child = AddChild(name);
-  child->set_text(text);
+Node* Node::AddText(std::string name, std::string text) {
+  Node* child = AddChild(std::move(name));
+  child->text_ = std::move(text);
   return child;
 }
 
 const Node* Node::FindChild(const std::string& name) const {
-  for (const auto& c : children_) {
-    if (c->name() == name) return c.get();
+  for (const Node& c : children_) {
+    if (c.name_ == name) return &c;
   }
   return nullptr;
 }
 
 Node* Node::FindChild(const std::string& name) {
-  for (auto& c : children_) {
-    if (c->name() == name) return c.get();
+  for (Node& c : children_) {
+    if (c.name_ == name) return &c;
   }
   return nullptr;
 }
 
 std::vector<const Node*> Node::FindChildren(const std::string& name) const {
   std::vector<const Node*> out;
-  for (const auto& c : children_) {
-    if (c->name() == name) out.push_back(c.get());
+  for (const Node& c : children_) {
+    if (c.name_ == name) out.push_back(&c);
   }
   return out;
 }
@@ -75,17 +73,23 @@ std::string Node::ChildTextOr(const std::string& name,
 
 size_t Node::SubtreeSize() const {
   size_t total = 1;
-  for (const auto& c : children_) total += c->SubtreeSize();
+  for (const Node& c : children_) total += c.SubtreeSize();
   return total;
 }
 
-NodePtr Node::Clone() const {
-  auto copy = std::make_unique<Node>(name_);
+Node Node::Clone() const {
+  Node copy(name_);
+  CloneContentInto(&copy);
+  return copy;
+}
+
+void Node::CloneContentInto(Node* copy) const {
   copy->text_ = text_;
   copy->attrs_ = attrs_;
   copy->children_.reserve(children_.size());
-  for (const auto& c : children_) copy->children_.push_back(c->Clone());
-  return copy;
+  for (const Node& c : children_) {
+    c.CloneContentInto(&copy->children_.emplace_back(c.name_));
+  }
 }
 
 bool Node::Equals(const Node& other) const {
@@ -94,7 +98,7 @@ bool Node::Equals(const Node& other) const {
     return false;
   }
   for (size_t i = 0; i < children_.size(); ++i) {
-    if (!children_[i]->Equals(*other.children_[i])) return false;
+    if (!children_[i].Equals(other.children_[i])) return false;
   }
   return true;
 }

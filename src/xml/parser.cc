@@ -1,19 +1,31 @@
 #include "src/xml/parser.h"
 
+#include <charconv>
+#include <cstdint>
+
 #include "src/common/string_util.h"
 
 namespace dipbench {
 namespace xml {
 namespace {
 
-/// Recursive-descent XML parser over a string_view cursor.
+/// Nesting bound, the JSON reader's: benchmark messages are at most three
+/// levels deep; anything past this is a runaway input, and the
+/// recursive-descent parser must not blow the stack.
+constexpr int kMaxDepth = 128;
+
+/// Recursive-descent XML parser over a string_view cursor. Elements are
+/// parsed straight into their parent's child list, and text and attribute
+/// values are unescaped straight into the string the node keeps.
 class Parser {
  public:
   explicit Parser(std::string_view input) : input_(input) {}
 
-  Result<NodePtr> Parse() {
+  Result<Node> Parse() {
     SkipProlog();
-    DIP_ASSIGN_OR_RETURN(NodePtr root, ParseElement());
+    DIP_ASSIGN_OR_RETURN(std::string_view name, ParseStartTagName(1));
+    Node root{std::string(name)};
+    DIP_RETURN_NOT_OK(ParseElementRest(&root, 1));
     SkipWhitespaceAndComments();
     if (pos_ != input_.size()) {
       return Err("trailing content after document element");
@@ -22,8 +34,9 @@ class Parser {
   }
 
  private:
-  Status Err(const std::string& what) const {
-    return Status::ParseError(what + " at offset " + std::to_string(pos_));
+  Status Err(const std::string& what) const { return ErrAt(pos_, what); }
+  Status ErrAt(size_t offset, const std::string& what) const {
+    return Status::ParseError(what + " at offset " + std::to_string(offset));
   }
 
   bool AtEnd() const { return pos_ >= input_.size(); }
@@ -69,14 +82,25 @@ class Parser {
            c == ':';
   }
 
-  Result<std::string> ParseName() {
+  Result<std::string_view> ParseName() {
     size_t start = pos_;
     while (!AtEnd() && IsNameChar(Peek())) ++pos_;
     if (pos_ == start) return Err("expected name");
-    return std::string(input_.substr(start, pos_ - start));
+    return input_.substr(start, pos_ - start);
   }
 
-  Result<std::string> ParseQuoted() {
+  /// Reads "<name" for an element at nesting level `depth` (the document
+  /// element is level 1).
+  Result<std::string_view> ParseStartTagName(int depth) {
+    if (AtEnd() || Peek() != '<') return Err("expected '<'");
+    if (depth > kMaxDepth) {
+      return Err(StrFormat("nesting deeper than %d levels", kMaxDepth));
+    }
+    ++pos_;
+    return ParseName();
+  }
+
+  Status ParseQuoted(std::string* out) {
     if (AtEnd() || (Peek() != '"' && Peek() != '\'')) {
       return Err("expected quoted value");
     }
@@ -85,157 +109,242 @@ class Parser {
     size_t start = pos_;
     while (!AtEnd() && Peek() != quote) ++pos_;
     if (AtEnd()) return Err("unterminated attribute value");
-    std::string raw(input_.substr(start, pos_ - start));
     ++pos_;  // closing quote
-    return Unescape(raw);
+    return AppendUnescaped(start, pos_ - 1, out);
   }
 
-  Result<std::string> Unescape(const std::string& raw) const {
-    std::string out;
-    out.reserve(raw.size());
-    for (size_t i = 0; i < raw.size(); ++i) {
-      if (raw[i] != '&') {
-        out.push_back(raw[i]);
+  /// Appends input_[begin, end) to `out` with entities decoded. Errors carry
+  /// the offset of the offending '&'.
+  Status AppendUnescaped(size_t begin, size_t end, std::string* out) const {
+    std::string_view raw = input_.substr(0, end);
+    size_t run = begin;
+    for (size_t amp = raw.find('&', begin); amp != std::string_view::npos;
+         amp = raw.find('&', run)) {
+      out->append(raw.substr(run, amp - run));
+      size_t semi = raw.find(';', amp);
+      if (semi == std::string_view::npos) {
+        return ErrAt(amp, "unterminated entity");
+      }
+      std::string_view entity = raw.substr(amp + 1, semi - amp - 1);
+      if (entity == "amp") {
+        out->push_back('&');
+      } else if (entity == "lt") {
+        out->push_back('<');
+      } else if (entity == "gt") {
+        out->push_back('>');
+      } else if (entity == "quot") {
+        out->push_back('"');
+      } else if (entity == "apos") {
+        out->push_back('\'');
+      } else if (!entity.empty() && entity[0] == '#') {
+        DIP_RETURN_NOT_OK(AppendCharRef(entity, amp, out));
+      } else {
+        return ErrAt(amp, "unknown entity &" + std::string(entity) + ";");
+      }
+      run = semi + 1;
+    }
+    out->append(raw.substr(run));
+    return Status::OK();
+  }
+
+  /// Decodes a character reference ("#65" or "#x41", without '&' and ';')
+  /// to the code point's UTF-8 bytes.
+  Status AppendCharRef(std::string_view entity, size_t amp,
+                       std::string* out) const {
+    std::string_view digits = entity.substr(1);
+    int base = 10;
+    if (!digits.empty() && digits[0] == 'x') {
+      base = 16;
+      digits.remove_prefix(1);
+    }
+    uint32_t code = 0;
+    auto [ptr, ec] = std::from_chars(digits.data(),
+                                     digits.data() + digits.size(), code, base);
+    if (digits.empty() || ec != std::errc() ||
+        ptr != digits.data() + digits.size() || code == 0 ||
+        (code >= 0xD800 && code <= 0xDFFF) || code > 0x10FFFF) {
+      return ErrAt(amp, "invalid character reference &" +
+                            std::string(entity) + ";");
+    }
+    AppendUtf8(code, out);
+    return Status::OK();
+  }
+
+  /// Counts the elements from the cursor (at a child's '<') to the end tag
+  /// of the element being parsed, skipping nested content, comments and
+  /// quoted attribute values. It only sizes the child list: on malformed
+  /// input it stops early and the parse itself reports the error.
+  size_t CountChildren() const {
+    size_t count = 0;
+    size_t open = 0;  // elements entered below the counted level
+    size_t p = pos_;
+    while ((p = input_.find('<', p)) != std::string_view::npos) {
+      if (input_.compare(p, 4, "<!--") == 0) {
+        p = input_.find("-->", p + 4);
+        if (p == std::string_view::npos) break;
+        p += 3;
         continue;
       }
-      size_t semi = raw.find(';', i);
-      if (semi == std::string::npos) {
-        return Status::ParseError("unterminated entity");
+      if (input_.compare(p, 2, "</") == 0) {
+        if (open == 0) break;
+        --open;
+        p += 2;
+        continue;
       }
-      std::string entity = raw.substr(i + 1, semi - i - 1);
-      if (entity == "amp") {
-        out.push_back('&');
-      } else if (entity == "lt") {
-        out.push_back('<');
-      } else if (entity == "gt") {
-        out.push_back('>');
-      } else if (entity == "quot") {
-        out.push_back('"');
-      } else if (entity == "apos") {
-        out.push_back('\'');
-      } else if (!entity.empty() && entity[0] == '#') {
-        long code = std::strtol(entity.c_str() + 1, nullptr, 10);
-        out.push_back(static_cast<char>(code));
-      } else {
-        return Status::ParseError("unknown entity &" + entity + ";");
+      if (open == 0) ++count;
+      // Step over the start tag; '>' may occur inside a quoted value.
+      for (++p; p < input_.size() && input_[p] != '>'; ++p) {
+        if (input_[p] == '"' || input_[p] == '\'') {
+          p = input_.find(input_[p], p + 1);
+          if (p == std::string_view::npos) return count;
+        }
       }
-      i = semi;
+      if (p >= input_.size()) break;
+      if (input_[p - 1] != '/') ++open;
+      ++p;
     }
-    return out;
+    return count;
   }
 
-  Result<NodePtr> ParseElement() {
-    if (AtEnd() || Peek() != '<') return Err("expected '<'");
-    ++pos_;
-    DIP_ASSIGN_OR_RETURN(std::string name, ParseName());
-    auto node = std::make_unique<Node>(name);
-    // Attributes.
+  /// Parses the attributes, content and end tag of `node`, whose start-tag
+  /// name was just read, at nesting level `depth`.
+  Status ParseElementRest(Node* node, int depth) {
     for (;;) {
       SkipWhitespace();
-      if (AtEnd()) return Err("unterminated start tag <" + name + ">");
+      if (AtEnd()) return Err("unterminated start tag <" + node->name() + ">");
       if (Peek() == '/' || Peek() == '>') break;
-      DIP_ASSIGN_OR_RETURN(std::string attr, ParseName());
+      DIP_ASSIGN_OR_RETURN(std::string_view attr, ParseName());
       SkipWhitespace();
       if (AtEnd() || Peek() != '=') return Err("expected '=' after attribute");
       ++pos_;
       SkipWhitespace();
-      DIP_ASSIGN_OR_RETURN(std::string value, ParseQuoted());
-      node->SetAttr(attr, std::move(value));
+      std::string value;
+      DIP_RETURN_NOT_OK(ParseQuoted(&value));
+      node->SetAttr(std::string(attr), std::move(value));
     }
     if (Peek() == '/') {
       ++pos_;
       if (AtEnd() || Peek() != '>') return Err("expected '>' after '/'");
       ++pos_;
-      return node;  // self-closing
+      return Status::OK();  // self-closing
     }
     ++pos_;  // '>'
     // Content: text and child elements until the matching end tag.
     std::string text;
     for (;;) {
-      if (AtEnd()) return Err("missing </" + name + ">");
-      if (Peek() == '<') {
-        if (Lookahead("<!--")) {
-          size_t end = input_.find("-->", pos_ + 4);
-          if (end == std::string_view::npos) return Err("unterminated comment");
-          pos_ = end + 3;
-          continue;
-        }
-        if (Lookahead("</")) {
-          pos_ += 2;
-          DIP_ASSIGN_OR_RETURN(std::string end_name, ParseName());
-          if (end_name != name) {
-            return Err("mismatched end tag </" + end_name + ">, expected </" +
-                       name + ">");
-          }
-          SkipWhitespace();
-          if (AtEnd() || Peek() != '>') return Err("expected '>' in end tag");
-          ++pos_;
-          break;
-        }
-        DIP_ASSIGN_OR_RETURN(NodePtr child, ParseElement());
-        node->AddChild(std::move(child));
+      if (AtEnd()) return Err("missing </" + node->name() + ">");
+      if (Peek() != '<') {
+        size_t start = pos_;
+        while (!AtEnd() && Peek() != '<') ++pos_;
+        DIP_RETURN_NOT_OK(AppendUnescaped(start, pos_, &text));
         continue;
       }
-      size_t start = pos_;
-      while (!AtEnd() && Peek() != '<') ++pos_;
-      DIP_ASSIGN_OR_RETURN(std::string piece,
-                           Unescape(std::string(
-                               input_.substr(start, pos_ - start))));
-      text += piece;
+      if (Lookahead("<!--")) {
+        size_t end = input_.find("-->", pos_ + 4);
+        if (end == std::string_view::npos) return Err("unterminated comment");
+        pos_ = end + 3;
+        continue;
+      }
+      if (Lookahead("</")) {
+        pos_ += 2;
+        DIP_ASSIGN_OR_RETURN(std::string_view end_name, ParseName());
+        if (end_name != node->name()) {
+          return Err("mismatched end tag </" + std::string(end_name) +
+                     ">, expected </" + node->name() + ">");
+        }
+        SkipWhitespace();
+        if (AtEnd() || Peek() != '>') return Err("expected '>' in end tag");
+        ++pos_;
+        break;
+      }
+      if (node->child_count() == 0) node->ReserveChildren(CountChildren());
+      // The child is complete before its next sibling is appended, so the
+      // pointer into the child list stays valid while it is filled.
+      DIP_ASSIGN_OR_RETURN(std::string_view child_name,
+                           ParseStartTagName(depth + 1));
+      DIP_RETURN_NOT_OK(
+          ParseElementRest(node->AddChild(std::string(child_name)), depth + 1));
     }
     // Element text is the trimmed concatenation of the text pieces.
-    node->set_text(std::string(StrTrim(text)));
-    return node;
+    std::string_view trimmed = StrTrim(text);
+    size_t lead = static_cast<size_t>(trimmed.data() - text.data());
+    text.erase(lead + trimmed.size());
+    text.erase(0, lead);
+    node->set_text(std::move(text));
+    return Status::OK();
   }
 
   std::string_view input_;
   size_t pos_ = 0;
 };
 
-void WriteNode(const Node& node, int indent, int depth, std::string* out) {
+/// Where WriteNode's output goes. SizeSink only measures it, so WriteXml
+/// allocates its string once, at the exact size, before StringSink fills
+/// it; a message's CLOB then carries no spare capacity into the queue row.
+struct SizeSink {
+  size_t size = 0;
+  void Append(std::string_view s) { size += s.size(); }
+  void AppendSpaces(size_t n) { size += n; }
+  void AppendEscaped(std::string_view s) { size += XmlEscapedSize(s); }
+};
+
+struct StringSink {
+  std::string* out;
+  void Append(std::string_view s) { out->append(s); }
+  void AppendSpaces(size_t n) { out->append(n, ' '); }
+  void AppendEscaped(std::string_view s) { AppendXmlEscaped(s, out); }
+};
+
+template <typename Sink>
+void WriteNode(const Node& node, int indent, int depth, Sink* out) {
   auto pad = [&](int d) {
-    if (indent >= 0) out->append(static_cast<size_t>(d) * indent, ' ');
+    if (indent >= 0) out->AppendSpaces(static_cast<size_t>(d) * indent);
   };
+  std::string_view newline = indent >= 0 ? "\n" : "";
   pad(depth);
-  out->push_back('<');
-  out->append(node.name());
+  out->Append("<");
+  out->Append(node.name());
   for (const auto& [k, v] : node.attrs()) {
-    out->push_back(' ');
-    out->append(k);
-    out->append("=\"");
-    out->append(XmlEscape(v));
-    out->push_back('"');
+    out->Append(" ");
+    out->Append(k);
+    out->Append("=\"");
+    out->AppendEscaped(v);
+    out->Append("\"");
   }
   if (node.children().empty() && node.text().empty()) {
-    out->append("/>");
-    if (indent >= 0) out->push_back('\n');
+    out->Append("/>");
+    out->Append(newline);
     return;
   }
-  out->push_back('>');
-  out->append(XmlEscape(node.text()));
+  out->Append(">");
+  out->AppendEscaped(node.text());
   if (!node.children().empty()) {
-    if (indent >= 0) out->push_back('\n');
-    for (const auto& c : node.children()) {
-      WriteNode(*c, indent, depth + 1, out);
+    out->Append(newline);
+    for (const Node& c : node.children()) {
+      WriteNode(c, indent, depth + 1, out);
     }
     pad(depth);
   }
-  out->append("</");
-  out->append(node.name());
-  out->push_back('>');
-  if (indent >= 0) out->push_back('\n');
+  out->Append("</");
+  out->Append(node.name());
+  out->Append(">");
+  out->Append(newline);
 }
 
 }  // namespace
 
-Result<NodePtr> ParseXml(std::string_view input) {
+Result<Node> ParseXml(std::string_view input) {
   Parser parser(input);
   return parser.Parse();
 }
 
 std::string WriteXml(const Node& root, int indent) {
+  SizeSink size;
+  WriteNode(root, indent, 0, &size);
   std::string out;
-  WriteNode(root, indent, 0, &out);
+  out.reserve(size.size);
+  StringSink sink{&out};
+  WriteNode(root, indent, 0, &sink);
   return out;
 }
 

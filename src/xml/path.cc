@@ -65,7 +65,7 @@ bool StepMatches(const Step& step, const Node& node) {
 void CollectDescendants(const Node& node, const Step& step,
                         std::vector<const Node*>* out) {
   if (StepMatches(step, node)) out->push_back(&node);
-  for (const auto& c : node.children()) CollectDescendants(*c, step, out);
+  for (const Node& c : node.children()) CollectDescendants(c, step, out);
 }
 
 void Evaluate(const std::vector<const Node*>& current,
@@ -79,12 +79,12 @@ void Evaluate(const std::vector<const Node*>& current,
   std::vector<const Node*> next;
   for (const Node* n : current) {
     if (step.descendant) {
-      for (const auto& c : n->children()) {
-        CollectDescendants(*c, step, &next);
+      for (const Node& c : n->children()) {
+        CollectDescendants(c, step, &next);
       }
     } else {
-      for (const auto& c : n->children()) {
-        if (StepMatches(step, *c)) next.push_back(c.get());
+      for (const Node& c : n->children()) {
+        if (StepMatches(step, c)) next.push_back(&c);
       }
     }
   }

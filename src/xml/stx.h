@@ -50,13 +50,15 @@ class StxTransformer {
 
   /// Transforms a document. `nodes_visited`, when non-null, receives the
   /// number of input elements visited (the unit of XML processing cost).
-  Result<NodePtr> Transform(const Node& input,
-                            size_t* nodes_visited = nullptr) const;
+  Result<Node> Transform(const Node& input,
+                         size_t* nodes_visited = nullptr) const;
 
  private:
   const StxRule* FindRule(const Node& node, const Node* parent) const;
-  NodePtr TransformNode(const Node& node, const Node* parent,
-                        size_t* visited) const;
+  /// Writes the transformation of `node` (matched by `rule`, or nullptr)
+  /// into `out`, an element already named for the output.
+  void TransformInto(const Node& node, const StxRule* rule, Node* out,
+                     size_t* visited) const;
 
   std::vector<StxRule> rules_;
 };

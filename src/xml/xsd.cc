@@ -72,7 +72,7 @@ Status XsdSchema::ValidateNode(const Node& node,
 
   // Count child occurrences.
   std::map<std::string, size_t> counts;
-  for (const auto& c : node.children()) counts[c->name()]++;
+  for (const Node& c : node.children()) counts[c.name()]++;
 
   for (const auto& child_spec : spec.children) {
     size_t n = counts.count(child_spec.name) ? counts[child_spec.name] : 0;
@@ -104,8 +104,8 @@ Status XsdSchema::ValidateNode(const Node& node,
     }
   }
 
-  for (const auto& c : node.children()) {
-    DIP_RETURN_NOT_OK(ValidateNode(*c, path + "/" + c->name()));
+  for (const Node& c : node.children()) {
+    DIP_RETURN_NOT_OK(ValidateNode(c, path + "/" + c.name()));
   }
   return Status::OK();
 }

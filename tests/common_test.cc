@@ -255,8 +255,13 @@ TEST(StringUtilTest, Format) {
 }
 
 TEST(StringUtilTest, XmlEscape) {
-  EXPECT_EQ(XmlEscape("a<b&c>\"d'"), "a&lt;b&amp;c&gt;&quot;d&apos;");
-  EXPECT_EQ(XmlEscape("plain"), "plain");
+  std::string out = "x";
+  AppendXmlEscaped("a<b&c>\"d'", &out);
+  EXPECT_EQ(out, "xa&lt;b&amp;c&gt;&quot;d&apos;");
+  AppendXmlEscaped("plain", &out);
+  EXPECT_EQ(out, "xa&lt;b&amp;c&gt;&quot;d&apos;plain");
+  EXPECT_EQ(XmlEscapedSize("a<b&c>\"d'"), out.size() - 6);
+  EXPECT_EQ(XmlEscapedSize("plain"), 5u);
 }
 
 TEST(LoggingTest, LevelRoundTrip) {

@@ -95,11 +95,11 @@ class CoreTest : public ::testing::Test {
   }
 
   std::shared_ptr<const xml::Node> CustomerMessage(int key) {
-    auto doc = std::make_unique<xml::Node>("resultset");
-    xml::Node* row = doc->AddChild("row");
+    xml::Node doc("resultset");
+    xml::Node* row = doc.AddChild("row");
     row->AddText("custkey", std::to_string(key));
     row->AddText("name", "msg" + std::to_string(key));
-    return std::shared_ptr<const xml::Node>(std::move(doc));
+    return std::make_shared<const xml::Node>(std::move(doc));
   }
 
   std::unique_ptr<Database> src_, tgt_;

@@ -33,8 +33,8 @@ std::map<std::string, std::string> SnapshotAllTables(Scenario* scenario) {
       RowSet rows;
       rows.schema = table.ValueOrDie()->schema();
       rows.rows = table.ValueOrDie()->ScanAll();
-      xml::NodePtr doc = xml::RowSetToXml(rows, "resultset", "row");
-      snapshot[db_name + "." + table_name] = xml::WriteXml(*doc, 2);
+      snapshot[db_name + "." + table_name] =
+          xml::WriteXml(xml::RowSetToXml(rows, "resultset", "row"), 2);
     }
   }
   return snapshot;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "src/common/random.h"
+#include "src/common/string_util.h"
 #include "src/dipbench/client.h"
 #include "src/dipbench/processes.h"
 #include "src/dipbench/schedule.h"
@@ -173,15 +175,35 @@ TEST(InitializerTest, MessagesConformToSchemas) {
   auto scenario = std::move(Scenario::Create()).ValueOrDie();
   Initializer init(scenario.get(), SmallConfig());
   EXPECT_TRUE(schemas::BeijingCustomerXsd()
-                  ->Validate(*init.MakeBeijingCustomer(0, 1))
+                  ->Validate(init.MakeBeijingCustomer(0, 1))
                   .ok());
   EXPECT_TRUE(
-      schemas::MdmCustomerXsd()->Validate(*init.MakeMdmCustomer(0, 1)).ok());
+      schemas::MdmCustomerXsd()->Validate(init.MakeMdmCustomer(0, 1)).ok());
   EXPECT_TRUE(
-      schemas::ViennaOrderXsd()->Validate(*init.MakeViennaOrder(0, 1)).ok());
+      schemas::ViennaOrderXsd()->Validate(init.MakeViennaOrder(0, 1)).ok());
   EXPECT_TRUE(schemas::HongkongSalesXsd()
-                  ->Validate(*init.MakeHongkongSale(0, 1))
+                  ->Validate(init.MakeHongkongSale(0, 1))
                   .ok());
+}
+
+TEST(InitializerTest, PriceTextMatchesPrintf) {
+  // The emitters' draws: 5.0 + NextDoubleIn(0.0, 495.0).
+  Rng rng(20080412);
+  for (int i = 0; i < 1000000; ++i) {
+    double price = 5.0 + rng.NextDoubleIn(0.0, 495.0);
+    ASSERT_EQ(Initializer::FormatPrice(price), StrFormat("%.2f", price))
+        << i;
+  }
+  // Exact binary ties at the third decimal round half to even in both.
+  EXPECT_EQ(Initializer::FormatPrice(5.125), "5.12");
+  EXPECT_EQ(Initializer::FormatPrice(5.375), "5.38");
+  for (int whole = 5; whole < 500; ++whole) {
+    for (double eighth : {0.125, 0.375, 0.625, 0.875}) {
+      double price = whole + eighth;
+      ASSERT_EQ(Initializer::FormatPrice(price), StrFormat("%.2f", price))
+          << price;
+    }
+  }
 }
 
 TEST(InitializerTest, SanDiegoMessagesAreErrorProne) {
@@ -190,7 +212,7 @@ TEST(InitializerTest, SanDiegoMessagesAreErrorProne) {
   int bad = 0, good = 0;
   for (int m = 1; m <= 50; ++m) {
     auto msg = init.MakeSanDiegoOrder(0, m);
-    if (schemas::SanDiegoOrderXsd()->Validate(*msg).ok()) {
+    if (schemas::SanDiegoOrderXsd()->Validate(msg).ok()) {
       ++good;
     } else {
       ++bad;
@@ -239,7 +261,7 @@ class PipelineTest : public ::testing::Test {
 };
 
 TEST_F(PipelineTest, P01ExchangesMasterData) {
-  auto msg = std::shared_ptr<const xml::Node>(
+  auto msg = std::make_shared<const xml::Node>(
       initializer_.MakeBeijingCustomer(0, 1));
   size_t before = GetTable("asia_seoul", "customer")->size();
   auto rec = RunOne("P01", msg);
@@ -250,7 +272,7 @@ TEST_F(PipelineTest, P01ExchangesMasterData) {
 }
 
 TEST_F(PipelineTest, P02RoutesToEurope) {
-  auto rec = RunOne("P02", std::shared_ptr<const xml::Node>(
+  auto rec = RunOne("P02", std::make_shared<const xml::Node>(
                                initializer_.MakeMdmCustomer(0, 1)));
   EXPECT_TRUE(rec.ok);
   EXPECT_EQ(rec.quality.rows_loaded, 1u);
@@ -270,7 +292,7 @@ TEST_F(PipelineTest, P03ConsolidatesAmerica) {
 
 TEST_F(PipelineTest, P04LoadsViennaOrders) {
   size_t before = GetTable("cdb_db", "orders")->size();
-  auto rec = RunOne("P04", std::shared_ptr<const xml::Node>(
+  auto rec = RunOne("P04", std::make_shared<const xml::Node>(
                                initializer_.MakeViennaOrder(0, 2)));
   EXPECT_TRUE(rec.ok);
   EXPECT_GT(GetTable("cdb_db", "orders")->size(), before);
@@ -289,7 +311,7 @@ TEST_F(PipelineTest, P05ThroughP07LoadEuropeMovement) {
 
 TEST_F(PipelineTest, P08LoadsHongkongSale) {
   size_t before = GetTable("cdb_db", "orders")->size();
-  auto rec = RunOne("P08", std::shared_ptr<const xml::Node>(
+  auto rec = RunOne("P08", std::make_shared<const xml::Node>(
                                initializer_.MakeHongkongSale(0, 3)));
   EXPECT_TRUE(rec.ok);
   EXPECT_EQ(GetTable("cdb_db", "orders")->size(), before + 1);
@@ -312,7 +334,7 @@ TEST_F(PipelineTest, P10SeparatesFailedMessages) {
   size_t orders_before = GetTable("cdb_db", "orders")->size();
   int rejected = 0;
   for (int m = 1; m <= 10; ++m) {
-    auto rec = RunOne("P10", std::shared_ptr<const xml::Node>(
+    auto rec = RunOne("P10", std::make_shared<const xml::Node>(
                                  initializer_.MakeSanDiegoOrder(0, m)));
     EXPECT_TRUE(rec.ok);
     rejected += static_cast<int>(rec.quality.messages_rejected);

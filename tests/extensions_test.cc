@@ -238,8 +238,8 @@ TEST_F(ExtensionsTest, EaiCheaperOnXmlCostlierOnRows) {
     def.body = {core::Receive("m")};
     EXPECT_TRUE(engine.Deploy(def).ok());
     auto doc = xml::ParseXml("<m><a>1</a><b>2</b><c>3</c></m>");
-    EXPECT_TRUE(
-        engine.Submit({id, 0.0, std::move(*doc), 0}).ok());
+    auto msg = std::make_shared<const xml::Node>(std::move(*doc));
+    EXPECT_TRUE(engine.Submit({id, 0.0, msg, 0}).ok());
     EXPECT_TRUE(engine.RunUntilIdle().ok());
     return engine.records().back().costs.cp_ms;
   };
@@ -331,7 +331,7 @@ TEST_F(XmlFileEndpointTest, UpdateWritesFile) {
   ASSERT_TRUE(text.ok());
   auto doc = xml::ParseXml(*text);
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ((*doc)->FindChildren("rec").size(), 1u);
+  EXPECT_EQ(doc->FindChildren("rec").size(), 1u);
 }
 
 TEST_F(XmlFileEndpointTest, AppendAccumulates) {
@@ -342,7 +342,7 @@ TEST_F(XmlFileEndpointTest, AppendAccumulates) {
   ASSERT_TRUE(ep_->Update("append_out", rows, nullptr).ok());
   auto doc = xml::ParseXml(*store_.Read("log.xml"));
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ((*doc)->FindChildren("rec").size(), 2u);
+  EXPECT_EQ(doc->FindChildren("rec").size(), 2u);
 }
 
 TEST_F(XmlFileEndpointTest, RoundTripThroughProcess) {
@@ -363,7 +363,7 @@ TEST_F(XmlFileEndpointTest, RoundTripThroughProcess) {
   ASSERT_TRUE(engine.RunUntilIdle().ok());
   auto doc = xml::ParseXml(*store_.Read("out.xml"));
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ((*doc)->FindChildren("rec").size(), 1u);
+  EXPECT_EQ(doc->FindChildren("rec").size(), 1u);
 }
 
 TEST_F(XmlFileEndpointTest, NoMessagesOrProcedures) {

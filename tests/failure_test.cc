@@ -142,6 +142,34 @@ TEST_F(FailureTest, FederatedTriggerFailurePropagates) {
   EXPECT_EQ((*engine.engine_db()->GetTable("PX_queue"))->size(), 1u);
 }
 
+TEST_F(FailureTest, FederatedInstanceWithoutMessageLeavesNoTriggerContext) {
+  core::FederatedEngine engine(&net_);
+  core::ProcessDefinition def;
+  def.id = "PX";
+  def.event_type = core::EventType::kMessage;
+  def.body = {core::Receive("m")};
+  ASSERT_TRUE(engine.Deploy(def).ok());
+  // An E1 instance with no XML input fails before its queue insert.
+  ASSERT_TRUE(engine.Submit({"PX", 0.0, nullptr, 0}).ok());
+  Status st = engine.RunUntilIdle();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kTypeMismatch);
+  EXPECT_EQ((*engine.engine_db()->GetTable("PX_queue"))->size(), 0u);
+  // Its context is gone: an insert outside any instance must not run the
+  // trigger body on it.
+  Status outside = engine.engine_db()->InsertWithTriggers(
+      "PX_queue", {Value::Int(1000), Value::String("<m/>")});
+  EXPECT_EQ(outside.code(), StatusCode::kInternal);
+  EXPECT_NE(outside.message().find("trigger fired outside an instance"),
+            std::string::npos)
+      << outside;
+  // A well-formed message still runs through the queue table afterwards.
+  ASSERT_TRUE(
+      engine.Submit({"PX", 1.0, std::make_shared<xml::Node>("m"), 0}).ok());
+  EXPECT_TRUE(engine.RunUntilIdle().ok());
+  EXPECT_EQ((*engine.engine_db()->GetTable("PX_queue"))->size(), 2u);
+}
+
 TEST_F(FailureTest, SwitchConditionErrorPropagates) {
   core::ProcessDefinition def;
   def.id = "SW";

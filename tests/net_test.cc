@@ -123,8 +123,8 @@ TEST_F(EndpointTest, QueryXmlDefaultResultSet) {
   NetStats stats;
   auto doc = ep.QueryXml("all", {}, &stats);
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ((*doc)->name(), "resultset");
-  EXPECT_EQ((*doc)->FindChildren("row").size(), 5u);
+  EXPECT_EQ(doc->name(), "resultset");
+  EXPECT_EQ(doc->FindChildren("row").size(), 5u);
 }
 
 TEST_F(EndpointTest, WebServiceMarshalsThroughXml) {
@@ -174,7 +174,7 @@ TEST_F(EndpointTest, SendMessageLandsInQueue) {
   auto rows = q->ScanAll();
   auto parsed = xml::ParseXml(rows[0][1].AsString());
   ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE((*parsed)->Equals(msg));
+  EXPECT_TRUE(parsed->Equals(msg));
   EXPECT_EQ(stats.interactions, 2u);
 }
 

@@ -12,6 +12,7 @@
 #include "src/ra/query.h"
 #include "src/storage/table.h"
 #include "src/xml/parser.h"
+#include "src/xml/stx.h"
 
 namespace dipbench {
 namespace {
@@ -479,45 +480,51 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StorageModelTest,
 
 class XmlRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
 
-xml::NodePtr RandomTree(Rng* rng, int depth) {
-  auto node = std::make_unique<xml::Node>("n" +
-                                          std::to_string(rng->NextBounded(8)));
+xml::Node RandomTree(Rng* rng, int depth) {
+  xml::Node node("n" + std::to_string(rng->NextBounded(8)));
   if (rng->NextBool(0.5)) {
-    node->SetAttr("a" + std::to_string(rng->NextBounded(4)),
-                  rng->NextString(3) + "<&>\"'");
+    node.SetAttr("a" + std::to_string(rng->NextBounded(4)),
+                 rng->NextString(3) + "<&>\"'");
   }
   if (depth > 0 && rng->NextBool(0.7)) {
     size_t children = rng->NextBounded(4);
     for (size_t i = 0; i < children; ++i) {
-      node->AddChild(RandomTree(rng, depth - 1));
+      node.AddChild(RandomTree(rng, depth - 1));
     }
   }
-  if (node->children().empty() && rng->NextBool(0.6)) {
-    node->set_text(rng->NextString(5) + "&<>" + rng->NextString(2));
+  if (node.children().empty() && rng->NextBool(0.6)) {
+    node.set_text(rng->NextString(5) + "&<>" + rng->NextString(2));
   }
   return node;
 }
 
 TEST_P(XmlRoundTripTest, WriteParseIdentity) {
   Rng rng(GetParam());
+  const xml::StxTransformer identity;  // no rules: copies every element
   for (int i = 0; i < 40; ++i) {
-    xml::NodePtr tree = RandomTree(&rng, 4);
+    xml::Node tree = RandomTree(&rng, 4);
     for (int indent : {-1, 0, 2}) {
-      std::string text = xml::WriteXml(*tree, indent);
+      std::string text = xml::WriteXml(tree, indent);
       auto parsed = xml::ParseXml(text);
       ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << text;
-      EXPECT_TRUE(tree->Equals(**parsed)) << text;
+      EXPECT_TRUE(tree.Equals(*parsed)) << text;
     }
+    size_t visited = 0;
+    auto transformed = identity.Transform(tree, &visited);
+    ASSERT_TRUE(transformed.ok()) << transformed.status();
+    EXPECT_TRUE(tree.Equals(*transformed)) << xml::WriteXml(tree);
+    EXPECT_EQ(visited, tree.SubtreeSize());
+    EXPECT_TRUE(tree.Equals(tree.Clone())) << xml::WriteXml(tree);
   }
 }
 
 TEST_P(XmlRoundTripTest, CloneEqualsOriginal) {
   Rng rng(GetParam() ^ 0xC0FFEE);
   for (int i = 0; i < 20; ++i) {
-    xml::NodePtr tree = RandomTree(&rng, 3);
-    xml::NodePtr copy = tree->Clone();
-    EXPECT_TRUE(tree->Equals(*copy));
-    EXPECT_EQ(tree->SubtreeSize(), copy->SubtreeSize());
+    xml::Node tree = RandomTree(&rng, 3);
+    xml::Node copy = tree.Clone();
+    EXPECT_TRUE(tree.Equals(copy));
+    EXPECT_EQ(tree.SubtreeSize(), copy.SubtreeSize());
   }
 }
 

@@ -120,8 +120,8 @@ TEST(InitializerTest, ExportsSourceDataAsXml) {
   ASSERT_TRUE(store.Exists("eu_berlin_paris.auftrag.xml"));
   auto doc = xml::ParseXml(*store.Read("eu_berlin_paris.auftrag.xml"));
   ASSERT_TRUE(doc.ok()) << doc.status();
-  EXPECT_EQ((*doc)->name(), "resultset");
-  size_t rows = (*doc)->FindChildren("row").size();
+  EXPECT_EQ(doc->name(), "resultset");
+  size_t rows = doc->FindChildren("row").size();
   Table* auftrag = *(*scenario->db("eu_berlin_paris"))->GetTable("auftrag");
   EXPECT_EQ(rows, auftrag->size());
 }

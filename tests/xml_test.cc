@@ -40,10 +40,10 @@ TEST(NodeTest, CloneDeepAndEquals) {
   Node root("r");
   root.SetAttr("k", "v");
   root.AddText("a", "1")->SetAttr("x", "y");
-  NodePtr copy = root.Clone();
-  EXPECT_TRUE(root.Equals(*copy));
-  copy->FindChild("a")->set_text("2");
-  EXPECT_FALSE(root.Equals(*copy));
+  Node copy = root.Clone();
+  EXPECT_TRUE(root.Equals(copy));
+  copy.FindChild("a")->set_text("2");
+  EXPECT_FALSE(root.Equals(copy));
 }
 
 TEST(NodeTest, FindChildrenReturnsAll) {
@@ -60,13 +60,13 @@ TEST(ParserTest, RoundTrip) {
       "<Items><Item>widget</Item><Item>gadget</Item></Items></Order>";
   auto root = ParseXml(doc);
   ASSERT_TRUE(root.ok()) << root.status();
-  EXPECT_EQ((*root)->name(), "Order");
-  EXPECT_EQ(*(*root)->GetAttr("id"), "42");
-  EXPECT_EQ((*root)->FindChild("Items")->child_count(), 2u);
-  std::string again = WriteXml(**root);
+  EXPECT_EQ(root->name(), "Order");
+  EXPECT_EQ(*root->GetAttr("id"), "42");
+  EXPECT_EQ(root->FindChild("Items")->child_count(), 2u);
+  std::string again = WriteXml(*root);
   auto reparsed = ParseXml(again);
   ASSERT_TRUE(reparsed.ok());
-  EXPECT_TRUE((*root)->Equals(**reparsed));
+  EXPECT_TRUE(root->Equals(*reparsed));
 }
 
 TEST(ParserTest, DeclarationAndComments) {
@@ -75,29 +75,107 @@ TEST(ParserTest, DeclarationAndComments) {
       "<b>text</b></a>";
   auto root = ParseXml(doc);
   ASSERT_TRUE(root.ok()) << root.status();
-  EXPECT_EQ((*root)->FindChild("b")->text(), "text");
+  EXPECT_EQ(root->FindChild("b")->text(), "text");
 }
 
 TEST(ParserTest, SelfClosingAndSingleQuotes) {
   auto root = ParseXml("<a x='1'><b/><c y='z'/></a>");
   ASSERT_TRUE(root.ok());
-  EXPECT_EQ((*root)->child_count(), 2u);
-  EXPECT_EQ(*(*root)->FindChild("c")->GetAttr("y"), "z");
+  EXPECT_EQ(root->child_count(), 2u);
+  EXPECT_EQ(*root->FindChild("c")->GetAttr("y"), "z");
 }
 
 TEST(ParserTest, EntityUnescaping) {
   auto root = ParseXml("<a>x &lt; y &amp;&amp; z &gt; w</a>");
   ASSERT_TRUE(root.ok());
-  EXPECT_EQ((*root)->text(), "x < y && z > w");
+  EXPECT_EQ(root->text(), "x < y && z > w");
   auto attr = ParseXml("<a v=\"&quot;q&quot;\"/>");
   ASSERT_TRUE(attr.ok());
-  EXPECT_EQ(*(*attr)->GetAttr("v"), "\"q\"");
+  EXPECT_EQ(*attr->GetAttr("v"), "\"q\"");
 }
 
 TEST(ParserTest, NumericEntity) {
   auto root = ParseXml("<a>&#65;</a>");
   ASSERT_TRUE(root.ok());
-  EXPECT_EQ((*root)->text(), "A");
+  EXPECT_EQ(root->text(), "A");
+}
+
+TEST(ParserTest, CharacterReferencesDecodeToUtf8) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"<a>&#x41;</a>", "A"},
+      {"<a>&#x7f;&#x7F;</a>", "\x7f\x7f"},
+      {"<a>&#256;</a>", "\xC4\x80"},
+      {"<a>&#x7FF;&#x800;</a>", "\xDF\xBF\xE0\xA0\x80"},
+      {"<a>&#xFFFF;</a>", "\xEF\xBF\xBF"},
+      {"<a>&#x1F600;</a>", "\xF0\x9F\x98\x80"},
+      {"<a>&#1114111;</a>", "\xF4\x8F\xBF\xBF"},
+      {"<a>x&#x26;y&#60;z</a>", "x&y<z"},
+  };
+  for (const auto& [doc, text] : cases) {
+    auto root = ParseXml(doc);
+    ASSERT_TRUE(root.ok()) << doc << ": " << root.status();
+    EXPECT_EQ(root->text(), text) << doc;
+  }
+  auto attr = ParseXml("<a v='&#x41;&#66;'/>");
+  ASSERT_TRUE(attr.ok()) << attr.status();
+  EXPECT_EQ(*attr->GetAttr("v"), "AB");
+}
+
+TEST(ParserTest, MalformedCharacterReferencesAreRejected) {
+  // Each reference starts at offset 3, after "<a>".
+  for (const char* doc :
+       {"<a>&#;</a>", "<a>&#x;</a>", "<a>&#abc;</a>", "<a>&#65abc;</a>",
+        "<a>&#x4G;</a>", "<a>&#-65;</a>", "<a>&#+65;</a>", "<a>&# 65;</a>",
+        "<a>&#X41;</a>", "<a>&#0;</a>", "<a>&#x0;</a>", "<a>&#xD800;</a>",
+        "<a>&#57343;</a>", "<a>&#x110000;</a>",
+        "<a>&#99999999999999999999;</a>"}) {
+    Status st = ParseXml(doc).status();
+    EXPECT_TRUE(st.IsParseError()) << doc << ": " << st;
+    EXPECT_NE(st.message().find("invalid character reference"),
+              std::string::npos)
+        << doc << ": " << st;
+    EXPECT_NE(st.message().find("at offset 3"), std::string::npos)
+        << doc << ": " << st;
+  }
+}
+
+TEST(ParserTest, EntityErrorsNameTheOffset) {
+  Status unknown = ParseXml("<a>&bogus;</a>").status();
+  EXPECT_TRUE(unknown.IsParseError());
+  EXPECT_NE(unknown.message().find("unknown entity &bogus; at offset 3"),
+            std::string::npos)
+      << unknown;
+  Status unterminated = ParseXml("<a>x &amp y</a>").status();
+  EXPECT_TRUE(unterminated.IsParseError());
+  EXPECT_NE(unterminated.message().find("unterminated entity at offset 5"),
+            std::string::npos)
+      << unterminated;
+  Status in_attr = ParseXml("<a v=\"x&bad;\"/>").status();
+  EXPECT_TRUE(in_attr.IsParseError());
+  EXPECT_NE(in_attr.message().find("unknown entity &bad; at offset 7"),
+            std::string::npos)
+      << in_attr;
+}
+
+std::string Nested(size_t levels) {
+  std::string doc;
+  for (size_t i = 0; i < levels; ++i) doc += "<e>";
+  for (size_t i = 0; i < levels; ++i) doc += "</e>";
+  return doc;
+}
+
+TEST(ParserTest, NestingIsBoundedAt128Levels) {
+  auto deepest = ParseXml(Nested(128));
+  ASSERT_TRUE(deepest.ok()) << deepest.status();
+  EXPECT_EQ(deepest->SubtreeSize(), 128u);
+  for (size_t levels : {size_t{129}, size_t{100000}}) {
+    Status st = ParseXml(Nested(levels)).status();
+    EXPECT_TRUE(st.IsParseError()) << levels << ": " << st;
+    // The 129th start tag begins after 128 "<e>" tags.
+    EXPECT_NE(st.message().find("nesting deeper than 128 levels at offset 384"),
+              std::string::npos)
+        << levels << ": " << st;
+  }
 }
 
 TEST(ParserTest, Errors) {
@@ -119,7 +197,7 @@ TEST(ParserTest, EscapesOnWrite) {
 TEST(ParserTest, IndentedOutput) {
   auto root = ParseXml("<a><b>1</b></a>");
   ASSERT_TRUE(root.ok());
-  std::string pretty = WriteXml(**root, 2);
+  std::string pretty = WriteXml(*root, 2);
   EXPECT_NE(pretty.find("\n  <b>1</b>\n"), std::string::npos);
 }
 
@@ -128,26 +206,26 @@ TEST(PathTest, AbsoluteAndRelative) {
       "<Order><Items><Item><Name>a</Name></Item>"
       "<Item><Name>b</Name></Item></Items><Custkey>9</Custkey></Order>");
   ASSERT_TRUE(root.ok());
-  EXPECT_EQ(SelectNodes(**root, "/Order/Items/Item").size(), 2u);
-  EXPECT_EQ(SelectNodes(**root, "Items/Item").size(), 2u);
-  EXPECT_EQ(SelectNodes(**root, "/Wrong/Items").size(), 0u);
-  EXPECT_EQ(*SelectText(**root, "Custkey"), "9");
-  EXPECT_TRUE(SelectText(**root, "Missing").status().IsNotFound());
+  EXPECT_EQ(SelectNodes(*root, "/Order/Items/Item").size(), 2u);
+  EXPECT_EQ(SelectNodes(*root, "Items/Item").size(), 2u);
+  EXPECT_EQ(SelectNodes(*root, "/Wrong/Items").size(), 0u);
+  EXPECT_EQ(*SelectText(*root, "Custkey"), "9");
+  EXPECT_TRUE(SelectText(*root, "Missing").status().IsNotFound());
 }
 
 TEST(PathTest, Wildcard) {
   auto root = ParseXml("<a><b>1</b><c>2</c></a>");
   ASSERT_TRUE(root.ok());
-  EXPECT_EQ(SelectNodes(**root, "*").size(), 2u);
+  EXPECT_EQ(SelectNodes(*root, "*").size(), 2u);
 }
 
 TEST(PathTest, DescendantSearch) {
   auto root = ParseXml(
       "<a><b><c><Custkey>1</Custkey></c></b><Custkey>2</Custkey></a>");
   ASSERT_TRUE(root.ok());
-  auto nodes = SelectNodes(**root, "//Custkey");
+  auto nodes = SelectNodes(*root, "//Custkey");
   EXPECT_EQ(nodes.size(), 2u);
-  EXPECT_EQ(SelectFirst(**root, "//c/Custkey")->text(), "1");
+  EXPECT_EQ(SelectFirst(*root, "//c/Custkey")->text(), "1");
 }
 
 XsdSchema OrderSchema() {
@@ -167,20 +245,20 @@ TEST(XsdTest, ValidDocumentPasses) {
       "<Order><Custkey>5</Custkey>"
       "<Item><Name>x</Name><Qty>2</Qty></Item></Order>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_TRUE(OrderSchema().Validate(**doc).ok());
+  EXPECT_TRUE(OrderSchema().Validate(*doc).ok());
 }
 
 TEST(XsdTest, WrongRootFails) {
   auto doc = ParseXml("<Bestellung/>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_TRUE(OrderSchema().Validate(**doc).IsValidationError());
+  EXPECT_TRUE(OrderSchema().Validate(*doc).IsValidationError());
 }
 
 TEST(XsdTest, MissingRequiredChildFails) {
   auto doc = ParseXml(
       "<Order><Item><Name>x</Name><Qty>2</Qty></Item></Order>");
   ASSERT_TRUE(doc.ok());
-  Status st = OrderSchema().Validate(**doc);
+  Status st = OrderSchema().Validate(*doc);
   EXPECT_TRUE(st.IsValidationError());
   EXPECT_NE(st.message().find("Custkey"), std::string::npos);
 }
@@ -190,7 +268,7 @@ TEST(XsdTest, BadLexicalTypeFails) {
       "<Order><Custkey>abc</Custkey>"
       "<Item><Name>x</Name><Qty>2</Qty></Item></Order>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_TRUE(OrderSchema().Validate(**doc).IsValidationError());
+  EXPECT_TRUE(OrderSchema().Validate(*doc).IsValidationError());
 }
 
 TEST(XsdTest, UndeclaredChildFailsClosedContent) {
@@ -198,7 +276,7 @@ TEST(XsdTest, UndeclaredChildFailsClosedContent) {
       "<Order><Custkey>5</Custkey><Bogus/>"
       "<Item><Name>x</Name><Qty>2</Qty></Item></Order>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_TRUE(OrderSchema().Validate(**doc).IsValidationError());
+  EXPECT_TRUE(OrderSchema().Validate(*doc).IsValidationError());
 }
 
 TEST(XsdTest, MaxOccursEnforced) {
@@ -206,7 +284,7 @@ TEST(XsdTest, MaxOccursEnforced) {
       "<Order><Custkey>5</Custkey><Note>a</Note><Note>b</Note>"
       "<Item><Name>x</Name><Qty>2</Qty></Item></Order>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_TRUE(OrderSchema().Validate(**doc).IsValidationError());
+  EXPECT_TRUE(OrderSchema().Validate(*doc).IsValidationError());
 }
 
 TEST(XsdTest, RequiredAttribute) {
@@ -217,8 +295,8 @@ TEST(XsdTest, RequiredAttribute) {
   schema.Element("Msg", spec);
   auto ok_doc = ParseXml("<Msg id=\"1\"/>");
   auto bad_doc = ParseXml("<Msg/>");
-  EXPECT_TRUE(schema.Validate(**ok_doc).ok());
-  EXPECT_TRUE(schema.Validate(**bad_doc).IsValidationError());
+  EXPECT_TRUE(schema.Validate(*ok_doc).ok());
+  EXPECT_TRUE(schema.Validate(*bad_doc).IsValidationError());
 }
 
 TEST(StxTest, RenameAndValueMap) {
@@ -236,13 +314,13 @@ TEST(StxTest, RenameAndValueMap) {
       "<Priority>H</Priority></CustomerB>");
   ASSERT_TRUE(doc.ok());
   size_t visited = 0;
-  auto out = t.Transform(**doc, &visited);
+  auto out = t.Transform(*doc, &visited);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ((*out)->name(), "CustomerS");
-  EXPECT_EQ((*out)->FindChild("Custkey")->text(), "3");
-  EXPECT_EQ((*out)->FindChild("Name")->text(), "li");
-  EXPECT_EQ((*out)->FindChild("Priority")->text(), "HIGH");
-  EXPECT_GE(visited, 4u);
+  EXPECT_EQ(out->name(), "CustomerS");
+  EXPECT_EQ(out->FindChild("Custkey")->text(), "3");
+  EXPECT_EQ(out->FindChild("Name")->text(), "li");
+  EXPECT_EQ(out->FindChild("Priority")->text(), "HIGH");
+  EXPECT_EQ(visited, 4u);
 }
 
 TEST(StxTest, ParentQualifiedMatch) {
@@ -254,13 +332,15 @@ TEST(StxTest, ParentQualifiedMatch) {
   t.AddRule(std::move(rule));
   auto doc = ParseXml("<Root><Order><Key>1</Key></Order><Key>2</Key></Root>");
   ASSERT_TRUE(doc.ok());
-  auto out = t.Transform(**doc);
+  size_t visited = 0;
+  auto out = t.Transform(*doc, &visited);
   ASSERT_TRUE(out.ok());
+  EXPECT_EQ(visited, 4u);
   // Only the Key under Order is renamed... note: Key under Order is a leaf
   // child handled by the Order rule's parent; here no rule matches Order, so
   // Key is visited as a child element and matched by parent qualification.
-  EXPECT_NE(SelectFirst(**out, "//Orderkey"), nullptr);
-  EXPECT_NE(SelectFirst(**out, "/Root/Key"), nullptr);
+  EXPECT_NE(SelectFirst(*out, "//Orderkey"), nullptr);
+  EXPECT_NE(SelectFirst(*out, "/Root/Key"), nullptr);
 }
 
 TEST(StxTest, DropRule) {
@@ -272,11 +352,11 @@ TEST(StxTest, DropRule) {
   auto doc = ParseXml("<a><Internal><x>1</x></Internal><b>2</b></a>");
   ASSERT_TRUE(doc.ok());
   size_t visited = 0;
-  auto out = t.Transform(**doc, &visited);
+  auto out = t.Transform(*doc, &visited);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ((*out)->FindChild("Internal"), nullptr);
-  EXPECT_NE((*out)->FindChild("b"), nullptr);
-  EXPECT_GE(visited, 4u);  // dropped subtree still counted
+  EXPECT_EQ(out->FindChild("Internal"), nullptr);
+  EXPECT_NE(out->FindChild("b"), nullptr);
+  EXPECT_EQ(visited, 4u);  // dropped subtree still counted
 }
 
 TEST(StxTest, AddFields) {
@@ -286,9 +366,11 @@ TEST(StxTest, AddFields) {
   rule.add_fields = {{"Source", "vienna"}};
   t.AddRule(std::move(rule));
   auto doc = ParseXml("<Order><k>1</k></Order>");
-  auto out = t.Transform(**doc);
+  size_t visited = 0;
+  auto out = t.Transform(*doc, &visited);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ((*out)->FindChild("Source")->text(), "vienna");
+  EXPECT_EQ(out->FindChild("Source")->text(), "vienna");
+  EXPECT_EQ(visited, 2u);  // added fields are not input
 }
 
 TEST(StxTest, DroppedRootErrors) {
@@ -297,8 +379,10 @@ TEST(StxTest, DroppedRootErrors) {
   rule.match = "a";
   rule.drop = true;
   t.AddRule(std::move(rule));
-  auto doc = ParseXml("<a/>");
-  EXPECT_TRUE(t.Transform(**doc).status().IsValidationError());
+  auto doc = ParseXml("<a><b/></a>");
+  size_t visited = 0;
+  EXPECT_TRUE(t.Transform(*doc, &visited).status().IsValidationError());
+  EXPECT_EQ(visited, 2u);
 }
 
 TEST(BridgeTest, RowSetRoundTrip) {
@@ -311,9 +395,9 @@ TEST(BridgeTest, RowSetRoundTrip) {
   rs.rows.push_back({Value::Int(1), Value::String("li"), Value::Double(9.5)});
   rs.rows.push_back({Value::Int(2), Value::Null(), Value::Double(-1.0)});
 
-  NodePtr doc = RowSetToXml(rs, "resultset", "row");
-  EXPECT_EQ(doc->child_count(), 2u);
-  auto back = XmlToRowSet(*doc, s, "row");
+  Node doc = RowSetToXml(rs, "resultset", "row");
+  EXPECT_EQ(doc.child_count(), 2u);
+  auto back = XmlToRowSet(doc, s, "row");
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->rows.size(), 2u);
   EXPECT_EQ(back->rows[0][0].AsInt(), 1);
@@ -326,11 +410,11 @@ TEST(BridgeTest, RowRoundTripThroughText) {
   Schema s;
   s.AddColumn("k", DataType::kInt64).AddColumn("d", DataType::kDate);
   Row row{Value::Int(5), Value::DateYmd(2008, 4, 12)};
-  NodePtr el = RowToXml(row, s, "rec");
-  std::string text = WriteXml(*el);
+  Node el = RowToXml(row, s, "rec");
+  std::string text = WriteXml(el);
   auto parsed = ParseXml(text);
   ASSERT_TRUE(parsed.ok());
-  auto back = XmlToRow(**parsed, s);
+  auto back = XmlToRow(*parsed, s);
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(RowsEqual(row, *back));
 }
@@ -340,7 +424,7 @@ TEST(BridgeTest, BadCellTextErrors) {
   s.AddColumn("k", DataType::kInt64);
   auto doc = ParseXml("<rs><row><k>xyz</k></row></rs>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_FALSE(XmlToRowSet(**doc, s, "row").ok());
+  EXPECT_FALSE(XmlToRowSet(*doc, s, "row").ok());
 }
 
 TEST(BridgeTest, ForeignRowNamesIgnored) {
@@ -348,7 +432,7 @@ TEST(BridgeTest, ForeignRowNamesIgnored) {
   s.AddColumn("k", DataType::kInt64);
   auto doc = ParseXml("<rs><other/><row><k>1</k></row></rs>");
   ASSERT_TRUE(doc.ok());
-  auto rs = XmlToRowSet(**doc, s, "row");
+  auto rs = XmlToRowSet(*doc, s, "row");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->rows.size(), 1u);
 }
