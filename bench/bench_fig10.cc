@@ -12,36 +12,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "bench/figure_flags.h"
 #include "src/common/flags.h"
 #include "src/common/string_util.h"
 #include "src/dipbench/client.h"
 #include "src/harness/harness.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/export.h"
-#include "src/scenario/manifest.h"
 #include "src/storage/spill.h"
 
 using namespace dipbench;
 
 int main(int argc, char** argv) {
   flags::FlagSet flags("bench_fig10");
-  flags.Define("scenario", "drive the figure from a scenario manifest "
-                           "(first expanded run) instead of the paper config")
-      .Define("trace-out", "write a Chrome trace of the run to this path")
-      .Define("metrics-out", "write metrics (.json or CSV) to this path")
-      .Define("fault-rate", "endpoint call failure probability q "
-                            "(enables 8-attempt retry + dead letters)")
-      .Define("retry-attempts", "attempts per process instance")
-      .Define("exec-mode",
-              "materialize | pipeline | columnar (default pipeline)")
-      .Define("memory-budget",
-              "byte budget per blocking operator; 0 = unlimited (default). "
-              "Non-zero spills runs to disk; output is identical")
-      .Define("workers", "real threads for the intra-run scheduler "
-                         "(default 1 = serial; output is identical)")
+  figure::DefineFlags(&flags,
+                      "drive the figure from a scenario manifest "
+                      "(first expanded run) instead of the paper config",
+                      "write a Chrome trace of the run to this path")
       .Define("datasize", "override scale factor d (default 0.05)")
       .Define("realization",
               "full | incremental (default full): process realization for "
@@ -53,31 +42,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  ScaleConfig config;
-  config.datasize = 0.05;
-  config.time_scale = 1.0;
-  config.distribution = Distribution::kUniform;
-  config.periods = 100;
-  std::string engine_name = "federated";
-  // --scenario=<file>: the manifest's first expanded run (first engine,
-  // first sweep value) replaces the compiled-in Figure 10 configuration;
-  // the remaining flags still apply on top of it.
-  const std::string scenario_path = flags.Get("scenario");
-  if (!scenario_path.empty()) {
-    auto manifest = scenario::ScenarioManifest::Load(scenario_path);
-    if (!manifest.ok()) {
-      std::fprintf(stderr, "%s\n", manifest.status().ToString().c_str());
-      return 2;
-    }
-    harness::RunSpec spec = manifest->Expand().front();
-    config = spec.config;
-    engine_name = spec.engine;
-    std::printf("scenario: %s (%s)\n\n", spec.label.c_str(),
-                scenario_path.c_str());
-  }
-  if (const char* p = std::getenv("DIPBENCH_PERIODS")) {
-    config.periods = std::atoi(p);
-  }
+  // With --scenario the remaining flags still apply on top of the
+  // manifest's run.
+  harness::RunSpec spec;
+  if (!figure::LoadBaseSpec(flags, &spec)) return 2;
+  ScaleConfig& config = spec.config;
   // --datasize=d scales the external datasets and per-period instance
   // counts (the paper's d axis); used by CI to smoke d = 1.0 under a
   // hard address-space cap with --memory-budget.
@@ -91,72 +60,7 @@ int main(int argc, char** argv) {
   }
   const std::string trace_out = flags.Get("trace-out");
   const std::string metrics_out = flags.Get("metrics-out");
-  // Fault injection + recovery (src/net/fault.h): --fault-rate=q makes
-  // every endpoint call fail with probability q (seeded, reproducible);
-  // --retry-attempts=n gives each instance n attempts with 1 tu
-  // exponential backoff and dead-letters it when the budget is exhausted.
-  // Defaults keep both off — output is byte-identical to earlier builds.
-  if (flags.Has("fault-rate")) {
-    Result<double> q = flags.GetDouble("fault-rate", 0.0);
-    if (!q.ok()) {
-      std::fprintf(stderr, "%s\n%s", q.status().ToString().c_str(),
-                   flags.Usage().c_str());
-      return 2;
-    }
-    config.fault_rate = *q;
-    config.retry_max_attempts = 8;
-    config.retry_backoff_tu = 1.0;
-    config.retry_dead_letter = true;
-  }
-  if (flags.Has("retry-attempts")) {
-    Result<int> attempts = flags.GetInt("retry-attempts", 1);
-    if (!attempts.ok()) {
-      std::fprintf(stderr, "%s\n%s", attempts.status().ToString().c_str(),
-                   flags.Usage().c_str());
-      return 2;
-    }
-    config.retry_max_attempts = *attempts;
-    config.retry_backoff_tu = 1.0;
-    config.retry_dead_letter = true;
-  }
-  // --workers=N executes independent instances of one run on N real
-  // threads (SPECIFICATION.md §13); every figure artifact stays
-  // byte-identical to the serial run.
-  if (flags.Has("workers")) {
-    Result<int> workers = flags.GetInt("workers", 1);
-    if (!workers.ok() || *workers < 1) {
-      std::fprintf(stderr, "invalid --workers\n%s", flags.Usage().c_str());
-      return 2;
-    }
-    config.workers = *workers;
-  }
-  // --exec-mode=materialize|pipeline|columnar (default pipeline). Monitor
-  // output is identical between modes; the flag exists for parity checks
-  // and timing.
-  const std::string exec_mode = flags.Get("exec-mode");
-  if (exec_mode == "materialize") {
-    SetExecMode(ExecMode::kMaterialize);
-  } else if (exec_mode == "pipeline") {
-    SetExecMode(ExecMode::kPipeline);
-  } else if (exec_mode == "columnar") {
-    SetExecMode(ExecMode::kColumnar);
-  } else if (!exec_mode.empty()) {
-    std::fprintf(stderr, "unknown --exec-mode=%s\n%s", exec_mode.c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  // --memory-budget=BYTES caps every blocking plan operator; exceeding it
-  // spills partitioned runs to disk (src/storage/spill.h). All figure
-  // artifacts stay byte-identical for any value.
-  if (flags.Has("memory-budget")) {
-    Result<int> budget = flags.GetInt("memory-budget", 0);
-    if (!budget.ok() || *budget < 0) {
-      std::fprintf(stderr, "invalid --memory-budget\n%s",
-                   flags.Usage().c_str());
-      return 2;
-    }
-    config.operator_memory_budget = static_cast<size_t>(*budget);
-  }
+  if (!figure::ApplyRunFlags(flags, &config)) return 2;
   // --realization=incremental swaps the Group C/D process bodies for the
   // change-data-capture realization (src/ivm); the Client installs the
   // delta procedures before initialization. Final landscape state is
@@ -170,51 +74,29 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto scenario_result = Scenario::Create();
-  if (!scenario_result.ok()) {
-    std::fprintf(stderr, "%s\n", scenario_result.status().ToString().c_str());
-    return 1;
-  }
-  auto scenario = std::move(scenario_result).ValueOrDie();
-  auto engine_result = harness::MakeEngine(engine_name, scenario->network(),
-                                           config.worker_slots);
-  if (!engine_result.ok()) {
-    std::fprintf(stderr, "%s\n", engine_result.status().ToString().c_str());
-    return 1;
-  }
-  core::EngineBase& engine = **engine_result;
-  Client client(scenario.get(), &engine, config);
-
   // Observability is opt-in: without the flags no recorder exists and the
   // run is byte-identical to an uninstrumented binary.
-  obs::TraceRecorder recorder;
-  obs::MetricsRegistry registry;
   const bool observed = !trace_out.empty() || !metrics_out.empty();
-  if (observed) {
-    obs::ObsContext obs(trace_out.empty() ? nullptr : &recorder, &registry);
-    engine.SetObserver(obs);
-    scenario->network()->SetObserver(obs);
-    client.SetObserver(obs);
-  }
-
-  auto result = client.Run();
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+  spec.observe = observed;
+  harness::RunOutcome run = harness::RunnerPool::ExecuteOne(spec);
+  if (!run.ok) {
+    std::fprintf(stderr, "%s\n", run.error.c_str());
     return 1;
   }
+  const BenchmarkResult& result = run.result;
 
   std::printf("=== Figure 10: DIPBench performance plot, federated "
               "reference implementation, d = 0.05 ===\n\n");
-  std::printf("%s\n", result->RenderPlot().c_str());
-  std::printf("%s\n", Monitor::ToCsv(result->per_process).c_str());
-  std::printf("verification: %s\n", result->verification.ToString().c_str());
+  std::printf("%s\n", result.RenderPlot().c_str());
+  std::printf("%s\n", run.monitor_csv.c_str());
+  std::printf("verification: %s\n", result.verification.ToString().c_str());
   if (config.fault_rate > 0.0 || config.retry_max_attempts > 1) {
     std::printf("recovery: %llu retries, %llu dead letters at q=%.3f\n",
-                static_cast<unsigned long long>(result->retries),
-                static_cast<unsigned long long>(result->dead_letters),
+                static_cast<unsigned long long>(result.retries),
+                static_cast<unsigned long long>(result.dead_letters),
                 config.fault_rate);
   }
-  std::printf("wall time: %.0f ms for %d periods\n", result->wall_ms,
+  std::printf("wall time: %.0f ms for %d periods\n", result.wall_ms,
               config.periods);
   if (config.operator_memory_budget > 0) {
     SpillStats sp = GetSpillStats();
@@ -230,7 +112,7 @@ int main(int argc, char** argv) {
   // The paper's two headline observations, checked programmatically.
   double msg_max = 0, bulk_min = 1e18, msg_dev = 0, bulk_dev = 0;
   int msg_n = 0, bulk_n = 0;
-  for (const auto& m : result->per_process) {
+  for (const auto& m : result.per_process) {
     bool is_msg = m.process_id == "P01" || m.process_id == "P02" ||
                   m.process_id == "P04" || m.process_id == "P08" ||
                   m.process_id == "P10";
@@ -256,6 +138,8 @@ int main(int argc, char** argv) {
               bulk_dev / bulk_n > msg_dev / msg_n ? "OK" : "VIOLATED");
 
   if (observed) {
+    const obs::TraceRecorder& recorder = *run.trace;
+    const obs::MetricsRegistry& registry = *run.metrics;
     std::printf("\n%s", Monitor::RenderPercentiles(registry, config).c_str());
 
     // Reconcile the trace against the Monitor: summed leaf-span durations
@@ -268,7 +152,7 @@ int main(int argc, char** argv) {
       double trace_cp = config.MsToTu(
           recorder.CategoryTotalMs(obs::Category::kProcessing));
       double mon_cc = 0, mon_cm = 0, mon_cp = 0;
-      for (const auto& m : result->per_process) {
+      for (const auto& m : result.per_process) {
         mon_cc += m.avg_cc_tu * m.instances;
         mon_cm += m.avg_cm_tu * m.instances;
         mon_cp += m.avg_cp_tu * m.instances;

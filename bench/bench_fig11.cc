@@ -9,179 +9,71 @@
 // with the dataset, but the *relative* deviation shrinks.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "bench/figure_flags.h"
 #include "src/common/flags.h"
 #include "src/common/string_util.h"
 #include "src/dipbench/client.h"
 #include "src/harness/harness.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/export.h"
-#include "src/scenario/manifest.h"
 
 using namespace dipbench;
 
-namespace {
-
-Result<BenchmarkResult> RunAt(ScaleConfig config, const std::string& engine_name,
-                              double datasize,
-                              obs::ObsContext obs = obs::ObsContext()) {
-  config.datasize = datasize;
-  DIP_ASSIGN_OR_RETURN(auto scenario, Scenario::Create());
-  DIP_ASSIGN_OR_RETURN(auto engine,
-                       harness::MakeEngine(engine_name, scenario->network(),
-                                           config.worker_slots));
-  Client client(scenario.get(), engine.get(), config);
-  if (obs.enabled()) {
-    engine->SetObserver(obs);
-    scenario->network()->SetObserver(obs);
-    client.SetObserver(obs);
-  }
-  return client.Run();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   flags::FlagSet flags("bench_fig11");
-  flags.Define("scenario", "base both runs on a scenario manifest's first "
-                           "expanded config (datasize forced to 0.1/0.05)")
-      .Define("trace-out", "write a Chrome trace of the d=0.1 run here")
-      .Define("metrics-out", "write metrics (.json or CSV) to this path")
-      .Define("fault-rate", "endpoint call failure probability q "
-                            "(enables 8-attempt retry + dead letters)")
-      .Define("retry-attempts", "attempts per process instance")
-      .Define("exec-mode",
-              "materialize | pipeline | columnar (default pipeline)")
-      .Define("memory-budget",
-              "byte budget per blocking operator; 0 = unlimited (default). "
-              "Non-zero spills runs to disk; output is identical")
-      .Define("workers", "real threads for the intra-run scheduler "
-                         "(default 1 = serial; output is identical)");
+  figure::DefineFlags(&flags,
+                      "base both runs on a scenario manifest's first "
+                      "expanded config (datasize forced to 0.1/0.05)",
+                      "write a Chrome trace of the d=0.1 run here");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::fprintf(stderr, "%s\n%s", st.ToString().c_str(),
                  flags.Usage().c_str());
     return 2;
   }
 
-  ScaleConfig base;
-  base.datasize = 0.05;
-  base.time_scale = 1.0;
-  base.distribution = Distribution::kUniform;
-  base.periods = 100;
-  std::string engine_name = "federated";
-  // --scenario=<file>: the manifest's first expanded run becomes the base
-  // configuration of BOTH runs; only datasize is forced to the figure's
-  // 0.1-vs-0.05 axis.
-  const std::string scenario_path = flags.Get("scenario");
-  if (!scenario_path.empty()) {
-    auto manifest = scenario::ScenarioManifest::Load(scenario_path);
-    if (!manifest.ok()) {
-      std::fprintf(stderr, "%s\n", manifest.status().ToString().c_str());
-      return 2;
-    }
-    harness::RunSpec spec = manifest->Expand().front();
-    base = spec.config;
-    engine_name = spec.engine;
-    std::printf("scenario: %s (%s)\n\n", spec.label.c_str(),
-                scenario_path.c_str());
-  }
-  if (const char* p = std::getenv("DIPBENCH_PERIODS")) {
-    base.periods = std::atoi(p);
-  }
+  // Both runs share one base configuration (with --scenario, the
+  // manifest's first run) and the run dials — fault injection included,
+  // so the d comparison stays apples-to-apples; only datasize is forced to
+  // the figure's 0.1-vs-0.05 axis.
+  harness::RunSpec base;
+  if (!figure::LoadBaseSpec(flags, &base)) return 2;
   const std::string trace_out = flags.Get("trace-out");
   const std::string metrics_out = flags.Get("metrics-out");
-  // Fault injection + recovery, applied to BOTH runs so the d comparison
-  // stays apples-to-apples. Defaults keep it off (byte-identical output).
-  if (flags.Has("fault-rate")) {
-    Result<double> q = flags.GetDouble("fault-rate", 0.0);
-    if (!q.ok()) {
-      std::fprintf(stderr, "%s\n%s", q.status().ToString().c_str(),
-                   flags.Usage().c_str());
-      return 2;
-    }
-    base.fault_rate = *q;
-    base.retry_max_attempts = 8;
-    base.retry_backoff_tu = 1.0;
-    base.retry_dead_letter = true;
-  }
-  if (flags.Has("retry-attempts")) {
-    Result<int> attempts = flags.GetInt("retry-attempts", 1);
-    if (!attempts.ok()) {
-      std::fprintf(stderr, "%s\n%s", attempts.status().ToString().c_str(),
-                   flags.Usage().c_str());
-      return 2;
-    }
-    base.retry_max_attempts = *attempts;
-    base.retry_backoff_tu = 1.0;
-    base.retry_dead_letter = true;
-  }
-  // --workers=N runs both configurations on the intra-run scheduler
-  // (SPECIFICATION.md §13); the figure's numbers do not change.
-  if (flags.Has("workers")) {
-    Result<int> workers = flags.GetInt("workers", 1);
-    if (!workers.ok() || *workers < 1) {
-      std::fprintf(stderr, "invalid --workers\n%s", flags.Usage().c_str());
-      return 2;
-    }
-    base.workers = *workers;
-  }
-  // --exec-mode=materialize|pipeline|columnar (default pipeline). Monitor
-  // output is identical between modes; the flag exists for parity checks
-  // and timing.
-  const std::string exec_mode = flags.Get("exec-mode");
-  if (exec_mode == "materialize") {
-    SetExecMode(ExecMode::kMaterialize);
-  } else if (exec_mode == "pipeline") {
-    SetExecMode(ExecMode::kPipeline);
-  } else if (exec_mode == "columnar") {
-    SetExecMode(ExecMode::kColumnar);
-  } else if (!exec_mode.empty()) {
-    std::fprintf(stderr, "unknown --exec-mode=%s\n%s", exec_mode.c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
-  // --memory-budget=BYTES makes blocking operators spill to disk past the
-  // budget; both figure runs keep byte-identical output for any value.
-  if (flags.Has("memory-budget")) {
-    Result<int> budget = flags.GetInt("memory-budget", 0);
-    if (!budget.ok() || *budget < 0) {
-      std::fprintf(stderr, "invalid --memory-budget\n%s",
-                   flags.Usage().c_str());
-      return 2;
-    }
-    base.operator_memory_budget = static_cast<size_t>(*budget);
-  }
+  if (!figure::ApplyRunFlags(flags, &base.config)) return 2;
 
   // The observer (when requested) watches the Fig. 11 run (d = 0.1); the
   // d = 0.05 comparison run stays unobserved.
-  obs::TraceRecorder recorder;
-  obs::MetricsRegistry registry;
-  obs::ObsContext obs;
-  if (!trace_out.empty() || !metrics_out.empty()) {
-    obs = obs::ObsContext(trace_out.empty() ? nullptr : &recorder, &registry);
-  }
-
-  auto fig11 = RunAt(base, engine_name, 0.1, obs);
-  auto fig10 = RunAt(base, engine_name, 0.05);
-  if (!fig11.ok() || !fig10.ok()) {
-    std::fprintf(stderr, "%s %s\n", fig11.status().ToString().c_str(),
-                 fig10.status().ToString().c_str());
+  harness::RunSpec spec11 = base;
+  spec11.config.datasize = 0.1;
+  spec11.observe = !trace_out.empty() || !metrics_out.empty();
+  harness::RunSpec spec10 = base;
+  spec10.config.datasize = 0.05;
+  harness::RunOutcome run11 = harness::RunnerPool::ExecuteOne(spec11);
+  harness::RunOutcome run10 = harness::RunnerPool::ExecuteOne(spec10);
+  if (!run11.ok || !run10.ok) {
+    auto status_text = [](const harness::RunOutcome& run) {
+      return run.ok ? std::string("OK") : run.error;
+    };
+    std::fprintf(stderr, "%s %s\n", status_text(run11).c_str(),
+                 status_text(run10).c_str());
     return 1;
   }
+  const BenchmarkResult& fig11 = run11.result;
+  const BenchmarkResult& fig10 = run10.result;
 
   std::printf("=== Figure 11: DIPBench performance plot, federated "
               "reference implementation, d = 0.1 ===\n\n");
-  std::printf("%s\n", fig11->RenderPlot().c_str());
+  std::printf("%s\n", fig11.RenderPlot().c_str());
 
   std::printf("=== Fig. 10 vs Fig. 11 (effect of doubling d) ===\n");
   std::printf("%-5s %-3s %12s %12s %8s %14s %14s\n", "Proc", "E",
               "NAVG+ d=.05", "NAVG+ d=.1", "ratio", "reldev d=.05",
               "reldev d=.1");
-  for (const auto& m : fig10->per_process) {
+  for (const auto& m : fig10.per_process) {
     const ProcessMetrics* m11 = nullptr;
-    for (const auto& cand : fig11->per_process) {
+    for (const auto& cand : fig11.per_process) {
       if (cand.process_id == m.process_id) m11 = &cand;
     }
     if (m11 == nullptr) continue;
@@ -202,9 +94,9 @@ int main(int argc, char** argv) {
   int e1_n = 0;
   double e2_reldev_drop = 0;
   int e2_n = 0;
-  for (const auto& m : fig10->per_process) {
+  for (const auto& m : fig10.per_process) {
     const ProcessMetrics* m11 = nullptr;
-    for (const auto& cand : fig11->per_process) {
+    for (const auto& cand : fig11.per_process) {
       if (cand.process_id == m.process_id) m11 = &cand;
     }
     if (m11 == nullptr || m.navg_plus_tu <= 0) continue;
@@ -236,6 +128,7 @@ int main(int argc, char** argv) {
               e2_reldev_drop / e2_n >= -0.01 ? "OK" : "VIOLATED");
 
   if (!trace_out.empty()) {
+    const obs::TraceRecorder& recorder = *run11.trace;
     Status st =
         obs::WriteFileOrError(trace_out, obs::ToChromeTraceJson(recorder));
     if (!st.ok()) {
@@ -246,6 +139,7 @@ int main(int argc, char** argv) {
                 recorder.span_count(), trace_out.c_str());
   }
   if (!metrics_out.empty()) {
+    const obs::MetricsRegistry& registry = *run11.metrics;
     std::string dump = EndsWith(metrics_out, ".json")
                            ? obs::MetricsToJson(registry)
                            : obs::MetricsToCsv(registry);

@@ -3,25 +3,21 @@
 // parse/serialize, STX translation, XSD validation, and the end-to-end
 // endpoint paths (database vs Web-service marshaling).
 //
-// The relational operators run under BOTH execution modes
-// (pipeline = 0: legacy full materialization between operators,
-// pipeline = 1: batch-streamed cursors) so the rows/sec effect of the
-// pipelined engine is measurable per operator. items_per_second in the
+// The relational operators run under both execution modes (mode = 0:
+// kMaterialize, the test reference that materializes between operators;
+// mode = 1: kPipeline, batch-streamed cursors) so the rows/sec effect of
+// the pipelined engine is measurable per operator. items_per_second in the
 // output is the rows/sec figure. By default the run also writes
 // BENCH_operators.json (Google Benchmark JSON) next to the binary; pass
 // your own --benchmark_out= to override.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "src/common/string_util.h"
 #include "src/dipbench/schemas.h"
 #include "src/storage/spill.h"
 #include "src/net/endpoint.h"
@@ -63,23 +59,16 @@ Table* MakeOrdersTable(Database* db, int64_t n) {
 }
 
 /// Second benchmark argument selects the execution mode:
-/// 0 = materialize, 1 = pipeline (row cursors), 2 = columnar kernels.
+/// 0 = materialize (the test reference), 1 = pipeline (row cursors).
 ExecMode ModeArg(const benchmark::State& state) {
-  switch (state.range(1)) {
-    case 0:
-      return ExecMode::kMaterialize;
-    case 1:
-      return ExecMode::kPipeline;
-    default:
-      return ExecMode::kColumnar;
-  }
+  return state.range(1) == 0 ? ExecMode::kMaterialize : ExecMode::kPipeline;
 }
 
-/// Registers {rows} x {materialize, pipeline, columnar} variants.
+/// Registers {rows} x {materialize, pipeline} variants.
 void ModeArgs(benchmark::internal::Benchmark* b) {
   b->ArgNames({"rows", "mode"});
   for (int64_t rows : {int64_t{4096}, int64_t{65536}}) {
-    b->Args({rows, 0})->Args({rows, 1})->Args({rows, 2});
+    b->Args({rows, 0})->Args({rows, 1});
   }
 }
 
@@ -134,10 +123,8 @@ void BM_ScanFilterProject(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanFilterProject)->Apply(ModeArgs);
 
-// The columnar acceptance chain: filter -> grouped aggregate never leaves
-// the columnar kernels (selection vector feeds the vectorized hash
-// aggregate directly), which is where column-at-a-time execution pays off
-// the most against the row cursors.
+// Filter -> grouped aggregate: in pipelined mode the aggregate folds the
+// filter's borrowed tuples in place, with no intermediate RowSet.
 void BM_FilterAggregateChain(benchmark::State& state) {
   Database db("bench");
   Table* t = MakeOrdersTable(&db, state.range(0));
@@ -347,74 +334,6 @@ void BM_EndpointQuery_WebService(benchmark::State& state) {
 BENCHMARK(BM_EndpointQuery_WebService)->Arg(1000);
 
 }  // namespace
-
-/// --columnar-gate=<path>: self-timed CI gate. Runs the filter->aggregate
-/// acceptance chain under the row cursors (pipeline) and the columnar
-/// kernels, writes a small JSON report to <path>, and fails (non-zero)
-/// when columnar throughput drops below row-mode throughput. Timing is
-/// best-of-5 so scheduler noise on shared CI runners cannot flake the
-/// gate.
-int RunColumnarGate(const std::string& out_path) {
-  constexpr int64_t kRows = 65536;
-  Database db("gate");
-  Table* t = MakeOrdersTable(&db, kRows);
-  PlanPtr plan =
-      Aggregate(Filter(ScanTable(t), Gt(Col("price"), Lit(250.0))),
-                {"custkey"},
-                {{"revenue", AggFunc::kSum, "price"},
-                 {"n", AggFunc::kCount, ""}});
-
-  auto best_seconds = [&](ExecMode mode) {
-    ScopedExecMode scoped(mode);
-    double best = 1e18;
-    for (int rep = 0; rep < 6; ++rep) {  // rep 0 is warm-up
-      ExecContext ctx;
-      auto start = std::chrono::steady_clock::now();
-      auto out = plan->Execute(&ctx);
-      auto stop = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(out);
-      if (!out.ok()) {
-        std::fprintf(stderr, "gate plan failed: %s\n",
-                     out.status().ToString().c_str());
-        std::exit(1);
-      }
-      double s = std::chrono::duration<double>(stop - start).count();
-      if (rep > 0) best = std::min(best, s);
-    }
-    return best;
-  };
-
-  double row_s = best_seconds(ExecMode::kPipeline);
-  double col_s = best_seconds(ExecMode::kColumnar);
-  double row_rps = kRows / row_s;
-  double col_rps = kRows / col_s;
-  double speedup = row_s / col_s;
-  bool pass = col_rps >= row_rps;
-
-  std::string json = StrFormat(
-      "{\n"
-      "  \"benchmark\": \"BM_FilterAggregateChain\",\n"
-      "  \"rows\": %lld,\n"
-      "  \"row_mode_rows_per_sec\": %.0f,\n"
-      "  \"columnar_rows_per_sec\": %.0f,\n"
-      "  \"speedup\": %.2f,\n"
-      "  \"gate\": \"%s\"\n"
-      "}\n",
-      static_cast<long long>(kRows), row_rps, col_rps, speedup,
-      pass ? "pass" : "fail");
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("columnar gate: row %.0f rows/s, columnar %.0f rows/s "
-              "(%.2fx) -> %s\n",
-              row_rps, col_rps, speedup, pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
-}
-
 }  // namespace dipbench
 
 // Custom main: write BENCH_operators.json by default so CI (and humans) get
@@ -423,16 +342,10 @@ int main(int argc, char** argv) {
   std::vector<char*> args;
   args.push_back(argv[0]);
   bool has_out = false;
-  std::string gate_out;
   for (int i = 1; i < argc; ++i) {
-    // Our own flags, consumed before Google Benchmark sees the arg list:
-    // --columnar-gate=<path> runs the self-timed CI gate instead of the
-    // registered benchmarks; --memory-budget=<bytes> applies an operator
-    // spill budget to every benchmark on this thread.
-    if (std::strncmp(argv[i], "--columnar-gate=", 16) == 0) {
-      gate_out = argv[i] + 16;
-      continue;
-    }
+    // Our own flag, consumed before Google Benchmark sees the arg list:
+    // --memory-budget=<bytes> applies an operator spill budget to every
+    // benchmark on this thread.
     if (std::strncmp(argv[i], "--memory-budget=", 16) == 0) {
       dipbench::SetMemoryBudget(
           static_cast<size_t>(std::strtoull(argv[i] + 16, nullptr, 10)));
@@ -441,7 +354,6 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
     args.push_back(argv[i]);
   }
-  if (!gate_out.empty()) return dipbench::RunColumnarGate(gate_out);
   static std::string out_flag = "--benchmark_out=BENCH_operators.json";
   static std::string fmt_flag = "--benchmark_out_format=json";
   if (!has_out) {

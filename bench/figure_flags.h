@@ -1,0 +1,124 @@
+// Flags and run configuration shared by the figure drivers (bench_fig10,
+// bench_fig11). Both start from the paper's Figure 10 setup, may replace it
+// with a scenario manifest's first run, and apply the same fault, worker
+// and memory-budget flags on top; both then execute through
+// harness::RunnerPool::ExecuteOne.
+
+#ifndef DIPBENCH_BENCH_FIGURE_FLAGS_H_
+#define DIPBENCH_BENCH_FIGURE_FLAGS_H_
+
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
+#include "src/common/flags.h"
+#include "src/harness/harness.h"
+#include "src/scenario/manifest.h"
+
+namespace dipbench {
+namespace figure {
+
+/// Declares the shared flags, in usage order; `scenario_help` and
+/// `trace_help` say what the driver does with them.
+inline flags::FlagSet& DefineFlags(flags::FlagSet* flags,
+                                   const char* scenario_help,
+                                   const char* trace_help) {
+  return flags->Define("scenario", scenario_help)
+      .Define("trace-out", trace_help)
+      .Define("metrics-out", "write metrics (.json or CSV) to this path")
+      .Define("fault-rate", "endpoint call failure probability q "
+                            "(enables 8-attempt retry + dead letters)")
+      .Define("retry-attempts", "attempts per process instance")
+      .Define("memory-budget",
+              "byte budget per blocking operator; 0 = unlimited (default). "
+              "Non-zero spills runs to disk; output is identical")
+      .Define("workers", "real threads for the intra-run scheduler "
+                         "(default 1 = serial; output is identical)");
+}
+
+/// The run a figure starts from: the paper's Figure 10 configuration
+/// (d = 0.05, sfTime = 1.0, uniform, 100 periods) on the federated engine,
+/// or with --scenario=<file> the manifest's first expanded run (first
+/// engine, first sweep value). DIPBENCH_PERIODS overrides the period
+/// count. Returns false after printing the error.
+inline bool LoadBaseSpec(const flags::FlagSet& flags, harness::RunSpec* spec) {
+  spec->config.datasize = 0.05;
+  spec->config.time_scale = 1.0;
+  spec->config.distribution = Distribution::kUniform;
+  spec->config.periods = 100;
+  const std::string scenario_path = flags.Get("scenario");
+  if (!scenario_path.empty()) {
+    auto manifest = scenario::ScenarioManifest::Load(scenario_path);
+    if (!manifest.ok()) {
+      std::fprintf(stderr, "%s\n", manifest.status().ToString().c_str());
+      return false;
+    }
+    *spec = manifest->Expand().front();
+    std::printf("scenario: %s (%s)\n\n", spec->label.c_str(),
+                scenario_path.c_str());
+  }
+  if (const char* p = std::getenv("DIPBENCH_PERIODS")) {
+    spec->config.periods = std::atoi(p);
+  }
+  return true;
+}
+
+/// Applies the run dials to `config`; defaults leave it untouched, so
+/// output stays byte-identical to a run without them. Returns false after
+/// printing the error and the usage.
+///  --fault-rate=q      every endpoint call fails with probability q
+///                      (src/net/fault.h, seeded), with 8 attempts per
+///                      instance, 1 tu exponential backoff and dead letters;
+///  --retry-attempts=n  n attempts per instance, same backoff;
+///  --workers=N         runs independent instances on N real threads
+///                      (SPECIFICATION.md §13);
+///  --memory-budget=B   caps every blocking plan operator at B bytes and
+///                      spills partitioned runs past it (src/storage/spill.h).
+inline bool ApplyRunFlags(const flags::FlagSet& flags, ScaleConfig* config) {
+  if (flags.Has("fault-rate")) {
+    Result<double> q = flags.GetDouble("fault-rate", 0.0);
+    if (!q.ok()) {
+      std::fprintf(stderr, "%s\n%s", q.status().ToString().c_str(),
+                   flags.Usage().c_str());
+      return false;
+    }
+    config->fault_rate = *q;
+    config->retry_max_attempts = 8;
+    config->retry_backoff_tu = 1.0;
+    config->retry_dead_letter = true;
+  }
+  if (flags.Has("retry-attempts")) {
+    Result<int> attempts = flags.GetInt("retry-attempts", 1);
+    if (!attempts.ok()) {
+      std::fprintf(stderr, "%s\n%s", attempts.status().ToString().c_str(),
+                   flags.Usage().c_str());
+      return false;
+    }
+    config->retry_max_attempts = *attempts;
+    config->retry_backoff_tu = 1.0;
+    config->retry_dead_letter = true;
+  }
+  if (flags.Has("workers")) {
+    Result<int> workers = flags.GetInt("workers", 1);
+    if (!workers.ok() || *workers < 1) {
+      std::fprintf(stderr, "invalid --workers\n%s", flags.Usage().c_str());
+      return false;
+    }
+    config->workers = *workers;
+  }
+  if (flags.Has("memory-budget")) {
+    Result<int> budget = flags.GetInt("memory-budget", 0);
+    if (!budget.ok() || *budget < 0) {
+      std::fprintf(stderr, "invalid --memory-budget\n%s",
+                   flags.Usage().c_str());
+      return false;
+    }
+    config->operator_memory_budget = static_cast<size_t>(*budget);
+  }
+  return true;
+}
+
+}  // namespace figure
+}  // namespace dipbench
+
+#endif  // DIPBENCH_BENCH_FIGURE_FLAGS_H_

@@ -93,8 +93,6 @@ const char* ExecModeName(ExecMode mode) {
       return "materialize";
     case ExecMode::kPipeline:
       return "pipeline";
-    case ExecMode::kColumnar:
-      return "columnar";
   }
   return "?";
 }
@@ -102,10 +100,8 @@ const char* ExecModeName(ExecMode mode) {
 Result<ExecMode> ParseExecMode(const std::string& name) {
   if (name == "materialize") return ExecMode::kMaterialize;
   if (name == "pipeline") return ExecMode::kPipeline;
-  if (name == "columnar") return ExecMode::kColumnar;
-  return Status::InvalidArgument(
-      "unknown exec mode '" + name +
-      "' (expected materialize, pipeline or columnar)");
+  return Status::InvalidArgument("unknown exec mode '" + name +
+                                 "' (expected materialize or pipeline)");
 }
 
 std::string MatrixCell::Label() const {
@@ -120,8 +116,7 @@ std::vector<MatrixCell> DefaultMatrix(bool include_eai) {
   if (include_eai) engines.push_back("eai");
   std::vector<MatrixCell> matrix;
   for (const std::string& engine : engines) {
-    for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline,
-                          ExecMode::kColumnar}) {
+    for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
       for (int workers : {1, 4}) {
         for (size_t budget : {size_t{0}, kSmallBudget}) {
           matrix.push_back(MatrixCell{engine, mode, workers, budget});

@@ -31,7 +31,7 @@ struct MatrixCell {
   /// documented in SPECIFICATION.md §16 are allowlisted.
   Realization realization = Realization::kFullRecompute;
 
-  /// "dataflow/columnar/w4/b4096" (+"/inc" for incremental cells) —
+  /// "dataflow/pipeline/w4/b4096" (+"/inc" for incremental cells) —
   /// stable, label- and log-friendly.
   std::string Label() const;
 };
@@ -40,7 +40,7 @@ const char* ExecModeName(ExecMode mode);
 Result<ExecMode> ParseExecMode(const std::string& name);
 
 /// The issue's full matrix: {federated, dataflow} (+ eai on request) x
-/// {materialize, pipeline, columnar} x workers {1, 4} x budgets
+/// {materialize, pipeline} x workers {1, 4} x budgets
 /// {0, kSmallBudget}.
 std::vector<MatrixCell> DefaultMatrix(bool include_eai);
 

@@ -208,8 +208,8 @@ bool WaveRunner::Run(int n, int workers, const Hooks& hooks) {
   }
 
   // Pool threads inherit the submitting thread's (thread-local) relational
-  // exec mode and operator memory budget, same as the inter-run harness
-  // pool.
+  // exec mode (kMaterialize only under the test reference) and operator
+  // memory budget, same as the inter-run harness pool.
   const ExecMode mode = CurrentExecMode();
   const size_t budget = CurrentMemoryBudget();
   auto worker_loop = [&]() {

@@ -130,7 +130,8 @@ std::vector<RunOutcome> RunnerPool::RunTasks(
   // Every job runs under the exec mode and operator memory budget active on
   // the submitting thread — both are thread-local (src/ra/plan.h,
   // src/storage/spill.h), so fresh pool threads would otherwise silently
-  // fall back to the defaults.
+  // fall back to the defaults. The mode only ever differs from the
+  // kPipeline default under the kMaterialize test reference.
   const ExecMode mode = CurrentExecMode();
   const size_t budget = CurrentMemoryBudget();
   auto run_task = [&](size_t i) {

@@ -34,8 +34,9 @@ struct RunSpec {
   bool keep_records = false;
   /// Per-run plan execution mode. The pool normally re-applies the
   /// submitting thread's thread-local mode to every job; a set value
-  /// overrides that for this run only (the conformance matrix runs one
-  /// spec list across all three modes).
+  /// overrides that for this run only (the conformance matrix and the
+  /// realization-equivalence test run kMaterialize, the test reference,
+  /// beside kPipeline in one spec list).
   std::optional<ExecMode> exec_mode;
   /// Capture a conformance::StateDigest of the final landscape (plus
   /// monitor/verification/recovery/run-outcome) into the outcome. The

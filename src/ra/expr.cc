@@ -1,6 +1,5 @@
 #include "src/ra/expr.h"
 
-#include <algorithm>
 #include <cmath>
 #include <span>
 
@@ -51,22 +50,6 @@ Status Expr::EvalBatch(const TupleRefs& rows, const Schema& schema,
     DIP_ASSIGN_OR_RETURN(Value v,
                          Eval(plain ? *rows.tuple(i)[0] : scratch, schema));
     out->push_back(std::move(v));
-  }
-  return Status::OK();
-}
-
-Status Expr::EvalSelection(const ColumnBatch& batch, const Schema& schema,
-                           std::vector<uint32_t>* out) const {
-  // Fallback for expressions without a column kernel: materialize each row
-  // and keep the non-null trues, exactly like the row-mode filter.
-  out->clear();
-  const size_t n = batch.size();
-  for (size_t i = 0; i < n; ++i) {
-    Row row = MaterializeColumnRow(batch, i);
-    DIP_ASSIGN_OR_RETURN(Value v, Eval(row, schema));
-    if (!v.is_null() && v.type() == DataType::kBool && v.AsBool()) {
-      out->push_back(batch.phys(i));
-    }
   }
   return Status::OK();
 }
@@ -158,133 +141,6 @@ class Operand {
   std::vector<Value> buf_;
 };
 
-/// Binds one comparison operand for columnar evaluation: a bare column
-/// reference resolves to the batch column (*lit stays NULL), a literal to a
-/// constant (*col stays nullptr). Any other expression shape returns false
-/// and the caller falls back to row-at-a-time evaluation.
-bool BindColumnOperand(const Expr& e, const ColumnBatch& batch,
-                       const Schema& schema, const ColumnVector** col,
-                       Value* lit) {
-  *col = nullptr;
-  *lit = Value::Null();
-  if (e.kind() == ExprKind::kLiteral) {
-    *lit = static_cast<const LiteralExpr&>(e).value();
-    return true;
-  }
-  if (e.kind() != ExprKind::kColumnRef) return false;
-  Result<size_t> idx =
-      schema.RequireIndexOf(static_cast<const ColumnRefExpr&>(e).name());
-  if (!idx.ok() || *idx >= batch.columns.size()) return false;
-  *col = batch.columns[*idx].get();
-  return true;
-}
-
-bool IsNumericRep(const ColumnVector* c) {
-  return c != nullptr && (c->rep() == ColumnVector::Rep::kInt ||
-                          c->rep() == ColumnVector::Rep::kDouble);
-}
-
-bool IsNumericValue(const Value& v) {
-  switch (v.type()) {
-    case DataType::kBool:
-    case DataType::kInt64:
-    case DataType::kDouble:
-    case DataType::kDate:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// a OP b == b MirrorOp(OP) a — used to put the column on the left.
-CompareOp MirrorOp(CompareOp op) {
-  switch (op) {
-    case CompareOp::kLt:
-      return CompareOp::kGt;
-    case CompareOp::kLe:
-      return CompareOp::kGe;
-    case CompareOp::kGt:
-      return CompareOp::kLt;
-    case CompareOp::kGe:
-      return CompareOp::kLe;
-    default:
-      return op;  // =, != are symmetric
-  }
-}
-
-bool KeepCmp(CompareOp op, int c) {
-  switch (op) {
-    case CompareOp::kEq:
-      return c == 0;
-    case CompareOp::kNe:
-      return c != 0;
-    case CompareOp::kLt:
-      return c < 0;
-    case CompareOp::kLe:
-      return c <= 0;
-    case CompareOp::kGt:
-      return c > 0;
-    case CompareOp::kGe:
-      return c >= 0;
-  }
-  return false;
-}
-
-/// The cell as a double; valid only for numeric representations. Matches
-/// Value::Compare, which converts every numeric-family pair to doubles.
-double NumAt(const ColumnVector& c, uint32_t p) {
-  return c.rep() == ColumnVector::Rep::kInt ? static_cast<double>(c.ints()[p])
-                                            : c.doubles()[p];
-}
-
-template <typename Pred>
-void SelectNumeric(const ColumnBatch& batch, const ColumnVector& col,
-                   Pred pred, std::vector<uint32_t>* out) {
-  const size_t n = batch.size();
-  const bool nulls = col.has_nulls();
-  if (col.rep() == ColumnVector::Rep::kInt) {
-    const int64_t* v = col.ints();
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t p = batch.phys(i);
-      if (nulls && col.IsNull(p)) continue;
-      if (pred(static_cast<double>(v[p]))) out->push_back(p);
-    }
-  } else {
-    const double* v = col.doubles();
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t p = batch.phys(i);
-      if (nulls && col.IsNull(p)) continue;
-      if (pred(v[p])) out->push_back(p);
-    }
-  }
-}
-
-/// col OP literal over a numeric column: one op-specialized tight loop per
-/// comparison operator (the hot filter kernel).
-void RunNumericLitKernel(const ColumnBatch& batch, const ColumnVector& col,
-                         CompareOp op, double d, std::vector<uint32_t>* out) {
-  switch (op) {
-    case CompareOp::kEq:
-      SelectNumeric(batch, col, [d](double x) { return x == d; }, out);
-      break;
-    case CompareOp::kNe:
-      SelectNumeric(batch, col, [d](double x) { return x != d; }, out);
-      break;
-    case CompareOp::kLt:
-      SelectNumeric(batch, col, [d](double x) { return x < d; }, out);
-      break;
-    case CompareOp::kLe:
-      SelectNumeric(batch, col, [d](double x) { return x <= d; }, out);
-      break;
-    case CompareOp::kGt:
-      SelectNumeric(batch, col, [d](double x) { return x > d; }, out);
-      break;
-    case CompareOp::kGe:
-      SelectNumeric(batch, col, [d](double x) { return x >= d; }, out);
-      break;
-  }
-}
-
 class CompareExpr : public Expr {
  public:
   CompareExpr(CompareOp op, ExprPtr lhs, ExprPtr rhs)
@@ -305,81 +161,6 @@ class CompareExpr : public Expr {
     for (size_t i = 0; i < rows.size(); ++i) {
       DIP_ASSIGN_OR_RETURN(Value v, Apply(lhs.at(rows, i), rhs.at(rows, i)));
       out->push_back(std::move(v));
-    }
-    return Status::OK();
-  }
-  Status EvalSelection(const ColumnBatch& batch, const Schema& schema,
-                       std::vector<uint32_t>* out) const override {
-    const ColumnVector* ca = nullptr;
-    const ColumnVector* cb = nullptr;
-    Value la, lb;
-    if (!BindColumnOperand(*lhs_, batch, schema, &ca, &la) ||
-        !BindColumnOperand(*rhs_, batch, schema, &cb, &lb)) {
-      return Expr::EvalSelection(batch, schema, out);
-    }
-    out->clear();
-    const size_t n = batch.size();
-    out->reserve(n);
-    // Numeric column vs numeric literal (either orientation).
-    if (IsNumericRep(ca) && cb == nullptr && IsNumericValue(lb)) {
-      RunNumericLitKernel(batch, *ca, op_, *lb.ToNumeric(), out);
-      return Status::OK();
-    }
-    if (IsNumericRep(cb) && ca == nullptr && IsNumericValue(la)) {
-      RunNumericLitKernel(batch, *cb, MirrorOp(op_), *la.ToNumeric(), out);
-      return Status::OK();
-    }
-    // Numeric column vs numeric column.
-    if (IsNumericRep(ca) && IsNumericRep(cb)) {
-      const bool nulls = ca->has_nulls() || cb->has_nulls();
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t p = batch.phys(i);
-        if (nulls && (ca->IsNull(p) || cb->IsNull(p))) continue;
-        const double x = NumAt(*ca, p);
-        const double y = NumAt(*cb, p);
-        if (KeepCmp(op_, x < y ? -1 : (x > y ? 1 : 0))) out->push_back(p);
-      }
-      return Status::OK();
-    }
-    // Dictionary column vs string literal: one string compare per DISTINCT
-    // value, then a code-indexed table lookup per row.
-    const ColumnVector* dcol = nullptr;
-    CompareOp dop = op_;
-    const Value* dlit = nullptr;
-    if (ca != nullptr && ca->rep() == ColumnVector::Rep::kDict &&
-        cb == nullptr && lb.type() == DataType::kString) {
-      dcol = ca;
-      dlit = &lb;
-    } else if (cb != nullptr && cb->rep() == ColumnVector::Rep::kDict &&
-               ca == nullptr && la.type() == DataType::kString) {
-      dcol = cb;
-      dop = MirrorOp(op_);
-      dlit = &la;
-    }
-    if (dcol != nullptr) {
-      const std::string& s = dlit->AsString();
-      const auto& dict = dcol->dict();
-      std::vector<uint8_t> keep(dict.size());
-      for (size_t c = 0; c < dict.size(); ++c) {
-        keep[c] = KeepCmp(dop, dict[c].compare(s)) ? 1 : 0;
-      }
-      const int32_t* codes = dcol->codes();
-      const bool nulls = dcol->has_nulls();
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t p = batch.phys(i);
-        if (nulls && dcol->IsNull(p)) continue;
-        if (keep[codes[p]] != 0) out->push_back(p);
-      }
-      return Status::OK();
-    }
-    // Generic columnar loop (mixed/degraded representations, heterogeneous
-    // operand types): same Apply as the row path, cell at a time.
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t p = batch.phys(i);
-      const Value a = ca != nullptr ? ca->GetValue(p) : la;
-      const Value b = cb != nullptr ? cb->GetValue(p) : lb;
-      DIP_ASSIGN_OR_RETURN(Value v, Apply(a, b));
-      if (v.type() == DataType::kBool && v.AsBool()) out->push_back(p);
     }
     return Status::OK();
   }
@@ -473,59 +254,6 @@ class LogicalExpr : public Expr {
       (*out)[open[j]] = Value::Bool(!b.is_null() &&
                                     b.type() == DataType::kBool && b.AsBool());
     }
-    return Status::OK();
-  }
-  Status EvalSelection(const ColumnBatch& batch, const Schema& schema,
-                       std::vector<uint32_t>* out) const override {
-    // EvalSelection already folds "null / non-bool counts as false" into the
-    // kept set, so the connectives reduce to selection-vector algebra:
-    //   NOT — complement, AND — re-filter the kept rows, OR — union with
-    //   rhs evaluated only on the complement (preserving the scalar path's
-    //   short-circuit: rhs never sees a row the row path would skip).
-    std::vector<uint32_t> s1;
-    DIP_RETURN_NOT_OK(lhs_->EvalSelection(batch, schema, &s1));
-    const size_t n = batch.size();
-    if (op_ == LogicalOp::kNot) {
-      out->clear();
-      out->reserve(n - s1.size());
-      size_t j = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t p = batch.phys(i);
-        if (j < s1.size() && s1[j] == p) {
-          ++j;
-          continue;
-        }
-        out->push_back(p);
-      }
-      return Status::OK();
-    }
-    if (op_ == LogicalOp::kAnd) {
-      ColumnBatch sub;
-      sub.columns = batch.columns;
-      sub.has_sel = true;
-      sub.sel = std::move(s1);
-      return rhs_->EvalSelection(sub, schema, out);
-    }
-    // OR
-    ColumnBatch sub;
-    sub.columns = batch.columns;
-    sub.has_sel = true;
-    sub.sel.reserve(n - s1.size());
-    size_t j = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t p = batch.phys(i);
-      if (j < s1.size() && s1[j] == p) {
-        ++j;
-        continue;
-      }
-      sub.sel.push_back(p);
-    }
-    std::vector<uint32_t> s2;
-    DIP_RETURN_NOT_OK(rhs_->EvalSelection(sub, schema, &s2));
-    out->clear();
-    out->reserve(s1.size() + s2.size());
-    std::merge(s1.begin(), s1.end(), s2.begin(), s2.end(),
-               std::back_inserter(*out));
     return Status::OK();
   }
   std::string ToString() const override {
@@ -634,24 +362,6 @@ class IsNullExpr : public Expr {
     out->reserve(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
       out->push_back(Value::Bool(operand.at(rows, i).is_null()));
-    }
-    return Status::OK();
-  }
-  Status EvalSelection(const ColumnBatch& batch, const Schema& schema,
-                       std::vector<uint32_t>* out) const override {
-    const std::string* name = ColumnRefName(*operand_);
-    if (name == nullptr) return Expr::EvalSelection(batch, schema, out);
-    Result<size_t> idx = schema.RequireIndexOf(*name);
-    if (!idx.ok() || *idx >= batch.columns.size()) {
-      return Expr::EvalSelection(batch, schema, out);
-    }
-    const ColumnVector& col = *batch.columns[*idx];
-    out->clear();
-    if (!col.has_nulls()) return Status::OK();
-    const size_t n = batch.size();
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t p = batch.phys(i);
-      if (col.IsNull(p)) out->push_back(p);
     }
     return Status::OK();
   }

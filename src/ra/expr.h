@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/common/result.h"
-#include "src/types/column.h"
 #include "src/types/schema.h"
 #include "src/types/value.h"
 
@@ -120,17 +119,6 @@ class Expr {
   /// errors are discovered may differ.
   virtual Status EvalBatch(const TupleRefs& rows, const Schema& schema,
                            std::vector<Value>* out) const;
-
-  /// Evaluates this expression as a PREDICATE over a columnar batch:
-  /// `*out` receives the ascending physical indices of the batch's rows for
-  /// which the expression is a non-null true (exactly the rows FilterCursor
-  /// keeps). The base implementation materializes each row and calls Eval;
-  /// comparisons, logical connectives, and IS NULL override it with
-  /// column-kernel loops over the typed arrays (dictionary codes for
-  /// strings). Semantics match row evaluation bit for bit — numeric
-  /// comparisons go through the same double conversion Value::Compare uses.
-  virtual Status EvalSelection(const ColumnBatch& batch, const Schema& schema,
-                               std::vector<uint32_t>* out) const;
 
   virtual std::string ToString() const = 0;
 };

@@ -30,8 +30,8 @@ size_t RowSet::ByteSize() const {
 }
 
 namespace {
-// Engine-wide execution mode. The engine is a single-threaded discrete-event
-// simulation, so a plain global suffices.
+// The calling thread's execution mode: harness and wave-scheduler threads
+// each run under their own (see CurrentExecMode in plan.h).
 thread_local ExecMode g_exec_mode = ExecMode::kPipeline;
 }  // namespace
 
@@ -146,10 +146,6 @@ Result<RowSet> PlanNode::Execute(ExecContext* ctx) const {
 CursorPtr PlanNode::MakeCursor(ExecContext* ctx) const {
   return std::make_unique<RowSetCursor>(
       [this, ctx] { return ExecuteMaterialized(ctx); });
-}
-
-ColumnarCursorPtr PlanNode::MakeColumnarCursor(ExecContext*) const {
-  return nullptr;
 }
 
 namespace {
@@ -680,7 +676,7 @@ class LimitCursor : public BatchCursor {
 
 /// --- Shared grouped-aggregation core ------------------------------------
 ///
-/// Every aggregation path (materialized, streaming, columnar, spilling)
+/// Every aggregation path (materialized, streaming, spilling)
 /// funnels through these helpers so group semantics, double-summation
 /// order, and output shape can never drift apart across execution modes.
 /// They read a group's input cells through the input's tuple layout; plain
@@ -695,10 +691,6 @@ struct AggAccumulator {
   bool all_int = true;   // SUM
   bool int_overflow = false;
   Value min_v, max_v;    // MIN, MAX
-  // Numeric mirrors of min_v/max_v for the columnar fast path (Value::
-  // Compare on the numeric family is double comparison); the row paths
-  // leave them untouched.
-  double min_num = 0.0, max_num = 0.0;
 };
 
 struct AggGroupState {
@@ -796,7 +788,8 @@ Status AccumulateAggValues(const Row* const* tuple,
   return Status::OK();
 }
 
-/// The group table every aggregation path shares (row, columnar, spill).
+/// The group table every aggregation path shares (materialized, streaming
+/// and spilling).
 ///
 /// Group identity is the serialized key: the group cells rendered and
 /// joined like RowToString, so Int(5) and Double(5.0) are one group,
@@ -827,9 +820,7 @@ class AggGroupTable {
         if (v.type() != DataType::kInt64) break;
         cells_.push_back(v.AsInt());
       }
-      if (cells_.size() == group_.size()) {
-        return FindInt(cells_, [&] { return KeyRow(tuple); });
-      }
+      if (cells_.size() == group_.size()) return FindInt(tuple);
       MigrateToSerialized();
     }
     key_buf_.clear();
@@ -843,31 +834,6 @@ class AggGroupTable {
       InitAggState(&it->second, KeyRow(tuple), naggs_);
     }
     return &it->second;
-  }
-
-  /// Find for a key of INT64 cells, one per group column, while the table
-  /// is still int-keyed (no non-INT64 key seen). `make_key` builds the key
-  /// row of a new group.
-  template <typename MakeKey>
-  AggGroupState* FindInt(std::span<const int64_t> cells,
-                         const MakeKey& make_key) {
-    assert(int_keyed_);
-    if (2 * (groups_.size() + 1) > slots_.size()) GrowSlots();
-    const size_t mask = slots_.size() - 1;
-    for (size_t s = HashInts(cells) & mask;; s = (s + 1) & mask) {
-      const uint32_t g = slots_[s];
-      if (g == kEmptySlot) {
-        slots_[s] = static_cast<uint32_t>(groups_.size());
-        raw_keys_.insert(raw_keys_.end(), cells.begin(), cells.end());
-        groups_.emplace_back();
-        InitAggState(&groups_.back(), make_key(), naggs_);
-        return &groups_.back();
-      }
-      if (std::equal(cells.begin(), cells.end(),
-                     raw_keys_.begin() + g * cells.size())) {
-        return &groups_[g];
-      }
-    }
   }
 
   /// Calls fn(serialized key, group) for every group in serialized-key
@@ -892,6 +858,28 @@ class AggGroupTable {
 
  private:
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+  /// Find for the INT64 key cells_ of `tuple` while the table is still
+  /// int-keyed (no non-INT64 key seen).
+  AggGroupState* FindInt(const Row* const* tuple) {
+    assert(int_keyed_);
+    if (2 * (groups_.size() + 1) > slots_.size()) GrowSlots();
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = HashInts(cells_) & mask;; s = (s + 1) & mask) {
+      const uint32_t g = slots_[s];
+      if (g == kEmptySlot) {
+        slots_[s] = static_cast<uint32_t>(groups_.size());
+        raw_keys_.insert(raw_keys_.end(), cells_.begin(), cells_.end());
+        groups_.emplace_back();
+        InitAggState(&groups_.back(), KeyRow(tuple), naggs_);
+        return &groups_.back();
+      }
+      if (std::equal(cells_.begin(), cells_.end(),
+                     raw_keys_.begin() + g * cells_.size())) {
+        return &groups_[g];
+      }
+    }
+  }
 
   static size_t HashInts(std::span<const int64_t> cells) {
     uint64_t h = 0x345678;
@@ -1079,242 +1067,28 @@ struct KeyHeapCmp {
   }
 };
 
-/// --- Columnar cursors ----------------------------------------------------
-
-/// Row/column boundary shim: adapts a columnar chain to the row BatchCursor
-/// protocol. Charges nothing itself — the columnar cursors below account
-/// rows exactly like their row counterparts.
-class ColumnShimCursor : public BatchCursor {
- public:
-  explicit ColumnShimCursor(ColumnarCursorPtr inner)
-      : inner_(std::move(inner)) {}
-
-  Status Open() override { return inner_->Open(); }
-  Status Next(Batch* batch) override {
-    batch->clear();
-    DIP_RETURN_NOT_OK(inner_->Next(&cb_));
-    if (cb_.empty()) return Status::OK();
-    AppendColumnRows(cb_, &batch->rows);
-    return Status::OK();
-  }
-  void Close() override { inner_->Close(); }
-  const Schema& schema() const override { return inner_->schema(); }
-
- private:
-  ColumnarCursorPtr inner_;
-  ColumnBatch cb_;
-};
-
-/// In kColumnar mode, wraps the node's columnar chain in a row shim;
-/// nullptr when the node (or the current mode) has no columnar path, in
-/// which case the caller builds its row cursor as usual.
-CursorPtr TryColumnarShim(const PlanNode& node, ExecContext* ctx) {
-  if (CurrentExecMode() != ExecMode::kColumnar) return nullptr;
-  ColumnarCursorPtr inner = node.MakeColumnarCursor(ctx);
-  if (inner == nullptr) return nullptr;
-  return std::make_unique<ColumnShimCursor>(std::move(inner));
-}
-
-/// Streams a table's columnar snapshot in contiguous windows. Read
-/// accounting matches the row scan: one rows_read per delivered row
-/// (snapshot construction itself charges nothing).
-class ColumnarScanCursor : public ColumnarCursor {
- public:
-  ColumnarScanCursor(const Table* table, ExecContext* ctx)
-      : table_(table), ctx_(ctx) {}
-
-  Status Open() override {
-    ctx_->operator_invocations++;
-    frame_ = table_->ColumnarSnapshot();
-    pos_ = 0;
-    return Status::OK();
-  }
-  Status Next(ColumnBatch* batch) override {
-    batch->clear();
-    size_t n = std::min(kBatchCapacity, frame_->num_rows - pos_);
-    if (n == 0) return Status::OK();
-    batch->columns.assign(frame_->columns.begin(), frame_->columns.end());
-    batch->offset = pos_;
-    batch->length = n;
-    pos_ += n;
-    table_->ChargeRead(n);
-    ctx_->rows_processed += n;
-    return Status::OK();
-  }
-  void Close() override {}
-  const Schema& schema() const override { return table_->schema(); }
-
- private:
-  const Table* table_;
-  ExecContext* ctx_;
-  std::shared_ptr<const ColumnFrame> frame_;
-  size_t pos_ = 0;
-};
-
-/// Columnar filter: narrows the selection vector via Expr::EvalSelection
-/// without touching a cell. Counter-identical to FilterCursor.
-class ColumnarFilterCursor : public ColumnarCursor {
- public:
-  ColumnarFilterCursor(ColumnarCursorPtr child, ExprPtr predicate,
-                       ExecContext* ctx)
-      : child_(std::move(child)), predicate_(std::move(predicate)), ctx_(ctx) {}
-
-  Status Open() override {
-    DIP_RETURN_NOT_OK(child_->Open());
-    ctx_->operator_invocations++;
-    return Status::OK();
-  }
-  Status Next(ColumnBatch* batch) override {
-    batch->clear();
-    // Pull until some rows survive: an empty batch must mean end of stream.
-    for (;;) {
-      DIP_RETURN_NOT_OK(child_->Next(&in_));
-      if (in_.empty()) return Status::OK();
-      ctx_->rows_processed += in_.size();
-      sel_.clear();
-      DIP_RETURN_NOT_OK(
-          predicate_->EvalSelection(in_, child_->schema(), &sel_));
-      if (sel_.empty()) continue;
-      batch->columns = in_.columns;
-      batch->offset = in_.offset;
-      batch->length = in_.length;
-      batch->has_sel = true;
-      batch->sel = std::move(sel_);
-      return Status::OK();
-    }
-  }
-  void Close() override { child_->Close(); }
-  const Schema& schema() const override { return child_->schema(); }
-
- private:
-  ColumnarCursorPtr child_;
-  ExprPtr predicate_;
-  ExecContext* ctx_;
-  ColumnBatch in_;
-  std::vector<uint32_t> sel_;
-};
-
-/// Columnar projection for bare uncast column references (the node checks
-/// before constructing): output batches alias the input columns, remapped —
-/// zero copies. Type inference mirrors ProjectCursor: an output column's
-/// type is the type of the first non-null value that flows past.
-class ColumnarProjectCursor : public ColumnarCursor {
- public:
-  ColumnarProjectCursor(ColumnarCursorPtr child,
-                        const std::vector<ProjectionItem>* items,
-                        ExecContext* ctx)
-      : child_(std::move(child)),
-        items_(items),
-        ctx_(ctx),
-        inferred_(items->size(), DataType::kNull) {}
-
-  Status Open() override {
-    DIP_RETURN_NOT_OK(child_->Open());
-    ctx_->operator_invocations++;
-    idx_.clear();
-    for (const auto& item : *items_) {
-      const std::string* name = ColumnRefName(*item.expr);
-      if (name == nullptr) {
-        return Status::Internal("non-column projection in columnar cursor");
-      }
-      DIP_ASSIGN_OR_RETURN(size_t i, child_->schema().RequireIndexOf(*name));
-      idx_.push_back(i);
-    }
-    RebuildSchema();
-    return Status::OK();
-  }
-  Status Next(ColumnBatch* batch) override {
-    batch->clear();
-    DIP_RETURN_NOT_OK(child_->Next(&in_));
-    if (in_.empty()) return Status::OK();
-    ctx_->rows_processed += in_.size();
-    bool inferred_changed = false;
-    batch->columns.reserve(idx_.size());
-    for (size_t i = 0; i < idx_.size(); ++i) {
-      if (idx_[i] >= in_.columns.size()) {
-        return Status::Internal("batch narrower than schema");
-      }
-      batch->columns.push_back(in_.columns[idx_[i]]);
-      if (inferred_[i] == DataType::kNull) {
-        const ColumnVector& col = *in_.columns[idx_[i]];
-        for (size_t r = 0; r < in_.size(); ++r) {
-          uint32_t p = in_.phys(r);
-          if (col.IsNull(p)) continue;
-          inferred_[i] = col.rep() == ColumnVector::Rep::kValue
-                             ? col.GetValue(p).type()
-                             : col.value_type();
-          inferred_changed = true;
-          break;
-        }
-      }
-    }
-    batch->offset = in_.offset;
-    batch->length = in_.length;
-    batch->has_sel = in_.has_sel;
-    batch->sel = in_.sel;
-    if (inferred_changed) RebuildSchema();
-    return Status::OK();
-  }
-  void Close() override { child_->Close(); }
-  const Schema& schema() const override { return schema_; }
-
- private:
-  void RebuildSchema() {
-    Schema s;
-    for (size_t i = 0; i < items_->size(); ++i) {
-      s.AddColumn((*items_)[i].name, inferred_[i]);
-    }
-    schema_ = std::move(s);
-  }
-
-  ColumnarCursorPtr child_;
-  const std::vector<ProjectionItem>* items_;
-  ExecContext* ctx_;
-  std::vector<DataType> inferred_;
-  std::vector<size_t> idx_;
-  Schema schema_;
-  ColumnBatch in_;
-};
-
-/// Numeric view of a typed column cell (kInt/kDouble reps only).
-double ColNum(const ColumnVector& c, uint32_t p) {
-  return c.rep() == ColumnVector::Rep::kInt ? static_cast<double>(c.ints()[p])
-                                            : c.doubles()[p];
-}
-
 /// Grouped aggregation under an unlimited budget. It streams its input:
-/// each batch is folded into the shared group table as it arrives and the
-/// groups are emitted after end of stream. A row child's tuples are read in
-/// place through its layout. A columnar child (kColumnar) is folded straight
-/// from the typed arrays while every batch has non-NULL INT64 group columns
-/// and numeric aggregate inputs; the first batch of another shape switches
-/// to materialized rows for the rest of the input (the table itself
-/// migrates on the first non-INT64 key). Rows, schema, order
-/// (serialized-key lexicographic), per-group summation order and counters
-/// are identical to the materializing path.
+/// each batch is folded into the shared group table as it arrives, the
+/// child's tuples read in place through its layout, and the groups are
+/// emitted after end of stream. Rows, schema, order (serialized-key
+/// lexicographic), per-group summation order and counters are identical
+/// to the materializing path.
 class AggregateCursor : public BatchCursor {
  public:
-  /// Exactly one of `child` and `columnar` is set.
-  AggregateCursor(CursorPtr child, ColumnarCursorPtr columnar,
-                  const std::vector<std::string>* group_by,
+  AggregateCursor(CursorPtr child, const std::vector<std::string>* group_by,
                   const std::vector<AggregateItem>* aggs, ExecContext* ctx)
-      : child_(std::move(child)),
-        columnar_(std::move(columnar)),
-        group_by_(group_by),
-        aggs_(aggs),
-        ctx_(ctx) {}
+      : child_(std::move(child)), group_by_(group_by), aggs_(aggs), ctx_(ctx) {}
 
   Status Open() override {
-    DIP_RETURN_NOT_OK(columnar_ ? columnar_->Open() : child_->Open());
-    DIP_RETURN_NOT_OK(ResolveAggIndexes(InputSchema(), *group_by_, *aggs_,
+    DIP_RETURN_NOT_OK(child_->Open());
+    DIP_RETURN_NOT_OK(ResolveAggIndexes(child_->schema(), *group_by_, *aggs_,
                                         &group_idx_, &agg_idx_));
-    const TupleLayout& layout = columnar_ ? kPlainLayout : child_->layout();
+    const TupleLayout& layout = child_->layout();
     AggGroupTable groups(group_idx_, layout, aggs_->size());
-    DIP_RETURN_NOT_OK(columnar_ ? FoldColumns(&groups)
-                                : FoldRows(layout, &groups));
+    DIP_RETURN_NOT_OK(Fold(layout, &groups));
     ctx_->operator_invocations++;
     out_schema_ =
-        AggOutputSchema(InputSchema(), *group_by_, group_idx_, *aggs_);
+        AggOutputSchema(child_->schema(), *group_by_, group_idx_, *aggs_);
     CloseChild();
     pos_ = 0;
     return FinalizeGroups(&groups, *aggs_, &out_rows_);
@@ -1328,11 +1102,7 @@ class AggregateCursor : public BatchCursor {
   const Schema& schema() const override { return out_schema_; }
 
  private:
-  const Schema& InputSchema() const {
-    return columnar_ ? columnar_->schema() : child_->schema();
-  }
-
-  Status FoldRows(const TupleLayout& layout, AggGroupTable* groups) {
+  Status Fold(const TupleLayout& layout, AggGroupTable* groups) {
     const auto agg_cells = AggInputCells(layout, agg_idx_);
     Batch in;
     std::vector<const Row*> scratch;
@@ -1349,123 +1119,17 @@ class AggregateCursor : public BatchCursor {
     }
   }
 
-  Status FoldColumns(AggGroupTable* groups) {
-    const auto agg_cells = AggInputCells(kPlainLayout, agg_idx_);
-    ColumnBatch in;
-    bool fast = true;
-    for (;;) {
-      DIP_RETURN_NOT_OK(columnar_->Next(&in));
-      if (in.empty()) return Status::OK();
-      ctx_->rows_processed += in.size();
-      // The fast path keeps numeric min/max mirrors the row path does not
-      // update, so once off it accumulation stays on the row path.
-      if (fast && !FastEligible(in)) fast = false;
-      if (fast) {
-        AccumulateFast(in, groups);
-        continue;
-      }
-      for (size_t r = 0; r < in.size(); ++r) {
-        Row row = MaterializeColumnRow(in, r);
-        const Row* t = &row;
-        DIP_RETURN_NOT_OK(
-            AccumulateAggValues(&t, *aggs_, agg_cells, groups->Find(&t)));
-      }
-    }
-  }
-
-  bool FastEligible(const ColumnBatch& in) const {
-    for (size_t gi : group_idx_) {
-      if (gi >= in.columns.size()) return false;
-      const ColumnVector& c = *in.columns[gi];
-      if (c.rep() != ColumnVector::Rep::kInt ||
-          c.value_type() != DataType::kInt64 || c.has_nulls()) {
-        return false;
-      }
-    }
-    for (size_t a = 0; a < aggs_->size(); ++a) {
-      if (agg_idx_[a] == SIZE_MAX) continue;
-      if (agg_idx_[a] >= in.columns.size()) return false;
-      if ((*aggs_)[a].func == AggFunc::kCount) continue;  // only needs IsNull
-      ColumnVector::Rep r = in.columns[agg_idx_[a]]->rep();
-      if (r != ColumnVector::Rep::kInt && r != ColumnVector::Rep::kDouble &&
-          r != ColumnVector::Rep::kEmpty) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void AccumulateFast(const ColumnBatch& in, AggGroupTable* groups) {
-    const size_t naggs = aggs_->size();
-    const size_t n = in.size();
-    for (size_t r = 0; r < n; ++r) {
-      uint32_t p = in.phys(r);
-      cells_.clear();
-      for (size_t gi : group_idx_) cells_.push_back(in.columns[gi]->ints()[p]);
-      AggGroupState& st = *groups->FindInt(cells_, [&] {
-        Row key;
-        key.reserve(group_idx_.size() + naggs);
-        for (size_t gi : group_idx_) key.push_back(in.columns[gi]->GetValue(p));
-        return key;
-      });
-      for (size_t a = 0; a < naggs; ++a) {
-        AggAccumulator& acc = st.aggs[a];
-        const size_t ai = agg_idx_[a];
-        if ((*aggs_)[a].func == AggFunc::kCount) {
-          if (ai == SIZE_MAX || !in.columns[ai]->IsNull(p)) acc.count++;
-          continue;
-        }
-        const ColumnVector& col = *in.columns[ai];
-        if (col.IsNull(p)) continue;
-        double num = ColNum(col, p);
-        switch ((*aggs_)[a].func) {
-          case AggFunc::kSum:
-            AddToSum(&acc, num,
-                     col.rep() == ColumnVector::Rep::kInt &&
-                             col.value_type() == DataType::kInt64
-                         ? &col.ints()[p]
-                         : nullptr);
-            break;
-          case AggFunc::kAvg:
-            acc.sum += num;
-            acc.count++;
-            break;
-          case AggFunc::kMin:
-            if (acc.min_v.is_null() || num < acc.min_num) {
-              acc.min_num = num;
-              acc.min_v = col.GetValue(p);
-            }
-            break;
-          case AggFunc::kMax:
-            if (acc.max_v.is_null() || num > acc.max_num) {
-              acc.max_num = num;
-              acc.max_v = col.GetValue(p);
-            }
-            break;
-          case AggFunc::kCount:
-            break;
-        }
-      }
-    }
-  }
-
   void CloseChild() {
     if (child_closed_) return;
     child_closed_ = true;
-    if (columnar_) {
-      columnar_->Close();
-    } else {
-      child_->Close();
-    }
+    child_->Close();
   }
 
   CursorPtr child_;
-  ColumnarCursorPtr columnar_;
   const std::vector<std::string>* group_by_;
   const std::vector<AggregateItem>* aggs_;
   ExecContext* ctx_;
   std::vector<size_t> group_idx_, agg_idx_;
-  std::vector<int64_t> cells_;
   Schema out_schema_;
   std::vector<Row> out_rows_;
   size_t pos_ = 0;
@@ -2185,11 +1849,7 @@ class ScanTableNode : public PlanNode {
  public:
   explicit ScanTableNode(const Table* table) : table_(table) {}
   CursorPtr MakeCursor(ExecContext* ctx) const override {
-    if (CursorPtr shim = TryColumnarShim(*this, ctx)) return shim;
     return std::make_unique<ScanTableCursor>(table_, ctx);
-  }
-  ColumnarCursorPtr MakeColumnarCursor(ExecContext* ctx) const override {
-    return std::make_unique<ColumnarScanCursor>(table_, ctx);
   }
   std::string ToString() const override {
     return "Scan(" + table_->name() + ")";
@@ -2286,15 +1946,8 @@ class FilterNode : public PlanNode {
   FilterNode(PlanPtr child, ExprPtr predicate)
       : child_(std::move(child)), predicate_(std::move(predicate)) {}
   CursorPtr MakeCursor(ExecContext* ctx) const override {
-    if (CursorPtr shim = TryColumnarShim(*this, ctx)) return shim;
     return std::make_unique<FilterCursor>(child_->MakeCursor(ctx), predicate_,
                                           ctx);
-  }
-  ColumnarCursorPtr MakeColumnarCursor(ExecContext* ctx) const override {
-    ColumnarCursorPtr child = child_->MakeColumnarCursor(ctx);
-    if (child == nullptr) return nullptr;
-    return std::make_unique<ColumnarFilterCursor>(std::move(child), predicate_,
-                                                  ctx);
   }
   std::string ToString() const override {
     return "Filter(" + predicate_->ToString() + ")";
@@ -2326,23 +1979,8 @@ class ProjectNode : public PlanNode {
   ProjectNode(PlanPtr child, std::vector<ProjectionItem> items)
       : child_(std::move(child)), items_(std::move(items)) {}
   CursorPtr MakeCursor(ExecContext* ctx) const override {
-    if (CursorPtr shim = TryColumnarShim(*this, ctx)) return shim;
     return std::make_unique<ProjectCursor>(child_->MakeCursor(ctx), &items_,
                                            ctx);
-  }
-  ColumnarCursorPtr MakeColumnarCursor(ExecContext* ctx) const override {
-    // Columnar projection supports only bare uncast column references
-    // (pure column remaps); anything computed falls back to the row path.
-    for (const auto& item : items_) {
-      if (item.cast_to != DataType::kNull ||
-          ColumnRefName(*item.expr) == nullptr) {
-        return nullptr;
-      }
-    }
-    ColumnarCursorPtr child = child_->MakeColumnarCursor(ctx);
-    if (child == nullptr) return nullptr;
-    return std::make_unique<ColumnarProjectCursor>(std::move(child), &items_,
-                                                   ctx);
   }
   std::string ToString() const override {
     std::vector<std::string> parts;
@@ -2576,13 +2214,7 @@ class AggregateNode : public PlanNode {
       return std::make_unique<SpillAggregateCursor>(child_->MakeCursor(ctx),
                                                     &group_by_, &aggs_, ctx);
     }
-    if (CurrentExecMode() == ExecMode::kColumnar) {
-      if (ColumnarCursorPtr cc = child_->MakeColumnarCursor(ctx)) {
-        return std::make_unique<AggregateCursor>(nullptr, std::move(cc),
-                                                 &group_by_, &aggs_, ctx);
-      }
-    }
-    return std::make_unique<AggregateCursor>(child_->MakeCursor(ctx), nullptr,
+    return std::make_unique<AggregateCursor>(child_->MakeCursor(ctx),
                                              &group_by_, &aggs_, ctx);
   }
 
@@ -2593,8 +2225,8 @@ class AggregateNode : public PlanNode {
 
  protected:
   // Blocking: groups close only at end of input. Shares the
-  // grouped-aggregation core with the streaming, columnar and spilling
-  // cursors — one implementation of the group semantics for every mode.
+  // grouped-aggregation core with the streaming and spilling cursors —
+  // one implementation of the group semantics for every mode.
   Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
     DIP_ASSIGN_OR_RETURN(RowSet in, child_->Execute(ctx));
     ctx->operator_invocations++;

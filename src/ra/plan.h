@@ -9,7 +9,6 @@
 #include "src/common/result.h"
 #include "src/ra/expr.h"
 #include "src/storage/table.h"
-#include "src/types/column.h"
 #include "src/types/schema.h"
 
 namespace dipbench {
@@ -45,20 +44,17 @@ struct ExecContext {
 };
 
 /// How plans execute.
-///   kMaterialize — every operator produces a full RowSet (legacy behavior).
-///   kPipeline    — operators stream fixed-capacity batches through an
-///                  Open/Next/Close cursor chain; only inherently blocking
-///                  operators (sort, union-distinct, index range scan, and
-///                  the hash-join build side) materialize. Aggregation folds
-///                  its input batches as they arrive.
-///   kColumnar    — like kPipeline, but scan→filter→project prefixes run as
-///                  column-at-a-time kernels over shared table snapshots
-///                  (selection vectors instead of row copies) and grouped
-///                  aggregation uses a vectorized hash path; a shim converts
-///                  columns back to rows where a row-only operator takes
-///                  over. Rows, schemas, and cost counters are identical to
-///                  the other modes.
-enum class ExecMode { kMaterialize, kPipeline, kColumnar };
+///   kPipeline    — the production path: operators stream fixed-capacity
+///                  batches through an Open/Next/Close cursor chain; only
+///                  inherently blocking operators (sort, union-distinct,
+///                  index range scan, and the hash-join build side)
+///                  materialize. Aggregation folds its input batches as
+///                  they arrive.
+///   kMaterialize — the test reference: every operator produces a full
+///                  RowSet. The parity tests and the conformance matrix
+///                  compare kPipeline's rows, schemas and cost counters
+///                  against it.
+enum class ExecMode { kMaterialize, kPipeline };
 
 /// Per-THREAD execution mode, defaulting to kPipeline on every thread. Each
 /// DES engine runs single-threaded, but independent benchmark runs may now
@@ -138,25 +134,6 @@ class BatchCursor {
 
 using CursorPtr = std::unique_ptr<BatchCursor>;
 
-/// Pull-based iterator that yields columnar batches (same protocol as
-/// BatchCursor: Open once, Next until the batch comes back empty, Close).
-/// Batches alias immutable shared column arrays — a filter narrows the
-/// selection vector without touching a single cell. Only a prefix of a plan
-/// (scan → filter → project over supported shapes) runs columnar; the
-/// ColumnShimCursor in plan.cc adapts the boundary back to row batches.
-class ColumnarCursor {
- public:
-  virtual ~ColumnarCursor() = default;
-  virtual Status Open() = 0;
-  /// Clears `*batch` and fills it with the next chunk; empty = end of
-  /// stream.
-  virtual Status Next(ColumnBatch* batch) = 0;
-  virtual void Close() = 0;
-  virtual const Schema& schema() const = 0;
-};
-
-using ColumnarCursorPtr = std::unique_ptr<ColumnarCursor>;
-
 /// Opens `cursor`, pulls it to end of stream, and returns the accumulated
 /// RowSet (schema read after end of stream, when it is final). Owned rows
 /// move; each reference tuple is built into its one output row.
@@ -180,12 +157,6 @@ class PlanNode {
   /// operators keep the adapter — their children still stream, because the
   /// adapter executes them through the mode-dispatching Execute().
   virtual CursorPtr MakeCursor(ExecContext* ctx) const;
-
-  /// Returns a columnar cursor over this subtree, or nullptr when the
-  /// operator (or this instance's parameters) has no columnar kernel. The
-  /// default is nullptr; scan/filter/project override it. Callers fall
-  /// back to MakeCursor when they get nullptr, so partial support is fine.
-  virtual ColumnarCursorPtr MakeColumnarCursor(ExecContext* ctx) const;
 
   /// One-line description (operator name + parameters).
   virtual std::string ToString() const = 0;

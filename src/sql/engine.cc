@@ -10,10 +10,6 @@ Result<SqlResult> SqlEngine::Execute(const std::string& statement) {
 
 Result<SqlResult> SqlEngine::Execute(const Statement& stmt) {
   last_exec_ = ExecContext();
-  // Engine-level mode pin (parity testing / benchmarking); nullopt follows
-  // the process-wide mode.
-  std::optional<ScopedExecMode> scoped;
-  if (exec_mode_.has_value()) scoped.emplace(*exec_mode_);
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
       return ExecuteSelect(stmt.select);

@@ -1,7 +1,6 @@
 #ifndef DIPBENCH_SQL_ENGINE_H_
 #define DIPBENCH_SQL_ENGINE_H_
 
-#include <optional>
 #include <string>
 
 #include "src/net/endpoint.h"
@@ -39,15 +38,6 @@ class SqlEngine {
   /// Work counters of the last Execute (for cost accounting).
   const ExecContext& last_exec() const { return last_exec_; }
 
-  /// Pins this engine's statements to one execution mode regardless of the
-  /// process-wide default (SetExecMode): kMaterialize keeps the legacy
-  /// operator-at-a-time materializing path, kPipeline forces batch
-  /// streaming. std::nullopt (the default) follows the global mode. Results
-  /// and work counters are identical either way; this exists for parity
-  /// testing and benchmarking.
-  void set_exec_mode(std::optional<ExecMode> mode) { exec_mode_ = mode; }
-  std::optional<ExecMode> exec_mode() const { return exec_mode_; }
-
  private:
   Result<SqlResult> ExecuteSelect(const SelectStmt& stmt);
   Result<SqlResult> ExecuteInsert(const InsertStmt& stmt);
@@ -57,7 +47,6 @@ class SqlEngine {
 
   Database* db_;
   ExecContext last_exec_;
-  std::optional<ExecMode> exec_mode_;
 };
 
 /// Wraps a SELECT statement as an endpoint query operation: the statement

@@ -6,6 +6,11 @@ namespace dipbench {
 namespace sql {
 namespace {
 
+/// Deepest expression nesting the parser accepts — the JSON reader's and
+/// xml::ParseXml's bound too. Parsing, Expr::ToString and Eval all recurse
+/// once per level, so the bound keeps hostile input off the stack.
+constexpr int kMaxExprDepth = 128;
+
 /// Recursive-descent parser over the token stream.
 class Parser {
  public:
@@ -74,6 +79,16 @@ class Parser {
                                                              "')"));
   }
 
+  /// Opens one expression level at the token just consumed (a
+  /// parenthesis, NOT, unary minus or binary operator); fails past
+  /// kMaxExprDepth. Each caller restores depth_ once its level closes.
+  Status Descend() {
+    if (++depth_ <= kMaxExprDepth) return Status::OK();
+    return Status::ParseError(StrFormat(
+        "expression nested deeper than %d levels at offset %zu",
+        kMaxExprDepth, tokens_[pos_ - 1].offset));
+  }
+
   Result<std::string> ParseIdentifier() {
     if (!Peek().Is(TokenType::kIdentifier)) return Err("expected identifier");
     std::string name = Advance().raw;
@@ -89,27 +104,38 @@ class Parser {
 
   Result<ExprPtr> ParseExpr() { return ParseOr(); }
 
+  // Every binary operator of a left-deep chain nests the chain's result
+  // one level deeper, so a chain keeps its levels open until it ends.
+
   Result<ExprPtr> ParseOr() {
+    const int depth = depth_;
     DIP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (Accept("OR")) {
+      DIP_RETURN_NOT_OK(Descend());
       DIP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
       lhs = Or(lhs, rhs);
     }
+    depth_ = depth;
     return lhs;
   }
 
   Result<ExprPtr> ParseAnd() {
+    const int depth = depth_;
     DIP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
     while (Accept("AND")) {
+      DIP_RETURN_NOT_OK(Descend());
       DIP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
       lhs = And(lhs, rhs);
     }
+    depth_ = depth;
     return lhs;
   }
 
   Result<ExprPtr> ParseNot() {
     if (Accept("NOT")) {
+      DIP_RETURN_NOT_OK(Descend());
       DIP_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      --depth_;
       return Not(operand);
     }
     return ParseComparison();
@@ -125,6 +151,7 @@ class Parser {
     }
     if (Accept("IN")) {
       DIP_RETURN_NOT_OK(ExpectSymbol("("));
+      DIP_RETURN_NOT_OK(Descend());
       std::vector<Value> values;
       do {
         DIP_ASSIGN_OR_RETURN(ExprPtr item, ParseExpr());
@@ -134,6 +161,7 @@ class Parser {
         values.push_back(std::move(v));
       } while (AcceptSymbol(","));
       DIP_RETURN_NOT_OK(ExpectSymbol(")"));
+      --depth_;
       return InList(lhs, std::move(values));
     }
     struct OpMap {
@@ -146,7 +174,9 @@ class Parser {
     for (const auto& [sym, op] : kOps) {
       if (Peek().IsSymbol(sym)) {
         Advance();
+        DIP_RETURN_NOT_OK(Descend());
         DIP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
+        --depth_;
         return Cmp(op, lhs, rhs);
       }
     }
@@ -154,41 +184,50 @@ class Parser {
   }
 
   Result<ExprPtr> ParseAdditive() {
+    const int depth = depth_;
     DIP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
     for (;;) {
+      ArithmeticOp op;
       if (AcceptSymbol("+")) {
-        DIP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-        lhs = Add(lhs, rhs);
+        op = ArithmeticOp::kAdd;
       } else if (AcceptSymbol("-")) {
-        DIP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-        lhs = Sub(lhs, rhs);
+        op = ArithmeticOp::kSub;
       } else {
+        depth_ = depth;
         return lhs;
       }
+      DIP_RETURN_NOT_OK(Descend());
+      DIP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
+      lhs = Arith(op, lhs, rhs);
     }
   }
 
   Result<ExprPtr> ParseMultiplicative() {
+    const int depth = depth_;
     DIP_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
     for (;;) {
+      ArithmeticOp op;
       if (AcceptSymbol("*")) {
-        DIP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-        lhs = Mul(lhs, rhs);
+        op = ArithmeticOp::kMul;
       } else if (AcceptSymbol("/")) {
-        DIP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-        lhs = Div(lhs, rhs);
+        op = ArithmeticOp::kDiv;
       } else if (AcceptSymbol("%")) {
-        DIP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-        lhs = Arith(ArithmeticOp::kMod, lhs, rhs);
+        op = ArithmeticOp::kMod;
       } else {
+        depth_ = depth;
         return lhs;
       }
+      DIP_RETURN_NOT_OK(Descend());
+      DIP_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
+      lhs = Arith(op, lhs, rhs);
     }
   }
 
   Result<ExprPtr> ParseUnary() {
     if (AcceptSymbol("-")) {
+      DIP_RETURN_NOT_OK(Descend());
       DIP_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      --depth_;
       return Sub(Lit(int64_t{0}), operand);
     }
     return ParsePrimary();
@@ -238,6 +277,7 @@ class Parser {
       if (Peek(1).IsSymbol("(")) {
         std::string fn = StrLower(Advance().raw);
         Advance();  // '('
+        DIP_RETURN_NOT_OK(Descend());
         std::vector<ExprPtr> args;
         if (!Peek().IsSymbol(")")) {
           do {
@@ -246,6 +286,7 @@ class Parser {
           } while (AcceptSymbol(","));
         }
         DIP_RETURN_NOT_OK(ExpectSymbol(")"));
+        --depth_;
         return Func(fn, std::move(args));
       }
       DIP_ASSIGN_OR_RETURN(std::string name, ParseIdentifier());
@@ -253,8 +294,10 @@ class Parser {
     }
     if (tok.IsSymbol("(")) {
       Advance();
+      DIP_RETURN_NOT_OK(Descend());
       DIP_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
       DIP_RETURN_NOT_OK(ExpectSymbol(")"));
+      --depth_;
       return inner;
     }
     return Err("expected expression");
@@ -484,6 +527,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< expression levels open at pos_
 };
 
 }  // namespace

@@ -524,28 +524,4 @@ size_t Table::ByteSize() const {
   return total;
 }
 
-std::shared_ptr<const ColumnFrame> Table::ColumnarSnapshot() const {
-  const uint64_t v = version();
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (snapshot_version_ == v && snapshot_ != nullptr) return snapshot_;
-  }
-  ColumnFrameBuilder builder(schema_);
-  builder.Reserve(live_count_);
-  for (size_t slot = 0; slot < rows_.size(); ++slot) {
-    if (!live_[slot]) continue;
-    builder.AddRow(rows_[slot]);
-  }
-  auto frame = builder.Finish();
-  // Same staleness guard as ByteSize: only cache a snapshot whose version
-  // still matches the live content; a flush racing the build would
-  // otherwise serve columnar kernels rows that are missing the new data.
-  if (version() == v) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    snapshot_version_ = v;
-    snapshot_ = frame;
-  }
-  return frame;
-}
-
 }  // namespace dipbench

@@ -16,7 +16,6 @@
 #include "src/common/status.h"
 #include "src/storage/changelog.h"
 #include "src/storage/key_index.h"
-#include "src/types/column.h"
 #include "src/types/schema.h"
 
 namespace dipbench {
@@ -240,22 +239,9 @@ class Table {
   size_t ByteSize() const;
 
   /// Content version: bumped by every mutating operation (insert, replace,
-  /// delete, clear, update, restore). Lets caches (ByteSize memo, columnar
-  /// snapshots) detect staleness without walking the data.
+  /// delete, clear, update, restore). Lets the ByteSize memo detect
+  /// staleness without walking the data.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
-
-  /// Immutable columnar snapshot of the live rows in insertion order
-  /// (same order as ForEach/Scan). Cached per content version; building
-  /// the snapshot does NOT charge rows_read() — columnar scans charge
-  /// reads per delivered batch via ChargeRead so the cost ledger matches
-  /// the row path exactly.
-  std::shared_ptr<const ColumnFrame> ColumnarSnapshot() const;
-
-  /// Adds `n` to rows_read(); columnar scan cursors use this to replicate
-  /// the row cursor's per-row read accounting.
-  void ChargeRead(uint64_t n) const {
-    rows_read_.fetch_add(n, std::memory_order_relaxed);
-  }
 
  private:
   struct SecondaryIndex {
@@ -272,8 +258,8 @@ class Table {
     std::multimap<Value, size_t, ValueLess> map;  // value -> slot
   };
 
-  // Marks the content changed: bumps version_ so ByteSize memo and
-  // columnar snapshot caches invalidate.
+  // Marks the content changed: bumps version_ so the ByteSize memo
+  // invalidates.
   void Touch() { version_.fetch_add(1, std::memory_order_release); }
 
   // Appends a change-capture entry when capture is enabled; no-op
@@ -322,8 +308,6 @@ class Table {
   mutable std::mutex cache_mu_;
   mutable uint64_t byte_size_version_ = 0;  // 0 = memo empty
   mutable size_t byte_size_cache_ = 0;
-  mutable uint64_t snapshot_version_ = 0;  // 0 = no snapshot cached
-  mutable std::shared_ptr<const ColumnFrame> snapshot_;
 };
 
 }  // namespace dipbench

@@ -4,7 +4,7 @@
 // transaction rollback), capture through the AppendOverlay flush path,
 // and the version-counter audit regression — a flushed append must be
 // visible to scans under every execution mode and must invalidate the
-// ByteSize memo and the columnar snapshot cache.
+// ByteSize memo.
 
 #include <gtest/gtest.h>
 
@@ -257,10 +257,10 @@ TEST(ChangeLogTest, AppendOverlayFlushCapturesInReplayOrder) {
 // --- version-counter audit regression -----------------------------------
 //
 // A flushed append mutates the table content, so it must bump version()
-// exactly like a plain insert: the ByteSize memo recomputes, the cached
-// columnar snapshot invalidates, and a scan issued afterwards sees the
-// new rows under every execution mode. A missed Touch() on the flush path
-// would leave columnar scans reading a stale snapshot — this pins it.
+// exactly like a plain insert: the ByteSize memo recomputes, and a scan
+// issued afterwards sees the new rows under every execution mode. A missed
+// Touch() on the flush path would leave ByteSize reporting the stale
+// memo — this pins it.
 TEST(ChangeLogTest, FlushedAppendsVisibleUnderAllExecModes) {
   Database db("audit_db");
   auto created = db.CreateTable("kv", KvSchema());
@@ -268,11 +268,8 @@ TEST(ChangeLogTest, FlushedAppendsVisibleUnderAllExecModes) {
   Table* t = *created;
   ASSERT_TRUE(t->Insert(Kv(1, "a")).ok());
 
-  // Prime every version-derived cache.
+  // Prime the version-derived ByteSize memo.
   size_t bytes_before = t->ByteSize();
-  auto snapshot_before = t->ColumnarSnapshot();
-  ASSERT_NE(snapshot_before, nullptr);
-  EXPECT_EQ(snapshot_before->num_rows, 1u);
   uint64_t version_before = t->version();
 
   AppendOverlay overlay;
@@ -284,18 +281,13 @@ TEST(ChangeLogTest, FlushedAppendsVisibleUnderAllExecModes) {
   }
   // Buffering must NOT touch the version: nothing committed yet.
   EXPECT_EQ(t->version(), version_before);
-  EXPECT_EQ(t->ColumnarSnapshot()->num_rows, 1u);
+  EXPECT_EQ(t->ByteSize(), bytes_before);
 
   ASSERT_TRUE(t->FlushAppends(overlay.Find("audit_db", "kv")).ok());
   EXPECT_GT(t->version(), version_before);
   EXPECT_GT(t->ByteSize(), bytes_before);
-  auto snapshot_after = t->ColumnarSnapshot();
-  ASSERT_NE(snapshot_after, nullptr);
-  EXPECT_NE(snapshot_after, snapshot_before);
-  EXPECT_EQ(snapshot_after->num_rows, 3u);
 
-  for (ExecMode mode :
-       {ExecMode::kMaterialize, ExecMode::kPipeline, ExecMode::kColumnar}) {
+  for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
     ScopedExecMode scoped(mode);
     ExecContext ec;
     auto result = Query::From(t)

@@ -290,7 +290,7 @@ TEST(ReproTest, JsonRoundTripPreservesCellsAndManifest) {
   repro.case_index = 4;
   repro.manifest_json = RenderManifestJson(*manifest);
   MatrixCell a{"federated", ExecMode::kMaterialize, 1, 0};
-  MatrixCell b{"dataflow", ExecMode::kColumnar, 4, kSmallBudget};
+  MatrixCell b{"dataflow", ExecMode::kPipeline, 4, kSmallBudget};
   repro.cells = {a, b};
 
   auto loaded = ReproFromJsonText(ReproToJson(repro), "<roundtrip>");
@@ -302,7 +302,7 @@ TEST(ReproTest, JsonRoundTripPreservesCellsAndManifest) {
   EXPECT_EQ(loaded->cells[0].engine, "federated");
   EXPECT_EQ(loaded->cells[0].mode, ExecMode::kMaterialize);
   EXPECT_EQ(loaded->cells[1].engine, "dataflow");
-  EXPECT_EQ(loaded->cells[1].mode, ExecMode::kColumnar);
+  EXPECT_EQ(loaded->cells[1].mode, ExecMode::kPipeline);
   EXPECT_EQ(loaded->cells[1].workers, 4);
   EXPECT_EQ(loaded->cells[1].memory_budget, kSmallBudget);
   // The embedded manifest re-parses to the same canonical rendering.
@@ -316,6 +316,20 @@ TEST(ReproTest, RejectsNonReproJson) {
   EXPECT_FALSE(ReproFromJsonText("{}", "<t>").ok());
   EXPECT_FALSE(
       ReproFromJsonText(R"({"dipbench_repro": 2, "cells": []})", "<t>").ok());
+  // A cell names one of the two exec modes.
+  auto manifest = scenario::ScenarioManifest::FromJsonText(
+      R"({"name": "modes", "config": {"periods": 1}})", "<test>");
+  ASSERT_TRUE(manifest.ok());
+  Repro repro;
+  repro.manifest_json = RenderManifestJson(*manifest);
+  repro.cells = {MatrixCell{"dataflow", ExecMode::kPipeline, 1, 0}};
+  std::string json = ReproToJson(repro);
+  ASSERT_TRUE(ReproFromJsonText(json, "<t>").ok());
+  json.replace(json.find("\"pipeline\""), 10, "\"columnar\"");
+  Status st = ReproFromJsonText(json, "<t>").status();
+  EXPECT_NE(st.message().find("unknown exec mode 'columnar'"),
+            std::string::npos)
+      << st;
 }
 
 // ---------------------------------------------------------------------------
@@ -341,7 +355,7 @@ TEST(ConformanceEndToEndTest, SmallMatrixIsConformant) {
   opt.jobs = 4;
   opt.matrix = {MatrixCell{"federated", ExecMode::kMaterialize, 1, 0},
                 MatrixCell{"federated", ExecMode::kPipeline, 4, 0},
-                MatrixCell{"dataflow", ExecMode::kColumnar, 1, kSmallBudget}};
+                MatrixCell{"dataflow", ExecMode::kPipeline, 1, kSmallBudget}};
   CaseResult result = RunCase(SmallCase(), opt);
   ASSERT_EQ(result.cells.size(), 3u);
   for (const CellRun& run : result.cells) {
@@ -357,13 +371,13 @@ TEST(ConformanceEndToEndTest, SmallMatrixIsConformant) {
 
 TEST(ConformanceEndToEndTest, InjectedDivergenceIsCaughtShrunkAndReplayed) {
   MatrixCell clean_cell{"dataflow", ExecMode::kPipeline, 1, 0};
-  MatrixCell poisoned_cell{"dataflow", ExecMode::kColumnar, 4, 0};
+  MatrixCell poisoned_cell{"dataflow", ExecMode::kPipeline, 4, 0};
 
   FuzzOptions opt;
   opt.jobs = 2;
   opt.matrix = {clean_cell, poisoned_cell};
   opt.inject = [](const MatrixCell& cell, Scenario* scenario) {
-    if (cell.mode != ExecMode::kColumnar) return;
+    if (cell.workers != 4) return;
     auto db = scenario->db("dwh_db");
     if (!db.ok()) return;
     auto orders = (*db)->GetTable("orders");

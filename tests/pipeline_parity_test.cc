@@ -1,9 +1,8 @@
-// Parity tests for the execution modes: the legacy materializing path
-// (every operator produces a full RowSet), the batch-pipelined path
-// (Open/Next/Close cursor chains), and the columnar path (column-at-a-time
-// kernels over shared table snapshots) — each additionally crossed with an
-// operator memory budget that forces blocking operators to spill
-// partitioned runs to disk. The contract is that all of them are
+// Parity tests for the execution modes: the batch-pipelined production
+// path (Open/Next/Close cursor chains), also crossed with an operator
+// memory budget that forces blocking operators to spill partitioned runs
+// to disk, against the materializing test reference (every operator
+// produces a full RowSet). The contract is that all of them are
 // observationally identical — same rows, same schemas, and the same
 // ExecContext / storage counters, because those counters feed the cost
 // model (ChargeRows -> Cc/Cm/Cp ledger -> Monitor CSV). The tests here
@@ -11,14 +10,13 @@
 //
 //   1. operator level: every plan operator, including batch-boundary row
 //      counts (0 / 1 / capacity-1 / capacity / capacity+1 / multi-batch);
-//   2. SQL engine level: a battery of statements with the engine pinned to
-//      each mode;
+//   2. SQL engine level: a battery of statements run under each mode;
 //   3. benchmark level: full Client runs of the 15 process types must emit
 //      byte-identical Monitor CSV and identical NAVG+ per process.
 //
 // The one deliberate exception (SPECIFICATION.md §14.4): LIMIT
-// short-circuits in the streaming modes, so for plans whose limit cuts a
-// streaming prefix the cursor modes may do LESS work than materialization
+// short-circuits in the pipeline, so for plans whose limit cuts a
+// streaming prefix the pipeline may do LESS work than materialization
 // (never more, and never different rows).
 
 #include <gtest/gtest.h>
@@ -116,8 +114,7 @@ class PipelineParityTest : public ::testing::Test {
   }
 
   /// The core assertion: identical rows AND identical counters between the
-  /// modes, including the columnar kernels and a tiny spill-forcing memory
-  /// budget. Counter equality is what keeps the cost ledger (and therefore
+  /// modes, including a tiny spill-forcing memory budget. Counter equality is what keeps the cost ledger (and therefore
   /// the Monitor's NAVG+ output) independent of the execution mode.
   void ExpectParity(const PlanPtr& plan) {
     ModeRun mat = RunIn(plan, ExecMode::kMaterialize);
@@ -128,9 +125,7 @@ class PipelineParityTest : public ::testing::Test {
     };
     constexpr Variant kVariants[] = {
         {"pipeline", ExecMode::kPipeline, 0},
-        {"columnar", ExecMode::kColumnar, 0},
         {"pipeline+spill", ExecMode::kPipeline, 512},
-        {"columnar+spill", ExecMode::kColumnar, 512},
     };
     for (const Variant& v : kVariants) {
       SCOPED_TRACE(v.name);
@@ -143,18 +138,15 @@ class PipelineParityTest : public ::testing::Test {
   }
 
   /// Relaxed assertion for plans where a LIMIT cuts a streaming prefix:
-  /// rows must still be identical in every mode, but the cursor modes are
+  /// rows must still be identical in both modes, but the pipeline is
   /// allowed to do strictly less work (the short-circuit of
   /// SPECIFICATION.md §14.4) — never more.
   void ExpectRowsWithBoundedWork(const PlanPtr& plan) {
     ModeRun mat = RunIn(plan, ExecMode::kMaterialize);
-    for (ExecMode mode : {ExecMode::kPipeline, ExecMode::kColumnar}) {
-      SCOPED_TRACE(mode == ExecMode::kPipeline ? "pipeline" : "columnar");
-      ModeRun run = RunIn(plan, mode);
-      EXPECT_EQ(mat.dump, run.dump);
-      EXPECT_LE(run.rows_processed, mat.rows_processed);
-      EXPECT_LE(run.db_rows_read, mat.db_rows_read);
-    }
+    ModeRun run = RunIn(plan, ExecMode::kPipeline);
+    EXPECT_EQ(mat.dump, run.dump);
+    EXPECT_LE(run.rows_processed, mat.rows_processed);
+    EXPECT_LE(run.db_rows_read, mat.db_rows_read);
   }
 
   Database db_{"test"};
@@ -344,8 +336,7 @@ TEST_F(NestedJoinParityTest, DuplicateBuildKeysMatchNewestFirst) {
                ScanTable(city_), {"citykey"}, {"citykey"}),
       {{"city", Col("name"), DataType::kNull}});
   ExpectParity(plan);
-  for (ExecMode mode :
-       {ExecMode::kMaterialize, ExecMode::kPipeline, ExecMode::kColumnar}) {
+  for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
     SCOPED_TRACE(static_cast<int>(mode));
     EXPECT_EQ(RunIn(plan, mode).dump, "city:STRING\nC3b\nC3a\n");
   }
@@ -383,8 +374,8 @@ TEST_F(PipelineParityTest, Sort) {
 
 TEST_F(PipelineParityTest, Limit) {
   // The streaming Limit short-circuits (SPECIFICATION.md §14.4): rows are
-  // identical in every mode, but the cursor modes stop pulling once the
-  // limit is reached, so their work counters are bounded by — not equal
+  // identical in both modes, but the pipeline stops pulling once the
+  // limit is reached, so its work counters are bounded by — not equal
   // to — the materializing run's.
   ExpectRowsWithBoundedWork(Limit(ScanTable(orders_), 0));
   ExpectRowsWithBoundedWork(Limit(ScanTable(orders_), 3));
@@ -406,17 +397,14 @@ TEST_F(PipelineParityTest, LimitShortCircuitBoundsUpstreamWork) {
   }
   const size_t limit = 5;
   PlanPtr plan = Limit(ScanTable(big), limit);
-  for (ExecMode mode : {ExecMode::kPipeline, ExecMode::kColumnar}) {
-    SCOPED_TRACE(mode == ExecMode::kPipeline ? "pipeline" : "columnar");
-    ModeRun run = RunIn(plan, mode);
-    // Header line + one line per row.
-    EXPECT_EQ(static_cast<size_t>(
-                  std::count(run.dump.begin(), run.dump.end(), '\n')),
-              1 + limit);
-    // One scan batch at most is pulled past the limit.
-    EXPECT_LE(run.db_rows_read, limit + kBatchCapacity);
-    EXPECT_LE(run.rows_processed, 2 * (limit + kBatchCapacity));
-  }
+  ModeRun run = RunIn(plan, ExecMode::kPipeline);
+  // Header line + one line per row.
+  EXPECT_EQ(static_cast<size_t>(
+                std::count(run.dump.begin(), run.dump.end(), '\n')),
+            1 + limit);
+  // One scan batch at most is pulled past the limit.
+  EXPECT_LE(run.db_rows_read, limit + kBatchCapacity);
+  EXPECT_LE(run.rows_processed, 2 * (limit + kBatchCapacity));
   // Materializing mode still reads everything — that asymmetry is the bug
   // fix, and it is documented rather than hidden.
   ModeRun mat = RunIn(plan, ExecMode::kMaterialize);
@@ -478,9 +466,9 @@ TEST_F(PipelineParityTest, SqlEngineBattery) {
 
   auto run_mode = [&](ExecMode mode, std::vector<std::string>* dumps,
                       std::vector<uint64_t>* work) {
+    ScopedExecMode scoped(mode);
     Database db("sql_parity");
     sql::SqlEngine engine(&db);
-    engine.set_exec_mode(mode);
     ASSERT_TRUE(engine.Execute(ddl).ok());
     ASSERT_TRUE(engine
                     .Execute("CREATE TABLE grps (gid INT NOT NULL, "
@@ -511,24 +499,19 @@ TEST_F(PipelineParityTest, SqlEngineBattery) {
     }
   };
 
-  std::vector<std::string> mat_dumps, pipe_dumps, col_dumps;
-  std::vector<uint64_t> mat_work, pipe_work, col_work;
+  std::vector<std::string> mat_dumps, pipe_dumps;
+  std::vector<uint64_t> mat_work, pipe_work;
   run_mode(ExecMode::kMaterialize, &mat_dumps, &mat_work);
   run_mode(ExecMode::kPipeline, &pipe_dumps, &pipe_work);
-  run_mode(ExecMode::kColumnar, &col_dumps, &col_work);
   ASSERT_EQ(mat_dumps.size(), pipe_dumps.size());
-  ASSERT_EQ(mat_dumps.size(), col_dumps.size());
   for (size_t i = 0; i < mat_dumps.size(); ++i) {
     EXPECT_EQ(mat_dumps[i], pipe_dumps[i]) << statements[i];
-    EXPECT_EQ(mat_dumps[i], col_dumps[i]) << statements[i];
-    // LIMIT statements short-circuit in the cursor modes (§14.4): work is
+    // LIMIT statements short-circuit in the pipeline (§14.4): work is
     // bounded by the materializing run, equal for everything else.
     if (std::string(statements[i]).find("LIMIT") != std::string::npos) {
       EXPECT_LE(pipe_work[i], mat_work[i]) << statements[i];
-      EXPECT_LE(col_work[i], mat_work[i]) << statements[i];
     } else {
       EXPECT_EQ(mat_work[i], pipe_work[i]) << statements[i];
-      EXPECT_EQ(mat_work[i], col_work[i]) << statements[i];
     }
   }
 }
@@ -602,18 +585,10 @@ TEST_F(PipelineParityTest, FullBenchmarkMonitorCsvIsByteIdentical) {
       expect_same(mat, run(federated, ExecMode::kPipeline));
     }
     {
-      SCOPED_TRACE("columnar");
-      expect_same(mat, run(federated, ExecMode::kColumnar));
-    }
-    {
       // A 4 KiB budget forces the benchmark's blocking operators out of
       // core; the Monitor CSV must not move by a byte.
       SCOPED_TRACE("pipeline+spill");
       expect_same(mat, run(federated, ExecMode::kPipeline, 4096));
-    }
-    {
-      SCOPED_TRACE("columnar+spill");
-      expect_same(mat, run(federated, ExecMode::kColumnar, 4096));
     }
   }
 }
@@ -652,7 +627,6 @@ TEST_F(PipelineParityTest, MonitorCsvParityAcrossDatasizesAndSeeds) {
 
     std::string baseline = run(ExecMode::kMaterialize, 0);
     EXPECT_EQ(baseline, run(ExecMode::kPipeline, 0));
-    EXPECT_EQ(baseline, run(ExecMode::kColumnar, 0));
     SpillStats before = GetSpillStats();
     EXPECT_EQ(baseline, run(ExecMode::kPipeline, 2048));
     SpillStats after = GetSpillStats();

@@ -12,6 +12,7 @@
 
 #include "src/conformance/diff.h"
 #include "src/conformance/digest.h"
+#include "src/conformance/fuzzer.h"
 #include "src/harness/harness.h"
 
 namespace dipbench {
@@ -24,35 +25,21 @@ struct Cell {
   size_t budget;
 };
 
-const char* ModeName(ExecMode m) {
-  switch (m) {
-    case ExecMode::kMaterialize:
-      return "materialize";
-    case ExecMode::kPipeline:
-      return "pipeline";
-    case ExecMode::kColumnar:
-      return "columnar";
-  }
-  return "?";
-}
-
 /// Every engine x mode pair, plus the worker and budget axes exercised
 /// per engine/mode — each axis value meets both realizations.
 std::vector<Cell> EquivalenceMatrix() {
   constexpr size_t kSmallBudget = 64 * 1024;
   std::vector<Cell> cells;
   for (const char* engine : {"federated", "dataflow", "eai"}) {
-    for (ExecMode mode :
-         {ExecMode::kMaterialize, ExecMode::kPipeline, ExecMode::kColumnar}) {
+    for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
       cells.push_back({engine, mode, 1, 0});
     }
     cells.push_back({engine, ExecMode::kPipeline, 4, 0});
   }
-  for (ExecMode mode :
-       {ExecMode::kMaterialize, ExecMode::kPipeline, ExecMode::kColumnar}) {
+  for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
     cells.push_back({"federated", mode, 1, kSmallBudget});
   }
-  cells.push_back({"dataflow", ExecMode::kColumnar, 4, kSmallBudget});
+  cells.push_back({"dataflow", ExecMode::kPipeline, 4, kSmallBudget});
   return cells;
 }
 
@@ -81,8 +68,9 @@ TEST(RealizationEquivalenceTest, IncrementalLandsInTheFullLandscape) {
     const Cell& cell = cells[i];
     const harness::RunOutcome& full = outcomes[2 * i];
     const harness::RunOutcome& inc = outcomes[2 * i + 1];
-    SCOPED_TRACE(std::string(cell.engine) + "/" + ModeName(cell.mode) +
-                 "/w" + std::to_string(cell.workers) + "/b" +
+    SCOPED_TRACE(std::string(cell.engine) + "/" +
+                 conformance::ExecModeName(cell.mode) + "/w" +
+                 std::to_string(cell.workers) + "/b" +
                  std::to_string(cell.budget));
     ASSERT_TRUE(full.ok) << full.error;
     ASSERT_TRUE(inc.ok) << inc.error;
@@ -96,7 +84,7 @@ TEST(RealizationEquivalenceTest, IncrementalLandsInTheFullLandscape) {
     // monitor) matches a documented §16 rule.
     conformance::PairContext ctx;
     ctx.engine_a = ctx.engine_b = cell.engine;
-    ctx.mode_a = ctx.mode_b = ModeName(cell.mode);
+    ctx.mode_a = ctx.mode_b = conformance::ExecModeName(cell.mode);
     ctx.workers_a = ctx.workers_b = cell.workers;
     ctx.budget_a = ctx.budget_b = cell.budget;
     ctx.realization_a = "full";

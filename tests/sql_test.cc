@@ -77,6 +77,60 @@ TEST(ParserTest, ParseErrors) {
   EXPECT_FALSE(ParseSql("SELECT * FROM t LIMIT x").ok());
 }
 
+/// The literal 1 inside `levels` levels of one nesting form: parentheses,
+/// NOT, unary minus, or a left-deep chain of binary operators.
+std::string Nested(const std::string& form, size_t levels) {
+  if (form == "paren") {
+    return std::string(levels, '(') + "1" + std::string(levels, ')');
+  }
+  std::string expr;
+  for (size_t i = 0; i < levels; ++i) {
+    expr += form == "not" ? "NOT " : form == "minus" ? "- " : "1 + ";
+  }
+  return expr + "1";
+}
+
+Result<Statement> ParseSelectOf(const std::string& expr) {
+  return ParseSql("SELECT " + expr + " FROM t");
+}
+
+TEST(ParserTest, ExpressionNestingIsBoundedAt128Levels) {
+  // Offset of the token that opens the 129th level, after "SELECT ".
+  const std::pair<const char*, size_t> kForms[] = {{"paren", 7 + 128},
+                                                   {"not", 7 + 128 * 4},
+                                                   {"minus", 7 + 128 * 2},
+                                                   {"chain", 7 + 128 * 4 + 2}};
+  for (const auto& [form, offset] : kForms) {
+    SCOPED_TRACE(form);
+    auto deepest = ParseSelectOf(Nested(form, 128));
+    ASSERT_TRUE(deepest.ok()) << deepest.status();
+    ASSERT_EQ(deepest->select.items.size(), 1u);
+    for (size_t levels : {size_t{129}, size_t{100000}}) {
+      Status st = ParseSelectOf(Nested(form, levels)).status();
+      EXPECT_TRUE(st.IsParseError()) << levels << ": " << st;
+      EXPECT_NE(st.message().find(
+                    "expression nested deeper than 128 levels at offset " +
+                    std::to_string(offset)),
+                std::string::npos)
+          << levels << ": " << st;
+    }
+  }
+  // Levels add up across forms: 64 parentheses around a 64-operator chain
+  // are 128 levels, around a 65-operator chain 129.
+  auto wrap = [](size_t parens, const std::string& expr) {
+    return std::string(parens, '(') + expr + std::string(parens, ')');
+  };
+  EXPECT_TRUE(ParseSelectOf(wrap(64, Nested("chain", 64))).ok());
+  EXPECT_TRUE(ParseSelectOf(wrap(64, Nested("chain", 65)))
+                  .status()
+                  .IsParseError());
+  // A level closes with its parenthesis: an operator after it starts over.
+  EXPECT_TRUE(ParseSelectOf(wrap(1, Nested("chain", 127)) + " + 1").ok());
+  EXPECT_TRUE(ParseSelectOf(wrap(2, Nested("chain", 127)))
+                  .status()
+                  .IsParseError());
+}
+
 class SqlEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
