@@ -2,17 +2,16 @@
 //
 // Generates --configs seeded scenario manifests from --seed, runs every
 // one through the full execution matrix — {federated, dataflow} (+ eai
-// with --include-eai) x {materialize, pipeline} x workers
-// {1, 4} x budgets {0, 4096} — and diffs all canonical state digests
-// pairwise. Exit 0 means zero non-allowlisted divergences across the
-// whole sweep.
+// with --include-eai) x workers {1, 4} x budgets {0, 4096} — and diffs
+// all canonical state digests pairwise. Exit 0 means zero non-allowlisted
+// divergences across the whole sweep.
 //
 // On a failure the first violating case is shrunk to a minimal manifest
 // and written as a runnable JSON repro (--shrink-out, default
 // conformance_repro.json) for tests/repros/ and the CI artifact upload.
 //
 // --inject-divergence flips the binary into its self-test: a test hook
-// mutates one dwh.orders cell after every dataflow/pipeline/w4/b0 run,
+// mutates one dwh.orders cell after every dataflow/w4/b0 run,
 // and the exit gate INVERTS — the run passes (exit 0) only when the
 // pipeline catches the divergence, shrinks it, and the shrunk repro
 // replays to the same failure (and to a clean pass without the hook).
@@ -49,12 +48,12 @@ std::string JsonEscape(const std::string& s) {
 }
 
 /// The self-test's injected divergence: one price cell of dwh.orders,
-/// nudged after every dataflow/pipeline/w4/b0 run. Every pair involving
+/// nudged after every dataflow/w4/b0 run. Every pair involving
 /// that cell must then fail the kRows section.
 void InjectPriceDivergence(const conformance::MatrixCell& cell,
                            Scenario* scenario) {
-  if (cell.engine != "dataflow" || cell.mode != ExecMode::kPipeline ||
-      cell.workers != 4 || cell.memory_budget != 0) {
+  if (cell.engine != "dataflow" || cell.workers != 4 ||
+      cell.memory_budget != 0) {
     return;
   }
   auto db = scenario->db("dwh_db");

@@ -6,6 +6,10 @@
 //
 // The sweep runs q in {0, 0.01, 0.05, 0.1} and reports NAVG+ degradation,
 // retry and dead-letter counts, and the verification outcome per point.
+// The q = 0.05 run also takes the CDB endpoint down for 64 calls after its
+// 10th: longer than the 8-attempt retry budget, so the instances caught in
+// that window are dead-lettered at any period count. Random faults alone
+// exhaust that budget too rarely to assert on.
 // All points (plus the plain baseline) go through the harness::RunnerPool:
 // --jobs=N picks the concurrency (default: hardware_concurrency; --jobs=1
 // is the legacy serial loop, byte for byte). Three assertions gate the
@@ -13,8 +17,9 @@
 //  * q = 0 with the recovery machinery wired produces a Monitor CSV
 //    byte-identical to a plain run that never heard of faults;
 //  * the sweep-line concurrency matches the O(n²) reference loop;
-//  * the q = 0.05 run completes, dead-letters at least one instance, and
-//    still passes VerifyIntegration on the surviving data.
+//  * the q = 0.05 run (with its outage window) completes, dead-letters at
+//    least one instance, and still passes VerifyIntegration on the
+//    surviving data.
 //
 // DIPBENCH_PERIODS overrides the period count (default 10);
 // --json-out=<path> dumps the sweep as JSON for the CI artifact.
@@ -128,6 +133,11 @@ int main(int argc, char** argv) {
     // ~1-(1-q)^20 — at q = 0.1 that is ~0.88 and a fixed small budget
     // loses the serialized loads the verification depends on.
     spec.config.retry_max_attempts = q >= 0.1 ? 16 : 8;
+    if (q == 0.05) {
+      spec.config.outages.push_back(OutageWindow{
+          "q05-blackout", "cdb", /*after_calls=*/10, /*calls=*/64});
+      spec.label = spec.DisplayLabel() + " + cdb outage";
+    }
     spec.keep_records = true;  // retries/dead-letters + concurrency check
     specs.push_back(spec);
   }
@@ -207,20 +217,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Assertion 3: the q = 0.05 point recovered — run complete, at least one
-  // instance dead-lettered, verification green on the surviving data.
+  // Assertion 3: the q = 0.05 point, with its outage window, recovered —
+  // run complete, at least one instance dead-lettered, verification green
+  // on the surviving data.
   for (const auto& p : sweep) {
     if (p.q != 0.05) continue;
     if (!p.ran_ok) {
-      std::printf("q=0.05 recovery: VIOLATED (%s)\n", p.error.c_str());
+      std::printf("q=0.05 + outage recovery: VIOLATED (%s)\n",
+                  p.error.c_str());
       all_ok = false;
     } else if (p.dead_letters == 0) {
-      std::printf("q=0.05 recovery: VIOLATED (no dead letters — fault "
-                  "rate too low for this schedule?)\n");
+      std::printf("q=0.05 + outage recovery: VIOLATED (no dead letters)\n");
       all_ok = false;
     } else {
-      std::printf("q=0.05 recovery: OK (%llu retries, %llu dead letters, "
-                  "verification passed)\n",
+      std::printf("q=0.05 + outage recovery: OK (%llu retries, %llu dead "
+                  "letters, verification passed)\n",
                   static_cast<unsigned long long>(p.retries),
                   static_cast<unsigned long long>(p.dead_letters));
     }

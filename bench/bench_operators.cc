@@ -3,10 +3,7 @@
 // parse/serialize, STX translation, XSD validation, and the end-to-end
 // endpoint paths (database vs Web-service marshaling).
 //
-// The relational operators run under both execution modes (mode = 0:
-// kMaterialize, the test reference that materializes between operators;
-// mode = 1: kPipeline, batch-streamed cursors) so the rows/sec effect of
-// the pipelined engine is measurable per operator. items_per_second in the
+// The relational operators run at two input sizes; items_per_second in the
 // output is the rows/sec figure. By default the run also writes
 // BENCH_operators.json (Google Benchmark JSON) next to the binary; pass
 // your own --benchmark_out= to override.
@@ -58,23 +55,14 @@ Table* MakeOrdersTable(Database* db, int64_t n) {
   return t;
 }
 
-/// Second benchmark argument selects the execution mode:
-/// 0 = materialize (the test reference), 1 = pipeline (row cursors).
-ExecMode ModeArg(const benchmark::State& state) {
-  return state.range(1) == 0 ? ExecMode::kMaterialize : ExecMode::kPipeline;
-}
-
-/// Registers {rows} x {materialize, pipeline} variants.
-void ModeArgs(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"rows", "mode"});
-  for (int64_t rows : {int64_t{4096}, int64_t{65536}}) {
-    b->Args({rows, 0})->Args({rows, 1});
-  }
+/// Registers the input sizes.
+void RowArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"rows"});
+  for (int64_t rows : {int64_t{4096}, int64_t{65536}}) b->Arg(rows);
 }
 
 void RunPlan(benchmark::State& state, const PlanPtr& plan,
              int64_t rows_per_iter) {
-  ScopedExecMode mode(ModeArg(state));
   for (auto _ : state) {
     ExecContext ctx;
     auto out = plan->Execute(&ctx);
@@ -88,7 +76,7 @@ void BM_Scan(benchmark::State& state) {
   Table* t = MakeOrdersTable(&db, state.range(0));
   RunPlan(state, ScanTable(t), state.range(0));
 }
-BENCHMARK(BM_Scan)->Apply(ModeArgs);
+BENCHMARK(BM_Scan)->Apply(RowArgs);
 
 void BM_Filter(benchmark::State& state) {
   Database db("bench");
@@ -96,7 +84,7 @@ void BM_Filter(benchmark::State& state) {
   RunPlan(state, Filter(ScanTable(t), Gt(Col("price"), Lit(250.0))),
           state.range(0));
 }
-BENCHMARK(BM_Filter)->Apply(ModeArgs);
+BENCHMARK(BM_Filter)->Apply(RowArgs);
 
 void BM_Project(benchmark::State& state) {
   Database db("bench");
@@ -107,11 +95,10 @@ void BM_Project(benchmark::State& state) {
                    {"gross", Mul(Col("price"), Lit(1.19)), DataType::kNull}}),
           state.range(0));
 }
-BENCHMARK(BM_Project)->Apply(ModeArgs);
+BENCHMARK(BM_Project)->Apply(RowArgs);
 
-// The acceptance chain: scan -> filter -> project fully streams in
-// pipelined mode (no intermediate RowSet at all), which is where the
-// refactor's speedup should be most visible.
+// The acceptance chain: scan -> filter -> project fully streams (no
+// intermediate RowSet at all).
 void BM_ScanFilterProject(benchmark::State& state) {
   Database db("bench");
   Table* t = MakeOrdersTable(&db, state.range(0));
@@ -121,10 +108,10 @@ void BM_ScanFilterProject(benchmark::State& state) {
                    {"gross", Mul(Col("price"), Lit(1.19)), DataType::kNull}}),
           state.range(0));
 }
-BENCHMARK(BM_ScanFilterProject)->Apply(ModeArgs);
+BENCHMARK(BM_ScanFilterProject)->Apply(RowArgs);
 
-// Filter -> grouped aggregate: in pipelined mode the aggregate folds the
-// filter's borrowed tuples in place, with no intermediate RowSet.
+// Filter -> grouped aggregate: the aggregate folds the filter's borrowed
+// tuples in place, with no intermediate RowSet.
 void BM_FilterAggregateChain(benchmark::State& state) {
   Database db("bench");
   Table* t = MakeOrdersTable(&db, state.range(0));
@@ -135,7 +122,7 @@ void BM_FilterAggregateChain(benchmark::State& state) {
                      {"n", AggFunc::kCount, ""}}),
           state.range(0));
 }
-BENCHMARK(BM_FilterAggregateChain)->Apply(ModeArgs);
+BENCHMARK(BM_FilterAggregateChain)->Apply(RowArgs);
 
 void BM_HashJoin(benchmark::State& state) {
   Database db("bench");
@@ -151,7 +138,7 @@ void BM_HashJoin(benchmark::State& state) {
                    {"custkey"}),
           state.range(0));
 }
-BENCHMARK(BM_HashJoin)->Apply(ModeArgs);
+BENCHMARK(BM_HashJoin)->Apply(RowArgs);
 
 void BM_Aggregate(benchmark::State& state) {
   Database db("bench");
@@ -162,20 +149,19 @@ void BM_Aggregate(benchmark::State& state) {
                      {"n", AggFunc::kCount, ""}}),
           state.range(0));
 }
-BENCHMARK(BM_Aggregate)->Apply(ModeArgs);
+BENCHMARK(BM_Aggregate)->Apply(RowArgs);
 
 void BM_Sort(benchmark::State& state) {
   Database db("bench");
   Table* t = MakeOrdersTable(&db, state.range(0));
   RunPlan(state, Sort(ScanTable(t), {{"price", false}}), state.range(0));
 }
-BENCHMARK(BM_Sort)->Apply(ModeArgs);
+BENCHMARK(BM_Sort)->Apply(RowArgs);
 
 void BM_UnionDistinct(benchmark::State& state) {
   RowSet a = MakeOrders(state.range(0));
   RowSet b = MakeOrders(state.range(0));  // identical: worst-case dedup
   auto plan = UnionDistinct({ScanValues(a), ScanValues(b)}, {"orderkey"});
-  ScopedExecMode mode(ModeArg(state));
   for (auto _ : state) {
     ExecContext ctx;
     auto out = plan->Execute(&ctx);
@@ -183,7 +169,7 @@ void BM_UnionDistinct(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
 }
-BENCHMARK(BM_UnionDistinct)->Apply(ModeArgs);
+BENCHMARK(BM_UnionDistinct)->Apply(RowArgs);
 
 void BM_XmlParse(benchmark::State& state) {
   RowSet rows = MakeOrders(state.range(0));
@@ -337,7 +323,7 @@ BENCHMARK(BM_EndpointQuery_WebService)->Arg(1000);
 }  // namespace dipbench
 
 // Custom main: write BENCH_operators.json by default so CI (and humans) get
-// machine-readable rows/sec per operator/mode without remembering the flag.
+// machine-readable rows/sec per operator without remembering the flag.
 int main(int argc, char** argv) {
   std::vector<char*> args;
   args.push_back(argv[0]);

@@ -1,7 +1,6 @@
 #include "src/conformance/diff.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "src/common/string_util.h"
 
@@ -103,34 +102,15 @@ class Differ {
     for (const AllowRule& rule : allowlist_) {
       if (rule.section != entry->section) continue;
       if (rule.requires_engine_mismatch && !ctx_.engines_differ()) continue;
-      if (rule.requires_mode_mismatch && !ctx_.modes_differ()) continue;
       if (rule.requires_realization_mismatch &&
           !ctx_.realizations_differ()) {
         continue;
       }
       if (!rule.key.empty() && rule.key != entry->key) continue;
-      if (rule.materialize_reports_more &&
-          !MaterializeReportsMore(*entry)) {
-        continue;
-      }
       entry->allowlisted = true;
       entry->rule = rule.name;
       return;
     }
-  }
-
-  /// §14.4 direction check: exactly one side ran kMaterialize, and that
-  /// side's counter is the larger one (cursor modes may report LESS work
-  /// on limit-cut prefixes — never more).
-  bool MaterializeReportsMore(const DiffEntry& entry) const {
-    bool a_mat = ctx_.mode_a == "materialize";
-    bool b_mat = ctx_.mode_b == "materialize";
-    if (a_mat == b_mat) return false;
-    if (entry.left == kAbsent || entry.right == kAbsent) return false;
-    unsigned long long left = std::strtoull(entry.left.c_str(), nullptr, 10);
-    unsigned long long right = std::strtoull(entry.right.c_str(), nullptr,
-                                             10);
-    return a_mat ? left > right : right > left;
   }
 
   const PairContext& ctx_;
@@ -290,20 +270,20 @@ const char* SectionName(Section s) {
 }
 
 std::string PairContext::ToString() const {
-  // Realizations render only when either side deviates from the legacy
-  // default, keeping every pre-existing log line byte-identical.
-  auto side = [](const std::string& engine, const std::string& mode,
-                 int workers, size_t budget, const std::string& realization) {
-    std::string out = StrFormat("%s/%s/w%d/b%zu", engine.c_str(),
-                                mode.c_str(), workers, budget);
+  // A realization renders only when it deviates from the default full
+  // recompute, so most labels read "engine/wN/bN".
+  auto side = [](const std::string& engine, int workers, size_t budget,
+                 const std::string& realization) {
+    std::string out =
+        StrFormat("%s/w%d/b%zu", engine.c_str(), workers, budget);
     if (realization != "full") out += "/" + realization;
     return out;
   };
   bool any_inc = realization_a != "full" || realization_b != "full";
-  std::string a = side(engine_a, mode_a, workers_a, budget_a,
-                       any_inc ? realization_a : "full");
-  std::string b = side(engine_b, mode_b, workers_b, budget_b,
-                       any_inc ? realization_b : "full");
+  std::string a =
+      side(engine_a, workers_a, budget_a, any_inc ? realization_a : "full");
+  std::string b =
+      side(engine_b, workers_b, budget_b, any_inc ? realization_b : "full");
   if (any_inc && realization_a == "full") a += "/full";
   if (any_inc && realization_b == "full") b += "/full";
   return a + " vs " + b;
@@ -335,23 +315,12 @@ const std::vector<AllowRule>& DocumentedAllowlist() {
         "engine-cost-model",
         "Monitor CSVs embed the engine's cost weights; they compare only "
         "within one engine",
-        Section::kMonitor, /*requires_engine_mismatch=*/true,
-        /*requires_mode_mismatch=*/false, /*key=*/"",
-        /*materialize_reports_more=*/false});
+        Section::kMonitor, /*requires_engine_mismatch=*/true, /*key=*/""});
     r->push_back(AllowRule{
         "engine-failure-text",
         "when both runs fail, error text may name engine internals; the "
         "ok-flag itself must still agree",
-        Section::kRun, /*requires_engine_mismatch=*/true,
-        /*requires_mode_mismatch=*/false, /*key=*/"error",
-        /*materialize_reports_more=*/false});
-    r->push_back(AllowRule{
-        "limit-cut-rows-read",
-        "SPECIFICATION.md §14.4: cursor modes may report less "
-        "rows_read than materialization on limit-cut streaming prefixes",
-        Section::kCounters, /*requires_engine_mismatch=*/false,
-        /*requires_mode_mismatch=*/true, /*key=*/"rows_read",
-        /*materialize_reports_more=*/true});
+        Section::kRun, /*requires_engine_mismatch=*/true, /*key=*/"error"});
     // The two realization rules cover ONLY the counter and monitor
     // sections: SPECIFICATION.md §16 requires landscape state (rows,
     // schemas, verification) to stay byte-identical across realizations,
@@ -361,17 +330,13 @@ const std::vector<AllowRule>& DocumentedAllowlist() {
         "SPECIFICATION.md §16: incremental maintenance folds only the "
         "unconsumed change-log suffix, so per-table rows_read/rows_written "
         "differ from a full recompute",
-        Section::kCounters, /*requires_engine_mismatch=*/false,
-        /*requires_mode_mismatch=*/false, /*key=*/"",
-        /*materialize_reports_more=*/false,
+        Section::kCounters, /*requires_engine_mismatch=*/false, /*key=*/"",
         /*requires_realization_mismatch=*/true});
     r->push_back(AllowRule{
         "realization-cost-model",
         "Monitor charges scale with rows moved per process; cost CSVs "
         "compare only within one realization",
-        Section::kMonitor, /*requires_engine_mismatch=*/false,
-        /*requires_mode_mismatch=*/false, /*key=*/"",
-        /*materialize_reports_more=*/false,
+        Section::kMonitor, /*requires_engine_mismatch=*/false, /*key=*/"",
         /*requires_realization_mismatch=*/true});
     return r;
   }();

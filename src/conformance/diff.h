@@ -15,14 +15,12 @@ namespace conformance {
 /// conformance violations.
 struct PairContext {
   std::string engine_a, engine_b;
-  std::string mode_a, mode_b;  ///< "materialize" | "pipeline"
   int workers_a = 1, workers_b = 1;
   size_t budget_a = 0, budget_b = 0;
   std::string realization_a = "full";  ///< "full" | "incremental"
   std::string realization_b = "full";
 
   bool engines_differ() const { return engine_a != engine_b; }
-  bool modes_differ() const { return mode_a != mode_b; }
   bool realizations_differ() const { return realization_a != realization_b; }
   std::string ToString() const;
 };
@@ -65,16 +63,12 @@ struct AllowRule {
   std::string name;    ///< stable id, printed next to allowlisted entries
   std::string reason;  ///< one-line documentation
   Section section;
-  /// Rule only applies when the two runs used different engines / exec
-  /// modes (both false = applies to any pair).
+  /// Rule only applies when the two runs used different engines (false =
+  /// applies to any pair).
   bool requires_engine_mismatch = false;
-  bool requires_mode_mismatch = false;
   /// Restrict to one entry key ("rows_read", "error", ...); empty = any
   /// key within the section.
   std::string key;
-  /// For the §14.4 limit-cut rule: the materializing side must report
-  /// MORE work, never less. Checked against numeric left/right values.
-  bool materialize_reports_more = false;
   /// Rule only applies when the two runs used different process
   /// realizations (SPECIFICATION.md §16: full recompute vs incremental
   /// maintenance). Deliberately NEVER set on the kRows/kSchema/
@@ -89,9 +83,6 @@ struct AllowRule {
 ///   * engine-failure-text    — when both runs fail, the error text may
 ///                              name engine internals (the ok-flag itself
 ///                              must still agree).
-///   * limit-cut-rows-read    — SPECIFICATION.md §14.4: cursor modes may
-///                              report less rows_read than materialization
-///                              on limit-cut streaming prefixes.
 ///   * realization-io-counters — SPECIFICATION.md §16: incremental
 ///                              maintenance touches fewer rows, so
 ///                              rows_read / rows_written may differ from

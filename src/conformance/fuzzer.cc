@@ -87,26 +87,9 @@ const T& Pick(Rng* rng, const std::vector<T>& from) {
 
 }  // namespace
 
-const char* ExecModeName(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kMaterialize:
-      return "materialize";
-    case ExecMode::kPipeline:
-      return "pipeline";
-  }
-  return "?";
-}
-
-Result<ExecMode> ParseExecMode(const std::string& name) {
-  if (name == "materialize") return ExecMode::kMaterialize;
-  if (name == "pipeline") return ExecMode::kPipeline;
-  return Status::InvalidArgument("unknown exec mode '" + name +
-                                 "' (expected materialize or pipeline)");
-}
-
 std::string MatrixCell::Label() const {
-  std::string label = StrFormat("%s/%s/w%d/b%zu", engine.c_str(),
-                                ExecModeName(mode), workers, memory_budget);
+  std::string label =
+      StrFormat("%s/w%d/b%zu", engine.c_str(), workers, memory_budget);
   if (realization == Realization::kIncremental) label += "/inc";
   return label;
 }
@@ -116,11 +99,9 @@ std::vector<MatrixCell> DefaultMatrix(bool include_eai) {
   if (include_eai) engines.push_back("eai");
   std::vector<MatrixCell> matrix;
   for (const std::string& engine : engines) {
-    for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
-      for (int workers : {1, 4}) {
-        for (size_t budget : {size_t{0}, kSmallBudget}) {
-          matrix.push_back(MatrixCell{engine, mode, workers, budget});
-        }
+    for (int workers : {1, 4}) {
+      for (size_t budget : {size_t{0}, kSmallBudget}) {
+        matrix.push_back(MatrixCell{engine, workers, budget});
       }
     }
   }
@@ -376,8 +357,6 @@ PairContext MakePairContext(const MatrixCell& a, const MatrixCell& b) {
   PairContext ctx;
   ctx.engine_a = a.engine;
   ctx.engine_b = b.engine;
-  ctx.mode_a = ExecModeName(a.mode);
-  ctx.mode_b = ExecModeName(b.mode);
   ctx.workers_a = a.workers;
   ctx.workers_b = b.workers;
   ctx.budget_a = a.memory_budget;
@@ -431,7 +410,6 @@ CaseResult RunCase(const FuzzCase& fuzz_case, const FuzzOptions& opt) {
     spec.config.operator_memory_budget = cell.memory_budget;
     spec.config.realization = cell.realization;
     spec.engine = cell.engine;
-    spec.exec_mode = cell.mode;
     spec.digest_state = true;
     spec.label = StrFormat("case-%zu %s", fuzz_case.index,
                            cell.Label().c_str());

@@ -17,12 +17,11 @@ namespace conformance {
 
 /// One point of the differential execution matrix: an engine realization
 /// plus the execution dials that the specification requires to be
-/// output-invariant (exec mode, intra-run workers, operator memory
-/// budget). The fuzzer runs every generated scenario through every cell
-/// and diffs all digests pairwise.
+/// output-invariant (intra-run workers, operator memory budget). The
+/// fuzzer runs every generated scenario through every cell and diffs all
+/// digests pairwise.
 struct MatrixCell {
   std::string engine = "federated";
-  ExecMode mode = ExecMode::kPipeline;
   int workers = 1;
   size_t memory_budget = 0;
   /// Process realization for the Group C/D maintenance bodies. Incremental
@@ -31,17 +30,13 @@ struct MatrixCell {
   /// documented in SPECIFICATION.md §16 are allowlisted.
   Realization realization = Realization::kFullRecompute;
 
-  /// "dataflow/pipeline/w4/b4096" (+"/inc" for incremental cells) —
-  /// stable, label- and log-friendly.
+  /// "dataflow/w4/b4096" (+"/inc" for incremental cells) — stable, label-
+  /// and log-friendly.
   std::string Label() const;
 };
 
-const char* ExecModeName(ExecMode mode);
-Result<ExecMode> ParseExecMode(const std::string& name);
-
-/// The issue's full matrix: {federated, dataflow} (+ eai on request) x
-/// {materialize, pipeline} x workers {1, 4} x budgets
-/// {0, kSmallBudget}.
+/// The full matrix: {federated, dataflow} (+ eai on request) x
+/// workers {1, 4} x budgets {0, kSmallBudget}.
 std::vector<MatrixCell> DefaultMatrix(bool include_eai);
 
 /// The "small" operator memory budget of the default matrix: low enough

@@ -133,11 +133,10 @@ std::string ReproToJson(const Repro& repro) {
   for (size_t i = 0; i < repro.cells.size(); ++i) {
     const MatrixCell& cell = repro.cells[i];
     out += "    {\"engine\": " + QuoteJson(cell.engine) +
-           ", \"exec_mode\": \"" + ExecModeName(cell.mode) +
-           "\", \"workers\": " + std::to_string(cell.workers) +
+           ", \"workers\": " + std::to_string(cell.workers) +
            ", \"memory_budget\": " + std::to_string(cell.memory_budget);
-    // Rendered only for non-default realizations: every pre-existing
-    // repro file stays byte-identical.
+    // Rendered only for non-default realizations; a cell without the
+    // key reads back as the full recompute.
     if (cell.realization != Realization::kFullRecompute) {
       out += std::string(", \"realization\": \"") +
              RealizationName(cell.realization) + "\"";
@@ -198,22 +197,20 @@ Result<Repro> ReproFromJsonText(std::string_view text,
   }
   for (const json::Value& item : cells->items) {
     if (!item.is_object()) return err(item, "cell must be an object");
+    for (const auto& [key, value] : item.members) {
+      if (key != "engine" && key != "workers" && key != "memory_budget" &&
+          key != "realization") {
+        return err(value, "unknown cell key '" + key +
+                              "' (expected engine, workers, memory_budget "
+                              "or realization)");
+      }
+    }
     MatrixCell cell;
     if (const json::Value* engine = item.Find("engine")) {
       if (!engine->is_string()) {
         return err(*engine, "'engine' must be a string");
       }
       cell.engine = engine->string_value;
-    }
-    if (const json::Value* mode = item.Find("exec_mode")) {
-      if (!mode->is_string()) {
-        return err(*mode, "'exec_mode' must be a string");
-      }
-      Result<ExecMode> parsed_mode = ParseExecMode(mode->string_value);
-      if (!parsed_mode.ok()) {
-        return err(*mode, parsed_mode.status().message());
-      }
-      cell.mode = *parsed_mode;
     }
     if (const json::Value* workers = item.Find("workers")) {
       if (!workers->is_number() || workers->number_value < 1) {

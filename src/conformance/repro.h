@@ -29,10 +29,12 @@ Repro MakeRepro(const ShrinkResult& shrunk, uint64_t master_seed,
                 size_t case_index, const std::string& note);
 
 /// {"dipbench_repro": 1, "note": ..., "master_seed": ..., "case_index":
-///  ..., "cells": [{"engine", "exec_mode", "workers", "memory_budget"}],
+///  ..., "cells": [{"engine", "workers", "memory_budget"[, "realization"]}],
 ///  "manifest": {...}}
 std::string ReproToJson(const Repro& repro);
 
+/// Parses a repro. A cell accepts only the keys ReproToJson writes; any
+/// other key is an InvalidArgument naming its position.
 Result<Repro> ReproFromJsonText(std::string_view text,
                                 const std::string& origin);
 Result<Repro> LoadRepro(const std::string& path);

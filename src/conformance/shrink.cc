@@ -37,7 +37,6 @@ Evaluation EvaluatePair(const scenario::ScenarioManifest& manifest,
     spec.config.workers = cell->workers;
     spec.config.operator_memory_budget = cell->memory_budget;
     spec.engine = cell->engine;
-    spec.exec_mode = cell->mode;
     spec.digest_state = true;
     spec.label = "shrink " + cell->Label();
     if (opt.inject) {
@@ -196,8 +195,8 @@ std::vector<Candidate> BuildCandidates(
         [](Candidate* c) { c->manifest.config.datagen_jobs = 1; });
   }
 
-  // Cell reductions — the execution dials only; engine and exec mode ARE
-  // the divergence under investigation and stay fixed.
+  // Cell reductions — the execution dials only; the engine IS the
+  // divergence under investigation and stays fixed.
   if (cell_a.workers != 1 || cell_b.workers != 1) {
     add("cells workers=1", [](Candidate* c) {
       c->cell_a.workers = 1;

@@ -28,8 +28,8 @@ struct ShrinkResult {
 /// reader (invalid candidates are discarded, not run), then the two cells
 /// are re-executed and the digests re-diffed; a reduction is kept only
 /// when a violation survives. Passes repeat to a fixpoint (bounded
-/// rounds). Engine and exec mode of the two cells are never touched —
-/// they are the divergence dimension, not the noise being removed.
+/// rounds). The engine of the two cells is never touched — it is the
+/// divergence dimension, not the noise being removed.
 ///
 /// opt supplies jobs, periods_override and the inject hook (an injected
 /// divergence must keep being injected while shrinking, or nothing

@@ -7,7 +7,6 @@
 #include <queue>
 #include <thread>
 
-#include "src/ra/plan.h"
 #include "src/storage/spill.h"
 
 namespace dipbench {
@@ -207,13 +206,10 @@ bool WaveRunner::Run(int n, int workers, const Hooks& hooks) {
     if (indeg[i] == 0) ready.push(i);
   }
 
-  // Pool threads inherit the submitting thread's (thread-local) relational
-  // exec mode (kMaterialize only under the test reference) and operator
+  // Pool threads inherit the submitting thread's (thread-local) operator
   // memory budget, same as the inter-run harness pool.
-  const ExecMode mode = CurrentExecMode();
   const size_t budget = CurrentMemoryBudget();
   auto worker_loop = [&]() {
-    ScopedExecMode scoped(mode);
     ScopedMemoryBudget scoped_budget(budget);
     std::unique_lock<std::mutex> lock(mu);
     while (true) {

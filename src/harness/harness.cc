@@ -51,12 +51,6 @@ RunOutcome RunnerPool::ExecuteOne(const RunSpec& spec) {
   out.spec = spec;
   StopWatch watch;
 
-  // Per-spec exec-mode override (conformance matrix cells); RAII restores
-  // the thread's prior mode so co-scheduled specs on this thread are
-  // unaffected.
-  std::optional<ScopedExecMode> scoped_mode;
-  if (spec.exec_mode) scoped_mode.emplace(*spec.exec_mode);
-
   auto scenario_result = Scenario::Create();
   if (!scenario_result.ok()) {
     out.error = scenario_result.status().ToString();
@@ -127,15 +121,11 @@ std::vector<RunOutcome> RunnerPool::RunTasks(
     std::vector<std::function<RunOutcome()>> tasks) {
   std::vector<RunOutcome> outcomes(tasks.size());
 
-  // Every job runs under the exec mode and operator memory budget active on
-  // the submitting thread — both are thread-local (src/ra/plan.h,
-  // src/storage/spill.h), so fresh pool threads would otherwise silently
-  // fall back to the defaults. The mode only ever differs from the
-  // kPipeline default under the kMaterialize test reference.
-  const ExecMode mode = CurrentExecMode();
+  // Every job runs under the operator memory budget active on the
+  // submitting thread — it is thread-local (src/storage/spill.h), so fresh
+  // pool threads would otherwise silently fall back to the default.
   const size_t budget = CurrentMemoryBudget();
   auto run_task = [&](size_t i) {
-    ScopedExecMode scoped(mode);
     ScopedMemoryBudget scoped_budget(budget);
     try {
       outcomes[i] = tasks[i]();

@@ -3,14 +3,12 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/conformance/digest.h"
 #include "src/dipbench/client.h"
 #include "src/obs/obs.h"
-#include "src/ra/plan.h"
 
 namespace dipbench {
 namespace harness {
@@ -32,12 +30,6 @@ struct RunSpec {
   /// Copy the engine's InstanceRecords into the outcome (cross-run
   /// diagnostics such as the concurrency sweep-line cross-check).
   bool keep_records = false;
-  /// Per-run plan execution mode. The pool normally re-applies the
-  /// submitting thread's thread-local mode to every job; a set value
-  /// overrides that for this run only (the conformance matrix and the
-  /// realization-equivalence test run kMaterialize, the test reference,
-  /// beside kPipeline in one spec list).
-  std::optional<ExecMode> exec_mode;
   /// Capture a conformance::StateDigest of the final landscape (plus
   /// monitor/verification/recovery/run-outcome) into the outcome. The
   /// Scenario dies with ExecuteOne, so this is the only way to observe its
@@ -83,10 +75,10 @@ Result<std::unique_ptr<core::EngineBase>> MakeEngine(const std::string& name,
 /// endpoints), engine, Client, Initializer and, when requested, trace
 /// recorder and metrics registry. The only process-level state a run
 /// touches is (a) the Logger, which is thread-safe at line granularity,
-/// (b) the thread-local plan ExecMode, which the pool re-applies from the
-/// submitting thread onto every job thread, and (c) FileStore's unique-
-/// directory counter, which exists precisely to keep concurrent runs
-/// apart on disk. All randomness is seeded from the RunSpec's config, so
+/// (b) the thread-local operator memory budget, which the pool re-applies
+/// from the submitting thread onto every job thread, and (c) FileStore's
+/// unique-directory counter, which exists precisely to keep concurrent
+/// runs apart on disk. All randomness is seeded from the RunSpec's config, so
 /// a run's bytes depend only on its spec — never on co-scheduled runs,
 /// thread identity, or jobs count.
 ///

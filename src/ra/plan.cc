@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -28,15 +27,6 @@ size_t RowSet::ByteSize() const {
   byte_size_cache_rows_ = rows.size();
   return total;
 }
-
-namespace {
-// The calling thread's execution mode: harness and wave-scheduler threads
-// each run under their own (see CurrentExecMode in plan.h).
-thread_local ExecMode g_exec_mode = ExecMode::kPipeline;
-}  // namespace
-
-ExecMode CurrentExecMode() { return g_exec_mode; }
-void SetExecMode(ExecMode mode) { g_exec_mode = mode; }
 
 namespace {
 
@@ -103,49 +93,9 @@ Result<RowSet> DrainCursor(BatchCursor* cursor) {
   return out;
 }
 
-namespace {
-
-/// Adapter that materializes a full RowSet at Open() and then emits it in
-/// batches. Serves as the default cursor for blocking operators; their
-/// children still stream because the producer runs them through the
-/// mode-dispatching PlanNode::Execute().
-class RowSetCursor : public BatchCursor {
- public:
-  explicit RowSetCursor(std::function<Result<RowSet>()> producer)
-      : producer_(std::move(producer)) {}
-
-  Status Open() override {
-    DIP_ASSIGN_OR_RETURN(data_, producer_());
-    pos_ = 0;
-    return Status::OK();
-  }
-  Status Next(Batch* batch) override {
-    batch->clear();
-    EmitOwned(&data_.rows, &pos_, batch);
-    return Status::OK();
-  }
-  void Close() override {}
-  const Schema& schema() const override { return data_.schema; }
-
- private:
-  std::function<Result<RowSet>()> producer_;
-  RowSet data_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
 Result<RowSet> PlanNode::Execute(ExecContext* ctx) const {
-  if (CurrentExecMode() == ExecMode::kMaterialize) {
-    return ExecuteMaterialized(ctx);
-  }
   CursorPtr cursor = MakeCursor(ctx);
   return DrainCursor(cursor.get());
-}
-
-CursorPtr PlanNode::MakeCursor(ExecContext* ctx) const {
-  return std::make_unique<RowSetCursor>(
-      [this, ctx] { return ExecuteMaterialized(ctx); });
 }
 
 namespace {
@@ -204,6 +154,39 @@ class RowSliceCursor : public BatchCursor {
  private:
   const RowSet* data_;
   ExecContext* ctx_;
+  size_t pos_ = 0;
+};
+
+/// Emits the rows an ordered-index range lookup returns. The lookup runs at
+/// Open and is charged in full there: the index delivers the whole range.
+class IndexRangeScanCursor : public BatchCursor {
+ public:
+  IndexRangeScanCursor(const Table* table, const std::string* index_name,
+                       const Value* lo, const Value* hi, ExecContext* ctx)
+      : table_(table), index_name_(index_name), lo_(lo), hi_(hi), ctx_(ctx) {}
+
+  Status Open() override {
+    DIP_ASSIGN_OR_RETURN(rows_, table_->LookupRange(*index_name_, *lo_, *hi_));
+    ctx_->operator_invocations++;
+    ctx_->rows_processed += rows_.size();
+    pos_ = 0;
+    return Status::OK();
+  }
+  Status Next(Batch* batch) override {
+    batch->clear();
+    EmitOwned(&rows_, &pos_, batch);
+    return Status::OK();
+  }
+  void Close() override {}
+  const Schema& schema() const override { return table_->schema(); }
+
+ private:
+  const Table* table_;
+  const std::string* index_name_;
+  const Value* lo_;
+  const Value* hi_;
+  ExecContext* ctx_;
+  std::vector<Row> rows_;
   size_t pos_ = 0;
 };
 
@@ -416,9 +399,8 @@ size_t HashTupleKey(const Row* const* tuple, const std::vector<CellRef>& keys) {
 /// Build side of the in-memory hash joins: one key hash per build row,
 /// chained through flat arrays rather than one multimap node per row.
 /// Chains run from the newest row to the oldest, so one probe's matches
-/// come out in descending build-row order — the order
-/// unordered_multimap::equal_range gives equal keys, which first-wins
-/// inserts downstream of a join depend on.
+/// come out in descending build-row order, which first-wins inserts
+/// downstream of a join depend on.
 class JoinHashTable {
  public:
   /// Indexes build rows 0..hashes.size()-1 by their key hashes.
@@ -615,10 +597,8 @@ class HashJoinCursor : public BatchCursor {
 /// Emits the first `limit` rows and then SHORT-CIRCUITS: the moment the
 /// limit is reached the child is closed and nothing more is pulled, so
 /// upstream work (rows_read, rows_processed) is bounded by
-/// O(limit + batch size) rather than the full input. This intentionally
-/// diverges from the materializing path, which computes the child in full
-/// by construction (SPECIFICATION.md §14.4 documents the counter
-/// difference).
+/// O(limit + batch size) rather than the full input (SPECIFICATION.md
+/// §14.4).
 class LimitCursor : public BatchCursor {
  public:
   LimitCursor(CursorPtr child, size_t limit, ExecContext* ctx)
@@ -676,9 +656,9 @@ class LimitCursor : public BatchCursor {
 
 /// --- Shared grouped-aggregation core ------------------------------------
 ///
-/// Every aggregation path (materialized, streaming, spilling)
-/// funnels through these helpers so group semantics, double-summation
-/// order, and output shape can never drift apart across execution modes.
+/// Both aggregation cursors (in-memory and spilling) funnel through these
+/// helpers so group semantics, double-summation order, and output shape
+/// can never drift apart between budgets.
 /// They read a group's input cells through the input's tuple layout; plain
 /// rows are one-row tuples.
 
@@ -788,8 +768,7 @@ Status AccumulateAggValues(const Row* const* tuple,
   return Status::OK();
 }
 
-/// The group table every aggregation path shares (materialized, streaming
-/// and spilling).
+/// The group table both aggregation cursors share.
 ///
 /// Group identity is the serialized key: the group cells rendered and
 /// joined like RowToString, so Int(5) and Double(5.0) are one group,
@@ -1070,9 +1049,7 @@ struct KeyHeapCmp {
 /// Grouped aggregation under an unlimited budget. It streams its input:
 /// each batch is folded into the shared group table as it arrives, the
 /// child's tuples read in place through its layout, and the groups are
-/// emitted after end of stream. Rows, schema, order (serialized-key
-/// lexicographic), per-group summation order and counters are identical
-/// to the materializing path.
+/// emitted after end of stream, in serialized-key order.
 class AggregateCursor : public BatchCursor {
  public:
   AggregateCursor(CursorPtr child, const std::vector<std::string>* group_by,
@@ -1138,16 +1115,18 @@ class AggregateCursor : public BatchCursor {
 
 /// --- Spill cursors -------------------------------------------------------
 ///
-/// Engaged by the blocking operators' MakeCursor when the thread's memory
-/// budget is non-zero. Every cursor buffers input up to the budget; if end
-/// of stream arrives under budget it runs the exact in-memory row
-/// algorithm, otherwise it partitions runs to disk and merges/re-probes out
-/// of core. Rows, order, and cost counters are identical either way —
-/// disk re-reads are never re-charged.
+/// Sort and union-distinct always run these cursors; hash join and
+/// aggregation switch to theirs when the thread's memory budget is
+/// non-zero. Every cursor buffers input up to the budget (without one it
+/// never flushes); if end of stream arrives under budget it runs the exact
+/// in-memory row algorithm, otherwise it partitions runs to disk and
+/// merges/re-probes out of core. Rows, order, and cost counters are
+/// identical either way — disk re-reads are never re-charged.
 
-/// External merge sort. Runs hold consecutive input chunks, each sorted
-/// stably; the k-way merge breaks key ties by run index, which together
-/// reproduce one global stable_sort bit for bit.
+/// Stable sort of the whole input; over budget, an external merge sort.
+/// Runs hold consecutive input chunks, each sorted stably; the k-way merge
+/// breaks key ties by run index, which together reproduce one global
+/// stable_sort bit for bit.
 class SpillSortCursor : public BatchCursor {
  public:
   SpillSortCursor(CursorPtr child, const std::vector<SortKey>* keys,
@@ -1171,10 +1150,11 @@ class SpillSortCursor : public BatchCursor {
       ctx_->rows_processed += in.size();
       const size_t first = buffer_.size();
       DIP_RETURN_NOT_OK(AppendRows(&in, child_->layout(), &buffer_));
+      if (budget == 0) continue;
       for (size_t i = first; i < buffer_.size(); ++i) {
         bytes += ApproxRowBytes(buffer_[i]);
       }
-      if (budget > 0 && bytes > budget) {
+      if (bytes > budget) {
         DIP_RETURN_NOT_OK(FlushRun());
         bytes = 0;
       }
@@ -1435,12 +1415,13 @@ class SpillAggregateCursor : public BatchCursor {
   bool child_closed_ = false;
 };
 
-/// UNION DISTINCT under a memory budget. Arriving rows are tagged with a
-/// global arrival sequence; over budget they hash-partition by key (the
-/// same HashRowKey the in-memory dedup uses, so Compare-equal rows always
-/// share a partition). Per partition, first occurrences survive (file order
-/// is ascending sequence) and survivor runs merge back by sequence —
-/// exactly the in-memory first-occurrence arrival order.
+/// UNION DISTINCT: first occurrences survive, in arrival order. Arriving
+/// rows are tagged with a global arrival sequence; over budget they
+/// hash-partition by key (the same HashRowKey the in-memory dedup uses, so
+/// Compare-equal rows always share a partition). Per partition, first
+/// occurrences survive (file order is ascending sequence) and survivor
+/// runs merge back by sequence — exactly the in-memory first-occurrence
+/// arrival order.
 class SpillUnionDistinctCursor : public BatchCursor {
  public:
   SpillUnionDistinctCursor(std::vector<CursorPtr> children,
@@ -1481,7 +1462,7 @@ class SpillUnionDistinctCursor : public BatchCursor {
         DIP_RETURN_NOT_OK(AppendRows(&in, child->layout(), &rows_));
         for (Row& row : rows_) {
           if (!spilled_) {
-            bytes += ApproxRowBytes(row);
+            if (budget > 0) bytes += ApproxRowBytes(row);
             buffer_.push_back({seq, std::move(row), 0});
             if (budget > 0 && bytes > budget) StartSpill();
           } else {
@@ -1781,7 +1762,7 @@ class GraceHashJoinCursor : public BatchCursor {
   }
   const Schema& schema() const override {
     // Rebuilt on demand: the probe-side schema may still be provisional
-    // mid-stream in the in-memory mode.
+    // while an unspilled probe side streams.
     schema_cache_ =
         JoinedSchema(spilled_ ? left_schema_ : left_->schema(), build_schema_);
     return schema_cache_;
@@ -1855,16 +1836,6 @@ class ScanTableNode : public PlanNode {
     return "Scan(" + table_->name() + ")";
   }
 
- protected:
-  Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
-    ctx->operator_invocations++;
-    RowSet out;
-    out.schema = table_->schema();
-    out.rows = table_->ScanAll();
-    ctx->rows_processed += out.rows.size();
-    return out;
-  }
-
  private:
   const Table* table_;
 };
@@ -1877,20 +1848,13 @@ class IndexRangeScanNode : public PlanNode {
         index_name_(std::move(index_name)),
         lo_(std::move(lo)),
         hi_(std::move(hi)) {}
+  CursorPtr MakeCursor(ExecContext* ctx) const override {
+    return std::make_unique<IndexRangeScanCursor>(table_, &index_name_, &lo_,
+                                                  &hi_, ctx);
+  }
   std::string ToString() const override {
     return "IndexRangeScan(" + table_->name() + "." + index_name_ + ", [" +
            lo_.ToString() + ", " + hi_.ToString() + "])";
-  }
-
- protected:
-  // Blocking in both modes: the ordered index delivers the full range.
-  Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
-    ctx->operator_invocations++;
-    RowSet out;
-    out.schema = table_->schema();
-    DIP_ASSIGN_OR_RETURN(out.rows, table_->LookupRange(index_name_, lo_, hi_));
-    ctx->rows_processed += out.rows.size();
-    return out;
   }
 
  private:
@@ -1909,13 +1873,6 @@ class ScanValuesNode : public PlanNode {
     return StrFormat("Values(%zu rows)", rows_.rows.size());
   }
 
- protected:
-  Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
-    ctx->operator_invocations++;
-    ctx->rows_processed += rows_.rows.size();
-    return rows_;
-  }
-
  private:
   RowSet rows_;
 };
@@ -1928,13 +1885,6 @@ class ScanValuesRefNode : public PlanNode {
   }
   std::string ToString() const override {
     return StrFormat("ValuesRef(%zu rows)", rows_->rows.size());
-  }
-
- protected:
-  Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
-    ctx->operator_invocations++;
-    ctx->rows_processed += rows_->rows.size();
-    return *rows_;
   }
 
  private:
@@ -1951,22 +1901,6 @@ class FilterNode : public PlanNode {
   }
   std::string ToString() const override {
     return "Filter(" + predicate_->ToString() + ")";
-  }
-
- protected:
-  Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
-    DIP_ASSIGN_OR_RETURN(RowSet in, child_->Execute(ctx));
-    ctx->operator_invocations++;
-    RowSet out;
-    out.schema = in.schema;
-    for (auto& row : in.rows) {
-      ctx->rows_processed++;
-      DIP_ASSIGN_OR_RETURN(Value keep, predicate_->Eval(row, in.schema));
-      if (!keep.is_null() && keep.type() == DataType::kBool && keep.AsBool()) {
-        out.rows.push_back(std::move(row));
-      }
-    }
-    return out;
   }
 
  private:
@@ -1988,46 +1922,6 @@ class ProjectNode : public PlanNode {
       parts.push_back(i.name + "=" + i.expr->ToString());
     }
     return "Project(" + StrJoin(parts, ", ") + ")";
-  }
-
- protected:
-  Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
-    DIP_ASSIGN_OR_RETURN(RowSet in, child_->Execute(ctx));
-    ctx->operator_invocations++;
-    RowSet out;
-    for (const auto& item : items_) {
-      // Output column type: forced cast target, else inferred lazily below.
-      out.schema.AddColumn(item.name, item.cast_to == DataType::kNull
-                                          ? DataType::kNull
-                                          : item.cast_to);
-    }
-    out.rows.reserve(in.rows.size());
-    std::vector<DataType> inferred(items_.size(), DataType::kNull);
-    for (const auto& row : in.rows) {
-      ctx->rows_processed++;
-      Row projected;
-      projected.reserve(items_.size());
-      for (size_t i = 0; i < items_.size(); ++i) {
-        DIP_ASSIGN_OR_RETURN(Value v, items_[i].expr->Eval(row, in.schema));
-        if (items_[i].cast_to != DataType::kNull) {
-          DIP_ASSIGN_OR_RETURN(v, v.CastTo(items_[i].cast_to));
-        }
-        if (inferred[i] == DataType::kNull && !v.is_null()) {
-          inferred[i] = v.type();
-        }
-        projected.push_back(std::move(v));
-      }
-      out.rows.push_back(std::move(projected));
-    }
-    // Fill inferred types into the schema for downstream consumers.
-    Schema finalized;
-    for (size_t i = 0; i < items_.size(); ++i) {
-      DataType t = items_[i].cast_to != DataType::kNull ? items_[i].cast_to
-                                                        : inferred[i];
-      finalized.AddColumn(items_[i].name, t);
-    }
-    out.schema = finalized;
-    return out;
   }
 
  private:
@@ -2060,58 +1954,6 @@ class HashJoinNode : public PlanNode {
            ")";
   }
 
- protected:
-  Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
-    DIP_ASSIGN_OR_RETURN(RowSet l, left_->Execute(ctx));
-    DIP_ASSIGN_OR_RETURN(RowSet r, right_->Execute(ctx));
-    ctx->operator_invocations++;
-    if (lkeys_.size() != rkeys_.size() || lkeys_.empty()) {
-      return Status::InvalidArgument("join key arity mismatch");
-    }
-    std::vector<size_t> lidx, ridx;
-    for (const auto& k : lkeys_) {
-      DIP_ASSIGN_OR_RETURN(size_t i, l.schema.RequireIndexOf(k));
-      lidx.push_back(i);
-    }
-    for (const auto& k : rkeys_) {
-      DIP_ASSIGN_OR_RETURN(size_t i, r.schema.RequireIndexOf(k));
-      ridx.push_back(i);
-    }
-    // Build on the right side.
-    std::unordered_multimap<size_t, size_t> build;
-    build.reserve(r.rows.size());
-    for (size_t i = 0; i < r.rows.size(); ++i) {
-      ctx->rows_processed++;
-      build.emplace(HashRowKey(r.rows[i], ridx), i);
-    }
-    RowSet out;
-    out.schema = l.schema;
-    for (const auto& col : r.schema.columns()) {
-      std::string name = col.name;
-      while (out.schema.HasColumn(name)) name = "r_" + name;
-      out.schema.AddColumn(name, col.type, col.nullable);
-    }
-    for (const auto& lrow : l.rows) {
-      ctx->rows_processed++;
-      size_t h = HashRowKey(lrow, lidx);
-      auto range = build.equal_range(h);
-      for (auto it = range.first; it != range.second; ++it) {
-        const Row& rrow = r.rows[it->second];
-        bool match = true;
-        for (size_t k = 0; k < lidx.size(); ++k) {
-          if (lrow[lidx[k]].Compare(rrow[ridx[k]]) != 0 ||
-              lrow[lidx[k]].is_null()) {
-            match = false;
-            break;
-          }
-        }
-        if (!match) continue;
-        out.rows.push_back(JoinRows(lrow, rrow));
-      }
-    }
-    return out;
-  }
-
  private:
   PlanPtr left_, right_;
   std::vector<std::string> lkeys_, rkeys_;
@@ -2124,7 +1966,6 @@ class UnionDistinctNode : public PlanNode {
       : children_(std::move(children)), key_columns_(std::move(key_columns)) {}
 
   CursorPtr MakeCursor(ExecContext* ctx) const override {
-    if (CurrentMemoryBudget() == 0) return PlanNode::MakeCursor(ctx);
     std::vector<CursorPtr> kids;
     kids.reserve(children_.size());
     for (const auto& c : children_) kids.push_back(c->MakeCursor(ctx));
@@ -2135,65 +1976,6 @@ class UnionDistinctNode : public PlanNode {
   std::string ToString() const override {
     return StrFormat("UnionDistinct(%zu inputs, key=[%s])", children_.size(),
                      StrJoin(key_columns_, ",").c_str());
-  }
-
- protected:
-  // Blocking: dedup needs all inputs. Children stream via Execute dispatch.
-  Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
-    if (children_.empty()) {
-      return Status::InvalidArgument("UNION of zero inputs");
-    }
-    std::vector<RowSet> inputs;
-    for (const auto& c : children_) {
-      DIP_ASSIGN_OR_RETURN(RowSet rs, c->Execute(ctx));
-      inputs.push_back(std::move(rs));
-    }
-    ctx->operator_invocations++;
-    RowSet out;
-    out.schema = inputs[0].schema;
-    std::vector<size_t> key_idx;
-    if (key_columns_.empty()) {
-      for (size_t i = 0; i < out.schema.num_columns(); ++i) {
-        key_idx.push_back(i);
-      }
-    } else {
-      for (const auto& k : key_columns_) {
-        DIP_ASSIGN_OR_RETURN(size_t i, out.schema.RequireIndexOf(k));
-        key_idx.push_back(i);
-      }
-    }
-    // Hash set over key projections with collision verification.
-    std::unordered_multimap<size_t, size_t> seen;  // hash -> out row index
-    for (auto& input : inputs) {
-      if (input.schema.num_columns() != out.schema.num_columns()) {
-        return Status::TypeMismatch("UNION input arity mismatch");
-      }
-      for (auto& row : input.rows) {
-        ctx->rows_processed++;
-        size_t h = HashRowKey(row, key_idx);
-        bool duplicate = false;
-        auto range = seen.equal_range(h);
-        for (auto it = range.first; it != range.second; ++it) {
-          const Row& prev = out.rows[it->second];
-          bool equal = true;
-          for (size_t k : key_idx) {
-            if (prev[k].Compare(row[k]) != 0) {
-              equal = false;
-              break;
-            }
-          }
-          if (equal) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (!duplicate) {
-          seen.emplace(h, out.rows.size());
-          out.rows.push_back(std::move(row));
-        }
-      }
-    }
-    return out;
   }
 
  private:
@@ -2223,30 +2005,6 @@ class AggregateNode : public PlanNode {
                      StrJoin(group_by_, ",").c_str(), aggs_.size());
   }
 
- protected:
-  // Blocking: groups close only at end of input. Shares the
-  // grouped-aggregation core with the streaming and spilling cursors —
-  // one implementation of the group semantics for every mode.
-  Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
-    DIP_ASSIGN_OR_RETURN(RowSet in, child_->Execute(ctx));
-    ctx->operator_invocations++;
-    std::vector<size_t> group_idx, agg_idx;
-    DIP_RETURN_NOT_OK(
-        ResolveAggIndexes(in.schema, group_by_, aggs_, &group_idx, &agg_idx));
-    AggGroupTable groups(group_idx, kPlainLayout, aggs_.size());
-    const auto agg_cells = AggInputCells(kPlainLayout, agg_idx);
-    for (const auto& row : in.rows) {
-      ctx->rows_processed++;
-      const Row* t = &row;
-      DIP_RETURN_NOT_OK(
-          AccumulateAggValues(&t, aggs_, agg_cells, groups.Find(&t)));
-    }
-    RowSet out;
-    out.schema = AggOutputSchema(in.schema, group_by_, group_idx, aggs_);
-    DIP_RETURN_NOT_OK(FinalizeGroups(&groups, aggs_, &out.rows));
-    return out;
-  }
-
  private:
   PlanPtr child_;
   std::vector<std::string> group_by_;
@@ -2258,7 +2016,6 @@ class SortNode : public PlanNode {
   SortNode(PlanPtr child, std::vector<SortKey> keys)
       : child_(std::move(child)), keys_(std::move(keys)) {}
   CursorPtr MakeCursor(ExecContext* ctx) const override {
-    if (CurrentMemoryBudget() == 0) return PlanNode::MakeCursor(ctx);
     return std::make_unique<SpillSortCursor>(child_->MakeCursor(ctx), &keys_,
                                              ctx);
   }
@@ -2268,30 +2025,6 @@ class SortNode : public PlanNode {
       parts.push_back(k.column + (k.ascending ? " ASC" : " DESC"));
     }
     return "Sort(" + StrJoin(parts, ", ") + ")";
-  }
-
- protected:
-  // Blocking: order is only known once all input has arrived.
-  Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
-    DIP_ASSIGN_OR_RETURN(RowSet in, child_->Execute(ctx));
-    ctx->operator_invocations++;
-    ctx->rows_processed += in.rows.size();
-    std::vector<size_t> idx;
-    std::vector<bool> asc;
-    for (const auto& k : keys_) {
-      DIP_ASSIGN_OR_RETURN(size_t i, in.schema.RequireIndexOf(k.column));
-      idx.push_back(i);
-      asc.push_back(k.ascending);
-    }
-    std::stable_sort(in.rows.begin(), in.rows.end(),
-                     [&](const Row& a, const Row& b) {
-                       for (size_t k = 0; k < idx.size(); ++k) {
-                         int c = a[idx[k]].Compare(b[idx[k]]);
-                         if (c != 0) return asc[k] ? c < 0 : c > 0;
-                       }
-                       return false;
-                     });
-    return in;
   }
 
  private:
@@ -2308,15 +2041,6 @@ class LimitNode : public PlanNode {
   }
   std::string ToString() const override {
     return StrFormat("Limit(%zu)", limit_);
-  }
-
- protected:
-  Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const override {
-    DIP_ASSIGN_OR_RETURN(RowSet in, child_->Execute(ctx));
-    ctx->operator_invocations++;
-    if (in.rows.size() > limit_) in.rows.resize(limit_);
-    ctx->rows_processed += in.rows.size();
-    return in;
   }
 
  private:

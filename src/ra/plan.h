@@ -13,11 +13,9 @@
 
 namespace dipbench {
 
-/// A materialized intermediate result: schema + rows. The engine can
-/// materialize between operators — mirroring the paper's Fig. 9b, where
-/// integration processes stage data through "temporary tables (local
-/// materialization points)" — or stream batches between them (see BatchCursor
-/// below); both produce identical RowSets and cost counters.
+/// A materialized result: schema + rows. Plans read base data from tables
+/// and RowSets, stream batches between operators (see BatchCursor below)
+/// and hand their result back as a RowSet.
 struct RowSet {
   Schema schema;
   std::vector<Row> rows;
@@ -36,47 +34,11 @@ struct RowSet {
 
 /// Execution-side counters consumed by the cost model: every operator adds
 /// the rows it touches, so processing cost is derived from work done rather
-/// than from wall-clock time (deterministic across machines). Both execution
-/// modes produce identical totals for a fully drained plan.
+/// than from wall-clock time (deterministic across machines).
+/// SPECIFICATION.md §9 lists each operator's charges.
 struct ExecContext {
   uint64_t rows_processed = 0;
   uint64_t operator_invocations = 0;
-};
-
-/// How plans execute.
-///   kPipeline    — the production path: operators stream fixed-capacity
-///                  batches through an Open/Next/Close cursor chain; only
-///                  inherently blocking operators (sort, union-distinct,
-///                  index range scan, and the hash-join build side)
-///                  materialize. Aggregation folds its input batches as
-///                  they arrive.
-///   kMaterialize — the test reference: every operator produces a full
-///                  RowSet. The parity tests and the conformance matrix
-///                  compare kPipeline's rows, schemas and cost counters
-///                  against it.
-enum class ExecMode { kMaterialize, kPipeline };
-
-/// Per-THREAD execution mode, defaulting to kPipeline on every thread. Each
-/// DES engine runs single-threaded, but independent benchmark runs may now
-/// execute on concurrent harness threads (src/harness), so the mode lives in
-/// thread-local storage: a ScopedExecMode on one run's thread can never leak
-/// into a co-scheduled run. Threads do NOT inherit the spawning thread's
-/// mode — the harness re-applies the submitting thread's mode per job.
-ExecMode CurrentExecMode();
-void SetExecMode(ExecMode mode);
-
-/// RAII mode override for tests and benchmarks (this thread only).
-class ScopedExecMode {
- public:
-  explicit ScopedExecMode(ExecMode mode) : prev_(CurrentExecMode()) {
-    SetExecMode(mode);
-  }
-  ~ScopedExecMode() { SetExecMode(prev_); }
-  ScopedExecMode(const ScopedExecMode&) = delete;
-  ScopedExecMode& operator=(const ScopedExecMode&) = delete;
-
- private:
-  ExecMode prev_;
 };
 
 /// Target number of rows per streamed batch. Cardinality-expanding operators
@@ -85,7 +47,7 @@ inline constexpr size_t kBatchCapacity = 1024;
 
 /// One chunk of rows flowing through a cursor chain. A batch is either
 /// *owned* (`rows` filled, `refs` empty — operators that build new rows:
-/// projection, aggregation, the materializing adapter) or *borrowed*
+/// projection, aggregation, sort, union-distinct) or *borrowed*
 /// (`refs` filled, `rows` empty): reference tuples of `width` row pointers
 /// each, read through the producing cursor's layout(). Leaf scans emit
 /// one-pointer tuples into table / RowSet storage, a hash join emits the
@@ -139,33 +101,20 @@ using CursorPtr = std::unique_ptr<BatchCursor>;
 /// move; each reference tuple is built into its one output row.
 Result<RowSet> DrainCursor(BatchCursor* cursor);
 
-/// Base class for plan operators. Execution dispatches on CurrentExecMode():
-/// materializing mode calls the node's ExecuteMaterialized recursively;
-/// pipelined mode builds a cursor chain via MakeCursor and drains it. Both
-/// paths yield identical rows, schemas, and ExecContext totals.
+/// Base class for plan operators. Each node has exactly one execution
+/// path: its cursor.
 class PlanNode {
  public:
   virtual ~PlanNode() = default;
 
-  /// Executes the subtree and returns the materialized result (dispatching
-  /// on the current execution mode).
+  /// Drains MakeCursor(ctx) and returns the result.
   Result<RowSet> Execute(ExecContext* ctx) const;
 
-  /// Returns a batch cursor over this subtree. The base implementation
-  /// adapts ExecuteMaterialized (materialize at Open, then emit batches);
-  /// streaming operators override it with true pipelined cursors. Blocking
-  /// operators keep the adapter — their children still stream, because the
-  /// adapter executes them through the mode-dispatching Execute().
-  virtual CursorPtr MakeCursor(ExecContext* ctx) const;
+  /// Returns a batch cursor over this subtree, charging its work to `ctx`.
+  virtual CursorPtr MakeCursor(ExecContext* ctx) const = 0;
 
   /// One-line description (operator name + parameters).
   virtual std::string ToString() const = 0;
-
- protected:
-  /// Executes the subtree with full materialization between operators.
-  /// Children are invoked through Execute(), so in pipelined mode a blocking
-  /// operator's inputs are still produced by streaming.
-  virtual Result<RowSet> ExecuteMaterialized(ExecContext* ctx) const = 0;
 };
 
 using PlanPtr = std::shared_ptr<const PlanNode>;
@@ -195,7 +144,7 @@ struct SortKey {
 };
 
 /// Leaf: scans all live rows of a storage table (streams straight from the
-/// table's batch cursor in pipelined mode — no up-front full copy).
+/// table's batch cursor — no up-front full copy).
 PlanPtr ScanTable(const Table* table);
 /// Leaf: range scan over an ordered index of the table: rows whose indexed
 /// column lies in [lo, hi] (a NULL bound is open), in ascending index
@@ -232,11 +181,10 @@ PlanPtr Aggregate(PlanPtr child, std::vector<std::string> group_by,
                   std::vector<AggregateItem> aggregates);
 /// Stable multi-key sort.
 PlanPtr Sort(PlanPtr child, std::vector<SortKey> keys);
-/// Keeps the first `limit` rows. Streaming cursors short-circuit: once the
-/// limit is reached the child is closed eagerly and nothing more is pulled,
-/// so upstream rows_read/rows_processed are bounded by O(limit + batch
-/// size) instead of the full input (SPECIFICATION.md §14.4 documents the
-/// resulting counter difference vs. materializing mode).
+/// Keeps the first `limit` rows. Once the limit is reached the child is
+/// closed eagerly and nothing more is pulled, so upstream rows_read /
+/// rows_processed are bounded by O(limit + batch size) instead of the full
+/// input (SPECIFICATION.md §14.4).
 PlanPtr Limit(PlanPtr child, size_t limit);
 
 /// Inserts every result row into `table` (append; duplicate-key rows are

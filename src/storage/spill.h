@@ -21,10 +21,9 @@ namespace dipbench {
 /// default): blocking operators materialize in memory exactly as before.
 /// A non-zero budget makes them buffer at most ~budget bytes and spill
 /// partitioned runs to disk, merging/re-probing out of core. The budget is
-/// thread-local for the same reason ExecMode is (src/harness runs
-/// independent benchmark configs on concurrent threads); the harness and
-/// the intra-run wave scheduler re-apply the submitting thread's budget on
-/// their pool threads.
+/// thread-local because src/harness runs independent benchmark configs on
+/// concurrent threads; the harness and the intra-run wave scheduler
+/// re-apply the submitting thread's budget on their pool threads.
 ///
 /// Determinism contract: every operator produces byte-identical rows, in
 /// the same order, with identical cost counters, for ANY budget value —

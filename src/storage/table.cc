@@ -447,9 +447,11 @@ Result<std::vector<Row>> Table::LookupRange(const std::string& index_name,
                             name_);
   }
   const OrderedIndex& idx = it->second;
+  std::vector<Row> out;
+  // An inverted range is empty: its lower bound would lie past its upper.
+  if (!lo.is_null() && !hi.is_null() && lo.Compare(hi) > 0) return out;
   auto begin = lo.is_null() ? idx.map.begin() : idx.map.lower_bound(lo);
   auto end = hi.is_null() ? idx.map.end() : idx.map.upper_bound(hi);
-  std::vector<Row> out;
   for (auto kv = begin; kv != end; ++kv) {
     if (!live_[kv->second]) continue;
     ++rows_read_;

@@ -186,7 +186,7 @@ class Table {
 
   /// Rows whose indexed column lies in [lo, hi]. A NULL bound is open
   /// (LookupRange(idx, NULL, x) = all values <= x). Rows are returned in
-  /// index (ascending value) order.
+  /// index (ascending value) order; lo > hi is an empty range.
   Result<std::vector<Row>> LookupRange(const std::string& index_name,
                                        const Value& lo, const Value& hi) const;
 

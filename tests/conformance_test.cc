@@ -103,7 +103,7 @@ TEST(DigestPropertyTest, InvariantUnderRowInsertionOrderPermutation) {
   StateDigest db = CaptureStateDigest(b->get());
   EXPECT_EQ(da.state_hash, db.state_hash);
   EXPECT_EQ(da.counters_hash, db.counters_hash);
-  PairContext ctx;  // identical engines and modes: nothing is allowlisted
+  PairContext ctx;  // identical engines: nothing is allowlisted
   EXPECT_TRUE(DiffDigests(da, db, ctx).identical());
 }
 
@@ -214,7 +214,6 @@ TEST(AllowlistTest, MonitorCsvDivergenceIsDocumentedOnlyAcrossEngines) {
   PairContext cross;
   cross.engine_a = "federated";
   cross.engine_b = "dataflow";
-  cross.mode_a = cross.mode_b = "pipeline";
   DigestDiff allowed = DiffDigests(a, b, cross);
   EXPECT_EQ(allowed.total_diffs, 1u);
   EXPECT_TRUE(allowed.clean());
@@ -228,32 +227,6 @@ TEST(AllowlistTest, MonitorCsvDivergenceIsDocumentedOnlyAcrossEngines) {
   DigestDiff violation = DiffDigests(a, b, same);
   EXPECT_EQ(violation.violations, 1u);
   EXPECT_FALSE(violation.clean());
-}
-
-TEST(AllowlistTest, LimitCutRowsReadRuleIsDirectional) {
-  // §14.4: cursor modes may report LESS rows_read than materialization —
-  // never more.
-  StateDigest mat = ScalarDigest(10);
-  StateDigest cur = ScalarDigest(6);
-
-  PairContext ctx;
-  ctx.engine_a = ctx.engine_b = "federated";
-  ctx.mode_a = "materialize";
-  ctx.mode_b = "pipeline";
-  DigestDiff allowed = DiffDigests(mat, cur, ctx);
-  EXPECT_TRUE(allowed.clean());
-  ASSERT_EQ(allowed.entries.size(), 1u);
-  EXPECT_EQ(allowed.entries[0].key, "rows_read");
-  EXPECT_EQ(allowed.entries[0].rule, "limit-cut-rows-read");
-
-  // Flipped direction — materialization reporting less — is a violation.
-  DigestDiff violation = DiffDigests(cur, mat, ctx);
-  EXPECT_FALSE(violation.clean());
-
-  // Same exec mode on both sides: any rows_read delta is a violation.
-  PairContext same = ctx;
-  same.mode_b = "materialize";
-  EXPECT_FALSE(DiffDigests(mat, cur, same).clean());
 }
 
 // ---------------------------------------------------------------------------
@@ -289,8 +262,8 @@ TEST(ReproTest, JsonRoundTripPreservesCellsAndManifest) {
   repro.master_seed = 99;
   repro.case_index = 4;
   repro.manifest_json = RenderManifestJson(*manifest);
-  MatrixCell a{"federated", ExecMode::kMaterialize, 1, 0};
-  MatrixCell b{"dataflow", ExecMode::kPipeline, 4, kSmallBudget};
+  MatrixCell a{"federated", 1, 0};
+  MatrixCell b{"dataflow", 4, kSmallBudget};
   repro.cells = {a, b};
 
   auto loaded = ReproFromJsonText(ReproToJson(repro), "<roundtrip>");
@@ -300,9 +273,8 @@ TEST(ReproTest, JsonRoundTripPreservesCellsAndManifest) {
   EXPECT_EQ(loaded->case_index, 4u);
   ASSERT_EQ(loaded->cells.size(), 2u);
   EXPECT_EQ(loaded->cells[0].engine, "federated");
-  EXPECT_EQ(loaded->cells[0].mode, ExecMode::kMaterialize);
+  EXPECT_EQ(loaded->cells[0].workers, 1);
   EXPECT_EQ(loaded->cells[1].engine, "dataflow");
-  EXPECT_EQ(loaded->cells[1].mode, ExecMode::kPipeline);
   EXPECT_EQ(loaded->cells[1].workers, 4);
   EXPECT_EQ(loaded->cells[1].memory_budget, kSmallBudget);
   // The embedded manifest re-parses to the same canonical rendering.
@@ -316,19 +288,34 @@ TEST(ReproTest, RejectsNonReproJson) {
   EXPECT_FALSE(ReproFromJsonText("{}", "<t>").ok());
   EXPECT_FALSE(
       ReproFromJsonText(R"({"dipbench_repro": 2, "cells": []})", "<t>").ok());
-  // A cell names one of the two exec modes.
+  // A cell accepts only engine, workers, memory_budget and realization:
+  // a retired exec mode, whatever its value, or a misspelled key is an
+  // error that names its position, never a silently different replay.
   auto manifest = scenario::ScenarioManifest::FromJsonText(
-      R"({"name": "modes", "config": {"periods": 1}})", "<test>");
+      R"({"name": "cells", "config": {"periods": 1}})", "<test>");
   ASSERT_TRUE(manifest.ok());
   Repro repro;
   repro.manifest_json = RenderManifestJson(*manifest);
-  repro.cells = {MatrixCell{"dataflow", ExecMode::kPipeline, 1, 0}};
-  std::string json = ReproToJson(repro);
+  repro.cells = {MatrixCell{"dataflow", 1, 0}};
+  const std::string json = ReproToJson(repro);
   ASSERT_TRUE(ReproFromJsonText(json, "<t>").ok());
-  json.replace(json.find("\"pipeline\""), 10, "\"columnar\"");
-  Status st = ReproFromJsonText(json, "<t>").status();
-  EXPECT_NE(st.message().find("unknown exec mode 'columnar'"),
-            std::string::npos)
+  const size_t workers = json.find("\"workers\"");
+  ASSERT_NE(workers, std::string::npos);
+  for (const char* mode : {"materialize", "pipeline", "columnar"}) {
+    std::string with_mode = json;
+    with_mode.insert(workers,
+                     std::string("\"exec_mode\": \"") + mode + "\", ");
+    Status st = ReproFromJsonText(with_mode, "<t>").status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << mode;
+    EXPECT_NE(st.message().find("unknown cell key 'exec_mode'"),
+              std::string::npos)
+        << st;
+    EXPECT_NE(st.message().find("line "), std::string::npos) << st;
+  }
+  std::string misspelled = json;
+  misspelled.replace(workers, 9, "\"worker\"");
+  Status st = ReproFromJsonText(misspelled, "<t>").status();
+  EXPECT_NE(st.message().find("unknown cell key 'worker'"), std::string::npos)
       << st;
 }
 
@@ -353,9 +340,9 @@ FuzzCase SmallCase() {
 TEST(ConformanceEndToEndTest, SmallMatrixIsConformant) {
   FuzzOptions opt;
   opt.jobs = 4;
-  opt.matrix = {MatrixCell{"federated", ExecMode::kMaterialize, 1, 0},
-                MatrixCell{"federated", ExecMode::kPipeline, 4, 0},
-                MatrixCell{"dataflow", ExecMode::kPipeline, 1, kSmallBudget}};
+  opt.matrix = {MatrixCell{"federated", 1, 0},
+                MatrixCell{"federated", 4, 0},
+                MatrixCell{"dataflow", 1, kSmallBudget}};
   CaseResult result = RunCase(SmallCase(), opt);
   ASSERT_EQ(result.cells.size(), 3u);
   for (const CellRun& run : result.cells) {
@@ -370,8 +357,8 @@ TEST(ConformanceEndToEndTest, SmallMatrixIsConformant) {
 }
 
 TEST(ConformanceEndToEndTest, InjectedDivergenceIsCaughtShrunkAndReplayed) {
-  MatrixCell clean_cell{"dataflow", ExecMode::kPipeline, 1, 0};
-  MatrixCell poisoned_cell{"dataflow", ExecMode::kPipeline, 4, 0};
+  MatrixCell clean_cell{"dataflow", 1, 0};
+  MatrixCell poisoned_cell{"dataflow", 4, 0};
 
   FuzzOptions opt;
   opt.jobs = 2;

@@ -1,7 +1,8 @@
-// Property-based tests: invariants of the relational algebra, the value
-// ordering, the storage engine (model-based against std::map), and the XML
-// round trip — swept over sizes, seeds and data distributions with
-// parameterized gtest.
+// Property-based tests: invariants of the relational algebra, random plans
+// against the reference evaluator (tests/ra_oracle.h), the value ordering,
+// the storage engine (model-based against std::map), and the XML round
+// trip — swept over sizes, seeds and data distributions with parameterized
+// gtest.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "src/storage/table.h"
 #include "src/xml/parser.h"
 #include "src/xml/stx.h"
+#include "tests/ra_oracle_parity.h"
 
 namespace dipbench {
 namespace {
@@ -199,6 +201,388 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{500, 6, Distribution::kUniform},
                       SweepParam{500, 7, Distribution::kZipf}),
     ParamName);
+
+// --- Random plans against the reference oracle -----------------------------
+
+}  // namespace
+
+namespace oracle {
+namespace {
+
+/// What the plan generator knows of a column: its name, whether every
+/// non-NULL value is numeric (so SUM/AVG/MIN/MAX and arithmetic cannot
+/// fail), and whether it is a near-unique key (so joining on it cannot
+/// multiply the row count).
+struct GenColumn {
+  std::string name;
+  bool numeric = true;
+  bool key = false;
+};
+
+struct GenPlan {
+  Plan plan;
+  std::vector<GenColumn> cols;
+};
+
+/// Seeded random tables and plans over them. Every table has the columns
+/// k (a key with duplicates and NULLs), g (a small group domain), v
+/// (quarter-step DOUBLEs, -0.0 among them), s (strings, and INT64 in
+/// values tables) and n (small INT64s and some near 2^50). Storage tables
+/// are typed and carry ordered indexes on k and v; values tables mix
+/// INT64 and DOUBLE cells, so Int(5) meets Double(5.0). Plans are at most
+/// four operators deep, use every plan factory, and never fail at run
+/// time, so a LIMIT cannot hide an error the oracle would see.
+class PlanGenerator {
+ public:
+  explicit PlanGenerator(uint64_t seed) : rng_(seed) {}
+
+  Table MakeTable(const std::string& name, bool stored) {
+    static const size_t kSizes[] = {0, 1, 1023, 1024, 1025, 2 * 1024 + 77};
+    const size_t rows = kSizes[rng_.NextBounded(6)];
+    Table t;
+    t.name = name;
+    t.schema.AddColumn("k", DataType::kInt64)
+        .AddColumn("g", DataType::kInt64)
+        .AddColumn("v", DataType::kDouble)
+        .AddColumn("s", DataType::kString)
+        .AddColumn("n", DataType::kInt64);
+    if (stored) {
+      t.ordered_indexes = {{"by_k", "k"}, {"by_v", "v"}};
+    }
+    static const char* kStrings[] = {"", "a", "b", "a,b", "5", "x y"};
+    for (size_t i = 0; i < rows; ++i) {
+      int64_t k = static_cast<int64_t>(i);
+      if (rng_.NextBool(0.1)) k = static_cast<int64_t>(rng_.NextBounded(i + 1));
+      const int64_t g = rng_.NextInt(0, 5);
+      double v = static_cast<double>(rng_.NextInt(-20, 20)) * 0.25;
+      if (v == 0.0 && rng_.NextBool()) v = -0.0;
+      int64_t n = rng_.NextInt(-50, 50);
+      if (rng_.NextBool(0.125)) n += int64_t{1} << 50;
+      // Values tables: an integral cell is INT64 or DOUBLE at random.
+      auto integral = [&](int64_t x) {
+        if (stored || rng_.NextBool()) return Value::Int(x);
+        return Value::Double(static_cast<double>(x));
+      };
+      Row row = {integral(k), integral(g), Value::Double(v),
+                 Value::String(kStrings[rng_.NextBounded(6)]), Value::Int(n)};
+      if (!stored && rng_.NextBool(0.2)) row[3] = Value::Int(5);
+      for (Value& cell : row) {
+        if (rng_.NextBool(0.08)) cell = Value::Null();
+      }
+      t.rows.push_back(std::move(row));
+    }
+    return t;
+  }
+
+  /// A random plan over the given tables.
+  Plan Generate(const std::vector<const Table*>& stored,
+                const std::vector<const Table*>& values) {
+    stored_ = &stored;
+    values_ = &values;
+    joins_ = 0;
+    return Subplan(4).plan;
+  }
+
+ private:
+  template <typename T>
+  const T& Pick(const std::vector<T>& from) {
+    return from[rng_.NextBounded(from.size())];
+  }
+
+  GenPlan Subplan(int depth) {
+    if (depth == 0 || rng_.NextBool(0.15)) return Leaf();
+    switch (rng_.NextBounded(8)) {
+      case 0: {
+        GenPlan child = Subplan(depth - 1);
+        return {Filter(child.plan, Predicate(child.cols, 2)), child.cols};
+      }
+      case 1:
+        return ProjectOf(Subplan(depth - 1));
+      case 2:
+        return JoinOf(depth);
+      case 3:
+        return UnionOf(depth);
+      case 4: {
+        GenPlan child = Subplan(depth - 1);
+        return {Distinct(child.plan), child.cols};
+      }
+      case 5:
+        return AggregateOf(Subplan(depth - 1));
+      case 6: {
+        GenPlan child = Subplan(depth - 1);
+        std::vector<SortKey> keys;
+        for (size_t i = 0, n = 1 + rng_.NextBounded(2); i < n; ++i) {
+          keys.push_back({Pick(child.cols).name, rng_.NextBool()});
+        }
+        return {Sort(child.plan, std::move(keys)), child.cols};
+      }
+      default: {
+        static const std::vector<size_t> kLimits = {0,    1,    7,   1023,
+                                                    1024, 1025, 3000};
+        GenPlan child = Subplan(depth - 1);
+        return {Limit(child.plan, Pick(kLimits)), child.cols};
+      }
+    }
+  }
+
+  GenPlan Leaf() {
+    const std::vector<GenColumn> cols = {
+        {"k", true, true}, {"g"}, {"v"}, {"s", false}, {"n"}};
+    if (rng_.NextBool()) {
+      const Table* t = Pick(*stored_);
+      if (rng_.NextBool()) return {ScanTable(t), cols};
+      const bool by_k = rng_.NextBool();
+      auto bound = [&]() -> Value {
+        if (rng_.NextBool(0.25)) return Value::Null();
+        return by_k ? Value::Int(rng_.NextInt(-10, 1500))
+                    : Value::Double(rng_.NextInt(-24, 24) * 0.25);
+      };
+      Value lo = bound(), hi = bound();
+      return {IndexRangeScan(t, by_k ? "by_k" : "by_v", lo, hi), cols};
+    }
+    const Table* t = Pick(*values_);
+    return {rng_.NextBool() ? ScanValues(t) : ScanValuesRef(t), cols};
+  }
+
+  Value Literal() {
+    switch (rng_.NextBounded(5)) {
+      case 0:
+        return Value::Int(rng_.NextInt(-3, 8));
+      case 1:
+        return Value::Double(rng_.NextInt(-12, 12) * 0.25);
+      case 2:
+        return Value::String(rng_.NextBool() ? "a" : "5");
+      case 3:
+        return Value::Null();
+      default:
+        return Value::Int(5);
+    }
+  }
+
+  /// A predicate that evaluates without error on any row.
+  ExprPtr Predicate(const std::vector<GenColumn>& cols, int depth) {
+    const uint64_t kind = rng_.NextBounded(depth > 0 ? 7 : 4);
+    const CompareOp op = static_cast<CompareOp>(rng_.NextBounded(6));
+    switch (kind) {
+      case 0:
+        return Cmp(op, Col(Pick(cols).name), Lit(Literal()));
+      case 1:
+        return Cmp(op, Col(Pick(cols).name), Col(Pick(cols).name));
+      case 2:
+        return IsNull(Col(Pick(cols).name));
+      case 3:
+        return InList(Col(Pick(cols).name), {Literal(), Literal()});
+      case 4:
+        return And(Predicate(cols, depth - 1), Predicate(cols, depth - 1));
+      case 5:
+        return Or(Predicate(cols, depth - 1), Predicate(cols, depth - 1));
+      default:
+        return Not(Predicate(cols, depth - 1));
+    }
+  }
+
+  std::string Fresh(const char* prefix) {
+    return prefix + std::to_string(next_name_++);
+  }
+
+  GenPlan ProjectOf(GenPlan child) {
+    std::vector<ProjectionItem> items;
+    std::vector<GenColumn> cols;
+    std::vector<GenColumn> numeric;
+    for (const GenColumn& c : child.cols) {
+      if (c.numeric) numeric.push_back(c);
+    }
+    for (size_t i = 0, n = 1 + rng_.NextBounded(4); i < n; ++i) {
+      const GenColumn& c = Pick(child.cols);
+      switch (rng_.NextBounded(numeric.empty() ? 4 : 6)) {
+        case 0:
+        case 1: {
+          bool taken = false;
+          for (const GenColumn& o : cols) taken = taken || o.name == c.name;
+          if (taken) continue;
+          items.push_back({c.name, Col(c.name), DataType::kNull});
+          cols.push_back(c);
+          break;
+        }
+        case 2: {
+          std::string name = Fresh("e");
+          items.push_back({name, Col(c.name), DataType::kString});
+          cols.push_back({name, false});
+          break;
+        }
+        case 3: {
+          std::string name = Fresh("e");
+          items.push_back({name, Predicate(child.cols, 1), DataType::kNull});
+          cols.push_back({name});
+          break;
+        }
+        default: {
+          static const ArithmeticOp kOps[] = {
+              ArithmeticOp::kAdd, ArithmeticOp::kSub, ArithmeticOp::kMul,
+              ArithmeticOp::kDiv, ArithmeticOp::kMod};
+          ExprPtr rhs = rng_.NextBool() ? Lit(rng_.NextInt(1, 4))
+                                        : Lit(rng_.NextInt(1, 8) * 0.5);
+          std::string name = Fresh("e");
+          items.push_back({name,
+                           Arith(kOps[rng_.NextBounded(5)],
+                                 Col(Pick(numeric).name), rhs),
+                           DataType::kNull});
+          cols.push_back({name});
+          break;
+        }
+      }
+    }
+    if (items.empty()) {
+      items.push_back({child.cols[0].name, Col(child.cols[0].name)});
+      cols.push_back(child.cols[0]);
+    }
+    return {Project(child.plan, std::move(items)), std::move(cols)};
+  }
+
+  GenPlan JoinOf(int depth) {
+    GenPlan probe = Subplan(depth - 1);
+    GenPlan build = Subplan(depth - 1);
+    std::vector<std::string> pk, bk;
+    for (const GenColumn& c : probe.cols) {
+      if (c.key) pk.push_back(c.name);
+    }
+    for (const GenColumn& c : build.cols) {
+      if (c.key) bk.push_back(c.name);
+    }
+    if (pk.empty() || bk.empty() || ++joins_ > 2) {
+      return {Filter(probe.plan, Predicate(probe.cols, 2)), probe.cols};
+    }
+    std::vector<std::string> probe_keys = {Pick(pk)};
+    std::vector<std::string> build_keys = {Pick(bk)};
+    if (rng_.NextBool(0.3)) {  // a second, low-cardinality key pair
+      probe_keys.push_back(Pick(probe.cols).name);
+      build_keys.push_back(Pick(build.cols).name);
+    }
+    std::vector<GenColumn> cols = probe.cols;
+    for (GenColumn c : build.cols) {
+      bool taken = true;
+      while (taken) {
+        taken = false;
+        for (const GenColumn& o : cols) taken = taken || o.name == c.name;
+        if (taken) c.name = "r_" + c.name;
+      }
+      cols.push_back(c);
+    }
+    return {HashJoin(probe.plan, build.plan, probe_keys, build_keys), cols};
+  }
+
+  /// A union column is numeric (a key) only if it is in every input.
+  GenPlan UnionOf(int depth) {
+    GenPlan first = Subplan(depth - 1);
+    std::vector<Plan> children = {first.plan};
+    std::vector<GenColumn> cols = first.cols;
+    for (size_t i = 0, n = 1 + rng_.NextBounded(2); i < n; ++i) {
+      GenPlan other = Subplan(depth - 1);
+      std::vector<ProjectionItem> items;
+      for (size_t c = 0; c < cols.size(); ++c) {
+        const GenColumn& from = other.cols[c % other.cols.size()];
+        items.push_back({cols[c].name, Col(from.name), DataType::kNull});
+        cols[c].numeric = cols[c].numeric && from.numeric;
+        cols[c].key = cols[c].key && from.key;
+      }
+      if (other.cols.size() != cols.size()) {
+        other.plan = Project(other.plan, std::move(items));
+      }
+      children.push_back(other.plan);
+    }
+    std::vector<std::string> keys;
+    for (size_t i = 0, n = rng_.NextBounded(3); i < n; ++i) {
+      keys.push_back(Pick(cols).name);
+    }
+    return {UnionDistinct(std::move(children), std::move(keys)), cols};
+  }
+
+  GenPlan AggregateOf(GenPlan child) {
+    std::vector<std::string> group_by;
+    std::vector<GenColumn> cols;
+    for (size_t i = 0, n = rng_.NextBounded(3); i < n; ++i) {
+      const GenColumn& c = Pick(child.cols);
+      bool taken = false;
+      for (const GenColumn& o : cols) taken = taken || o.name == c.name;
+      if (taken) continue;
+      group_by.push_back(c.name);
+      cols.push_back(c);
+    }
+    std::vector<GenColumn> numeric;
+    for (const GenColumn& c : child.cols) {
+      if (c.numeric) numeric.push_back(c);
+    }
+    std::vector<AggregateItem> aggs;
+    for (size_t i = 0, n = 1 + rng_.NextBounded(3); i < n; ++i) {
+      AggregateItem a{Fresh("a"), AggFunc::kCount, ""};
+      const uint64_t kind = rng_.NextBounded(numeric.empty() ? 2 : 6);
+      if (kind == 1) {
+        a.input_column = Pick(child.cols).name;
+      } else if (kind > 1) {
+        static const AggFunc kFuncs[] = {AggFunc::kSum, AggFunc::kMin,
+                                         AggFunc::kMax, AggFunc::kAvg};
+        a.func = kFuncs[kind - 2];
+        a.input_column = Pick(numeric).name;
+      }
+      cols.push_back({a.output_name});
+      aggs.push_back(std::move(a));
+    }
+    return {Aggregate(child.plan, std::move(group_by), std::move(aggs)),
+            std::move(cols)};
+  }
+
+  Rng rng_;
+  const std::vector<const Table*>* stored_ = nullptr;
+  const std::vector<const Table*>* values_ = nullptr;
+  int next_name_ = 0;
+  int joins_ = 0;  ///< in the current plan
+};
+
+void CollectOps(const Node& node, std::set<Op>* ops) {
+  ops->insert(node.op);
+  for (const Plan& input : node.inputs) CollectOps(*input, ops);
+}
+
+class RaOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+// Random tables x random plans: every plan runs through the oracle and,
+// at both memory budgets, through the pipeline; rows, schemas and work
+// counters must agree (tests/ra_oracle_parity.h).
+TEST_P(RaOracleTest, RandomPlansMatchTheOracle) {
+  const uint64_t seed = GetParam();
+  PlanGenerator gen(seed);
+  Table s0 = gen.MakeTable("s0", true), s1 = gen.MakeTable("s1", true);
+  Table v0 = gen.MakeTable("v0", false), v1 = gen.MakeTable("v1", false);
+  Database db("oracle");
+  Catalog catalog(&db);
+  ASSERT_TRUE(catalog.Add(s0).ok());
+  ASSERT_TRUE(catalog.Add(s1).ok());
+  const std::vector<const Table*> stored = {&s0, &s1};
+  const std::vector<const Table*> values = {&v0, &v1};
+  std::set<Op> ops;
+  constexpr int kPlans = 40;
+  for (int i = 0; i < kPlans; ++i) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed << ", plan " << i);
+    Plan plan = gen.Generate(stored, values);
+    CollectOps(*plan, &ops);
+    Result<Output> expected = Evaluate(plan);
+    ASSERT_TRUE(expected.ok()) << expected.status() << "\n"
+                               << plan->ToString();
+    ExpectMatchesOracle(plan, *expected, &catalog,
+                        expected->limit_reached ? Match::kBoundedWorkUntyped
+                                                : Match::kExact);
+    if (HasFailure()) break;
+  }
+  EXPECT_EQ(ops.size(), 12u) << "the plans must use every plan factory";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RaOracleTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+}  // namespace
+}  // namespace oracle
+
+namespace {
 
 // --- Value ordering properties -------------------------------------------
 

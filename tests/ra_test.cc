@@ -69,7 +69,7 @@ TEST_F(RaTest, FilterByPredicate) {
   EXPECT_EQ(rs->rows.size(), 5u);
 }
 
-// Predicate semantics of the row path, in both modes: a comparison with
+// Predicate semantics of the row path: a comparison with
 // NULL is false, AND/OR/NOT see such a comparison as false (NOT makes it
 // true), INT64 and DOUBLE compare through Value::Compare, and strings
 // compare lexicographically. Expected rows come from a C++ oracle over the
@@ -143,20 +143,16 @@ TEST_F(RaTest, FilterPredicateSemantics) {
       {Filter(filter(Gt(Col("v"), Lit(10.0))), Eq(Col("tag"), Lit("fizz"))),
        [&](int i) { return v_gt(i, 10.0) && tag(i) == "fizz"; }},
   };
-  for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
-    ScopedExecMode scoped(mode);
-    for (const Case& c : cases) {
-      SCOPED_TRACE(testing::Message() << static_cast<int>(mode) << " "
-                                      << c.plan->ToString());
-      auto rs = c.plan->Execute(&ctx_);
-      ASSERT_TRUE(rs.ok()) << rs.status();
-      std::vector<int64_t> kept, expected;
-      for (const Row& row : rs->rows) kept.push_back(row[0].AsInt());
-      for (int i = 0; i < kRows; ++i) {
-        if (c.keep(i)) expected.push_back(i);
-      }
-      EXPECT_EQ(kept, expected);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.plan->ToString());
+    auto rs = c.plan->Execute(&ctx_);
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    std::vector<int64_t> kept, expected;
+    for (const Row& row : rs->rows) kept.push_back(row[0].AsInt());
+    for (int i = 0; i < kRows; ++i) {
+      if (c.keep(i)) expected.push_back(i);
     }
+    EXPECT_EQ(kept, expected);
   }
 }
 
@@ -267,25 +263,21 @@ TEST_F(RaTest, AggregateGroupIdentityAcrossKeyMigration) {
              {Value::Double(5.0), Value::Int(3)},
              {Value::Null(), Value::Int(4)},
              {Value::Int(5), Value::Int(5)}}};
-  for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    ScopedExecMode scoped(mode);
-    auto rs = Aggregate(ScanValues(in), {"k"},
-                        {{"n", AggFunc::kCount, ""},
-                         {"sum_v", AggFunc::kSum, "v"}})
-                  ->Execute(&ctx_);
-    ASSERT_TRUE(rs.ok()) << rs.status();
-    ASSERT_EQ(rs->rows.size(), 3u);
-    EXPECT_TRUE(rs->rows[0][0].is_null());
-    EXPECT_EQ(rs->rows[0][1].AsInt(), 1);
-    EXPECT_EQ(rs->rows[1][0].type(), DataType::kInt64);
-    EXPECT_EQ(rs->rows[1][0].AsInt(), 10);
-    EXPECT_EQ(rs->rows[1][1].AsInt(), 1);
-    EXPECT_EQ(rs->rows[2][0].type(), DataType::kInt64);
-    EXPECT_EQ(rs->rows[2][0].AsInt(), 5);
-    EXPECT_EQ(rs->rows[2][1].AsInt(), 3);
-    EXPECT_EQ(rs->rows[2][2].AsInt(), 10);
-  }
+  auto rs = Aggregate(ScanValues(in), {"k"},
+                      {{"n", AggFunc::kCount, ""},
+                       {"sum_v", AggFunc::kSum, "v"}})
+                ->Execute(&ctx_);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->rows.size(), 3u);
+  EXPECT_TRUE(rs->rows[0][0].is_null());
+  EXPECT_EQ(rs->rows[0][1].AsInt(), 1);
+  EXPECT_EQ(rs->rows[1][0].type(), DataType::kInt64);
+  EXPECT_EQ(rs->rows[1][0].AsInt(), 10);
+  EXPECT_EQ(rs->rows[1][1].AsInt(), 1);
+  EXPECT_EQ(rs->rows[2][0].type(), DataType::kInt64);
+  EXPECT_EQ(rs->rows[2][0].AsInt(), 5);
+  EXPECT_EQ(rs->rows[2][1].AsInt(), 3);
+  EXPECT_EQ(rs->rows[2][2].AsInt(), 10);
 }
 
 // SUM over INT64 inputs is exact and checked. The inputs come from a table
@@ -306,8 +298,7 @@ Table* IntTable(Database* db,
   return t;
 }
 
-Result<RowSet> SumByGroup(const Table* t, ExecMode mode, ExecContext* ctx) {
-  ScopedExecMode scoped(mode);
+Result<RowSet> SumByGroup(const Table* t, ExecContext* ctx) {
   return Aggregate(ScanTable(t), {"g"}, {{"total", AggFunc::kSum, "v"}})
       ->Execute(ctx);
 }
@@ -318,28 +309,21 @@ TEST_F(RaTest, Int64SumIsExact) {
   // Group 1: 2^53 + 1, which a double sum rounds to 2^53. Group 2:
   // INT64_MAX - 1, whose double sum is out of INT64's range.
   Table* t = IntTable(&db_, {{1, kTwo53}, {1, 1}, {2, kMax}, {2, -1}});
-  for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    auto rs = SumByGroup(t, mode, &ctx_);
-    ASSERT_TRUE(rs.ok()) << rs.status();
-    ASSERT_EQ(rs->rows.size(), 2u);
-    EXPECT_EQ(rs->rows[0][1].type(), DataType::kInt64);
-    EXPECT_EQ(rs->rows[0][1].AsInt(), kTwo53 + 1);
-    EXPECT_EQ(rs->rows[1][1].type(), DataType::kInt64);
-    EXPECT_EQ(rs->rows[1][1].AsInt(), kMax - 1);
-  }
+  auto rs = SumByGroup(t, &ctx_);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->rows.size(), 2u);
+  EXPECT_EQ(rs->rows[0][1].type(), DataType::kInt64);
+  EXPECT_EQ(rs->rows[0][1].AsInt(), kTwo53 + 1);
+  EXPECT_EQ(rs->rows[1][1].type(), DataType::kInt64);
+  EXPECT_EQ(rs->rows[1][1].AsInt(), kMax - 1);
 }
 
 TEST_F(RaTest, Int64SumOverflowFailsTheQuery) {
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
   Table* t = IntTable(&db_, {{1, 5}, {2, kMax}, {2, 1}});
-  for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    auto rs = SumByGroup(t, mode, &ctx_);
-    ASSERT_FALSE(rs.ok());
-    EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument)
-        << rs.status();
-  }
+  auto rs = SumByGroup(t, &ctx_);
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), StatusCode::kInvalidArgument) << rs.status();
 }
 
 TEST_F(RaTest, SumThatSeesADoubleKeepsDoubleArithmetic) {
@@ -349,16 +333,12 @@ TEST_F(RaTest, SumThatSeesADoubleKeepsDoubleArithmetic) {
   Schema s;
   s.AddColumn("v", DataType::kDouble);
   RowSet in{s, {{Value::Int(kTwo53)}, {Value::Int(1)}, {Value::Double(1.0)}}};
-  for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
-    SCOPED_TRACE(static_cast<int>(mode));
-    ScopedExecMode scoped(mode);
-    auto rs = Aggregate(ScanValues(in), {}, {{"total", AggFunc::kSum, "v"}})
-                  ->Execute(&ctx_);
-    ASSERT_TRUE(rs.ok()) << rs.status();
-    ASSERT_EQ(rs->rows.size(), 1u);
-    EXPECT_EQ(rs->rows[0][0].type(), DataType::kDouble);
-    EXPECT_EQ(rs->rows[0][0].AsDouble(), static_cast<double>(kTwo53));
-  }
+  auto rs = Aggregate(ScanValues(in), {}, {{"total", AggFunc::kSum, "v"}})
+                ->Execute(&ctx_);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0][0].type(), DataType::kDouble);
+  EXPECT_EQ(rs->rows[0][0].AsDouble(), static_cast<double>(kTwo53));
 }
 
 TEST_F(RaTest, SortAscendingDescending) {

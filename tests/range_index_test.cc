@@ -65,6 +65,18 @@ TEST_F(RangeIndexTest, EmptyRangeAndUnknownIndex) {
                   .IsNotFound());
 }
 
+TEST_F(RangeIndexTest, InvertedRangeIsEmpty) {
+  // lo > hi, both between the indexed values and around one of them.
+  const uint64_t read_before = table_->rows_read();
+  for (auto [lo, hi] : {std::pair{80.0, 50.0}, std::pair{55.0, 45.0}}) {
+    auto rows = table_->LookupRange("by_price", Value::Double(lo),
+                                    Value::Double(hi));
+    ASSERT_TRUE(rows.ok());
+    EXPECT_TRUE(rows->empty()) << lo << " > " << hi;
+  }
+  EXPECT_EQ(table_->rows_read(), read_before);
+}
+
 TEST_F(RangeIndexTest, MaintainedAcrossMutations) {
   table_->DeleteWhere([](const Row& r) { return r[1].AsDouble() == 60.0; });
   ASSERT_TRUE(table_->InsertOrReplace({Value::Int(5), Value::Double(55.0)})

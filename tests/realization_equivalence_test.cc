@@ -1,9 +1,9 @@
 // Realization equivalence (SPECIFICATION.md §16): the incremental
 // maintenance realization must land in a landscape byte-identical to the
 // full recompute — same state digest, same rows, same verification —
-// across engines, execution modes, worker counts and operator memory
-// budgets. Only the documented §16 divergences (IO counters, monitor
-// cost CSV) may appear, and each must match an allowlist rule.
+// across engines, worker counts and operator memory budgets. Only the
+// documented §16 divergences (IO counters, monitor cost CSV) may appear,
+// and each must match an allowlist rule.
 
 #include <gtest/gtest.h>
 
@@ -20,26 +20,21 @@ namespace {
 
 struct Cell {
   const char* engine;
-  ExecMode mode;
   int workers;
   size_t budget;
 };
 
-/// Every engine x mode pair, plus the worker and budget axes exercised
-/// per engine/mode — each axis value meets both realizations.
+/// Every engine at both worker counts, plus the budget axis — each axis
+/// value meets both realizations.
 std::vector<Cell> EquivalenceMatrix() {
   constexpr size_t kSmallBudget = 64 * 1024;
   std::vector<Cell> cells;
   for (const char* engine : {"federated", "dataflow", "eai"}) {
-    for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
-      cells.push_back({engine, mode, 1, 0});
-    }
-    cells.push_back({engine, ExecMode::kPipeline, 4, 0});
+    cells.push_back({engine, 1, 0});
+    cells.push_back({engine, 4, 0});
   }
-  for (ExecMode mode : {ExecMode::kMaterialize, ExecMode::kPipeline}) {
-    cells.push_back({"federated", mode, 1, kSmallBudget});
-  }
-  cells.push_back({"dataflow", ExecMode::kPipeline, 4, kSmallBudget});
+  cells.push_back({"federated", 1, kSmallBudget});
+  cells.push_back({"dataflow", 4, kSmallBudget});
   return cells;
 }
 
@@ -49,7 +44,6 @@ TEST(RealizationEquivalenceTest, IncrementalLandsInTheFullLandscape) {
   for (const Cell& cell : cells) {
     harness::RunSpec spec;
     spec.engine = cell.engine;
-    spec.exec_mode = cell.mode;
     spec.config.datasize = 0.005;
     spec.config.periods = 1;
     spec.config.workers = cell.workers;
@@ -68,8 +62,7 @@ TEST(RealizationEquivalenceTest, IncrementalLandsInTheFullLandscape) {
     const Cell& cell = cells[i];
     const harness::RunOutcome& full = outcomes[2 * i];
     const harness::RunOutcome& inc = outcomes[2 * i + 1];
-    SCOPED_TRACE(std::string(cell.engine) + "/" +
-                 conformance::ExecModeName(cell.mode) + "/w" +
+    SCOPED_TRACE(std::string(cell.engine) + "/w" +
                  std::to_string(cell.workers) + "/b" +
                  std::to_string(cell.budget));
     ASSERT_TRUE(full.ok) << full.error;
@@ -84,7 +77,6 @@ TEST(RealizationEquivalenceTest, IncrementalLandsInTheFullLandscape) {
     // monitor) matches a documented §16 rule.
     conformance::PairContext ctx;
     ctx.engine_a = ctx.engine_b = cell.engine;
-    ctx.mode_a = ctx.mode_b = conformance::ExecModeName(cell.mode);
     ctx.workers_a = ctx.workers_b = cell.workers;
     ctx.budget_a = ctx.budget_b = cell.budget;
     ctx.realization_a = "full";

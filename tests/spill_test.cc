@@ -98,7 +98,6 @@ class SpillOperatorDeterminismTest : public ::testing::Test {
   }
 
   std::string RunWithBudget(const PlanPtr& plan, size_t budget) {
-    ScopedExecMode mode(ExecMode::kPipeline);
     ScopedMemoryBudget scoped(budget);
     ExecContext ctx;
     auto rs = plan->Execute(&ctx);
