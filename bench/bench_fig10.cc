@@ -18,6 +18,7 @@
 #include "src/common/flags.h"
 #include "src/common/string_util.h"
 #include "src/dipbench/client.h"
+#include "src/dipbench/processes.h"
 #include "src/harness/harness.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/export.h"
@@ -113,12 +114,9 @@ int main(int argc, char** argv) {
   double msg_max = 0, bulk_min = 1e18, msg_dev = 0, bulk_dev = 0;
   int msg_n = 0, bulk_n = 0;
   for (const auto& m : result.per_process) {
-    bool is_msg = m.process_id == "P01" || m.process_id == "P02" ||
-                  m.process_id == "P04" || m.process_id == "P08" ||
-                  m.process_id == "P10";
     bool is_bulk = m.process_id == "P12" || m.process_id == "P13" ||
                    m.process_id == "P14";
-    if (is_msg) {
+    if (IsE1Process(m.process_id)) {
       msg_max = std::max(msg_max, m.navg_plus_tu);
       msg_dev += m.stddev_tu;
       ++msg_n;

@@ -15,6 +15,7 @@
 #include "src/common/flags.h"
 #include "src/common/string_util.h"
 #include "src/dipbench/client.h"
+#include "src/dipbench/processes.h"
 #include "src/harness/harness.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/export.h"
@@ -77,13 +78,11 @@ int main(int argc, char** argv) {
       if (cand.process_id == m.process_id) m11 = &cand;
     }
     if (m11 == nullptr) continue;
-    bool is_e1 = m.process_id == "P01" || m.process_id == "P02" ||
-                 m.process_id == "P04" || m.process_id == "P08" ||
-                 m.process_id == "P10";
     double rd10 = m.navg_tu > 0 ? m.stddev_tu / m.navg_tu : 0;
     double rd11 = m11->navg_tu > 0 ? m11->stddev_tu / m11->navg_tu : 0;
     std::printf("%-5s %-3s %12.1f %12.1f %8.2f %14.3f %14.3f\n",
-                m.process_id.c_str(), is_e1 ? "E1" : "E2", m.navg_plus_tu,
+                m.process_id.c_str(),
+                IsE1Process(m.process_id) ? "E1" : "E2", m.navg_plus_tu,
                 m11->navg_plus_tu,
                 m.navg_plus_tu > 0 ? m11->navg_plus_tu / m.navg_plus_tu : 0,
                 rd10, rd11);
@@ -100,10 +99,7 @@ int main(int argc, char** argv) {
       if (cand.process_id == m.process_id) m11 = &cand;
     }
     if (m11 == nullptr || m.navg_plus_tu <= 0) continue;
-    bool is_e1 = m.process_id == "P01" || m.process_id == "P02" ||
-                 m.process_id == "P04" || m.process_id == "P08" ||
-                 m.process_id == "P10";
-    if (is_e1) {
+    if (IsE1Process(m.process_id)) {
       e1_ratio_sum += m11->navg_plus_tu / m.navg_plus_tu;
       ++e1_n;
     } else if (m.navg_tu > 0 && m11->navg_tu > 0) {

@@ -12,6 +12,7 @@
 #include <cstdlib>
 
 #include "src/dipbench/client.h"
+#include "src/dipbench/processes.h"
 
 using namespace dipbench;
 
@@ -53,9 +54,7 @@ int main() {
   int e1_n = 0, e2_n = 0;
   for (const auto& m : off->per_process) {
     double cached = on->NavgPlus(m.process_id);
-    bool is_e1 = m.process_id == "P01" || m.process_id == "P02" ||
-                 m.process_id == "P04" || m.process_id == "P08" ||
-                 m.process_id == "P10";
+    bool is_e1 = IsE1Process(m.process_id);
     double saving =
         m.navg_plus_tu > 0 ? 1.0 - cached / m.navg_plus_tu : 0.0;
     std::printf("%-5s %-3s %8d %12.2f %12.2f %9.1f%%\n",

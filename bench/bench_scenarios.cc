@@ -2,7 +2,9 @@
 // manifest, validates it against the live system landscape, expands the
 // collection into pooled RunSpecs and executes them twice — once at
 // --jobs workers and once fully serial. Reports the merged NAVG+ table
-// across all scenario runs.
+// across all scenario runs, one row per run of the ablation measures
+// (mean NAVG+ of the E1 and E2 types, mean E1 wait, OrdersMV rows, dirty
+// CDB leftovers, completeness) and the wall time of both passes.
 //
 // Exit gates (all must hold for exit code 0):
 //   1. every manifest loads and validates (a bad one exits 2 naming the
@@ -12,11 +14,14 @@
 //      collection, the same gate proves run-to-run determinism,
 //   3. the paper-baseline manifest reproduces the compiled-in schedule
 //      (a default-constructed ScaleConfig) byte for byte: the manifest
-//      layer adds expressiveness, never drift.
+//      layer adds expressiveness, never drift,
+//   4. every run completes and passes VerifyIntegration, warehouse
+//      integrity (resolvable references, unique fact keys) included.
 //
 // DIPBENCH_PERIODS overrides every run's period count (CI smoke);
 // --json-out=<path> writes BENCH_scenarios.json for the CI artifact.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -24,6 +29,7 @@
 
 #include "src/common/flags.h"
 #include "src/common/string_util.h"
+#include "src/dipbench/processes.h"
 #include "src/harness/harness.h"
 #include "src/scenario/manager.h"
 
@@ -38,6 +44,62 @@ std::string JsonEscape(const std::string& s) {
     if (c == '"' || c == '\\') out += '\\';
     out += c;
   }
+  return out;
+}
+
+/// The per-run ablation measures: mean NAVG+ over the E1 and over the E2
+/// types, and the mean queueing wait of the E1 types.
+struct TypeMeans {
+  double e1_navg = 0.0, e2_navg = 0.0, e1_wait = 0.0;
+};
+
+TypeMeans MeansOf(const BenchmarkResult& result) {
+  TypeMeans means;
+  int e1 = 0, e2 = 0;
+  for (const ProcessMetrics& m : result.per_process) {
+    if (IsE1Process(m.process_id)) {
+      means.e1_navg += m.navg_plus_tu;
+      means.e1_wait += m.avg_wait_tu;
+      ++e1;
+    } else {
+      means.e2_navg += m.navg_plus_tu;
+      ++e2;
+    }
+  }
+  means.e1_navg /= std::max(e1, 1);
+  means.e1_wait /= std::max(e1, 1);
+  means.e2_navg /= std::max(e2, 1);
+  return means;
+}
+
+/// One run's per-process measures and verification fields, as JSON.
+std::string RunDetailJson(const BenchmarkResult& result) {
+  std::string out = "\"per_process\": {";
+  for (size_t i = 0; i < result.per_process.size(); ++i) {
+    const ProcessMetrics& m = result.per_process[i];
+    out += StrFormat(
+        "%s\"%s\": {\"navg_plus_tu\": %.3f, \"avg_wait_tu\": %.3f, "
+        "\"avg_concurrency\": %.3f, \"validation_failures\": %llu, "
+        "\"duplicates_eliminated\": %llu}",
+        i == 0 ? "" : ", ", m.process_id.c_str(), m.navg_plus_tu,
+        m.avg_wait_tu, m.avg_concurrency,
+        static_cast<unsigned long long>(m.quality.validation_failures),
+        static_cast<unsigned long long>(m.quality.duplicates_eliminated));
+  }
+  const VerificationReport& v = result.verification;
+  out += StrFormat(
+      "}, \"verification\": {\"dwh_orders\": %zu, \"dwh_mv_rows\": %zu, "
+      "\"mart_orders\": %zu, \"failed_messages\": %zu, "
+      "\"dirty_leftover_cdb\": %zu, \"null_cells\": %zu, "
+      "\"total_cells\": %zu, \"dangling_customer_refs\": %zu, "
+      "\"dangling_product_refs\": %zu, \"dangling_city_refs\": %zu, "
+      "\"duplicate_fact_keys\": %zu, \"null_fraction\": %.6f, "
+      "\"completeness\": %.6f}",
+      v.dwh_orders, v.dwh_mv_rows, v.mart_orders_total, v.failed_messages,
+      v.dirty_leftover_cdb, v.null_cells, v.total_cells,
+      v.dangling_customer_refs, v.dangling_product_refs,
+      v.dangling_city_refs, v.duplicate_fact_keys, v.NullFraction(),
+      v.Completeness());
   return out;
 }
 
@@ -122,7 +184,9 @@ int main(int argc, char** argv) {
   const double parallel_ms = parallel_watch.ElapsedMillis();
 
   harness::RunnerPool serial_pool(1);
+  StopWatch serial_watch;
   std::vector<harness::RunOutcome> serial = serial_pool.Run(specs);
+  const double serial_ms = serial_watch.ElapsedMillis();
 
   bool runs_ok = true;
   for (const harness::RunOutcome& outcome : outcomes) {
@@ -171,9 +235,24 @@ int main(int argc, char** argv) {
     baseline_identical = false;
   }
 
+  // No pool speedup line: contention inflates the per-run times it sums.
   std::printf("%s\n",
-              harness::RunnerPool::RenderReport(outcomes, parallel_ms)
-                  .c_str());
+              harness::RunnerPool::RenderReport(outcomes, 0.0).c_str());
+  std::printf("%-36s %9s %9s %13s %8s %11s %12s\n", "run", "E1 NAVG+",
+              "E2 NAVG+", "E1 wait [tu]", "MV rows", "dirty left",
+              "completeness");
+  for (const harness::RunOutcome& o : outcomes) {
+    if (!o.ok) continue;  // listed as FAILED in the table above
+    const TypeMeans means = MeansOf(o.result);
+    const VerificationReport& v = o.result.verification;
+    std::printf("%-36s %9.1f %9.1f %13.2f %8zu %11zu %12.4f\n",
+                o.spec.DisplayLabel().c_str(), means.e1_navg, means.e2_navg,
+                means.e1_wait, v.dwh_mv_rows, v.dirty_leftover_cdb,
+                v.Completeness());
+  }
+  std::printf("\nwall time: serial %.0f ms, parallel (jobs=%d) %.0f ms — "
+              "%.2fx\n", serial_ms, parallel_pool.jobs(), parallel_ms,
+              serial_ms / parallel_ms);
   std::printf("parallel gate (jobs=%d vs jobs=1, full repeat): %s\n",
               parallel_pool.jobs(),
               mismatches == 0 ? "identical"
@@ -190,18 +269,18 @@ int main(int argc, char** argv) {
                       mismatches == 0 ? "true" : "false");
     json += StrFormat("  \"baseline_identical\": %s,\n",
                       baseline_identical ? "true" : "false");
+    json += StrFormat("  \"serial_wall_ms\": %.3f,\n", serial_ms);
+    json += StrFormat("  \"parallel_wall_ms\": %.3f,\n", parallel_ms);
     json += "  \"runs\": [\n";
     for (size_t i = 0; i < outcomes.size(); ++i) {
       const harness::RunOutcome& o = outcomes[i];
       json += StrFormat(
           "    {\"label\": \"%s\", \"engine\": \"%s\", \"ok\": %s, "
-          "\"navg_p03_tu\": %.3f, \"navg_p09_tu\": %.3f, "
-          "\"navg_p13_tu\": %.3f, \"virtual_ms\": %.3f, "
-          "\"wall_ms\": %.3f}%s\n",
+          "\"virtual_ms\": %.3f, \"wall_ms\": %.3f%s%s}%s\n",
           JsonEscape(o.spec.DisplayLabel()).c_str(), o.spec.engine.c_str(),
-          o.ok ? "true" : "false", o.result.NavgPlus("P03"),
-          o.result.NavgPlus("P09"), o.result.NavgPlus("P13"),
-          o.result.virtual_ms, o.wall_ms,
+          o.ok ? "true" : "false", o.result.virtual_ms, o.wall_ms,
+          o.ok ? ", " : "",
+          o.ok ? RunDetailJson(o.result).c_str() : "",
           i + 1 < outcomes.size() ? "," : "");
     }
     json += "  ]\n}\n";

@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "src/dipbench/client.h"
+#include "src/dipbench/processes.h"
 
 using namespace dipbench;
 
@@ -50,13 +51,8 @@ int main() {
               "federated", "ratio");
   for (const auto& m : dataflow->per_process) {
     double fed = federated->NavgPlus(m.process_id);
-    const char* etype = (m.process_id == "P01" || m.process_id == "P02" ||
-                         m.process_id == "P04" || m.process_id == "P08" ||
-                         m.process_id == "P10")
-                            ? "E1"
-                            : "E2";
     std::printf("%-5s %-3s %12.1f %12.1f %8.2f\n", m.process_id.c_str(),
-                etype, m.navg_plus_tu, fed,
+                IsE1Process(m.process_id) ? "E1" : "E2", m.navg_plus_tu, fed,
                 m.navg_plus_tu > 0 ? fed / m.navg_plus_tu : 0.0);
   }
   std::printf(

@@ -1,86 +1,85 @@
 // Full DIPBench run — the toolsuite's command-line face.
 //
 // Usage:
-//   run_dipbench [--datasize D] [--time T] [--dist uniform|zipf|normal]
-//                [--periods N] [--engine dataflow|federated|eai]
-//                [--workers W] [--error-rate Q] [--plan-cache]
-//                [--csv] [--gnuplot] [--export-data DIR] [--trace]
+//   run_dipbench [--datasize=D] [--time=T] [--dist=uniform|zipf|normal]
+//                [--periods=N] [--engine=dataflow|federated|eai]
+//                [--worker-slots=W] [--error-rate=Q] [--plan-cache]
+//                [--csv] [--gnuplot] [--export-data=DIR] [--trace]
 //
 // Reproduces the paper's reference-implementation experiments: runs the
 // pre/work/post phases over N benchmark periods and prints the DIPBench
-// performance plot (Fig. 10/11 style), the verification report and, with
-// --csv, the per-process metric rows.
+// performance plot (Fig. 10/11 style), the verification report (with the
+// warehouse's data-quality measures) and, with --csv, the per-process
+// metric rows. A malformed flag exits 2 with the usage.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "src/common/flags.h"
 #include "src/dipbench/client.h"
-#include "src/dipbench/quality.h"
+#include "src/harness/harness.h"
 
 using namespace dipbench;
 
-namespace {
-
-void Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--datasize D] [--time T] [--dist uniform|zipf|"
-               "normal]\n          [--periods N] [--engine dataflow|"
-               "federated|eai] [--workers W]\n          [--error-rate Q] "
-               "[--plan-cache] [--csv] [--gnuplot] [--export-data DIR] [--trace]\n",
-               argv0);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  ScaleConfig config;
-  config.datasize = 0.05;
-  config.periods = 10;
-  std::string engine_kind = "dataflow";
-  bool csv = false;
-  bool gnuplot = false;
-  bool plan_cache = false;
-  bool trace = false;
-  std::string export_dir;
+  flags::FlagSet flags("run_dipbench");
+  flags.Define("datasize", "scale factor d (default 0.05)")
+      .Define("time", "time scale factor t (default 1.0)")
+      .Define("dist", "distribution f: uniform (default) | zipf | normal")
+      .Define("periods", "benchmark periods (default 10)")
+      .Define("engine", "dataflow (default) | federated | eai")
+      .Define("worker-slots", "modeled worker slots of the engine (default 4)")
+      .Define("error-rate", "injected source-data error rate q (default 0.04)")
+      .Define("plan-cache", "cache instantiated process plans")
+      .Define("csv", "print the per-process metric rows")
+      .Define("gnuplot", "print the plot as gnuplot data")
+      .Define("export-data", "export period 0's source data as XML flat "
+                             "files to this directory")
+      .Define("trace", "print the operator trace of the costliest instance");
+  auto usage_error = [&flags](const Status& st) {
+    std::fprintf(stderr, "%s\n%s", st.ToString().c_str(),
+                 flags.Usage().c_str());
+    return 2;
+  };
+  if (Status st = flags.Parse(argc, argv); !st.ok()) return usage_error(st);
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--datasize") {
-      config.datasize = std::atof(next());
-    } else if (arg == "--time") {
-      config.time_scale = std::atof(next());
-    } else if (arg == "--periods") {
-      config.periods = std::atoi(next());
-    } else if (arg == "--workers") {
-      config.worker_slots = std::atoi(next());
-    } else if (arg == "--dist") {
-      std::string d = next();
-      config.distribution = d == "zipf"     ? Distribution::kZipf
-                            : d == "normal" ? Distribution::kNormal
-                                            : Distribution::kUniform;
-    } else if (arg == "--engine") {
-      engine_kind = next();
-    } else if (arg == "--error-rate") {
-      config.error_rate = std::atof(next());
-    } else if (arg == "--csv") {
-      csv = true;
-    } else if (arg == "--gnuplot") {
-      gnuplot = true;
-    } else if (arg == "--plan-cache") {
-      plan_cache = true;
-    } else if (arg == "--trace") {
-      trace = true;
-    } else if (arg == "--export-data") {
-      export_dir = next();
-    } else {
-      Usage(argv[0]);
-      return 2;
-    }
+  ScaleConfig config;
+  Result<double> datasize = flags.GetDouble("datasize", config.datasize);
+  Result<double> time_scale = flags.GetDouble("time", config.time_scale);
+  Result<int> periods = flags.GetInt("periods", config.periods);
+  Result<int> slots = flags.GetInt("worker-slots", config.worker_slots);
+  Result<double> error_rate = flags.GetDouble("error-rate", config.error_rate);
+  for (const Status& st : {datasize.status(), time_scale.status(),
+                           periods.status(), slots.status(),
+                           error_rate.status()}) {
+    if (!st.ok()) return usage_error(st);
+  }
+  if (*datasize <= 0 || *time_scale <= 0 || *periods < 1 || *slots < 1 ||
+      *error_rate < 0 || *error_rate > 1) {
+    return usage_error(Status::InvalidArgument(
+        "run_dipbench: need --datasize, --time > 0, --periods, "
+        "--worker-slots >= 1 and --error-rate in [0, 1]"));
+  }
+  config.datasize = *datasize;
+  config.time_scale = *time_scale;
+  config.periods = *periods;
+  config.worker_slots = *slots;
+  config.error_rate = *error_rate;
+  const std::string dist = flags.Get("dist", "uniform");
+  if (dist == "zipf") {
+    config.distribution = Distribution::kZipf;
+  } else if (dist == "normal") {
+    config.distribution = Distribution::kNormal;
+  } else if (dist != "uniform") {
+    return usage_error(Status::InvalidArgument(
+        "run_dipbench: unknown distribution '" + dist + "'"));
+  }
+  const std::string engine_kind = flags.Get("engine", "dataflow");
+  const bool trace = flags.Has("trace");
+  const std::string export_dir = flags.Get("export-data");
+  if (flags.Has("export-data") && export_dir.empty()) {
+    return usage_error(Status::InvalidArgument(
+        "run_dipbench: --export-data needs a directory"));
   }
 
   auto scenario_result = Scenario::Create();
@@ -91,18 +90,12 @@ int main(int argc, char** argv) {
   }
   auto scenario = std::move(scenario_result).ValueOrDie();
 
-  std::unique_ptr<core::EngineBase> engine;
-  if (engine_kind == "federated") {
-    engine = std::make_unique<core::FederatedEngine>(
-        scenario->network(), core::FederatedWeights(), config.worker_slots);
-  } else if (engine_kind == "eai") {
-    engine = std::make_unique<core::EaiEngine>(
-        scenario->network(), core::EaiWeights(), config.worker_slots);
-  } else {
-    engine = std::make_unique<core::DataflowEngine>(
-        scenario->network(), core::DataflowWeights(), config.worker_slots);
-  }
-  engine->EnablePlanCache(plan_cache);
+  auto engine_result = harness::MakeEngine(engine_kind, scenario->network(),
+                                           config.worker_slots);
+  if (!engine_result.ok()) return usage_error(engine_result.status());
+  std::unique_ptr<core::EngineBase> engine =
+      std::move(engine_result).ValueOrDie();
+  engine->EnablePlanCache(flags.Has("plan-cache"));
   engine->EnableTracing(trace);
 
   std::printf("%s  engine=%s\n", config.ToString().c_str(),
@@ -139,14 +132,10 @@ int main(int argc, char** argv) {
       }
     }
   }
-  auto quality = AssessDataQuality(scenario.get());
-  if (quality.ok()) {
-    std::printf("data quality: %s\n", quality->ToString().c_str());
-  }
-  if (csv) {
+  if (flags.Has("csv")) {
     std::printf("\n%s", Monitor::ToCsv(result->per_process).c_str());
   }
-  if (gnuplot) {
+  if (flags.Has("gnuplot")) {
     std::printf("\n%s", Monitor::ToGnuplot(result->per_process,
                                            config).c_str());
   }

@@ -240,7 +240,8 @@ Result<BenchmarkResult> Client::Run() {
     if (r.attempts > 1) result.retries += static_cast<uint64_t>(r.attempts - 1);
     if (r.dead_lettered) ++result.dead_letters;
   }
-  DIP_ASSIGN_OR_RETURN(result.verification, VerifyIntegration(scenario_));
+  DIP_ASSIGN_OR_RETURN(result.verification,
+                       VerifyIntegration(scenario_, result.dead_letters));
   result.virtual_ms = engine_->Now();
   result.wall_ms = watch.ElapsedMillis();
   return result;

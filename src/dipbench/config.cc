@@ -105,7 +105,8 @@ const char* ShapeKindName(TrafficShape::Kind kind) {
 
 std::string ScaleConfig::ToString() const {
   std::string out = StrFormat(
-      "ScaleConfig{d=%.3f, t=%.2f, f=%s, periods=%d, seed=%llu, workers=%d",
+      "ScaleConfig{d=%.3f, t=%.2f, f=%s, periods=%d, seed=%llu, "
+      "worker_slots=%d",
       datasize, time_scale, DistributionToString(distribution), periods,
       static_cast<unsigned long long>(seed), worker_slots);
   // Fault/recovery knobs appear only when switched on, so the rendering of

@@ -1,5 +1,7 @@
 #include "src/dipbench/processes.h"
 
+#include <set>
+
 #include "src/core/operators.h"
 #include "src/dipbench/datagen.h"
 #include "src/dipbench/scenario.h"
@@ -761,6 +763,17 @@ Result<ProcessDefinition> BuildProcess(const std::string& id,
     if (def.id == id) return def;
   }
   return Status::NotFound("no process type " + id);
+}
+
+bool IsE1Process(const std::string& id) {
+  static const std::set<std::string> kE1 = [] {
+    std::set<std::string> ids;
+    for (const ProcessDefinition& def : BuildProcesses()) {
+      if (def.event_type == EventType::kMessage) ids.insert(def.id);
+    }
+    return ids;
+  }();
+  return kE1.count(id) > 0;
 }
 
 }  // namespace dipbench

@@ -48,6 +48,11 @@ Result<core::ProcessDefinition> BuildProcess(
     const std::string& id,
     Realization realization = Realization::kFullRecompute);
 
+/// True for the E1 types of Table I (initiated by a message, e.g. "P04"),
+/// false for E2 types and unknown ids. Read off the definitions'
+/// `event_type`, so reports and figures never keep their own list.
+bool IsE1Process(const std::string& id);
+
 }  // namespace dipbench
 
 #endif  // DIPBENCH_DIPBENCH_PROCESSES_H_

@@ -1,6 +1,10 @@
 #include "src/dipbench/verify.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "src/common/string_util.h"
 #include "src/ra/query.h"
@@ -33,17 +37,67 @@ Result<double> MvRevenue(Table* mv) {
   return sum;
 }
 
+/// One walk of the fact table: NULL cells, references into the customer,
+/// product and city dimensions, and (orderkey, source) uniqueness. Lookups
+/// borrow the key cell, so the walk copies no rows.
+Status WalkFactTable(Database* dwh, Table* orders,
+                     VerificationReport* report) {
+  DIP_ASSIGN_OR_RETURN(Table * customer, dwh->GetTable("customer"));
+  DIP_ASSIGN_OR_RETURN(Table * product, dwh->GetTable("product"));
+  DIP_ASSIGN_OR_RETURN(Table * city, dwh->GetTable("city"));
+  const Schema& schema = orders->schema();
+  DIP_ASSIGN_OR_RETURN(size_t c_custkey, schema.RequireIndexOf("custkey"));
+  DIP_ASSIGN_OR_RETURN(size_t c_prodkey, schema.RequireIndexOf("prodkey"));
+  DIP_ASSIGN_OR_RETURN(size_t c_citykey, schema.RequireIndexOf("citykey"));
+  DIP_ASSIGN_OR_RETURN(size_t c_orderkey, schema.RequireIndexOf("orderkey"));
+  DIP_ASSIGN_OR_RETURN(size_t c_source, schema.RequireIndexOf("source"));
+  auto known = [](const Table* dim, const Value& key) {
+    Result<const Row*> row = dim->FindByKeyRef(std::span<const Value>(&key, 1));
+    return row.ok() && *row != nullptr;
+  };
+
+  std::vector<std::pair<int64_t, std::string>> keys;
+  keys.reserve(orders->size());
+  orders->ForEach([&](const Row& r) {
+    report->total_cells += r.size();
+    for (const Value& v : r) {
+      if (v.is_null()) ++report->null_cells;
+    }
+    if (!r[c_custkey].is_null() && !known(customer, r[c_custkey])) {
+      ++report->dangling_customer_refs;
+    }
+    if (!r[c_prodkey].is_null() && !known(product, r[c_prodkey])) {
+      ++report->dangling_product_refs;
+    }
+    if (r[c_citykey].is_null() || !known(city, r[c_citykey])) {
+      ++report->dangling_city_refs;
+    }
+    if (!r[c_orderkey].is_null() && !r[c_source].is_null()) {
+      keys.emplace_back(r[c_orderkey].AsInt(), r[c_source].AsString());
+    }
+  });
+  std::sort(keys.begin(), keys.end());
+  report->duplicate_fact_keys = static_cast<size_t>(
+      keys.end() - std::unique(keys.begin(), keys.end()));
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string VerificationReport::ToString() const {
   return StrFormat(
       "dwh_orders=%zu dwh_mv_rows=%zu mart_orders=%zu cdb_clean_leftover=%zu "
-      "failed=%zu dwh_revenue=%.2f mv_revenue=%.2f",
+      "dirty_leftover=%zu failed=%zu dwh_revenue=%.2f mv_revenue=%.2f "
+      "null_frac=%.4f dangling(cust=%zu, prod=%zu, city=%zu) dup_keys=%zu "
+      "completeness=%.4f",
       dwh_orders, dwh_mv_rows, mart_orders_total, cdb_clean_leftover,
-      failed_messages, dwh_revenue, mv_revenue);
+      dirty_leftover_cdb, failed_messages, dwh_revenue, mv_revenue,
+      NullFraction(), dangling_customer_refs, dangling_product_refs,
+      dangling_city_refs, duplicate_fact_keys, Completeness());
 }
 
-Result<VerificationReport> VerifyIntegration(Scenario* scenario) {
+Result<VerificationReport> VerifyIntegration(Scenario* scenario,
+                                             uint64_t dead_letters) {
   VerificationReport report;
 
   DIP_ASSIGN_OR_RETURN(Database * dwh, scenario->db("dwh_db"));
@@ -53,6 +107,24 @@ Result<VerificationReport> VerifyIntegration(Scenario* scenario) {
   report.dwh_mv_rows = dwh_mv->size();
   if (report.dwh_orders == 0) {
     return Status::ValidationError("DWH fact table is empty after the run");
+  }
+
+  // (1) Referential integrity and key uniqueness of the fact rows.
+  DIP_RETURN_NOT_OK(WalkFactTable(dwh, dwh_orders, &report));
+  if (dead_letters == 0 &&
+      report.dangling_customer_refs + report.dangling_product_refs +
+              report.dangling_city_refs !=
+          0) {
+    return Status::ValidationError(StrFormat(
+        "DWH fact rows name %zu unknown customers, %zu unknown products and "
+        "%zu unresolved cities",
+        report.dangling_customer_refs, report.dangling_product_refs,
+        report.dangling_city_refs));
+  }
+  if (report.duplicate_fact_keys != 0) {
+    return Status::ValidationError(StrFormat(
+        "%zu duplicate (orderkey, source) keys in the DWH fact table",
+        report.duplicate_fact_keys));
   }
 
   // (2) MV consistency.
@@ -65,18 +137,17 @@ Result<VerificationReport> VerifyIntegration(Scenario* scenario) {
                   report.dwh_revenue, report.mv_revenue));
   }
 
-  // (3) Delta semantics in the CDB.
+  // (3) Delta semantics in the CDB: no clean row may remain; dirty rows
+  // are the unrepairable leftovers.
   DIP_ASSIGN_OR_RETURN(Database * cdb, scenario->db("cdb_db"));
   DIP_ASSIGN_OR_RETURN(Table * cdb_orders, cdb->GetTable("orders"));
-  size_t clean_left = 0;
-  cdb_orders->ForEach([&clean_left](const Row& r) {
-    if (!r[9].AsBool()) ++clean_left;
+  cdb_orders->ForEach([&report](const Row& r) {
+    ++(r[9].AsBool() ? report.dirty_leftover_cdb : report.cdb_clean_leftover);
   });
-  report.cdb_clean_leftover = clean_left;
-  if (clean_left != 0) {
+  if (report.cdb_clean_leftover != 0) {
     return Status::ValidationError(
         StrFormat("%zu clean movement rows were not removed from the CDB",
-                  clean_left));
+                  report.cdb_clean_leftover));
   }
 
   DIP_ASSIGN_OR_RETURN(Table * failed, cdb->GetTable("failed_data"));

@@ -166,21 +166,21 @@ std::vector<RunOutcome> RunnerPool::RunTasks(
 std::string RunnerPool::RenderReport(const std::vector<RunOutcome>& outcomes,
                                      double pool_wall_ms) {
   std::string out;
-  out += StrFormat("%-28s %10s %10s %10s %12s %8s %12s %10s\n", "config",
+  out += StrFormat("%-36s %10s %10s %10s %12s %8s %12s %10s\n", "config",
                    "P03 NAVG+", "P09 NAVG+", "P13 NAVG+", "sum NAVG+",
                    "retries", "dead_letters", "wall ms");
   double summed_wall_ms = 0.0;
   for (const RunOutcome& o : outcomes) {
     summed_wall_ms += o.wall_ms;
     if (!o.ok) {
-      out += StrFormat("%-28s FAILED: %s\n", o.spec.DisplayLabel().c_str(),
+      out += StrFormat("%-36s FAILED: %s\n", o.spec.DisplayLabel().c_str(),
                        o.error.c_str());
       continue;
     }
     double total = 0.0;
     for (const auto& m : o.result.per_process) total += m.navg_plus_tu;
     out += StrFormat(
-        "%-28s %10.1f %10.1f %10.1f %12.1f %8llu %12llu %10.0f\n",
+        "%-36s %10.1f %10.1f %10.1f %12.1f %8llu %12llu %10.0f\n",
         o.spec.DisplayLabel().c_str(), o.result.NavgPlus("P03"),
         o.result.NavgPlus("P09"), o.result.NavgPlus("P13"), total,
         static_cast<unsigned long long>(o.result.retries),

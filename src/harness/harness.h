@@ -110,7 +110,8 @@ class RunnerPool {
 
   /// Merged cross-run report: per-config NAVG+ table (P03/P09/P13 columns
   /// plus the total), retries/dead letters, per-run wall-clock, and the
-  /// aggregate speedup of `pool_wall_ms` over the summed per-run times.
+  /// aggregate speedup of `pool_wall_ms` over the summed per-run times
+  /// (left out when `pool_wall_ms` is 0).
   static std::string RenderReport(const std::vector<RunOutcome>& outcomes,
                                   double pool_wall_ms);
 

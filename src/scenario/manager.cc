@@ -104,10 +104,5 @@ std::vector<harness::RunSpec> ScenarioManager::ExpandAll() const {
   return specs;
 }
 
-std::vector<harness::RunOutcome> ScenarioManager::RunAll(int jobs) const {
-  harness::RunnerPool pool(jobs);
-  return pool.Run(ExpandAll());
-}
-
 }  // namespace scenario
 }  // namespace dipbench

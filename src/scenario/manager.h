@@ -10,7 +10,7 @@
 namespace dipbench {
 namespace scenario {
 
-/// Loads, validates and runs collections of scenario manifests.
+/// Loads, validates and expands collections of scenario manifests.
 ///
 /// The manager adds the checks a single manifest cannot do alone: name
 /// uniqueness across the collection, and landscape validation — outage /
@@ -40,11 +40,6 @@ class ScenarioManager {
 
   /// All manifests expanded to pooled RunSpecs, in load order.
   std::vector<harness::RunSpec> ExpandAll() const;
-
-  /// Expands and executes everything through a RunnerPool with `jobs`
-  /// workers (<= 0 = hardware concurrency, 1 = fully serial). Outcomes
-  /// come back in ExpandAll() order.
-  std::vector<harness::RunOutcome> RunAll(int jobs) const;
 
  private:
   std::vector<ScenarioManifest> manifests_;

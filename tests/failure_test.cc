@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/core/engine.h"
 #include "src/core/operators.h"
 #include "src/dipbench/client.h"
@@ -260,6 +262,27 @@ TEST_F(VerifyFailureTest, DetectsEmptyWarehouse) {
   auto report = VerifyIntegration(scenario_.get());
   ASSERT_FALSE(report.ok());
   EXPECT_NE(report.status().message().find("empty"), std::string::npos);
+}
+
+TEST_F(VerifyFailureTest, DetectsFactRowWithUnknownCustomer) {
+  // Re-point one fact row at a customer the dimension does not hold; its
+  // revenue, city and key stay, so only the reference check can see it.
+  Table* orders = GetTable("dwh_db", "orders");
+  bool planted = false;
+  auto updated = orders->UpdateWhere(
+      [&planted](const Row&) { return !std::exchange(planted, true); },
+      [](Row* r) { (*r)[1] = Value::Int(987654321); });
+  ASSERT_TRUE(updated.ok());
+  ASSERT_EQ(*updated, 1u);
+  auto report = VerifyIntegration(scenario_.get());
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.status().message().find("1 unknown customers"),
+            std::string::npos)
+      << report.status().ToString();
+  // A run that dead-lettered instances lost data; it reports the reference.
+  auto lossy = VerifyIntegration(scenario_.get(), /*dead_letters=*/1);
+  ASSERT_TRUE(lossy.ok()) << lossy.status().ToString();
+  EXPECT_EQ(lossy->dangling_customer_refs, 1u);
 }
 
 TEST_F(VerifyFailureTest, DetectsTamperedMartMv) {

@@ -2,10 +2,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "src/dipbench/config.h"
+#include "src/dipbench/processes.h"
 #include "src/dipbench/schedule.h"
 #include "src/harness/harness.h"
 #include "src/net/fault.h"
@@ -517,6 +520,120 @@ TEST(ScenarioDeterminismTest, DirtinessDialChangesOnlyItsOwnSource) {
   ASSERT_TRUE(base_run.ok && same_run.ok && dirty_run.ok);
   EXPECT_EQ(base_run.monitor_csv, same_run.monitor_csv);
   EXPECT_NE(base_run.monitor_csv, dirty_run.monitor_csv);
+}
+
+// ---------------------------------------------------------------------------
+// Ablation manifests: each sweep shows the shape it exists for
+
+/// The ablation manifests of examples/scenarios, run once at 2 periods
+/// through the pool; results keyed by run label.
+const std::map<std::string, BenchmarkResult>& AblationRuns() {
+  static const std::map<std::string, BenchmarkResult> runs = [] {
+    const std::filesystem::path dir =
+        std::filesystem::path(DIPBENCH_SOURCE_DIR) / "examples/scenarios";
+    ScenarioManager manager;
+    for (const char* file :
+         {"ablation_engines.json", "ablation_distribution_uniform.json",
+          "ablation_distribution_zipf.json",
+          "ablation_distribution_normal.json", "ablation_time_scale.json",
+          "ablation_error_rate.json", "ablation_worker_slots.json"}) {
+      Status st = manager.LoadFile((dir / file).string());
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    }
+    std::vector<harness::RunSpec> specs = manager.ExpandAll();
+    for (harness::RunSpec& spec : specs) spec.config.periods = 2;
+    std::map<std::string, BenchmarkResult> by_label;
+    for (harness::RunOutcome& o : harness::RunnerPool(4).Run(specs)) {
+      EXPECT_TRUE(o.ok) << o.spec.DisplayLabel() << ": " << o.error;
+      by_label[o.spec.DisplayLabel()] = std::move(o.result);
+    }
+    return by_label;
+  }();
+  return runs;
+}
+
+const BenchmarkResult& AblationRun(const std::string& label) {
+  static const BenchmarkResult kMissing;
+  auto it = AblationRuns().find(label);
+  EXPECT_NE(it, AblationRuns().end()) << label;
+  return it == AblationRuns().end() ? kMissing : it->second;
+}
+
+double MeanE1Wait(const BenchmarkResult& result) {
+  double wait = 0.0;
+  int n = 0;
+  for (const ProcessMetrics& m : result.per_process) {
+    if (!IsE1Process(m.process_id)) continue;
+    wait += m.avg_wait_tu;
+    ++n;
+  }
+  return n == 0 ? 0.0 : wait / n;
+}
+
+TEST(AblationManifestTest, SkewedDistributionsExtractFewerP09Rows) {
+  auto p09 = [](const char* f) {
+    return AblationRun(std::string("ablation-distribution-") + f)
+        .NavgPlus("P09");
+  };
+  EXPECT_GT(p09("uniform"), 0.0);
+  EXPECT_LT(p09("zipf"), p09("uniform"));
+  EXPECT_LT(p09("normal"), p09("uniform"));
+}
+
+TEST(AblationManifestTest, E1WaitRisesStrictlyWithTimeScale) {
+  double previous = -1.0;
+  for (const char* t : {"0.5", "1", "2", "4"}) {
+    const double wait = MeanE1Wait(
+        AblationRun(std::string("ablation-time-scale time_scale=") + t));
+    EXPECT_GT(wait, previous) << "t=" << t;
+    previous = wait;
+  }
+}
+
+TEST(AblationManifestTest, ErrorRateParksDirtyRowsAndLowersCompleteness) {
+  const VerificationReport* previous = nullptr;
+  for (const char* q : {"0", "0.05", "0.15", "0.3"}) {
+    const VerificationReport& v =
+        AblationRun(std::string("ablation-error-rate error_rate=") + q)
+            .verification;
+    if (previous == nullptr) {
+      EXPECT_EQ(v.dirty_leftover_cdb, 0u);
+    } else {
+      EXPECT_GE(v.dirty_leftover_cdb, previous->dirty_leftover_cdb) << q;
+      EXPECT_LE(v.Completeness(), previous->Completeness()) << q;
+    }
+    previous = &v;
+  }
+}
+
+TEST(AblationManifestTest, FederatedPaysMoreOnE1ThanOnE2Types) {
+  const BenchmarkResult& dataflow = AblationRun("ablation-engines/dataflow");
+  const BenchmarkResult& federated = AblationRun("ablation-engines/federated");
+  double ratio[2] = {0.0, 0.0};  // [E1, E2]
+  int n[2] = {0, 0};
+  for (const ProcessMetrics& m : dataflow.per_process) {
+    ASSERT_GT(m.navg_plus_tu, 0.0) << m.process_id;
+    const int e = IsE1Process(m.process_id) ? 0 : 1;
+    ratio[e] += federated.NavgPlus(m.process_id) / m.navg_plus_tu;
+    ++n[e];
+  }
+  ASSERT_EQ(n[0], 5);
+  ASSERT_EQ(n[1], 10);
+  EXPECT_GT(ratio[0] / n[0], ratio[1] / n[1]);
+}
+
+TEST(AblationManifestTest, WorkerSlotsDrainE1WaitAndLeaveP14Alone) {
+  const double p14 =
+      AblationRun("ablation-worker-slots worker_slots=1").NavgPlus("P14");
+  EXPECT_GT(p14, 0.0);
+  double previous = std::numeric_limits<double>::infinity();
+  for (const char* slots : {"1", "2", "4", "8"}) {
+    const BenchmarkResult& result =
+        AblationRun(std::string("ablation-worker-slots worker_slots=") + slots);
+    EXPECT_LE(MeanE1Wait(result), previous) << slots << " slots";
+    EXPECT_DOUBLE_EQ(result.NavgPlus("P14"), p14) << slots << " slots";
+    previous = MeanE1Wait(result);
+  }
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "src/dipbench/client.h"
-#include "src/dipbench/quality.h"
 
 namespace dipbench {
 namespace {
@@ -69,16 +68,15 @@ TEST_P(FullRunSweepTest, RunsVerifiesAndKeepsInvariants) {
         << m.process_id;
   }
 
-  // Functional verification already ran inside Run(); cross-check quality.
-  auto quality = AssessDataQuality(scenario.get());
-  ASSERT_TRUE(quality.ok()) << quality.status();
-  EXPECT_EQ(quality->dangling_customer_refs, 0u);
-  EXPECT_EQ(quality->dangling_product_refs, 0u);
-  EXPECT_EQ(quality->dangling_city_refs, 0u);
-  EXPECT_EQ(quality->duplicate_fact_keys, 0u);
-  EXPECT_GT(quality->Completeness(), 0.5);
+  // Functional verification, the quality walk included, ran inside Run().
+  const VerificationReport& quality = result->verification;
+  EXPECT_EQ(quality.dangling_customer_refs, 0u);
+  EXPECT_EQ(quality.dangling_product_refs, 0u);
+  EXPECT_EQ(quality.dangling_city_refs, 0u);
+  EXPECT_EQ(quality.duplicate_fact_keys, 0u);
+  EXPECT_GT(quality.Completeness(), 0.5);
   if (c.error_rate == 0.0) {
-    EXPECT_EQ(quality->dirty_leftover_cdb, 0u);
+    EXPECT_EQ(quality.dirty_leftover_cdb, 0u);
   }
 }
 
