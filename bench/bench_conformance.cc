@@ -2,7 +2,7 @@
 //
 // Generates --configs seeded scenario manifests from --seed, runs every
 // one through the full execution matrix — {federated, dataflow} (+ eai
-// with --include-eai) x workers {1, 4} x budgets {0, 4096} — and diffs
+// with --include-eai) x budgets {0, 4096} — and diffs
 // all canonical state digests pairwise. Exit 0 means zero non-allowlisted
 // divergences across the whole sweep.
 //
@@ -11,7 +11,7 @@
 // conformance_repro.json) for tests/repros/ and the CI artifact upload.
 //
 // --inject-divergence flips the binary into its self-test: a test hook
-// mutates one dwh.orders cell after every dataflow/w4/b0 run,
+// mutates one dwh.orders cell after every dataflow/b4096 run,
 // and the exit gate INVERTS — the run passes (exit 0) only when the
 // pipeline catches the divergence, shrinks it, and the shrunk repro
 // replays to the same failure (and to a clean pass without the hook).
@@ -20,7 +20,6 @@
 // smoke); --json-out=<path> writes BENCH_conformance.json.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -48,12 +47,12 @@ std::string JsonEscape(const std::string& s) {
 }
 
 /// The self-test's injected divergence: one price cell of dwh.orders,
-/// nudged after every dataflow/w4/b0 run. Every pair involving
+/// nudged after every dataflow/b4096 run. Every pair involving
 /// that cell must then fail the kRows section.
 void InjectPriceDivergence(const conformance::MatrixCell& cell,
                            Scenario* scenario) {
-  if (cell.engine != "dataflow" || cell.workers != 4 ||
-      cell.memory_budget != 0) {
+  if (cell.engine != "dataflow" ||
+      cell.memory_budget != conformance::kSmallBudget) {
     return;
   }
   auto db = scenario->db("dwh_db");
@@ -178,9 +177,12 @@ int main(int argc, char** argv) {
                  realization.c_str(), flags.Usage().c_str());
     return 2;
   }
-  if (const char* p = std::getenv("DIPBENCH_PERIODS")) {
-    opt.periods_override = std::atoi(p);
+  Result<int> periods = flags::PeriodsOverrideFromEnv();
+  if (!periods.ok()) {
+    std::fprintf(stderr, "%s\n", periods.status().ToString().c_str());
+    return 2;
   }
+  opt.periods_override = *periods;
   if (inject) opt.inject = InjectPriceDivergence;
   opt.on_case = [](const conformance::CaseResult& result) {
     std::printf("case %-4zu %-22s cells=%zu pairs=%zu allowlisted=%zu "

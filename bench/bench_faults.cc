@@ -99,9 +99,12 @@ int main(int argc, char** argv) {
   base.time_scale = 1.0;
   base.distribution = Distribution::kUniform;
   base.periods = 10;
-  if (const char* p = std::getenv("DIPBENCH_PERIODS")) {
-    base.periods = std::atoi(p);
+  Result<int> periods = flags::PeriodsOverrideFromEnv();
+  if (!periods.ok()) {
+    std::fprintf(stderr, "%s\n", periods.status().ToString().c_str());
+    return 2;
   }
+  if (*periods > 0) base.periods = *periods;
   const std::string json_out = flags.Get("json-out");
   harness::RunnerPool pool(*jobs);
 

@@ -109,23 +109,21 @@ SweepPoint RunSweepPoint(double datasize, int batch, int cycles,
     if (Status st = engine.Deploy(def); !st.ok()) return fail(st);
   }
 
-  auto submit = [&engine](const char* id, double when,
-                          std::vector<std::string> after) {
+  auto submit = [&engine](const char* id, double when) {
     core::ProcessEvent ev;
     ev.process_id = id;
     ev.when = when;
     ev.period = 0;
-    ev.after_types = std::move(after);
     return engine.Submit(std::move(ev));
   };
 
   // Cycle 0 (not measured): P12 replicates the master dimensions into the
   // DWH, then one maintenance wave drains the initially seeded movement —
   // both realizations start the measured cycles from identical states.
-  if (Status st = submit("P12", 0, {}); !st.ok()) return fail(st);
-  if (Status st = submit("P13", 1, {"P12"}); !st.ok()) return fail(st);
-  if (Status st = submit("P14", 2, {"P13"}); !st.ok()) return fail(st);
-  if (Status st = submit("P15", 3, {"P14"}); !st.ok()) return fail(st);
+  if (Status st = submit("P12", 0); !st.ok()) return fail(st);
+  if (Status st = submit("P13", 1); !st.ok()) return fail(st);
+  if (Status st = submit("P14", 2); !st.ok()) return fail(st);
+  if (Status st = submit("P15", 3); !st.ok()) return fail(st);
   if (Status st = engine.RunUntilIdle(); !st.ok()) return fail(st);
 
   auto cdb = scenario->db("cdb_db");
@@ -143,9 +141,9 @@ SweepPoint RunSweepPoint(double datasize, int batch, int cycles,
     }
     size_t records_before = engine.records().size();
     double t = cycle * 1000.0;
-    if (Status st = submit("P13", t, {}); !st.ok()) return fail(st);
-    if (Status st = submit("P14", t + 1, {"P13"}); !st.ok()) return fail(st);
-    if (Status st = submit("P15", t + 2, {"P14"}); !st.ok()) return fail(st);
+    if (Status st = submit("P13", t); !st.ok()) return fail(st);
+    if (Status st = submit("P14", t + 1); !st.ok()) return fail(st);
+    if (Status st = submit("P15", t + 2); !st.ok()) return fail(st);
     if (Status st = engine.RunUntilIdle(); !st.ok()) return fail(st);
 
     CyclePoint cp;

@@ -9,8 +9,8 @@
 // because plan instantiation is a fixed cost per instance.
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "src/common/flags.h"
 #include "src/dipbench/client.h"
 #include "src/dipbench/processes.h"
 
@@ -33,9 +33,12 @@ int main() {
   ScaleConfig config;
   config.datasize = 0.05;
   config.periods = 10;
-  if (const char* p = std::getenv("DIPBENCH_PERIODS")) {
-    config.periods = std::atoi(p);
+  Result<int> periods = flags::PeriodsOverrideFromEnv();
+  if (!periods.ok()) {
+    std::fprintf(stderr, "%s\n", periods.status().ToString().c_str());
+    return 2;
   }
+  if (*periods > 0) config.periods = *periods;
 
   auto off = RunWithCache(false, config);
   auto on = RunWithCache(true, config);

@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -110,8 +109,6 @@ int main(int argc, char** argv) {
   flags.Define("dir", "scenario manifest directory (default: "
                       "examples/scenarios, then ../examples/scenarios)")
       .Define("jobs", "worker threads for the parallel pass (default 4)")
-      .Define("workers", "intra-run scheduler threads, overriding every "
-                         "manifest (default: per-manifest `workers` key)")
       .Define("json-out", "write the run summary as JSON to this path");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::fprintf(stderr, "%s\n%s", st.ToString().c_str(),
@@ -151,26 +148,14 @@ int main(int argc, char** argv) {
   }
 
   std::vector<harness::RunSpec> specs = manager.ExpandAll();
-  int periods_override = 0;
-  if (const char* p = std::getenv("DIPBENCH_PERIODS")) {
-    periods_override = std::atoi(p);
+  Result<int> periods = flags::PeriodsOverrideFromEnv();
+  if (!periods.ok()) {
+    std::fprintf(stderr, "%s\n", periods.status().ToString().c_str());
+    return 2;
   }
-  if (periods_override > 0) {
+  if (*periods > 0) {
     for (harness::RunSpec& spec : specs) {
-      spec.config.periods = periods_override;
-    }
-  }
-  // --workers=N puts every expanded run on the intra-run scheduler
-  // (SPECIFICATION.md §13). Run outputs — and therefore the parallel ==
-  // serial pass comparison below — are unchanged by construction.
-  if (flags.Has("workers")) {
-    Result<int> workers = flags.GetInt("workers", 1);
-    if (!workers.ok() || *workers < 1) {
-      std::fprintf(stderr, "invalid --workers\n%s", flags.Usage().c_str());
-      return 2;
-    }
-    for (harness::RunSpec& spec : specs) {
-      spec.config.workers = *workers;
+      spec.config.periods = *periods;
     }
   }
 
@@ -217,7 +202,7 @@ int main(int argc, char** argv) {
     baseline_found = true;
     harness::RunSpec reference;
     reference.config = ScaleConfig{};
-    if (periods_override > 0) reference.config.periods = periods_override;
+    if (*periods > 0) reference.config.periods = *periods;
     reference.engine = outcomes[i].spec.engine;
     harness::RunOutcome ref = harness::RunnerPool::ExecuteOne(reference);
     if (!outcomes[i].ok || !ref.ok ||

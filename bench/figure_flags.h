@@ -1,14 +1,13 @@
 // Flags and run configuration shared by the figure drivers (bench_fig10,
 // bench_fig11). Both start from the paper's Figure 10 setup, may replace it
-// with a scenario manifest's first run, and apply the same fault, worker
-// and memory-budget flags on top; both then execute through
+// with a scenario manifest's first run, and apply the same fault and
+// memory-budget flags on top; both then execute through
 // harness::RunnerPool::ExecuteOne.
 
 #ifndef DIPBENCH_BENCH_FIGURE_FLAGS_H_
 #define DIPBENCH_BENCH_FIGURE_FLAGS_H_
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "src/common/flags.h"
@@ -31,9 +30,7 @@ inline flags::FlagSet& DefineFlags(flags::FlagSet* flags,
       .Define("retry-attempts", "attempts per process instance")
       .Define("memory-budget",
               "byte budget per blocking operator; 0 = unlimited (default). "
-              "Non-zero spills runs to disk; output is identical")
-      .Define("workers", "real threads for the intra-run scheduler "
-                         "(default 1 = serial; output is identical)");
+              "Non-zero spills runs to disk; output is identical");
 }
 
 /// The run a figure starts from: the paper's Figure 10 configuration
@@ -57,9 +54,12 @@ inline bool LoadBaseSpec(const flags::FlagSet& flags, harness::RunSpec* spec) {
     std::printf("scenario: %s (%s)\n\n", spec->label.c_str(),
                 scenario_path.c_str());
   }
-  if (const char* p = std::getenv("DIPBENCH_PERIODS")) {
-    spec->config.periods = std::atoi(p);
+  Result<int> periods = flags::PeriodsOverrideFromEnv();
+  if (!periods.ok()) {
+    std::fprintf(stderr, "%s\n", periods.status().ToString().c_str());
+    return false;
   }
+  if (*periods > 0) spec->config.periods = *periods;
   return true;
 }
 
@@ -70,8 +70,6 @@ inline bool LoadBaseSpec(const flags::FlagSet& flags, harness::RunSpec* spec) {
 ///                      (src/net/fault.h, seeded), with 8 attempts per
 ///                      instance, 1 tu exponential backoff and dead letters;
 ///  --retry-attempts=n  n attempts per instance, same backoff;
-///  --workers=N         runs independent instances on N real threads
-///                      (SPECIFICATION.md §13);
 ///  --memory-budget=B   caps every blocking plan operator at B bytes and
 ///                      spills partitioned runs past it (src/storage/spill.h).
 inline bool ApplyRunFlags(const flags::FlagSet& flags, ScaleConfig* config) {
@@ -97,14 +95,6 @@ inline bool ApplyRunFlags(const flags::FlagSet& flags, ScaleConfig* config) {
     config->retry_max_attempts = *attempts;
     config->retry_backoff_tu = 1.0;
     config->retry_dead_letter = true;
-  }
-  if (flags.Has("workers")) {
-    Result<int> workers = flags.GetInt("workers", 1);
-    if (!workers.ok() || *workers < 1) {
-      std::fprintf(stderr, "invalid --workers\n%s", flags.Usage().c_str());
-      return false;
-    }
-    config->workers = *workers;
   }
   if (flags.Has("memory-budget")) {
     Result<int> budget = flags.GetInt("memory-budget", 0);

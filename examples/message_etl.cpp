@@ -118,7 +118,7 @@ int main() {
   }
   const int kMessages = 40;
   for (int i = 0; i < kMessages; ++i) {
-    (void)engine.Submit({"RECEIVE_ORDERS", i * 2.0, MakeMessage(i), 0, {}});
+    (void)engine.Submit({"RECEIVE_ORDERS", i * 2.0, MakeMessage(i), 0});
   }
   if (Status st = engine.RunUntilIdle(); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());

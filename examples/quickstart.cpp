@@ -72,7 +72,7 @@ int main() {
     std::fprintf(stderr, "deploy failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  (void)engine.Submit({"COPY_BIG_ACCOUNTS", /*when=*/0.0, nullptr, 0, {}});
+  (void)engine.Submit({"COPY_BIG_ACCOUNTS", /*when=*/0.0, nullptr, 0});
   if (Status st = engine.RunUntilIdle(); !st.ok()) {
     std::fprintf(stderr, "run failed: %s\n", st.ToString().c_str());
     return 1;

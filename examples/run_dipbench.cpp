@@ -16,6 +16,7 @@
 #include <string>
 
 #include "src/common/flags.h"
+#include "src/common/string_util.h"
 #include "src/dipbench/client.h"
 #include "src/harness/harness.h"
 
@@ -55,10 +56,11 @@ int main(int argc, char** argv) {
     if (!st.ok()) return usage_error(st);
   }
   if (*datasize <= 0 || *time_scale <= 0 || *periods < 1 || *slots < 1 ||
-      *error_rate < 0 || *error_rate > 1) {
-    return usage_error(Status::InvalidArgument(
-        "run_dipbench: need --datasize, --time > 0, --periods, "
-        "--worker-slots >= 1 and --error-rate in [0, 1]"));
+      *slots > kMaxWorkerSlots || *error_rate < 0 || *error_rate > 1) {
+    return usage_error(Status::InvalidArgument(StrFormat(
+        "run_dipbench: need --datasize, --time > 0, --periods >= 1, "
+        "--worker-slots in [1, %d] and --error-rate in [0, 1]",
+        kMaxWorkerSlots)));
   }
   config.datasize = *datasize;
   config.time_scale = *time_scale;

@@ -1,8 +1,10 @@
 #include "src/common/flags.h"
 
 #include <cerrno>
+#include <charconv>
 #include <climits>
 #include <cstdlib>
+#include <cstring>
 
 #include "src/common/string_util.h"
 
@@ -75,6 +77,22 @@ Result<double> FlagSet::GetDouble(const std::string& name,
                                    value + "' is not a number");
   }
   return parsed;
+}
+
+Result<int> ParsePeriodsOverride(const char* value) {
+  if (value == nullptr) return 0;
+  const char* end = value + std::strlen(value);
+  int periods = 0;
+  auto [ptr, ec] = std::from_chars(value, end, periods);
+  if (ec != std::errc() || ptr != end || periods < 1) {
+    return Status::InvalidArgument(std::string("DIPBENCH_PERIODS='") + value +
+                                   "' is not a positive integer");
+  }
+  return periods;
+}
+
+Result<int> PeriodsOverrideFromEnv() {
+  return ParsePeriodsOverride(std::getenv("DIPBENCH_PERIODS"));
 }
 
 std::string FlagSet::Usage() const {

@@ -53,6 +53,15 @@ class FlagSet {
   std::map<std::string, std::string> values_;
 };
 
+/// Parses a value of DIPBENCH_PERIODS, the benches' period-count override:
+/// null (the variable is unset) gives 0, meaning no override; a positive
+/// decimal integer that fits in int gives the count; anything else is an
+/// InvalidArgument that quotes the value. Benches print it and exit 2.
+Result<int> ParsePeriodsOverride(const char* value);
+
+/// ParsePeriodsOverride of the DIPBENCH_PERIODS environment variable.
+Result<int> PeriodsOverrideFromEnv();
+
 }  // namespace flags
 }  // namespace dipbench
 

@@ -271,19 +271,16 @@ const char* SectionName(Section s) {
 
 std::string PairContext::ToString() const {
   // A realization renders only when it deviates from the default full
-  // recompute, so most labels read "engine/wN/bN".
-  auto side = [](const std::string& engine, int workers, size_t budget,
+  // recompute, so most labels read "engine/bN".
+  auto side = [](const std::string& engine, size_t budget,
                  const std::string& realization) {
-    std::string out =
-        StrFormat("%s/w%d/b%zu", engine.c_str(), workers, budget);
+    std::string out = StrFormat("%s/b%zu", engine.c_str(), budget);
     if (realization != "full") out += "/" + realization;
     return out;
   };
   bool any_inc = realization_a != "full" || realization_b != "full";
-  std::string a =
-      side(engine_a, workers_a, budget_a, any_inc ? realization_a : "full");
-  std::string b =
-      side(engine_b, workers_b, budget_b, any_inc ? realization_b : "full");
+  std::string a = side(engine_a, budget_a, any_inc ? realization_a : "full");
+  std::string b = side(engine_b, budget_b, any_inc ? realization_b : "full");
   if (any_inc && realization_a == "full") a += "/full";
   if (any_inc && realization_b == "full") b += "/full";
   return a + " vs " + b;

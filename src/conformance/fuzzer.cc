@@ -88,8 +88,7 @@ const T& Pick(Rng* rng, const std::vector<T>& from) {
 }  // namespace
 
 std::string MatrixCell::Label() const {
-  std::string label =
-      StrFormat("%s/w%d/b%zu", engine.c_str(), workers, memory_budget);
+  std::string label = StrFormat("%s/b%zu", engine.c_str(), memory_budget);
   if (realization == Realization::kIncremental) label += "/inc";
   return label;
 }
@@ -99,10 +98,8 @@ std::vector<MatrixCell> DefaultMatrix(bool include_eai) {
   if (include_eai) engines.push_back("eai");
   std::vector<MatrixCell> matrix;
   for (const std::string& engine : engines) {
-    for (int workers : {1, 4}) {
-      for (size_t budget : {size_t{0}, kSmallBudget}) {
-        matrix.push_back(MatrixCell{engine, workers, budget});
-      }
+    for (size_t budget : {size_t{0}, kSmallBudget}) {
+      matrix.push_back(MatrixCell{engine, budget});
     }
   }
   return matrix;
@@ -124,7 +121,6 @@ std::string RenderManifestJson(const scenario::ScenarioManifest& manifest) {
   out += "    \"periods\": " + std::to_string(c.periods) + ",\n";
   out += "    \"seed\": " + std::to_string(c.seed) + ",\n";
   out += "    \"worker_slots\": " + std::to_string(c.worker_slots) + ",\n";
-  out += "    \"workers\": " + std::to_string(c.workers) + ",\n";
   out += "    \"fault_rate\": " + FmtDouble(c.fault_rate) + ",\n";
   out += "    \"fault_spike_rate\": " + FmtDouble(c.fault_spike_rate) +
          ",\n";
@@ -139,7 +135,6 @@ std::string RenderManifestJson(const scenario::ScenarioManifest& manifest) {
          FmtDouble(c.instance_timeout_tu) + ",\n";
   out += std::string("    \"retry_dead_letter\": ") +
          (c.retry_dead_letter ? "true" : "false") + ",\n";
-  out += "    \"datagen_jobs\": " + std::to_string(c.datagen_jobs) + ",\n";
   out += "    \"memory_budget\": " +
          std::to_string(c.operator_memory_budget) + "\n";
   out += "  }";
@@ -234,7 +229,7 @@ Result<FuzzCase> GenerateCase(uint64_t master_seed, size_t index) {
                             index);
   ScaleConfig& c = manifest.config;
 
-  // Scale factors. Small datasizes keep a 24-cell matrix affordable; the
+  // Scale factors. Small datasizes keep the matrix affordable; the
   // occasional 0.05 exercises real spill volume under kSmallBudget.
   static const std::vector<double> kDatasizes = {0.005, 0.008, 0.01, 0.015,
                                                  0.02};
@@ -248,7 +243,7 @@ Result<FuzzCase> GenerateCase(uint64_t master_seed, size_t index) {
   c.periods = static_cast<int>(rng.NextInt(1, 3));
   c.seed = rng.Next() % 9007199254740992ULL;
   c.worker_slots = static_cast<int>(rng.NextInt(1, 8));
-  c.datagen_jobs = static_cast<int>(rng.NextInt(1, 2));
+  rng.NextInt(1, 2);  // retired datagen_jobs draw; keeps later draws stable
 
   // Fault composition. Dead-lettering stays ON whenever anything can
   // fail: without it a run aborts mid-period, and aborted-run landscapes
@@ -357,8 +352,6 @@ PairContext MakePairContext(const MatrixCell& a, const MatrixCell& b) {
   PairContext ctx;
   ctx.engine_a = a.engine;
   ctx.engine_b = b.engine;
-  ctx.workers_a = a.workers;
-  ctx.workers_b = b.workers;
   ctx.budget_a = a.memory_budget;
   ctx.budget_b = b.memory_budget;
   ctx.realization_a = RealizationName(a.realization);
@@ -406,7 +399,6 @@ CaseResult RunCase(const FuzzCase& fuzz_case, const FuzzOptions& opt) {
     harness::RunSpec spec;
     spec.config = fuzz_case.manifest.config;
     if (opt.periods_override > 0) spec.config.periods = opt.periods_override;
-    spec.config.workers = cell.workers;
     spec.config.operator_memory_budget = cell.memory_budget;
     spec.config.realization = cell.realization;
     spec.engine = cell.engine;

@@ -16,13 +16,11 @@ namespace dipbench {
 namespace conformance {
 
 /// One point of the differential execution matrix: an engine realization
-/// plus the execution dials that the specification requires to be
-/// output-invariant (intra-run workers, operator memory budget). The
-/// fuzzer runs every generated scenario through every cell and diffs all
-/// digests pairwise.
+/// plus the execution dial that the specification requires to be
+/// output-invariant (the operator memory budget). The fuzzer runs every
+/// generated scenario through every cell and diffs all digests pairwise.
 struct MatrixCell {
   std::string engine = "federated";
-  int workers = 1;
   size_t memory_budget = 0;
   /// Process realization for the Group C/D maintenance bodies. Incremental
   /// cells must land in the same digests as full-recompute cells (state,
@@ -30,13 +28,13 @@ struct MatrixCell {
   /// documented in SPECIFICATION.md §16 are allowlisted.
   Realization realization = Realization::kFullRecompute;
 
-  /// "dataflow/w4/b4096" (+"/inc" for incremental cells) — stable, label-
+  /// "dataflow/b4096" (+"/inc" for incremental cells) — stable, label-
   /// and log-friendly.
   std::string Label() const;
 };
 
 /// The full matrix: {federated, dataflow} (+ eai on request) x
-/// workers {1, 4} x budgets {0, kSmallBudget}.
+/// budgets {0, kSmallBudget}.
 std::vector<MatrixCell> DefaultMatrix(bool include_eai);
 
 /// The "small" operator memory budget of the default matrix: low enough

@@ -133,7 +133,6 @@ std::string ReproToJson(const Repro& repro) {
   for (size_t i = 0; i < repro.cells.size(); ++i) {
     const MatrixCell& cell = repro.cells[i];
     out += "    {\"engine\": " + QuoteJson(cell.engine) +
-           ", \"workers\": " + std::to_string(cell.workers) +
            ", \"memory_budget\": " + std::to_string(cell.memory_budget);
     // Rendered only for non-default realizations; a cell without the
     // key reads back as the full recompute.
@@ -198,11 +197,11 @@ Result<Repro> ReproFromJsonText(std::string_view text,
   for (const json::Value& item : cells->items) {
     if (!item.is_object()) return err(item, "cell must be an object");
     for (const auto& [key, value] : item.members) {
-      if (key != "engine" && key != "workers" && key != "memory_budget" &&
+      if (key != "engine" && key != "memory_budget" &&
           key != "realization") {
         return err(value, "unknown cell key '" + key +
-                              "' (expected engine, workers, memory_budget "
-                              "or realization)");
+                              "' (expected engine, memory_budget or "
+                              "realization)");
       }
     }
     MatrixCell cell;
@@ -211,12 +210,6 @@ Result<Repro> ReproFromJsonText(std::string_view text,
         return err(*engine, "'engine' must be a string");
       }
       cell.engine = engine->string_value;
-    }
-    if (const json::Value* workers = item.Find("workers")) {
-      if (!workers->is_number() || workers->number_value < 1) {
-        return err(*workers, "'workers' must be a number >= 1");
-      }
-      cell.workers = static_cast<int>(workers->number_value);
     }
     if (const json::Value* budget = item.Find("memory_budget")) {
       if (!budget->is_number() || budget->number_value < 0) {

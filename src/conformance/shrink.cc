@@ -34,7 +34,6 @@ Evaluation EvaluatePair(const scenario::ScenarioManifest& manifest,
     harness::RunSpec spec;
     spec.config = manifest.config;
     if (opt.periods_override > 0) spec.config.periods = opt.periods_override;
-    spec.config.workers = cell->workers;
     spec.config.operator_memory_budget = cell->memory_budget;
     spec.engine = cell->engine;
     spec.digest_state = true;
@@ -190,19 +189,9 @@ std::vector<Candidate> BuildCandidates(
     add("worker_slots=4",
         [](Candidate* c) { c->manifest.config.worker_slots = 4; });
   }
-  if (cfg.datagen_jobs != 1) {
-    add("datagen_jobs=1",
-        [](Candidate* c) { c->manifest.config.datagen_jobs = 1; });
-  }
 
-  // Cell reductions — the execution dials only; the engine IS the
+  // Cell reductions — the execution dial only; the engine IS the
   // divergence under investigation and stays fixed.
-  if (cell_a.workers != 1 || cell_b.workers != 1) {
-    add("cells workers=1", [](Candidate* c) {
-      c->cell_a.workers = 1;
-      c->cell_b.workers = 1;
-    });
-  }
   if (cell_a.memory_budget != 0 || cell_b.memory_budget != 0) {
     add("cells budget=0", [](Candidate* c) {
       c->cell_a.memory_budget = 0;

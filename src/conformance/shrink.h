@@ -11,7 +11,7 @@ namespace conformance {
 
 /// A failing case reduced toward a minimal reproducer: the smallest
 /// manifest (periods, datasize, traffic, faults, dirtiness, scalar knobs)
-/// and cheapest cell pair (workers, budget) that still violates the
+/// and cheapest cell pair (memory budget) that still violates the
 /// conformance contract.
 struct ShrinkResult {
   scenario::ScenarioManifest manifest;

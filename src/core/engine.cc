@@ -1,48 +1,14 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
-#include <memory>
+#include <iterator>
 #include <utility>
 
-#include "src/core/scheduler.h"
 #include "src/net/fault.h"
-#include "src/storage/table.h"
 #include "src/xml/parser.h"
 
 namespace dipbench {
 namespace core {
-
-/// What one worker-side attempt of an instance captured. Attempts execute
-/// against the (conflict-protected) external systems on a worker thread with
-/// all virtual-time placement deferred: costs and spans are recorded at a
-/// base time of 0 in a private recorder, then shifted into place when the
-/// controller replays the instance in serial order.
-struct AttemptCapture {
-  Status status;
-  double elapsed_ms = 0.0;
-  CostBreakdown costs;
-  net::NetStats net;
-  QualityCounters quality;
-  std::vector<OperatorTrace> trace;
-  /// Private span capture; null when the run records no trace.
-  std::unique_ptr<obs::TraceRecorder> spans;
-};
-
-/// One drained queue entry of a wave plus its captured attempts.
-struct EngineBase::WaveInstance {
-  ProcessEvent ev;
-  uint64_t seq = 0;
-  const ProcessDefinition* def = nullptr;
-  std::vector<AttemptCapture> captures;
-  /// Append buffers for the instance's kAppendTable claims: its inserts land
-  /// here during capture and ReplayInstance flushes them in serial order.
-  /// Null when the definition claims no append tables.
-  std::unique_ptr<AppendOverlay> overlay;
-  /// The attempt loop stopped early because the retry budget
-  /// (instance_timeout_ms) depends on virtual admission time, which is only
-  /// known at replay; ReplayInstance finishes the attempts serially.
-  bool deferred = false;
-};
 
 EngineBase::EngineBase(std::string name, net::Network* network,
                        CostWeights weights, int worker_slots)
@@ -72,148 +38,37 @@ Status EngineBase::Submit(ProcessEvent ev) {
 }
 
 Status EngineBase::RunUntilIdle() {
-  const int max_attempts = std::max(1, retry_policy_.max_attempts);
   while (!queue_.empty()) {
-    // Drain the pending events into one wave, in serial order: ascending
-    // (when, submission seq) — exactly the order the serial event loop
-    // would execute. Every scheduler edge points from an earlier serial
-    // index to a later one, so this order doubles as the replay order.
-    std::vector<WaveInstance> wave;
-    while (!queue_.empty()) {
-      WaveInstance inst;
-      inst.ev = queue_.top().ev;
-      inst.seq = queue_.top().seq;
-      queue_.pop();
-      inst.def = &processes_.at(inst.ev.process_id);
-      wave.push_back(std::move(inst));
-    }
-
-    Status abort_status;
-    WaveRunner::Hooks hooks;
-    hooks.edges = [&] {
-      // Endpoints whose installed fault injector depends on the global call
-      // arrival order (outage windows, phases): instances claiming one must
-      // serialize so that order stays the serial order.
-      std::set<std::string> stateful_endpoints;
-      for (const WaveInstance& inst : wave) {
-        for (const ResourceClaim& c : inst.def->claims) {
-          if (c.kind != ResourceClaim::Kind::kEndpoint) continue;
-          Result<net::Endpoint*> ep = network_->Get(c.name);
-          if (!ep.ok()) continue;
-          net::FaultInjector* injector = (*ep)->fault_injector();
-          if (injector != nullptr && injector->IsOrderStateful()) {
-            stateful_endpoints.insert(c.name);
-          }
-        }
-      }
-      std::vector<WaveNode> nodes;
-      nodes.reserve(wave.size());
-      for (const WaveInstance& inst : wave) {
-        nodes.push_back(WaveNode{inst.def, &inst.ev.after_types});
-      }
-      return BuildWaveEdges(nodes, stateful_endpoints,
-                            SerializesSameProcessType());
-    };
-    // Worker side: run the instance's attempts back-to-back against the
-    // external systems, capturing results at virtual base time 0. Returns
-    // false when the instance defers (budget-limited retries continue in
-    // ReplayInstance, where admission time is known).
-    hooks.execute = [&](int i) -> bool {
-      WaveInstance& inst = wave[i];
-      const ProcessDefinition& def = *inst.def;
-      // Append-claimed tables capture into a private buffer: the overlay
-      // redirects Table::Insert on this thread for the whole attempt loop
-      // (a retry re-inserting its own rows dup-checks against the buffer,
-      // exactly as the serial engine dup-checks against the table).
-      for (const ResourceClaim& c : def.claims) {
-        if (c.kind != ResourceClaim::Kind::kAppendTable) continue;
-        if (inst.overlay == nullptr) {
-          inst.overlay = std::make_unique<AppendOverlay>();
-        }
-        inst.overlay->Allow(c.db, c.name);
-      }
-      AppendOverlay::Scope overlay_scope(inst.overlay.get());
-      for (int attempt = 1;; ++attempt) {
-        AttemptCapture cap;
-        if (obs_.trace() != nullptr) {
-          cap.spans = std::make_unique<obs::TraceRecorder>();
-        }
-        ProcessContext ctx(network_, &weights_);
-        ctx.EnableTracing(tracing_enabled_);
-        ctx.BindObs(obs::ObsContext(cap.spans.get(), obs_.metrics()), 0.0, 0);
-        if (inst.ev.message != nullptr) {
-          ctx.SetInput(MtmMessage::FromXml(inst.ev.message));
-        }
-        {
-          // Key fault draws on (instance, attempt, per-endpoint call index)
-          // so the injected set is independent of worker interleaving.
-          net::FaultCallScope fault_scope(inst.seq, attempt);
-          cap.status = ExecuteInstance(def, &ctx);
-        }
-        cap.elapsed_ms = ctx.elapsed_ms();
-        cap.costs = ctx.costs();
-        cap.net = ctx.net_stats();
-        cap.quality = ctx.quality();
-        cap.trace = std::move(ctx.trace());
-        const bool ok = cap.status.ok();
-        const bool retryable =
-            !ok && attempt < max_attempts && RetryPolicy::IsRetryable(cap.status);
-        inst.captures.push_back(std::move(cap));
-        if (ok || !retryable) break;
-        if (retry_policy_.instance_timeout_ms > 0.0) {
-          inst.deferred = true;
-          break;
-        }
-      }
-      return !inst.deferred;
-    };
-    hooks.replay = [&](int i) -> bool {
-      return ReplayInstance(&wave[i], max_attempts, &abort_status);
-    };
-    if (!WaveRunner::Run(static_cast<int>(wave.size()), exec_workers_,
-                         hooks)) {
-      return abort_status;
+    QueuedEvent next = queue_.top();
+    queue_.pop();
+    Status st = RunInstance(next);
+    if (!st.ok()) {
+      // An aborted run drops the events still queued: the engine is idle.
+      while (!queue_.empty()) queue_.pop();
+      return st;
     }
   }
   return Status::OK();
 }
 
-bool EngineBase::ReplayInstance(WaveInstance* inst, int max_attempts,
-                                Status* abort_status) {
-  const ProcessDefinition& def = *inst->def;
-  const ProcessEvent& ev = inst->ev;
+Status EngineBase::RunInstance(const QueuedEvent& queued) {
+  const ProcessEvent& ev = queued.ev;
+  const ProcessDefinition& def = processes_.at(ev.process_id);
+  const int max_attempts = std::max(1, retry_policy_.max_attempts);
 
-  // Flush the captured append buffers FIRST, before any accounting and
-  // before the deferred continuation below: the serial engine's inserts
-  // happened inside the body, so replay successors — and this instance's
-  // own remaining attempts, which run against the real tables — must see
-  // the rows. Buffers flush even for failed attempts (partial side effects
-  // persist, as in the serial engine).
-  if (inst->overlay != nullptr) {
-    for (AppendOverlay::Entry& entry : inst->overlay->entries()) {
-      if (entry.buf.table == nullptr) continue;  // body never inserted
-      Status flush = entry.buf.table->FlushAppends(&entry.buf);
-      if (!flush.ok()) {
-        *abort_status = flush.WithContext("append flush of " + def.id);
-        return false;
-      }
-    }
-  }
-
-  // Pick the earliest-free worker slot (virtual DES concurrency — distinct
-  // from the real exec_workers_ pool).
+  // Pick the earliest-free worker slot (the modeled DES concurrency).
   size_t worker = 0;
   for (size_t i = 1; i < worker_free_.size(); ++i) {
     if (worker_free_[i] < worker_free_[worker]) worker = i;
   }
+  const int track = static_cast<int>(worker);
   VirtualTime start = std::max(ev.when, worker_free_[worker]);
   double wait_ms = start - ev.when;
 
   uint64_t instance_span = 0;
   if (obs_.trace() != nullptr) {
     instance_span = obs_.trace()->BeginSpan("instance " + def.id,
-                                            obs::Category::kNone, start,
-                                            static_cast<int>(worker));
+                                            obs::Category::kNone, start, track);
     obs_.trace()->Annotate(instance_span, "period", std::to_string(ev.period));
     obs_.trace()->Annotate(instance_span, "wait_ms", std::to_string(wait_ms));
   }
@@ -243,129 +98,74 @@ bool EngineBase::ReplayInstance(WaveInstance* inst, int max_attempts,
   rec.start_time = start;
   rec.wait_ms = wait_ms;
 
-  // Replay the captured attempts with the serial event loop's accounting:
-  // attempt 1 pays the full admission, retries only the scheduling slice;
+  // Attempt 1 pays the full admission, retries only the scheduling slice;
   // every attempt's work is charged — failed tries cost real resources.
   Status st;
   VirtualTime attempt_start = start;
   VirtualTime end = start;
-  for (size_t k = 0; k < inst->captures.size(); ++k) {
-    AttemptCapture& cap = inst->captures[k];
-    const int attempt = static_cast<int>(k) + 1;
+  for (int attempt = 1;; ++attempt) {
     const double charge =
         attempt == 1 ? admission_ms : weights_.scheduling_ms;
     if (obs_.trace() != nullptr && charge > 0) {
       obs_.trace()->AddCompleteSpan("management", obs::Category::kManagement,
                                     attempt_start, attempt_start + charge,
-                                    static_cast<int>(worker));
+                                    track);
     }
     uint64_t attempt_span = 0;
     if (attempt > 1 && obs_.trace() != nullptr) {
       attempt_span = obs_.trace()->BeginSpan(
           "retry " + def.id + " #" + std::to_string(attempt),
-          obs::Category::kManagement, attempt_start,
-          static_cast<int>(worker));
+          obs::Category::kManagement, attempt_start, track);
     }
-    if (obs_.trace() != nullptr && cap.spans != nullptr) {
-      obs_.trace()->Absorb(*cap.spans, attempt_start + charge,
-                           static_cast<int>(worker),
-                           attempt_span != 0 ? attempt_span : instance_span);
+    ProcessContext ctx(network_, &weights_);
+    ctx.EnableTracing(tracing_enabled_);
+    ctx.BindObs(obs_, attempt_start + charge, track);
+    if (ev.message != nullptr) {
+      ctx.SetInput(MtmMessage::FromXml(ev.message));
     }
-
-    end = attempt_start + charge + cap.elapsed_ms;
-    st = cap.status;
+    {
+      // Key fault draws on (instance, attempt, per-endpoint call index):
+      // they define which calls of a faulted run fail.
+      net::FaultCallScope fault_scope(queued.seq, attempt);
+      st = ExecuteInstance(def, &ctx);
+    }
+    end = attempt_start + charge + ctx.elapsed_ms();
     rec.attempts = attempt;
     rec.costs.cm_ms += charge;
-    rec.costs.Add(cap.costs);
-    rec.net.Add(cap.net);
-    rec.quality.Add(cap.quality);
+    rec.costs.Add(ctx.costs());
+    rec.net.Add(ctx.net_stats());
+    rec.quality.Add(ctx.quality());
     rec.trace.insert(rec.trace.end(),
-                     std::make_move_iterator(cap.trace.begin()),
-                     std::make_move_iterator(cap.trace.end()));
+                     std::make_move_iterator(ctx.trace().begin()),
+                     std::make_move_iterator(ctx.trace().end()));
     if (attempt_span != 0) {
       if (!st.ok()) {
         obs_.trace()->Annotate(attempt_span, "error", st.ToString());
       }
       obs_.trace()->EndSpan(attempt_span, end);
     }
-    if (k + 1 < inst->captures.size()) {
-      // A later capture exists, so this attempt failed retryably and no
-      // budget applies (budget-limited instances defer instead).
-      double backoff_ms = retry_policy_.BackoffMs(attempt);
-      obs_.Count("engine.retries");
-      if (obs_.trace() != nullptr && backoff_ms > 0.0) {
-        uint64_t backoff_span = obs_.trace()->BeginSpan(
-            "backoff " + def.id, obs::Category::kManagement, end,
-            static_cast<int>(worker));
-        obs_.trace()->EndSpan(backoff_span, end + backoff_ms);
-      }
-      rec.retry_wait_ms += backoff_ms;
-      attempt_start = end + backoff_ms;
+    if (st.ok() || attempt >= max_attempts ||
+        !RetryPolicy::IsRetryable(st)) {
+      break;
     }
-  }
-
-  if (inst->deferred) {
-    // Finish the remaining attempts serially: the per-instance budget runs
-    // in virtual time from admission, so only the replay phase can decide
-    // when it expires.
-    int attempt = static_cast<int>(inst->captures.size());
-    while (true) {
-      double backoff_ms = retry_policy_.BackoffMs(attempt);
-      // Once the next try could not start inside the budget, stop.
-      if (retry_policy_.instance_timeout_ms > 0.0 &&
-          (end + backoff_ms) - start >= retry_policy_.instance_timeout_ms) {
-        st = Status::Timeout("instance budget exhausted after " +
-                             std::to_string(attempt) + " attempts: " +
-                             st.ToString());
-        break;
-      }
-      obs_.Count("engine.retries");
-      if (obs_.trace() != nullptr && backoff_ms > 0.0) {
-        uint64_t backoff_span = obs_.trace()->BeginSpan(
-            "backoff " + def.id, obs::Category::kManagement, end,
-            static_cast<int>(worker));
-        obs_.trace()->EndSpan(backoff_span, end + backoff_ms);
-      }
-      rec.retry_wait_ms += backoff_ms;
-      attempt_start = end + backoff_ms;
-      ++attempt;
-
-      ProcessContext ctx(network_, &weights_);
-      ctx.EnableTracing(tracing_enabled_);
-      ctx.BindObs(obs_, attempt_start, static_cast<int>(worker));
-      if (ev.message != nullptr) {
-        ctx.SetInput(MtmMessage::FromXml(ev.message));
-      }
-      ctx.ChargeManagement(weights_.scheduling_ms);
-      uint64_t attempt_span = 0;
-      if (obs_.trace() != nullptr) {
-        attempt_span = obs_.trace()->BeginSpan(
-            "retry " + def.id + " #" + std::to_string(attempt),
-            obs::Category::kManagement, attempt_start,
-            static_cast<int>(worker));
-      }
-      {
-        net::FaultCallScope fault_scope(inst->seq, attempt);
-        st = ExecuteInstance(def, &ctx);
-      }
-      end = attempt_start + ctx.elapsed_ms();
-      rec.attempts = attempt;
-      rec.costs.Add(ctx.costs());
-      rec.net.Add(ctx.net_stats());
-      rec.quality.Add(ctx.quality());
-      std::vector<OperatorTrace>& tr = ctx.trace();
-      rec.trace.insert(rec.trace.end(),
-                       std::make_move_iterator(tr.begin()),
-                       std::make_move_iterator(tr.end()));
-      if (attempt_span != 0) {
-        if (!st.ok()) {
-          obs_.trace()->Annotate(attempt_span, "error", st.ToString());
-        }
-        obs_.trace()->EndSpan(attempt_span, end);
-      }
-      if (st.ok()) break;
-      if (attempt >= max_attempts || !RetryPolicy::IsRetryable(st)) break;
+    double backoff_ms = retry_policy_.BackoffMs(attempt);
+    // The per-instance budget runs in virtual time from admission: once
+    // the next try could not start inside it, stop.
+    if (retry_policy_.instance_timeout_ms > 0.0 &&
+        (end + backoff_ms) - start >= retry_policy_.instance_timeout_ms) {
+      st = Status::Timeout("instance budget exhausted after " +
+                           std::to_string(attempt) + " attempts: " +
+                           st.ToString());
+      break;
     }
+    obs_.Count("engine.retries");
+    if (obs_.trace() != nullptr && backoff_ms > 0.0) {
+      uint64_t backoff_span = obs_.trace()->BeginSpan(
+          "backoff " + def.id, obs::Category::kManagement, end, track);
+      obs_.trace()->EndSpan(backoff_span, end + backoff_ms);
+    }
+    rec.retry_wait_ms += backoff_ms;
+    attempt_start = end + backoff_ms;
   }
 
   const bool dead_letter = !st.ok() && retry_policy_.dead_letter;
@@ -407,12 +207,11 @@ bool EngineBase::ReplayInstance(WaveInstance* inst, int max_attempts,
   if (!st.ok()) {
     if (dead_letter) {
       obs_.Count("engine.dead_letters");
-      return true;
+      return Status::OK();
     }
-    *abort_status = st.WithContext("instance of " + def.id);
-    return false;
+    return st.WithContext("instance of " + def.id);
   }
-  return true;
+  return Status::OK();
 }
 
 void EngineBase::Reset() {
@@ -433,8 +232,6 @@ Status EaiEngine::ExecuteInstance(const ProcessDefinition& def,
                                   ProcessContext* ctx) {
   return ExecuteBody(def.body, ctx);
 }
-
-thread_local ProcessContext* FederatedEngine::current_ctx_ = nullptr;
 
 FederatedEngine::FederatedEngine(net::Network* network, CostWeights weights,
                                  int worker_slots)
@@ -488,10 +285,11 @@ Status FederatedEngine::ExecuteInstance(const ProcessDefinition& def,
                                         ProcessContext* ctx) {
   // The trigger and procedure bodies find the instance through
   // current_ctx_; it must not outlive `ctx` on any exit path.
+  current_ctx_ = ctx;
   struct ContextScope {
-    explicit ContextScope(ProcessContext* ctx) { current_ctx_ = ctx; }
-    ~ContextScope() { current_ctx_ = nullptr; }
-  } scope(ctx);
+    ProcessContext*& slot;
+    ~ContextScope() { slot = nullptr; }
+  } scope{current_ctx_};
   if (def.event_type == EventType::kMessage) {
     DIP_ASSIGN_OR_RETURN(auto doc, ctx->input().Xml());
     // INSERT INTO <id>_queue VALUES (@msg) — the trigger runs the process.

@@ -26,11 +26,6 @@ struct ProcessEvent {
   VirtualTime when = 0.0;
   std::shared_ptr<const xml::Node> message;  ///< E1 payload; null for E2.
   int period = 0;                            ///< Benchmark period k.
-  /// Process types whose queued instances must all finish before this event
-  /// may start (the schedule's explicit ordering constraints, e.g. P03
-  /// after P01 and P02). Consumed by the intra-run instance scheduler;
-  /// empty = only implicit data-conflict ordering applies.
-  std::vector<std::string> after_types;
 };
 
 /// What the Monitor collects per executed process instance.
@@ -100,10 +95,9 @@ class IntegrationSystem {
   /// legacy semantics: one attempt, first failure aborts the run.
   virtual void SetRetryPolicy(const RetryPolicy&) {}
 
-  /// Sets how many REAL threads execute ready instances inside one
-  /// RunUntilIdle (the intra-run scheduler, SPECIFICATION.md §13). This is
-  /// an execution dial, not a model parameter: every virtual-time output is
-  /// byte-identical for any value. Default (and no-op base) is 1.
+  /// Retired: a run executes on one thread (SPECIFICATION.md §13). Kept as
+  /// a no-op only because perfbench's probing wrapper still overrides and
+  /// forwards it.
   virtual void SetExecWorkers(int) {}
 };
 
@@ -130,11 +124,6 @@ class EngineBase : public IntegrationSystem {
     retry_policy_ = policy;
   }
   const RetryPolicy& retry_policy() const { return retry_policy_; }
-
-  void SetExecWorkers(int workers) override {
-    exec_workers_ = workers > 1 ? workers : 1;
-  }
-  int exec_workers() const { return exec_workers_; }
 
   const CostWeights& weights() const { return weights_; }
   int worker_slots() const { return static_cast<int>(worker_free_.size()); }
@@ -179,13 +168,6 @@ class EngineBase : public IntegrationSystem {
   virtual Status ExecuteInstance(const ProcessDefinition& def,
                                  ProcessContext* ctx) = 0;
 
-  /// Whether this engine's execution vehicle keeps per-process-type state
-  /// that forces same-type instances to capture in serial order (the
-  /// federated realization's queue tables and tid sequences). Engines
-  /// without such state let same-type instances overlap — their only
-  /// ordering comes from the declared resource claims.
-  virtual bool SerializesSameProcessType() const { return false; }
-
   net::Network* network_;
   CostWeights weights_;
   std::map<std::string, ProcessDefinition> processes_;
@@ -200,22 +182,16 @@ class EngineBase : public IntegrationSystem {
     }
   };
 
-  /// One drained queue entry plus everything its worker-side attempts
-  /// captured, awaiting serial replay (defined in engine.cc).
-  struct WaveInstance;
-
-  /// Serial replay of one captured instance: commits its results into the
-  /// engine state with exactly the serial event loop's accounting. Returns
-  /// false to abort the wave (sets *abort_status).
-  bool ReplayInstance(WaveInstance* inst, int max_attempts,
-                      Status* abort_status);
+  /// Runs one popped event on the earliest-free worker slot: admission,
+  /// attempts with retry backoff, accounting and its Monitor record. An
+  /// error aborts the run unless the retry policy dead-letters it.
+  Status RunInstance(const QueuedEvent& queued);
 
   std::string name_;
   std::priority_queue<QueuedEvent, std::vector<QueuedEvent>,
                       std::greater<QueuedEvent>>
       queue_;
   uint64_t next_seq_ = 0;
-  int exec_workers_ = 1;
   std::vector<VirtualTime> worker_free_;
   VirtualClock clock_;
   std::vector<InstanceRecord> records_;
@@ -275,17 +251,10 @@ class FederatedEngine : public EngineBase {
   Status ExecuteInstance(const ProcessDefinition& def,
                          ProcessContext* ctx) override;
 
-  /// E1 instances draw a tid from a per-type sequence and insert into the
-  /// per-type queue table at capture time: same-type captures must stay in
-  /// serial order.
-  bool SerializesSameProcessType() const override { return true; }
-
  private:
   Database engine_db_{"integration_services"};
-  // Live context for the currently executing trigger body. Thread-local:
-  // the intra-run scheduler runs one instance at a time PER WORKER, so each
-  // worker thread needs its own slot.
-  static thread_local ProcessContext* current_ctx_;
+  // Live context for the currently executing trigger or procedure body.
+  ProcessContext* current_ctx_ = nullptr;
 };
 
 }  // namespace core

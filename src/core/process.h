@@ -184,47 +184,6 @@ class Operator {
 
 using OpPtr = std::shared_ptr<const Operator>;
 
-/// A declared data-access claim of a process type: which external resources
-/// its body may read or write. The intra-run instance scheduler
-/// (src/core/scheduler.h) derives conflict edges from these — two instances
-/// may execute concurrently only when no resource is claimed by one as a
-/// write and touched by the other at all. A definition with NO claims is
-/// treated as touching everything (fully serialized), so undeclared custom
-/// processes stay exactly as safe as the serial engine.
-struct ResourceClaim {
-  enum class Kind {
-    kReadTable,     ///< Scans/lookups on db.table.
-    kWriteTable,    ///< Inserts/updates on db.table (also orders row order).
-    kAppendTable,   ///< Pure inserts on db.table: instances append-capture
-                    ///< into a private buffer and the scheduler flushes the
-                    ///< buffers in serial order at replay, so appenders
-                    ///< never conflict with each other (only with readers
-                    ///< and writers). The claim asserts the body only ever
-                    ///< INSERTs into that table and never reads it back.
-    kExclusiveDb,   ///< Whole-database exclusivity (stored-procedure bulk).
-    kEndpoint,      ///< Calls the named endpoint (orders stateful injectors).
-  };
-  Kind kind = Kind::kReadTable;
-  std::string db;    ///< Database name (table and db claims).
-  std::string name;  ///< Table name, or endpoint name for kEndpoint.
-
-  static ResourceClaim ReadTable(std::string db, std::string table) {
-    return {Kind::kReadTable, std::move(db), std::move(table)};
-  }
-  static ResourceClaim WriteTable(std::string db, std::string table) {
-    return {Kind::kWriteTable, std::move(db), std::move(table)};
-  }
-  static ResourceClaim AppendTable(std::string db, std::string table) {
-    return {Kind::kAppendTable, std::move(db), std::move(table)};
-  }
-  static ResourceClaim ExclusiveDb(std::string db) {
-    return {Kind::kExclusiveDb, std::move(db), ""};
-  }
-  static ResourceClaim Endpoint(std::string endpoint) {
-    return {Kind::kEndpoint, "", std::move(endpoint)};
-  }
-};
-
 /// A platform-independent integration process type (MTM graph): the unit
 /// the benchmark deploys into a system under test. The 15 DIPBench process
 /// types are instances of this.
@@ -234,9 +193,6 @@ struct ProcessDefinition {
   EventType event_type = EventType::kMessage;
   std::string description;
   std::vector<OpPtr> body;
-  /// Declared resource accesses for the intra-run scheduler; empty =
-  /// serialize with everything.
-  std::vector<ResourceClaim> claims;
 };
 
 /// Executes a process body against a context (shared by engines and the

@@ -71,7 +71,6 @@ Status Client::SubmitSeries(const std::string& process_id, int k,
     ev.process_id = process_id;
     ev.when = t0_ms + config_.TuToMs(series[m]);
     ev.period = k;
-    ev.after_types = Schedule::Predecessors(process_id);
     int idx = static_cast<int>(m) + 1;
     if (process_id == "P01") {
       ev.message = share(initializer_.MakeBeijingCustomer(k, idx));
@@ -129,7 +128,6 @@ Status Client::RunPeriod(int k) {
     ev.process_id = id;
     ev.when = when;
     ev.period = k;
-    ev.after_types = Schedule::Predecessors(id);
     return engine_->Submit(std::move(ev));
   };
 
@@ -212,13 +210,8 @@ Result<BenchmarkResult> Client::Run() {
   retry.dead_letter = config_.retry_dead_letter;
   engine_->SetRetryPolicy(retry);
 
-  // Real execution threads inside each RunUntilIdle (the intra-run
-  // scheduler). Pure execution dial: outputs are byte-identical for any
-  // value, so the default 1 keeps the serial engine exactly.
-  engine_->SetExecWorkers(config_.workers);
-
   // Operator memory budget for blocking plan operators, in effect for the
-  // whole run (the wave scheduler re-applies it on its pool threads). Spill
+  // whole run (the run executes on this thread). Spill
   // telemetry lands in the run's metrics registry, never the cost ledger.
   ScopedMemoryBudget budget(config_.operator_memory_budget);
   ScopedSpillObserver spill_obs(obs_);

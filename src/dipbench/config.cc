@@ -120,15 +120,6 @@ std::string ScaleConfig::ToString() const {
                      retry_max_attempts, retry_backoff_tu,
                      retry_dead_letter ? "on" : "off");
   }
-  // datagen_jobs and the intra-run scheduler's workers never change the
-  // produced bytes, so they render only when deviating from the serial
-  // default (diagnostic, not identity).
-  if (datagen_jobs > 1) {
-    out += StrFormat(", datagen_jobs=%d", datagen_jobs);
-  }
-  if (workers > 1) {
-    out += StrFormat(", exec_workers=%d", workers);
-  }
   if (operator_memory_budget > 0) {
     out += StrFormat(", memory_budget=%llu",
                      static_cast<unsigned long long>(operator_memory_budget));

@@ -98,6 +98,11 @@ struct ErrorPhaseSpec {
   double error_rate = 0.0;
 };
 
+/// Upper bound of ScaleConfig::worker_slots. The engine keeps one clock per
+/// slot and scans them all for every instance, so the manifest key, the
+/// sweep field and run_dipbench reject larger values.
+inline constexpr int kMaxWorkerSlots = 1024;
+
 /// The three scale factors of the benchmark (paper Section V) plus run
 /// parameters of the toolsuite.
 struct ScaleConfig {
@@ -125,7 +130,8 @@ struct ScaleConfig {
   /// Master seed; every generator stream is forked from it.
   uint64_t seed = 20080412;
 
-  /// Worker slots of the system under test.
+  /// Worker slots of the system under test: the modeled concurrency, in
+  /// [1, kMaxWorkerSlots].
   int worker_slots = 4;
 
   /// --- Fault injection & recovery (src/net/fault.h, src/core/retry.h).
@@ -153,13 +159,6 @@ struct ScaleConfig {
   /// charged) instead of aborting the period.
   bool retry_dead_letter = false;
 
-  /// Real execution threads inside one engine RunUntilIdle (the intra-run
-  /// instance scheduler, SPECIFICATION.md §13). Distinct from worker_slots,
-  /// which is the MODELED virtual concurrency: `workers` only changes how
-  /// fast the simulation computes, never what it computes — every output is
-  /// byte-identical for any value. 1 keeps the serial event loop.
-  int workers = 1;
-
   /// Byte budget for blocking plan operators (sort, hash aggregate,
   /// union-distinct, hash-join build) inside every process executed by this
   /// run. 0 = unlimited: operators materialize in memory as before. A
@@ -173,12 +172,6 @@ struct ScaleConfig {
   /// P12–P15 to the delta-propagation bodies and enables change capture on
   /// the involved tables before the first period.
   Realization realization = Realization::kFullRecompute;
-
-  /// Threads used by the Initializer's per-period data generation. Every
-  /// seeding unit (one external database instance) draws from its own
-  /// deterministically forked PRNG stream, so the generated data is byte-
-  /// identical for ANY value — 1 keeps the fully serial legacy path.
-  int datagen_jobs = 1;
 
   /// --- Scenario-manifest extensions (src/scenario). All default-empty:
   /// a config that never touches them is byte-identical to earlier builds.

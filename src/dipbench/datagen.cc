@@ -1,12 +1,9 @@
 #include "src/dipbench/datagen.h"
 
-#include <atomic>
 #include <charconv>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <map>
-#include <thread>
 
 #include "src/common/string_util.h"
 #include "src/xml/bridge.h"
@@ -72,38 +69,6 @@ int64_t OrderDate(int period, int64_t seq) {
   return 20080000 + month * 100 + day;
 }
 
-/// Runs every seeding unit, inline for jobs <= 1 or on up to `jobs`
-/// threads. Units are independent by construction (disjoint databases,
-/// private PRNG streams), so the schedule cannot influence the data; the
-/// first non-OK status (in unit order, for determinism) is reported.
-Status RunSeedUnits(std::vector<std::function<Status()>>* units, int jobs) {
-  if (jobs <= 1) {
-    for (auto& unit : *units) {
-      DIP_RETURN_NOT_OK(unit());
-    }
-    return Status::OK();
-  }
-  std::vector<Status> results(units->size(), Status::OK());
-  std::atomic<size_t> next{0};
-  size_t n_threads = std::min(static_cast<size_t>(jobs), units->size());
-  std::vector<std::thread> threads;
-  threads.reserve(n_threads);
-  for (size_t t = 0; t < n_threads; ++t) {
-    threads.emplace_back([units, &results, &next] {
-      for (;;) {
-        size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= units->size()) return;
-        results[i] = (*units)[i]();
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  for (const Status& st : results) {
-    DIP_RETURN_NOT_OK(st);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Initializer::Initializer(Scenario* scenario, const ScaleConfig& config)
@@ -143,9 +108,7 @@ Status Initializer::InitializePeriod(int period) {
 
   // One master stream per period; every seeding unit receives its own fork
   // BEFORE any unit runs, in this fixed order. A unit's data therefore
-  // depends only on (seed, period, unit), never on which thread ran it or
-  // what ran beside it — serial and parallel initialization are
-  // byte-identical, including row order within each table.
+  // depends only on (seed, period, unit), never on what ran beside it.
   Rng master(config_.seed + static_cast<uint64_t>(period) * 7919);
   Rng cdb_rng = master.Fork();
   Rng eu_bp_rng = master.Fork();
@@ -157,33 +120,18 @@ Status Initializer::InitializePeriod(int period) {
   Rng baltimore_rng = master.Fork();
   Rng madison_rng = master.Fork();
 
-  std::vector<std::function<Status()>> units;
-  units.push_back([this, cdb_rng]() mutable { return SeedCdb(&cdb_rng); });
-  units.push_back([this, period, eu_bp_rng]() mutable {
-    return SeedEuropeDb("eu_berlin_paris", period, &eu_bp_rng);
-  });
-  units.push_back([this, period, eu_tr_rng]() mutable {
-    return SeedEuropeDb("eu_trondheim", period, &eu_tr_rng);
-  });
-  units.push_back([this, period, beijing_rng]() mutable {
-    return SeedAsiaService("asia_beijing", 4, period, &beijing_rng);
-  });
-  units.push_back([this, period, seoul_rng]() mutable {
-    return SeedAsiaService("asia_seoul", 5, period, &seoul_rng);
-  });
-  units.push_back([this, period, hongkong_rng]() mutable {
-    return SeedAsiaService("asia_hongkong", 6, period, &hongkong_rng);
-  });
-  units.push_back([this, period, chicago_rng]() mutable {
-    return SeedAmericaSource("us_chicago", 7, period, &chicago_rng);
-  });
-  units.push_back([this, period, baltimore_rng]() mutable {
-    return SeedAmericaSource("us_baltimore", 8, period, &baltimore_rng);
-  });
-  units.push_back([this, period, madison_rng]() mutable {
-    return SeedAmericaSource("us_madison", 9, period, &madison_rng);
-  });
-  return RunSeedUnits(&units, config_.datagen_jobs);
+  DIP_RETURN_NOT_OK(SeedCdb(&cdb_rng));
+  DIP_RETURN_NOT_OK(SeedEuropeDb("eu_berlin_paris", period, &eu_bp_rng));
+  DIP_RETURN_NOT_OK(SeedEuropeDb("eu_trondheim", period, &eu_tr_rng));
+  DIP_RETURN_NOT_OK(SeedAsiaService("asia_beijing", 4, period, &beijing_rng));
+  DIP_RETURN_NOT_OK(SeedAsiaService("asia_seoul", 5, period, &seoul_rng));
+  DIP_RETURN_NOT_OK(
+      SeedAsiaService("asia_hongkong", 6, period, &hongkong_rng));
+  DIP_RETURN_NOT_OK(
+      SeedAmericaSource("us_chicago", 7, period, &chicago_rng));
+  DIP_RETURN_NOT_OK(
+      SeedAmericaSource("us_baltimore", 8, period, &baltimore_rng));
+  return SeedAmericaSource("us_madison", 9, period, &madison_rng);
 }
 
 Status Initializer::SeedCdb(Rng* rng) {

@@ -31,15 +31,11 @@ namespace dipbench {
 /// message-stream events; San Diego messages are deliberately error-prone
 /// (paper: "it is assumed that this application is very error-prone").
 ///
-/// Parallel generation: period initialization decomposes into independent
-/// seeding units — one per external database instance (CDB, Berlin/Paris,
-/// Trondheim, three Asian services, three American sources). Each unit
-/// draws from its own PRNG stream, forked from the period master stream in
-/// a FIXED order before any unit runs, so the generated rows (including
-/// their order within every table) are byte-identical whether the units run
-/// serially (`ScaleConfig::datagen_jobs == 1`, the default) or concurrently
-/// on up to `datagen_jobs` threads. Units touch disjoint Database objects;
-/// nothing else is shared.
+/// Seeding units: period initialization decomposes into independent units —
+/// one per external database instance (CDB, Berlin/Paris, Trondheim, three
+/// Asian services, three American sources). Each unit draws from its own
+/// PRNG stream, forked from the period master stream in a FIXED order
+/// before any unit runs; that fork order defines the generated rows.
 class Initializer {
  public:
   Initializer(Scenario* scenario, const ScaleConfig& config);

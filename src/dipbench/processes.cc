@@ -27,7 +27,6 @@ using core::ProcessContext;
 using core::ProcessDefinition;
 using core::Projection;
 using core::Receive;
-using core::ResourceClaim;
 using core::Selection;
 using core::Subprocess;
 using core::Switch;
@@ -84,9 +83,6 @@ ProcessDefinition P01() {
       XmlToRows("msg2", "msg3", schemas::AsiaCustomer(), "CustomerS"),
       InvokeUpdate(Scenario::kSeoul, "upsert_customer", "msg3"),
   };
-  // Scheduler claims (SPECIFICATION.md §13): what the body touches.
-  def.claims = {ResourceClaim::WriteTable("asia_seoul", "customer"),
-                ResourceClaim::Endpoint(Scenario::kSeoul)};
   return def;
 }
 
@@ -115,13 +111,6 @@ ProcessDefinition P02() {
           SwitchCase{Always(), route(Scenario::kTrondheim)},
       }),
   };
-  // Any one instance touches exactly one branch, but which one depends on
-  // the payload — claim the union.
-  def.claims = {ResourceClaim::WriteTable("eu_berlin_paris", "kunde"),
-                ResourceClaim::WriteTable("eu_trondheim", "kunde"),
-                ResourceClaim::Endpoint(Scenario::kBerlin),
-                ResourceClaim::Endpoint(Scenario::kParis),
-                ResourceClaim::Endpoint(Scenario::kTrondheim)};
   return def;
 }
 
@@ -162,18 +151,6 @@ ProcessDefinition P03() {
                       "lineitems"),
       InvokeUpdate(Scenario::kUsEastcoast, "load_lineitems", "lineitems"),
   };
-  for (const char* src : {"us_chicago", "us_baltimore", "us_madison"}) {
-    for (const char* t : {"orders", "customer", "part", "lineitem"}) {
-      def.claims.push_back(ResourceClaim::ReadTable(src, t));
-    }
-  }
-  for (const char* t : {"orders", "customer", "part", "lineitem"}) {
-    def.claims.push_back(ResourceClaim::WriteTable("us_eastcoast_db", t));
-  }
-  for (const char* ep : {Scenario::kChicago, Scenario::kBaltimore,
-                         Scenario::kMadison, Scenario::kUsEastcoast}) {
-    def.claims.push_back(ResourceClaim::Endpoint(ep));
-  }
   return def;
 }
 
@@ -270,13 +247,6 @@ ProcessDefinition P04() {
       FlattenOrderDocument("msg2", "msg3"),
       InvokeUpdate(Scenario::kCdb, "load_orders", "msg3"),
   };
-  // load_orders resolves citykey against cdb_db.customer (handler-side
-  // read); the enrichment lookup reads the same table. Orders rows are pure
-  // inserts, never read back by the body: an append claim lets concurrent
-  // order messages capture in parallel.
-  def.claims = {ResourceClaim::ReadTable("cdb_db", "customer"),
-                ResourceClaim::AppendTable("cdb_db", "orders"),
-                ResourceClaim::Endpoint(Scenario::kCdb)};
   return def;
 }
 
@@ -307,16 +277,6 @@ ProcessDefinition EuropeExtract(const char* id, const char* service,
        Ren("price", "preis"), NullStr("priority"),
        ConstStr("source", location)}));
   def.body.push_back(InvokeUpdate(Scenario::kCdb, "load_orders", "msg3"));
-  // Berlin and Paris share the eu_berlin_paris instance; Trondheim has its
-  // own. The CDB load reads customer (citykey resolution) and append-only
-  // inserts orders.
-  const char* src_db = with_selection ? "eu_berlin_paris" : "eu_trondheim";
-  def.claims = {ResourceClaim::ReadTable(src_db, "auftrag"),
-                ResourceClaim::ReadTable(src_db, "position"),
-                ResourceClaim::ReadTable("cdb_db", "customer"),
-                ResourceClaim::AppendTable("cdb_db", "orders"),
-                ResourceClaim::Endpoint(service),
-                ResourceClaim::Endpoint(Scenario::kCdb)};
   return def;
 }
 
@@ -343,9 +303,6 @@ ProcessDefinition P08() {
       XmlToRows("msg2", "msg3", staged, "order"),
       InvokeUpdate(Scenario::kCdb, "load_orders", "msg3"),
   };
-  def.claims = {ResourceClaim::ReadTable("cdb_db", "customer"),
-                ResourceClaim::AppendTable("cdb_db", "orders"),
-                ResourceClaim::Endpoint(Scenario::kCdb)};
   return def;
 }
 
@@ -371,15 +328,6 @@ ProcessDefinition P09() {
                       {"orderkey", "custkey", "prodkey"}, "merged"),
       InvokeUpdate(Scenario::kCdb, "load_orders", "merged"),
   };
-  def.claims = {ResourceClaim::ReadTable("asia_beijing", "sales"),
-                ResourceClaim::ReadTable("asia_beijing", "customer"),
-                ResourceClaim::ReadTable("asia_seoul", "sales"),
-                ResourceClaim::ReadTable("asia_seoul", "customer"),
-                ResourceClaim::ReadTable("cdb_db", "customer"),
-                ResourceClaim::AppendTable("cdb_db", "orders"),
-                ResourceClaim::Endpoint(Scenario::kBeijing),
-                ResourceClaim::Endpoint(Scenario::kSeoul),
-                ResourceClaim::Endpoint(Scenario::kCdb)};
   return def;
 }
 
@@ -425,13 +373,6 @@ ProcessDefinition P10() {
                    InvokeUpdate(Scenario::kCdb, "load_failed", "failed_rows"),
                }),
   };
-  // Union over both validation branches. Orders is append-only, but
-  // failed_data stays a write claim: load_failed draws a failed_id sequence
-  // per row, so P10 instances must capture in serial order anyway.
-  def.claims = {ResourceClaim::ReadTable("cdb_db", "customer"),
-                ResourceClaim::AppendTable("cdb_db", "orders"),
-                ResourceClaim::WriteTable("cdb_db", "failed_data"),
-                ResourceClaim::Endpoint(Scenario::kCdb)};
   return def;
 }
 
@@ -476,18 +417,6 @@ ProcessDefinition P11() {
                   Ren("grp", "p_group")}),
       InvokeUpdate(Scenario::kCdb, "load_products", "p2"),
   };
-  for (const char* t : {"orders", "customer", "part", "lineitem"}) {
-    def.claims.push_back(ResourceClaim::ReadTable("us_eastcoast_db", t));
-  }
-  // Handler-side reads: load_customers resolves city names, load_products
-  // resolves product groups.
-  def.claims.push_back(ResourceClaim::ReadTable("cdb_db", "city"));
-  def.claims.push_back(ResourceClaim::ReadTable("cdb_db", "productgroup"));
-  for (const char* t : {"orders", "customer", "product"}) {
-    def.claims.push_back(ResourceClaim::WriteTable("cdb_db", t));
-  }
-  def.claims.push_back(ResourceClaim::Endpoint(Scenario::kUsEastcoast));
-  def.claims.push_back(ResourceClaim::Endpoint(Scenario::kCdb));
   return def;
 }
 
@@ -572,18 +501,6 @@ ProcessDefinition P12(Realization realization) {
                      : "sp_flagMasterIntegrated",
                  {}),
   };
-  // The cleansing + flagging procedures rewrite master data in place:
-  // exclusive over the whole CDB instance.
-  def.claims = {ResourceClaim::ExclusiveDb("cdb_db"),
-                ResourceClaim::WriteTable("dwh_db", "customer"),
-                ResourceClaim::WriteTable("dwh_db", "product"),
-                ResourceClaim::WriteTable("dwh_db", "city"),
-                ResourceClaim::WriteTable("dwh_db", "nation"),
-                ResourceClaim::WriteTable("dwh_db", "region"),
-                ResourceClaim::WriteTable("dwh_db", "productgroup"),
-                ResourceClaim::WriteTable("dwh_db", "productline"),
-                ResourceClaim::Endpoint(Scenario::kCdb),
-                ResourceClaim::Endpoint(Scenario::kDwh)};
   return def;
 }
 
@@ -610,12 +527,6 @@ ProcessDefinition P13(Realization realization) {
       // determination in the following integration processes.
       InvokeProc(Scenario::kCdb, "sp_deleteIntegratedMovement", {}),
   };
-  // Deletes integrated movement from the CDB and refreshes OrdersMV:
-  // exclusive over both instances.
-  def.claims = {ResourceClaim::ExclusiveDb("cdb_db"),
-                ResourceClaim::ExclusiveDb("dwh_db"),
-                ResourceClaim::Endpoint(Scenario::kCdb),
-                ResourceClaim::Endpoint(Scenario::kDwh)};
   return def;
 }
 
@@ -700,24 +611,6 @@ ProcessDefinition P14(Realization realization) {
   if (inc) {
     def.body.push_back(InvokeProc(Scenario::kDwh, "sp_advanceMartCursor", {}));
   }
-  for (const char* t : {"orders", "orders_mv", "customer", "product", "city",
-                        "nation", "region", "productgroup", "productline"}) {
-    // The incremental body advances the orders change-log cursor — a write
-    // to dwh_db.orders state as far as the wave scheduler is concerned.
-    if (inc && std::string(t) == "orders") {
-      def.claims.push_back(ResourceClaim::WriteTable("dwh_db", t));
-      continue;
-    }
-    def.claims.push_back(ResourceClaim::ReadTable("dwh_db", t));
-  }
-  for (const char* db : {"dm_europe_db", "dm_asia_db",
-                         "dm_united_states_db"}) {
-    def.claims.push_back(ResourceClaim::ExclusiveDb(db));
-  }
-  for (const char* ep : {Scenario::kDwh, Scenario::kDmEurope,
-                         Scenario::kDmAsia, Scenario::kDmUnitedStates}) {
-    def.claims.push_back(ResourceClaim::Endpoint(ep));
-  }
   return def;
 }
 
@@ -739,12 +632,6 @@ ProcessDefinition P15(Realization realization) {
           {InvokeProc(Scenario::kDmUnitedStates, proc, {})},
       }),
   };
-  def.claims = {ResourceClaim::ExclusiveDb("dm_europe_db"),
-                ResourceClaim::ExclusiveDb("dm_asia_db"),
-                ResourceClaim::ExclusiveDb("dm_united_states_db"),
-                ResourceClaim::Endpoint(Scenario::kDmEurope),
-                ResourceClaim::Endpoint(Scenario::kDmAsia),
-                ResourceClaim::Endpoint(Scenario::kDmUnitedStates)};
   return def;
 }
 

@@ -63,23 +63,6 @@ const char* Schedule::StreamOf(const std::string& process_id) {
   return "";
 }
 
-std::vector<std::string> Schedule::Predecessors(const std::string& process_id) {
-  // The tau_1 dependency edges of Table II: each single-execution process
-  // fires after its predecessors' series (or single run) completed.
-  if (process_id == "P03") return {"P01", "P02"};
-  if (process_id == "P05" || process_id == "P06" || process_id == "P07") {
-    return {"P04"};
-  }
-  if (process_id == "P09") return {"P08"};
-  if (process_id == "P11") {
-    // tau_1(Stream B): the whole movement-data stream must have drained.
-    return {"P04", "P05", "P06", "P07", "P08", "P09", "P10"};
-  }
-  if (process_id == "P13") return {"P12"};
-  if (process_id == "P15") return {"P14"};
-  return {};
-}
-
 std::vector<double> Schedule::ShapedSeriesTu(const std::string& process_id,
                                              int k,
                                              const ScaleConfig& config) {

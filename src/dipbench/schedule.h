@@ -45,14 +45,6 @@ class Schedule {
   /// unknown. Scenario traffic shapes are keyed by these names.
   static const char* StreamOf(const std::string& process_id);
 
-  /// The process types that must complete before this one may start — the
-  /// paper's explicit dependency edges (tau_1 triggers): P03 after P01 and
-  /// P02; P05-P07 and P09 after their extraction predecessors; P11 after
-  /// the rest of stream B; P13 after P12; P15 after P14. The client stamps
-  /// these onto the submitted events (ProcessEvent::after_types) for the
-  /// engine's intra-run instance scheduler. Empty for series processes.
-  static std::vector<std::string> Predecessors(const std::string& process_id);
-
   /// The manifest-aware series: applies the config's traffic shape for the
   /// process's stream — instance-count modulation for period k, then the
   /// late-arrival window (seeded per (seed, process, period)). A config

@@ -113,8 +113,8 @@ struct FaultPlan {
 /// each attempt; FaultInjector then keys its PRNG draws on
 /// (endpoint, instance tag, attempt, per-endpoint call index) instead of the
 /// injector-global arrival order, so the set of injected faults is a pure
-/// function of WHICH calls run — independent of how the intra-run scheduler
-/// interleaves instances across workers (SPECIFICATION.md §13).
+/// function of WHICH calls run (SPECIFICATION.md §10). The keyed draws
+/// define faulted outputs and error strings.
 ///
 /// Scopes are thread-local and nest (restoring the previous scope on
 /// destruction); call indices restart at 0 per scope, i.e. per attempt.
@@ -146,11 +146,9 @@ class FaultCallScope {
 /// Draw keying: when a FaultCallScope is active and the profile is not
 /// order-stateful (no outage window, no phases), every call draws from a
 /// fresh PRNG seeded by (injector seed, instance tag, attempt, per-endpoint
-/// call index) — order-independent, so parallel and serial execution inject
-/// the identical fault set. Order-stateful profiles (and calls outside any
-/// scope) use the legacy sequential stream keyed on global arrival order;
-/// the scheduler serializes all instances touching such an endpoint to keep
-/// that order deterministic.
+/// call index) — order-independent. Order-stateful profiles (and calls
+/// outside any scope) use the legacy sequential stream keyed on global
+/// arrival order, which the serial engine keeps deterministic.
 ///
 /// Determinism note: a component that is disabled (rate 0) consumes no PRNG
 /// draws, so enabling e.g. latency spikes later does not reshuffle the
@@ -169,8 +167,7 @@ class FaultInjector {
   Status OnCall(NetStats* stats, const obs::ObsContext& obs);
 
   /// True when fault decisions depend on the global call arrival order
-  /// (outage windows, error-rate phases). The scheduler serializes every
-  /// instance that claims an endpoint with a stateful injector.
+  /// (outage windows, error-rate phases); such profiles draw sequentially.
   bool IsOrderStateful() const {
     return profile_.outage_calls > 0 || !profile_.phases.empty();
   }

@@ -14,9 +14,9 @@ namespace obs {
 /// Thread-safety contract of this module (see SPECIFICATION.md §11): each
 /// benchmark run OWNS its TraceRecorder and MetricsRegistry — the parallel
 /// harness (src/harness) creates one pair per run, so cross-run sharing
-/// never happens on the hot paths. Within one run the registry IS shared
-/// across threads since the intra-run scheduler (SPECIFICATION.md §13) runs
-/// instances of one run on a worker pool:
+/// never happens on the hot paths. A run executes on one thread
+/// (SPECIFICATION.md §13), but the registry stays safe to share across
+/// threads:
 ///   * instrument creation (Get*) is mutex-guarded;
 ///   * Counter and Gauge writes are atomic (relaxed — they are statistics,
 ///     not synchronization);

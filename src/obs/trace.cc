@@ -80,33 +80,6 @@ void TraceRecorder::Annotate(uint64_t id, std::string key, std::string value) {
   span->annotations.emplace_back(std::move(key), std::move(value));
 }
 
-void TraceRecorder::Absorb(const TraceRecorder& capture, VirtualTime shift_ms,
-                           int track, uint64_t parent_id) {
-  int base_depth = 0;
-  if (Span* parent = Find(parent_id); parent != nullptr) {
-    base_depth = parent->depth + 1;
-  }
-  // Capture ids are 1..n in append order and parents always precede their
-  // children, so one forward pass with a remap table suffices.
-  std::vector<uint64_t> remap(capture.spans_.size() + 1, 0);
-  for (const Span& s : capture.spans_) {
-    Span copy = s;
-    copy.id = next_id_++;
-    if (s.id < remap.size()) remap[s.id] = copy.id;
-    copy.track = track;
-    copy.begin_ms += shift_ms;
-    copy.end_ms += shift_ms;
-    if (s.parent == 0) {
-      copy.parent = parent_id;
-      copy.depth = base_depth;
-    } else {
-      copy.parent = s.parent < remap.size() ? remap[s.parent] : 0;
-      copy.depth = s.depth + base_depth;
-    }
-    spans_.push_back(std::move(copy));
-  }
-}
-
 void TraceRecorder::NameTrack(int track, std::string name) {
   track_names_[track] = std::move(name);
 }

@@ -78,16 +78,6 @@ class TraceRecorder {
   /// Attaches a key/value annotation to a span (open or finished).
   void Annotate(uint64_t id, std::string key, std::string value);
 
-  /// Splices every span of `capture` into this recorder: ids are reissued
-  /// in capture order (preserving the id = index + 1 invariant), times are
-  /// shifted by `shift_ms`, all spans land on `track`, and capture roots
-  /// (parent 0) are re-parented under `parent_id` (0 keeps them roots).
-  /// The open stacks are untouched — absorbed spans are finished history.
-  /// This is how the intra-run scheduler merges per-worker capture
-  /// recorders back into the run's recorder in serial instance order.
-  void Absorb(const TraceRecorder& capture, VirtualTime shift_ms, int track,
-              uint64_t parent_id);
-
   /// Names a track for the exporters ("worker 0", "client", ...).
   void NameTrack(int track, std::string name);
 

@@ -1,5 +1,6 @@
 #include "src/scenario/manifest.h"
 
+#include <climits>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -165,12 +166,19 @@ class ManifestReader {
         DIP_ASSIGN_OR_RETURN(config->seed, Uint64(value, key));
       } else if (key == "worker_slots") {
         DIP_ASSIGN_OR_RETURN(int slots, Int(value, key));
-        if (slots < 1) return Err(value, "'worker_slots' must be >= 1");
+        if (slots < 1 || slots > kMaxWorkerSlots) {
+          return Err(value, StrFormat("'worker_slots' must be in [1, %d]",
+                                      kMaxWorkerSlots));
+        }
         config->worker_slots = slots;
       } else if (key == "workers") {
+        // Retired: a run executes on one thread. Still read so that older
+        // manifests that spell out the serial default keep loading.
         DIP_ASSIGN_OR_RETURN(int workers, Int(value, key));
-        if (workers < 1) return Err(value, "'workers' must be >= 1");
-        config->workers = workers;
+        if (workers != 1) {
+          return Err(value, "'workers' must be 1: a run executes on one "
+                            "thread (run manifests in parallel with --jobs)");
+        }
       } else if (key == "fault_rate") {
         DIP_ASSIGN_OR_RETURN(config->fault_rate, Fraction(value, key));
       } else if (key == "fault_spike_rate") {
@@ -191,10 +199,6 @@ class ManifestReader {
                              NonNegative(value, key));
       } else if (key == "retry_dead_letter") {
         DIP_ASSIGN_OR_RETURN(config->retry_dead_letter, Bool(value, key));
-      } else if (key == "datagen_jobs") {
-        DIP_ASSIGN_OR_RETURN(int jobs, Int(value, key));
-        if (jobs < 1) return Err(value, "'datagen_jobs' must be >= 1");
-        config->datagen_jobs = jobs;
       } else if (key == "memory_budget") {
         DIP_ASSIGN_OR_RETURN(uint64_t bytes, Uint64(value, key));
         config->operator_memory_budget = static_cast<size_t>(bytes);
@@ -419,11 +423,11 @@ class ManifestReader {
 
 Status ApplySweepValue(const std::string& field, double value,
                        ScaleConfig* config) {
-  auto integral = [&](int min) -> Result<int> {
-    if (value != std::floor(value) || value < min || value > 2147483647.0) {
+  auto integral = [&](int min, int max) -> Result<int> {
+    if (value != std::floor(value) || value < min || value > max) {
       return Status::InvalidArgument(StrFormat(
-          "sweep value %g for '%s' must be an integer >= %d", value,
-          field.c_str(), min));
+          "sweep value %g for '%s' must be an integer in [%d, %d]", value,
+          field.c_str(), min, max));
     }
     return static_cast<int>(value);
   };
@@ -446,15 +450,11 @@ Status ApplySweepValue(const std::string& field, double value,
     return Status::OK();
   }
   if (field == "periods") {
-    DIP_ASSIGN_OR_RETURN(config->periods, integral(1));
+    DIP_ASSIGN_OR_RETURN(config->periods, integral(1, INT_MAX));
     return Status::OK();
   }
   if (field == "worker_slots") {
-    DIP_ASSIGN_OR_RETURN(config->worker_slots, integral(1));
-    return Status::OK();
-  }
-  if (field == "workers") {
-    DIP_ASSIGN_OR_RETURN(config->workers, integral(1));
+    DIP_ASSIGN_OR_RETURN(config->worker_slots, integral(1, kMaxWorkerSlots));
     return Status::OK();
   }
   if (field == "seed") {
@@ -482,7 +482,7 @@ Status ApplySweepValue(const std::string& field, double value,
   return Status::InvalidArgument(
       "unknown sweep field '" + field +
       "' (expected datasize, time_scale, periods, seed, worker_slots, "
-      "workers, memory_budget, error_rate or fault_rate)");
+      "memory_budget, error_rate or fault_rate)");
 }
 
 Result<ScenarioManifest> ScenarioManifest::FromJsonText(

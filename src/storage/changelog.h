@@ -15,11 +15,9 @@ namespace dipbench {
 namespace storage {
 
 /// One captured table mutation. Entries record post-images (pre-image for
-/// deletes) in the exact serial order the table applied them — for rows
-/// routed through an AppendOverlay that is the scheduler's replay order,
-/// identical to what a serial engine would have produced, so a consumer
-/// folding entries in log order re-associates floating-point aggregates
-/// exactly like a full scan in insertion order would.
+/// deletes) in the exact serial order the table applied them, so a
+/// consumer folding entries in log order re-associates floating-point
+/// aggregates exactly like a full scan in insertion order would.
 struct ChangeEntry {
   enum class Op { kInsert, kUpdate, kDelete };
   Op op = Op::kInsert;
@@ -52,9 +50,8 @@ struct AppliedRange {
 ///    the snapshot's watermark and clamps cursors, so entries from rolled-
 ///    back work are never visible to a consumer.
 ///
-/// Concurrency: mutations and cursor advances follow the owning table's
-/// serialization discipline (the wave scheduler's resource claims); the log
-/// itself adds no locking.
+/// Concurrency: mutations and cursor advances run on the owning run's one
+/// thread (SPECIFICATION.md §13); the log itself adds no locking.
 class ChangeLog {
  public:
   size_t size() const { return log_.size(); }

@@ -12,7 +12,6 @@ Result<Table*> Database::CreateTable(const std::string& table_name,
   }
   DIP_RETURN_NOT_OK(schema.Validate());
   auto table = std::make_unique<Table>(table_name, std::move(schema));
-  table->set_database_name(name_);
   Table* ptr = table.get();
   tables_.emplace(table_name, std::move(table));
   return ptr;

@@ -8,7 +8,7 @@
 namespace dipbench {
 
 /// Flat open-addressing hash index from a key hash to row positions: the
-/// primary-key index of Table and the duplicate check of an AppendBuffer.
+/// the primary-key index of Table.
 ///
 /// One array of (hash, position) entries with linear probing from a home
 /// bucket taken from the high bits of the hash times the 64-bit golden

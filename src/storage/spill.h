@@ -22,8 +22,8 @@ namespace dipbench {
 /// A non-zero budget makes them buffer at most ~budget bytes and spill
 /// partitioned runs to disk, merging/re-probing out of core. The budget is
 /// thread-local because src/harness runs independent benchmark configs on
-/// concurrent threads; the harness and the intra-run wave scheduler
-/// re-apply the submitting thread's budget on their pool threads.
+/// concurrent threads; the harness re-applies the submitting thread's
+/// budget on its pool threads.
 ///
 /// Determinism contract: every operator produces byte-identical rows, in
 /// the same order, with identical cost counters, for ANY budget value —
@@ -48,7 +48,7 @@ class ScopedMemoryBudget {
 /// --- Telemetry ----------------------------------------------------------
 
 /// Cumulative spill counters (process-wide atomics; order-independent
-/// totals, safe under the wave scheduler). Tests and bench gates read them
+/// totals, safe under the parallel harness). Tests and bench gates read them
 /// to prove the spill path actually engaged.
 struct SpillStats {
   uint64_t runs = 0;    ///< run files written

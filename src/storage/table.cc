@@ -5,32 +5,6 @@
 
 namespace dipbench {
 
-namespace {
-thread_local AppendOverlay* tl_append_overlay = nullptr;
-}  // namespace
-
-void AppendOverlay::Allow(const std::string& db, const std::string& table) {
-  if (Find(db, table) != nullptr) return;
-  entries_.push_back(Entry{db, table, AppendBuffer{}});
-}
-
-AppendBuffer* AppendOverlay::Find(const std::string& db,
-                                  const std::string& table) {
-  for (Entry& e : entries_) {
-    if (e.db == db && e.table == table) return &e.buf;
-  }
-  return nullptr;
-}
-
-AppendOverlay* AppendOverlay::Current() { return tl_append_overlay; }
-
-AppendOverlay::Scope::Scope(AppendOverlay* overlay)
-    : prev_(tl_append_overlay) {
-  if (overlay != nullptr) tl_append_overlay = overlay;
-}
-
-AppendOverlay::Scope::~Scope() { tl_append_overlay = prev_; }
-
 Table::Table(std::string name, Schema schema)
     : name_(std::move(name)), schema_(std::move(schema)) {}
 
@@ -138,11 +112,6 @@ void Table::UnindexSecondary(const Row& row, size_t slot) {
 }
 
 Status Table::Insert(Row row) {
-  if (AppendOverlay* overlay = AppendOverlay::Current()) {
-    if (AppendBuffer* buf = overlay->Find(database_name_, name_)) {
-      return BufferedInsert(buf, std::move(row));
-    }
-  }
   DIP_RETURN_NOT_OK(CheckRow(row));
   const size_t pk_hash = PkHash(row);
   if (FindSlotOfRow(row, pk_hash) != KeyIndex::kNotFound) {
@@ -165,54 +134,7 @@ void Table::EnableChangeCapture() {
   }
 }
 
-Status Table::BufferedInsert(AppendBuffer* buf, Row row) {
-  DIP_RETURN_NOT_OK(CheckRow(row));
-  buf->table = this;
-  if (!schema_.primary_key().empty()) {
-    // Dup-check against this instance's own buffer only: a retry
-    // re-inserting rows a failed attempt already buffered is skipped just
-    // like the serial engine skips rows that attempt already inserted.
-    // The base table is not consulted here — another instance may be
-    // flushing into it concurrently — so base duplicates are skipped at
-    // FlushAppends instead.
-    const size_t pk_hash = PkHash(row);
-    if (buf->keys.Find(pk_hash, [&](size_t i) {
-          return SameKey(buf->rows[i], row);
-        }) != KeyIndex::kNotFound) {
-      return Status::AlreadyExists("duplicate key " + KeyString(row) +
-                                   " in " + name_ + " (append buffer)");
-    }
-    buf->keys.Insert(pk_hash, buf->rows.size());
-  }
-  buf->rows.push_back(std::move(row));
-  return Status::OK();
-}
-
-Status Table::FlushAppends(AppendBuffer* buf) {
-  if (AppendOverlay* overlay = AppendOverlay::Current()) {
-    if (overlay->Find(database_name_, name_) != nullptr) {
-      return Status::Internal("FlushAppends under an active overlay for " +
-                              name_);
-    }
-  }
-  for (Row& row : buf->rows) {
-    Status st = Insert(std::move(row));
-    if (!st.ok() && st.code() != StatusCode::kAlreadyExists) return st;
-  }
-  buf->rows.clear();
-  buf->keys.Clear();
-  return Status::OK();
-}
-
 Status Table::InsertOrReplace(Row row) {
-  if (AppendOverlay* overlay = AppendOverlay::Current()) {
-    if (overlay->Find(database_name_, name_) != nullptr) {
-      // An append claim promises pure inserts; an upsert reaching an
-      // overlaid table is a claims-authoring bug — fail loudly instead of
-      // racing on the base table.
-      return Status::Internal("upsert on append-captured table " + name_);
-    }
-  }
   DIP_RETURN_NOT_OK(CheckRow(row));
   bool replaced = false;
   const size_t pk_hash = PkHash(row);

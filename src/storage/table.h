@@ -20,60 +20,6 @@
 
 namespace dipbench {
 
-class Table;
-
-/// One instance's buffered appends to one table (intra-run scheduler,
-/// SPECIFICATION.md §13): rows an append-claimed process body inserted
-/// while capturing, held back until the scheduler flushes them in serial
-/// instance order at replay. `keys` dup-checks the buffer against itself
-/// with the table's key equality (retries re-inserting their own rows are
-/// skipped exactly like the serial engine skips rows already in the
-/// table); duplicates against the base table are skipped at flush.
-struct AppendBuffer {
-  Table* table = nullptr;  ///< Bound on first buffered insert.
-  std::vector<Row> rows;
-  KeyIndex keys;  ///< primary-key hash -> position in `rows`
-};
-
-/// Thread-local redirection of Table::Insert into per-instance buffers.
-/// The engine allows exactly the (db, table) pairs the running instance
-/// claims as kAppendTable, installs the overlay on the capturing thread
-/// for the duration of the instance's attempts, and flushes the buffers at
-/// replay. Tables not listed are untouched by the overlay.
-class AppendOverlay {
- public:
-  struct Entry {
-    std::string db;
-    std::string table;
-    AppendBuffer buf;
-  };
-
-  /// Registers db.table for append capture (no-op if already allowed).
-  void Allow(const std::string& db, const std::string& table);
-  /// The buffer for db.table, or nullptr when not allowed.
-  AppendBuffer* Find(const std::string& db, const std::string& table);
-  std::vector<Entry>& entries() { return entries_; }
-
-  /// The overlay installed on this thread, or nullptr.
-  static AppendOverlay* Current();
-
-  /// RAII installer; accepts nullptr (no-op) and restores the previous
-  /// overlay on destruction.
-  class Scope {
-   public:
-    explicit Scope(AppendOverlay* overlay);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    AppendOverlay* prev_;
-  };
-
- private:
-  std::vector<Entry> entries_;  ///< Tiny (one or two claims); linear scan.
-};
-
 /// An in-memory row-store table.
 ///
 /// Rows live in an append-only vector with tombstones; a flat hash index
@@ -93,28 +39,13 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
-  /// Name of the owning database, stamped by Database::CreateTable; ""
-  /// for free-standing tables (which no append overlay ever matches).
-  const std::string& database_name() const { return database_name_; }
-  void set_database_name(std::string db) { database_name_ = std::move(db); }
-
   /// Number of live rows.
   size_t size() const { return live_count_; }
   bool empty() const { return live_count_ == 0; }
 
   /// Validates arity/types against the schema and checks primary-key
   /// uniqueness. Returns AlreadyExists on a duplicate key.
-  ///
-  /// When the calling thread's AppendOverlay allows this table, the row is
-  /// validated, dup-checked against the overlay buffer only, and buffered
-  /// instead of inserted; FlushAppends applies buffers later (base-table
-  /// duplicates are skipped there, mirroring idempotent ETL loads).
   Status Insert(Row row);
-
-  /// Applies a captured append buffer: inserts every buffered row, silently
-  /// skipping base-table duplicates. Called by the scheduler's replay phase
-  /// (serial instance order) with no overlay installed.
-  Status FlushAppends(AppendBuffer* buf);
 
   /// Insert, replacing any existing row with the same primary key.
   Status InsertOrReplace(Row row);
@@ -195,8 +126,8 @@ class Table {
   }
 
   /// Cumulative IO counters (monotone; survive Clear()). Atomic so
-  /// concurrent read-only scans under the intra-run scheduler can bump
-  /// rows_read() without racing; the totals are order-independent.
+  /// concurrent read-only scans can bump rows_read() without racing; the
+  /// totals are order-independent.
   uint64_t rows_read() const {
     return rows_read_.load(std::memory_order_relaxed);
   }
@@ -206,10 +137,9 @@ class Table {
 
   /// --- change-data capture (src/storage/changelog.h) ---
   /// Off by default (zero overhead). Once enabled, every committed row
-  /// mutation — including rows arriving through an AppendOverlay flush,
-  /// which funnels into Insert in serial replay order — appends one
-  /// version-stamped entry to the table's ChangeLog. Incremental view
-  /// maintenance (src/ivm) folds those entries instead of rescanning.
+  /// mutation appends one version-stamped entry to the table's ChangeLog.
+  /// Incremental view maintenance (src/ivm) folds those entries instead of
+  /// rescanning.
   void EnableChangeCapture();
   bool change_capture_enabled() const { return changelog_ != nullptr; }
   /// The table's change log, or nullptr when capture is disabled.
@@ -269,7 +199,6 @@ class Table {
     if (changelog_ != nullptr) changelog_->Append(op, row, version());
   }
 
-  Status BufferedInsert(AppendBuffer* buf, Row row);
   Status CheckRow(const Row& row) const;
   // HashRowKey over the primary-key columns; 0 without a primary key.
   size_t PkHash(const Row& row) const;
@@ -289,7 +218,6 @@ class Table {
   void UnindexSecondary(const Row& row, size_t slot);
 
   std::string name_;
-  std::string database_name_;
   Schema schema_;
   std::vector<Row> rows_;
   std::vector<bool> live_;

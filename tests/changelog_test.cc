@@ -1,16 +1,13 @@
 // Change-data-capture tests (src/storage/changelog.h, SPECIFICATION.md
 // §16): entry ordering and version stamps, named-cursor compare-and-
-// advance with the at-most-once ledger, lifecycle anchoring (Clear,
-// transaction rollback), capture through the AppendOverlay flush path,
-// and the version-counter audit regression — a flushed append must be
-// visible to plans and must invalidate the ByteSize memo.
+// advance with the at-most-once ledger, and lifecycle anchoring (Clear,
+// transaction rollback).
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "src/ra/query.h"
 #include "src/storage/database.h"
 #include "src/storage/table.h"
 
@@ -211,87 +208,6 @@ TEST(ChangeLogTest, TransactionRollbackHidesUncommittedEntries) {
   ASSERT_TRUE(db.Commit().ok());
   EXPECT_EQ(log->size(), 2u);
   EXPECT_EQ(log->entries()[1].row[0].AsInt(), 4);
-}
-
-TEST(ChangeLogTest, AppendOverlayFlushCapturesInReplayOrder) {
-  Database db("ov_db");
-  auto created = db.CreateTable("kv", KvSchema());
-  ASSERT_TRUE(created.ok());
-  Table* t = *created;
-  t->EnableChangeCapture();
-  ASSERT_TRUE(t->Insert(Kv(1, "base")).ok());
-
-  AppendOverlay overlay;
-  overlay.Allow("ov_db", "kv");
-  {
-    AppendOverlay::Scope scope(&overlay);
-    ASSERT_TRUE(t->Insert(Kv(2, "b")).ok());
-    ASSERT_TRUE(t->Insert(Kv(3, "c")).ok());
-    // Retry re-inserting its own row: rejected against the buffer with
-    // the same AlreadyExists the serial engine would report, and NOT
-    // buffered a second time.
-    EXPECT_EQ(t->Insert(Kv(2, "b")).code(), StatusCode::kAlreadyExists);
-    // Duplicate of a base row: buffered now, skipped at flush.
-    ASSERT_TRUE(t->Insert(Kv(1, "shadow")).ok());
-  }
-  // Buffered rows are invisible — to the table AND to the change log —
-  // until the scheduler's serial replay flushes them.
-  EXPECT_EQ(t->size(), 1u);
-  ASSERT_EQ(t->changelog()->size(), 1u);
-
-  AppendBuffer* buf = overlay.Find("ov_db", "kv");
-  ASSERT_NE(buf, nullptr);
-  ASSERT_TRUE(t->FlushAppends(buf).ok());
-
-  // Flush funnels into Insert in buffer (= serial replay) order; the
-  // base-table duplicate is skipped and generates NO entry, so a delta
-  // consumer can never double-count a dup-skipped load.
-  const auto& entries = t->changelog()->entries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[1].row[0].AsInt(), 2);
-  EXPECT_EQ(entries[2].row[0].AsInt(), 3);
-  EXPECT_EQ(t->size(), 3u);
-}
-
-// --- version-counter audit regression -----------------------------------
-//
-// A flushed append mutates the table content, so it must bump version()
-// exactly like a plain insert: the ByteSize memo recomputes, and a plan
-// issued afterwards sees the new rows. A missed Touch() on the flush path
-// would leave ByteSize reporting the stale memo — this pins it.
-TEST(ChangeLogTest, FlushedAppendsVisibleToPlans) {
-  Database db("audit_db");
-  auto created = db.CreateTable("kv", KvSchema());
-  ASSERT_TRUE(created.ok());
-  Table* t = *created;
-  ASSERT_TRUE(t->Insert(Kv(1, "a")).ok());
-
-  // Prime the version-derived ByteSize memo.
-  size_t bytes_before = t->ByteSize();
-  uint64_t version_before = t->version();
-
-  AppendOverlay overlay;
-  overlay.Allow("audit_db", "kv");
-  {
-    AppendOverlay::Scope scope(&overlay);
-    ASSERT_TRUE(t->Insert(Kv(2, "bb")).ok());
-    ASSERT_TRUE(t->Insert(Kv(3, "ccc")).ok());
-  }
-  // Buffering must NOT touch the version: nothing committed yet.
-  EXPECT_EQ(t->version(), version_before);
-  EXPECT_EQ(t->ByteSize(), bytes_before);
-
-  ASSERT_TRUE(t->FlushAppends(overlay.Find("audit_db", "kv")).ok());
-  EXPECT_GT(t->version(), version_before);
-  EXPECT_GT(t->ByteSize(), bytes_before);
-
-  ExecContext ec;
-  auto result = Query::From(t).OrderBy({{"k", true}}).Run(&ec);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->rows.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(result->rows[i][0].AsInt(), static_cast<int64_t>(i + 1));
-  }
 }
 
 }  // namespace

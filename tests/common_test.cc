@@ -327,6 +327,28 @@ TEST(FlagSetTest, NumericGettersValidateTheWholeValue) {
   EXPECT_DOUBLE_EQ(*flags.GetDouble("rate", 0.0), 0.5);
 }
 
+TEST(PeriodsOverrideTest, UnsetMeansNoOverride) {
+  Result<int> periods = flags::ParsePeriodsOverride(nullptr);
+  ASSERT_TRUE(periods.ok());
+  EXPECT_EQ(*periods, 0);
+}
+
+TEST(PeriodsOverrideTest, PositiveIntegerSetsTheCount) {
+  Result<int> periods = flags::ParsePeriodsOverride("5");
+  ASSERT_TRUE(periods.ok());
+  EXPECT_EQ(*periods, 5);
+}
+
+TEST(PeriodsOverrideTest, AnythingElseIsAnErrorQuotingTheValue) {
+  for (const char* value : {"0", "-3", "abc", "5x", "", "99999999999"}) {
+    Status st = flags::ParsePeriodsOverride(value).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_NE(st.message().find(std::string("'") + value + "'"),
+              std::string::npos)
+        << st;
+  }
+}
+
 }  // namespace
 }  // namespace dipbench
 

@@ -107,43 +107,6 @@ TEST(DigestPropertyTest, InvariantUnderRowInsertionOrderPermutation) {
   EXPECT_TRUE(DiffDigests(da, db, ctx).identical());
 }
 
-TEST(DigestPropertyTest, InvariantUnderAppendOverlayFlushOrder) {
-  auto a = Scenario::Create();
-  auto b = Scenario::Create();
-  ASSERT_TRUE(a.ok() && b.ok());
-  std::vector<Row> rows = {OrderRow(10, 1.0, "us"), OrderRow(11, 2.0, "eu"),
-                           OrderRow(12, 3.0, "us")};
-
-  // Landscape A: buffer {r0, r1} and {r2} in two overlays, flush in order.
-  // Landscape B: the same rows split the other way, flushed in the
-  // opposite order. The digest treats tables as multisets, so the flush
-  // schedule must not matter.
-  auto buffer_and_flush = [&](Scenario* scenario,
-                              const std::vector<std::vector<Row>>& batches) {
-    Table* orders = DwhOrdersTable(scenario);
-    std::vector<AppendOverlay> overlays(batches.size());
-    for (size_t i = 0; i < batches.size(); ++i) {
-      overlays[i].Allow("dwh_db", "orders");
-      AppendOverlay::Scope scope(&overlays[i]);
-      for (const Row& row : batches[i]) {
-        ASSERT_TRUE(orders->Insert(row).ok());
-      }
-    }
-    EXPECT_TRUE(orders->empty());  // everything buffered, nothing applied
-    for (auto it = overlays.rbegin(); it != overlays.rend(); ++it) {
-      ASSERT_TRUE(
-          orders->FlushAppends(&it->entries().front().buf).ok());
-    }
-  };
-  buffer_and_flush(a->get(), {{rows[0], rows[1]}, {rows[2]}});
-  buffer_and_flush(b->get(), {{rows[2]}, {rows[0], rows[1]}});
-
-  StateDigest da = CaptureStateDigest(a->get());
-  StateDigest db = CaptureStateDigest(b->get());
-  EXPECT_EQ(da.state_hash, db.state_hash);
-  EXPECT_EQ(da.counters_hash, db.counters_hash);
-}
-
 TEST(DigestPropertyTest, SensitiveToAnySingleCellMutation) {
   auto a = Scenario::Create();
   auto b = Scenario::Create();
@@ -262,8 +225,8 @@ TEST(ReproTest, JsonRoundTripPreservesCellsAndManifest) {
   repro.master_seed = 99;
   repro.case_index = 4;
   repro.manifest_json = RenderManifestJson(*manifest);
-  MatrixCell a{"federated", 1, 0};
-  MatrixCell b{"dataflow", 4, kSmallBudget};
+  MatrixCell a{"federated", 0};
+  MatrixCell b{"dataflow", kSmallBudget};
   repro.cells = {a, b};
 
   auto loaded = ReproFromJsonText(ReproToJson(repro), "<roundtrip>");
@@ -273,9 +236,8 @@ TEST(ReproTest, JsonRoundTripPreservesCellsAndManifest) {
   EXPECT_EQ(loaded->case_index, 4u);
   ASSERT_EQ(loaded->cells.size(), 2u);
   EXPECT_EQ(loaded->cells[0].engine, "federated");
-  EXPECT_EQ(loaded->cells[0].workers, 1);
+  EXPECT_EQ(loaded->cells[0].memory_budget, 0u);
   EXPECT_EQ(loaded->cells[1].engine, "dataflow");
-  EXPECT_EQ(loaded->cells[1].workers, 4);
   EXPECT_EQ(loaded->cells[1].memory_budget, kSmallBudget);
   // The embedded manifest re-parses to the same canonical rendering.
   auto reparsed = scenario::ScenarioManifest::FromJsonText(
@@ -288,22 +250,23 @@ TEST(ReproTest, RejectsNonReproJson) {
   EXPECT_FALSE(ReproFromJsonText("{}", "<t>").ok());
   EXPECT_FALSE(
       ReproFromJsonText(R"({"dipbench_repro": 2, "cells": []})", "<t>").ok());
-  // A cell accepts only engine, workers, memory_budget and realization:
-  // a retired exec mode, whatever its value, or a misspelled key is an
-  // error that names its position, never a silently different replay.
+  // A cell accepts only engine, memory_budget and realization: a retired
+  // exec mode, whatever its value, the retired workers key, or a
+  // misspelled key is an error that names its position, never a silently
+  // different replay.
   auto manifest = scenario::ScenarioManifest::FromJsonText(
       R"({"name": "cells", "config": {"periods": 1}})", "<test>");
   ASSERT_TRUE(manifest.ok());
   Repro repro;
   repro.manifest_json = RenderManifestJson(*manifest);
-  repro.cells = {MatrixCell{"dataflow", 1, 0}};
+  repro.cells = {MatrixCell{"dataflow", 0}};
   const std::string json = ReproToJson(repro);
   ASSERT_TRUE(ReproFromJsonText(json, "<t>").ok());
-  const size_t workers = json.find("\"workers\"");
-  ASSERT_NE(workers, std::string::npos);
+  const size_t budget = json.find("\"memory_budget\"");
+  ASSERT_NE(budget, std::string::npos);
   for (const char* mode : {"materialize", "pipeline", "columnar"}) {
     std::string with_mode = json;
-    with_mode.insert(workers,
+    with_mode.insert(budget,
                      std::string("\"exec_mode\": \"") + mode + "\", ");
     Status st = ReproFromJsonText(with_mode, "<t>").status();
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << mode;
@@ -312,10 +275,16 @@ TEST(ReproTest, RejectsNonReproJson) {
         << st;
     EXPECT_NE(st.message().find("line "), std::string::npos) << st;
   }
+  std::string with_workers = json;
+  with_workers.insert(budget, "\"workers\": 1, ");
+  Status st = ReproFromJsonText(with_workers, "<t>").status();
+  EXPECT_NE(st.message().find("unknown cell key 'workers'"), std::string::npos)
+      << st;
   std::string misspelled = json;
-  misspelled.replace(workers, 9, "\"worker\"");
-  Status st = ReproFromJsonText(misspelled, "<t>").status();
-  EXPECT_NE(st.message().find("unknown cell key 'worker'"), std::string::npos)
+  misspelled.replace(budget, 15, "\"memory_budgt\"");
+  st = ReproFromJsonText(misspelled, "<t>").status();
+  EXPECT_NE(st.message().find("unknown cell key 'memory_budgt'"),
+            std::string::npos)
       << st;
 }
 
@@ -340,9 +309,9 @@ FuzzCase SmallCase() {
 TEST(ConformanceEndToEndTest, SmallMatrixIsConformant) {
   FuzzOptions opt;
   opt.jobs = 4;
-  opt.matrix = {MatrixCell{"federated", 1, 0},
-                MatrixCell{"federated", 4, 0},
-                MatrixCell{"dataflow", 1, kSmallBudget}};
+  opt.matrix = {MatrixCell{"federated", 0},
+                MatrixCell{"federated", kSmallBudget},
+                MatrixCell{"dataflow", kSmallBudget}};
   CaseResult result = RunCase(SmallCase(), opt);
   ASSERT_EQ(result.cells.size(), 3u);
   for (const CellRun& run : result.cells) {
@@ -357,14 +326,14 @@ TEST(ConformanceEndToEndTest, SmallMatrixIsConformant) {
 }
 
 TEST(ConformanceEndToEndTest, InjectedDivergenceIsCaughtShrunkAndReplayed) {
-  MatrixCell clean_cell{"dataflow", 1, 0};
-  MatrixCell poisoned_cell{"dataflow", 4, 0};
+  MatrixCell clean_cell{"dataflow", 0};
+  MatrixCell poisoned_cell{"dataflow", kSmallBudget};
 
   FuzzOptions opt;
   opt.jobs = 2;
   opt.matrix = {clean_cell, poisoned_cell};
   opt.inject = [](const MatrixCell& cell, Scenario* scenario) {
-    if (cell.workers != 4) return;
+    if (cell.memory_budget != kSmallBudget) return;
     auto db = scenario->db("dwh_db");
     if (!db.ok()) return;
     auto orders = (*db)->GetTable("orders");

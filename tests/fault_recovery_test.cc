@@ -95,6 +95,36 @@ TEST_F(FaultRecoveryTest, RetriesSucceedWithinBudget) {
   EXPECT_GE(rec.ElapsedMs(), 30.0);
 }
 
+// The same recovery under an instance budget it never exhausts: the budget
+// decides only when to give up, so attempts, waits, costs and elapsed time
+// match the run without one.
+TEST_F(FaultRecoveryTest, UnexhaustedInstanceBudgetChangesNothing) {
+  auto run = [this](double budget_ms) {
+    net::FaultProfile profile;
+    profile.outage_after_calls = 0;
+    profile.outage_calls = 2;
+    InstallFaults(profile);
+    core::DataflowEngine engine(&net_);
+    core::RetryPolicy policy;
+    policy.max_attempts = 4;
+    policy.backoff_base_ms = 10.0;
+    policy.instance_timeout_ms = budget_ms;
+    engine.SetRetryPolicy(policy);
+    EXPECT_TRUE(engine.Deploy(QueryProcess()).ok());
+    EXPECT_TRUE(engine.Submit({"Q", 0.0, nullptr, 0}).ok());
+    EXPECT_TRUE(engine.RunUntilIdle().ok());
+    EXPECT_EQ(engine.records().size(), 1u);
+    return engine.records().at(0);
+  };
+  const core::InstanceRecord unbudgeted = run(0.0);
+  const core::InstanceRecord budgeted = run(1000.0);
+  EXPECT_TRUE(budgeted.ok);
+  EXPECT_EQ(budgeted.attempts, 3);
+  EXPECT_DOUBLE_EQ(budgeted.retry_wait_ms, 30.0);
+  EXPECT_DOUBLE_EQ(budgeted.costs.Total(), unbudgeted.costs.Total());
+  EXPECT_DOUBLE_EQ(budgeted.ElapsedMs(), unbudgeted.ElapsedMs());
+}
+
 // A permanently failing endpoint exhausts the budget; with dead-lettering
 // on, the instance is parked (failed, charged) and the rest of the queue
 // still runs.

@@ -1,11 +1,12 @@
 // Golden Monitor-CSV snapshot tests (SPECIFICATION.md §15.5).
 //
 // Runs the fixed golden configuration (d = 0.01, 4 periods, default seed)
-// through both engines and compares each Monitor CSV byte for byte
-// against the snapshot committed under tests/golden/. A mismatch prints
-// the first differing line of both versions — the CSV is the benchmark's
-// primary observable, so any drift is either an intended change (rerun
-// with --update-golden and review the diff) or a regression.
+// through both engines, clean and faulted, and compares each Monitor CSV
+// byte for byte against the snapshot committed under tests/golden/. A
+// mismatch prints the first differing line of both versions — the CSV is
+// the benchmark's primary observable, so any drift is either an intended
+// change (rerun with --update-golden and review the diff) or a
+// regression.
 //
 // Regenerate:   ./golden_test --update-golden
 // (also honored as the DIPBENCH_UPDATE_GOLDEN=1 environment variable)
@@ -33,6 +34,24 @@ ScaleConfig GoldenConfig() {
   config.datasize = 0.01;
   config.periods = 4;
   return config;  // seed, error_rate, worker_slots: compiled-in defaults
+}
+
+/// GoldenConfig under faults and recovery. It exercises both kinds of fault
+/// draw: the keyed per-call draws (error rate, latency spikes) and the
+/// order-stateful sequences (a CDB outage window, a US east-coast error
+/// phase), with retries that succeed and instances that dead-letter.
+ScaleConfig FaultedGoldenConfig() {
+  ScaleConfig config = GoldenConfig();
+  config.fault_rate = 0.05;
+  config.fault_spike_rate = 0.02;
+  config.fault_spike_tu = 5.0;
+  config.retry_max_attempts = 4;
+  config.retry_backoff_tu = 1.0;
+  config.retry_dead_letter = true;
+  config.outages.push_back(OutageWindow{"cdb-outage", "cdb", 10, 16});
+  config.error_phases.push_back(
+      ErrorPhaseSpec{"east-errors", "us_eastcoast", 5, 20, 0.3});
+  return config;
 }
 
 /// tests/golden/ of the source tree the binary was built from, wherever
@@ -85,26 +104,29 @@ std::string FirstLineDiff(const std::string& golden,
   return "texts are identical";
 }
 
-void CheckGoldenCsv(const std::string& engine) {
+/// Runs `config` on `engine` into *out and compares its Monitor CSV with
+/// tests/golden/<snapshot>.
+void CheckGoldenCsv(const std::string& engine, const ScaleConfig& config,
+                    const std::string& snapshot, harness::RunOutcome* out) {
   std::string dir = GoldenDir();
   ASSERT_FALSE(dir.empty()) << "tests/golden not found under "
                             << DIPBENCH_SOURCE_DIR;
-  std::string path = dir + "/monitor_" + engine + "_d001.csv";
+  std::string path = dir + "/" + snapshot;
 
   harness::RunSpec spec;
-  spec.config = GoldenConfig();
+  spec.config = config;
   spec.engine = engine;
   spec.label = "golden/" + engine;
-  harness::RunOutcome out = harness::RunnerPool::ExecuteOne(spec);
-  ASSERT_TRUE(out.ok) << out.error;
-  ASSERT_FALSE(out.monitor_csv.empty());
+  *out = harness::RunnerPool::ExecuteOne(spec);
+  ASSERT_TRUE(out->ok) << out->error;
+  ASSERT_FALSE(out->monitor_csv.empty());
 
   if (g_update_golden) {
     std::ofstream file(path, std::ios::binary);
     ASSERT_TRUE(static_cast<bool>(file)) << "cannot write " << path;
-    file << out.monitor_csv;
+    file << out->monitor_csv;
     std::printf("updated %s (%zu bytes)\n", path.c_str(),
-                out.monitor_csv.size());
+                out->monitor_csv.size());
     return;
   }
 
@@ -112,19 +134,43 @@ void CheckGoldenCsv(const std::string& engine) {
   std::string golden = ReadFile(path, &read_ok);
   ASSERT_TRUE(read_ok) << "missing golden snapshot " << path
                        << " — regenerate with: golden_test --update-golden";
-  EXPECT_EQ(golden, out.monitor_csv)
+  EXPECT_EQ(golden, out->monitor_csv)
       << "Monitor CSV drifted from " << path << "\n"
-      << FirstLineDiff(golden, out.monitor_csv) << "\n"
+      << FirstLineDiff(golden, out->monitor_csv) << "\n"
       << "If this change is intended, rerun with --update-golden and "
          "review the snapshot diff.";
 }
 
 TEST(GoldenMonitorCsvTest, FederatedEngineMatchesSnapshot) {
-  CheckGoldenCsv("federated");
+  harness::RunOutcome out;
+  CheckGoldenCsv("federated", GoldenConfig(), "monitor_federated_d001.csv",
+                 &out);
 }
 
 TEST(GoldenMonitorCsvTest, DataflowEngineMatchesSnapshot) {
-  CheckGoldenCsv("dataflow");
+  harness::RunOutcome out;
+  CheckGoldenCsv("dataflow", GoldenConfig(), "monitor_dataflow_d001.csv",
+                 &out);
+}
+
+// Faulted snapshots pin the bytes of retried and dead-lettered instances,
+// and the recovery totals with them.
+TEST(GoldenMonitorCsvTest, FaultedFederatedEngineMatchesSnapshot) {
+  harness::RunOutcome out;
+  CheckGoldenCsv("federated", FaultedGoldenConfig(),
+                 "monitor_federated_faulted_d001.csv", &out);
+  ASSERT_TRUE(out.ok) << out.error;
+  EXPECT_EQ(out.result.retries, 48u);
+  EXPECT_EQ(out.result.dead_letters, 8u);
+}
+
+TEST(GoldenMonitorCsvTest, FaultedDataflowEngineMatchesSnapshot) {
+  harness::RunOutcome out;
+  CheckGoldenCsv("dataflow", FaultedGoldenConfig(),
+                 "monitor_dataflow_faulted_d001.csv", &out);
+  ASSERT_TRUE(out.ok) << out.error;
+  EXPECT_EQ(out.result.retries, 48u);
+  EXPECT_EQ(out.result.dead_letters, 8u);
 }
 
 }  // namespace

@@ -160,8 +160,8 @@ TEST(IvmTest, LateArrivalsFoldIntoExistingWindows) {
 }
 
 TEST(IvmTest, MartFoldOrderDoesNotMatter) {
-  // P14 forks the mart refreshes; the wave scheduler may replay the mart
-  // partitions in any serial order. Folding the three marts in reversed
+  // P14 forks the mart refreshes, and nothing in the fold may depend on
+  // which mart partition goes first. Folding the three marts in reversed
   // order must converge to the identical landscape.
   const char* marts[] = {Scenario::kDmEurope, Scenario::kDmAsia,
                          Scenario::kDmUnitedStates};

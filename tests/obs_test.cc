@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/string_util.h"
@@ -154,6 +155,30 @@ TEST(HistogramTest, EmptyHistogramIsZero) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_DOUBLE_EQ(h.P50(), 0.0);
   EXPECT_DOUBLE_EQ(h.Mean(), 0.0);
+}
+
+TEST(HistogramConcurrencyTest, ConcurrentObservationsAreExact) {
+  Histogram h(Histogram::ExponentialBuckets(0.01, 2.0, 20));
+  const int kThreads = 8;
+  const int kPerThread = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        h.Observe(0.01 * ((t * 31 + i) % 997));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(h.count(), static_cast<uint64_t>(kThreads * kPerThread));
+  // Bucket counts are integer-exact regardless of interleaving.
+  uint64_t bucket_total = 0;
+  for (uint64_t c : h.bucket_counts()) bucket_total += c;
+  EXPECT_EQ(bucket_total, h.count());
+  EXPECT_EQ(h.min(), 0.0);
+  EXPECT_EQ(h.max(), 0.01 * 996);
+  // Quantiles come from the merged exact counts.
+  EXPECT_GE(h.P99(), h.P50());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Realization equivalence (SPECIFICATION.md §16): the incremental
 // maintenance realization must land in a landscape byte-identical to the
 // full recompute — same state digest, same rows, same verification —
-// across engines, worker counts and operator memory budgets. Only the
+// across engines and operator memory budgets. Only the
 // documented §16 divergences (IO counters, monitor cost CSV) may appear,
 // and each must match an allowlist rule.
 
@@ -20,21 +20,19 @@ namespace {
 
 struct Cell {
   const char* engine;
-  int workers;
   size_t budget;
 };
 
-/// Every engine at both worker counts, plus the budget axis — each axis
-/// value meets both realizations.
+/// Every engine, plus the budget axis — each axis value meets both
+/// realizations.
 std::vector<Cell> EquivalenceMatrix() {
   constexpr size_t kSmallBudget = 64 * 1024;
   std::vector<Cell> cells;
   for (const char* engine : {"federated", "dataflow", "eai"}) {
-    cells.push_back({engine, 1, 0});
-    cells.push_back({engine, 4, 0});
+    cells.push_back({engine, 0});
   }
-  cells.push_back({"federated", 1, kSmallBudget});
-  cells.push_back({"dataflow", 4, kSmallBudget});
+  cells.push_back({"federated", kSmallBudget});
+  cells.push_back({"dataflow", kSmallBudget});
   return cells;
 }
 
@@ -46,7 +44,6 @@ TEST(RealizationEquivalenceTest, IncrementalLandsInTheFullLandscape) {
     spec.engine = cell.engine;
     spec.config.datasize = 0.005;
     spec.config.periods = 1;
-    spec.config.workers = cell.workers;
     spec.config.operator_memory_budget = cell.budget;
     spec.digest_state = true;
     spec.config.realization = Realization::kFullRecompute;
@@ -62,8 +59,7 @@ TEST(RealizationEquivalenceTest, IncrementalLandsInTheFullLandscape) {
     const Cell& cell = cells[i];
     const harness::RunOutcome& full = outcomes[2 * i];
     const harness::RunOutcome& inc = outcomes[2 * i + 1];
-    SCOPED_TRACE(std::string(cell.engine) + "/w" +
-                 std::to_string(cell.workers) + "/b" +
+    SCOPED_TRACE(std::string(cell.engine) + "/b" +
                  std::to_string(cell.budget));
     ASSERT_TRUE(full.ok) << full.error;
     ASSERT_TRUE(inc.ok) << inc.error;
@@ -77,7 +73,6 @@ TEST(RealizationEquivalenceTest, IncrementalLandsInTheFullLandscape) {
     // monitor) matches a documented §16 rule.
     conformance::PairContext ctx;
     ctx.engine_a = ctx.engine_b = cell.engine;
-    ctx.workers_a = ctx.workers_b = cell.workers;
     ctx.budget_a = ctx.budget_b = cell.budget;
     ctx.realization_a = "full";
     ctx.realization_b = "incremental";

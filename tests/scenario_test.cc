@@ -301,6 +301,63 @@ TEST(ManifestTest, RejectsSchemaViolations) {
             std::string::npos);
 }
 
+TEST(ManifestTest, WorkerSlotsAreBounded) {
+  auto config = [](int slots) {
+    return ScenarioManifest::FromJsonText(
+        "{\"name\": \"x\",\n \"config\": {\"worker_slots\": " +
+            std::to_string(slots) + "}}",
+        "slots.json");
+  };
+  auto at_limit = config(kMaxWorkerSlots);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit->config.worker_slots, 1024);
+  auto past_limit = config(kMaxWorkerSlots + 1);
+  ASSERT_FALSE(past_limit.ok());
+  EXPECT_NE(past_limit.status().message().find("line 2"), std::string::npos)
+      << past_limit.status().ToString();
+  EXPECT_NE(past_limit.status().message().find("[1, 1024]"),
+            std::string::npos)
+      << past_limit.status().ToString();
+
+  auto sweep = [](int slots) {
+    return ScenarioManifest::FromJsonText(
+        "{\"name\": \"x\", \"sweep\": {\"field\": \"worker_slots\", "
+        "\"values\": [1, " +
+            std::to_string(slots) + "]}}",
+        "<t>");
+  };
+  auto sweep_at_limit = sweep(1024);
+  ASSERT_TRUE(sweep_at_limit.ok()) << sweep_at_limit.status().ToString();
+  EXPECT_EQ(sweep_at_limit->Expand().back().config.worker_slots, 1024);
+  auto sweep_past_limit = sweep(1025);
+  ASSERT_FALSE(sweep_past_limit.ok());
+  EXPECT_NE(sweep_past_limit.status().message().find("column"),
+            std::string::npos)
+      << sweep_past_limit.status().ToString();
+}
+
+TEST(ManifestTest, RetiredWorkersKeyAcceptsOnlyOne) {
+  // A run executes on one thread: `workers` reads only its old default, 1,
+  // and is no longer a sweep field.
+  EXPECT_TRUE(ScenarioManifest::FromJsonText(
+                  R"({"name": "x", "config": {"workers": 1}})", "<t>")
+                  .ok());
+  auto workers = ScenarioManifest::FromJsonText(
+      "{\"name\": \"x\",\n \"config\": {\"workers\": 4}}", "<t>");
+  ASSERT_FALSE(workers.ok());
+  EXPECT_NE(workers.status().message().find("line 2"), std::string::npos)
+      << workers.status().ToString();
+  EXPECT_NE(workers.status().message().find("--jobs"), std::string::npos)
+      << workers.status().ToString();
+  auto sweep = ScenarioManifest::FromJsonText(
+      R"({"name": "x", "sweep": {"field": "workers", "values": [1]}})",
+      "<t>");
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_NE(sweep.status().message().find("unknown sweep field"),
+            std::string::npos)
+      << sweep.status().ToString();
+}
+
 TEST(ManifestTest, InvalidTrafficShapeReportsOriginLineColumn) {
   auto m = ScenarioManifest::FromJsonText(
       "{\"name\": \"x\",\n"

@@ -304,119 +304,6 @@ TEST(DatabaseTest, IoCountersAggregate) {
   EXPECT_GE(db.TotalRowsRead(), 1u);
 }
 
-// --- Append overlay (intra-run scheduler capture buffers) ----------------
-
-TEST(AppendOverlayTest, BufferedInsertsLandOnlyAtFlush) {
-  Database db("cdb_db");
-  ASSERT_TRUE(db.CreateTable("orders", CustomerSchema()).ok());
-  Table* t = *db.GetTable("orders");
-  ASSERT_TRUE(t->Insert(Cust(1, "base", 1.0)).ok());
-
-  AppendOverlay overlay;
-  overlay.Allow("cdb_db", "orders");
-  {
-    AppendOverlay::Scope scope(&overlay);
-    ASSERT_TRUE(t->Insert(Cust(2, "buffered", 2.0)).ok());
-    ASSERT_TRUE(t->Insert(Cust(3, "buffered", 3.0)).ok());
-    // Re-inserting a buffered key dup-checks against the BUFFER (the retry
-    // semantics of the serial engine).
-    EXPECT_EQ(t->Insert(Cust(2, "retry", 0.0)).code(),
-              StatusCode::kAlreadyExists);
-    // A dup against the BASE table is not detected at capture...
-    ASSERT_TRUE(t->Insert(Cust(1, "shadow", 0.0)).ok());
-    EXPECT_EQ(t->size(), 1u) << "buffered rows must not be visible yet";
-  }
-  AppendBuffer* buf = overlay.Find("cdb_db", "orders");
-  ASSERT_NE(buf, nullptr);
-  ASSERT_TRUE(t->FlushAppends(buf).ok());
-  // ...but skipped silently at flush, like the serial idempotent loads.
-  EXPECT_EQ(t->size(), 3u);
-  EXPECT_EQ((*t->FindByKey({Value::Int(1)}))[1].AsString(), "base");
-  EXPECT_EQ((*t->FindByKey({Value::Int(3)}))[1].AsString(), "buffered");
-}
-
-TEST(AppendOverlayTest, BufferDupCheckUsesTableKeyEquality) {
-  // Keys that only render alike are distinct keys to the table, so the
-  // buffer must keep them too: DOUBLEs equal under %.6g, and composite
-  // string keys whose comma-joined cells coincide.
-  Database db("cdb_db");
-  Schema dbl;
-  dbl.AddColumn("k", DataType::kDouble, false)
-      .AddColumn("v", DataType::kString)
-      .SetPrimaryKey({"k"});
-  Schema pair;
-  pair.AddColumn("a", DataType::kString, false)
-      .AddColumn("b", DataType::kString, false)
-      .SetPrimaryKey({"a", "b"});
-  ASSERT_TRUE(db.CreateTable("dbl", dbl).ok());
-  ASSERT_TRUE(db.CreateTable("pair", pair).ok());
-  Table* td = *db.GetTable("dbl");
-  Table* tp = *db.GetTable("pair");
-
-  AppendOverlay overlay;
-  overlay.Allow("cdb_db", "dbl");
-  overlay.Allow("cdb_db", "pair");
-  {
-    AppendOverlay::Scope scope(&overlay);
-    EXPECT_TRUE(td->Insert({Value::Double(1.0000001), Value::String("x")}).ok());
-    EXPECT_TRUE(td->Insert({Value::Double(1.0000002), Value::String("y")}).ok());
-    EXPECT_EQ(td->Insert({Value::Double(1.0000001), Value::String("z")}).code(),
-              StatusCode::kAlreadyExists);
-    EXPECT_TRUE(tp->Insert({Value::String("a,b"), Value::String("c")}).ok());
-    EXPECT_TRUE(tp->Insert({Value::String("a"), Value::String("b,c")}).ok());
-    EXPECT_EQ(tp->Insert({Value::String("a"), Value::String("b,c")}).code(),
-              StatusCode::kAlreadyExists);
-  }
-  ASSERT_TRUE(td->FlushAppends(overlay.Find("cdb_db", "dbl")).ok());
-  ASSERT_TRUE(tp->FlushAppends(overlay.Find("cdb_db", "pair")).ok());
-  EXPECT_EQ(td->size(), 2u);
-  EXPECT_EQ(tp->size(), 2u);
-  const Value second[] = {Value::Double(1.0000002)};
-  ASSERT_NE(*td->FindByKeyRef(second), nullptr);
-  EXPECT_EQ((**td->FindByKeyRef(second))[1].AsString(), "y");
-}
-
-TEST(AppendOverlayTest, OnlyAllowedTablesAreRedirected) {
-  Database db("cdb_db");
-  ASSERT_TRUE(db.CreateTable("orders", CustomerSchema()).ok());
-  ASSERT_TRUE(db.CreateTable("failed_data", CustomerSchema()).ok());
-  AppendOverlay overlay;
-  overlay.Allow("cdb_db", "orders");
-  AppendOverlay::Scope scope(&overlay);
-  ASSERT_TRUE((*db.GetTable("failed_data"))->Insert(Cust(1, "x", 0.0)).ok());
-  EXPECT_EQ((*db.GetTable("failed_data"))->size(), 1u)
-      << "unclaimed table must insert directly";
-  ASSERT_TRUE((*db.GetTable("orders"))->Insert(Cust(1, "x", 0.0)).ok());
-  EXPECT_EQ((*db.GetTable("orders"))->size(), 0u);
-}
-
-TEST(AppendOverlayTest, UpsertOnOverlaidTableIsAnError) {
-  // An InsertOrReplace under an append claim means the claim was wrong:
-  // surface it loudly instead of silently misordering.
-  Database db("cdb_db");
-  ASSERT_TRUE(db.CreateTable("orders", CustomerSchema()).ok());
-  AppendOverlay overlay;
-  overlay.Allow("cdb_db", "orders");
-  AppendOverlay::Scope scope(&overlay);
-  EXPECT_EQ((*db.GetTable("orders"))->InsertOrReplace(Cust(1, "x", 0.0)).code(),
-            StatusCode::kInternal);
-}
-
-TEST(AppendOverlayTest, ScopeRestoresPreviousOverlay) {
-  Database db("cdb_db");
-  ASSERT_TRUE(db.CreateTable("orders", CustomerSchema()).ok());
-  Table* t = *db.GetTable("orders");
-  AppendOverlay overlay;
-  overlay.Allow("cdb_db", "orders");
-  {
-    AppendOverlay::Scope scope(&overlay);
-    EXPECT_EQ(AppendOverlay::Current(), &overlay);
-  }
-  EXPECT_EQ(AppendOverlay::Current(), nullptr);
-  ASSERT_TRUE(t->Insert(Cust(1, "direct", 0.0)).ok());
-  EXPECT_EQ(t->size(), 1u);
-}
-
 // --- Flat key index -------------------------------------------------------
 
 TEST(KeyIndexTest, GrowthRuleTombstonesAndClear) {
