@@ -137,7 +137,7 @@ int main() {
       std::printf("sample row : orderkey=%lld qty=%lld priority=%s\n",
                   static_cast<long long>(r[0].AsInt()),
                   static_cast<long long>(r[1].AsInt()),
-                  r[2].AsString().c_str());
+                  r[2].ToString().c_str());
       printed = true;
     }
   });

@@ -60,7 +60,7 @@ std::string CanonicalCell(const Value& v) {
     case DataType::kDate:
       return "t" + std::to_string(v.AsDate());
     case DataType::kString: {
-      const std::string& s = v.AsString();
+      std::string_view s = v.AsString();
       std::string out = "s\"";
       for (unsigned char c : s) {
         if (c == '"' || c == '\\') {

@@ -174,7 +174,7 @@ OpPtr EnrichViennaWithMasterData() {
     ctx->ChargeComm(stats);
     xml::Node enriched = doc->Clone();
     if (!master.rows.empty() && !master.rows[0][3].is_null()) {
-      enriched.AddText("Prio", master.rows[0][3].AsString());
+      enriched.AddText("Prio", std::string(master.rows[0][3].AsString()));
     } else {
       enriched.AddText("Prio", "MEDIUM");
     }

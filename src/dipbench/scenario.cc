@@ -298,7 +298,7 @@ Status Scenario::BuildCdb() {
                       if ((*r)[1].is_null() || (*r)[1].AsString().empty()) {
                         (*r)[1] = Value::String("UNKNOWN");
                       }
-                      const std::string& p =
+                      std::string_view p =
                           (*r)[3].is_null() ? "" : (*r)[3].AsString();
                       if (p != "HIGH" && p != "MEDIUM" && p != "LOW") {
                         (*r)[3] = Value::String("MEDIUM");
@@ -339,7 +339,7 @@ Status Scenario::BuildCdb() {
                         if ((*r)[6].is_null() || (*r)[6].AsDouble() < 0) {
                           (*r)[6] = Value::Double(0.0);
                         }
-                        const std::string& p =
+                        std::string_view p =
                             (*r)[7].is_null() ? "" : (*r)[7].AsString();
                         if (p != "HIGH" && p != "MEDIUM" && p != "LOW") {
                           (*r)[7] = Value::String("MEDIUM");

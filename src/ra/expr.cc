@@ -1,6 +1,7 @@
 #include "src/ra/expr.h"
 
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "src/common/string_util.h"
@@ -303,25 +304,41 @@ class ArithmeticExpr : public Expr {
     // String + string concatenates.
     if (op_ == ArithmeticOp::kAdd && a.type() == DataType::kString &&
         b.type() == DataType::kString) {
-      return Value::String(a.AsString() + b.AsString());
+      std::string s(a.AsString());
+      s += b.AsString();
+      return Value::String(s);
     }
-    // Integer arithmetic stays integral.
+    // Integer arithmetic stays integral and fails on overflow.
     if (a.type() == DataType::kInt64 && b.type() == DataType::kInt64) {
-      int64_t x = a.AsInt(), y = b.AsInt();
+      int64_t x = a.AsInt(), y = b.AsInt(), r = 0;
+      // INT64_MIN / -1 overflows; it and INT64_MIN % -1 trap (SIGFPE).
+      const bool traps = x == std::numeric_limits<int64_t>::min() && y == -1;
+      bool overflow = false;
       switch (op_) {
         case ArithmeticOp::kAdd:
-          return Value::Int(x + y);
+          overflow = __builtin_add_overflow(x, y, &r);
+          break;
         case ArithmeticOp::kSub:
-          return Value::Int(x - y);
+          overflow = __builtin_sub_overflow(x, y, &r);
+          break;
         case ArithmeticOp::kMul:
-          return Value::Int(x * y);
+          overflow = __builtin_mul_overflow(x, y, &r);
+          break;
         case ArithmeticOp::kDiv:
           if (y == 0) return Status::InvalidArgument("integer division by 0");
-          return Value::Int(x / y);
+          overflow = traps;
+          if (!traps) r = x / y;
+          break;
         case ArithmeticOp::kMod:
           if (y == 0) return Status::InvalidArgument("modulo by 0");
-          return Value::Int(x % y);
+          overflow = traps;
+          if (!traps) r = x % y;
+          break;
       }
+      if (overflow) {
+        return Status::InvalidArgument("INT64 overflow in " + ToString());
+      }
+      return Value::Int(r);
     }
     DIP_ASSIGN_OR_RETURN(double x, a.ToNumeric());
     DIP_ASSIGN_OR_RETURN(double y, b.ToNumeric());
@@ -523,17 +540,17 @@ class FunctionExpr : public Expr {
         if (vals[0]->type() != DataType::kString) {
           return Status::TypeMismatch(name_ + " expects string");
         }
-        std::string s = vals[0]->AsString();
+        std::string s(vals[0]->AsString());
         for (char& c : s) {
           if (fn_ == Fn::kLower && c >= 'A' && c <= 'Z') c += 'a' - 'A';
           if (fn_ == Fn::kUpper && c >= 'a' && c <= 'z') c -= 'a' - 'A';
         }
-        return Value::String(std::move(s));
+        return Value::String(s);
       }
       case Fn::kConcat: {
         std::string out;
         for (const Value* v : vals) out += v->ToString();
-        return Value::String(std::move(out));
+        return Value::String(out);
       }
       case Fn::kSubstr: {
         DIP_RETURN_NOT_OK(require_arity(3));
@@ -543,7 +560,7 @@ class FunctionExpr : public Expr {
         }
         DIP_ASSIGN_OR_RETURN(int64_t pos, vals[1]->ToInt());
         DIP_ASSIGN_OR_RETURN(int64_t len, vals[2]->ToInt());
-        const std::string& s = vals[0]->AsString();
+        std::string_view s = vals[0]->AsString();
         if (pos < 0 || static_cast<size_t>(pos) >= s.size() || len < 0) {
           return Value::String("");
         }
@@ -561,7 +578,11 @@ class FunctionExpr : public Expr {
         DIP_RETURN_NOT_OK(require_arity(1));
         if (vals[0]->is_null()) return Value::Null();
         if (vals[0]->type() == DataType::kInt64) {
-          return Value::Int(std::llabs(vals[0]->AsInt()));
+          int64_t i = vals[0]->AsInt();
+          if (i == std::numeric_limits<int64_t>::min()) {
+            return Status::InvalidArgument("INT64 overflow in abs");
+          }
+          return Value::Int(std::llabs(i));
         }
         DIP_ASSIGN_OR_RETURN(double d, vals[0]->ToNumeric());
         return Value::Double(std::fabs(d));

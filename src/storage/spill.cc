@@ -150,7 +150,7 @@ void EncodeRow(const Row& row, std::string* out) {
         break;
       }
       case DataType::kString: {
-        const std::string& s = v.AsString();
+        std::string_view s = v.AsString();
         PutU32(out, static_cast<uint32_t>(s.size()));
         out->append(s);
         break;

@@ -851,7 +851,7 @@ TEST_P(StorageModelTest, CompositeKeyMatchesMapReference) {
   auto rows = table.ScanAll();
   ASSERT_EQ(rows.size(), model.size());
   for (const auto& r : rows) {
-    auto it = model.find({r[0].AsInt(), r[1].AsString()});
+    auto it = model.find({r[0].AsInt(), std::string(r[1].AsString())});
     ASSERT_NE(it, model.end());
     EXPECT_EQ(r[2].AsString(), it->second);
   }

@@ -35,7 +35,7 @@ inline std::string CellText(const Value& v) {
     case DataType::kDouble:
       return StrFormat("d:%a", v.AsDouble());
     case DataType::kString:
-      return "s:\"" + v.AsString() + "\"";
+      return "s:\"" + std::string(v.AsString()) + "\"";
     case DataType::kDate:
       return "t:" + std::to_string(v.AsDate());
   }

@@ -364,6 +364,36 @@ TEST_F(SqlEngineTest, NegativeNumbersAndArithmetic) {
   EXPECT_EQ(rows.rows[0][3].AsInt(), 1);
 }
 
+TEST_F(SqlEngineTest, Int64OverflowFailsTheQuery) {
+  ASSERT_OK("CREATE TABLE t (x INT)");
+  ASSERT_OK("INSERT INTO t VALUES (1)");
+  for (const char* sql :
+       {"SELECT 9223372036854775807 + 1 AS a FROM t",
+        "SELECT (0 - 9223372036854775807 - 1) / -1 AS a FROM t",
+        "SELECT (0 - 9223372036854775807 - 1) % -1 AS a FROM t",
+        "SELECT 0 - 9223372036854775807 - 2 AS a FROM t",
+        "SELECT 4294967296 * 4294967296 AS a FROM t",
+        "SELECT abs(0 - 9223372036854775807 - 1) AS a FROM t"}) {
+    auto rows = engine_->Query(sql);
+    ASSERT_FALSE(rows.ok()) << sql;
+    EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_NE(rows.status().message().find("INT64 overflow"),
+              std::string::npos)
+        << rows.status();
+  }
+  RowSet rows = Q("SELECT 9223372036854775806 + 1 AS a, "
+                  "(0 - 9223372036854775807) / -1 AS b, "
+                  "(0 - 9223372036854775807 - 1) % 10 AS c FROM t");
+  ASSERT_EQ(rows.rows.size(), 1u);
+  EXPECT_EQ(rows.rows[0][0].AsInt(), 9223372036854775807);
+  EXPECT_EQ(rows.rows[0][1].AsInt(), 9223372036854775807);
+  EXPECT_EQ(rows.rows[0][2].AsInt(), -8);
+  // A literal past INT64 is a parse error, not a clamped value.
+  EXPECT_TRUE(engine_->Query("SELECT 9223372036854775808 AS a FROM t")
+                  .status()
+                  .IsParseError());
+}
+
 }  // namespace
 }  // namespace sql
 }  // namespace dipbench

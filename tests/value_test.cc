@@ -1,5 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
+#include <variant>
+#include <vector>
+
 #include "src/types/schema.h"
 #include "src/types/value.h"
 
@@ -83,8 +93,174 @@ TEST(ValueTest, HashConsistentWithEquality) {
 
 TEST(ValueTest, ByteSize) {
   EXPECT_EQ(Value::Int(1).ByteSize(), 8u);
+  EXPECT_EQ(Value::Double(0.5).ByteSize(), 8u);
+  EXPECT_EQ(Value::Date(20080412).ByteSize(), 8u);
+  EXPECT_EQ(Value::Bool(true).ByteSize(), 1u);
   EXPECT_EQ(Value::String("abcd").ByteSize(), 8u);  // 4 chars + 4 overhead
   EXPECT_EQ(Value::Null().ByteSize(), 1u);
+  // Inline (14 bytes) and shared (15 bytes) strings are priced alike.
+  EXPECT_EQ(Value::String(std::string(14, 'x')).ByteSize(), 18u);
+  EXPECT_EQ(Value::String(std::string(15, 'x')).ByteSize(), 19u);
+}
+
+TEST(ValueTest, ParseRejectsIntegerOverflow) {
+  for (DataType t : {DataType::kInt64, DataType::kDate}) {
+    EXPECT_TRUE(
+        Value::Parse("99999999999999999999", t).status().IsParseError());
+    EXPECT_TRUE(
+        Value::Parse("-99999999999999999999", t).status().IsParseError());
+  }
+  EXPECT_EQ(Value::Parse("9223372036854775807", DataType::kInt64)->AsInt(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Value::Parse("-9223372036854775808", DataType::kInt64)->AsInt(),
+            std::numeric_limits<int64_t>::min());
+}
+
+TEST(ValueTest, ParseRejectsNonFiniteDoubles) {
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                           "1e999", "-1e999"}) {
+    EXPECT_TRUE(Value::Parse(text, DataType::kDouble).status().IsParseError())
+        << text;
+  }
+  // Underflow is kept: strtod sets ERANGE, but the result is finite.
+  auto denormal = Value::Parse("1e-310", DataType::kDouble);
+  ASSERT_TRUE(denormal.ok()) << denormal.status();
+  EXPECT_GT(denormal->AsDouble(), 0.0);
+  auto zero = Value::Parse("1e-400", DataType::kDouble);
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(zero->AsDouble(), 0.0);
+}
+
+TEST(ValueTest, DoubleOutsideInt64DoesNotConvert) {
+  const double kTwo63 = 9223372036854775808.0;
+  for (double d : {1e300, -1e300, kTwo63, std::nan("")}) {
+    EXPECT_EQ(Value::Double(d).ToInt().status().code(),
+              StatusCode::kTypeMismatch) << d;
+    EXPECT_EQ(Value::Double(d).CastTo(DataType::kInt64).status().code(),
+              StatusCode::kTypeMismatch) << d;
+    EXPECT_EQ(Value::Double(d).CastTo(DataType::kDate).status().code(),
+              StatusCode::kTypeMismatch) << d;
+  }
+  EXPECT_EQ(*Value::Double(-kTwo63).ToInt(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Value::Double(-2.7).CastTo(DataType::kInt64)->AsInt(), -2);
+}
+
+TEST(ValueCellTest, InlineAndHeapStringsRoundTrip) {
+  // 14 bytes is the last inline length, 15 the first heap one.
+  for (size_t n : {0, 1, 13, 14, 15, 16, 100}) {
+    std::string s;
+    for (size_t i = 0; i < n; ++i) s += static_cast<char>('a' + i % 26);
+    Value v = Value::String(s);
+    EXPECT_EQ(v.type(), DataType::kString);
+    EXPECT_EQ(v.AsString(), s) << n;
+    EXPECT_EQ(v.ToString(), s) << n;
+    EXPECT_EQ(v.ByteSize(), n + 4) << n;
+  }
+  for (size_t n : {3, 20}) {
+    std::string with_nul(n, 'z');
+    with_nul[1] = '\0';
+    Value v = Value::String(with_nul);
+    EXPECT_EQ(v.AsString().size(), n);
+    EXPECT_EQ(v.AsString(), with_nul);
+    EXPECT_EQ(v.ByteSize(), n + 4);
+  }
+  std::string_view view = "from a view";
+  const char* chars = "from a char pointer";
+  EXPECT_EQ(Value::String(view).AsString(), view);
+  EXPECT_EQ(Value::String(chars).AsString(), chars);
+}
+
+TEST(ValueCellTest, CopyMoveAndAssign) {
+  const std::string long_a(40, 'a'), long_b(30, 'b');
+  Value heap = Value::String(long_a);
+  Value copy = heap;
+  EXPECT_EQ(copy.AsString().data(), heap.AsString().data());  // shared
+  Value moved = std::move(copy);
+  EXPECT_TRUE(copy.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.AsString(), long_a);
+
+  Value small = Value::String("short");
+  Value small_moved = std::move(small);
+  EXPECT_TRUE(small.is_null());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(small_moved.AsString(), "short");
+
+  Value& alias = heap;
+  heap = alias;  // self-assignment
+  EXPECT_EQ(heap.AsString(), long_a);
+  heap = moved;  // both already share the buffer
+  EXPECT_EQ(heap.AsString(), long_a);
+
+  Value other = Value::String(long_b);
+  heap = other;  // copy-assignment over a heap string
+  EXPECT_EQ(heap.AsString(), long_b);
+  other = Value::Int(3);
+  EXPECT_EQ(heap.AsString(), long_b);
+  EXPECT_EQ(moved.AsString(), long_a);
+  heap = std::move(moved);
+  EXPECT_EQ(heap.AsString(), long_a);
+  heap = Value::String("inline");
+  EXPECT_EQ(heap.AsString(), "inline");
+}
+
+TEST(ValueCellTest, HashAndCompareMatchStdString) {
+  const std::vector<std::string> strings = {
+      "",
+      "a",
+      "ab",
+      "abcdefghijklm",
+      "abcdefghijklmn",    // 14: inline
+      "abcdefghijklmno",   // 15: heap
+      "abcdefghijklmnop",  // 16: heap
+      "abcdefghijklmnoq",
+      "b",
+      std::string("a\0b", 3),
+      std::string("abcdefghijklmn\0", 15),
+      "\xff",
+      "\xff"
+      "abcdefghijklmnopq",
+  };
+  auto sign = [](int c) { return (c > 0) - (c < 0); };
+  for (const std::string& a : strings) {
+    Value va = Value::String(a);
+    EXPECT_EQ(va.Hash(), std::hash<std::string>()(a)) << a;
+    for (const std::string& b : strings) {
+      EXPECT_EQ(sign(va.Compare(Value::String(b))), sign(a.compare(b)))
+          << a << " vs " << b;
+    }
+  }
+}
+
+TEST(ValueCellTest, WrongTypeAccessorThrows) {
+  EXPECT_THROW(Value::String("x").AsInt(), std::bad_variant_access);
+  EXPECT_THROW(Value::Int(1).AsString(), std::bad_variant_access);
+  EXPECT_THROW(Value::Int(1).AsDouble(), std::bad_variant_access);
+  EXPECT_THROW(Value::Double(1).AsDate(), std::bad_variant_access);
+  EXPECT_THROW(Value::Null().AsBool(), std::bad_variant_access);
+  // INT64 and DATE share a payload, as std::get<int64_t> did.
+  EXPECT_EQ(Value::Date(20080412).AsInt(), 20080412);
+  EXPECT_EQ(Value::Int(7).AsDate(), 7);
+}
+
+TEST(ValueCellTest, ThreadsShareOneHeapString) {
+  const std::string text(64, 's');
+  const Value shared = Value::String(text);
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&shared, &text, &mismatches, t] {
+      for (int i = 0; i < 20000; ++i) {
+        Value copy = shared;
+        std::vector<Value> copies(3, copy);
+        Value moved = std::move(copies.back());
+        copies.pop_back();
+        if (moved.AsString() != text) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int m : mismatches) EXPECT_EQ(m, 0);
+  EXPECT_EQ(shared.AsString(), text);
 }
 
 TEST(SchemaTest, BuilderAndLookup) {
