@@ -2,19 +2,18 @@
 //
 // Generates --configs seeded scenario manifests from --seed, runs every
 // one through the full execution matrix — {federated, dataflow} (+ eai
-// with --include-eai) x budgets {0, 4096} — and diffs
-// all canonical state digests pairwise. Exit 0 means zero non-allowlisted
-// divergences across the whole sweep.
+// with --include-eai) — and diffs all canonical state digests pairwise.
+// Exit 0 means zero non-allowlisted divergences across the whole sweep.
 //
 // On a failure the first violating case is shrunk to a minimal manifest
 // and written as a runnable JSON repro (--shrink-out, default
 // conformance_repro.json) for tests/repros/ and the CI artifact upload.
 //
 // --inject-divergence flips the binary into its self-test: a test hook
-// mutates one dwh.orders cell after every dataflow/b4096 run,
-// and the exit gate INVERTS — the run passes (exit 0) only when the
-// pipeline catches the divergence, shrinks it, and the shrunk repro
-// replays to the same failure (and to a clean pass without the hook).
+// mutates one dwh.orders cell after every dataflow run, and the exit gate
+// INVERTS — the run passes (exit 0) only when the pipeline catches the
+// divergence, shrinks it, and the shrunk repro replays to the same
+// failure (and to a clean pass without the hook).
 //
 // DIPBENCH_PERIODS overrides every generated config's period count (CI
 // smoke); --json-out=<path> writes BENCH_conformance.json.
@@ -47,14 +46,11 @@ std::string JsonEscape(const std::string& s) {
 }
 
 /// The self-test's injected divergence: one price cell of dwh.orders,
-/// nudged after every dataflow/b4096 run. Every pair involving
-/// that cell must then fail the kRows section.
+/// nudged after every dataflow run. Every pair involving that cell must
+/// then fail the kRows section.
 void InjectPriceDivergence(const conformance::MatrixCell& cell,
                            Scenario* scenario) {
-  if (cell.engine != "dataflow" ||
-      cell.memory_budget != conformance::kSmallBudget) {
-    return;
-  }
+  if (cell.engine != "dataflow") return;
   auto db = scenario->db("dwh_db");
   if (!db.ok()) return;
   auto orders = (*db)->GetTable("orders");

@@ -22,7 +22,6 @@
 #include "src/harness/harness.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/export.h"
-#include "src/storage/spill.h"
 
 using namespace dipbench;
 
@@ -49,8 +48,8 @@ int main(int argc, char** argv) {
   if (!figure::LoadBaseSpec(flags, &spec)) return 2;
   ScaleConfig& config = spec.config;
   // --datasize=d scales the external datasets and per-period instance
-  // counts (the paper's d axis); used by CI to smoke d = 1.0 under a
-  // hard address-space cap with --memory-budget.
+  // counts (the paper's d axis); used by CI to run d = 1.0 under a hard
+  // address-space cap.
   if (flags.Has("datasize")) {
     Result<double> d = flags.GetDouble("datasize", config.datasize);
     if (!d.ok() || *d <= 0.0) {
@@ -99,16 +98,6 @@ int main(int argc, char** argv) {
   }
   std::printf("wall time: %.0f ms for %d periods\n", result.wall_ms,
               config.periods);
-  if (config.operator_memory_budget > 0) {
-    SpillStats sp = GetSpillStats();
-    std::printf("spill (budget %llu B): %llu runs, %llu rows, %llu bytes, "
-                "%llu merges\n",
-                static_cast<unsigned long long>(config.operator_memory_budget),
-                static_cast<unsigned long long>(sp.runs),
-                static_cast<unsigned long long>(sp.rows),
-                static_cast<unsigned long long>(sp.bytes),
-                static_cast<unsigned long long>(sp.merges));
-  }
 
   // The paper's two headline observations, checked programmatically.
   double msg_max = 0, bulk_min = 1e18, msg_dev = 0, bulk_dev = 0;

@@ -10,13 +10,11 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/dipbench/schemas.h"
-#include "src/storage/spill.h"
 #include "src/net/endpoint.h"
 #include "src/ra/query.h"
 #include "src/xml/bridge.h"
@@ -329,14 +327,6 @@ int main(int argc, char** argv) {
   args.push_back(argv[0]);
   bool has_out = false;
   for (int i = 1; i < argc; ++i) {
-    // Our own flag, consumed before Google Benchmark sees the arg list:
-    // --memory-budget=<bytes> applies an operator spill budget to every
-    // benchmark on this thread.
-    if (std::strncmp(argv[i], "--memory-budget=", 16) == 0) {
-      dipbench::SetMemoryBudget(
-          static_cast<size_t>(std::strtoull(argv[i] + 16, nullptr, 10)));
-      continue;
-    }
     if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) has_out = true;
     args.push_back(argv[i]);
   }

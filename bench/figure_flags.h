@@ -1,8 +1,7 @@
 // Flags and run configuration shared by the figure drivers (bench_fig10,
 // bench_fig11). Both start from the paper's Figure 10 setup, may replace it
-// with a scenario manifest's first run, and apply the same fault and
-// memory-budget flags on top; both then execute through
-// harness::RunnerPool::ExecuteOne.
+// with a scenario manifest's first run, and apply the same fault flags on
+// top; both then execute through harness::RunnerPool::ExecuteOne.
 
 #ifndef DIPBENCH_BENCH_FIGURE_FLAGS_H_
 #define DIPBENCH_BENCH_FIGURE_FLAGS_H_
@@ -11,6 +10,7 @@
 #include <string>
 
 #include "src/common/flags.h"
+#include "src/common/string_util.h"
 #include "src/harness/harness.h"
 #include "src/scenario/manifest.h"
 
@@ -25,12 +25,11 @@ inline flags::FlagSet& DefineFlags(flags::FlagSet* flags,
   return flags->Define("scenario", scenario_help)
       .Define("trace-out", trace_help)
       .Define("metrics-out", "write metrics (.json or CSV) to this path")
-      .Define("fault-rate", "endpoint call failure probability q "
+      .Define("fault-rate", "endpoint call failure probability q in [0, 1] "
                             "(enables 8-attempt retry + dead letters)")
-      .Define("retry-attempts", "attempts per process instance")
-      .Define("memory-budget",
-              "byte budget per blocking operator; 0 = unlimited (default). "
-              "Non-zero spills runs to disk; output is identical");
+      .Define("retry-attempts",
+              StrFormat("attempts per process instance, 1 to %d",
+                        kMaxRetryAttempts));
 }
 
 /// The run a figure starts from: the paper's Figure 10 configuration
@@ -63,22 +62,27 @@ inline bool LoadBaseSpec(const flags::FlagSet& flags, harness::RunSpec* spec) {
   return true;
 }
 
+/// Prints `why` and the usage to stderr; returns false.
+inline bool Reject(const flags::FlagSet& flags, const std::string& why) {
+  std::fprintf(stderr, "%s\n%s", why.c_str(), flags.Usage().c_str());
+  return false;
+}
+
 /// Applies the run dials to `config`; defaults leave it untouched, so
 /// output stays byte-identical to a run without them. Returns false after
 /// printing the error and the usage.
-///  --fault-rate=q      every endpoint call fails with probability q
-///                      (src/net/fault.h, seeded), with 8 attempts per
-///                      instance, 1 tu exponential backoff and dead letters;
-///  --retry-attempts=n  n attempts per instance, same backoff;
-///  --memory-budget=B   caps every blocking plan operator at B bytes and
-///                      spills partitioned runs past it (src/storage/spill.h).
+///  --fault-rate=q      every endpoint call fails with probability q in
+///                      [0, 1] (src/net/fault.h, seeded), with 8 attempts
+///                      per instance, 1 tu exponential backoff and dead
+///                      letters;
+///  --retry-attempts=n  n attempts per instance, n in [1, kMaxRetryAttempts],
+///                      same backoff.
 inline bool ApplyRunFlags(const flags::FlagSet& flags, ScaleConfig* config) {
   if (flags.Has("fault-rate")) {
     Result<double> q = flags.GetDouble("fault-rate", 0.0);
-    if (!q.ok()) {
-      std::fprintf(stderr, "%s\n%s", q.status().ToString().c_str(),
-                   flags.Usage().c_str());
-      return false;
+    if (!q.ok()) return Reject(flags, q.status().ToString());
+    if (*q < 0.0 || *q > 1.0) {
+      return Reject(flags, "invalid --fault-rate: must be in [0, 1]");
     }
     config->fault_rate = *q;
     config->retry_max_attempts = 8;
@@ -87,23 +91,14 @@ inline bool ApplyRunFlags(const flags::FlagSet& flags, ScaleConfig* config) {
   }
   if (flags.Has("retry-attempts")) {
     Result<int> attempts = flags.GetInt("retry-attempts", 1);
-    if (!attempts.ok()) {
-      std::fprintf(stderr, "%s\n%s", attempts.status().ToString().c_str(),
-                   flags.Usage().c_str());
-      return false;
+    if (!attempts.ok()) return Reject(flags, attempts.status().ToString());
+    if (*attempts < 1 || *attempts > kMaxRetryAttempts) {
+      return Reject(flags, StrFormat("invalid --retry-attempts: must be in "
+                                     "[1, %d]", kMaxRetryAttempts));
     }
     config->retry_max_attempts = *attempts;
     config->retry_backoff_tu = 1.0;
     config->retry_dead_letter = true;
-  }
-  if (flags.Has("memory-budget")) {
-    Result<int> budget = flags.GetInt("memory-budget", 0);
-    if (!budget.ok() || *budget < 0) {
-      std::fprintf(stderr, "invalid --memory-budget\n%s",
-                   flags.Usage().c_str());
-      return false;
-    }
-    config->operator_memory_budget = static_cast<size_t>(*budget);
   }
   return true;
 }

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <charconv>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -72,9 +73,10 @@ Result<double> FlagSet::GetDouble(const std::string& name,
   errno = 0;
   char* end = nullptr;
   double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() || errno != 0) {
+  if (value.empty() || end != value.c_str() + value.size() || errno != 0 ||
+      !std::isfinite(parsed)) {
     return Status::InvalidArgument(program_ + ": flag '--" + name + "=" +
-                                   value + "' is not a number");
+                                   value + "' is not a finite number");
   }
   return parsed;
 }

@@ -40,7 +40,8 @@ class FlagSet {
                   const std::string& fallback = "") const;
 
   /// Numeric accessors: `fallback` when the flag is absent, an
-  /// InvalidArgument naming flag and value when it does not parse fully.
+  /// InvalidArgument naming flag and value when it does not parse fully
+  /// (or, for GetDouble, parses to NaN or an infinity).
   Result<int> GetInt(const std::string& name, int fallback) const;
   Result<double> GetDouble(const std::string& name, double fallback) const;
 

@@ -270,19 +270,14 @@ const char* SectionName(Section s) {
 }
 
 std::string PairContext::ToString() const {
-  // A realization renders only when it deviates from the default full
-  // recompute, so most labels read "engine/bN".
-  auto side = [](const std::string& engine, size_t budget,
-                 const std::string& realization) {
-    std::string out = StrFormat("%s/b%zu", engine.c_str(), budget);
-    if (realization != "full") out += "/" + realization;
-    return out;
-  };
-  bool any_inc = realization_a != "full" || realization_b != "full";
-  std::string a = side(engine_a, budget_a, any_inc ? realization_a : "full");
-  std::string b = side(engine_b, budget_b, any_inc ? realization_b : "full");
-  if (any_inc && realization_a == "full") a += "/full";
-  if (any_inc && realization_b == "full") b += "/full";
+  // A realization renders only when either side deviates from the default
+  // full recompute, so most labels read "engine vs engine".
+  const bool any_inc = realization_a != "full" || realization_b != "full";
+  std::string a = engine_a, b = engine_b;
+  if (any_inc) {
+    a += "/" + realization_a;
+    b += "/" + realization_b;
+  }
   return a + " vs " + b;
 }
 

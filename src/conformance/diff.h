@@ -15,7 +15,6 @@ namespace conformance {
 /// conformance violations.
 struct PairContext {
   std::string engine_a, engine_b;
-  size_t budget_a = 0, budget_b = 0;
   std::string realization_a = "full";  ///< "full" | "incremental"
   std::string realization_b = "full";
 

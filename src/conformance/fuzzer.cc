@@ -88,20 +88,15 @@ const T& Pick(Rng* rng, const std::vector<T>& from) {
 }  // namespace
 
 std::string MatrixCell::Label() const {
-  std::string label = StrFormat("%s/b%zu", engine.c_str(), memory_budget);
+  std::string label = engine;
   if (realization == Realization::kIncremental) label += "/inc";
   return label;
 }
 
 std::vector<MatrixCell> DefaultMatrix(bool include_eai) {
-  std::vector<std::string> engines = {"federated", "dataflow"};
-  if (include_eai) engines.push_back("eai");
-  std::vector<MatrixCell> matrix;
-  for (const std::string& engine : engines) {
-    for (size_t budget : {size_t{0}, kSmallBudget}) {
-      matrix.push_back(MatrixCell{engine, budget});
-    }
-  }
+  std::vector<MatrixCell> matrix = {MatrixCell{"federated"},
+                                    MatrixCell{"dataflow"}};
+  if (include_eai) matrix.push_back(MatrixCell{"eai"});
   return matrix;
 }
 
@@ -134,9 +129,7 @@ std::string RenderManifestJson(const scenario::ScenarioManifest& manifest) {
   out += "    \"instance_timeout_tu\": " +
          FmtDouble(c.instance_timeout_tu) + ",\n";
   out += std::string("    \"retry_dead_letter\": ") +
-         (c.retry_dead_letter ? "true" : "false") + ",\n";
-  out += "    \"memory_budget\": " +
-         std::to_string(c.operator_memory_budget) + "\n";
+         (c.retry_dead_letter ? "true" : "false") + "\n";
   out += "  }";
 
   if (!c.traffic.empty()) {
@@ -230,7 +223,7 @@ Result<FuzzCase> GenerateCase(uint64_t master_seed, size_t index) {
   ScaleConfig& c = manifest.config;
 
   // Scale factors. Small datasizes keep the matrix affordable; the
-  // occasional 0.05 exercises real spill volume under kSmallBudget.
+  // occasional 0.05 exercises larger operator inputs.
   static const std::vector<double> kDatasizes = {0.005, 0.008, 0.01, 0.015,
                                                  0.02};
   c.datasize = rng.NextBool(0.1) ? 0.05 : Pick(&rng, kDatasizes);
@@ -352,8 +345,6 @@ PairContext MakePairContext(const MatrixCell& a, const MatrixCell& b) {
   PairContext ctx;
   ctx.engine_a = a.engine;
   ctx.engine_b = b.engine;
-  ctx.budget_a = a.memory_budget;
-  ctx.budget_b = b.memory_budget;
   ctx.realization_a = RealizationName(a.realization);
   ctx.realization_b = RealizationName(b.realization);
   return ctx;
@@ -399,7 +390,6 @@ CaseResult RunCase(const FuzzCase& fuzz_case, const FuzzOptions& opt) {
     harness::RunSpec spec;
     spec.config = fuzz_case.manifest.config;
     if (opt.periods_override > 0) spec.config.periods = opt.periods_override;
-    spec.config.operator_memory_budget = cell.memory_budget;
     spec.config.realization = cell.realization;
     spec.engine = cell.engine;
     spec.digest_state = true;

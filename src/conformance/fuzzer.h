@@ -15,31 +15,24 @@
 namespace dipbench {
 namespace conformance {
 
-/// One point of the differential execution matrix: an engine realization
-/// plus the execution dial that the specification requires to be
-/// output-invariant (the operator memory budget). The fuzzer runs every
-/// generated scenario through every cell and diffs all digests pairwise.
+/// One point of the differential execution matrix: an engine realization.
+/// The fuzzer runs every generated scenario through every cell and diffs
+/// all digests pairwise.
 struct MatrixCell {
   std::string engine = "federated";
-  size_t memory_budget = 0;
   /// Process realization for the Group C/D maintenance bodies. Incremental
   /// cells must land in the same digests as full-recompute cells (state,
   /// rows, verification); only the IO-counter and monitor divergences
   /// documented in SPECIFICATION.md §16 are allowlisted.
   Realization realization = Realization::kFullRecompute;
 
-  /// "dataflow/b4096" (+"/inc" for incremental cells) — stable, label-
-  /// and log-friendly.
+  /// "dataflow" (+"/inc" for incremental cells) — stable, label- and
+  /// log-friendly.
   std::string Label() const;
 };
 
-/// The full matrix: {federated, dataflow} (+ eai on request) x
-/// budgets {0, kSmallBudget}.
+/// The full matrix: {federated, dataflow} (+ eai on request).
 std::vector<MatrixCell> DefaultMatrix(bool include_eai);
-
-/// The "small" operator memory budget of the default matrix: low enough
-/// that blocking operators actually spill at fuzz scale factors.
-inline constexpr size_t kSmallBudget = 4096;
 
 /// One generated scenario: its manifest both as the parsed structure and
 /// as the canonical JSON it round-trips through. The JSON is the source

@@ -132,8 +132,7 @@ std::string ReproToJson(const Repro& repro) {
   out += "  \"cells\": [\n";
   for (size_t i = 0; i < repro.cells.size(); ++i) {
     const MatrixCell& cell = repro.cells[i];
-    out += "    {\"engine\": " + QuoteJson(cell.engine) +
-           ", \"memory_budget\": " + std::to_string(cell.memory_budget);
+    out += "    {\"engine\": " + QuoteJson(cell.engine);
     // Rendered only for non-default realizations; a cell without the
     // key reads back as the full recompute.
     if (cell.realization != Realization::kFullRecompute) {
@@ -197,11 +196,9 @@ Result<Repro> ReproFromJsonText(std::string_view text,
   for (const json::Value& item : cells->items) {
     if (!item.is_object()) return err(item, "cell must be an object");
     for (const auto& [key, value] : item.members) {
-      if (key != "engine" && key != "memory_budget" &&
-          key != "realization") {
+      if (key != "engine" && key != "realization") {
         return err(value, "unknown cell key '" + key +
-                              "' (expected engine, memory_budget or "
-                              "realization)");
+                              "' (expected engine or realization)");
       }
     }
     MatrixCell cell;
@@ -210,12 +207,6 @@ Result<Repro> ReproFromJsonText(std::string_view text,
         return err(*engine, "'engine' must be a string");
       }
       cell.engine = engine->string_value;
-    }
-    if (const json::Value* budget = item.Find("memory_budget")) {
-      if (!budget->is_number() || budget->number_value < 0) {
-        return err(*budget, "'memory_budget' must be a number >= 0");
-      }
-      cell.memory_budget = static_cast<size_t>(budget->number_value);
     }
     if (const json::Value* realization = item.Find("realization")) {
       if (!realization->is_string()) {

@@ -12,12 +12,11 @@ namespace conformance {
 
 namespace {
 
-/// The shrinker's whole state: a manifest plus the two cells. Candidates
-/// are mutations of a copy of this.
+/// One reduction of the shrinker's state, the manifest; the two cells stay
+/// fixed, because the engine pair IS the divergence under investigation.
 struct Candidate {
   std::string what;  ///< human-readable reduction, for tracing
   scenario::ScenarioManifest manifest;
-  MatrixCell cell_a, cell_b;
 };
 
 struct Evaluation {
@@ -34,7 +33,6 @@ Evaluation EvaluatePair(const scenario::ScenarioManifest& manifest,
     harness::RunSpec spec;
     spec.config = manifest.config;
     if (opt.periods_override > 0) spec.config.periods = opt.periods_override;
-    spec.config.operator_memory_budget = cell->memory_budget;
     spec.engine = cell->engine;
     spec.digest_state = true;
     spec.label = "shrink " + cell->Label();
@@ -74,12 +72,11 @@ Evaluation EvaluatePair(const scenario::ScenarioManifest& manifest,
 /// Builds this round's candidate reductions from the current state, most
 /// aggressive first (greedy: big cuts tried before element-wise ones).
 std::vector<Candidate> BuildCandidates(
-    const scenario::ScenarioManifest& manifest, const MatrixCell& cell_a,
-    const MatrixCell& cell_b) {
+    const scenario::ScenarioManifest& manifest) {
   std::vector<Candidate> out;
   auto add = [&](const std::string& what,
                  const std::function<void(Candidate*)>& mutate) {
-    Candidate c{what, manifest, cell_a, cell_b};
+    Candidate c{what, manifest};
     mutate(&c);
     out.push_back(std::move(c));
   };
@@ -189,15 +186,6 @@ std::vector<Candidate> BuildCandidates(
     add("worker_slots=4",
         [](Candidate* c) { c->manifest.config.worker_slots = 4; });
   }
-
-  // Cell reductions — the execution dial only; the engine IS the
-  // divergence under investigation and stays fixed.
-  if (cell_a.memory_budget != 0 || cell_b.memory_budget != 0) {
-    add("cells budget=0", [](Candidate* c) {
-      c->cell_a.memory_budget = 0;
-      c->cell_b.memory_budget = 0;
-    });
-  }
   return out;
 }
 
@@ -232,8 +220,7 @@ Result<ShrinkResult> ShrinkCase(const FuzzCase& fuzz_case,
   bool kept_any = true;
   while (kept_any && result.steps_kept < kMaxKept) {
     kept_any = false;
-    std::vector<Candidate> candidates =
-        BuildCandidates(result.manifest, result.cell_a, result.cell_b);
+    std::vector<Candidate> candidates = BuildCandidates(result.manifest);
     for (Candidate& candidate : candidates) {
       ++result.steps_tried;
       std::string json = RenderManifestJson(candidate.manifest);
@@ -241,12 +228,10 @@ Result<ShrinkResult> ShrinkCase(const FuzzCase& fuzz_case,
           json, "<shrink candidate>");
       if (!reparsed.ok()) continue;  // invalid reduction, discard
       Evaluation eval =
-          EvaluatePair(*reparsed, candidate.cell_a, candidate.cell_b,
+          EvaluatePair(*reparsed, result.cell_a, result.cell_b,
                        fuzz_case.index, opt, &result.runs);
       if (!eval.violates) continue;
       result.manifest = std::move(*reparsed);
-      result.cell_a = candidate.cell_a;
-      result.cell_b = candidate.cell_b;
       result.diff = std::move(eval.diff);
       ++result.steps_kept;
       kept_any = true;

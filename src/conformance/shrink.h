@@ -11,12 +11,12 @@ namespace conformance {
 
 /// A failing case reduced toward a minimal reproducer: the smallest
 /// manifest (periods, datasize, traffic, faults, dirtiness, scalar knobs)
-/// and cheapest cell pair (memory budget) that still violates the
-/// conformance contract.
+/// that still makes the failing cell pair violate the conformance
+/// contract.
 struct ShrinkResult {
   scenario::ScenarioManifest manifest;
   std::string json;            ///< RenderManifestJson of the minimum
-  MatrixCell cell_a, cell_b;   ///< the reduced failing pair
+  MatrixCell cell_a, cell_b;   ///< the failing pair
   DigestDiff diff;             ///< the minimum's violation
   size_t steps_tried = 0;      ///< candidate reductions evaluated
   size_t steps_kept = 0;       ///< reductions that preserved the failure
@@ -28,8 +28,8 @@ struct ShrinkResult {
 /// reader (invalid candidates are discarded, not run), then the two cells
 /// are re-executed and the digests re-diffed; a reduction is kept only
 /// when a violation survives. Passes repeat to a fixpoint (bounded
-/// rounds). The engine of the two cells is never touched — it is the
-/// divergence dimension, not the noise being removed.
+/// rounds). The two cells are never touched — they are the divergence
+/// dimension, not the noise being removed.
 ///
 /// opt supplies jobs, periods_override and the inject hook (an injected
 /// divergence must keep being injected while shrinking, or nothing

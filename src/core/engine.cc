@@ -228,11 +228,6 @@ Status DataflowEngine::ExecuteInstance(const ProcessDefinition& def,
   return ExecuteBody(def.body, ctx);
 }
 
-Status EaiEngine::ExecuteInstance(const ProcessDefinition& def,
-                                  ProcessContext* ctx) {
-  return ExecuteBody(def.body, ctx);
-}
-
 FederatedEngine::FederatedEngine(net::Network* network, CostWeights weights,
                                  int worker_slots)
     : EngineBase("federated", network, weights, worker_slots) {}

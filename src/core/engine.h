@@ -6,6 +6,7 @@
 #include <queue>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -203,28 +204,18 @@ class EngineBase : public IntegrationSystem {
 };
 
 /// A native dataflow integration engine: interprets the MTM graph directly.
+/// Named "eai" with EaiWeights() (harness::MakeEngine), it is the
+/// EAI-server / message-broker realization (the paper's future work lists
+/// EAI servers and ETL tools as further reference implementations): the
+/// same interpreter with a native XML pipeline (cheap XML, lightweight
+/// dispatch) and weak set-oriented processing (expensive relational bulk
+/// work).
 class DataflowEngine : public EngineBase {
  public:
   explicit DataflowEngine(net::Network* network,
                           CostWeights weights = DataflowWeights(),
-                          int worker_slots = 4)
-      : EngineBase("dataflow", network, weights, worker_slots) {}
-
- protected:
-  Status ExecuteInstance(const ProcessDefinition& def,
-                         ProcessContext* ctx) override;
-};
-
-/// An EAI-server / message-broker realization (the paper's future work
-/// lists EAI servers and ETL tools as further reference implementations):
-/// interprets the MTM graph like the dataflow engine but with a native XML
-/// pipeline (cheap XML, lightweight dispatch) and weak set-oriented
-/// processing (expensive relational bulk work).
-class EaiEngine : public EngineBase {
- public:
-  explicit EaiEngine(net::Network* network, CostWeights weights = EaiWeights(),
-                     int worker_slots = 8)
-      : EngineBase("eai", network, weights, worker_slots) {}
+                          int worker_slots = 4, std::string name = "dataflow")
+      : EngineBase(std::move(name), network, weights, worker_slots) {}
 
  protected:
   Status ExecuteInstance(const ProcessDefinition& def,

@@ -7,7 +7,6 @@
 #include "src/ivm/ivm.h"
 #include "src/net/fault.h"
 #include "src/dipbench/schedule.h"
-#include "src/storage/spill.h"
 
 namespace dipbench {
 
@@ -209,12 +208,6 @@ Result<BenchmarkResult> Client::Run() {
   retry.instance_timeout_ms = config_.TuToMs(config_.instance_timeout_tu);
   retry.dead_letter = config_.retry_dead_letter;
   engine_->SetRetryPolicy(retry);
-
-  // Operator memory budget for blocking plan operators, in effect for the
-  // whole run (the run executes on this thread). Spill
-  // telemetry lands in the run's metrics registry, never the cost ledger.
-  ScopedMemoryBudget budget(config_.operator_memory_budget);
-  ScopedSpillObserver spill_obs(obs_);
 
   // --- work phase ---
   for (int k = 0; k < config_.periods; ++k) {

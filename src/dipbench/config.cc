@@ -120,10 +120,6 @@ std::string ScaleConfig::ToString() const {
                      retry_max_attempts, retry_backoff_tu,
                      retry_dead_letter ? "on" : "off");
   }
-  if (operator_memory_budget > 0) {
-    out += StrFormat(", memory_budget=%llu",
-                     static_cast<unsigned long long>(operator_memory_budget));
-  }
   // The realization renders only when it deviates from the legacy default,
   // keeping every pre-existing config string byte-identical.
   if (realization != Realization::kFullRecompute) {

@@ -103,6 +103,11 @@ struct ErrorPhaseSpec {
 /// sweep field and run_dipbench reject larger values.
 inline constexpr int kMaxWorkerSlots = 1024;
 
+/// Upper bound of ScaleConfig::retry_max_attempts. Every attempt of a
+/// failing instance costs a full re-execution, so the manifest key and
+/// --retry-attempts reject larger values (the largest bench sweep uses 16).
+inline constexpr int kMaxRetryAttempts = 64;
+
 /// The three scale factors of the benchmark (paper Section V) plus run
 /// parameters of the toolsuite.
 struct ScaleConfig {
@@ -158,14 +163,6 @@ struct ScaleConfig {
   /// Exhausted instances land in a dead-letter record (failed, costs
   /// charged) instead of aborting the period.
   bool retry_dead_letter = false;
-
-  /// Byte budget for blocking plan operators (sort, hash aggregate,
-  /// union-distinct, hash-join build) inside every process executed by this
-  /// run. 0 = unlimited: operators materialize in memory as before. A
-  /// non-zero budget makes them spill partitioned runs to disk and merge
-  /// out of core (src/storage/spill.h). Pure execution dial: rows, Monitor
-  /// CSVs, and cost counters are byte-identical for ANY value.
-  size_t operator_memory_budget = 0;
 
   /// Process realization of the Group C/D maintenance processes. The
   /// default keeps the legacy full-recompute bodies; kIncremental switches

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/common/string_util.h"
-#include "src/storage/spill.h"
 
 namespace dipbench {
 namespace harness {
@@ -32,8 +31,8 @@ Result<std::unique_ptr<core::EngineBase>> MakeEngine(const std::string& name,
         network, core::DataflowWeights(), worker_slots));
   }
   if (name == "eai") {
-    return std::unique_ptr<core::EngineBase>(
-        new core::EaiEngine(network, core::EaiWeights(), worker_slots));
+    return std::unique_ptr<core::EngineBase>(new core::DataflowEngine(
+        network, core::EaiWeights(), worker_slots, "eai"));
   }
   return Status::InvalidArgument("unknown engine realization '" + name +
                                  "' (federated | dataflow | eai)");
@@ -121,12 +120,7 @@ std::vector<RunOutcome> RunnerPool::RunTasks(
     std::vector<std::function<RunOutcome()>> tasks) {
   std::vector<RunOutcome> outcomes(tasks.size());
 
-  // Every job runs under the operator memory budget active on the
-  // submitting thread — it is thread-local (src/storage/spill.h), so fresh
-  // pool threads would otherwise silently fall back to the default.
-  const size_t budget = CurrentMemoryBudget();
   auto run_task = [&](size_t i) {
-    ScopedMemoryBudget scoped_budget(budget);
     try {
       outcomes[i] = tasks[i]();
     } catch (const std::exception& e) {

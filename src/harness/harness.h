@@ -75,12 +75,10 @@ Result<std::unique_ptr<core::EngineBase>> MakeEngine(const std::string& name,
 /// endpoints), engine, Client, Initializer and, when requested, trace
 /// recorder and metrics registry. The only process-level state a run
 /// touches is (a) the Logger, which is thread-safe at line granularity,
-/// (b) the thread-local operator memory budget, which the pool re-applies
-/// from the submitting thread onto every job thread, and (c) FileStore's
-/// unique-directory counter, which exists precisely to keep concurrent
-/// runs apart on disk. All randomness is seeded from the RunSpec's config, so
-/// a run's bytes depend only on its spec — never on co-scheduled runs,
-/// thread identity, or jobs count.
+/// and (b) FileStore's unique-directory counter, which exists precisely to
+/// keep concurrent runs apart on disk. All randomness is seeded from the
+/// RunSpec's config, so a run's bytes depend only on its spec — never on
+/// co-scheduled runs, thread identity, or jobs count.
 ///
 /// With jobs == 1 the pool spawns no threads at all and executes the
 /// specs sequentially on the calling thread — exactly the legacy serial

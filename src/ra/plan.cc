@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "src/common/string_util.h"
-#include "src/storage/spill.h"
 
 namespace dipbench {
 
@@ -364,15 +363,6 @@ class ProjectCursor : public BatchCursor {
   std::vector<bool> bare_;      // uncast column reference: copied in place
 };
 
-/// The probe row followed by the build row, allocated at its final width.
-Row JoinRows(const Row& lrow, const Row& rrow) {
-  Row joined;
-  joined.reserve(lrow.size() + rrow.size());
-  joined.insert(joined.end(), lrow.begin(), lrow.end());
-  joined.insert(joined.end(), rrow.begin(), rrow.end());
-  return joined;
-}
-
 /// The joined schema: probe columns, then build columns, a build column
 /// whose name is taken getting "r_" prefixes until it is free.
 Schema JoinedSchema(const Schema& left, const Schema& right) {
@@ -396,7 +386,7 @@ size_t HashTupleKey(const Row* const* tuple, const std::vector<CellRef>& keys) {
   return h;
 }
 
-/// Build side of the in-memory hash joins: one key hash per build row,
+/// Build side of the hash join: one key hash per build row,
 /// chained through flat arrays rather than one multimap node per row.
 /// Chains run from the newest row to the oldest, so one probe's matches
 /// come out in descending build-row order, which first-wins inserts
@@ -654,13 +644,11 @@ class LimitCursor : public BatchCursor {
   bool child_closed_ = false;
 };
 
-/// --- Shared grouped-aggregation core ------------------------------------
+/// --- Grouped aggregation ------------------------------------------------
 ///
-/// Both aggregation cursors (in-memory and spilling) funnel through these
-/// helpers so group semantics, double-summation order, and output shape
-/// can never drift apart between budgets.
-/// They read a group's input cells through the input's tuple layout; plain
-/// rows are one-row tuples.
+/// The helpers below fix group semantics, double-summation order and
+/// output shape. They read a group's input cells through the input's tuple
+/// layout; plain rows are one-row tuples.
 
 /// The running state of one aggregate in one group; each function reads
 /// and updates only its own fields.
@@ -768,7 +756,7 @@ Status AccumulateAggValues(const Row* const* tuple,
   return Status::OK();
 }
 
-/// The group table both aggregation cursors share.
+/// The aggregation cursor's group table.
 ///
 /// Group identity is the serialized key: the group cells rendered and
 /// joined like RowToString, so Int(5) and Double(5.0) are one group,
@@ -815,13 +803,13 @@ class AggGroupTable {
     return &it->second;
   }
 
-  /// Calls fn(serialized key, group) for every group in serialized-key
-  /// order, stopping at the first error fn returns. fn may consume the
-  /// group; the table is spent afterwards.
+  /// Calls fn(group) for every group in serialized-key order, stopping at
+  /// the first error fn returns. fn may consume the group; the table is
+  /// spent afterwards.
   template <typename Fn>
   Status ForEachOrdered(const Fn& fn) {
     if (!int_keyed_) {
-      for (auto& [key, st] : by_key_) DIP_RETURN_NOT_OK(fn(key, st));
+      for (auto& [key, st] : by_key_) DIP_RETURN_NOT_OK(fn(st));
       return Status::OK();
     }
     std::vector<std::pair<std::string, AggGroupState*>> ordered;
@@ -831,7 +819,7 @@ class AggGroupTable {
     }
     std::sort(ordered.begin(), ordered.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto& [key, st] : ordered) DIP_RETURN_NOT_OK(fn(key, *st));
+    for (auto& [key, st] : ordered) DIP_RETURN_NOT_OK(fn(*st));
     return Status::OK();
   }
 
@@ -960,18 +948,6 @@ Result<Row> FinalizeAggGroup(AggGroupState* st,
   return row;
 }
 
-/// Appends every group's output row to *out, in serialized-key order.
-Status FinalizeGroups(AggGroupTable* groups,
-                      const std::vector<AggregateItem>& aggs,
-                      std::vector<Row>* out) {
-  return groups->ForEachOrdered(
-      [&](const std::string&, AggGroupState& st) -> Status {
-        DIP_ASSIGN_OR_RETURN(Row row, FinalizeAggGroup(&st, aggs));
-        out->push_back(std::move(row));
-        return Status::OK();
-      });
-}
-
 Schema AggOutputSchema(const Schema& in_schema,
                        const std::vector<std::string>& group_by,
                        const std::vector<size_t>& group_idx,
@@ -990,66 +966,10 @@ Schema AggOutputSchema(const Schema& in_schema,
   return out;
 }
 
-/// --- Spill helpers -------------------------------------------------------
-
-/// Approximate in-memory footprint of a buffered row (payload + per-value
-/// and per-row bookkeeping overhead) for budget accounting.
-size_t ApproxRowBytes(const Row& row) {
-  size_t total = 24;
-  for (const Value& v : row) total += v.ByteSize() + 16;
-  return total;
-}
-
-/// Number of disk partitions for hash-partitioned spilling (single level).
-constexpr size_t kSpillPartitions = 16;
-
-/// FNV-1a over a serialized key: partitions grouped-aggregation input so
-/// that rows with equal serialized keys always share a partition.
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string RunName(const char* prefix, size_t i) {
-  return std::string(prefix) + std::to_string(i);
-}
-
-/// Heap entry for sequence-ordered run merges (spilled union / join): pop
-/// ascending sequence. Sequences are globally unique, so ties can't occur.
-struct SeqEntry {
-  uint64_t seq = 0;
-  Row row;
-  size_t run = 0;
-};
-struct SeqHeapCmp {
-  bool operator()(const SeqEntry& a, const SeqEntry& b) const {
-    return a.seq > b.seq;  // smallest sequence pops first
-  }
-};
-
-/// Heap entry for key-ordered run merges (spilled aggregation): pop
-/// ascending serialized key (keys are disjoint across partitions).
-struct KeyEntry {
-  std::string key;
-  Row row;
-  size_t run = 0;
-};
-struct KeyHeapCmp {
-  bool operator()(const KeyEntry& a, const KeyEntry& b) const {
-    int c = a.key.compare(b.key);
-    if (c != 0) return c > 0;  // smallest key pops first
-    return a.run > b.run;
-  }
-};
-
-/// Grouped aggregation under an unlimited budget. It streams its input:
-/// each batch is folded into the shared group table as it arrives, the
-/// child's tuples read in place through its layout, and the groups are
-/// emitted after end of stream, in serialized-key order.
+/// Grouped aggregation. It streams its input: each batch is folded into
+/// the group table as it arrives, the child's tuples read in place through
+/// its layout, and the groups are emitted after end of stream, in
+/// serialized-key order.
 class AggregateCursor : public BatchCursor {
  public:
   AggregateCursor(CursorPtr child, const std::vector<std::string>* group_by,
@@ -1068,7 +988,11 @@ class AggregateCursor : public BatchCursor {
         AggOutputSchema(child_->schema(), *group_by_, group_idx_, *aggs_);
     CloseChild();
     pos_ = 0;
-    return FinalizeGroups(&groups, *aggs_, &out_rows_);
+    return groups.ForEachOrdered([&](AggGroupState& st) -> Status {
+      DIP_ASSIGN_OR_RETURN(Row row, FinalizeAggGroup(&st, *aggs_));
+      out_rows_.push_back(std::move(row));
+      return Status::OK();
+    });
   }
   Status Next(Batch* batch) override {
     batch->clear();
@@ -1113,132 +1037,53 @@ class AggregateCursor : public BatchCursor {
   bool child_closed_ = false;
 };
 
-/// --- Spill cursors -------------------------------------------------------
-///
-/// Sort and union-distinct always run these cursors; hash join and
-/// aggregation switch to theirs when the thread's memory budget is
-/// non-zero. Every cursor buffers input up to the budget (without one it
-/// never flushes); if end of stream arrives under budget it runs the exact
-/// in-memory row algorithm, otherwise it partitions runs to disk and
-/// merges/re-probes out of core. Rows, order, and cost counters are
-/// identical either way — disk re-reads are never re-charged.
-
-/// Stable sort of the whole input; over budget, an external merge sort.
-/// Runs hold consecutive input chunks, each sorted stably; the k-way merge
-/// breaks key ties by run index, which together reproduce one global
-/// stable_sort bit for bit.
-class SpillSortCursor : public BatchCursor {
+/// Stable sort of the whole input: drained at Open, emitted in key order.
+class SortCursor : public BatchCursor {
  public:
-  SpillSortCursor(CursorPtr child, const std::vector<SortKey>* keys,
-                  ExecContext* ctx)
+  SortCursor(CursorPtr child, const std::vector<SortKey>* keys,
+             ExecContext* ctx)
       : child_(std::move(child)), keys_(keys), ctx_(ctx) {}
 
   Status Open() override {
     DIP_RETURN_NOT_OK(child_->Open());
+    std::vector<size_t> idx;
+    std::vector<bool> asc;
     for (const auto& k : *keys_) {
       DIP_ASSIGN_OR_RETURN(size_t i,
                            child_->schema().RequireIndexOf(k.column));
-      idx_.push_back(i);
-      asc_.push_back(k.ascending);
+      idx.push_back(i);
+      asc.push_back(k.ascending);
     }
-    const size_t budget = CurrentMemoryBudget();
     Batch in;
-    size_t bytes = 0;
     for (;;) {
       DIP_RETURN_NOT_OK(child_->Next(&in));
       if (in.empty()) break;
       ctx_->rows_processed += in.size();
-      const size_t first = buffer_.size();
-      DIP_RETURN_NOT_OK(AppendRows(&in, child_->layout(), &buffer_));
-      if (budget == 0) continue;
-      for (size_t i = first; i < buffer_.size(); ++i) {
-        bytes += ApproxRowBytes(buffer_[i]);
-      }
-      if (bytes > budget) {
-        DIP_RETURN_NOT_OK(FlushRun());
-        bytes = 0;
-      }
+      DIP_RETURN_NOT_OK(AppendRows(&in, child_->layout(), &rows_));
     }
     schema_ = child_->schema();
     CloseChild();
     ctx_->operator_invocations++;
-    if (runs_ == 0) {
-      SortBuffer();
-      pos_ = 0;
-      return Status::OK();
-    }
-    if (!buffer_.empty()) DIP_RETURN_NOT_OK(FlushRun());
-    CountSpillMerge();
-    for (size_t r = 0; r < runs_; ++r) {
-      readers_.push_back(
-          std::make_unique<SpillRunReader>(dir_, RunName("sort_", r)));
-      Row row;
-      if (readers_.back()->Next(&row)) heap_.push_back({std::move(row), r});
-    }
-    std::make_heap(heap_.begin(), heap_.end(), HeapCmp{this});
+    std::stable_sort(rows_.begin(), rows_.end(),
+                     [&](const Row& a, const Row& b) {
+                       for (size_t k = 0; k < idx.size(); ++k) {
+                         int c = a[idx[k]].Compare(b[idx[k]]);
+                         if (c != 0) return asc[k] ? c < 0 : c > 0;
+                       }
+                       return false;
+                     });
+    pos_ = 0;
     return Status::OK();
   }
   Status Next(Batch* batch) override {
     batch->clear();
-    if (runs_ == 0) {
-      EmitOwned(&buffer_, &pos_, batch);
-      return Status::OK();
-    }
-    HeapCmp cmp{this};
-    while (batch->rows.size() < kBatchCapacity && !heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), cmp);
-      Entry e = std::move(heap_.back());
-      heap_.pop_back();
-      batch->rows.push_back(std::move(e.row));
-      Row next;
-      if (readers_[e.run]->Next(&next)) {
-        heap_.push_back({std::move(next), e.run});
-        std::push_heap(heap_.begin(), heap_.end(), cmp);
-      }
-    }
+    EmitOwned(&rows_, &pos_, batch);
     return Status::OK();
   }
   void Close() override { CloseChild(); }
   const Schema& schema() const override { return schema_; }
 
  private:
-  struct Entry {
-    Row row;
-    size_t run;
-  };
-  struct HeapCmp {
-    const SpillSortCursor* c;
-    // std::*_heap builds a max-heap; report "a after b" so the smallest
-    // (key, run) pair pops first.
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (c->RowLess(b.row, a.row)) return true;
-      if (c->RowLess(a.row, b.row)) return false;
-      return b.run < a.run;  // tie: earlier run first (stability)
-    }
-  };
-
-  bool RowLess(const Row& a, const Row& b) const {
-    for (size_t k = 0; k < idx_.size(); ++k) {
-      int c = a[idx_[k]].Compare(b[idx_[k]]);
-      if (c != 0) return asc_[k] ? c < 0 : c > 0;
-    }
-    return false;
-  }
-  void SortBuffer() {
-    std::stable_sort(
-        buffer_.begin(), buffer_.end(),
-        [this](const Row& a, const Row& b) { return RowLess(a, b); });
-  }
-  Status FlushRun() {
-    if (dir_ == nullptr) dir_ = std::make_shared<SpillDir>();
-    SortBuffer();
-    SpillRunWriter w(dir_, RunName("sort_", runs_));
-    for (const Row& r : buffer_) w.Add(r);
-    DIP_RETURN_NOT_OK(w.Finish());
-    runs_++;
-    buffer_.clear();
-    return Status::OK();
-  }
   void CloseChild() {
     if (child_closed_) return;
     child_closed_ = true;
@@ -1248,194 +1093,26 @@ class SpillSortCursor : public BatchCursor {
   CursorPtr child_;
   const std::vector<SortKey>* keys_;
   ExecContext* ctx_;
-  std::vector<size_t> idx_;
-  std::vector<bool> asc_;
-  std::vector<Row> buffer_;
+  std::vector<Row> rows_;
   size_t pos_ = 0;
-  std::shared_ptr<SpillDir> dir_;
-  size_t runs_ = 0;
-  std::vector<std::unique_ptr<SpillRunReader>> readers_;
-  std::vector<Entry> heap_;
   Schema schema_;
   bool child_closed_ = false;
 };
 
-/// Grouped aggregation under a memory budget. Over-budget input rows are
-/// hash-partitioned RAW (by serialized group key) so each group lands
-/// wholly in one partition with its rows in arrival order — per-group
-/// double summation stays bit-identical to the in-memory path. Each
-/// partition is aggregated independently, its groups written as a
-/// key-sorted run, and the runs k-way merged by key, reproducing the
-/// in-memory std::map's global serialized-key order.
-class SpillAggregateCursor : public BatchCursor {
+/// UNION DISTINCT: the inputs are drained in order at Open, and the first
+/// occurrence of each key survives, in arrival order.
+class UnionDistinctCursor : public BatchCursor {
  public:
-  SpillAggregateCursor(CursorPtr child,
-                       const std::vector<std::string>* group_by,
-                       const std::vector<AggregateItem>* aggs,
-                       ExecContext* ctx)
-      : child_(std::move(child)), group_by_(group_by), aggs_(aggs), ctx_(ctx) {}
-
-  Status Open() override {
-    DIP_RETURN_NOT_OK(child_->Open());
-    DIP_RETURN_NOT_OK(ResolveAggIndexes(child_->schema(), *group_by_, *aggs_,
-                                        &group_idx_, &agg_idx_));
-    const size_t budget = CurrentMemoryBudget();
-    Batch in;
-    size_t bytes = 0;
-    for (;;) {
-      DIP_RETURN_NOT_OK(child_->Next(&in));
-      if (in.empty()) break;
-      ctx_->rows_processed += in.size();
-      rows_.clear();
-      DIP_RETURN_NOT_OK(AppendRows(&in, child_->layout(), &rows_));
-      for (Row& row : rows_) {
-        if (!spilled_) {
-          bytes += ApproxRowBytes(row);
-          buffer_.push_back(std::move(row));
-          if (budget > 0 && bytes > budget) StartSpill();
-        } else {
-          RouteRow(row);
-        }
-      }
-    }
-    out_schema_ = AggOutputSchema(child_->schema(), *group_by_, group_idx_,
-                                  *aggs_);
-    CloseChild();
-    ctx_->operator_invocations++;
-    const auto agg_cells = AggInputCells(kPlainLayout, agg_idx_);
-    if (!spilled_) {
-      AggGroupTable groups(group_idx_, kPlainLayout, aggs_->size());
-      for (const Row& row : buffer_) {
-        const Row* t = &row;
-        DIP_RETURN_NOT_OK(
-            AccumulateAggValues(&t, *aggs_, agg_cells, groups.Find(&t)));
-      }
-      buffer_.clear();
-      pos_ = 0;
-      return FinalizeGroups(&groups, *aggs_, &out_rows_);
-    }
-    for (auto& w : writers_) DIP_RETURN_NOT_OK(w->Finish());
-    CountSpillMerge();
-    for (size_t p = 0; p < kSpillPartitions; ++p) {
-      AggGroupTable groups(group_idx_, kPlainLayout, aggs_->size());
-      {
-        SpillRunReader reader(dir_, RunName("agg_in_", p));
-        Row row;
-        while (reader.Next(&row)) {
-          const Row* t = &row;
-          DIP_RETURN_NOT_OK(
-              AccumulateAggValues(&t, *aggs_, agg_cells, groups.Find(&t)));
-        }
-      }
-      SpillRunWriter w(dir_, RunName("agg_out_", p));
-      DIP_RETURN_NOT_OK(groups.ForEachOrdered(
-          [&](const std::string& key_str, AggGroupState& st) -> Status {
-            DIP_ASSIGN_OR_RETURN(Row row, FinalizeAggGroup(&st, *aggs_));
-            w.AddKeyed(0, key_str, row);
-            return Status::OK();
-          }));
-      DIP_RETURN_NOT_OK(w.Finish());
-    }
-    for (size_t p = 0; p < kSpillPartitions; ++p) {
-      readers_.push_back(
-          std::make_unique<SpillRunReader>(dir_, RunName("agg_out_", p)));
-      uint64_t tag;
-      std::string key;
-      Row row;
-      if (readers_.back()->Next(&tag, &key, &row)) {
-        heap_.push_back({std::move(key), std::move(row), p});
-      }
-    }
-    std::make_heap(heap_.begin(), heap_.end(), KeyHeapCmp{});
-    return Status::OK();
-  }
-  Status Next(Batch* batch) override {
-    batch->clear();
-    if (!spilled_) {
-      EmitOwned(&out_rows_, &pos_, batch);
-      return Status::OK();
-    }
-    KeyHeapCmp cmp;
-    while (batch->rows.size() < kBatchCapacity && !heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), cmp);
-      KeyEntry e = std::move(heap_.back());
-      heap_.pop_back();
-      batch->rows.push_back(std::move(e.row));
-      uint64_t tag;
-      std::string key;
-      Row row;
-      if (readers_[e.run]->Next(&tag, &key, &row)) {
-        heap_.push_back({std::move(key), std::move(row), e.run});
-        std::push_heap(heap_.begin(), heap_.end(), cmp);
-      }
-    }
-    return Status::OK();
-  }
-  void Close() override { CloseChild(); }
-  const Schema& schema() const override { return out_schema_; }
-
- private:
-  void StartSpill() {
-    spilled_ = true;
-    dir_ = std::make_shared<SpillDir>();
-    for (size_t p = 0; p < kSpillPartitions; ++p) {
-      writers_.push_back(
-          std::make_unique<SpillRunWriter>(dir_, RunName("agg_in_", p)));
-    }
-    for (const Row& row : buffer_) RouteRow(row);
-    buffer_.clear();
-  }
-  void RouteRow(const Row& row) {
-    key_buf_.clear();
-    AppendRowKeyString(row, group_idx_, &key_buf_);
-    writers_[Fnv1a(key_buf_) % kSpillPartitions]->Add(row);
-  }
-  void CloseChild() {
-    if (child_closed_) return;
-    child_closed_ = true;
-    child_->Close();
-  }
-
-  CursorPtr child_;
-  const std::vector<std::string>* group_by_;
-  const std::vector<AggregateItem>* aggs_;
-  ExecContext* ctx_;
-  std::vector<size_t> group_idx_, agg_idx_;
-  bool spilled_ = false;
-  std::string key_buf_;
-  std::vector<Row> rows_;  // the current input batch
-  std::vector<Row> buffer_;
-  std::shared_ptr<SpillDir> dir_;
-  std::vector<std::unique_ptr<SpillRunWriter>> writers_;
-  std::vector<std::unique_ptr<SpillRunReader>> readers_;
-  std::vector<KeyEntry> heap_;
-  Schema out_schema_;
-  std::vector<Row> out_rows_;
-  size_t pos_ = 0;
-  bool child_closed_ = false;
-};
-
-/// UNION DISTINCT: first occurrences survive, in arrival order. Arriving
-/// rows are tagged with a global arrival sequence; over budget they
-/// hash-partition by key (the same HashRowKey the in-memory dedup uses, so
-/// Compare-equal rows always share a partition). Per partition, first
-/// occurrences survive (file order is ascending sequence) and survivor
-/// runs merge back by sequence — exactly the in-memory first-occurrence
-/// arrival order.
-class SpillUnionDistinctCursor : public BatchCursor {
- public:
-  SpillUnionDistinctCursor(std::vector<CursorPtr> children,
-                           const std::vector<std::string>* key_columns,
-                           ExecContext* ctx)
+  UnionDistinctCursor(std::vector<CursorPtr> children,
+                      const std::vector<std::string>* key_columns,
+                      ExecContext* ctx)
       : children_(std::move(children)), key_columns_(key_columns), ctx_(ctx) {}
 
   Status Open() override {
     if (children_.empty()) {
       return Status::InvalidArgument("UNION of zero inputs");
     }
-    const size_t budget = CurrentMemoryBudget();
-    uint64_t seq = 0;
-    size_t bytes = 0;
+    std::unordered_multimap<size_t, size_t> seen;  // hash -> out row index
     for (size_t c = 0; c < children_.size(); ++c) {
       BatchCursor* child = children_[c].get();
       DIP_RETURN_NOT_OK(child->Open());
@@ -1461,14 +1138,9 @@ class SpillUnionDistinctCursor : public BatchCursor {
         rows_.clear();
         DIP_RETURN_NOT_OK(AppendRows(&in, child->layout(), &rows_));
         for (Row& row : rows_) {
-          if (!spilled_) {
-            if (budget > 0) bytes += ApproxRowBytes(row);
-            buffer_.push_back({seq, std::move(row), 0});
-            if (budget > 0 && bytes > budget) StartSpill();
-          } else {
-            RouteRow(seq, row);
-          }
-          ++seq;
+          if (IsDuplicate(row, seen)) continue;
+          seen.emplace(HashRowKey(row, key_idx_), out_rows_.size());
+          out_rows_.push_back(std::move(row));
         }
       }
       if (c == 0) {
@@ -1480,70 +1152,12 @@ class SpillUnionDistinctCursor : public BatchCursor {
       closed_upto_ = c + 1;
     }
     ctx_->operator_invocations++;
-    if (!spilled_) {
-      std::unordered_multimap<size_t, size_t> seen;  // hash -> out row index
-      for (auto& e : buffer_) {
-        if (!IsDuplicate(e.row, out_rows_, seen)) {
-          seen.emplace(HashRowKey(e.row, key_idx_), out_rows_.size());
-          out_rows_.push_back(std::move(e.row));
-        }
-      }
-      buffer_.clear();
-      pos_ = 0;
-      return Status::OK();
-    }
-    for (auto& w : writers_) DIP_RETURN_NOT_OK(w->Finish());
-    CountSpillMerge();
-    for (size_t p = 0; p < kSpillPartitions; ++p) {
-      SpillRunReader reader(dir_, RunName("union_in_", p));
-      SpillRunWriter keep(dir_, RunName("union_out_", p));
-      std::unordered_multimap<size_t, size_t> seen;
-      std::vector<Row> kept;
-      uint64_t tag;
-      std::string key;
-      Row row;
-      while (reader.Next(&tag, &key, &row)) {
-        if (!IsDuplicate(row, kept, seen)) {
-          keep.AddTagged(tag, row);
-          seen.emplace(HashRowKey(row, key_idx_), kept.size());
-          kept.push_back(std::move(row));
-        }
-      }
-      DIP_RETURN_NOT_OK(keep.Finish());
-    }
-    for (size_t p = 0; p < kSpillPartitions; ++p) {
-      readers_.push_back(
-          std::make_unique<SpillRunReader>(dir_, RunName("union_out_", p)));
-      uint64_t tag;
-      std::string key;
-      Row row;
-      if (readers_.back()->Next(&tag, &key, &row)) {
-        heap_.push_back({tag, std::move(row), p});
-      }
-    }
-    std::make_heap(heap_.begin(), heap_.end(), SeqHeapCmp{});
+    pos_ = 0;
     return Status::OK();
   }
   Status Next(Batch* batch) override {
     batch->clear();
-    if (!spilled_) {
-      EmitOwned(&out_rows_, &pos_, batch);
-      return Status::OK();
-    }
-    SeqHeapCmp cmp;
-    while (batch->rows.size() < kBatchCapacity && !heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), cmp);
-      SeqEntry e = std::move(heap_.back());
-      heap_.pop_back();
-      batch->rows.push_back(std::move(e.row));
-      uint64_t tag;
-      std::string key;
-      Row row;
-      if (readers_[e.run]->Next(&tag, &key, &row)) {
-        heap_.push_back({tag, std::move(row), e.run});
-        std::push_heap(heap_.begin(), heap_.end(), cmp);
-      }
-    }
+    EmitOwned(&out_rows_, &pos_, batch);
     return Status::OK();
   }
   void Close() override {
@@ -1555,11 +1169,11 @@ class SpillUnionDistinctCursor : public BatchCursor {
   const Schema& schema() const override { return schema_; }
 
  private:
-  bool IsDuplicate(const Row& row, const std::vector<Row>& kept,
+  bool IsDuplicate(const Row& row,
                    const std::unordered_multimap<size_t, size_t>& seen) const {
     auto range = seen.equal_range(HashRowKey(row, key_idx_));
     for (auto it = range.first; it != range.second; ++it) {
-      const Row& prev = kept[it->second];
+      const Row& prev = out_rows_[it->second];
       bool equal = true;
       for (size_t k : key_idx_) {
         if (prev[k].Compare(row[k]) != 0) {
@@ -1571,259 +1185,16 @@ class SpillUnionDistinctCursor : public BatchCursor {
     }
     return false;
   }
-  void StartSpill() {
-    spilled_ = true;
-    dir_ = std::make_shared<SpillDir>();
-    for (size_t p = 0; p < kSpillPartitions; ++p) {
-      writers_.push_back(
-          std::make_unique<SpillRunWriter>(dir_, RunName("union_in_", p)));
-    }
-    for (const auto& e : buffer_) RouteRow(e.seq, e.row);
-    buffer_.clear();
-  }
-  void RouteRow(uint64_t seq, const Row& row) {
-    writers_[HashRowKey(row, key_idx_) % kSpillPartitions]->AddTagged(seq,
-                                                                      row);
-  }
 
   std::vector<CursorPtr> children_;
   const std::vector<std::string>* key_columns_;
   ExecContext* ctx_;
   std::vector<size_t> key_idx_;
-  bool spilled_ = false;
   std::vector<Row> rows_;  // the current input batch
-  std::vector<SeqEntry> buffer_;
-  std::shared_ptr<SpillDir> dir_;
-  std::vector<std::unique_ptr<SpillRunWriter>> writers_;
-  std::vector<std::unique_ptr<SpillRunReader>> readers_;
-  std::vector<SeqEntry> heap_;
   Schema schema_;
   std::vector<Row> out_rows_;
   size_t pos_ = 0;
   size_t closed_upto_ = 0;
-};
-
-/// Grace hash join under a memory budget. The build side buffers until the
-/// budget trips, then hash-partitions to disk; once spilled, probe rows are
-/// sequence-tagged and partitioned by the same key hash. Each partition
-/// rebuilds its JoinHashTable in arrival order — the match order of equal
-/// keys depends only on their relative insertion order, which partitioning
-/// preserves — and re-probes, so merging the joined runs back by probe
-/// sequence reproduces the in-memory output exactly. Under budget, the
-/// build rows are hashed the same way and the probe side streams.
-class GraceHashJoinCursor : public BatchCursor {
- public:
-  GraceHashJoinCursor(CursorPtr left, CursorPtr right,
-                      const std::vector<std::string>* lkeys,
-                      const std::vector<std::string>* rkeys, ExecContext* ctx)
-      : left_(std::move(left)),
-        right_(std::move(right)),
-        lkeys_(lkeys),
-        rkeys_(rkeys),
-        ctx_(ctx) {}
-
-  Status Open() override {
-    DIP_RETURN_NOT_OK(left_->Open());
-    DIP_RETURN_NOT_OK(right_->Open());
-    if (lkeys_->size() != rkeys_->size() || lkeys_->empty()) {
-      return Status::InvalidArgument("join key arity mismatch");
-    }
-    for (const auto& k : *lkeys_) {
-      DIP_ASSIGN_OR_RETURN(size_t i, left_->schema().RequireIndexOf(k));
-      lidx_.push_back(i);
-    }
-    for (const auto& k : *rkeys_) {
-      DIP_ASSIGN_OR_RETURN(size_t i, right_->schema().RequireIndexOf(k));
-      ridx_.push_back(i);
-    }
-    const size_t budget = CurrentMemoryBudget();
-    size_t bytes = 0;
-    Batch in;
-    for (;;) {
-      DIP_RETURN_NOT_OK(right_->Next(&in));
-      if (in.empty()) break;
-      ctx_->rows_processed += in.size();
-      rows_.clear();
-      DIP_RETURN_NOT_OK(AppendRows(&in, right_->layout(), &rows_));
-      for (Row& row : rows_) {
-        if (!spilled_) {
-          bytes += ApproxRowBytes(row);
-          build_rows_.push_back(std::move(row));
-          if (budget > 0 && bytes > budget) StartSpill();
-        } else {
-          build_writers_[HashRowKey(row, ridx_) % kSpillPartitions]->Add(row);
-        }
-      }
-    }
-    build_schema_ = right_->schema();
-    right_->Close();
-    right_closed_ = true;
-    ctx_->operator_invocations++;
-    if (!spilled_) {
-      BuildTable(build_rows_, &build_);
-      return Status::OK();
-    }
-    // Spilled: sequence-tag and partition the probe side too.
-    uint64_t seq = 0;
-    for (;;) {
-      DIP_RETURN_NOT_OK(left_->Next(&in));
-      if (in.empty()) break;
-      ctx_->rows_processed += in.size();
-      rows_.clear();
-      DIP_RETURN_NOT_OK(AppendRows(&in, left_->layout(), &rows_));
-      for (const Row& lrow : rows_) {
-        probe_writers_[HashRowKey(lrow, lidx_) % kSpillPartitions]->AddTagged(
-            seq, lrow);
-        ++seq;
-      }
-    }
-    left_schema_ = left_->schema();
-    left_->Close();
-    left_closed_ = true;
-    for (auto& w : build_writers_) DIP_RETURN_NOT_OK(w->Finish());
-    for (auto& w : probe_writers_) DIP_RETURN_NOT_OK(w->Finish());
-    CountSpillMerge();
-    for (size_t p = 0; p < kSpillPartitions; ++p) {
-      std::vector<Row> part_build;
-      {
-        SpillRunReader r(dir_, RunName("join_build_", p));
-        Row row;
-        while (r.Next(&row)) part_build.push_back(std::move(row));
-      }
-      JoinHashTable table;
-      BuildTable(part_build, &table);
-      SpillRunReader probe(dir_, RunName("join_probe_", p));
-      SpillRunWriter out(dir_, RunName("join_out_", p));
-      uint64_t tag;
-      std::string key;
-      Row lrow;
-      while (probe.Next(&tag, &key, &lrow)) {
-        ForEachMatch(table, part_build, lrow, [&](const Row& rrow) {
-          out.AddTagged(tag, JoinRows(lrow, rrow));
-        });
-      }
-      DIP_RETURN_NOT_OK(out.Finish());
-    }
-    for (size_t p = 0; p < kSpillPartitions; ++p) {
-      readers_.push_back(
-          std::make_unique<SpillRunReader>(dir_, RunName("join_out_", p)));
-      uint64_t tag;
-      std::string key;
-      Row row;
-      if (readers_.back()->Next(&tag, &key, &row)) {
-        heap_.push_back({tag, std::move(row), p});
-      }
-    }
-    std::make_heap(heap_.begin(), heap_.end(), SeqHeapCmp{});
-    return Status::OK();
-  }
-  Status Next(Batch* batch) override {
-    batch->clear();
-    if (!spilled_) {
-      for (;;) {
-        DIP_RETURN_NOT_OK(left_->Next(&in_));
-        if (in_.empty()) return Status::OK();
-        rows_.clear();
-        DIP_RETURN_NOT_OK(AppendRows(&in_, left_->layout(), &rows_));
-        for (const Row& lrow : rows_) {
-          ctx_->rows_processed++;
-          ForEachMatch(build_, build_rows_, lrow, [&](const Row& rrow) {
-            batch->rows.push_back(JoinRows(lrow, rrow));
-          });
-        }
-        if (!batch->rows.empty()) return Status::OK();
-      }
-    }
-    SeqHeapCmp cmp;
-    while (batch->rows.size() < kBatchCapacity && !heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), cmp);
-      SeqEntry e = std::move(heap_.back());
-      heap_.pop_back();
-      batch->rows.push_back(std::move(e.row));
-      uint64_t tag;
-      std::string key;
-      Row row;
-      if (readers_[e.run]->Next(&tag, &key, &row)) {
-        heap_.push_back({tag, std::move(row), e.run});
-        std::push_heap(heap_.begin(), heap_.end(), cmp);
-      }
-    }
-    return Status::OK();
-  }
-  void Close() override {
-    if (!left_closed_) {
-      left_closed_ = true;
-      left_->Close();
-    }
-    if (!right_closed_) {
-      right_closed_ = true;
-      right_->Close();
-    }
-  }
-  const Schema& schema() const override {
-    // Rebuilt on demand: the probe-side schema may still be provisional
-    // while an unspilled probe side streams.
-    schema_cache_ =
-        JoinedSchema(spilled_ ? left_schema_ : left_->schema(), build_schema_);
-    return schema_cache_;
-  }
-
- private:
-  void BuildTable(const std::vector<Row>& build, JoinHashTable* table) const {
-    std::vector<size_t> hashes(build.size());
-    for (size_t i = 0; i < build.size(); ++i) {
-      hashes[i] = HashRowKey(build[i], ridx_);
-    }
-    table->Build(std::move(hashes));
-  }
-  /// Calls emit(build row) for every build row joining `lrow`, in the
-  /// table's match order.
-  template <typename Emit>
-  void ForEachMatch(const JoinHashTable& table, const std::vector<Row>& build,
-                    const Row& lrow, const Emit& emit) const {
-    table.ForEach(HashRowKey(lrow, lidx_), [&](size_t i) {
-      const Row& rrow = build[i];
-      for (size_t k = 0; k < lidx_.size(); ++k) {
-        if (lrow[lidx_[k]].Compare(rrow[ridx_[k]]) != 0 ||
-            lrow[lidx_[k]].is_null()) {
-          return;
-        }
-      }
-      emit(rrow);
-    });
-  }
-  void StartSpill() {
-    spilled_ = true;
-    dir_ = std::make_shared<SpillDir>();
-    for (size_t p = 0; p < kSpillPartitions; ++p) {
-      build_writers_.push_back(std::make_unique<SpillRunWriter>(
-          dir_, RunName("join_build_", p)));
-      probe_writers_.push_back(std::make_unique<SpillRunWriter>(
-          dir_, RunName("join_probe_", p)));
-    }
-    for (const Row& row : build_rows_) {
-      build_writers_[HashRowKey(row, ridx_) % kSpillPartitions]->Add(row);
-    }
-    build_rows_.clear();
-  }
-
-  CursorPtr left_, right_;
-  const std::vector<std::string>* lkeys_;
-  const std::vector<std::string>* rkeys_;
-  ExecContext* ctx_;
-  std::vector<size_t> lidx_, ridx_;
-  bool spilled_ = false;
-  std::vector<Row> rows_;  // the current input batch
-  std::vector<Row> build_rows_;
-  JoinHashTable build_;
-  std::shared_ptr<SpillDir> dir_;
-  std::vector<std::unique_ptr<SpillRunWriter>> build_writers_, probe_writers_;
-  std::vector<std::unique_ptr<SpillRunReader>> readers_;
-  std::vector<SeqEntry> heap_;
-  Schema build_schema_, left_schema_;
-  Batch in_;
-  bool left_closed_ = false, right_closed_ = false;
-  mutable Schema schema_cache_;
 };
 
 class ScanTableNode : public PlanNode {
@@ -1939,11 +1310,6 @@ class HashJoinNode : public PlanNode {
         rkeys_(std::move(rkeys)) {}
 
   CursorPtr MakeCursor(ExecContext* ctx) const override {
-    if (CurrentMemoryBudget() > 0) {
-      return std::make_unique<GraceHashJoinCursor>(left_->MakeCursor(ctx),
-                                                   right_->MakeCursor(ctx),
-                                                   &lkeys_, &rkeys_, ctx);
-    }
     return std::make_unique<HashJoinCursor>(left_->MakeCursor(ctx),
                                             right_->MakeCursor(ctx), &lkeys_,
                                             &rkeys_, ctx);
@@ -1969,8 +1335,8 @@ class UnionDistinctNode : public PlanNode {
     std::vector<CursorPtr> kids;
     kids.reserve(children_.size());
     for (const auto& c : children_) kids.push_back(c->MakeCursor(ctx));
-    return std::make_unique<SpillUnionDistinctCursor>(std::move(kids),
-                                                      &key_columns_, ctx);
+    return std::make_unique<UnionDistinctCursor>(std::move(kids),
+                                                 &key_columns_, ctx);
   }
 
   std::string ToString() const override {
@@ -1992,10 +1358,6 @@ class AggregateNode : public PlanNode {
         aggs_(std::move(aggs)) {}
 
   CursorPtr MakeCursor(ExecContext* ctx) const override {
-    if (CurrentMemoryBudget() > 0) {
-      return std::make_unique<SpillAggregateCursor>(child_->MakeCursor(ctx),
-                                                    &group_by_, &aggs_, ctx);
-    }
     return std::make_unique<AggregateCursor>(child_->MakeCursor(ctx),
                                              &group_by_, &aggs_, ctx);
   }
@@ -2016,8 +1378,7 @@ class SortNode : public PlanNode {
   SortNode(PlanPtr child, std::vector<SortKey> keys)
       : child_(std::move(child)), keys_(std::move(keys)) {}
   CursorPtr MakeCursor(ExecContext* ctx) const override {
-    return std::make_unique<SpillSortCursor>(child_->MakeCursor(ctx), &keys_,
-                                             ctx);
+    return std::make_unique<SortCursor>(child_->MakeCursor(ctx), &keys_, ctx);
   }
   std::string ToString() const override {
     std::vector<std::string> parts;

@@ -187,7 +187,10 @@ class ManifestReader {
         DIP_ASSIGN_OR_RETURN(config->fault_spike_tu, NonNegative(value, key));
       } else if (key == "retry_max_attempts") {
         DIP_ASSIGN_OR_RETURN(int attempts, Int(value, key));
-        if (attempts < 1) return Err(value, "'retry_max_attempts' must be >= 1");
+        if (attempts < 1 || attempts > kMaxRetryAttempts) {
+          return Err(value, StrFormat("'retry_max_attempts' must be in "
+                                      "[1, %d]", kMaxRetryAttempts));
+        }
         config->retry_max_attempts = attempts;
       } else if (key == "retry_backoff_tu") {
         DIP_ASSIGN_OR_RETURN(config->retry_backoff_tu, NonNegative(value, key));
@@ -199,9 +202,6 @@ class ManifestReader {
                              NonNegative(value, key));
       } else if (key == "retry_dead_letter") {
         DIP_ASSIGN_OR_RETURN(config->retry_dead_letter, Bool(value, key));
-      } else if (key == "memory_budget") {
-        DIP_ASSIGN_OR_RETURN(uint64_t bytes, Uint64(value, key));
-        config->operator_memory_budget = static_cast<size_t>(bytes);
       } else if (key == "realization") {
         DIP_ASSIGN_OR_RETURN(std::string name, Str(value, key));
         Result<Realization> parsed = ParseRealization(name);
@@ -467,22 +467,10 @@ Status ApplySweepValue(const std::string& field, double value,
     config->seed = static_cast<uint64_t>(value);
     return Status::OK();
   }
-  if (field == "memory_budget") {
-    if (value != std::floor(value) || value < 0.0 ||
-        value > 9007199254740992.0) {
-      return Status::InvalidArgument(
-          StrFormat("sweep value %g for 'memory_budget' must be a "
-                    "non-negative integer", value));
-    }
-    // Sweeping the budget is a pure execution-dial sweep: every point is
-    // required (and tested) to produce byte-identical outputs.
-    config->operator_memory_budget = static_cast<size_t>(value);
-    return Status::OK();
-  }
   return Status::InvalidArgument(
       "unknown sweep field '" + field +
       "' (expected datasize, time_scale, periods, seed, worker_slots, "
-      "memory_budget, error_rate or fault_rate)");
+      "error_rate or fault_rate)");
 }
 
 Result<ScenarioManifest> ScenarioManifest::FromJsonText(

@@ -68,8 +68,8 @@ struct ScenarioManifest {
 
 /// Applies one sweep assignment onto a config. Shared by Expand() and the
 /// manifest validator so both agree on the set of sweepable fields:
-/// datasize, time_scale, periods, seed, worker_slots, memory_budget,
-/// error_rate, fault_rate.
+/// datasize, time_scale, periods, seed, worker_slots, error_rate,
+/// fault_rate.
 Status ApplySweepValue(const std::string& field, double value,
                        ScaleConfig* config);
 

@@ -72,11 +72,19 @@ class Parser {
     }
     return Status::OK();
   }
-  Status Err(const std::string& what) const {
+  Status Err(const std::string& what) const { return ErrAt(what, Peek()); }
+  Status ErrAt(const std::string& what, const Token& tok) const {
     return Status::ParseError(what + " near offset " +
-                              std::to_string(Peek().offset) +
-                              (Peek().raw.empty() ? "" : " ('" + Peek().raw +
-                                                             "')"));
+                              std::to_string(tok.offset) +
+                              (tok.raw.empty() ? "" : " ('" + tok.raw + "')"));
+  }
+
+  /// The literal token `tok` as a `type` value; a literal Value::Parse
+  /// rejects fails at the token's own offset, like any syntax error.
+  Result<Value> ParseLiteral(const Token& tok, DataType type) const {
+    Result<Value> v = Value::Parse(tok.text, type);
+    if (!v.ok()) return ErrAt(v.status().message(), tok);
+    return v;
   }
 
   /// Opens one expression level at the token just consumed (a
@@ -237,12 +245,10 @@ class Parser {
     const Token& tok = Peek();
     if (tok.Is(TokenType::kNumber)) {
       Advance();
-      if (tok.text.find('.') != std::string::npos) {
-        DIP_ASSIGN_OR_RETURN(Value v,
-                             Value::Parse(tok.text, DataType::kDouble));
-        return Lit(std::move(v));
-      }
-      DIP_ASSIGN_OR_RETURN(Value v, Value::Parse(tok.text, DataType::kInt64));
+      const DataType type = tok.text.find('.') != std::string::npos
+                                ? DataType::kDouble
+                                : DataType::kInt64;
+      DIP_ASSIGN_OR_RETURN(Value v, ParseLiteral(tok, type));
       return Lit(std::move(v));
     }
     if (tok.Is(TokenType::kString)) {
@@ -267,7 +273,7 @@ class Parser {
       const Token& lit = Peek();
       if (lit.Is(TokenType::kString) || lit.Is(TokenType::kNumber)) {
         Advance();
-        DIP_ASSIGN_OR_RETURN(Value v, Value::Parse(lit.text, DataType::kDate));
+        DIP_ASSIGN_OR_RETURN(Value v, ParseLiteral(lit, DataType::kDate));
         return Lit(std::move(v));
       }
       return Err("expected date literal");
@@ -398,8 +404,7 @@ class Parser {
     }
     if (Accept("LIMIT")) {
       if (!Peek().Is(TokenType::kNumber)) return Err("expected LIMIT count");
-      DIP_ASSIGN_OR_RETURN(Value n,
-                           Value::Parse(Advance().text, DataType::kInt64));
+      DIP_ASSIGN_OR_RETURN(Value n, ParseLiteral(Advance(), DataType::kInt64));
       if (n.AsInt() < 0) return Err("negative LIMIT");
       stmt.limit = static_cast<size_t>(n.AsInt());
     }

@@ -327,6 +327,21 @@ TEST(FlagSetTest, NumericGettersValidateTheWholeValue) {
   EXPECT_DOUBLE_EQ(*flags.GetDouble("rate", 0.0), 0.5);
 }
 
+TEST(FlagSetTest, GetDoubleRejectsNonFiniteValues) {
+  // strtod reads these fully; a run input that is NaN or infinite would
+  // pass every range check written as `x < lo || x > hi`.
+  for (const char* value : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    flags::FlagSet flags("prog");
+    flags.Define("rate", "q");
+    const std::string arg = std::string("--rate=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(flags.Parse(2, const_cast<char**>(argv)).ok());
+    Status st = flags.GetDouble("rate", 0.0).status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << value;
+    EXPECT_NE(st.message().find(arg), std::string::npos) << st;
+  }
+}
+
 TEST(PeriodsOverrideTest, UnsetMeansNoOverride) {
   Result<int> periods = flags::ParsePeriodsOverride(nullptr);
   ASSERT_TRUE(periods.ok());

@@ -225,8 +225,8 @@ TEST(ReproTest, JsonRoundTripPreservesCellsAndManifest) {
   repro.master_seed = 99;
   repro.case_index = 4;
   repro.manifest_json = RenderManifestJson(*manifest);
-  MatrixCell a{"federated", 0};
-  MatrixCell b{"dataflow", kSmallBudget};
+  MatrixCell a{"federated"};
+  MatrixCell b{"dataflow", Realization::kIncremental};
   repro.cells = {a, b};
 
   auto loaded = ReproFromJsonText(ReproToJson(repro), "<roundtrip>");
@@ -236,9 +236,9 @@ TEST(ReproTest, JsonRoundTripPreservesCellsAndManifest) {
   EXPECT_EQ(loaded->case_index, 4u);
   ASSERT_EQ(loaded->cells.size(), 2u);
   EXPECT_EQ(loaded->cells[0].engine, "federated");
-  EXPECT_EQ(loaded->cells[0].memory_budget, 0u);
+  EXPECT_EQ(loaded->cells[0].realization, Realization::kFullRecompute);
   EXPECT_EQ(loaded->cells[1].engine, "dataflow");
-  EXPECT_EQ(loaded->cells[1].memory_budget, kSmallBudget);
+  EXPECT_EQ(loaded->cells[1].realization, Realization::kIncremental);
   // The embedded manifest re-parses to the same canonical rendering.
   auto reparsed = scenario::ScenarioManifest::FromJsonText(
       loaded->manifest_json, "<test>");
@@ -250,8 +250,8 @@ TEST(ReproTest, RejectsNonReproJson) {
   EXPECT_FALSE(ReproFromJsonText("{}", "<t>").ok());
   EXPECT_FALSE(
       ReproFromJsonText(R"({"dipbench_repro": 2, "cells": []})", "<t>").ok());
-  // A cell accepts only engine, memory_budget and realization: a retired
-  // exec mode, whatever its value, the retired workers key, or a
+  // A cell accepts only engine and realization: a retired exec mode,
+  // whatever its value, the retired workers or memory_budget key, or a
   // misspelled key is an error that names its position, never a silently
   // different replay.
   auto manifest = scenario::ScenarioManifest::FromJsonText(
@@ -259,14 +259,14 @@ TEST(ReproTest, RejectsNonReproJson) {
   ASSERT_TRUE(manifest.ok());
   Repro repro;
   repro.manifest_json = RenderManifestJson(*manifest);
-  repro.cells = {MatrixCell{"dataflow", 0}};
+  repro.cells = {MatrixCell{"dataflow"}};
   const std::string json = ReproToJson(repro);
   ASSERT_TRUE(ReproFromJsonText(json, "<t>").ok());
-  const size_t budget = json.find("\"memory_budget\"");
-  ASSERT_NE(budget, std::string::npos);
+  const size_t engine = json.find("\"engine\"");
+  ASSERT_NE(engine, std::string::npos);
   for (const char* mode : {"materialize", "pipeline", "columnar"}) {
     std::string with_mode = json;
-    with_mode.insert(budget,
+    with_mode.insert(engine,
                      std::string("\"exec_mode\": \"") + mode + "\", ");
     Status st = ReproFromJsonText(with_mode, "<t>").status();
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << mode;
@@ -275,16 +275,20 @@ TEST(ReproTest, RejectsNonReproJson) {
         << st;
     EXPECT_NE(st.message().find("line "), std::string::npos) << st;
   }
-  std::string with_workers = json;
-  with_workers.insert(budget, "\"workers\": 1, ");
-  Status st = ReproFromJsonText(with_workers, "<t>").status();
-  EXPECT_NE(st.message().find("unknown cell key 'workers'"), std::string::npos)
-      << st;
+  for (const std::string retired : {"workers", "memory_budget"}) {
+    std::string with_key = json;
+    with_key.insert(engine, "\"" + retired + "\": 0, ");
+    Status st = ReproFromJsonText(with_key, "<t>").status();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << retired;
+    EXPECT_NE(st.message().find("unknown cell key '" + retired + "'"),
+              std::string::npos)
+        << st;
+    EXPECT_NE(st.message().find("line "), std::string::npos) << st;
+  }
   std::string misspelled = json;
-  misspelled.replace(budget, 15, "\"memory_budgt\"");
-  st = ReproFromJsonText(misspelled, "<t>").status();
-  EXPECT_NE(st.message().find("unknown cell key 'memory_budgt'"),
-            std::string::npos)
+  misspelled.replace(engine, 8, "\"engin\"");
+  Status st = ReproFromJsonText(misspelled, "<t>").status();
+  EXPECT_NE(st.message().find("unknown cell key 'engin'"), std::string::npos)
       << st;
 }
 
@@ -309,9 +313,7 @@ FuzzCase SmallCase() {
 TEST(ConformanceEndToEndTest, SmallMatrixIsConformant) {
   FuzzOptions opt;
   opt.jobs = 4;
-  opt.matrix = {MatrixCell{"federated", 0},
-                MatrixCell{"federated", kSmallBudget},
-                MatrixCell{"dataflow", kSmallBudget}};
+  opt.matrix = DefaultMatrix(/*include_eai=*/true);
   CaseResult result = RunCase(SmallCase(), opt);
   ASSERT_EQ(result.cells.size(), 3u);
   for (const CellRun& run : result.cells) {
@@ -320,20 +322,17 @@ TEST(ConformanceEndToEndTest, SmallMatrixIsConformant) {
   EXPECT_TRUE(result.conformant())
       << result.findings.front().diff.ToString();
   EXPECT_EQ(result.pairs, 3u);
-  // The federated/dataflow pairs differ only in the documented
-  // cost-model section of the Monitor CSV.
-  EXPECT_EQ(result.allowlisted_pairs, 2u);
+  // Every engine pair differs only in the documented cost-model section of
+  // the Monitor CSV.
+  EXPECT_EQ(result.allowlisted_pairs, 3u);
 }
 
 TEST(ConformanceEndToEndTest, InjectedDivergenceIsCaughtShrunkAndReplayed) {
-  MatrixCell clean_cell{"dataflow", 0};
-  MatrixCell poisoned_cell{"dataflow", kSmallBudget};
-
   FuzzOptions opt;
   opt.jobs = 2;
-  opt.matrix = {clean_cell, poisoned_cell};
+  opt.matrix = DefaultMatrix(/*include_eai=*/false);
   opt.inject = [](const MatrixCell& cell, Scenario* scenario) {
-    if (cell.memory_budget != kSmallBudget) return;
+    if (cell.engine != "dataflow") return;
     auto db = scenario->db("dwh_db");
     if (!db.ok()) return;
     auto orders = (*db)->GetTable("orders");

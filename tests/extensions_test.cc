@@ -215,7 +215,7 @@ TEST_F(ExtensionsTest, MulticastLoadsAllTargets) {
 }
 
 TEST_F(ExtensionsTest, EaiEngineRunsProcesses) {
-  core::EaiEngine engine(&net_);
+  core::DataflowEngine engine(&net_, core::EaiWeights(), 8, "eai");
   EXPECT_EQ(engine.name(), "eai");
   core::ProcessDefinition def;
   def.id = "COPY";
@@ -244,7 +244,7 @@ TEST_F(ExtensionsTest, EaiCheaperOnXmlCostlierOnRows) {
     return engine.records().back().costs.cp_ms;
   };
   core::DataflowEngine dataflow(&net_);
-  core::EaiEngine eai(&net_);
+  core::DataflowEngine eai(&net_, core::EaiWeights(), 8, "eai");
   double df_xml = run(dataflow, "X");
   double eai_xml = run(eai, "X");
   EXPECT_LT(eai_xml, df_xml);

@@ -1,19 +1,16 @@
 // Parity tests for the batch-pipelined plan executor (Open/Next/Close
-// cursor chains), at unlimited memory and at an operator memory budget
-// that forces blocking operators to spill partitioned runs to disk,
-// against the reference evaluator of tests/ra_oracle.h. The contract is
-// that they are observationally identical — same rows, same schemas, and
-// the same ExecContext / storage counters, because those counters feed
-// the cost model (ChargeRows -> Cc/Cm/Cp ledger -> Monitor CSV). The
-// tests here enforce that contract at three levels:
+// cursor chains) against the reference evaluator of tests/ra_oracle.h.
+// The contract is that they are observationally identical — same rows,
+// same schemas, and the same ExecContext / storage counters, because
+// those counters feed the cost model (ChargeRows -> Cc/Cm/Cp ledger ->
+// Monitor CSV). The tests here enforce that contract at two levels:
 //
 //   1. operator level: every plan operator, including batch-boundary row
 //      counts (0 / 1 / capacity-1 / capacity / capacity+1 / multi-batch);
 //   2. SQL engine level: a battery of statements against hand-written
-//      equivalent plans;
-//   3. benchmark level: full Client runs of the 15 process types emit a
-//      byte-identical Monitor CSV and identical NAVG+ per process at every
-//      memory budget.
+//      equivalent plans.
+//
+// golden_test pins the Monitor CSV of full benchmark runs.
 //
 // The one deliberate exception (SPECIFICATION.md §14.4): a LIMIT that is
 // reached stops pulling, so for such plans the pipeline may do LESS work
@@ -26,8 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "src/dipbench/client.h"
-#include "src/dipbench/monitor.h"
 #include "src/ra/expr.h"
 #include "src/sql/engine.h"
 #include "tests/ra_oracle_parity.h"
@@ -66,9 +61,9 @@ class PipelineParityTest : public ::testing::Test {
   }
 
   /// The core assertion: the pipeline returns the oracle's rows and
-  /// charges exactly the oracle's work, at both memory budgets. Counter
-  /// equality is what keeps the cost ledger (and therefore the Monitor's
-  /// NAVG+ output) pinned to the operator rules of SPECIFICATION.md §9.
+  /// charges exactly the oracle's work. Counter equality is what keeps the
+  /// cost ledger (and therefore the Monitor's NAVG+ output) pinned to the
+  /// operator rules of SPECIFICATION.md §9.
   void ExpectParity(const Plan& plan) { Expect(plan, Match::kExact); }
 
   /// For plans where a LIMIT cuts a streaming prefix: rows and schemas
@@ -261,7 +256,7 @@ TEST_F(NestedJoinParityTest, DuplicateBuildKeysMatchNewestFirst) {
                ScanTable(&city_), {"citykey"}, {"citykey"}),
       {{"city", Col("name"), DataType::kNull}});
   ExpectParity(plan);
-  PipelineRun run = RunPipeline(catalog_.Lower(plan), 0, catalog_);
+  PipelineRun run = RunPipeline(catalog_.Lower(plan), catalog_);
   ASSERT_TRUE(run.status.ok()) << run.status;
   ASSERT_EQ(run.result.rows.size(), 2u);
   EXPECT_EQ(run.result.rows[0][0].AsString(), "C3b");
@@ -321,8 +316,8 @@ TEST_F(PipelineParityTest, LimitShortCircuitBoundsUpstreamWork) {
     ASSERT_TRUE(big->Insert({Value::Int(static_cast<int64_t>(i))}).ok());
   }
   const size_t limit = 5;
-  PipelineRun run = RunPipeline(
-      dipbench::Limit(dipbench::ScanTable(big), limit), 0, catalog_);
+  PipelineRun run =
+      RunPipeline(dipbench::Limit(dipbench::ScanTable(big), limit), catalog_);
   ASSERT_TRUE(run.status.ok()) << run.status;
   EXPECT_EQ(run.result.rows.size(), limit);
   // One scan batch at most is pulled past the limit.
@@ -472,121 +467,6 @@ TEST_F(PipelineParityTest, SqlEngineBattery) {
       EXPECT_LE(work, expected->rows_processed);
     } else {
       EXPECT_EQ(work, expected->rows_processed);
-    }
-  }
-}
-
-// The top-level contract from the paper's point of view: a full benchmark
-// run — all 15 process types over TinyConfig periods — must produce a
-// byte-identical Monitor CSV (every NAVG, sigma+, NAVG+, Cc/Cm/Cp column)
-// and identical verification totals whether or not its blocking operators
-// spill. golden_test pins the unbudgeted CSV itself.
-TEST_F(PipelineParityTest, FullBenchmarkMonitorCsvIsByteIdentical) {
-  ScaleConfig cfg;
-  cfg.datasize = 0.02;
-  cfg.periods = 2;
-  cfg.seed = 7;
-
-  struct BenchRun {
-    std::string csv;
-    std::vector<double> navg_plus;
-    size_t dwh_orders = 0;
-    double dwh_revenue = 0.0;
-    size_t mart_orders_total = 0;
-    size_t failed_messages = 0;
-  };
-  auto run = [&](bool federated, size_t budget) -> BenchRun {
-    ScaleConfig run_cfg = cfg;
-    run_cfg.operator_memory_budget = budget;
-    auto scenario = std::move(Scenario::Create()).ValueOrDie();
-    std::unique_ptr<core::IntegrationSystem> engine;
-    if (federated) {
-      engine = std::make_unique<core::FederatedEngine>(scenario->network());
-    } else {
-      engine = std::make_unique<core::DataflowEngine>(scenario->network());
-    }
-    Client client(scenario.get(), engine.get(), run_cfg);
-    auto result = client.Run();
-    EXPECT_TRUE(result.ok()) << result.status();
-    BenchRun br;
-    if (!result.ok()) return br;
-    br.csv = Monitor::ToCsv(result->per_process);
-    for (int p = 1; p <= 15; ++p) {
-      char id[8];
-      std::snprintf(id, sizeof(id), "P%02d", p);
-      br.navg_plus.push_back(result->NavgPlus(id));
-    }
-    br.dwh_orders = result->verification.dwh_orders;
-    br.dwh_revenue = result->verification.dwh_revenue;
-    br.mart_orders_total = result->verification.mart_orders_total;
-    br.failed_messages = result->verification.failed_messages;
-    return br;
-  };
-
-  for (bool federated : {true, false}) {
-    SCOPED_TRACE(federated ? "FederatedEngine" : "DataflowEngine");
-    BenchRun base = run(federated, 0);
-    // A 4 KiB budget forces the benchmark's blocking operators out of
-    // core; the Monitor CSV must not move by a byte.
-    BenchRun spill = run(federated, 4096);
-    EXPECT_EQ(base.csv, spill.csv);  // byte-identical Monitor output
-    ASSERT_EQ(base.navg_plus.size(), spill.navg_plus.size());
-    for (size_t i = 0; i < base.navg_plus.size(); ++i) {
-      EXPECT_EQ(base.navg_plus[i], spill.navg_plus[i]) << "P" << (i + 1);
-    }
-    EXPECT_EQ(base.dwh_orders, spill.dwh_orders);
-    EXPECT_EQ(base.dwh_revenue, spill.dwh_revenue);
-    EXPECT_EQ(base.mart_orders_total, spill.mart_orders_total);
-    EXPECT_EQ(base.failed_messages, spill.failed_messages);
-  }
-}
-
-// Satellite battery across datasize x seed, for both engines: the
-// budgeted run reproduces the unbudgeted run's Monitor CSV byte for byte,
-// and demonstrably engages the spill path (run files actually written).
-TEST_F(PipelineParityTest, MonitorCsvParityAcrossDatasizesAndSeeds) {
-  struct Point {
-    double datasize;
-    uint64_t seed;
-  };
-  const Point points[] = {{0.01, 7}, {0.01, 42}, {0.1, 7}, {0.1, 42}};
-
-  for (const Point& pt : points) {
-    for (bool federated : {true, false}) {
-      SCOPED_TRACE(testing::Message()
-                   << "d=" << pt.datasize << " seed=" << pt.seed
-                   << (federated ? " federated" : " dataflow"));
-      ScaleConfig cfg;
-      cfg.datasize = pt.datasize;
-      cfg.periods = 1;
-      cfg.seed = pt.seed;
-
-      auto run = [&](size_t budget) -> std::string {
-        ScaleConfig run_cfg = cfg;
-        run_cfg.operator_memory_budget = budget;
-        auto scenario = std::move(Scenario::Create()).ValueOrDie();
-        std::unique_ptr<core::IntegrationSystem> engine;
-        if (federated) {
-          engine =
-              std::make_unique<core::FederatedEngine>(scenario->network());
-        } else {
-          engine = std::make_unique<core::DataflowEngine>(scenario->network());
-        }
-        Client client(scenario.get(), engine.get(), run_cfg);
-        auto result = client.Run();
-        EXPECT_TRUE(result.ok()) << result.status();
-        return result.ok() ? Monitor::ToCsv(result->per_process)
-                           : std::string();
-      };
-
-      std::string baseline = run(0);
-      SpillStats before = GetSpillStats();
-      EXPECT_EQ(baseline, run(2048));
-      SpillStats after = GetSpillStats();
-      // The 2 KiB budget must actually push blocking operators out of
-      // core — otherwise the "spill parity" above would be vacuously true.
-      EXPECT_GT(after.runs, before.runs);
-      EXPECT_GT(after.rows, before.rows);
     }
   }
 }

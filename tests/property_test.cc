@@ -545,9 +545,9 @@ void CollectOps(const Node& node, std::set<Op>* ops) {
 
 class RaOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
-// Random tables x random plans: every plan runs through the oracle and,
-// at both memory budgets, through the pipeline; rows, schemas and work
-// counters must agree (tests/ra_oracle_parity.h).
+// Random tables x random plans: every plan runs through the oracle and
+// through the pipeline; rows, schemas and work counters must agree
+// (tests/ra_oracle_parity.h).
 TEST_P(RaOracleTest, RandomPlansMatchTheOracle) {
   const uint64_t seed = GetParam();
   PlanGenerator gen(seed);

@@ -16,7 +16,6 @@
 #include "src/common/string_util.h"
 #include "src/ra/plan.h"
 #include "src/storage/database.h"
-#include "src/storage/spill.h"
 #include "tests/ra_oracle.h"
 
 namespace dipbench {
@@ -155,9 +154,7 @@ struct PipelineRun {
   uint64_t rows_read = 0;
 };
 
-inline PipelineRun RunPipeline(const PlanPtr& plan, size_t budget,
-                               const Catalog& catalog) {
-  ScopedMemoryBudget scoped(budget);
+inline PipelineRun RunPipeline(const PlanPtr& plan, const Catalog& catalog) {
   ExecContext ctx;
   const uint64_t read_before = catalog.RowsRead();
   Result<RowSet> rs = plan->Execute(&ctx);
@@ -184,52 +181,47 @@ enum class Match {
   kBoundedWorkUntyped,
 };
 
-/// Runs `plan` through the pipeline at operator memory budgets 0 and 512 B
-/// (which spills after a handful of rows) and compares each run with
-/// `expected`, the oracle's successful evaluation of `plan`, as `match`
-/// says. A pipeline run that fails is a test failure.
+/// Runs `plan` through the pipeline and compares the run with `expected`,
+/// the oracle's successful evaluation of `plan`, as `match` says. A
+/// pipeline run that fails is a test failure.
 inline void ExpectMatchesOracle(const Plan& plan, const Output& expected,
                                 Catalog* catalog, Match match) {
   SCOPED_TRACE("plan:\n" + plan->ToString());
-  PlanPtr lowered = catalog->Lower(plan);
-  for (size_t budget : {size_t{0}, size_t{512}}) {
-    SCOPED_TRACE(testing::Message() << "memory budget " << budget);
-    PipelineRun run = RunPipeline(lowered, budget, *catalog);
-    if (!run.status.ok()) {
-      ADD_FAILURE() << "pipeline: " << run.status;
-      continue;
+  PipelineRun run = RunPipeline(catalog->Lower(plan), *catalog);
+  if (!run.status.ok()) {
+    ADD_FAILURE() << "pipeline: " << run.status;
+    return;
+  }
+  const Schema& want = expected.schema;
+  const Schema& got = run.result.schema;
+  EXPECT_EQ(want.num_columns(), got.num_columns());
+  for (size_t c = 0; c < std::min(want.num_columns(), got.num_columns());
+       ++c) {
+    EXPECT_EQ(want.column(c).name, got.column(c).name) << "column " << c;
+    if (!(match == Match::kBoundedWorkUntyped &&
+          got.column(c).type == DataType::kNull)) {
+      EXPECT_EQ(DataTypeToString(want.column(c).type),
+                DataTypeToString(got.column(c).type))
+          << "column " << want.column(c).name;
     }
-    const Schema& want = expected.schema;
-    const Schema& got = run.result.schema;
-    EXPECT_EQ(want.num_columns(), got.num_columns());
-    for (size_t c = 0; c < std::min(want.num_columns(), got.num_columns());
-         ++c) {
-      EXPECT_EQ(want.column(c).name, got.column(c).name) << "column " << c;
-      if (!(match == Match::kBoundedWorkUntyped &&
-            got.column(c).type == DataType::kNull)) {
-        EXPECT_EQ(DataTypeToString(want.column(c).type),
-                  DataTypeToString(got.column(c).type))
-            << "column " << want.column(c).name;
-      }
+  }
+  EXPECT_EQ(expected.rows.size(), run.result.rows.size());
+  for (size_t r = 0;
+       r < std::min(expected.rows.size(), run.result.rows.size()); ++r) {
+    if (RowText(expected.rows[r]) != RowText(run.result.rows[r])) {
+      ADD_FAILURE() << "first differing row " << r
+                    << "\n  oracle:   " << RowText(expected.rows[r])
+                    << "\n  pipeline: " << RowText(run.result.rows[r]);
+      break;
     }
-    EXPECT_EQ(expected.rows.size(), run.result.rows.size());
-    for (size_t r = 0;
-         r < std::min(expected.rows.size(), run.result.rows.size()); ++r) {
-      if (RowText(expected.rows[r]) != RowText(run.result.rows[r])) {
-        ADD_FAILURE() << "first differing row " << r
-                      << "\n  oracle:   " << RowText(expected.rows[r])
-                      << "\n  pipeline: " << RowText(run.result.rows[r]);
-        break;
-      }
-    }
-    EXPECT_EQ(expected.operator_invocations, run.operator_invocations);
-    if (match == Match::kExact) {
-      EXPECT_EQ(expected.rows_processed, run.rows_processed);
-      EXPECT_EQ(expected.rows_read, run.rows_read);
-    } else {
-      EXPECT_LE(run.rows_processed, expected.rows_processed);
-      EXPECT_LE(run.rows_read, expected.rows_read);
-    }
+  }
+  EXPECT_EQ(expected.operator_invocations, run.operator_invocations);
+  if (match == Match::kExact) {
+    EXPECT_EQ(expected.rows_processed, run.rows_processed);
+    EXPECT_EQ(expected.rows_read, run.rows_read);
+  } else {
+    EXPECT_LE(run.rows_processed, expected.rows_processed);
+    EXPECT_LE(run.rows_read, expected.rows_read);
   }
 }
 

@@ -336,6 +336,26 @@ TEST(ManifestTest, WorkerSlotsAreBounded) {
       << sweep_past_limit.status().ToString();
 }
 
+TEST(ManifestTest, RetryAttemptsAreBounded) {
+  auto config = [](int attempts) {
+    return ScenarioManifest::FromJsonText(
+        "{\"name\": \"x\",\n \"config\": {\"retry_max_attempts\": " +
+            std::to_string(attempts) + "}}",
+        "retry.json");
+  };
+  auto at_limit = config(kMaxRetryAttempts);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit->config.retry_max_attempts, 64);
+  for (int bad : {kMaxRetryAttempts + 1, 0}) {
+    auto rejected = config(bad);
+    ASSERT_FALSE(rejected.ok()) << bad;
+    EXPECT_NE(rejected.status().message().find("line 2"), std::string::npos)
+        << rejected.status().ToString();
+    EXPECT_NE(rejected.status().message().find("[1, 64]"), std::string::npos)
+        << rejected.status().ToString();
+  }
+}
+
 TEST(ManifestTest, RetiredWorkersKeyAcceptsOnlyOne) {
   // A run executes on one thread: `workers` reads only its old default, 1,
   // and is no longer a sweep field.
@@ -351,6 +371,25 @@ TEST(ManifestTest, RetiredWorkersKeyAcceptsOnlyOne) {
       << workers.status().ToString();
   auto sweep = ScenarioManifest::FromJsonText(
       R"({"name": "x", "sweep": {"field": "workers", "values": [1]}})",
+      "<t>");
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_NE(sweep.status().message().find("unknown sweep field"),
+            std::string::npos)
+      << sweep.status().ToString();
+}
+
+TEST(ManifestTest, RetiredMemoryBudgetIsAnUnknownKey) {
+  auto config = ScenarioManifest::FromJsonText(
+      "{\"name\": \"x\",\n \"config\": {\"memory_budget\": 0}}", "<t>");
+  ASSERT_FALSE(config.ok());
+  EXPECT_NE(config.status().message().find("line 2"), std::string::npos)
+      << config.status().ToString();
+  EXPECT_NE(config.status().message().find(
+                "unknown config key 'memory_budget'"),
+            std::string::npos)
+      << config.status().ToString();
+  auto sweep = ScenarioManifest::FromJsonText(
+      R"({"name": "x", "sweep": {"field": "memory_budget", "values": [0]}})",
       "<t>");
   ASSERT_FALSE(sweep.ok());
   EXPECT_NE(sweep.status().message().find("unknown sweep field"),

@@ -77,6 +77,25 @@ TEST(ParserTest, ParseErrors) {
   EXPECT_FALSE(ParseSql("SELECT * FROM t LIMIT x").ok());
 }
 
+TEST(ParserTest, RejectedLiteralsNameTheirOffset) {
+  // Value::Parse rejects the literal; the error names the literal token's
+  // own offset, like every other syntax error.
+  const std::pair<const char*, const char*> kCases[] = {
+      {"SELECT 9223372036854775808 AS a FROM t",
+       "integer overflows INT64: 9223372036854775808 near offset 7 "
+       "('9223372036854775808')"},
+      {"SELECT a FROM t LIMIT 99999999999999999999",
+       "integer overflows INT64: 99999999999999999999 near offset 22 "
+       "('99999999999999999999')"},
+      {"SELECT DATE 'abc' AS d FROM t", "not an integer: abc near offset 12"},
+  };
+  for (const auto& [sql, want] : kCases) {
+    Status st = ParseSql(sql).status();
+    EXPECT_TRUE(st.IsParseError()) << sql << ": " << st;
+    EXPECT_NE(st.message().find(want), std::string::npos) << sql << ": " << st;
+  }
+}
+
 /// The literal 1 inside `levels` levels of one nesting form: parentheses,
 /// NOT, unary minus, or a left-deep chain of binary operators.
 std::string Nested(const std::string& form, size_t levels) {

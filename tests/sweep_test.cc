@@ -45,7 +45,8 @@ TEST_P(FullRunSweepTest, RunsVerifiesAndKeepsInvariants) {
   if (std::string(c.engine) == "federated") {
     engine = std::make_unique<core::FederatedEngine>(scenario->network());
   } else if (std::string(c.engine) == "eai") {
-    engine = std::make_unique<core::EaiEngine>(scenario->network());
+    engine = std::make_unique<core::DataflowEngine>(
+        scenario->network(), core::EaiWeights(), 8, "eai");
   } else {
     engine = std::make_unique<core::DataflowEngine>(scenario->network());
   }

@@ -150,7 +150,8 @@ TEST(EngineEquivalenceTest, AllEnginesProduceIdenticalWarehouseContent) {
             std::make_unique<core::FederatedEngine>(scenario->network());
         break;
       default:
-        engine = std::make_unique<core::EaiEngine>(scenario->network());
+        engine = std::make_unique<core::DataflowEngine>(
+          scenario->network(), core::EaiWeights(), 8, "eai");
         break;
     }
     Client client(scenario.get(), engine.get(), TinyConfig());
@@ -184,7 +185,8 @@ TEST(EngineEquivalenceTest, EaiFullRunHasCheaperMessageTypes) {
     auto scenario = std::move(Scenario::Create()).ValueOrDie();
     std::unique_ptr<core::IntegrationSystem> engine;
     if (eai) {
-      engine = std::make_unique<core::EaiEngine>(scenario->network());
+      engine = std::make_unique<core::DataflowEngine>(
+          scenario->network(), core::EaiWeights(), 8, "eai");
     } else {
       engine =
           std::make_unique<core::FederatedEngine>(scenario->network());
