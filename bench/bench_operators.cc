@@ -225,52 +225,6 @@ void BM_XPathDescendant(benchmark::State& state) {
 }
 BENCHMARK(BM_XPathDescendant);
 
-void BM_IndexRangeScan(benchmark::State& state) {
-  Database db("src");
-  Schema s;
-  s.AddColumn("k", DataType::kInt64, false)
-      .AddColumn("price", DataType::kDouble)
-      .SetPrimaryKey({"k"});
-  Table* t = *db.CreateTable("t", s);
-  (void)t->CreateOrderedIndex("by_price", "price");
-  Rng rng(3);
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    (void)t->Insert({Value::Int(i), Value::Double(rng.NextDoubleIn(0, 1000))});
-  }
-  // A 1% selective range: the ordered index vs a full-scan filter.
-  auto plan = IndexRangeScan(t, "by_price", Value::Double(500.0),
-                             Value::Double(510.0));
-  for (auto _ : state) {
-    ExecContext ctx;
-    auto out = plan->Execute(&ctx);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) / 100);
-}
-BENCHMARK(BM_IndexRangeScan)->Arg(10000);
-
-void BM_FullScanFilterSameRange(benchmark::State& state) {
-  Database db("src");
-  Schema s;
-  s.AddColumn("k", DataType::kInt64, false)
-      .AddColumn("price", DataType::kDouble)
-      .SetPrimaryKey({"k"});
-  Table* t = *db.CreateTable("t", s);
-  Rng rng(3);
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    (void)t->Insert({Value::Int(i), Value::Double(rng.NextDoubleIn(0, 1000))});
-  }
-  auto plan = Filter(ScanTable(t), And(Ge(Col("price"), Lit(500.0)),
-                                       Le(Col("price"), Lit(510.0))));
-  for (auto _ : state) {
-    ExecContext ctx;
-    auto out = plan->Execute(&ctx);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) / 100);
-}
-BENCHMARK(BM_FullScanFilterSameRange)->Arg(10000);
-
 void BM_EndpointQuery_Database(benchmark::State& state) {
   Database db("src");
   Schema s;

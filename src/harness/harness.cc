@@ -38,14 +38,29 @@ Result<std::unique_ptr<core::EngineBase>> MakeEngine(const std::string& name,
                                  "' (federated | dataflow | eai)");
 }
 
-RunnerPool::RunnerPool(int jobs) : jobs_(jobs) {
-  if (jobs_ <= 0) {
-    jobs_ = static_cast<int>(std::thread::hardware_concurrency());
-    if (jobs_ <= 0) jobs_ = 1;
+namespace {
+
+/// Calls `task`. An exception it throws becomes a failed outcome for
+/// `spec` carrying the exception's text, so a throwing run ends neither
+/// the process nor the pool.
+template <typename Task>
+RunOutcome CaptureExceptions(const Task& task, const RunSpec& spec) {
+  std::string error;
+  try {
+    return task();
+  } catch (const std::exception& e) {
+    error = std::string("uncaught exception: ") + e.what();
+  } catch (...) {
+    error = "uncaught non-standard exception";
   }
+  RunOutcome failed;
+  failed.spec = spec;
+  failed.error = std::move(error);
+  return failed;
 }
 
-RunOutcome RunnerPool::ExecuteOne(const RunSpec& spec) {
+/// ExecuteOne without the exception capture.
+RunOutcome ExecuteUncaptured(const RunSpec& spec) {
   RunOutcome out;
   out.spec = spec;
   StopWatch watch;
@@ -107,6 +122,19 @@ RunOutcome RunnerPool::ExecuteOne(const RunSpec& spec) {
   return out;
 }
 
+}  // namespace
+
+RunnerPool::RunnerPool(int jobs) : jobs_(jobs) {
+  if (jobs_ <= 0) {
+    jobs_ = static_cast<int>(std::thread::hardware_concurrency());
+    if (jobs_ <= 0) jobs_ = 1;
+  }
+}
+
+RunOutcome RunnerPool::ExecuteOne(const RunSpec& spec) {
+  return CaptureExceptions([&spec] { return ExecuteUncaptured(spec); }, spec);
+}
+
 std::vector<RunOutcome> RunnerPool::Run(const std::vector<RunSpec>& specs) {
   std::vector<std::function<RunOutcome()>> tasks;
   tasks.reserve(specs.size());
@@ -120,18 +148,10 @@ std::vector<RunOutcome> RunnerPool::RunTasks(
     std::vector<std::function<RunOutcome()>> tasks) {
   std::vector<RunOutcome> outcomes(tasks.size());
 
+  // A throwing task is an outcome, not a pool failure: record it and keep
+  // draining — co-scheduled runs are isolated by construction.
   auto run_task = [&](size_t i) {
-    try {
-      outcomes[i] = tasks[i]();
-    } catch (const std::exception& e) {
-      // A throwing run is an outcome, not a pool failure: record it and
-      // keep draining — co-scheduled runs are isolated by construction.
-      outcomes[i] = RunOutcome();
-      outcomes[i].error = std::string("uncaught exception: ") + e.what();
-    } catch (...) {
-      outcomes[i] = RunOutcome();
-      outcomes[i].error = "uncaught non-standard exception";
-    }
+    outcomes[i] = CaptureExceptions(tasks[i], RunSpec());
   };
 
   if (jobs_ <= 1 || tasks.size() <= 1) {

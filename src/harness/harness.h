@@ -103,7 +103,11 @@ class RunnerPool {
 
   /// One fully isolated benchmark run: fresh Scenario + engine + Client
   /// (+ observer pair when spec.observe). The building block Run()
-  /// schedules; also the jobs=1 path.
+  /// schedules, also called directly by bench_fig10, bench_fig11 and
+  /// bench_scenarios. A run that throws (std::bad_alloc under an
+  /// address-space cap, or a throwing post_run_mutator) returns
+  /// ok == false with RunTasks' error text ("uncaught exception: <what>")
+  /// and keeps `spec`, so its label survives into reports.
   static RunOutcome ExecuteOne(const RunSpec& spec);
 
   /// Merged cross-run report: per-config NAVG+ table (P03/P09/P13 columns

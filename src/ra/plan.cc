@@ -156,39 +156,6 @@ class RowSliceCursor : public BatchCursor {
   size_t pos_ = 0;
 };
 
-/// Emits the rows an ordered-index range lookup returns. The lookup runs at
-/// Open and is charged in full there: the index delivers the whole range.
-class IndexRangeScanCursor : public BatchCursor {
- public:
-  IndexRangeScanCursor(const Table* table, const std::string* index_name,
-                       const Value* lo, const Value* hi, ExecContext* ctx)
-      : table_(table), index_name_(index_name), lo_(lo), hi_(hi), ctx_(ctx) {}
-
-  Status Open() override {
-    DIP_ASSIGN_OR_RETURN(rows_, table_->LookupRange(*index_name_, *lo_, *hi_));
-    ctx_->operator_invocations++;
-    ctx_->rows_processed += rows_.size();
-    pos_ = 0;
-    return Status::OK();
-  }
-  Status Next(Batch* batch) override {
-    batch->clear();
-    EmitOwned(&rows_, &pos_, batch);
-    return Status::OK();
-  }
-  void Close() override {}
-  const Schema& schema() const override { return table_->schema(); }
-
- private:
-  const Table* table_;
-  const std::string* index_name_;
-  const Value* lo_;
-  const Value* hi_;
-  ExecContext* ctx_;
-  std::vector<Row> rows_;
-  size_t pos_ = 0;
-};
-
 class FilterCursor : public BatchCursor {
  public:
   FilterCursor(CursorPtr child, ExprPtr predicate, ExecContext* ctx)
@@ -582,66 +549,6 @@ class HashJoinCursor : public BatchCursor {
   Batch in_;
   std::vector<const Row*> probe_scratch_;
   std::vector<std::vector<Row>> probe_rows_;  // owned probe rows emitted
-};
-
-/// Emits the first `limit` rows and then SHORT-CIRCUITS: the moment the
-/// limit is reached the child is closed and nothing more is pulled, so
-/// upstream work (rows_read, rows_processed) is bounded by
-/// O(limit + batch size) rather than the full input (SPECIFICATION.md
-/// §14.4).
-class LimitCursor : public BatchCursor {
- public:
-  LimitCursor(CursorPtr child, size_t limit, ExecContext* ctx)
-      : child_(std::move(child)), limit_(limit), ctx_(ctx) {}
-
-  Status Open() override {
-    DIP_RETURN_NOT_OK(child_->Open());
-    ctx_->operator_invocations++;
-    return Status::OK();
-  }
-  Status Next(Batch* batch) override {
-    batch->clear();
-    if (emitted_ >= limit_) {
-      CloseChild();
-      return Status::OK();
-    }
-    DIP_RETURN_NOT_OK(child_->Next(&in_));
-    if (in_.empty()) return Status::OK();
-    size_t take = std::min(limit_ - emitted_, in_.size());
-    if (in_.borrowed()) {
-      // Borrowed pointees outlive the plan's execution (Batch), so the
-      // eager CloseChild() below cannot invalidate them.
-      batch->width = in_.width;
-      batch->refs.assign(in_.refs.begin(),
-                         in_.refs.begin() + take * in_.width);
-    } else {
-      batch->rows.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        batch->rows.push_back(std::move(in_.rows[i]));
-      }
-    }
-    emitted_ += take;
-    ctx_->rows_processed += take;
-    if (emitted_ >= limit_) CloseChild();  // stop upstream work eagerly
-    return Status::OK();
-  }
-  void Close() override { CloseChild(); }
-  const Schema& schema() const override { return child_->schema(); }
-  const TupleLayout& layout() const override { return child_->layout(); }
-
- private:
-  void CloseChild() {
-    if (child_closed_) return;
-    child_closed_ = true;
-    child_->Close();
-  }
-
-  CursorPtr child_;
-  size_t limit_;
-  ExecContext* ctx_;
-  Batch in_;
-  size_t emitted_ = 0;
-  bool child_closed_ = false;
 };
 
 /// --- Grouped aggregation ------------------------------------------------
@@ -1211,29 +1118,6 @@ class ScanTableNode : public PlanNode {
   const Table* table_;
 };
 
-class IndexRangeScanNode : public PlanNode {
- public:
-  IndexRangeScanNode(const Table* table, std::string index_name, Value lo,
-                     Value hi)
-      : table_(table),
-        index_name_(std::move(index_name)),
-        lo_(std::move(lo)),
-        hi_(std::move(hi)) {}
-  CursorPtr MakeCursor(ExecContext* ctx) const override {
-    return std::make_unique<IndexRangeScanCursor>(table_, &index_name_, &lo_,
-                                                  &hi_, ctx);
-  }
-  std::string ToString() const override {
-    return "IndexRangeScan(" + table_->name() + "." + index_name_ + ", [" +
-           lo_.ToString() + ", " + hi_.ToString() + "])";
-  }
-
- private:
-  const Table* table_;
-  std::string index_name_;
-  Value lo_, hi_;
-};
-
 class ScanValuesNode : public PlanNode {
  public:
   explicit ScanValuesNode(RowSet rows) : rows_(std::move(rows)) {}
@@ -1393,31 +1277,10 @@ class SortNode : public PlanNode {
   std::vector<SortKey> keys_;
 };
 
-class LimitNode : public PlanNode {
- public:
-  LimitNode(PlanPtr child, size_t limit)
-      : child_(std::move(child)), limit_(limit) {}
-  CursorPtr MakeCursor(ExecContext* ctx) const override {
-    return std::make_unique<LimitCursor>(child_->MakeCursor(ctx), limit_, ctx);
-  }
-  std::string ToString() const override {
-    return StrFormat("Limit(%zu)", limit_);
-  }
-
- private:
-  PlanPtr child_;
-  size_t limit_;
-};
-
 }  // namespace
 
 PlanPtr ScanTable(const Table* table) {
   return std::make_shared<ScanTableNode>(table);
-}
-PlanPtr IndexRangeScan(const Table* table, std::string index_name, Value lo,
-                       Value hi) {
-  return std::make_shared<IndexRangeScanNode>(table, std::move(index_name),
-                                              std::move(lo), std::move(hi));
 }
 PlanPtr ScanValues(RowSet rows) {
   return std::make_shared<ScanValuesNode>(std::move(rows));
@@ -1443,10 +1306,6 @@ PlanPtr UnionDistinct(std::vector<PlanPtr> children,
   return std::make_shared<UnionDistinctNode>(std::move(children),
                                              std::move(key_columns));
 }
-PlanPtr Distinct(PlanPtr child) {
-  std::vector<PlanPtr> children{std::move(child)};
-  return UnionDistinct(std::move(children), {});
-}
 PlanPtr Aggregate(PlanPtr child, std::vector<std::string> group_by,
                   std::vector<AggregateItem> aggregates) {
   return std::make_shared<AggregateNode>(std::move(child), std::move(group_by),
@@ -1454,9 +1313,6 @@ PlanPtr Aggregate(PlanPtr child, std::vector<std::string> group_by,
 }
 PlanPtr Sort(PlanPtr child, std::vector<SortKey> keys) {
   return std::make_shared<SortNode>(std::move(child), std::move(keys));
-}
-PlanPtr Limit(PlanPtr child, size_t limit) {
-  return std::make_shared<LimitNode>(std::move(child), limit);
 }
 
 Result<size_t> InsertInto(Table* table, const RowSet& rows) {

@@ -51,11 +51,11 @@ inline constexpr size_t kBatchCapacity = 1024;
 /// (`refs` filled, `rows` empty): reference tuples of `width` row pointers
 /// each, read through the producing cursor's layout(). Leaf scans emit
 /// one-pointer tuples into table / RowSet storage, a hash join emits the
-/// probe tuple's pointers followed by the build tuple's, and pass-through
-/// operators like filter and limit forward the pointers. Borrowed pointees
-/// live in a table or RowSet that outlives the plan's execution (a join
-/// keeps the rows it was handed owned for as long as it lives), so a
-/// consumer may keep the pointers — a hash join's build side does.
+/// probe tuple's pointers followed by the build tuple's, and a filter
+/// forwards the pointers. Borrowed pointees live in a table or RowSet that
+/// outlives the plan's execution (a join keeps the rows it was handed
+/// owned for as long as it lives), so a consumer may keep the pointers — a
+/// hash join's build side does.
 struct Batch {
   std::vector<Row> rows;
   std::vector<const Row*> refs;
@@ -146,11 +146,6 @@ struct SortKey {
 /// Leaf: scans all live rows of a storage table (streams straight from the
 /// table's batch cursor — no up-front full copy).
 PlanPtr ScanTable(const Table* table);
-/// Leaf: range scan over an ordered index of the table: rows whose indexed
-/// column lies in [lo, hi] (a NULL bound is open), in ascending index
-/// order. The index must exist (CreateOrderedIndex).
-PlanPtr IndexRangeScan(const Table* table, std::string index_name, Value lo,
-                       Value hi);
 /// Leaf: wraps an already materialized row set (owned copy).
 PlanPtr ScanValues(RowSet rows);
 /// Leaf: like ScanValues but borrows the row set — `rows` must outlive every
@@ -174,18 +169,11 @@ PlanPtr HashJoin(PlanPtr left, PlanPtr right,
 /// (empty = whole row), matching the paper's "UNION DISTINCT, Ordkey" usage.
 PlanPtr UnionDistinct(std::vector<PlanPtr> children,
                       std::vector<std::string> key_columns);
-/// δ: removes duplicate rows (whole-row distinct).
-PlanPtr Distinct(PlanPtr child);
 /// γ: grouped aggregation. Empty `group_by` yields one global row.
 PlanPtr Aggregate(PlanPtr child, std::vector<std::string> group_by,
                   std::vector<AggregateItem> aggregates);
 /// Stable multi-key sort.
 PlanPtr Sort(PlanPtr child, std::vector<SortKey> keys);
-/// Keeps the first `limit` rows. Once the limit is reached the child is
-/// closed eagerly and nothing more is pulled, so upstream rows_read /
-/// rows_processed are bounded by O(limit + batch size) instead of the full
-/// input (SPECIFICATION.md §14.4).
-PlanPtr Limit(PlanPtr child, size_t limit);
 
 /// Inserts every result row into `table` (append; duplicate-key rows are
 /// counted and skipped, not errors — ETL "upsert-tolerant" loading).

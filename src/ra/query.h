@@ -46,8 +46,6 @@ class Query {
   Query OrderBy(std::vector<SortKey> keys) && {
     return Query(Sort(std::move(plan_), std::move(keys)));
   }
-  Query Take(size_t n) && { return Query(Limit(std::move(plan_), n)); }
-  Query DistinctRows() && { return Query(Distinct(std::move(plan_))); }
 
   /// Executes the built plan.
   Result<RowSet> Run(ExecContext* ctx) const { return plan_->Execute(ctx); }

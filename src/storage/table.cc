@@ -85,23 +85,11 @@ void Table::IndexSecondary(const Row& row, size_t slot) {
   for (auto& [name, idx] : secondary_) {
     idx.map.emplace(HashRowKey(row, idx.columns), slot);
   }
-  for (auto& [name, idx] : ordered_) {
-    idx.map.emplace(row[idx.column], slot);
-  }
 }
 
 void Table::UnindexSecondary(const Row& row, size_t slot) {
   for (auto& [name, idx] : secondary_) {
     auto range = idx.map.equal_range(HashRowKey(row, idx.columns));
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == slot) {
-        idx.map.erase(it);
-        break;
-      }
-    }
-  }
-  for (auto& [name, idx] : ordered_) {
-    auto range = idx.map.equal_range(row[idx.column]);
     for (auto it = range.first; it != range.second; ++it) {
       if (it->second == slot) {
         idx.map.erase(it);
@@ -209,7 +197,6 @@ void Table::Clear() {
   live_count_ = 0;
   pk_index_.Clear();
   for (auto& [name, idx] : secondary_) idx.map.clear();
-  for (auto& [name, idx] : ordered_) idx.map.clear();
   Touch();
   // A cleared table has no history: consumers restart from position 0.
   if (changelog_ != nullptr) changelog_->Clear();
@@ -217,7 +204,7 @@ void Table::Clear() {
 
 Result<size_t> Table::UpdateWhere(const std::function<bool(const Row&)>& pred,
                                   const std::function<void(Row*)>& update) {
-  const bool has_secondary = !secondary_.empty() || !ordered_.empty();
+  const bool has_secondary = !secondary_.empty();
   size_t updated = 0;
   Row before;  // the row as it was before `update`; reused across rows
   for (size_t slot = 0; slot < rows_.size(); ++slot) {
@@ -344,44 +331,6 @@ Result<std::vector<Row>> Table::LookupIndex(const std::string& index_name,
   return out;
 }
 
-Status Table::CreateOrderedIndex(const std::string& index_name,
-                                 const std::string& column) {
-  if (ordered_.count(index_name) > 0 || secondary_.count(index_name) > 0) {
-    return Status::AlreadyExists("index " + index_name + " on " + name_);
-  }
-  DIP_ASSIGN_OR_RETURN(size_t col, schema_.RequireIndexOf(column));
-  OrderedIndex idx;
-  idx.column = col;
-  for (size_t slot = 0; slot < rows_.size(); ++slot) {
-    if (!live_[slot]) continue;
-    idx.map.emplace(rows_[slot][col], slot);
-  }
-  ordered_.emplace(index_name, std::move(idx));
-  return Status::OK();
-}
-
-Result<std::vector<Row>> Table::LookupRange(const std::string& index_name,
-                                            const Value& lo,
-                                            const Value& hi) const {
-  auto it = ordered_.find(index_name);
-  if (it == ordered_.end()) {
-    return Status::NotFound("no ordered index " + index_name + " on " +
-                            name_);
-  }
-  const OrderedIndex& idx = it->second;
-  std::vector<Row> out;
-  // An inverted range is empty: its lower bound would lie past its upper.
-  if (!lo.is_null() && !hi.is_null() && lo.Compare(hi) > 0) return out;
-  auto begin = lo.is_null() ? idx.map.begin() : idx.map.lower_bound(lo);
-  auto end = hi.is_null() ? idx.map.end() : idx.map.upper_bound(hi);
-  for (auto kv = begin; kv != end; ++kv) {
-    if (!live_[kv->second]) continue;
-    ++rows_read_;
-    out.push_back(rows_[kv->second]);
-  }
-  return out;
-}
-
 Table::State Table::SaveState() const {
   State state;
   state.rows = rows_;
@@ -411,14 +360,6 @@ void Table::RestoreState(State state) {
         if (!live_[slot]) continue;
         idx.map.emplace(HashRowKey(rows_[slot], idx.columns), slot);
       }
-    }
-  }
-  // Ordered indexes are always rebuilt from the restored rows.
-  for (auto& [name, idx] : ordered_) {
-    idx.map.clear();
-    for (size_t slot = 0; slot < rows_.size(); ++slot) {
-      if (!live_[slot]) continue;
-      idx.map.emplace(rows_[slot][idx.column], slot);
     }
   }
   // Rollback: entries captured after the snapshot describe undone work.

@@ -110,21 +110,6 @@ class Table {
   Result<std::vector<Row>> LookupIndex(const std::string& index_name,
                                        const Row& key) const;
 
-  /// Creates a named ordered (tree) index over one column; supports range
-  /// lookups. Existing rows are indexed immediately.
-  Status CreateOrderedIndex(const std::string& index_name,
-                            const std::string& column);
-
-  /// Rows whose indexed column lies in [lo, hi]. A NULL bound is open
-  /// (LookupRange(idx, NULL, x) = all values <= x). Rows are returned in
-  /// index (ascending value) order; lo > hi is an empty range.
-  Result<std::vector<Row>> LookupRange(const std::string& index_name,
-                                       const Value& lo, const Value& hi) const;
-
-  bool HasOrderedIndex(const std::string& index_name) const {
-    return ordered_.count(index_name) > 0;
-  }
-
   /// Cumulative IO counters (monotone; survive Clear()). Atomic so
   /// concurrent read-only scans can bump rows_read() without racing; the
   /// totals are order-independent.
@@ -178,15 +163,6 @@ class Table {
     std::vector<size_t> columns;
     std::unordered_multimap<size_t, size_t> map;  // key hash -> slot
   };
-  struct ValueLess {
-    bool operator()(const Value& a, const Value& b) const {
-      return a.Compare(b) < 0;
-    }
-  };
-  struct OrderedIndex {
-    size_t column = 0;
-    std::multimap<Value, size_t, ValueLess> map;  // value -> slot
-  };
 
   // Marks the content changed: bumps version_ so the ByteSize memo
   // invalidates.
@@ -213,7 +189,7 @@ class Table {
   size_t FindSlotOfRow(const Row& row, size_t pk_hash) const;
   void IndexRow(size_t slot, size_t pk_hash);
   void UnindexRow(size_t slot);
-  // Secondary and ordered index entries of `row`, stored at `slot`.
+  // Secondary index entries of `row`, stored at `slot`.
   void IndexSecondary(const Row& row, size_t slot);
   void UnindexSecondary(const Row& row, size_t slot);
 
@@ -225,7 +201,6 @@ class Table {
   // Primary-key hash -> slot of the live row; empty without a primary key.
   KeyIndex pk_index_;
   std::unordered_map<std::string, SecondaryIndex> secondary_;
-  std::map<std::string, OrderedIndex> ordered_;
   mutable std::atomic<uint64_t> rows_read_{0};
   std::atomic<uint64_t> rows_written_{0};
   std::unique_ptr<storage::ChangeLog> changelog_;  // null = capture off

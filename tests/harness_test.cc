@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <new>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -132,6 +133,31 @@ TEST(RunnerPoolTest, ThrowingTaskDoesNotPoisonThePool) {
   EXPECT_EQ(outcomes[1].error, "uncaught exception: boom");
   EXPECT_FALSE(outcomes[2].ok);
   EXPECT_EQ(outcomes[2].error, "uncaught non-standard exception");
+}
+
+TEST(RunnerPoolTest, ThrowingRunFailsWithItsLabel) {
+  RunSpec throws;
+  throws.label = "throws";
+  throws.config.datasize = 0.01;
+  throws.config.periods = 1;
+  throws.post_run_mutator = [](Scenario*) { throw std::bad_alloc(); };
+  RunSpec good = throws;
+  good.label = "good";
+  good.post_run_mutator = nullptr;
+  const std::string error =
+      std::string("uncaught exception: ") + std::bad_alloc().what();
+
+  std::vector<RunOutcome> outcomes = RunnerPool(2).Run({throws, good});
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_EQ(outcomes[0].error, error);
+  EXPECT_EQ(outcomes[0].spec.DisplayLabel(), "throws");
+  EXPECT_TRUE(outcomes[1].ok) << outcomes[1].error;
+
+  RunOutcome one = RunnerPool::ExecuteOne(throws);
+  EXPECT_FALSE(one.ok);
+  EXPECT_EQ(one.error, error);
+  EXPECT_EQ(one.spec.DisplayLabel(), "throws");
 }
 
 TEST(RunnerPoolTest, UnknownEngineFailsThatRunOnly) {

@@ -12,6 +12,7 @@
 #include "src/obs/chrome_trace.h"
 #include "src/obs/export.h"
 #include "src/obs/obs.h"
+#include "src/ra/query.h"
 
 namespace dipbench {
 namespace obs {
@@ -506,6 +507,68 @@ TEST(MonitorPercentilesTest, ReadsEngineHistograms) {
   MetricsRegistry empty;
   EXPECT_NE(Monitor::RenderPercentiles(empty, config).find("no instance"),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Per-operator trace of an engine instance.
+// ---------------------------------------------------------------------------
+
+TEST(TracingTest, TraceRecordsOperatorsAndCosts) {
+  Database db("d");
+  Schema s;
+  s.AddColumn("k", DataType::kInt64, false).SetPrimaryKey({"k"});
+  Table* t = *db.CreateTable("t", s);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(t->Insert({Value::Int(i)}).ok());
+  net::Network net;
+  auto ep = std::make_unique<net::DatabaseEndpoint>("d", &db, net::Channel(),
+                                                    0.01);
+  ASSERT_TRUE(ep->RegisterQuery("all",
+                                [](Database* d2, const std::vector<Value>&)
+                                    -> Result<RowSet> {
+                                  ExecContext ec;
+                                  return Query::From(*d2->GetTable("t"))
+                                      .Run(&ec);
+                                })
+                  .ok());
+  ASSERT_TRUE(net.AddEndpoint(std::move(ep)).ok());
+
+  core::ProcessDefinition def;
+  def.id = "T";
+  def.event_type = core::EventType::kTimeEvent;
+  def.body = {core::InvokeQuery("d", "all", {}, "m"),
+              core::Selection("m", "m2", Gt(Col("k"), Lit(int64_t{1})))};
+
+  core::DataflowEngine engine(&net);
+  engine.EnableTracing(true);
+  ASSERT_TRUE(engine.Deploy(def).ok());
+  ASSERT_TRUE(engine.Submit({"T", 0.0, nullptr, 0}).ok());
+  ASSERT_TRUE(engine.RunUntilIdle().ok());
+  const auto& rec = engine.records()[0];
+  ASSERT_EQ(rec.trace.size(), 2u);
+  EXPECT_NE(rec.trace[0].op.find("INVOKE d.all"), std::string::npos);
+  EXPECT_NE(rec.trace[1].op.find("SELECTION"), std::string::npos);
+  EXPECT_GT(rec.trace[0].cc_ms, 0.0);
+  // Operator costs sum to the instance's cost minus admission management.
+  double traced = 0;
+  for (const auto& tr : rec.trace) traced += tr.TotalMs();
+  double admission = engine.weights().plan_instantiation_ms +
+                     engine.weights().scheduling_ms;
+  EXPECT_NEAR(traced, rec.costs.Total() - admission, 1e-9);
+}
+
+TEST(TracingTest, OffByDefault) {
+  Database db("d");
+  net::Network net;
+  core::ProcessDefinition def;
+  def.id = "T";
+  def.event_type = core::EventType::kMessage;
+  def.body = {core::Receive("m")};
+  core::DataflowEngine engine(&net);
+  ASSERT_TRUE(engine.Deploy(def).ok());
+  auto doc = std::make_shared<xml::Node>("m");
+  ASSERT_TRUE(engine.Submit({"T", 0.0, doc, 0}).ok());
+  ASSERT_TRUE(engine.RunUntilIdle().ok());
+  EXPECT_TRUE(engine.records()[0].trace.empty());
 }
 
 }  // namespace

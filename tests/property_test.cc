@@ -84,9 +84,9 @@ TEST_P(RaPropertyTest, DistinctIsIdempotent) {
   RowSet doubled = data;
   doubled.rows.insert(doubled.rows.end(), data.rows.begin(), data.rows.end());
   ExecContext ctx;
-  auto once = Distinct(ScanValues(doubled))->Execute(&ctx);
+  auto once = UnionDistinct({ScanValues(doubled)}, {})->Execute(&ctx);
   ASSERT_TRUE(once.ok());
-  auto twice = Distinct(ScanValues(*once))->Execute(&ctx);
+  auto twice = UnionDistinct({ScanValues(*once)}, {})->Execute(&ctx);
   ASSERT_TRUE(twice.ok());
   EXPECT_EQ(once->rows.size(), data.rows.size());  // keys are unique
   EXPECT_EQ(twice->rows.size(), once->rows.size());
@@ -180,17 +180,6 @@ TEST_P(RaPropertyTest, ProjectionPreservesCardinality) {
   }
 }
 
-TEST_P(RaPropertyTest, LimitNeverExceeds) {
-  RowSet data = MakeData(GetParam());
-  for (size_t limit : {size_t{0}, size_t{1}, data.rows.size(),
-                       data.rows.size() + 10}) {
-    ExecContext ctx;
-    auto out = Limit(ScanValues(data), limit)->Execute(&ctx);
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(out->rows.size(), std::min(limit, data.rows.size()));
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RaPropertyTest,
     ::testing::Values(SweepParam{0, 1, Distribution::kUniform},
@@ -228,10 +217,9 @@ struct GenPlan {
 /// k (a key with duplicates and NULLs), g (a small group domain), v
 /// (quarter-step DOUBLEs, -0.0 among them), s (strings, and INT64 in
 /// values tables) and n (small INT64s and some near 2^50). Storage tables
-/// are typed and carry ordered indexes on k and v; values tables mix
-/// INT64 and DOUBLE cells, so Int(5) meets Double(5.0). Plans are at most
-/// four operators deep, use every plan factory, and never fail at run
-/// time, so a LIMIT cannot hide an error the oracle would see.
+/// are typed; values tables mix INT64 and DOUBLE cells, so Int(5) meets
+/// Double(5.0). Plans are at most four operators deep, use every plan
+/// factory, and never fail at run time: the oracle must evaluate each.
 class PlanGenerator {
  public:
   explicit PlanGenerator(uint64_t seed) : rng_(seed) {}
@@ -246,9 +234,6 @@ class PlanGenerator {
         .AddColumn("v", DataType::kDouble)
         .AddColumn("s", DataType::kString)
         .AddColumn("n", DataType::kInt64);
-    if (stored) {
-      t.ordered_indexes = {{"by_k", "k"}, {"by_v", "v"}};
-    }
     static const char* kStrings[] = {"", "a", "b", "a,b", "5", "x y"};
     for (size_t i = 0; i < rows; ++i) {
       int64_t k = static_cast<int64_t>(i);
@@ -291,7 +276,7 @@ class PlanGenerator {
 
   GenPlan Subplan(int depth) {
     if (depth == 0 || rng_.NextBool(0.15)) return Leaf();
-    switch (rng_.NextBounded(8)) {
+    switch (rng_.NextBounded(7)) {
       case 0: {
         GenPlan child = Subplan(depth - 1);
         return {Filter(child.plan, Predicate(child.cols, 2)), child.cols};
@@ -302,13 +287,13 @@ class PlanGenerator {
         return JoinOf(depth);
       case 3:
         return UnionOf(depth);
-      case 4: {
+      case 4: {  // whole-row DISTINCT
         GenPlan child = Subplan(depth - 1);
-        return {Distinct(child.plan), child.cols};
+        return {UnionDistinct({child.plan}, {}), child.cols};
       }
       case 5:
         return AggregateOf(Subplan(depth - 1));
-      case 6: {
+      default: {
         GenPlan child = Subplan(depth - 1);
         std::vector<SortKey> keys;
         for (size_t i = 0, n = 1 + rng_.NextBounded(2); i < n; ++i) {
@@ -316,30 +301,13 @@ class PlanGenerator {
         }
         return {Sort(child.plan, std::move(keys)), child.cols};
       }
-      default: {
-        static const std::vector<size_t> kLimits = {0,    1,    7,   1023,
-                                                    1024, 1025, 3000};
-        GenPlan child = Subplan(depth - 1);
-        return {Limit(child.plan, Pick(kLimits)), child.cols};
-      }
     }
   }
 
   GenPlan Leaf() {
     const std::vector<GenColumn> cols = {
         {"k", true, true}, {"g"}, {"v"}, {"s", false}, {"n"}};
-    if (rng_.NextBool()) {
-      const Table* t = Pick(*stored_);
-      if (rng_.NextBool()) return {ScanTable(t), cols};
-      const bool by_k = rng_.NextBool();
-      auto bound = [&]() -> Value {
-        if (rng_.NextBool(0.25)) return Value::Null();
-        return by_k ? Value::Int(rng_.NextInt(-10, 1500))
-                    : Value::Double(rng_.NextInt(-24, 24) * 0.25);
-      };
-      Value lo = bound(), hi = bound();
-      return {IndexRangeScan(t, by_k ? "by_k" : "by_v", lo, hi), cols};
-    }
+    if (rng_.NextBool()) return {ScanTable(Pick(*stored_)), cols};
     const Table* t = Pick(*values_);
     return {rng_.NextBool() ? ScanValues(t) : ScanValuesRef(t), cols};
   }
@@ -568,12 +536,10 @@ TEST_P(RaOracleTest, RandomPlansMatchTheOracle) {
     Result<Output> expected = Evaluate(plan);
     ASSERT_TRUE(expected.ok()) << expected.status() << "\n"
                                << plan->ToString();
-    ExpectMatchesOracle(plan, *expected, &catalog,
-                        expected->limit_reached ? Match::kBoundedWorkUntyped
-                                                : Match::kExact);
+    ExpectMatchesOracle(plan, *expected, &catalog);
     if (HasFailure()) break;
   }
-  EXPECT_EQ(ops.size(), 12u) << "the plans must use every plan factory";
+  EXPECT_EQ(ops.size(), 9u) << "the plans must use every plan factory";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RaOracleTest,

@@ -8,15 +8,13 @@
 // plainest code that states its rule in SPECIFICATION.md §9: a
 // nested-loop join, a std::map GROUP BY keyed on RowToString, a
 // first-occurrence UNION DISTINCT, std::stable_sort, and row loops for
-// filter, project and limit. It shares no operator code with src/ra and
-// includes neither src/ra/plan.h nor src/storage/. Filter and project
-// expressions go through the scalar Expr::Eval, while the cursors run the
-// EvalBatch kernels, so a comparison also checks EvalBatch against Eval.
+// filter and project. It shares no operator code with src/ra and includes
+// neither src/ra/plan.h nor src/storage/. Filter and project expressions
+// go through the scalar Expr::Eval, while the cursors run the EvalBatch
+// kernels, so a comparison also checks EvalBatch against Eval.
 //
-// Every operator consumes its whole input, so the work reported is the
-// full-drain work. A LIMIT that is reached lets the pipeline stop early
-// and do less (SPECIFICATION.md §14.4), never more; Output::limit_reached
-// says when that may happen.
+// Every operator consumes its whole input, as every cursor does, so the
+// work reported is exactly the work the pipeline charges.
 
 #include <algorithm>
 #include <cstdint>
@@ -35,13 +33,11 @@
 namespace dipbench {
 namespace oracle {
 
-/// A base table: schema, live rows in insertion order, and the ordered
-/// indexes an IndexRangeScan may name (index name -> column).
+/// A base table: schema and live rows in insertion order.
 struct Table {
   std::string name;
   Schema schema;
   std::vector<Row> rows;
-  std::map<std::string, std::string> ordered_indexes;
 };
 
 enum class AggFunc { kCount, kSum, kMin, kMax, kAvg };
@@ -65,17 +61,14 @@ struct SortKey {
 
 enum class Op {
   kScanTable,
-  kIndexRangeScan,
   kScanValues,
   kScanValuesRef,
   kFilter,
   kProject,
   kHashJoin,
   kUnionDistinct,
-  kDistinct,
   kAggregate,
   kSort,
-  kLimit,
 };
 
 struct Node;
@@ -85,9 +78,7 @@ using Plan = std::shared_ptr<const Node>;
 struct Node {
   Op op = Op::kScanTable;
   std::vector<Plan> inputs;
-  const Table* table = nullptr;  ///< scans (values scans read its rows)
-  std::string index_name;        ///< kIndexRangeScan, over [lo, hi]
-  Value lo, hi;
+  const Table* table = nullptr;         ///< scans (values scans read its rows)
   ExprPtr predicate;                    ///< kFilter
   std::vector<ProjectionItem> items;    ///< kProject
   std::vector<std::string> keys;        ///< join probe keys, union keys,
@@ -95,7 +86,6 @@ struct Node {
   std::vector<std::string> build_keys;  ///< kHashJoin
   std::vector<AggregateItem> aggs;      ///< kAggregate
   std::vector<SortKey> sort_keys;       ///< kSort
-  size_t limit = 0;                     ///< kLimit
 
   /// The operator tree, one node per line (failure messages).
   std::string ToString(int indent = 0) const {
@@ -110,10 +100,6 @@ struct Node {
     switch (op) {
       case Op::kScanTable:
         line += "ScanTable(" + table->name + ")";
-        break;
-      case Op::kIndexRangeScan:
-        line += "IndexRangeScan(" + table->name + "." + index_name + ", [" +
-                lo.ToString() + ", " + hi.ToString() + "])";
         break;
       case Op::kScanValues:
         line += "ScanValues(" + table->name + ")";
@@ -142,9 +128,6 @@ struct Node {
       case Op::kUnionDistinct:
         line += "UnionDistinct(key=[" + join(keys) + "])";
         break;
-      case Op::kDistinct:
-        line += "Distinct";
-        break;
       case Op::kAggregate: {
         static const char* kNames[] = {"count", "sum", "min", "max", "avg"};
         std::vector<std::string> parts;
@@ -164,9 +147,6 @@ struct Node {
         line += "Sort(" + join(parts) + ")";
         break;
       }
-      case Op::kLimit:
-        line += "Limit(" + std::to_string(limit) + ")";
-        break;
     }
     for (const Plan& input : inputs) line += "\n" + input->ToString(indent + 1);
     return line;
@@ -181,16 +161,6 @@ inline Plan MakeNode(Node node) {
 inline Plan ScanTable(const Table* table) {
   Node n;
   n.table = table;
-  return MakeNode(std::move(n));
-}
-inline Plan IndexRangeScan(const Table* table, std::string index_name,
-                           Value lo, Value hi) {
-  Node n;
-  n.op = Op::kIndexRangeScan;
-  n.table = table;
-  n.index_name = std::move(index_name);
-  n.lo = std::move(lo);
-  n.hi = std::move(hi);
   return MakeNode(std::move(n));
 }
 inline Plan ScanValues(const Table* table) {
@@ -237,12 +207,6 @@ inline Plan UnionDistinct(std::vector<Plan> children,
   n.keys = std::move(key_columns);
   return MakeNode(std::move(n));
 }
-inline Plan Distinct(Plan child) {
-  Node n;
-  n.op = Op::kDistinct;
-  n.inputs = {std::move(child)};
-  return MakeNode(std::move(n));
-}
 inline Plan Aggregate(Plan child, std::vector<std::string> group_by,
                       std::vector<AggregateItem> aggs) {
   Node n;
@@ -259,13 +223,6 @@ inline Plan Sort(Plan child, std::vector<SortKey> keys) {
   n.sort_keys = std::move(keys);
   return MakeNode(std::move(n));
 }
-inline Plan Limit(Plan child, size_t limit) {
-  Node n;
-  n.op = Op::kLimit;
-  n.inputs = {std::move(child)};
-  n.limit = limit;
-  return MakeNode(std::move(n));
-}
 
 /// A plan's result and the work a full evaluation charges.
 struct Output {
@@ -273,8 +230,7 @@ struct Output {
   std::vector<Row> rows;
   uint64_t rows_processed = 0;
   uint64_t operator_invocations = 0;
-  uint64_t rows_read = 0;      ///< storage rows read by table scans
-  bool limit_reached = false;  ///< some LIMIT had at least `limit` input rows
+  uint64_t rows_read = 0;  ///< storage rows read by table scans
 };
 
 namespace internal {
@@ -385,8 +341,6 @@ class Evaluator {
         out_.rows_read += n.table->rows.size();
         return Charge({n.table->schema, n.table->rows},
                       n.table->rows.size());
-      case Op::kIndexRangeScan:
-        return IndexRangeScan(n);
       case Op::kScanValues:
       case Op::kScanValuesRef:
         return Charge({n.table->schema, n.table->rows},
@@ -398,47 +352,13 @@ class Evaluator {
       case Op::kHashJoin:
         return HashJoin(n);
       case Op::kUnionDistinct:
-      case Op::kDistinct:
         return UnionDistinct(n);
       case Op::kAggregate:
         return Aggregate(n);
       case Op::kSort:
         return Sort(n);
-      case Op::kLimit: {
-        DIP_ASSIGN_OR_RETURN(Rows in, Eval(*n.inputs[0]));
-        if (in.rows.size() >= n.limit) out_.limit_reached = true;
-        if (in.rows.size() > n.limit) in.rows.resize(n.limit);
-        const size_t kept = in.rows.size();
-        return Charge(std::move(in), kept);
-      }
     }
     return Status::Internal("unknown plan operator");
-  }
-
-  /// Rows whose indexed value v has lo <= v <= hi (a NULL bound is open),
-  /// ascending by v, equal values in insertion order.
-  Result<Rows> IndexRangeScan(const Node& n) {
-    auto index = n.table->ordered_indexes.find(n.index_name);
-    if (index == n.table->ordered_indexes.end()) {
-      return Status::NotFound("no ordered index " + n.index_name);
-    }
-    DIP_ASSIGN_OR_RETURN(size_t col,
-                         n.table->schema.RequireIndexOf(index->second));
-    Rows out{n.table->schema, {}};
-    for (const Row& row : n.table->rows) {
-      const Value& v = row[col];
-      if ((n.lo.is_null() || v.Compare(n.lo) >= 0) &&
-          (n.hi.is_null() || v.Compare(n.hi) <= 0)) {
-        out.rows.push_back(row);
-      }
-    }
-    std::stable_sort(out.rows.begin(), out.rows.end(),
-                     [col](const Row& a, const Row& b) {
-                       return a[col].Compare(b[col]) < 0;
-                     });
-    out_.rows_read += out.rows.size();
-    const size_t n_rows = out.rows.size();
-    return Charge(std::move(out), n_rows);
   }
 
   /// Keeps the rows whose predicate is BOOL true (NULL and false drop).

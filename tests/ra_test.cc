@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -219,7 +220,7 @@ TEST_F(RaTest, DistinctWholeRow) {
   Schema s;
   s.AddColumn("v", DataType::kInt64);
   RowSet dup{s, {{Value::Int(1)}, {Value::Int(1)}, {Value::Int(2)}}};
-  auto rs = Distinct(ScanValues(std::move(dup)))->Execute(&ctx_);
+  auto rs = UnionDistinct({ScanValues(std::move(dup))}, {})->Execute(&ctx_);
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->rows.size(), 2u);
 }
@@ -363,14 +364,6 @@ TEST_F(RaTest, SortMultiKeyStable) {
   }
 }
 
-TEST_F(RaTest, LimitTruncates) {
-  auto rs = Limit(ScanTable(orders_), 3)->Execute(&ctx_);
-  ASSERT_TRUE(rs.ok());
-  EXPECT_EQ(rs->rows.size(), 3u);
-  rs = Limit(ScanTable(orders_), 100)->Execute(&ctx_);
-  EXPECT_EQ(rs->rows.size(), 10u);
-}
-
 TEST_F(RaTest, QueryBuilderPipeline) {
   auto rs = Query::From(orders_)
                 .Where(Gt(Col("total"), Lit(30.0)))
@@ -378,11 +371,11 @@ TEST_F(RaTest, QueryBuilderPipeline) {
                 .Select({{"name", Col("name"), DataType::kNull},
                          {"total", Col("total"), DataType::kNull}})
                 .OrderBy({{"total", false}})
-                .Take(2)
                 .Run(&ctx_);
   ASSERT_TRUE(rs.ok());
-  ASSERT_EQ(rs->rows.size(), 2u);
+  ASSERT_EQ(rs->rows.size(), 7u);  // orders 4..10
   EXPECT_DOUBLE_EQ(rs->rows[0][1].AsDouble(), 100.0);
+  EXPECT_DOUBLE_EQ(rs->rows[6][1].AsDouble(), 40.0);
 }
 
 TEST_F(RaTest, InsertIntoSkipsDuplicates) {
@@ -419,6 +412,52 @@ TEST_F(RaTest, ExprArithmeticAndLogic) {
   EXPECT_TRUE(Or(Lt(Col("a"), Lit(int64_t{0})), Eq(Col("b"), Lit(int64_t{3})))
                   ->Eval(r, s)
                   ->AsBool());
+}
+
+// SPECIFICATION.md §9.1: INT64 arithmetic is checked. Each case runs
+// through the scalar Expr::Eval and through a Project plan, whose cursor
+// evaluates it with EvalBatch; both must fail or both must compute `want`.
+TEST_F(RaTest, Int64ArithmeticIsChecked) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kTwo32 = int64_t{1} << 32;
+  Schema s;
+  s.AddColumn("x", DataType::kInt64).AddColumn("y", DataType::kInt64);
+  auto arith = [](ArithmeticOp op) { return Arith(op, Col("x"), Col("y")); };
+  const ExprPtr abs = Func("abs", {Col("x")});
+  auto check = [&](const ExprPtr& expr, int64_t x, int64_t y,
+                   std::optional<int64_t> want) {
+    SCOPED_TRACE(expr->ToString() + " at x=" + std::to_string(x) +
+                 ", y=" + std::to_string(y));
+    const Row row{Value::Int(x), Value::Int(y)};
+    Result<Value> scalar = expr->Eval(row, s);
+    Result<RowSet> batch = Project(ScanValues(RowSet{s, {row}}),
+                                   {{"r", expr, DataType::kNull}})
+                               ->Execute(&ctx_);
+    if (!want) {
+      for (const Status& st : {scalar.status(), batch.status()}) {
+        EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+        EXPECT_NE(st.message().find("INT64 overflow"), std::string::npos)
+            << st;
+      }
+      return;
+    }
+    ASSERT_TRUE(scalar.ok()) << scalar.status();
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_EQ(scalar->AsInt(), *want);
+    ASSERT_EQ(batch->rows.size(), 1u);
+    EXPECT_EQ(batch->rows[0][0].AsInt(), *want);
+  };
+  check(arith(ArithmeticOp::kAdd), kMax, 1, std::nullopt);
+  check(arith(ArithmeticOp::kSub), kMin, 1, std::nullopt);
+  check(arith(ArithmeticOp::kMul), kTwo32, kTwo32, std::nullopt);
+  check(arith(ArithmeticOp::kDiv), kMin, -1, std::nullopt);
+  check(arith(ArithmeticOp::kMod), kMin, -1, std::nullopt);
+  check(abs, kMin, 0, std::nullopt);
+  // The neighbours that fit.
+  check(arith(ArithmeticOp::kAdd), kMax - 1, 1, kMax);
+  check(arith(ArithmeticOp::kDiv), -kMax, -1, kMax);
+  check(arith(ArithmeticOp::kMod), kMin, 10, -8);
 }
 
 TEST_F(RaTest, ExprNullSemantics) {
