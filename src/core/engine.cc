@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/net/fault.h"
-#include "src/xml/parser.h"
 
 namespace dipbench {
 namespace core {
@@ -235,28 +234,25 @@ FederatedEngine::FederatedEngine(net::Network* network, CostWeights weights,
 Status FederatedEngine::Deploy(const ProcessDefinition& def) {
   DIP_RETURN_NOT_OK(EngineBase::Deploy(def));
   if (def.event_type == EventType::kMessage) {
-    // Fig. 9a: CREATE TABLE <id>_queue (tid BIGINT PRIMARY KEY, msg CLOB)
-    // plus an insert trigger that executes the integration process.
+    // Fig. 9a: a queue table per process plus an insert trigger that
+    // executes the integration process. The message passes by reference:
+    // the row keeps only its tid, and the trigger runs on the document the
+    // instance already holds.
     Schema queue;
-    queue.AddColumn("tid", DataType::kInt64, false)
-        .AddColumn("msg", DataType::kString)
-        .SetPrimaryKey({"tid"});
+    queue.AddColumn("tid", DataType::kInt64, false).SetPrimaryKey({"tid"});
     DIP_RETURN_NOT_OK(
         engine_db_.CreateTable(def.id + "_queue", std::move(queue)).status());
     const std::string process_id = def.id;
     DIP_RETURN_NOT_OK(engine_db_.SetInsertTrigger(
         def.id + "_queue",
         [this, process_id](Database*, const std::string&,
-                           const Row& inserted) -> Status {
+                           const Row&) -> Status {
           if (current_ctx_ == nullptr) {
             return Status::Internal("trigger fired outside an instance");
           }
-          // The trigger re-parses the queued CLOB into the message the
-          // process body consumes ("evaluating the logical table inserted").
-          DIP_ASSIGN_OR_RETURN(xml::Node doc,
-                               xml::ParseXml(inserted[1].AsString()));
-          current_ctx_->ChargeXmlNodes(doc.SubtreeSize());
-          current_ctx_->SetInput(MtmMessage::FromXml(std::move(doc)));
+          // Reading the message back ("evaluating the logical table
+          // inserted") is charged as the CLOB read.
+          current_ctx_->ChargeXmlNodes(current_ctx_->input().XmlNodes());
           return ExecuteBody(processes_.at(process_id).body, current_ctx_);
         }));
   } else {
@@ -287,14 +283,10 @@ Status FederatedEngine::ExecuteInstance(const ProcessDefinition& def,
   } scope{current_ctx_};
   if (def.event_type == EventType::kMessage) {
     DIP_ASSIGN_OR_RETURN(auto doc, ctx->input().Xml());
-    // INSERT INTO <id>_queue VALUES (@msg) — the trigger runs the process.
+    // INSERT INTO <id>_queue VALUES (@tid) — the trigger runs the process.
     int64_t tid = engine_db_.NextSequenceValue(def.id + "_tid");
-    ctx->ChargeXmlNodes(doc->SubtreeSize());  // serialize into the CLOB
-    Row row;
-    row.reserve(2);
-    row.push_back(Value::Int(tid));
-    row.push_back(Value::String(xml::WriteXml(*doc)));
-    return engine_db_.InsertWithTriggers(def.id + "_queue", std::move(row));
+    ctx->ChargeXmlNodes(doc->SubtreeSize());  // the CLOB write
+    return engine_db_.InsertWithTriggers(def.id + "_queue", {Value::Int(tid)});
   }
   // EXECUTE <procedure>.
   return engine_db_.CallProcedure("exec_" + def.id, {});

@@ -34,10 +34,6 @@ class Query {
     return Query(HashJoin(std::move(plan_), std::move(right.plan_),
                           std::move(left_keys), std::move(right_keys)));
   }
-  Query Union(Query other, std::vector<std::string> key_columns) && {
-    std::vector<PlanPtr> children{std::move(plan_), std::move(other.plan_)};
-    return Query(UnionDistinct(std::move(children), std::move(key_columns)));
-  }
   Query GroupBy(std::vector<std::string> group_by,
                 std::vector<AggregateItem> aggs) && {
     return Query(
@@ -49,9 +45,6 @@ class Query {
 
   /// Executes the built plan.
   Result<RowSet> Run(ExecContext* ctx) const { return plan_->Execute(ctx); }
-
-  /// Access to the underlying plan (for embedding into larger plans).
-  const PlanPtr& plan() const { return plan_; }
 
  private:
   explicit Query(PlanPtr plan) : plan_(std::move(plan)) {}

@@ -280,7 +280,7 @@ class Parser {
 
 /// Where WriteNode's output goes. SizeSink only measures it, so WriteXml
 /// allocates its string once, at the exact size, before StringSink fills
-/// it; a message's CLOB then carries no spare capacity into the queue row.
+/// it.
 struct SizeSink {
   size_t size = 0;
   void Append(std::string_view s) { size += s.size(); }

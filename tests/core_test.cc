@@ -414,6 +414,10 @@ TEST_F(CoreTest, FederatedEngineCreatesQueueTablesAndTriggers) {
   FederatedEngine engine(&net_);
   ASSERT_TRUE(engine.Deploy(MessageProcess("P04")).ok());
   EXPECT_TRUE(engine.engine_db()->HasTable("P04_queue"));
+  // The message passes by reference: a queue row is its tid alone.
+  const Schema& queue = (*engine.engine_db()->GetTable("P04_queue"))->schema();
+  ASSERT_EQ(queue.num_columns(), 1u);
+  EXPECT_EQ(queue.column(0).name, "tid");
   ASSERT_TRUE(engine.Deploy(CopyProcess("P05")).ok());
   EXPECT_TRUE(engine.engine_db()->HasProcedure("exec_P05"));
 }
@@ -426,6 +430,38 @@ TEST_F(CoreTest, FederatedEngineExecutesViaTrigger) {
   EXPECT_EQ((*tgt_->GetTable("customer"))->size(), 1u);
   // The message went through the queue table.
   EXPECT_EQ((*engine.engine_db()->GetTable("P04_queue"))->size(), 1u);
+}
+
+TEST_F(CoreTest, FederatedTriggerRunsOnSubmittedDocument) {
+  // The queue trigger hands the body the submitted tree itself, so both
+  // engines see the same leaf text, padding included.
+  auto doc = std::make_shared<xml::Node>("msg");
+  doc->AddText("note", "  padded  ");
+  const xml::Node* seen_doc = nullptr;
+  std::string seen_text;
+  ProcessDefinition def;
+  def.id = "P04";
+  def.event_type = EventType::kMessage;
+  def.body = {Custom("inspect", [&](ProcessContext* ctx) -> Status {
+    DIP_ASSIGN_OR_RETURN(auto input, ctx->input().Xml());
+    seen_doc = input.get();
+    DIP_ASSIGN_OR_RETURN(seen_text, input->ChildText("note"));
+    return Status::OK();
+  })};
+
+  FederatedEngine federated(&net_);
+  ASSERT_TRUE(federated.Deploy(def).ok());
+  ASSERT_TRUE(federated.Submit({"P04", 0.0, doc, 0}).ok());
+  ASSERT_TRUE(federated.RunUntilIdle().ok());
+  EXPECT_EQ(seen_doc, doc.get());
+  const std::string federated_text = seen_text;
+
+  DataflowEngine dataflow(&net_);
+  ASSERT_TRUE(dataflow.Deploy(def).ok());
+  ASSERT_TRUE(dataflow.Submit({"P04", 0.0, doc, 0}).ok());
+  ASSERT_TRUE(dataflow.RunUntilIdle().ok());
+  EXPECT_EQ(seen_text, "  padded  ");
+  EXPECT_EQ(federated_text, seen_text);
 }
 
 TEST_F(CoreTest, FederatedEngineExecutesProcedure) {

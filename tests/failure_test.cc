@@ -159,8 +159,8 @@ TEST_F(FailureTest, FederatedInstanceWithoutMessageLeavesNoTriggerContext) {
   EXPECT_EQ((*engine.engine_db()->GetTable("PX_queue"))->size(), 0u);
   // Its context is gone: an insert outside any instance must not run the
   // trigger body on it.
-  Status outside = engine.engine_db()->InsertWithTriggers(
-      "PX_queue", {Value::Int(1000), Value::String("<m/>")});
+  Status outside =
+      engine.engine_db()->InsertWithTriggers("PX_queue", {Value::Int(1000)});
   EXPECT_EQ(outside.code(), StatusCode::kInternal);
   EXPECT_NE(outside.message().find("trigger fired outside an instance"),
             std::string::npos)
