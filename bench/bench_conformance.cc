@@ -126,11 +126,6 @@ int main(int argc, char** argv) {
               "be caught, shrunk and replayed")
       .Define("shrink-out", "path for the shrunk repro JSON on failure "
                             "(default conformance_repro.json)")
-      .Define("realization",
-              "full (default): legacy matrix; incremental: run every cell "
-              "with the incremental Group C/D realization; both: add "
-              "incremental twins on fault-free cases and diff them against "
-              "full recompute")
       .Define("json-out", "write the fuzz summary as JSON to this path");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::fprintf(stderr, "%s\n%s", st.ToString().c_str(),
@@ -158,21 +153,6 @@ int main(int argc, char** argv) {
   opt.jobs = *jobs;
   opt.include_eai = flags.Has("include-eai");
   opt.max_failures = 1;
-  const std::string realization = flags.Get("realization", "full");
-  if (realization == "both") {
-    opt.include_incremental = true;
-  } else if (realization == "incremental") {
-    opt.matrix = conformance::DefaultMatrix(opt.include_eai);
-    for (conformance::MatrixCell& cell : opt.matrix) {
-      cell.realization = Realization::kIncremental;
-    }
-  } else if (realization != "full") {
-    std::fprintf(stderr,
-                 "invalid --realization '%s' (expected full, incremental "
-                 "or both)\n%s",
-                 realization.c_str(), flags.Usage().c_str());
-    return 2;
-  }
   Result<int> periods = flags::PeriodsOverrideFromEnv();
   if (!periods.ok()) {
     std::fprintf(stderr, "%s\n", periods.status().ToString().c_str());
@@ -201,8 +181,8 @@ int main(int argc, char** argv) {
 
   conformance::FuzzReport report = conformance::RunFuzz(opt);
 
-  std::printf("\n%zu cases, %zu runs, %zu pairwise diffs "
-              "(%zu allowlisted), %zu failure(s), %.0f ms\n",
+  std::printf("\n%zu cases, %zu runs, %zu pairs compared (%zu differed "
+              "only in allowlisted ways), %zu failure(s), %.0f ms\n",
               report.cases_run, report.runs, report.pairs,
               report.allowlisted_pairs, report.failures.size(),
               report.wall_ms);

@@ -31,11 +31,7 @@ int main(int argc, char** argv) {
                       "drive the figure from a scenario manifest "
                       "(first expanded run) instead of the paper config",
                       "write a Chrome trace of the run to this path")
-      .Define("datasize", "override scale factor d (default 0.05)")
-      .Define("realization",
-              "full | incremental (default full): process realization for "
-              "the Group C/D maintenance processes (SPECIFICATION.md §16); "
-              "landscape state is identical either way");
+      .Define("datasize", "override scale factor d (default 0.05)");
   if (Status st = flags.Parse(argc, argv); !st.ok()) {
     std::fprintf(stderr, "%s\n%s", st.ToString().c_str(),
                  flags.Usage().c_str());
@@ -61,18 +57,6 @@ int main(int argc, char** argv) {
   const std::string trace_out = flags.Get("trace-out");
   const std::string metrics_out = flags.Get("metrics-out");
   if (!figure::ApplyRunFlags(flags, &config)) return 2;
-  // --realization=incremental swaps the Group C/D process bodies for the
-  // change-data-capture realization (src/ivm); the Client installs the
-  // delta procedures before initialization. Final landscape state is
-  // byte-identical to the full recompute (SPECIFICATION.md §16).
-  const std::string realization = flags.Get("realization");
-  if (realization == "incremental") {
-    config.realization = Realization::kIncremental;
-  } else if (!realization.empty() && realization != "full") {
-    std::fprintf(stderr, "unknown --realization=%s\n%s", realization.c_str(),
-                 flags.Usage().c_str());
-    return 2;
-  }
 
   // Observability is opt-in: without the flags no recorder exists and the
   // run is byte-identical to an uninstrumented binary.

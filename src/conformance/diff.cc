@@ -102,10 +102,6 @@ class Differ {
     for (const AllowRule& rule : allowlist_) {
       if (rule.section != entry->section) continue;
       if (rule.requires_engine_mismatch && !ctx_.engines_differ()) continue;
-      if (rule.requires_realization_mismatch &&
-          !ctx_.realizations_differ()) {
-        continue;
-      }
       if (!rule.key.empty() && rule.key != entry->key) continue;
       entry->allowlisted = true;
       entry->rule = rule.name;
@@ -270,15 +266,7 @@ const char* SectionName(Section s) {
 }
 
 std::string PairContext::ToString() const {
-  // A realization renders only when either side deviates from the default
-  // full recompute, so most labels read "engine vs engine".
-  const bool any_inc = realization_a != "full" || realization_b != "full";
-  std::string a = engine_a, b = engine_b;
-  if (any_inc) {
-    a += "/" + realization_a;
-    b += "/" + realization_b;
-  }
-  return a + " vs " + b;
+  return engine_a + " vs " + engine_b;
 }
 
 std::string DiffEntry::ToString() const {
@@ -313,23 +301,6 @@ const std::vector<AllowRule>& DocumentedAllowlist() {
         "when both runs fail, error text may name engine internals; the "
         "ok-flag itself must still agree",
         Section::kRun, /*requires_engine_mismatch=*/true, /*key=*/"error"});
-    // The two realization rules cover ONLY the counter and monitor
-    // sections: SPECIFICATION.md §16 requires landscape state (rows,
-    // schemas, verification) to stay byte-identical across realizations,
-    // so no rule may absorb a divergence there.
-    r->push_back(AllowRule{
-        "realization-io-counters",
-        "SPECIFICATION.md §16: incremental maintenance folds only the "
-        "unconsumed change-log suffix, so per-table rows_read/rows_written "
-        "differ from a full recompute",
-        Section::kCounters, /*requires_engine_mismatch=*/false, /*key=*/"",
-        /*requires_realization_mismatch=*/true});
-    r->push_back(AllowRule{
-        "realization-cost-model",
-        "Monitor charges scale with rows moved per process; cost CSVs "
-        "compare only within one realization",
-        Section::kMonitor, /*requires_engine_mismatch=*/false, /*key=*/"",
-        /*requires_realization_mismatch=*/true});
     return r;
   }();
   return *rules;

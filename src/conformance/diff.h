@@ -15,11 +15,8 @@ namespace conformance {
 /// conformance violations.
 struct PairContext {
   std::string engine_a, engine_b;
-  std::string realization_a = "full";  ///< "full" | "incremental"
-  std::string realization_b = "full";
 
   bool engines_differ() const { return engine_a != engine_b; }
-  bool realizations_differ() const { return realization_a != realization_b; }
   std::string ToString() const;
 };
 
@@ -67,12 +64,6 @@ struct AllowRule {
   /// Restrict to one entry key ("rows_read", "error", ...); empty = any
   /// key within the section.
   std::string key;
-  /// Rule only applies when the two runs used different process
-  /// realizations (SPECIFICATION.md §16: full recompute vs incremental
-  /// maintenance). Deliberately NEVER set on the kRows/kSchema/
-  /// kVerification sections — landscape state must stay byte-identical
-  /// across realizations.
-  bool requires_realization_mismatch = false;
 };
 
 /// The documented divergences:
@@ -81,13 +72,6 @@ struct AllowRule {
 ///   * engine-failure-text    — when both runs fail, the error text may
 ///                              name engine internals (the ok-flag itself
 ///                              must still agree).
-///   * realization-io-counters — SPECIFICATION.md §16: incremental
-///                              maintenance touches fewer rows, so
-///                              rows_read / rows_written may differ from
-///                              full recompute.
-///   * realization-cost-model — Monitor charges scale with rows moved;
-///                              realizations compare only within one
-///                              realization.
 const std::vector<AllowRule>& DocumentedAllowlist();
 
 /// Structured comparison of two digests.

@@ -68,8 +68,8 @@ struct StateDigest {
   uint64_t retries = 0;
   uint64_t dead_letters = 0;
 
-  /// The run outcome itself is part of the digest: an engine or realization
-  /// change turning a green run red IS a conformance bug.
+  /// The run outcome itself is part of the digest: an engine change
+  /// turning a green run red IS a conformance bug.
   bool run_ok = true;
   std::string run_error;
 

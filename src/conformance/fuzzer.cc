@@ -87,12 +87,6 @@ const T& Pick(Rng* rng, const std::vector<T>& from) {
 
 }  // namespace
 
-std::string MatrixCell::Label() const {
-  std::string label = engine;
-  if (realization == Realization::kIncremental) label += "/inc";
-  return label;
-}
-
 std::vector<MatrixCell> DefaultMatrix(bool include_eai) {
   std::vector<MatrixCell> matrix = {MatrixCell{"federated"},
                                     MatrixCell{"dataflow"}};
@@ -345,8 +339,6 @@ PairContext MakePairContext(const MatrixCell& a, const MatrixCell& b) {
   PairContext ctx;
   ctx.engine_a = a.engine;
   ctx.engine_b = b.engine;
-  ctx.realization_a = RealizationName(a.realization);
-  ctx.realization_b = RealizationName(b.realization);
   return ctx;
 }
 
@@ -364,25 +356,8 @@ CaseResult RunCase(const FuzzCase& fuzz_case, const FuzzOptions& opt) {
   CaseResult result;
   result.fuzz_case = fuzz_case;
 
-  std::vector<MatrixCell> matrix =
+  const std::vector<MatrixCell> matrix =
       opt.matrix.empty() ? DefaultMatrix(opt.include_eai) : opt.matrix;
-
-  // Incremental twins join the matrix only for fault-free cases: the two
-  // realizations issue different endpoint-call sequences, so under a fault
-  // plan their injected-failure draws (and thus run outcomes) legitimately
-  // diverge — that pairing proves nothing about maintenance correctness.
-  const ScaleConfig& cfg = fuzz_case.manifest.config;
-  bool fault_free = cfg.fault_rate == 0.0 && cfg.fault_spike_rate == 0.0 &&
-                    cfg.outages.empty() && cfg.error_phases.empty();
-  if (opt.include_incremental && fault_free) {
-    size_t base = matrix.size();
-    for (size_t i = 0; i < base; ++i) {
-      if (matrix[i].realization != Realization::kFullRecompute) continue;
-      MatrixCell twin = matrix[i];
-      twin.realization = Realization::kIncremental;
-      matrix.push_back(std::move(twin));
-    }
-  }
 
   std::vector<harness::RunSpec> specs;
   specs.reserve(matrix.size());
@@ -390,11 +365,10 @@ CaseResult RunCase(const FuzzCase& fuzz_case, const FuzzOptions& opt) {
     harness::RunSpec spec;
     spec.config = fuzz_case.manifest.config;
     if (opt.periods_override > 0) spec.config.periods = opt.periods_override;
-    spec.config.realization = cell.realization;
     spec.engine = cell.engine;
     spec.digest_state = true;
     spec.label = StrFormat("case-%zu %s", fuzz_case.index,
-                           cell.Label().c_str());
+                           cell.engine.c_str());
     if (opt.inject) {
       auto inject = opt.inject;
       spec.post_run_mutator = [inject, cell](Scenario* scenario) {

@@ -20,15 +20,6 @@ namespace conformance {
 /// all digests pairwise.
 struct MatrixCell {
   std::string engine = "federated";
-  /// Process realization for the Group C/D maintenance bodies. Incremental
-  /// cells must land in the same digests as full-recompute cells (state,
-  /// rows, verification); only the IO-counter and monitor divergences
-  /// documented in SPECIFICATION.md §16 are allowlisted.
-  Realization realization = Realization::kFullRecompute;
-
-  /// "dataflow" (+"/inc" for incremental cells) — stable, label- and
-  /// log-friendly.
-  std::string Label() const;
 };
 
 /// The full matrix: {federated, dataflow} (+ eai on request).
@@ -69,12 +60,6 @@ struct FuzzOptions {
   /// > 0 forces every generated config to this period count (CI smoke).
   int periods_override = 0;
   bool include_eai = false;
-  /// Adds an incremental-realization twin for every matrix cell of
-  /// fault-free cases (fault plans draw per-endpoint-call, and the two
-  /// realizations issue different call sequences — under faults the pair
-  /// would legitimately diverge in run outcome, which is exactly the noise
-  /// the differential contract cannot absorb).
-  bool include_incremental = false;
   /// Cells to execute; empty selects DefaultMatrix(include_eai).
   std::vector<MatrixCell> matrix;
   /// Divergence-injection test hook, forwarded to RunSpec::post_run_mutator

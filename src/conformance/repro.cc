@@ -132,14 +132,7 @@ std::string ReproToJson(const Repro& repro) {
   out += "  \"cells\": [\n";
   for (size_t i = 0; i < repro.cells.size(); ++i) {
     const MatrixCell& cell = repro.cells[i];
-    out += "    {\"engine\": " + QuoteJson(cell.engine);
-    // Rendered only for non-default realizations; a cell without the
-    // key reads back as the full recompute.
-    if (cell.realization != Realization::kFullRecompute) {
-      out += std::string(", \"realization\": \"") +
-             RealizationName(cell.realization) + "\"";
-    }
-    out += "}";
+    out += "    {\"engine\": " + QuoteJson(cell.engine) + "}";
     out += i + 1 < repro.cells.size() ? ",\n" : "\n";
   }
   out += "  ],\n";
@@ -196,9 +189,9 @@ Result<Repro> ReproFromJsonText(std::string_view text,
   for (const json::Value& item : cells->items) {
     if (!item.is_object()) return err(item, "cell must be an object");
     for (const auto& [key, value] : item.members) {
-      if (key != "engine" && key != "realization") {
-        return err(value, "unknown cell key '" + key +
-                              "' (expected engine or realization)");
+      if (key != "engine") {
+        return err(value,
+                   "unknown cell key '" + key + "' (expected engine)");
       }
     }
     MatrixCell cell;
@@ -207,17 +200,6 @@ Result<Repro> ReproFromJsonText(std::string_view text,
         return err(*engine, "'engine' must be a string");
       }
       cell.engine = engine->string_value;
-    }
-    if (const json::Value* realization = item.Find("realization")) {
-      if (!realization->is_string()) {
-        return err(*realization, "'realization' must be a string");
-      }
-      Result<Realization> parsed_r =
-          ParseRealization(realization->string_value);
-      if (!parsed_r.ok()) {
-        return err(*realization, parsed_r.status().message());
-      }
-      cell.realization = *parsed_r;
     }
     repro.cells.push_back(std::move(cell));
   }

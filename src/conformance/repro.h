@@ -29,7 +29,7 @@ Repro MakeRepro(const ShrinkResult& shrunk, uint64_t master_seed,
                 size_t case_index, const std::string& note);
 
 /// {"dipbench_repro": 1, "note": ..., "master_seed": ..., "case_index":
-///  ..., "cells": [{"engine"[, "realization"]}],
+///  ..., "cells": [{"engine"}],
 ///  "manifest": {...}}
 std::string ReproToJson(const Repro& repro);
 

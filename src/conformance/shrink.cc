@@ -35,7 +35,7 @@ Evaluation EvaluatePair(const scenario::ScenarioManifest& manifest,
     if (opt.periods_override > 0) spec.config.periods = opt.periods_override;
     spec.engine = cell->engine;
     spec.digest_state = true;
-    spec.label = "shrink " + cell->Label();
+    spec.label = "shrink " + cell->engine;
     if (opt.inject) {
       auto inject = opt.inject;
       MatrixCell copy = *cell;
@@ -207,7 +207,7 @@ Result<ShrinkResult> ShrinkCase(const FuzzCase& fuzz_case,
     return Status::InvalidArgument(StrFormat(
         "shrink: pair %s vs %s of case %zu does not violate — nothing to "
         "shrink",
-        cell_a.Label().c_str(), cell_b.Label().c_str(), fuzz_case.index));
+        cell_a.engine.c_str(), cell_b.engine.c_str(), fuzz_case.index));
   }
   result.diff = std::move(baseline.diff);
 

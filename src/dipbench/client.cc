@@ -4,7 +4,6 @@
 
 #include "src/core/retry.h"
 #include "src/dipbench/processes.h"
-#include "src/ivm/ivm.h"
 #include "src/net/fault.h"
 #include "src/dipbench/schedule.h"
 
@@ -44,12 +43,7 @@ void Client::SetObserver(obs::ObsContext obs) {
 }
 
 Status Client::DeployProcesses() {
-  // The incremental Group C/D bodies call the src/ivm procedures and delta
-  // queries; install them on the scenario before any instance can run.
-  if (config_.realization == Realization::kIncremental) {
-    DIP_RETURN_NOT_OK(ivm::InstallIncrementalMaintenance(scenario_));
-  }
-  for (const auto& def : BuildProcesses(config_.realization)) {
+  for (const auto& def : BuildProcesses()) {
     Status st = engine_->Deploy(def);
     if (!st.ok() && st.code() != StatusCode::kAlreadyExists) return st;
   }

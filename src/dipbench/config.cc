@@ -5,23 +5,6 @@
 
 namespace dipbench {
 
-const char* RealizationName(Realization r) {
-  switch (r) {
-    case Realization::kFullRecompute:
-      return "full";
-    case Realization::kIncremental:
-      return "incremental";
-  }
-  return "?";
-}
-
-Result<Realization> ParseRealization(const std::string& name) {
-  if (name == "full") return Realization::kFullRecompute;
-  if (name == "incremental") return Realization::kIncremental;
-  return Status::InvalidArgument("unknown realization '" + name +
-                                 "' (expected \"full\" or \"incremental\")");
-}
-
 double TrafficShape::MultiplierFor(const std::string& stream, int period,
                                    int periods, uint64_t seed) const {
   switch (kind) {
@@ -119,11 +102,6 @@ std::string ScaleConfig::ToString() const {
     out += StrFormat(", retries=%d, backoff=%.1ftu, dead_letter=%s",
                      retry_max_attempts, retry_backoff_tu,
                      retry_dead_letter ? "on" : "off");
-  }
-  // The realization renders only when it deviates from the legacy default,
-  // keeping every pre-existing config string byte-identical.
-  if (realization != Realization::kFullRecompute) {
-    out += StrFormat(", realization=%s", RealizationName(realization));
   }
   // Scenario-manifest extensions, rendered only when present.
   if (!traffic.empty()) {

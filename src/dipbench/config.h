@@ -8,7 +8,6 @@
 
 #include "src/common/clock.h"
 #include "src/common/random.h"
-#include "src/common/result.h"
 #include "src/common/status.h"
 
 namespace dipbench {
@@ -16,24 +15,6 @@ namespace dipbench {
 namespace net {
 struct FaultPlan;
 }  // namespace net
-
-/// How the Group C/D processes (P12–P15, the DWH bulk loads and mart
-/// refreshes) realize their target-side maintenance:
-///  * kFullRecompute — the legacy realization: materialized views are
-///    cleared and recomputed from a full scan, mart refreshes extract the
-///    complete movement history each run.
-///  * kIncremental — change-data capture + incremental view maintenance
-///    (src/ivm): CDB/DWH/mart tables log committed deltas and the refresh
-///    processes fold only the unconsumed log suffix, advancing named
-///    cursors with an at-most-once ledger. Final landscape state is
-///    byte-identical to full recompute (SPECIFICATION.md §16); only IO
-///    counters may differ (fewer rows touched).
-enum class Realization { kFullRecompute, kIncremental };
-
-/// "full" / "incremental".
-const char* RealizationName(Realization r);
-/// Parses a realization name (the two canonical names only).
-Result<Realization> ParseRealization(const std::string& name);
 
 /// Per-stream traffic shape (scenario manifests, src/scenario): modulates
 /// how many E1 process instances a stream submits per period, as a
@@ -163,12 +144,6 @@ struct ScaleConfig {
   /// Exhausted instances land in a dead-letter record (failed, costs
   /// charged) instead of aborting the period.
   bool retry_dead_letter = false;
-
-  /// Process realization of the Group C/D maintenance processes. The
-  /// default keeps the legacy full-recompute bodies; kIncremental switches
-  /// P12–P15 to the delta-propagation bodies and enables change capture on
-  /// the involved tables before the first period.
-  Realization realization = Realization::kFullRecompute;
 
   /// --- Scenario-manifest extensions (src/scenario). All default-empty:
   /// a config that never touches them is byte-identical to earlier builds.

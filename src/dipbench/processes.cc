@@ -458,8 +458,7 @@ OpPtr ValidateRows(const std::string& in_var, const std::string& out_var,
       });
 }
 
-ProcessDefinition P12(Realization realization) {
-  const bool inc = realization == Realization::kIncremental;
+ProcessDefinition P12() {
   ProcessDefinition def;
   def.id = "P12";
   def.group = 'C';
@@ -467,13 +466,6 @@ ProcessDefinition P12(Realization realization) {
   def.description =
       "Bulk-load DWH master data: cleanse in CDB, extract, validate, load, "
       "flag integrated";
-  // Incremental realization (src/ivm): the customer/product extracts are
-  // already delta-sized via the integrated flag; only the reference
-  // dimensions switch from full scans to change-log suffixes, and the final
-  // flagging procedure additionally consumes the dimension cursors.
-  auto dim_query = [&](const char* t) {
-    return std::string(inc ? "delta_" : "all_") + t;
-  };
   def.body = {
       InvokeProc(Scenario::kCdb, "sp_runMasterDataCleansing", {}),
       // Customers.
@@ -485,27 +477,23 @@ ProcessDefinition P12(Realization realization) {
       ValidateRows("mp1", "mp2", {"prodkey", "name", "groupkey"}),
       InvokeUpdate(Scenario::kDwh, "load_products", "mp2"),
       // Reference dimensions travel with the master data.
-      InvokeQuery(Scenario::kCdb, dim_query("city"), {}, "d1"),
+      InvokeQuery(Scenario::kCdb, "all_city", {}, "d1"),
       InvokeUpdate(Scenario::kDwh, "load_city", "d1"),
-      InvokeQuery(Scenario::kCdb, dim_query("nation"), {}, "d2"),
+      InvokeQuery(Scenario::kCdb, "all_nation", {}, "d2"),
       InvokeUpdate(Scenario::kDwh, "load_nation", "d2"),
-      InvokeQuery(Scenario::kCdb, dim_query("region"), {}, "d3"),
+      InvokeQuery(Scenario::kCdb, "all_region", {}, "d3"),
       InvokeUpdate(Scenario::kDwh, "load_region", "d3"),
-      InvokeQuery(Scenario::kCdb, dim_query("productgroup"), {}, "d4"),
+      InvokeQuery(Scenario::kCdb, "all_productgroup", {}, "d4"),
       InvokeUpdate(Scenario::kDwh, "load_productgroup", "d4"),
-      InvokeQuery(Scenario::kCdb, dim_query("productline"), {}, "d5"),
+      InvokeQuery(Scenario::kCdb, "all_productline", {}, "d5"),
       InvokeUpdate(Scenario::kDwh, "load_productline", "d5"),
       // Master data is flagged as integrated but not physically removed.
-      InvokeProc(Scenario::kCdb,
-                 inc ? "sp_flagMasterIntegratedDelta"
-                     : "sp_flagMasterIntegrated",
-                 {}),
+      InvokeProc(Scenario::kCdb, "sp_flagMasterIntegrated", {}),
   };
   return def;
 }
 
-ProcessDefinition P13(Realization realization) {
-  const bool inc = realization == Realization::kIncremental;
+ProcessDefinition P13() {
   ProcessDefinition def;
   def.id = "P13";
   def.group = 'C';
@@ -518,11 +506,8 @@ ProcessDefinition P13(Realization realization) {
       InvokeQuery(Scenario::kCdb, "extract_clean_orders", {}, "mo1"),
       ValidateRows("mo1", "mo2", {"orderkey", "custkey", "orderdate"}),
       InvokeUpdate(Scenario::kDwh, "load_orders", "mo2"),
-      // First invocation: refresh the materialized view — full recompute,
-      // or a fold of the change-log suffix the load above appended.
-      InvokeProc(Scenario::kDwh,
-                 inc ? "sp_refreshOrdersMvIncremental" : "sp_refreshOrdersMv",
-                 {}),
+      // First invocation: refresh the materialized view.
+      InvokeProc(Scenario::kDwh, "sp_refreshOrdersMv", {}),
       // Second invocation: remove loaded movement data for simple delta
       // determination in the following integration processes.
       InvokeProc(Scenario::kCdb, "sp_deleteIntegratedMovement", {}),
@@ -566,8 +551,7 @@ std::vector<OpPtr> MartBranch(const char* mart, const char* region,
   };
 }
 
-ProcessDefinition P14(Realization realization) {
-  const bool inc = realization == Realization::kIncremental;
+ProcessDefinition P14() {
   ProcessDefinition def;
   def.id = "P14";
   def.group = 'D';
@@ -575,19 +559,12 @@ ProcessDefinition P14(Realization realization) {
   def.description =
       "Refresh data marts: subprocess P14_S1 extracts all DWH data, three "
       "concurrent threads map and load the region marts";
-  // Incremental realization: the movement extraction reads only the
-  // dwh_db.orders change-log suffix behind the "mart" cursor (the master
-  // extracts stay full — mart loads upsert, so replaying them is
-  // idempotent), and a final procedure consumes the cursor once all three
-  // branches loaded.
   def.body = {
       Subprocess(
           "P14_S1",
           {
-              InvokeQuery(Scenario::kDwh,
-                          inc ? "extract_orders_with_region_delta"
-                              : "extract_orders_with_region",
-                          {}, "all_orders"),
+              InvokeQuery(Scenario::kDwh, "extract_orders_with_region", {},
+                          "all_orders"),
               InvokeQuery(Scenario::kDwh, "extract_customers_denorm", {},
                           "cust_denorm"),
               InvokeQuery(Scenario::kDwh, "extract_customers_norm", {},
@@ -608,16 +585,10 @@ ProcessDefinition P14(Realization realization) {
           MartBranch(Scenario::kDmUnitedStates, "America", false, true),
       }),
   };
-  if (inc) {
-    def.body.push_back(InvokeProc(Scenario::kDwh, "sp_advanceMartCursor", {}));
-  }
   return def;
 }
 
-ProcessDefinition P15(Realization realization) {
-  const char* proc = realization == Realization::kIncremental
-                         ? "sp_refresh_mv_incremental"
-                         : "sp_refresh_mv";
+ProcessDefinition P15() {
   ProcessDefinition def;
   def.id = "P15";
   def.group = 'D';
@@ -627,9 +598,9 @@ ProcessDefinition P15(Realization realization) {
       "processed in parallel)";
   def.body = {
       Fork({
-          {InvokeProc(Scenario::kDmEurope, proc, {})},
-          {InvokeProc(Scenario::kDmAsia, proc, {})},
-          {InvokeProc(Scenario::kDmUnitedStates, proc, {})},
+          {InvokeProc(Scenario::kDmEurope, "sp_refresh_mv", {})},
+          {InvokeProc(Scenario::kDmAsia, "sp_refresh_mv", {})},
+          {InvokeProc(Scenario::kDmUnitedStates, "sp_refresh_mv", {})},
       }),
   };
   return def;
@@ -637,16 +608,13 @@ ProcessDefinition P15(Realization realization) {
 
 }  // namespace
 
-std::vector<ProcessDefinition> BuildProcesses(Realization realization) {
-  return {P01(), P02(), P03(), P04(),
-          P05(), P06(), P07(), P08(),
-          P09(), P10(), P11(), P12(realization),
-          P13(realization), P14(realization), P15(realization)};
+std::vector<ProcessDefinition> BuildProcesses() {
+  return {P01(), P02(), P03(), P04(), P05(), P06(), P07(), P08(),
+          P09(), P10(), P11(), P12(), P13(), P14(), P15()};
 }
 
-Result<ProcessDefinition> BuildProcess(const std::string& id,
-                                       Realization realization) {
-  for (auto& def : BuildProcesses(realization)) {
+Result<ProcessDefinition> BuildProcess(const std::string& id) {
+  for (auto& def : BuildProcesses()) {
     if (def.id == id) return def;
   }
   return Status::NotFound("no process type " + id);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/core/process.h"
-#include "src/dipbench/config.h"
 
 namespace dipbench {
 
@@ -32,21 +31,10 @@ namespace dipbench {
 /// The definitions are platform-independent MTM graphs; the same set is
 /// deployed into either engine. Deviations from the paper (where its prose
 /// is under-specified) are noted inline and in DESIGN.md.
-///
-/// `realization` selects how the Group C/D maintenance bodies (P12–P15)
-/// realize their target-side refreshes: the default keeps the legacy
-/// full-recompute operations; kIncremental swaps in the delta-propagation
-/// operations of src/ivm (same process ids, event types, and descriptions —
-/// only the maintenance ops and, for P14, the dwh_db.orders claim differ).
-/// Incremental bodies require ivm::InstallIncrementalMaintenance to have
-/// run on the scenario.
-std::vector<core::ProcessDefinition> BuildProcesses(
-    Realization realization = Realization::kFullRecompute);
+std::vector<core::ProcessDefinition> BuildProcesses();
 
 /// Returns the definition for one id, e.g. "P04" (NotFound otherwise).
-Result<core::ProcessDefinition> BuildProcess(
-    const std::string& id,
-    Realization realization = Realization::kFullRecompute);
+Result<core::ProcessDefinition> BuildProcess(const std::string& id);
 
 /// True for the E1 types of Table I (initiated by a message, e.g. "P04"),
 /// false for E2 types and unknown ids. Read off the definitions'

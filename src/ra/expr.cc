@@ -390,51 +390,6 @@ class IsNullExpr : public Expr {
   ExprPtr operand_;
 };
 
-class InListExpr : public Expr {
- public:
-  InListExpr(ExprPtr needle, std::vector<Value> haystack)
-      : needle_(std::move(needle)), haystack_(std::move(haystack)) {}
-  ExprKind kind() const override { return ExprKind::kInList; }
-  Result<Value> Eval(const Row& row, const Schema& schema) const override {
-    DIP_ASSIGN_OR_RETURN(Value v, needle_->Eval(row, schema));
-    if (v.is_null()) return Value::Bool(false);
-    for (const auto& h : haystack_) {
-      if (v.Compare(h) == 0) return Value::Bool(true);
-    }
-    return Value::Bool(false);
-  }
-  Status EvalBatch(const TupleRefs& rows, const Schema& schema,
-                   std::vector<Value>* out) const override {
-    Operand needle;
-    DIP_RETURN_NOT_OK(needle.Bind(*needle_, rows, schema));
-    out->clear();
-    out->reserve(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Value& v = needle.at(rows, i);
-      bool found = false;
-      if (!v.is_null()) {
-        for (const auto& h : haystack_) {
-          if (v.Compare(h) == 0) {
-            found = true;
-            break;
-          }
-        }
-      }
-      out->push_back(Value::Bool(found));
-    }
-    return Status::OK();
-  }
-  std::string ToString() const override {
-    std::vector<std::string> items;
-    for (const auto& h : haystack_) items.push_back(h.ToString());
-    return needle_->ToString() + " IN (" + StrJoin(items, ", ") + ")";
-  }
-
- private:
-  ExprPtr needle_;
-  std::vector<Value> haystack_;
-};
-
 class FunctionExpr : public Expr {
  public:
   FunctionExpr(std::string name, std::vector<ExprPtr> args)
@@ -484,27 +439,17 @@ class FunctionExpr : public Expr {
   enum class Fn {
     kYear,
     kMonth,
-    kDay,
-    kLower,
-    kUpper,
-    kConcat,
-    kSubstr,
-    kLength,
-    kAbs,
     kCoalesce,
     kDecode,
-    kHashMod,
     kUnknown,
   };
 
   static Fn Resolve(const std::string& name) {
     static const std::pair<const char*, Fn> kNames[] = {
-        {"year", Fn::kYear},       {"month", Fn::kMonth},
-        {"day", Fn::kDay},         {"lower", Fn::kLower},
-        {"upper", Fn::kUpper},     {"concat", Fn::kConcat},
-        {"substr", Fn::kSubstr},   {"length", Fn::kLength},
-        {"abs", Fn::kAbs},         {"coalesce", Fn::kCoalesce},
-        {"decode", Fn::kDecode},   {"hash_mod", Fn::kHashMod},
+        {"year", Fn::kYear},
+        {"month", Fn::kMonth},
+        {"coalesce", Fn::kCoalesce},
+        {"decode", Fn::kDecode},
     };
     for (const auto& [n, fn] : kNames) {
       if (name == n) return fn;
@@ -522,70 +467,14 @@ class FunctionExpr : public Expr {
     };
     switch (fn_) {
       case Fn::kYear:
-      case Fn::kMonth:
-      case Fn::kDay: {
+      case Fn::kMonth: {
         DIP_RETURN_NOT_OK(require_arity(1));
         const Value& d = *vals[0];
         if (d.is_null()) return Value::Null();
-        Result<int64_t> part = fn_ == Fn::kYear    ? d.DateYear()
-                               : fn_ == Fn::kMonth ? d.DateMonth()
-                                                   : d.DateDay();
+        Result<int64_t> part =
+            fn_ == Fn::kYear ? d.DateYear() : d.DateMonth();
         if (!part.ok()) return part.status();
         return Value::Int(*part);
-      }
-      case Fn::kLower:
-      case Fn::kUpper: {
-        DIP_RETURN_NOT_OK(require_arity(1));
-        if (vals[0]->is_null()) return Value::Null();
-        if (vals[0]->type() != DataType::kString) {
-          return Status::TypeMismatch(name_ + " expects string");
-        }
-        std::string s(vals[0]->AsString());
-        for (char& c : s) {
-          if (fn_ == Fn::kLower && c >= 'A' && c <= 'Z') c += 'a' - 'A';
-          if (fn_ == Fn::kUpper && c >= 'a' && c <= 'z') c -= 'a' - 'A';
-        }
-        return Value::String(s);
-      }
-      case Fn::kConcat: {
-        std::string out;
-        for (const Value* v : vals) out += v->ToString();
-        return Value::String(out);
-      }
-      case Fn::kSubstr: {
-        DIP_RETURN_NOT_OK(require_arity(3));
-        if (vals[0]->is_null()) return Value::Null();
-        if (vals[0]->type() != DataType::kString) {
-          return Status::TypeMismatch("substr expects string");
-        }
-        DIP_ASSIGN_OR_RETURN(int64_t pos, vals[1]->ToInt());
-        DIP_ASSIGN_OR_RETURN(int64_t len, vals[2]->ToInt());
-        std::string_view s = vals[0]->AsString();
-        if (pos < 0 || static_cast<size_t>(pos) >= s.size() || len < 0) {
-          return Value::String("");
-        }
-        return Value::String(s.substr(pos, len));
-      }
-      case Fn::kLength: {
-        DIP_RETURN_NOT_OK(require_arity(1));
-        if (vals[0]->is_null()) return Value::Null();
-        if (vals[0]->type() != DataType::kString) {
-          return Status::TypeMismatch("length expects string");
-        }
-        return Value::Int(static_cast<int64_t>(vals[0]->AsString().size()));
-      }
-      case Fn::kAbs: {
-        DIP_RETURN_NOT_OK(require_arity(1));
-        if (vals[0]->is_null()) return Value::Null();
-        if (vals[0]->type() == DataType::kInt64) {
-          int64_t i = vals[0]->AsInt();
-          if (i == std::numeric_limits<int64_t>::min()) {
-            return Status::InvalidArgument("INT64 overflow in abs");
-          }
-          return Value::Int(std::llabs(i));
-        }
-        DIP_ASSIGN_OR_RETURN(double d, vals[0]->ToNumeric());
-        return Value::Double(std::fabs(d));
       }
       case Fn::kCoalesce: {
         for (const Value* v : vals) {
@@ -605,12 +494,6 @@ class FunctionExpr : public Expr {
         // Odd remaining argument is the default.
         if (i < vals.size()) return *vals[i];
         return Value::Null();
-      }
-      case Fn::kHashMod: {
-        DIP_RETURN_NOT_OK(require_arity(2));
-        DIP_ASSIGN_OR_RETURN(int64_t m, vals[1]->ToInt());
-        if (m <= 0) return Status::InvalidArgument("hash_mod modulus <= 0");
-        return Value::Int(static_cast<int64_t>(vals[0]->Hash() % m));
       }
       case Fn::kUnknown:
         break;
@@ -662,9 +545,6 @@ ExprPtr Mul(ExprPtr l, ExprPtr r) { return Arith(ArithmeticOp::kMul, l, r); }
 ExprPtr Div(ExprPtr l, ExprPtr r) { return Arith(ArithmeticOp::kDiv, l, r); }
 ExprPtr IsNull(ExprPtr operand) {
   return std::make_shared<IsNullExpr>(std::move(operand));
-}
-ExprPtr InList(ExprPtr needle, std::vector<Value> haystack) {
-  return std::make_shared<InListExpr>(std::move(needle), std::move(haystack));
 }
 ExprPtr Func(std::string name, std::vector<ExprPtr> args) {
   return std::make_shared<FunctionExpr>(std::move(name), std::move(args));

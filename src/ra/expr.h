@@ -76,7 +76,6 @@ enum class ExprKind {
   kLogical,     // AND OR NOT
   kArithmetic,  // + - * /  (numeric) and string concatenation for +
   kIsNull,
-  kInList,
   kFunction,  // named scalar function
 };
 
@@ -88,17 +87,11 @@ enum class ArithmeticOp { kAdd, kSub, kMul, kDiv, kMod };
 /// Column references are by name and resolved per evaluation against the
 /// input schema — simple and adequate for the table widths this engine uses.
 ///
-/// Supported scalar functions (paper needs: time-dimension extraction,
-/// simple renaming/derivation in projections and validations):
-///   year(d), month(d), day(d)     — date component extraction
-///   lower(s), upper(s)            — ASCII casing
-///   concat(a, b, ...)             — string concatenation
-///   substr(s, pos, len)           — 0-based substring
-///   length(s)                     — string length
-///   abs(x)                        — numeric absolute value
+/// Supported scalar functions (the ones the process types and the
+/// warehouse verification use):
+///   year(d), month(d)             — date component extraction
 ///   coalesce(a, b, ...)           — first non-NULL
 ///   decode(x, k1, v1, ..., [dft]) — Oracle-style value mapping
-///   hash_mod(x, m)                — deterministic bucketing
 class Expr {
  public:
   virtual ~Expr() = default;
@@ -145,7 +138,6 @@ ExprPtr Sub(ExprPtr lhs, ExprPtr rhs);
 ExprPtr Mul(ExprPtr lhs, ExprPtr rhs);
 ExprPtr Div(ExprPtr lhs, ExprPtr rhs);
 ExprPtr IsNull(ExprPtr operand);
-ExprPtr InList(ExprPtr needle, std::vector<Value> haystack);
 ExprPtr Func(std::string name, std::vector<ExprPtr> args);
 
 /// Non-null iff `e` is a bare column reference; points at its column name.

@@ -203,10 +203,13 @@ class ManifestReader {
       } else if (key == "retry_dead_letter") {
         DIP_ASSIGN_OR_RETURN(config->retry_dead_letter, Bool(value, key));
       } else if (key == "realization") {
+        // Retired: the process types have one realization. Still read so
+        // that manifests that spell out "full" keep loading.
         DIP_ASSIGN_OR_RETURN(std::string name, Str(value, key));
-        Result<Realization> parsed = ParseRealization(name);
-        if (!parsed.ok()) return Err(value, parsed.status().message());
-        config->realization = *parsed;
+        if (name != "full") {
+          return Err(value, "'realization' must be \"full\": the process "
+                            "types have one realization");
+        }
       } else {
         return Err(value, "unknown config key '" + key + "'");
       }

@@ -4,9 +4,6 @@ namespace dipbench {
 
 Result<Table*> Database::CreateTable(const std::string& table_name,
                                      Schema schema) {
-  if (InTransaction()) {
-    return Status::InvalidArgument("DDL inside a transaction");
-  }
   if (tables_.count(table_name) > 0) {
     return Status::AlreadyExists("table " + table_name + " in " + name_);
   }
@@ -38,9 +35,6 @@ bool Database::HasTable(const std::string& table_name) const {
 }
 
 Status Database::DropTable(const std::string& table_name) {
-  if (InTransaction()) {
-    return Status::InvalidArgument("DDL inside a transaction");
-  }
   auto it = tables_.find(table_name);
   if (it == tables_.end()) {
     return Status::NotFound("no table " + table_name + " in " + name_);
@@ -115,38 +109,6 @@ Status Database::DropInsertTrigger(const std::string& table_name) {
 int64_t Database::NextSequenceValue(const std::string& seq_name) {
   std::lock_guard<std::mutex> lock(seq_mu_);
   return ++sequences_[seq_name];
-}
-
-Status Database::BeginTransaction() {
-  if (InTransaction()) {
-    return Status::InvalidArgument("transaction already open on " + name_);
-  }
-  std::map<std::string, Table::State> snapshot;
-  for (const auto& [name, table] : tables_) {
-    snapshot.emplace(name, table->SaveState());
-  }
-  snapshot_ = std::move(snapshot);
-  return Status::OK();
-}
-
-Status Database::Commit() {
-  if (!InTransaction()) {
-    return Status::InvalidArgument("no open transaction on " + name_);
-  }
-  snapshot_.reset();
-  return Status::OK();
-}
-
-Status Database::Rollback() {
-  if (!InTransaction()) {
-    return Status::InvalidArgument("no open transaction on " + name_);
-  }
-  for (auto& [name, state] : *snapshot_) {
-    auto it = tables_.find(name);
-    if (it != tables_.end()) it->second->RestoreState(std::move(state));
-  }
-  snapshot_.reset();
-  return Status::OK();
 }
 
 size_t Database::TotalRows() const {

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,17 +74,6 @@ class Database {
   /// database's sequences on scheduler worker threads.
   int64_t NextSequenceValue(const std::string& seq_name);
 
-  /// --- single-level transactions (snapshot / rollback) ---
-  ///
-  /// BeginTransaction captures the content of every table; Rollback
-  /// restores it, Commit discards the snapshot. Nested transactions are
-  /// rejected. DDL (create/drop table) inside a transaction is rejected;
-  /// sequences are non-transactional (standard DBMS semantics).
-  Status BeginTransaction();
-  Status Commit();
-  Status Rollback();
-  bool InTransaction() const { return snapshot_.has_value(); }
-
   /// Total live rows across tables.
   size_t TotalRows() const;
   /// Total approximate bytes across tables.
@@ -101,7 +89,6 @@ class Database {
   std::map<std::string, InsertTrigger> triggers_;
   mutable std::mutex seq_mu_;  ///< Guards sequences_ only.
   std::map<std::string, int64_t> sequences_;
-  std::optional<std::map<std::string, Table::State>> snapshot_;
 };
 
 }  // namespace dipbench

@@ -112,26 +112,17 @@ Status Table::Insert(Row row) {
   ++rows_written_;
   IndexRow(rows_.size() - 1, pk_hash);
   Touch();
-  Capture(storage::ChangeEntry::Op::kInsert, rows_.back());
   return Status::OK();
-}
-
-void Table::EnableChangeCapture() {
-  if (changelog_ == nullptr) {
-    changelog_ = std::make_unique<storage::ChangeLog>();
-  }
 }
 
 Status Table::InsertOrReplace(Row row) {
   DIP_RETURN_NOT_OK(CheckRow(row));
-  bool replaced = false;
   const size_t pk_hash = PkHash(row);
   const size_t slot = FindSlotOfRow(row, pk_hash);
   if (slot != KeyIndex::kNotFound) {
     UnindexRow(slot);
     live_[slot] = false;
     --live_count_;
-    replaced = true;
   }
   rows_.push_back(std::move(row));
   live_.push_back(true);
@@ -139,9 +130,6 @@ Status Table::InsertOrReplace(Row row) {
   ++rows_written_;
   IndexRow(rows_.size() - 1, pk_hash);
   Touch();
-  Capture(replaced ? storage::ChangeEntry::Op::kUpdate
-                   : storage::ChangeEntry::Op::kInsert,
-          rows_.back());
   return Status::OK();
 }
 
@@ -181,13 +169,9 @@ size_t Table::DeleteWhere(const std::function<bool(const Row&)>& pred) {
       live_[slot] = false;
       --live_count_;
       ++removed;
-      if (changelog_ != nullptr) {
-        Touch();
-        Capture(storage::ChangeEntry::Op::kDelete, rows_[slot]);
-      }
     }
   }
-  if (removed > 0 && changelog_ == nullptr) Touch();
+  if (removed > 0) Touch();
   return removed;
 }
 
@@ -198,8 +182,6 @@ void Table::Clear() {
   pk_index_.Clear();
   for (auto& [name, idx] : secondary_) idx.map.clear();
   Touch();
-  // A cleared table has no history: consumers restart from position 0.
-  if (changelog_ != nullptr) changelog_->Clear();
 }
 
 Result<size_t> Table::UpdateWhere(const std::function<bool(const Row&)>& pred,
@@ -232,12 +214,8 @@ Result<size_t> Table::UpdateWhere(const std::function<bool(const Row&)>& pred,
     }
     ++updated;
     ++rows_written_;
-    if (changelog_ != nullptr) {
-      Touch();
-      Capture(storage::ChangeEntry::Op::kUpdate, rows_[slot]);
-    }
   }
-  if (updated > 0 && changelog_ == nullptr) Touch();
+  if (updated > 0) Touch();
   return updated;
 }
 
@@ -329,42 +307,6 @@ Result<std::vector<Row>> Table::LookupIndex(const std::string& index_name,
     }
   }
   return out;
-}
-
-Table::State Table::SaveState() const {
-  State state;
-  state.rows = rows_;
-  state.live = live_;
-  state.live_count = live_count_;
-  state.pk_index = pk_index_;
-  state.changelog_end = changelog_ == nullptr ? 0 : changelog_->size();
-  for (const auto& [name, idx] : secondary_) {
-    state.secondary_maps[name] = idx.map;
-  }
-  return state;
-}
-
-void Table::RestoreState(State state) {
-  rows_ = std::move(state.rows);
-  live_ = std::move(state.live);
-  live_count_ = state.live_count;
-  pk_index_ = std::move(state.pk_index);
-  for (auto& [name, idx] : secondary_) {
-    auto it = state.secondary_maps.find(name);
-    // Indexes created after the snapshot are rebuilt from scratch.
-    if (it != state.secondary_maps.end()) {
-      idx.map = std::move(it->second);
-    } else {
-      idx.map.clear();
-      for (size_t slot = 0; slot < rows_.size(); ++slot) {
-        if (!live_[slot]) continue;
-        idx.map.emplace(HashRowKey(rows_[slot], idx.columns), slot);
-      }
-    }
-  }
-  // Rollback: entries captured after the snapshot describe undone work.
-  if (changelog_ != nullptr) changelog_->TruncateTo(state.changelog_end);
-  Touch();
 }
 
 size_t Table::ByteSize() const {

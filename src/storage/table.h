@@ -4,8 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -14,7 +12,6 @@
 
 #include "src/common/result.h"
 #include "src/common/status.h"
-#include "src/storage/changelog.h"
 #include "src/storage/key_index.h"
 #include "src/types/schema.h"
 
@@ -120,33 +117,6 @@ class Table {
     return rows_written_.load(std::memory_order_relaxed);
   }
 
-  /// --- change-data capture (src/storage/changelog.h) ---
-  /// Off by default (zero overhead). Once enabled, every committed row
-  /// mutation appends one version-stamped entry to the table's ChangeLog.
-  /// Incremental view maintenance (src/ivm) folds those entries instead of
-  /// rescanning.
-  void EnableChangeCapture();
-  bool change_capture_enabled() const { return changelog_ != nullptr; }
-  /// The table's change log, or nullptr when capture is disabled.
-  storage::ChangeLog* changelog() { return changelog_.get(); }
-  const storage::ChangeLog* changelog() const { return changelog_.get(); }
-
-  /// Opaque snapshot of the table content (rows + indexes). IO counters
-  /// are not part of the state.
-  struct State {
-    std::vector<Row> rows;
-    std::vector<bool> live;
-    size_t live_count = 0;
-    KeyIndex pk_index;
-    std::map<std::string, std::unordered_multimap<size_t, size_t>>
-        secondary_maps;
-    size_t changelog_end = 0;  ///< change-log watermark at capture time
-  };
-  /// Captures the current content for a later RestoreState (transactions).
-  State SaveState() const;
-  /// Restores a previously captured state.
-  void RestoreState(State state);
-
   /// Approximate live data footprint in bytes. Memoized against the
   /// content version; a call after a mutation recomputes once, further
   /// calls are O(1). Used on every simulated network charge, which made
@@ -154,7 +124,7 @@ class Table {
   size_t ByteSize() const;
 
   /// Content version: bumped by every mutating operation (insert, replace,
-  /// delete, clear, update, restore). Lets the ByteSize memo detect
+  /// delete, clear, update). Lets the ByteSize memo detect
   /// staleness without walking the data.
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
@@ -167,13 +137,6 @@ class Table {
   // Marks the content changed: bumps version_ so the ByteSize memo
   // invalidates.
   void Touch() { version_.fetch_add(1, std::memory_order_release); }
-
-  // Appends a change-capture entry when capture is enabled; no-op
-  // otherwise. Called after the mutation committed and Touch() ran, so the
-  // stamped version is the post-mutation content version.
-  void Capture(storage::ChangeEntry::Op op, const Row& row) {
-    if (changelog_ != nullptr) changelog_->Append(op, row, version());
-  }
 
   Status CheckRow(const Row& row) const;
   // HashRowKey over the primary-key columns; 0 without a primary key.
@@ -203,7 +166,6 @@ class Table {
   std::unordered_map<std::string, SecondaryIndex> secondary_;
   mutable std::atomic<uint64_t> rows_read_{0};
   std::atomic<uint64_t> rows_written_{0};
-  std::unique_ptr<storage::ChangeLog> changelog_;  // null = capture off
 
   // Content version + caches derived from it. The mutex only guards the
   // cache slots (cheap, uncontended: mutators run serially per table).

@@ -159,11 +159,6 @@ Result<int64_t> Value::DateMonth() const {
   return (AsDate() / 100) % 100;
 }
 
-Result<int64_t> Value::DateDay() const {
-  if (type() != DataType::kDate) return Status::TypeMismatch("not a date");
-  return AsDate() % 100;
-}
-
 std::string Value::ToString() const {
   switch (type()) {
     case DataType::kNull:

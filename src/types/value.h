@@ -123,7 +123,6 @@ class alignas(8) Value {
   /// Errors unless type is kDate.
   Result<int64_t> DateYear() const;
   Result<int64_t> DateMonth() const;
-  Result<int64_t> DateDay() const;
 
   /// Render for messages/CSV. NULL renders as empty string.
   std::string ToString() const;

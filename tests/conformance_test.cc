@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -225,20 +226,20 @@ TEST(ReproTest, JsonRoundTripPreservesCellsAndManifest) {
   repro.master_seed = 99;
   repro.case_index = 4;
   repro.manifest_json = RenderManifestJson(*manifest);
-  MatrixCell a{"federated"};
-  MatrixCell b{"dataflow", Realization::kIncremental};
-  repro.cells = {a, b};
+  repro.cells = {MatrixCell{"federated"}, MatrixCell{"dataflow"},
+                 MatrixCell{"eai"}};
 
   auto loaded = ReproFromJsonText(ReproToJson(repro), "<roundtrip>");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->note, repro.note);
   EXPECT_EQ(loaded->master_seed, 99u);
   EXPECT_EQ(loaded->case_index, 4u);
-  ASSERT_EQ(loaded->cells.size(), 2u);
+  ASSERT_EQ(loaded->cells.size(), 3u);
   EXPECT_EQ(loaded->cells[0].engine, "federated");
-  EXPECT_EQ(loaded->cells[0].realization, Realization::kFullRecompute);
   EXPECT_EQ(loaded->cells[1].engine, "dataflow");
-  EXPECT_EQ(loaded->cells[1].realization, Realization::kIncremental);
+  EXPECT_EQ(loaded->cells[2].engine, "eai");
+  // A cell is its engine alone, and renders back to the same text.
+  EXPECT_EQ(ReproToJson(*loaded), ReproToJson(repro));
   // The embedded manifest re-parses to the same canonical rendering.
   auto reparsed = scenario::ScenarioManifest::FromJsonText(
       loaded->manifest_json, "<test>");
@@ -250,10 +251,10 @@ TEST(ReproTest, RejectsNonReproJson) {
   EXPECT_FALSE(ReproFromJsonText("{}", "<t>").ok());
   EXPECT_FALSE(
       ReproFromJsonText(R"({"dipbench_repro": 2, "cells": []})", "<t>").ok());
-  // A cell accepts only engine and realization: a retired exec mode,
-  // whatever its value, the retired workers or memory_budget key, or a
-  // misspelled key is an error that names its position, never a silently
-  // different replay.
+  // A cell accepts only engine: a retired exec mode, whatever its value,
+  // the retired workers, memory_budget or realization key, or a misspelled
+  // key is an error that names its position, never a silently different
+  // replay.
   auto manifest = scenario::ScenarioManifest::FromJsonText(
       R"({"name": "cells", "config": {"periods": 1}})", "<test>");
   ASSERT_TRUE(manifest.ok());
@@ -275,9 +276,12 @@ TEST(ReproTest, RejectsNonReproJson) {
         << st;
     EXPECT_NE(st.message().find("line "), std::string::npos) << st;
   }
-  for (const std::string retired : {"workers", "memory_budget"}) {
+  // Each retired key with a value an older repro carries.
+  const std::vector<std::pair<std::string, std::string>> retired_keys = {
+      {"workers", "0"}, {"memory_budget", "0"}, {"realization", "\"full\""}};
+  for (const auto& [retired, value] : retired_keys) {
     std::string with_key = json;
-    with_key.insert(engine, "\"" + retired + "\": 0, ");
+    with_key.insert(engine, "\"" + retired + "\": " + value + ", ");
     Status st = ReproFromJsonText(with_key, "<t>").status();
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << retired;
     EXPECT_NE(st.message().find("unknown cell key '" + retired + "'"),
@@ -317,7 +321,7 @@ TEST(ConformanceEndToEndTest, SmallMatrixIsConformant) {
   CaseResult result = RunCase(SmallCase(), opt);
   ASSERT_EQ(result.cells.size(), 3u);
   for (const CellRun& run : result.cells) {
-    EXPECT_TRUE(run.ok) << run.cell.Label() << ": " << run.error;
+    EXPECT_TRUE(run.ok) << run.cell.engine << ": " << run.error;
   }
   EXPECT_TRUE(result.conformant())
       << result.findings.front().diff.ToString();

@@ -1,18 +1,23 @@
 // Fault injection + retry/recovery tests: deterministic fault streams,
 // retries succeeding within budget, dead-lettering without poisoning the
-// period, virtual-time timeouts, q = 0 byte-identity, and the Monitor
-// metric fixes (sigma+, Welford variance, sweep-line concurrency).
+// period, virtual-time timeouts, q = 0 byte-identity, retried runs landing
+// in the fault-free landscape, and the Monitor metric fixes (sigma+,
+// Welford variance, sweep-line concurrency).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
+#include "src/conformance/digest.h"
 #include "src/core/engine.h"
 #include "src/core/operators.h"
 #include "src/core/retry.h"
 #include "src/dipbench/client.h"
+#include "src/harness/harness.h"
 #include "src/net/fault.h"
 #include "src/net/file_endpoint.h"
 #include "src/ra/query.h"
@@ -282,6 +287,48 @@ TEST(FaultByteIdentityTest, ZeroFaultRateIsByteIdentical) {
     return Monitor::ToCsv(result->per_process);
   };
   EXPECT_EQ(run(false), run(true));
+}
+
+// Retried instances land in the fault-free landscape: an attempt that
+// failed on an injected fault leaves nothing behind that its successful
+// retry would apply a second time.
+TEST(FaultRecoveryLandscapeTest, RetriedRunLandsInTheFaultFreeLandscape) {
+  const std::vector<std::string> engines = {"federated", "dataflow"};
+  std::vector<harness::RunSpec> specs;
+  for (const std::string& engine : engines) {
+    harness::RunSpec clean;
+    clean.engine = engine;
+    clean.config.datasize = 0.01;
+    clean.config.periods = 2;
+    clean.digest_state = true;
+    specs.push_back(clean);
+
+    harness::RunSpec faulty = clean;
+    faulty.config.fault_rate = 0.05;
+    faulty.config.retry_max_attempts = 8;
+    faulty.config.retry_backoff_tu = 1.0;
+    faulty.config.retry_backoff_factor = 2.0;
+    specs.push_back(faulty);
+  }
+  std::vector<harness::RunOutcome> outcomes =
+      harness::RunnerPool(2).Run(specs);
+  ASSERT_EQ(outcomes.size(), 2 * engines.size());
+
+  for (size_t i = 0; i < engines.size(); ++i) {
+    SCOPED_TRACE(engines[i]);
+    const harness::RunOutcome& clean = outcomes[2 * i];
+    const harness::RunOutcome& faulty = outcomes[2 * i + 1];
+    ASSERT_TRUE(clean.ok) << clean.error;
+    ASSERT_TRUE(faulty.ok) << faulty.error;
+    // The faults engaged (otherwise this proves nothing), and every
+    // instance recovered within its attempts.
+    EXPECT_GT(faulty.result.retries, 0u);
+    EXPECT_EQ(faulty.result.dead_letters, 0u);
+    ASSERT_NE(clean.digest, nullptr);
+    ASSERT_NE(faulty.digest, nullptr);
+    EXPECT_EQ(clean.digest->state_hash, faulty.digest->state_hash);
+    EXPECT_EQ(clean.digest->verification, faulty.digest->verification);
+  }
 }
 
 // --- Monitor metric fixes ---------------------------------------------------

@@ -197,7 +197,8 @@ TEST_F(NestedJoinParityTest, OwnedAndBorrowedBuildSides) {
   Plan owned_region =
       Project(ScanTable(&region_),
               {{"regionkey", Col("regionkey"), DataType::kNull},
-               {"name", Func("lower", {Col("name")}), DataType::kNull}});
+               {"name", Func("coalesce", {Col("name"), Lit("?")}),
+                DataType::kNull}});
   Plan owned_city = Project(
       ScanTable(&city_), {{"citykey", Col("citykey"), DataType::kNull},
                          {"name", Col("name"), DataType::kNull},

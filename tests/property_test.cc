@@ -338,8 +338,13 @@ class PlanGenerator {
         return Cmp(op, Col(Pick(cols).name), Col(Pick(cols).name));
       case 2:
         return IsNull(Col(Pick(cols).name));
-      case 3:
-        return InList(Col(Pick(cols).name), {Literal(), Literal()});
+      case 3: {
+        // Membership in a two-literal list. The first equality is built
+        // apart so the two literal draws happen in a fixed order.
+        const std::string name = Pick(cols).name;
+        ExprPtr first = Eq(Col(name), Lit(Literal()));
+        return Or(std::move(first), Eq(Col(name), Lit(Literal())));
+      }
       case 4:
         return And(Predicate(cols, depth - 1), Predicate(cols, depth - 1));
       case 5:

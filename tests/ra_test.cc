@@ -424,7 +424,6 @@ TEST_F(RaTest, Int64ArithmeticIsChecked) {
   Schema s;
   s.AddColumn("x", DataType::kInt64).AddColumn("y", DataType::kInt64);
   auto arith = [](ArithmeticOp op) { return Arith(op, Col("x"), Col("y")); };
-  const ExprPtr abs = Func("abs", {Col("x")});
   auto check = [&](const ExprPtr& expr, int64_t x, int64_t y,
                    std::optional<int64_t> want) {
     SCOPED_TRACE(expr->ToString() + " at x=" + std::to_string(x) +
@@ -453,7 +452,6 @@ TEST_F(RaTest, Int64ArithmeticIsChecked) {
   check(arith(ArithmeticOp::kMul), kTwo32, kTwo32, std::nullopt);
   check(arith(ArithmeticOp::kDiv), kMin, -1, std::nullopt);
   check(arith(ArithmeticOp::kMod), kMin, -1, std::nullopt);
-  check(abs, kMin, 0, std::nullopt);
   // The neighbours that fit.
   check(arith(ArithmeticOp::kAdd), kMax - 1, 1, kMax);
   check(arith(ArithmeticOp::kDiv), -kMax, -1, kMax);
@@ -471,35 +469,34 @@ TEST_F(RaTest, ExprNullSemantics) {
   EXPECT_TRUE(Add(Col("a"), Lit(int64_t{1}))->Eval(r, s)->is_null());
 }
 
-TEST_F(RaTest, ExprInList) {
+TEST_F(RaTest, ExprScalarFunctions) {
   Schema s;
-  s.AddColumn("nation", DataType::kString);
-  Row r{Value::String("DE")};
-  EXPECT_TRUE(InList(Col("nation"),
-                     {Value::String("DE"), Value::String("FR")})
-                  ->Eval(r, s)
-                  ->AsBool());
-  EXPECT_FALSE(
-      InList(Col("nation"), {Value::String("US")})->Eval(r, s)->AsBool());
-}
-
-TEST_F(RaTest, ExprStringFunctions) {
-  Schema s;
-  s.AddColumn("name", DataType::kString);
-  Row r{Value::String("Hamburg")};
-  EXPECT_EQ(Func("lower", {Col("name")})->Eval(r, s)->AsString(), "hamburg");
-  EXPECT_EQ(Func("upper", {Col("name")})->Eval(r, s)->AsString(), "HAMBURG");
-  EXPECT_EQ(Func("length", {Col("name")})->Eval(r, s)->AsInt(), 7);
-  EXPECT_EQ(Func("substr", {Col("name"), Lit(int64_t{0}), Lit(int64_t{3})})
-                ->Eval(r, s)
-                ->AsString(),
-            "Ham");
-  EXPECT_EQ(Func("concat", {Col("name"), Lit("!")})->Eval(r, s)->AsString(),
-            "Hamburg!");
+  s.AddColumn("d", DataType::kDate)
+      .AddColumn("name", DataType::kString)
+      .AddColumn("q", DataType::kInt64);
+  Row r{Value::DateYmd(2008, 4, 12), Value::String("Hamburg"), Value::Null()};
+  EXPECT_EQ(Func("year", {Col("d")})->Eval(r, s)->AsInt(), 2008);
+  EXPECT_EQ(Func("month", {Col("d")})->Eval(r, s)->AsInt(), 4);
+  EXPECT_TRUE(Func("year", {Col("q")})->Eval(r, s)->is_null());
+  EXPECT_FALSE(Func("month", {Col("name")})->Eval(r, s).ok());
+  EXPECT_EQ(Func("coalesce", {Col("q"), Lit(int64_t{1})})->Eval(r, s)->AsInt(),
+            1);
   EXPECT_EQ(
       Func("coalesce", {Lit(Value::Null()), Col("name")})->Eval(r, s)
           ->AsString(),
       "Hamburg");
+  // decode(x, k1, v1, ..., [default]): the first matching key's value,
+  // else the default, else NULL.
+  auto decode = [&](std::vector<ExprPtr> args) {
+    args.insert(args.begin(), Col("name"));
+    return Func("decode", std::move(args))->Eval(r, s);
+  };
+  EXPECT_EQ(decode({Lit("Paris"), Lit("FR"), Lit("Hamburg"), Lit("DE")})
+                ->AsString(),
+            "DE");
+  EXPECT_EQ(decode({Lit("Paris"), Lit("FR"), Lit("??")})->AsString(), "??");
+  EXPECT_TRUE(decode({Lit("Paris"), Lit("FR")})->is_null());
+  EXPECT_FALSE(decode({Lit("Paris")}).ok());
   EXPECT_FALSE(Func("nonsense", {Col("name")})->Eval(r, s).ok());
 }
 

