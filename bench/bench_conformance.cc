@@ -57,14 +57,14 @@ void InjectPriceDivergence(const conformance::MatrixCell& cell,
   if (!orders.ok()) return;
   bool done = false;
   (void)(*orders)->UpdateWhere(
-      [&done](const Row&) {
+      [&done](RowView) {
         if (done) return false;
         done = true;
         return true;
       },
-      [](Row* row) {
+      [](MutableRowView row) {
         // DwhOrders column 6 is `price` (not part of the primary key).
-        (*row)[6] = Value::Double((*row)[6].AsDouble() + 0.5);
+        row[6] = Value::Double(row[6].AsDouble() + 0.5);
       });
 }
 

@@ -32,9 +32,10 @@ RowSet MakeOrders(int64_t n) {
       .AddColumn("orderdate", DataType::kDate);
   Rng rng(7);
   for (int64_t i = 0; i < n; ++i) {
-    rs.rows.push_back({Value::Int(i), Value::Int(rng.NextInt(1, 100)),
-                       Value::Double(rng.NextDoubleIn(1, 500)),
-                       Value::DateYmd(2008, 1 + int(i % 6), 1 + int(i % 28))});
+    (void)rs.rows.Append({Value::Int(i), Value::Int(rng.NextInt(1, 100)),
+                          Value::Double(rng.NextDoubleIn(1, 500)),
+                          Value::DateYmd(2008, 1 + int(i % 6),
+                                         1 + int(i % 28))});
   }
   return rs;
 }
@@ -49,7 +50,7 @@ Table* MakeOrdersTable(Database* db, int64_t n) {
       .AddColumn("orderdate", DataType::kDate)
       .SetPrimaryKey({"orderkey"});
   Table* t = *db->CreateTable("orders", std::move(s));
-  for (Row& row : MakeOrders(n).rows) (void)t->Insert(std::move(row));
+  for (RowView row : MakeOrders(n).rows) (void)t->Insert(row);
   return t;
 }
 
@@ -129,7 +130,7 @@ void BM_HashJoin(benchmark::State& state) {
   lookup.schema.AddColumn("custkey", DataType::kInt64, false)
       .AddColumn("name", DataType::kString);
   for (int64_t i = 1; i <= 100; ++i) {
-    lookup.rows.push_back({Value::Int(i), Value::String("c")});
+    (void)lookup.rows.Append({Value::Int(i), Value::String("c")});
   }
   RunPlan(state,
           HashJoin(ScanTable(t), ScanValues(std::move(lookup)), {"custkey"},

@@ -85,8 +85,10 @@ int main() {
         RowSet out;
         out.schema.AddColumn("reason", DataType::kString)
             .AddColumn("payload", DataType::kString);
-        out.rows.push_back({Value::String("xsd-validation-failed"),
-                            Value::String(xml::WriteXml(**doc))});
+        Status appended =
+            out.rows.Append({Value::String("xsd-validation-failed"),
+                             Value::String(xml::WriteXml(**doc))});
+        if (!appended.ok()) return appended;
         ctx->Set("failed_rows", core::MtmMessage::FromRows(std::move(out)));
         return Status::OK();
       });
@@ -131,7 +133,7 @@ int main() {
   std::printf("loaded     : %zu\n", loaded);
   std::printf("rejected   : %zu\n", rejected);
   // Show one translated row to demonstrate the semantic mapping.
-  (*warehouse.GetTable("orders"))->ForEach([](const Row& r) {
+  (*warehouse.GetTable("orders"))->ForEach([](RowView r) {
     static bool printed = false;
     if (!printed) {
       std::printf("sample row : orderkey=%lld qty=%lld priority=%s\n",

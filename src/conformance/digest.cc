@@ -81,7 +81,7 @@ std::string CanonicalCell(const Value& v) {
   return "?";
 }
 
-std::string CanonicalRow(const Row& row) {
+std::string CanonicalRow(RowView row) {
   std::string out;
   for (size_t i = 0; i < row.size(); ++i) {
     if (i > 0) out += kCellSep;
@@ -148,7 +148,7 @@ StateDigest CaptureStateDigest(Scenario* scenario) {
 
       std::vector<std::pair<std::vector<std::string>, std::string>> keyed;
       keyed.reserve(table->size());
-      table->ForEach([&](const Row& row) {
+      table->ForEach([&](RowView row) {
         std::string encoded = CanonicalRow(row);
         keyed.emplace_back(SplitCanonicalRow(encoded), std::move(encoded));
       });

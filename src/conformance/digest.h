@@ -20,7 +20,7 @@ namespace conformance {
 std::string CanonicalCell(const Value& v);
 
 /// Cells of one row joined by kCellSep, in schema column order.
-std::string CanonicalRow(const Row& row);
+std::string CanonicalRow(RowView row);
 
 /// Separator between encoded cells inside one canonical row. Control
 /// character, never produced by CanonicalCell.

@@ -246,7 +246,7 @@ Status FederatedEngine::Deploy(const ProcessDefinition& def) {
     DIP_RETURN_NOT_OK(engine_db_.SetInsertTrigger(
         def.id + "_queue",
         [this, process_id](Database*, const std::string&,
-                           const Row&) -> Status {
+                           RowView) -> Status {
           if (current_ctx_ == nullptr) {
             return Status::Internal("trigger fired outside an instance");
           }
@@ -286,7 +286,8 @@ Status FederatedEngine::ExecuteInstance(const ProcessDefinition& def,
     // INSERT INTO <id>_queue VALUES (@tid) — the trigger runs the process.
     int64_t tid = engine_db_.NextSequenceValue(def.id + "_tid");
     ctx->ChargeXmlNodes(doc->SubtreeSize());  // the CLOB write
-    return engine_db_.InsertWithTriggers(def.id + "_queue", {Value::Int(tid)});
+    const Value row[] = {Value::Int(tid)};
+    return engine_db_.InsertWithTriggers(def.id + "_queue", row);
   }
   // EXECUTE <procedure>.
   return engine_db_.CallProcedure("exec_" + def.id, {});

@@ -518,7 +518,7 @@ class EnrichOp : public Operator {
     // merges doubles that differ beyond "%.6g".
     std::unordered_map<Value, std::optional<Row>, ValueHash> cache;
     Schema lookup_schema;
-    for (const Row& r : rows->rows) {
+    for (RowView r : rows->rows) {
       const Value& key = r[key_idx];
       if (key.is_null() || cache.count(key) > 0) continue;
       net::NetStats stats;
@@ -526,7 +526,7 @@ class EnrichOp : public Operator {
       ctx->ChargeComm(stats);
       if (!hit.rows.empty()) {
         lookup_schema = hit.schema;
-        cache[key] = hit.rows[0];
+        cache[key] = Row(hit.rows[0].begin(), hit.rows[0].end());
       } else {
         cache[key] = std::nullopt;
       }
@@ -539,20 +539,20 @@ class EnrichOp : public Operator {
       out.schema.AddColumn(name, col.type, /*nullable=*/true);
     }
     size_t appended = lookup_schema.num_columns();
-    for (const Row& r : rows->rows) {
+    out.rows.Reset(rows->rows.width() + appended);
+    out.rows.reserve(rows->rows.size());
+    for (RowView r : rows->rows) {
       ctx->ChargeRows(1);
-      Row enriched = r;
+      MutableRowView enriched = out.rows.AppendRow();
+      std::copy(r.begin(), r.end(), enriched.begin());
       const std::optional<Row>* hit = nullptr;
       if (!r[key_idx].is_null()) {
         auto it = cache.find(r[key_idx]);
         if (it != cache.end()) hit = &it->second;
       }
-      for (size_t i = 0; i < appended; ++i) {
-        enriched.push_back(hit != nullptr && hit->has_value()
-                               ? (**hit)[i]
-                               : Value::Null());
+      if (hit != nullptr && hit->has_value()) {
+        std::copy_n((**hit).begin(), appended, enriched.begin() + r.size());
       }
-      out.rows.push_back(std::move(enriched));
     }
     ctx->Set(out_var_, MtmMessage::FromRows(std::move(out)));
     return Status::OK();

@@ -360,10 +360,9 @@ Status Initializer::SeedAsiaService(const std::string& service, int source_id,
     // Price derives from key material so shared copies agree on it.
     double price = 5.0 + static_cast<double>((orderkey * 48271) % 49500) /
                              100.0;
-    Row row{Value::Int(orderkey), Value::Int(custkey), Value::Int(prodkey),
-            Value::Int(qty),      Value::Double(price),
-            Value::Date(odate)};
-    DIP_RETURN_NOT_OK(sales->InsertOrReplace(std::move(row)));
+    DIP_RETURN_NOT_OK(sales->InsertOrReplace(
+        {Value::Int(orderkey), Value::Int(custkey), Value::Int(prodkey),
+         Value::Int(qty), Value::Double(price), Value::Date(odate)}));
   }
   return Status::OK();
 }

@@ -221,11 +221,10 @@ OpPtr FlattenOrderDocument(const std::string& in_var,
           orderkey.is_null()
               ? Value::Null()
               : Value::Int(orderkey.AsInt() * 100 + line_no);
-      out.rows.push_back({line_key, custkey,
-                          line_leaf("prodkey", DataType::kInt64), orderdate,
-                          line_leaf("quantity", DataType::kInt64),
-                          line_leaf("price", DataType::kDouble), priority,
-                          source});
+      DIP_RETURN_NOT_OK(out.rows.Append(
+          {line_key, custkey, line_leaf("prodkey", DataType::kInt64),
+           orderdate, line_leaf("quantity", DataType::kInt64),
+           line_leaf("price", DataType::kDouble), priority, source}));
     }
     ctx->ChargeRows(out.rows.size());
     ctx->Set(out_var, MtmMessage::FromRows(std::move(out)));
@@ -340,8 +339,8 @@ OpPtr StageFailedMessage() {
     RowSet out;
     out.schema.AddColumn("reason", DataType::kString)
         .AddColumn("payload", DataType::kString);
-    out.rows.push_back({Value::String("xsd-validation-failed"),
-                        Value::String(xml::WriteXml(*doc))});
+    DIP_RETURN_NOT_OK(out.rows.Append({Value::String("xsd-validation-failed"),
+                                       Value::String(xml::WriteXml(*doc))}));
     ctx->ChargeXmlNodes(doc->SubtreeSize());
     ctx->quality().messages_rejected++;
     ctx->Set("failed_rows", MtmMessage::FromRows(std::move(out)));
@@ -438,7 +437,9 @@ OpPtr ValidateRows(const std::string& in_var, const std::string& out_var,
         }
         RowSet out;
         out.schema = rows->schema;
-        for (const Row& r : rows->rows) {
+        out.rows.Reset(rows->rows.width());
+        out.rows.reserve(rows->rows.size());
+        for (RowView r : rows->rows) {
           bool valid = true;
           for (size_t i : idx) {
             if (r[i].is_null()) {
@@ -447,7 +448,7 @@ OpPtr ValidateRows(const std::string& in_var, const std::string& out_var,
             }
           }
           if (valid) {
-            out.rows.push_back(r);
+            DIP_RETURN_NOT_OK(out.rows.Append(r));
           } else {
             ctx->quality().validation_failures++;
           }

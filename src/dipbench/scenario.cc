@@ -293,28 +293,28 @@ Status Scenario::BuildCdb() {
         DIP_ASSIGN_OR_RETURN(Table * cust, d->GetTable("customer"));
         DIP_RETURN_NOT_OK(
             cust->UpdateWhere(
-                    [](const Row& r) { return r[4].AsBool(); /* dirty */ },
-                    [](Row* r) {
-                      if ((*r)[1].is_null() || (*r)[1].AsString().empty()) {
-                        (*r)[1] = Value::String("UNKNOWN");
+                    [](RowView r) { return r[4].AsBool(); /* dirty */ },
+                    [](MutableRowView r) {
+                      if (r[1].is_null() || r[1].AsString().empty()) {
+                        r[1] = Value::String("UNKNOWN");
                       }
                       std::string_view p =
-                          (*r)[3].is_null() ? "" : (*r)[3].AsString();
+                          r[3].is_null() ? "" : r[3].AsString();
                       if (p != "HIGH" && p != "MEDIUM" && p != "LOW") {
-                        (*r)[3] = Value::String("MEDIUM");
+                        r[3] = Value::String("MEDIUM");
                       }
-                      (*r)[4] = Value::Bool(false);
+                      r[4] = Value::Bool(false);
                     })
                 .status());
         DIP_ASSIGN_OR_RETURN(Table * prod, d->GetTable("product"));
         DIP_RETURN_NOT_OK(
             prod->UpdateWhere(
-                    [](const Row& r) { return r[3].AsBool(); /* dirty */ },
-                    [](Row* r) {
-                      if ((*r)[1].is_null() || (*r)[1].AsString().empty()) {
-                        (*r)[1] = Value::String("UNKNOWN");
+                    [](RowView r) { return r[3].AsBool(); /* dirty */ },
+                    [](MutableRowView r) {
+                      if (r[1].is_null() || r[1].AsString().empty()) {
+                        r[1] = Value::String("UNKNOWN");
                       }
-                      (*r)[3] = Value::Bool(false);
+                      r[3] = Value::Bool(false);
                     })
                 .status());
         return Status::OK();
@@ -328,23 +328,23 @@ Status Scenario::BuildCdb() {
         DIP_ASSIGN_OR_RETURN(Table * orders, d->GetTable("orders"));
         DIP_RETURN_NOT_OK(
             orders->UpdateWhere(
-                      [](const Row& r) {
+                      [](RowView r) {
                         return r[9].AsBool() && !r[1].is_null() &&
                                !r[3].is_null();
                       },
-                      [](Row* r) {
-                        if ((*r)[5].is_null() || (*r)[5].AsInt() <= 0) {
-                          (*r)[5] = Value::Int(1);
+                      [](MutableRowView r) {
+                        if (r[5].is_null() || r[5].AsInt() <= 0) {
+                          r[5] = Value::Int(1);
                         }
-                        if ((*r)[6].is_null() || (*r)[6].AsDouble() < 0) {
-                          (*r)[6] = Value::Double(0.0);
+                        if (r[6].is_null() || r[6].AsDouble() < 0) {
+                          r[6] = Value::Double(0.0);
                         }
                         std::string_view p =
-                            (*r)[7].is_null() ? "" : (*r)[7].AsString();
+                            r[7].is_null() ? "" : r[7].AsString();
                         if (p != "HIGH" && p != "MEDIUM" && p != "LOW") {
-                          (*r)[7] = Value::String("MEDIUM");
+                          r[7] = Value::String("MEDIUM");
                         }
-                        (*r)[9] = Value::Bool(false);
+                        r[9] = Value::Bool(false);
                       })
                 .status());
         return Status::OK();
@@ -356,14 +356,15 @@ Status Scenario::BuildCdb() {
       [](Database* d, const std::vector<Value>&) -> Status {
         DIP_ASSIGN_OR_RETURN(Table * cust, d->GetTable("customer"));
         DIP_RETURN_NOT_OK(cust->UpdateWhere(
-                                  [](const Row& r) { return !r[4].AsBool(); },
-                                  [](Row* r) {
-                                    (*r)[5] = Value::Bool(true);
+                                  [](RowView r) { return !r[4].AsBool(); },
+                                  [](MutableRowView r) {
+                                    r[5] = Value::Bool(true);
                                   })
                               .status());
         DIP_ASSIGN_OR_RETURN(Table * prod, d->GetTable("product"));
-        return prod->UpdateWhere([](const Row& r) { return !r[3].AsBool(); },
-                                 [](Row* r) { (*r)[4] = Value::Bool(true); })
+        return prod
+            ->UpdateWhere([](RowView r) { return !r[3].AsBool(); },
+                          [](MutableRowView r) { r[4] = Value::Bool(true); })
             .status();
       }));
 
@@ -372,7 +373,7 @@ Status Scenario::BuildCdb() {
       "sp_deleteIntegratedMovement",
       [](Database* d, const std::vector<Value>&) -> Status {
         DIP_ASSIGN_OR_RETURN(Table * orders, d->GetTable("orders"));
-        orders->DeleteWhere([](const Row& r) { return !r[9].AsBool(); });
+        orders->DeleteWhere([](RowView r) { return !r[9].AsBool(); });
         return Status::OK();
       }));
 
@@ -397,15 +398,14 @@ Status Scenario::BuildCdb() {
         DIP_ASSIGN_OR_RETURN(size_t c_source, in.RequireIndexOf("source"));
         auto c_prio = in.IndexOf("priority");
         size_t written = 0;
-        for (const Row& r : rows.rows) {
+        for (RowView r : rows.rows) {
           if (r[c_orderkey].is_null() || r[c_source].is_null()) continue;
           Value citykey = Value::Null();
           bool dirty = false;
           if (!r[c_custkey].is_null()) {
-            Result<const Row*> found =
-                cust->FindByKeyRef({&r[c_custkey], 1});
-            if (found.ok() && *found != nullptr) {
-              citykey = (**found)[2];
+            Result<RowView> found = cust->FindByKeyRef({&r[c_custkey], 1});
+            if (found.ok() && !found->empty()) {
+              citykey = (*found)[2];
             } else {
               dirty = true;  // unknown customer
             }
@@ -419,10 +419,10 @@ Status Scenario::BuildCdb() {
           }
           if (r[c_qty].is_null() || r[c_qty].AsInt() <= 0) dirty = true;
           if (!r[c_price].is_null() && r[c_price].AsDouble() < 0) dirty = true;
-          Row out{r[c_orderkey], r[c_custkey], r[c_prodkey], citykey,
-                  r[c_date],     r[c_qty],     r[c_price],   prio,
-                  r[c_source],   Value::Bool(dirty)};
-          Status st = orders->Insert(std::move(out));
+          Status st = orders->Insert({r[c_orderkey], r[c_custkey],
+                                      r[c_prodkey], citykey, r[c_date],
+                                      r[c_qty], r[c_price], prio, r[c_source],
+                                      Value::Bool(dirty)});
           if (st.ok()) {
             ++written;
           } else if (st.code() != StatusCode::kAlreadyExists) {
@@ -444,12 +444,12 @@ Status Scenario::BuildCdb() {
         DIP_ASSIGN_OR_RETURN(size_t c_city, in.RequireIndexOf("city"));
         DIP_ASSIGN_OR_RETURN(size_t c_prio, in.RequireIndexOf("priority"));
         size_t written = 0;
-        for (const Row& r : rows.rows) {
+        for (RowView r : rows.rows) {
           if (r[c_key].is_null()) continue;
           Value citykey = Value::Null();
           bool dirty = false;
           if (!r[c_city].is_null()) {
-            auto hits = city->LookupIndex("by_name", {r[c_city]});
+            auto hits = city->LookupIndex("by_name", {&r[c_city], 1});
             if (hits.ok() && !hits->empty()) {
               citykey = (*hits)[0][0];
             } else {
@@ -486,12 +486,12 @@ Status Scenario::BuildCdb() {
         DIP_ASSIGN_OR_RETURN(size_t c_grp, in.RequireIndexOf("grp"));
         // Group resolution by name scan (small dimension).
         size_t written = 0;
-        for (const Row& r : rows.rows) {
+        for (RowView r : rows.rows) {
           if (r[c_key].is_null()) continue;
           Value groupkey = Value::Null();
           bool dirty = false;
           if (!r[c_grp].is_null()) {
-            groups->ForEach([&](const Row& g) {
+            groups->ForEach([&](RowView g) {
               if (!g[1].is_null() && g[1].AsString() == r[c_grp].AsString()) {
                 groupkey = g[0];
               }
@@ -515,7 +515,7 @@ Status Scenario::BuildCdb() {
       [](Database* d, const RowSet& rows) -> Result<size_t> {
         DIP_ASSIGN_OR_RETURN(Table * failed, d->GetTable("failed_data"));
         size_t written = 0;
-        for (const Row& r : rows.rows) {
+        for (RowView r : rows.rows) {
           int64_t id = d->NextSequenceValue("failed_id");
           DIP_RETURN_NOT_OK(failed->Insert({Value::Int(id), r[0], r[1]}));
           ++written;
@@ -533,8 +533,10 @@ Status Scenario::BuildCdb() {
         DIP_ASSIGN_OR_RETURN(Table * cust, d->GetTable("customer"));
         RowSet out;
         out.schema = cust->schema();
-        Result<const Row*> found = cust->FindByKeyRef(params);
-        if (found.ok() && *found != nullptr) out.rows.push_back(**found);
+        Result<RowView> found = cust->FindByKeyRef(params);
+        if (found.ok() && !found->empty()) {
+          DIP_RETURN_NOT_OK(out.rows.Append(*found));
+        }
         return out;
       }));
 
@@ -636,11 +638,11 @@ Status Scenario::BuildDwh() {
                          {{"revenue", AggFunc::kSum, "rev"},
                           {"order_count", AggFunc::kCount, ""}})
                 .Run(&ec));
-        for (auto& row : cube.rows) {
+        for (MutableRowView row : cube.rows) {
           // SUM over ints may come back integral; the MV column is DOUBLE.
           DIP_ASSIGN_OR_RETURN(Value rev, row[3].CastTo(DataType::kDouble));
           row[3] = rev;
-          DIP_RETURN_NOT_OK(mv->Insert(std::move(row)));
+          DIP_RETURN_NOT_OK(mv->Insert(row));
         }
         return Status::OK();
       }));
@@ -801,10 +803,10 @@ Status Scenario::BuildDataMarts() {
                            {{"revenue", AggFunc::kSum, "rev"},
                             {"order_count", AggFunc::kCount, ""}})
                   .Run(&ec));
-          for (auto& row : cube.rows) {
+          for (MutableRowView row : cube.rows) {
             DIP_ASSIGN_OR_RETURN(Value rev, row[3].CastTo(DataType::kDouble));
             row[3] = rev;
-            DIP_RETURN_NOT_OK(mv->Insert(std::move(row)));
+            DIP_RETURN_NOT_OK(mv->Insert(row));
           }
           return Status::OK();
         }));

@@ -31,7 +31,7 @@ Result<double> FactRevenue(Table* orders) {
 
 Result<double> MvRevenue(Table* mv) {
   double sum = 0.0;
-  mv->ForEach([&sum](const Row& r) {
+  mv->ForEach([&sum](RowView r) {
     if (!r[3].is_null()) sum += r[3].AsDouble();
   });
   return sum;
@@ -52,13 +52,13 @@ Status WalkFactTable(Database* dwh, Table* orders,
   DIP_ASSIGN_OR_RETURN(size_t c_orderkey, schema.RequireIndexOf("orderkey"));
   DIP_ASSIGN_OR_RETURN(size_t c_source, schema.RequireIndexOf("source"));
   auto known = [](const Table* dim, const Value& key) {
-    Result<const Row*> row = dim->FindByKeyRef(std::span<const Value>(&key, 1));
-    return row.ok() && *row != nullptr;
+    Result<RowView> row = dim->FindByKeyRef(RowView(&key, 1));
+    return row.ok() && !row->empty();
   };
 
   std::vector<std::pair<int64_t, std::string>> keys;
   keys.reserve(orders->size());
-  orders->ForEach([&](const Row& r) {
+  orders->ForEach([&](RowView r) {
     report->total_cells += r.size();
     for (const Value& v : r) {
       if (v.is_null()) ++report->null_cells;
@@ -141,7 +141,7 @@ Result<VerificationReport> VerifyIntegration(Scenario* scenario,
   // are the unrepairable leftovers.
   DIP_ASSIGN_OR_RETURN(Database * cdb, scenario->db("cdb_db"));
   DIP_ASSIGN_OR_RETURN(Table * cdb_orders, cdb->GetTable("orders"));
-  cdb_orders->ForEach([&report](const Row& r) {
+  cdb_orders->ForEach([&report](RowView r) {
     ++(r[9].AsBool() ? report.dirty_leftover_cdb : report.cdb_clean_leftover);
   });
   if (report.cdb_clean_leftover != 0) {

@@ -128,9 +128,9 @@ Status Endpoint::DoSendMessage(const std::string& queue_table,
                                const xml::Node& message, NetStats* stats) {
   std::string text = xml::WriteXml(message);
   int64_t tid = db_->NextSequenceValue(queue_table + "_seq");
-  Row row{Value::Int(tid), Value::String(text)};
+  const Value row[] = {Value::Int(tid), Value::String(text)};
   Charge(text.size(), 16, 1, stats);
-  return db_->InsertWithTriggers(queue_table, std::move(row));
+  return db_->InsertWithTriggers(queue_table, row);
 }
 
 Status Endpoint::DoCallProcedure(const std::string& proc,

@@ -177,7 +177,7 @@ Result<size_t> XmlFileEndpoint::DoUpdate(const std::string& op,
     DIP_ASSIGN_OR_RETURN(doc, xml::ParseXml(existing));
   }
   doc.ReserveChildren(doc.child_count() + rows.rows.size());
-  for (const Row& row : rows.rows) {
+  for (RowView row : rows.rows) {
     doc.AddChild(xml::RowToXml(row, rows.schema, u.row_name));
   }
   std::string text = xml::WriteXml(doc);

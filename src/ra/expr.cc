@@ -1,5 +1,6 @@
 #include "src/ra/expr.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -15,41 +16,43 @@ Result<CellRef> TupleRefs::Resolve(const std::string& name,
     return Status::Internal("row narrower than schema");
   }
   const CellRef c = layout_->Cell(idx);
-  for (size_t i = 0; i < size_; ++i) {
-    if (c.offset >= tuple(i)[c.input]->size()) {
-      return Status::Internal("row narrower than schema");
-    }
+  if (size_ > 0 && c.offset >= layout_->row_widths[c.input]) {
+    return Status::Internal("row narrower than schema");
   }
   return c;
 }
 
-Result<Row> TupleRefs::Materialize(size_t i) const {
-  const Row* const* t = tuple(i);
-  if (layout_->cells.empty()) return *t[0];
-  Row row;
-  row.reserve(layout_->cells.size());
-  for (CellRef c : layout_->cells) {
-    const Row& src = *t[c.input];
-    if (c.offset >= src.size()) {
+Status TupleRefs::AppendTo(RowSlab* out) const {
+  if (size_ == 0) return Status::OK();
+  const TupleLayout& layout = *layout_;
+  for (CellRef c : layout.cells) {
+    if (c.offset >= layout.row_widths[c.input]) {
       return Status::Internal("row narrower than schema");
     }
-    row.push_back(src[c.offset]);
   }
-  return row;
+  DIP_RETURN_NOT_OK(out->AdoptWidth(layout.columns()));
+  for (size_t i = 0; i < size_; ++i) {
+    const Value* const* t = tuple(i);
+    MutableRowView row = out->AppendRow();
+    if (layout.cells.empty()) {
+      std::copy(t[0], t[0] + row.size(), row.begin());
+      continue;
+    }
+    for (size_t c = 0; c < row.size(); ++c) {
+      row[c] = t[layout.cells[c].input][layout.cells[c].offset];
+    }
+  }
+  return Status::OK();
 }
 
 Status Expr::EvalBatch(const TupleRefs& rows, const Schema& schema,
                        std::vector<Value>* out) const {
+  RowSlab logical;
+  DIP_RETURN_NOT_OK(rows.AppendTo(&logical));
   out->clear();
   out->reserve(rows.size());
-  const bool plain = rows.layout().cells.empty();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    Row scratch;
-    if (!plain) {
-      DIP_ASSIGN_OR_RETURN(scratch, rows.Materialize(i));
-    }
-    DIP_ASSIGN_OR_RETURN(Value v,
-                         Eval(plain ? *rows.tuple(i)[0] : scratch, schema));
+  for (RowView row : logical) {
+    DIP_ASSIGN_OR_RETURN(Value v, Eval(row, schema));
     out->push_back(std::move(v));
   }
   return Status::OK();
@@ -62,7 +65,7 @@ class LiteralExpr : public Expr {
   explicit LiteralExpr(Value v) : value_(std::move(v)) {}
   ExprKind kind() const override { return ExprKind::kLiteral; }
   const Value& value() const { return value_; }
-  Result<Value> Eval(const Row&, const Schema&) const override {
+  Result<Value> Eval(RowView, const Schema&) const override {
     return value_;
   }
   Status EvalBatch(const TupleRefs& rows, const Schema&,
@@ -84,7 +87,7 @@ class ColumnRefExpr : public Expr {
   explicit ColumnRefExpr(std::string name) : name_(std::move(name)) {}
   ExprKind kind() const override { return ExprKind::kColumnRef; }
   const std::string& name() const { return name_; }
-  Result<Value> Eval(const Row& row, const Schema& schema) const override {
+  Result<Value> Eval(RowView row, const Schema& schema) const override {
     DIP_ASSIGN_OR_RETURN(size_t idx, schema.RequireIndexOf(name_));
     if (idx >= row.size()) return Status::Internal("row narrower than schema");
     return row[idx];
@@ -147,7 +150,7 @@ class CompareExpr : public Expr {
   CompareExpr(CompareOp op, ExprPtr lhs, ExprPtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
   ExprKind kind() const override { return ExprKind::kCompare; }
-  Result<Value> Eval(const Row& row, const Schema& schema) const override {
+  Result<Value> Eval(RowView row, const Schema& schema) const override {
     DIP_ASSIGN_OR_RETURN(Value a, lhs_->Eval(row, schema));
     DIP_ASSIGN_OR_RETURN(Value b, rhs_->Eval(row, schema));
     return Apply(a, b);
@@ -202,7 +205,7 @@ class LogicalExpr : public Expr {
   LogicalExpr(LogicalOp op, ExprPtr lhs, ExprPtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
   ExprKind kind() const override { return ExprKind::kLogical; }
-  Result<Value> Eval(const Row& row, const Schema& schema) const override {
+  Result<Value> Eval(RowView row, const Schema& schema) const override {
     DIP_ASSIGN_OR_RETURN(Value a, lhs_->Eval(row, schema));
     bool av = !a.is_null() && a.type() == DataType::kBool && a.AsBool();
     if (op_ == LogicalOp::kNot) return Value::Bool(!av);
@@ -221,8 +224,8 @@ class LogicalExpr : public Expr {
     // Tuples whose result the left side does not decide, gathered so the
     // right side runs as one batch over exactly them.
     std::vector<size_t> open;
-    std::vector<const Row*> open_ptrs;
-    const size_t width = rows.layout().width;
+    std::vector<const Value*> open_ptrs;
+    const size_t width = rows.layout().width();
     for (size_t i = 0; i < rows.size(); ++i) {
       const Value& a = lhs.at(rows, i);
       bool av = !a.is_null() && a.type() == DataType::kBool && a.AsBool();
@@ -274,7 +277,7 @@ class ArithmeticExpr : public Expr {
   ArithmeticExpr(ArithmeticOp op, ExprPtr lhs, ExprPtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
   ExprKind kind() const override { return ExprKind::kArithmetic; }
-  Result<Value> Eval(const Row& row, const Schema& schema) const override {
+  Result<Value> Eval(RowView row, const Schema& schema) const override {
     DIP_ASSIGN_OR_RETURN(Value a, lhs_->Eval(row, schema));
     DIP_ASSIGN_OR_RETURN(Value b, rhs_->Eval(row, schema));
     return Apply(a, b);
@@ -367,7 +370,7 @@ class IsNullExpr : public Expr {
  public:
   explicit IsNullExpr(ExprPtr operand) : operand_(std::move(operand)) {}
   ExprKind kind() const override { return ExprKind::kIsNull; }
-  Result<Value> Eval(const Row& row, const Schema& schema) const override {
+  Result<Value> Eval(RowView row, const Schema& schema) const override {
     DIP_ASSIGN_OR_RETURN(Value v, operand_->Eval(row, schema));
     return Value::Bool(v.is_null());
   }
@@ -396,7 +399,7 @@ class FunctionExpr : public Expr {
       : name_(StrLower(name)), fn_(Resolve(name_)), args_(std::move(args)) {}
   ExprKind kind() const override { return ExprKind::kFunction; }
 
-  Result<Value> Eval(const Row& row, const Schema& schema) const override {
+  Result<Value> Eval(RowView row, const Schema& schema) const override {
     std::vector<Value> vals;
     vals.reserve(args_.size());
     for (const auto& a : args_) {

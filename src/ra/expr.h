@@ -22,15 +22,26 @@ struct CellRef {
   uint32_t offset = 0;
 };
 
-/// The shape of a stream of reference tuples. A reference tuple is `width`
-/// borrowed row pointers whose cells, read through `cells`, form one
-/// logical row — a hash join emits the probe tuple's pointers followed by
-/// the build tuple's instead of copying both rows into a new one. A plain
-/// row is the one-input case: width 1 and the identity map (empty `cells`).
+/// The shape of a stream of reference tuples. A reference tuple is one
+/// pointer per input, each to the first cell of a borrowed row, and the
+/// cells read through `cells` form one logical row: a hash join emits the
+/// probe tuple's pointers followed by the build tuple's instead of copying
+/// both rows into a new one. Every row one input points to has that
+/// input's `row_widths` entry of cells. A plain row is the one-input case:
+/// the identity map (empty `cells`) over one row width.
 struct TupleLayout {
-  size_t width = 1;
-  std::vector<CellRef> cells;  ///< one per logical column; empty = identity
+  std::vector<CellRef> cells;      ///< one per logical column; empty = identity
+  std::vector<size_t> row_widths;  ///< cells per row, one entry per input
 
+  /// The plain layout over rows of `row_width` cells.
+  static TupleLayout Plain(size_t row_width) { return {{}, {row_width}}; }
+
+  /// Row pointers per tuple.
+  size_t width() const { return row_widths.size(); }
+  /// Cells in one logical row.
+  size_t columns() const {
+    return cells.empty() ? row_widths[0] : cells.size();
+  }
   CellRef Cell(size_t column) const {
     return cells.empty() ? CellRef{0, static_cast<uint32_t>(column)}
                          : cells[column];
@@ -38,32 +49,37 @@ struct TupleLayout {
 };
 
 /// A batch of reference tuples — the unit of vectorized evaluation. `ptrs`
-/// holds size() * layout.width row pointers, tuple-major; the pointees live
-/// in table or RowSet storage (or an operator's batch buffer), so no row is
-/// built just to be evaluated. Non-owning: the pointer array and the
-/// layout must outlive the view.
+/// holds size() * layout.width() row-start pointers, tuple-major; the
+/// pointees live in table or RowSet storage (or an operator's batch
+/// buffer), so no row is built just to be evaluated. Non-owning: the
+/// pointer array and the layout must outlive the view.
 class TupleRefs {
  public:
-  TupleRefs(const Row* const* ptrs, size_t size, const TupleLayout& layout)
+  TupleRefs(const Value* const* ptrs, size_t size, const TupleLayout& layout)
       : ptrs_(ptrs), size_(size), layout_(&layout) {}
 
   size_t size() const { return size_; }
   const TupleLayout& layout() const { return *layout_; }
-  /// The layout().width row pointers of tuple i.
-  const Row* const* tuple(size_t i) const { return ptrs_ + i * layout_->width; }
+  /// The layout().width() row pointers of tuple i.
+  const Value* const* tuple(size_t i) const {
+    return ptrs_ + i * layout_->width();
+  }
   /// The cell at `c` of tuple i (`c` already checked by Resolve).
   const Value& at(size_t i, CellRef c) const {
-    return (*ptrs_[i * layout_->width + c.input])[c.offset];
+    return tuple(i)[c.input][c.offset];
   }
 
-  /// Resolves column `name` of `schema` to its cell, checking that every
-  /// tuple's row is wide enough to hold it.
+  /// Resolves column `name` of `schema` to its cell, checking that the
+  /// rows of its input are wide enough to hold it (once for the batch: an
+  /// input's rows share one width).
   Result<CellRef> Resolve(const std::string& name, const Schema& schema) const;
-  /// Builds logical row i (the fallback for code without a tuple path).
-  Result<Row> Materialize(size_t i) const;
+  /// Appends every tuple's logical row to *out (the fallback for code
+  /// without a tuple path), checking the layout against the row widths
+  /// once for the batch.
+  Status AppendTo(RowSlab* out) const;
 
  private:
-  const Row* const* ptrs_;
+  const Value* const* ptrs_;
   size_t size_;
   const TupleLayout* layout_;
 };
@@ -99,12 +115,12 @@ class Expr {
   virtual ExprKind kind() const = 0;
 
   /// Evaluates against one row. Type errors surface as Status.
-  virtual Result<Value> Eval(const Row& row, const Schema& schema) const = 0;
+  virtual Result<Value> Eval(RowView row, const Schema& schema) const = 0;
 
   /// Evaluates against a whole batch of reference tuples at once: `*out` is
   /// resized to `rows.size()` and out[i] receives the value for tuple i,
   /// whose columns `schema` names. The base implementation materializes
-  /// each tuple and loops the scalar Eval; concrete nodes override it with
+  /// the batch and loops the scalar Eval; concrete nodes override it with
   /// tight loops that resolve each column to its cell once per batch, read
   /// it in place, and skip the per-row virtual dispatch into their
   /// children. Semantics are identical to row-at-a-time evaluation (AND/OR

@@ -5,9 +5,9 @@
 #include <charconv>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/string_util.h"
@@ -19,9 +19,7 @@ size_t RowSet::ByteSize() const {
   // constant cardinality, so a matching count means an unchanged payload.
   if (byte_size_cache_rows_ == rows.size()) return byte_size_cache_;
   size_t total = 0;
-  for (const auto& r : rows) {
-    for (const auto& v : r) total += v.ByteSize();
-  }
+  for (const Value& v : rows.cells()) total += v.ByteSize();
   byte_size_cache_ = total;
   byte_size_cache_rows_ = rows.size();
   return total;
@@ -29,50 +27,46 @@ size_t RowSet::ByteSize() const {
 
 namespace {
 
-const TupleLayout kPlainLayout;
-
 /// Read-only tuple view of a batch from a cursor with `layout`: borrowed
-/// batches already are pointer vectors; owned ones (always the plain
-/// layout) get one built in `scratch`.
+/// batches already are pointer vectors; owned ones (a plain layout) get
+/// one built in `scratch`.
 TupleRefs BatchView(const Batch& in, const TupleLayout& layout,
-                    std::vector<const Row*>* scratch) {
+                    std::vector<const Value*>* scratch) {
   if (in.borrowed()) return TupleRefs(in.refs.data(), in.size(), layout);
   scratch->clear();
   scratch->reserve(in.rows.size());
-  for (const Row& row : in.rows) scratch->push_back(&row);
-  return TupleRefs(scratch->data(), scratch->size(), kPlainLayout);
+  for (RowView row : in.rows) scratch->push_back(row.data());
+  return TupleRefs(scratch->data(), scratch->size(), layout);
 }
 
 /// Appends the logical rows of `batch` (from a cursor with `layout`) to
-/// *out: owned rows move, each reference tuple is built into one row at its
-/// final width. The one way operators without a tuple path consume input.
-Status AppendRows(Batch* batch, const TupleLayout& layout,
-                  std::vector<Row>* out) {
-  if (!batch->borrowed()) {
-    for (Row& row : batch->rows) out->push_back(std::move(row));
+/// *out: owned cells move, each reference tuple's cells are copied into one
+/// row at its final width. The one way operators without a tuple path
+/// consume input.
+Status AppendRows(Batch* batch, const TupleLayout& layout, RowSlab* out) {
+  if (!batch->borrowed()) return out->Append(std::move(batch->rows));
+  return TupleRefs(batch->refs.data(), batch->size(), layout).AppendTo(out);
+}
+
+/// Moves the next chunk of `rows`, from *pos on, into the owned batch. An
+/// output that fits one batch is handed over whole, which leaves `rows`
+/// empty: the next call emits the end of stream.
+Status EmitOwned(RowSlab* rows, size_t* pos, Batch* batch) {
+  if (*pos == 0 && rows->size() <= kBatchCapacity) {
+    batch->rows = std::move(*rows);
     return Status::OK();
   }
-  TupleRefs view(batch->refs.data(), batch->size(), layout);
-  for (size_t i = 0; i < view.size(); ++i) {
-    DIP_ASSIGN_OR_RETURN(Row row, view.Materialize(i));
-    out->push_back(std::move(row));
+  size_t n = std::min(kBatchCapacity, rows->size() - *pos);
+  batch->rows.Reset(rows->width());
+  batch->rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    DIP_RETURN_NOT_OK(batch->rows.AppendMoved((*rows)[*pos + i]));
   }
+  *pos += n;
   return Status::OK();
 }
 
-/// Moves the next chunk of `rows`, from *pos on, into the owned batch.
-void EmitOwned(std::vector<Row>* rows, size_t* pos, Batch* batch) {
-  size_t n = std::min(kBatchCapacity, rows->size() - *pos);
-  batch->rows.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    batch->rows.push_back(std::move((*rows)[*pos + i]));
-  }
-  *pos += n;
-}
-
 }  // namespace
-
-const TupleLayout& BatchCursor::layout() const { return kPlainLayout; }
 
 Result<RowSet> DrainCursor(BatchCursor* cursor) {
   DIP_RETURN_NOT_OK(cursor->Open());
@@ -104,7 +98,10 @@ namespace {
 class ScanTableCursor : public BatchCursor {
  public:
   ScanTableCursor(const Table* table, ExecContext* ctx)
-      : table_(table), ctx_(ctx), cursor_(table->Scan()) {}
+      : table_(table),
+        ctx_(ctx),
+        cursor_(table->Scan()),
+        layout_(TupleLayout::Plain(table->schema().num_columns())) {}
 
   Status Open() override {
     ctx_->operator_invocations++;
@@ -118,18 +115,22 @@ class ScanTableCursor : public BatchCursor {
   }
   void Close() override {}
   const Schema& schema() const override { return table_->schema(); }
+  const TupleLayout& layout() const override { return layout_; }
 
  private:
   const Table* table_;
   ExecContext* ctx_;
   Table::ScanCursor cursor_;
+  TupleLayout layout_;
 };
 
 /// Streams an in-memory RowSet it does not own, one chunk at a time.
 class RowSliceCursor : public BatchCursor {
  public:
   RowSliceCursor(const RowSet* data, ExecContext* ctx)
-      : data_(data), ctx_(ctx) {}
+      : data_(data),
+        ctx_(ctx),
+        layout_(TupleLayout::Plain(data->rows.width())) {}
 
   Status Open() override {
     ctx_->operator_invocations++;
@@ -141,7 +142,7 @@ class RowSliceCursor : public BatchCursor {
     size_t n = std::min(kBatchCapacity, data_->rows.size() - pos_);
     batch->refs.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      batch->refs.push_back(&data_->rows[pos_ + i]);
+      batch->refs.push_back(data_->rows[pos_ + i].data());
     }
     pos_ += n;
     ctx_->rows_processed += n;
@@ -149,10 +150,12 @@ class RowSliceCursor : public BatchCursor {
   }
   void Close() override {}
   const Schema& schema() const override { return data_->schema; }
+  const TupleLayout& layout() const override { return layout_; }
 
  private:
   const RowSet* data_;
   ExecContext* ctx_;
+  TupleLayout layout_;
   size_t pos_ = 0;
 };
 
@@ -177,8 +180,9 @@ class FilterCursor : public BatchCursor {
       TupleRefs view = BatchView(in_, child_->layout(), &view_scratch_);
       DIP_RETURN_NOT_OK(predicate_->EvalBatch(view, child_->schema(), &keep_));
       // Dropped rows are never copied: borrowed inputs forward the kept
-      // tuples' pointers; owned inputs move the kept rows out.
+      // tuples' pointers; owned inputs move the kept rows' cells out.
       batch->width = in_.width;
+      if (!in_.borrowed()) batch->rows.Reset(in_.rows.width());
       for (size_t i = 0; i < view.size(); ++i) {
         const Value& k = keep_[i];
         if (!k.is_null() && k.type() == DataType::kBool && k.AsBool()) {
@@ -186,7 +190,7 @@ class FilterCursor : public BatchCursor {
             batch->refs.insert(batch->refs.end(), view.tuple(i),
                                view.tuple(i) + in_.width);
           } else {
-            batch->rows.push_back(std::move(in_.rows[i]));
+            DIP_RETURN_NOT_OK(batch->rows.AppendMoved(in_.rows[i]));
           }
         }
       }
@@ -202,12 +206,12 @@ class FilterCursor : public BatchCursor {
   ExprPtr predicate_;
   ExecContext* ctx_;
   Batch in_;
-  std::vector<const Row*> view_scratch_;
+  std::vector<const Value*> view_scratch_;
   std::vector<Value> keep_;
 };
 
-/// Builds each output row exactly once, reading bare column references
-/// straight from the input tuples' cells.
+/// Builds each output row exactly once, in place in the batch's slab,
+/// reading bare column references straight from the input tuples' cells.
 class ProjectCursor : public BatchCursor {
  public:
   ProjectCursor(CursorPtr child, const std::vector<ProjectionItem>* items,
@@ -215,7 +219,8 @@ class ProjectCursor : public BatchCursor {
       : child_(std::move(child)),
         items_(items),
         ctx_(ctx),
-        inferred_(items->size(), DataType::kNull) {}
+        inferred_(items->size(), DataType::kNull),
+        layout_(TupleLayout::Plain(items->size())) {}
 
   Status Open() override {
     DIP_RETURN_NOT_OK(child_->Open());
@@ -288,24 +293,24 @@ class ProjectCursor : public BatchCursor {
         }
       }
     }
+    batch->rows.Reset(items.size());
     batch->rows.reserve(view.size());
     for (size_t r = 0; r < view.size(); ++r) {
-      Row projected;
-      projected.reserve(items.size());
+      MutableRowView projected = batch->rows.AppendRow();
       for (size_t i = 0; i < items.size(); ++i) {
         if (bare_[i]) {
-          projected.push_back(view.at(r, cells_[i]));
+          projected[i] = view.at(r, cells_[i]);
         } else {
-          projected.push_back(std::move(cols_[i][r]));
+          projected[i] = std::move(cols_[i][r]);
         }
       }
-      batch->rows.push_back(std::move(projected));
     }
     if (inferred_changed) RebuildSchema();
     return Status::OK();
   }
   void Close() override { child_->Close(); }
   const Schema& schema() const override { return schema_; }
+  const TupleLayout& layout() const override { return layout_; }
 
  private:
   void RebuildSchema() {
@@ -322,9 +327,10 @@ class ProjectCursor : public BatchCursor {
   const std::vector<ProjectionItem>* items_;
   ExecContext* ctx_;
   std::vector<DataType> inferred_;
+  TupleLayout layout_;
   Schema schema_;
   Batch in_;
-  std::vector<const Row*> view_scratch_;
+  std::vector<const Value*> view_scratch_;
   std::vector<std::vector<Value>> cols_;
   std::vector<CellRef> cells_;  // per column-reference item
   std::vector<bool> bare_;      // uncast column reference: copied in place
@@ -342,12 +348,13 @@ Schema JoinedSchema(const Schema& left, const Schema& right) {
   return s;
 }
 
-const Value& CellAt(const Row* const* tuple, CellRef c) {
-  return (*tuple[c.input])[c.offset];
+const Value& CellAt(const Value* const* tuple, CellRef c) {
+  return tuple[c.input][c.offset];
 }
 
 /// HashRowKey of the key cells of the logical row `tuple` forms.
-size_t HashTupleKey(const Row* const* tuple, const std::vector<CellRef>& keys) {
+size_t HashTupleKey(const Value* const* tuple,
+                    const std::vector<CellRef>& keys) {
   size_t h = 0x345678;
   for (CellRef c : keys) h = h * 1000003 ^ CellAt(tuple, c).Hash();
   return h;
@@ -399,7 +406,8 @@ class JoinHashTable {
 
 /// In-memory hash join over reference tuples. The build side (right) is
 /// drained at Open and kept as borrowed tuples — rows it was handed owned
-/// are kept in build_rows_ — hashed into a JoinHashTable. The probe side
+/// are kept in the build_rows_ slab, and pointed into only once it stops
+/// growing — hashed into a JoinHashTable. The probe side
 /// streams, and each match is emitted as the probe tuple's pointers
 /// followed by the build tuple's; no joined row is built. The joined
 /// schema and the column→cell layout are computed once at Open.
@@ -424,7 +432,7 @@ class HashJoinCursor : public BatchCursor {
     for (const auto& k : *lkeys_) {
       DIP_RETURN_NOT_OK(left_->schema().RequireIndexOf(k).status());
     }
-    const size_t bw = build_layout_.width;
+    const size_t bw = build_layout_.width();
     TupleRefs build(build_refs_.data(), build_refs_.size() / bw,
                     build_layout_);
     for (const auto& k : *rkeys_) {
@@ -438,14 +446,17 @@ class HashJoinCursor : public BatchCursor {
     }
     table_.Build(std::move(hashes));
     const TupleLayout& probe = left_->layout();
-    layout_.width = probe.width + bw;
+    layout_.row_widths = probe.row_widths;
+    layout_.row_widths.insert(layout_.row_widths.end(),
+                              build_layout_.row_widths.begin(),
+                              build_layout_.row_widths.end());
     layout_.cells.clear();
     for (size_t c = 0; c < left_->schema().num_columns(); ++c) {
       layout_.cells.push_back(probe.Cell(c));
     }
     for (size_t c = 0; c < build_schema_.num_columns(); ++c) {
       CellRef cell = build_layout_.Cell(c);
-      cell.input += static_cast<uint32_t>(probe.width);
+      cell.input += static_cast<uint32_t>(probe.width());
       layout_.cells.push_back(cell);
     }
     schema_ = JoinedSchema(left_->schema(), build_schema_);
@@ -453,9 +464,9 @@ class HashJoinCursor : public BatchCursor {
   }
   Status Next(Batch* batch) override {
     batch->clear();
-    batch->width = layout_.width;
-    const size_t pw = left_->layout().width;
-    const size_t bw = build_layout_.width;
+    batch->width = layout_.width();
+    const size_t pw = left_->layout().width();
+    const size_t bw = build_layout_.width();
     for (;;) {
       DIP_RETURN_NOT_OK(left_->Next(&in_));
       SyncProbeTypes();
@@ -469,9 +480,9 @@ class HashJoinCursor : public BatchCursor {
       const size_t emitted_before = batch->refs.size();
       for (size_t r = 0; r < probe.size(); ++r) {
         ctx_->rows_processed++;
-        const Row* const* lt = probe.tuple(r);
+        const Value* const* lt = probe.tuple(r);
         table_.ForEach(HashTupleKey(lt, lcells_), [&](size_t i) {
-          const Row* const* rt = &build_refs_[i * bw];
+          const Value* const* rt = &build_refs_[i * bw];
           for (size_t k = 0; k < lcells_.size(); ++k) {
             const Value& lv = CellAt(lt, lcells_[k]);
             if (lv.is_null() || lv.Compare(CellAt(rt, rcells_[k])) != 0) {
@@ -483,7 +494,8 @@ class HashJoinCursor : public BatchCursor {
         });
       }
       // An owned probe batch is refilled by the next pull; the emitted
-      // tuples point into it, so its rows live on with this cursor.
+      // tuples point into it, so its slab moves, cells in place, into
+      // probe_rows_ and lives on with this cursor.
       if (!in_.borrowed() && batch->refs.size() > emitted_before) {
         probe_rows_.push_back(std::move(in_.rows));
       }
@@ -506,19 +518,18 @@ class HashJoinCursor : public BatchCursor {
         build_refs_.insert(build_refs_.end(), in.refs.begin(), in.refs.end());
         continue;
       }
-      for (Row& row : in.rows) {
-        build_refs_.push_back(nullptr);  // pointed at build_rows_ below
-        build_rows_.push_back(std::move(row));
-      }
+      // Pointed at build_rows_ below.
+      build_refs_.insert(build_refs_.end(), in.rows.size(), nullptr);
+      DIP_RETURN_NOT_OK(build_rows_.Append(std::move(in.rows)));
     }
     build_schema_ = right_->schema();
     build_layout_ = right_->layout();
     right_->Close();
     // Owned rows (only ever one-row tuples) are addressable once
-    // build_rows_ stops growing.
+    // build_rows_ stops growing: its cells move while it grows.
     size_t next_owned = 0;
-    for (const Row*& p : build_refs_) {
-      if (p == nullptr) p = &build_rows_[next_owned++];
+    for (const Value*& p : build_refs_) {
+      if (p == nullptr) p = build_rows_[next_owned++].data();
     }
     return Status::OK();
   }
@@ -542,13 +553,13 @@ class HashJoinCursor : public BatchCursor {
   ExecContext* ctx_;
   Schema build_schema_, schema_;
   TupleLayout build_layout_, layout_;
-  std::vector<const Row*> build_refs_;  // build tuples, tuple-major
-  std::vector<Row> build_rows_;         // build rows handed over owned
+  std::vector<const Value*> build_refs_;  // build tuples, tuple-major
+  RowSlab build_rows_;                    // build rows handed over owned
   std::vector<CellRef> lcells_, rcells_;
   JoinHashTable table_;
   Batch in_;
-  std::vector<const Row*> probe_scratch_;
-  std::vector<std::vector<Row>> probe_rows_;  // owned probe rows emitted
+  std::vector<const Value*> probe_scratch_;
+  std::vector<RowSlab> probe_rows_;  // owned probe batches emitted from
 };
 
 /// --- Grouped aggregation ------------------------------------------------
@@ -569,7 +580,7 @@ struct AggAccumulator {
 };
 
 struct AggGroupState {
-  Row key;  ///< reserved for the aggregates FinalizeAggGroup appends
+  Row key;  ///< the group cells of the group's first row
   std::vector<AggAccumulator> aggs;
 };
 
@@ -626,7 +637,7 @@ void AddToSum(AggAccumulator* acc, double num, const int64_t* exact) {
 
 /// Folds one tuple's aggregate inputs into its group. Each aggregate
 /// updates only the state its function reads.
-Status AccumulateAggValues(const Row* const* tuple,
+Status AccumulateAggValues(const Value* const* tuple,
                            const std::vector<AggregateItem>& aggs,
                            const std::vector<std::optional<CellRef>>& cells,
                            AggGroupState* st) {
@@ -686,7 +697,7 @@ class AggGroupTable {
 
   /// The group of `tuple`, created on first sight. The pointer is valid
   /// until the next lookup.
-  AggGroupState* Find(const Row* const* tuple) {
+  AggGroupState* Find(const Value* const* tuple) {
     if (int_keyed_) {
       cells_.clear();
       for (CellRef c : group_) {
@@ -735,7 +746,7 @@ class AggGroupTable {
 
   /// Find for the INT64 key cells_ of `tuple` while the table is still
   /// int-keyed (no non-INT64 key seen).
-  AggGroupState* FindInt(const Row* const* tuple) {
+  AggGroupState* FindInt(const Value* const* tuple) {
     assert(int_keyed_);
     if (2 * (groups_.size() + 1) > slots_.size()) GrowSlots();
     const size_t mask = slots_.size() - 1;
@@ -788,9 +799,9 @@ class AggGroupTable {
     }
   }
 
-  Row KeyRow(const Row* const* tuple) const {
+  Row KeyRow(const Value* const* tuple) const {
     Row key;
-    key.reserve(group_.size() + naggs_);
+    key.reserve(group_.size());
     for (CellRef c : group_) key.push_back(CellAt(tuple, c));
     return key;
   }
@@ -816,43 +827,46 @@ class AggGroupTable {
   std::string key_buf_;
 };
 
-/// The output row of a group: its key cells, then one value per
+/// Appends the output row of a group to *out, whose width is the key
+/// cells plus one per aggregate: its key cells, then one value per
 /// aggregate. Consumes the group's key.
-Result<Row> FinalizeAggGroup(AggGroupState* st,
-                             const std::vector<AggregateItem>& aggs) {
-  Row row = std::move(st->key);
-  row.reserve(row.size() + aggs.size());
-  for (size_t a = 0; a < aggs.size(); ++a) {
+Status FinalizeAggGroup(AggGroupState* st,
+                        const std::vector<AggregateItem>& aggs,
+                        RowSlab* out) {
+  MutableRowView row = out->AppendRow();
+  std::move(st->key.begin(), st->key.end(), row.begin());
+  Value* cell = row.data() + st->key.size();
+  for (size_t a = 0; a < aggs.size(); ++a, ++cell) {
     const AggAccumulator& acc = st->aggs[a];
     switch (aggs[a].func) {
       case AggFunc::kCount:
-        row.push_back(Value::Int(acc.count));
+        *cell = Value::Int(acc.count);
         break;
       case AggFunc::kSum:
         if (acc.count == 0) {
-          row.push_back(Value::Null());
+          *cell = Value::Null();
         } else if (!acc.all_int) {
-          row.push_back(Value::Double(acc.sum));
+          *cell = Value::Double(acc.sum);
         } else if (acc.int_overflow) {
           return Status::InvalidArgument("SUM of " + aggs[a].input_column +
                                          " overflows INT64");
         } else {
-          row.push_back(Value::Int(acc.int_sum));
+          *cell = Value::Int(acc.int_sum);
         }
         break;
       case AggFunc::kAvg:
-        row.push_back(acc.count == 0 ? Value::Null()
-                                     : Value::Double(acc.sum / acc.count));
+        *cell = acc.count == 0 ? Value::Null()
+                               : Value::Double(acc.sum / acc.count);
         break;
       case AggFunc::kMin:
-        row.push_back(acc.min_v);
+        *cell = acc.min_v;
         break;
       case AggFunc::kMax:
-        row.push_back(acc.max_v);
+        *cell = acc.max_v;
         break;
     }
   }
-  return row;
+  return Status::OK();
 }
 
 Schema AggOutputSchema(const Schema& in_schema,
@@ -895,32 +909,32 @@ class AggregateCursor : public BatchCursor {
         AggOutputSchema(child_->schema(), *group_by_, group_idx_, *aggs_);
     CloseChild();
     pos_ = 0;
+    layout_ = TupleLayout::Plain(out_schema_.num_columns());
+    out_rows_.Reset(out_schema_.num_columns());
     return groups.ForEachOrdered([&](AggGroupState& st) -> Status {
-      DIP_ASSIGN_OR_RETURN(Row row, FinalizeAggGroup(&st, *aggs_));
-      out_rows_.push_back(std::move(row));
-      return Status::OK();
+      return FinalizeAggGroup(&st, *aggs_, &out_rows_);
     });
   }
   Status Next(Batch* batch) override {
     batch->clear();
-    EmitOwned(&out_rows_, &pos_, batch);
-    return Status::OK();
+    return EmitOwned(&out_rows_, &pos_, batch);
   }
   void Close() override { CloseChild(); }
   const Schema& schema() const override { return out_schema_; }
+  const TupleLayout& layout() const override { return layout_; }
 
  private:
   Status Fold(const TupleLayout& layout, AggGroupTable* groups) {
     const auto agg_cells = AggInputCells(layout, agg_idx_);
     Batch in;
-    std::vector<const Row*> scratch;
+    std::vector<const Value*> scratch;
     for (;;) {
       DIP_RETURN_NOT_OK(child_->Next(&in));
       if (in.empty()) return Status::OK();
       ctx_->rows_processed += in.size();
       TupleRefs view = BatchView(in, layout, &scratch);
       for (size_t r = 0; r < view.size(); ++r) {
-        const Row* const* t = view.tuple(r);
+        const Value* const* t = view.tuple(r);
         DIP_RETURN_NOT_OK(
             AccumulateAggValues(t, *aggs_, agg_cells, groups->Find(t)));
       }
@@ -939,12 +953,15 @@ class AggregateCursor : public BatchCursor {
   ExecContext* ctx_;
   std::vector<size_t> group_idx_, agg_idx_;
   Schema out_schema_;
-  std::vector<Row> out_rows_;
+  TupleLayout layout_;
+  RowSlab out_rows_;
   size_t pos_ = 0;
   bool child_closed_ = false;
 };
 
-/// Stable sort of the whole input: drained at Open, emitted in key order.
+/// Stable sort of the whole input: drained at Open into one slab, sorted as
+/// a stable permutation of row indexes, and gathered into the emitted
+/// batches in key order.
 class SortCursor : public BatchCursor {
  public:
   SortCursor(CursorPtr child, const std::vector<SortKey>* keys,
@@ -971,24 +988,34 @@ class SortCursor : public BatchCursor {
     schema_ = child_->schema();
     CloseChild();
     ctx_->operator_invocations++;
-    std::stable_sort(rows_.begin(), rows_.end(),
-                     [&](const Row& a, const Row& b) {
-                       for (size_t k = 0; k < idx.size(); ++k) {
-                         int c = a[idx[k]].Compare(b[idx[k]]);
-                         if (c != 0) return asc[k] ? c < 0 : c > 0;
-                       }
-                       return false;
-                     });
+    order_.resize(rows_.size());
+    std::iota(order_.begin(), order_.end(), size_t{0});
+    std::stable_sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
+      RowView ra = rows_[a], rb = rows_[b];
+      for (size_t k = 0; k < idx.size(); ++k) {
+        int c = ra[idx[k]].Compare(rb[idx[k]]);
+        if (c != 0) return asc[k] ? c < 0 : c > 0;
+      }
+      return false;
+    });
+    layout_ = TupleLayout::Plain(rows_.width());
     pos_ = 0;
     return Status::OK();
   }
   Status Next(Batch* batch) override {
     batch->clear();
-    EmitOwned(&rows_, &pos_, batch);
+    const size_t n = std::min(kBatchCapacity, order_.size() - pos_);
+    batch->rows.Reset(rows_.width());
+    batch->rows.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      DIP_RETURN_NOT_OK(batch->rows.AppendMoved(rows_[order_[pos_ + i]]));
+    }
+    pos_ += n;
     return Status::OK();
   }
   void Close() override { CloseChild(); }
   const Schema& schema() const override { return schema_; }
+  const TupleLayout& layout() const override { return layout_; }
 
  private:
   void CloseChild() {
@@ -1000,8 +1027,10 @@ class SortCursor : public BatchCursor {
   CursorPtr child_;
   const std::vector<SortKey>* keys_;
   ExecContext* ctx_;
-  std::vector<Row> rows_;
+  RowSlab rows_;               // the input, in arrival order
+  std::vector<size_t> order_;  // rows_ indexes in sorted order
   size_t pos_ = 0;
+  TupleLayout layout_;
   Schema schema_;
   bool child_closed_ = false;
 };
@@ -1019,10 +1048,13 @@ class UnionDistinctCursor : public BatchCursor {
     if (children_.empty()) {
       return Status::InvalidArgument("UNION of zero inputs");
     }
-    std::unordered_multimap<size_t, size_t> seen;  // hash -> out row index
+    KeyIndex seen;  // key hash -> out row index
     for (size_t c = 0; c < children_.size(); ++c) {
       BatchCursor* child = children_[c].get();
       DIP_RETURN_NOT_OK(child->Open());
+      if (c > 0 && child->schema().num_columns() != schema_.num_columns()) {
+        return Status::TypeMismatch("UNION input arity mismatch");
+      }
       if (c == 0) {
         // Keys resolve against the first input's schema (column names are
         // fixed from Open even while types are still provisional).
@@ -1042,30 +1074,37 @@ class UnionDistinctCursor : public BatchCursor {
         DIP_RETURN_NOT_OK(child->Next(&in));
         if (in.empty()) break;
         ctx_->rows_processed += in.size();
-        rows_.clear();
-        DIP_RETURN_NOT_OK(AppendRows(&in, child->layout(), &rows_));
-        for (Row& row : rows_) {
-          if (IsDuplicate(row, seen)) continue;
-          seen.emplace(HashRowKey(row, key_idx_), out_rows_.size());
-          out_rows_.push_back(std::move(row));
+        // Owned rows are read in place; reference tuples are built into
+        // rows_ first.
+        RowSlab* batch_rows = &in.rows;
+        if (in.borrowed()) {
+          rows_.Reset(0);
+          DIP_RETURN_NOT_OK(AppendRows(&in, child->layout(), &rows_));
+          batch_rows = &rows_;
+        }
+        for (MutableRowView row : *batch_rows) {
+          const size_t hash = HashRowKey(row, key_idx_);
+          if (seen.Find(hash, [&](size_t prev) {
+                return SameKey(out_rows_[prev], row);
+              }) != KeyIndex::kNotFound) {
+            continue;
+          }
+          seen.Insert(hash, out_rows_.size());
+          DIP_RETURN_NOT_OK(out_rows_.AppendMoved(row));
         }
       }
-      if (c == 0) {
-        schema_ = child->schema();
-      } else if (child->schema().num_columns() != schema_.num_columns()) {
-        return Status::TypeMismatch("UNION input arity mismatch");
-      }
+      if (c == 0) schema_ = child->schema();
       child->Close();
       closed_upto_ = c + 1;
     }
     ctx_->operator_invocations++;
+    layout_ = TupleLayout::Plain(out_rows_.width());
     pos_ = 0;
     return Status::OK();
   }
   Status Next(Batch* batch) override {
     batch->clear();
-    EmitOwned(&out_rows_, &pos_, batch);
-    return Status::OK();
+    return EmitOwned(&out_rows_, &pos_, batch);
   }
   void Close() override {
     for (size_t c = closed_upto_; c < children_.size(); ++c) {
@@ -1074,32 +1113,24 @@ class UnionDistinctCursor : public BatchCursor {
     closed_upto_ = children_.size();
   }
   const Schema& schema() const override { return schema_; }
+  const TupleLayout& layout() const override { return layout_; }
 
  private:
-  bool IsDuplicate(const Row& row,
-                   const std::unordered_multimap<size_t, size_t>& seen) const {
-    auto range = seen.equal_range(HashRowKey(row, key_idx_));
-    for (auto it = range.first; it != range.second; ++it) {
-      const Row& prev = out_rows_[it->second];
-      bool equal = true;
-      for (size_t k : key_idx_) {
-        if (prev[k].Compare(row[k]) != 0) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) return true;
+  bool SameKey(RowView a, RowView b) const {
+    for (size_t k : key_idx_) {
+      if (a[k].Compare(b[k]) != 0) return false;
     }
-    return false;
+    return true;
   }
 
   std::vector<CursorPtr> children_;
   const std::vector<std::string>* key_columns_;
   ExecContext* ctx_;
   std::vector<size_t> key_idx_;
-  std::vector<Row> rows_;  // the current input batch
+  RowSlab rows_;  // the current borrowed input batch, built into rows
   Schema schema_;
-  std::vector<Row> out_rows_;
+  TupleLayout layout_;
+  RowSlab out_rows_;
   size_t pos_ = 0;
   size_t closed_upto_ = 0;
 };
@@ -1317,7 +1348,7 @@ PlanPtr Sort(PlanPtr child, std::vector<SortKey> keys) {
 
 Result<size_t> InsertInto(Table* table, const RowSet& rows) {
   size_t inserted = 0;
-  for (const auto& row : rows.rows) {
+  for (RowView row : rows.rows) {
     Status st = table->Insert(row);
     if (st.ok()) {
       ++inserted;
@@ -1330,7 +1361,7 @@ Result<size_t> InsertInto(Table* table, const RowSet& rows) {
 
 Result<size_t> UpsertInto(Table* table, const RowSet& rows) {
   size_t written = 0;
-  for (const auto& row : rows.rows) {
+  for (RowView row : rows.rows) {
     DIP_RETURN_NOT_OK(table->InsertOrReplace(row));
     ++written;
   }

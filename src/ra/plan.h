@@ -13,12 +13,13 @@
 
 namespace dipbench {
 
-/// A materialized result: schema + rows. Plans read base data from tables
-/// and RowSets, stream batches between operators (see BatchCursor below)
-/// and hand their result back as a RowSet.
+/// A materialized result: schema + rows, the rows in one cell slab. Plans
+/// read base data from tables and RowSets, stream batches between
+/// operators (see BatchCursor below) and hand their result back as a
+/// RowSet.
 struct RowSet {
   Schema schema;
-  std::vector<Row> rows;
+  RowSlab rows;
 
   size_t size() const { return rows.size(); }
   /// Approximate wire size, used for communication-cost accounting.
@@ -48,17 +49,19 @@ inline constexpr size_t kBatchCapacity = 1024;
 /// One chunk of rows flowing through a cursor chain. A batch is either
 /// *owned* (`rows` filled, `refs` empty — operators that build new rows:
 /// projection, aggregation, sort, union-distinct) or *borrowed*
-/// (`refs` filled, `rows` empty): reference tuples of `width` row pointers
-/// each, read through the producing cursor's layout(). Leaf scans emit
-/// one-pointer tuples into table / RowSet storage, a hash join emits the
-/// probe tuple's pointers followed by the build tuple's, and a filter
-/// forwards the pointers. Borrowed pointees live in a table or RowSet that
-/// outlives the plan's execution (a join keeps the rows it was handed
-/// owned for as long as it lives), so a consumer may keep the pointers — a
-/// hash join's build side does.
+/// (`refs` filled, `rows` empty): reference tuples of `width` row-start
+/// pointers each, read through the producing cursor's layout(). Leaf
+/// scans emit one-pointer tuples into table / RowSet storage, a hash join
+/// emits the probe tuple's pointers followed by the build tuple's, and a
+/// filter forwards the pointers. A slab's cells move when it grows, so a
+/// borrowed pointer only ever points into storage that does not grow
+/// while the cursor chain exists: a table during the plan, a RowSet the
+/// plan reads, a hash join's owned build rows once drained, and owned
+/// probe batches the join keeps whole. A consumer may therefore keep the
+/// pointers — a hash join's build side does.
 struct Batch {
-  std::vector<Row> rows;
-  std::vector<const Row*> refs;
+  RowSlab rows;
+  std::vector<const Value*> refs;
   size_t width = 1;  ///< row pointers per borrowed tuple
 
   bool borrowed() const { return !refs.empty(); }
@@ -89,16 +92,16 @@ class BatchCursor {
   virtual void Close() = 0;
   virtual const Schema& schema() const = 0;
   /// How the cells of this cursor's batches map to schema() columns; fixed
-  /// from Open() on. The default is the plain one-row layout, which every
-  /// owned batch has.
-  virtual const TupleLayout& layout() const;
+  /// from Open() on. Owned batches always have a plain layout.
+  virtual const TupleLayout& layout() const = 0;
 };
 
 using CursorPtr = std::unique_ptr<BatchCursor>;
 
 /// Opens `cursor`, pulls it to end of stream, and returns the accumulated
-/// RowSet (schema read after end of stream, when it is final). Owned rows
-/// move; each reference tuple is built into its one output row.
+/// RowSet (schema read after end of stream, when it is final). Owned cells
+/// move (the first owned batch's slab is taken over whole); each reference
+/// tuple's cells are copied into its one output row.
 Result<RowSet> DrainCursor(BatchCursor* cursor);
 
 /// Base class for plan operators. Each node has exactly one execution

@@ -34,16 +34,6 @@ bool Database::HasTable(const std::string& table_name) const {
   return tables_.count(table_name) > 0;
 }
 
-Status Database::DropTable(const std::string& table_name) {
-  auto it = tables_.find(table_name);
-  if (it == tables_.end()) {
-    return Status::NotFound("no table " + table_name + " in " + name_);
-  }
-  tables_.erase(it);
-  triggers_.erase(table_name);
-  return Status::OK();
-}
-
 std::vector<std::string> Database::ListTables() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());
@@ -55,13 +45,13 @@ void Database::ClearAllTables() {
   for (auto& [name, table] : tables_) table->Clear();
 }
 
-Status Database::InsertWithTriggers(const std::string& table_name, Row row) {
+Status Database::InsertWithTriggers(const std::string& table_name,
+                                    RowView row) {
   DIP_ASSIGN_OR_RETURN(Table * table, GetTable(table_name));
-  Row copy = row;  // trigger sees the row even after the table takes it
-  DIP_RETURN_NOT_OK(table->Insert(std::move(row)));
+  DIP_RETURN_NOT_OK(table->Insert(row));
   auto it = triggers_.find(table_name);
   if (it != triggers_.end()) {
-    return it->second(this, table_name, copy);
+    return it->second(this, table_name, row);
   }
   return Status::OK();
 }
@@ -84,10 +74,6 @@ Status Database::CallProcedure(const std::string& proc_name,
   return it->second(this, args);
 }
 
-bool Database::HasProcedure(const std::string& proc_name) const {
-  return procedures_.count(proc_name) > 0;
-}
-
 Status Database::SetInsertTrigger(const std::string& table_name,
                                   InsertTrigger trig) {
   if (!HasTable(table_name)) {
@@ -97,29 +83,13 @@ Status Database::SetInsertTrigger(const std::string& table_name,
   return Status::OK();
 }
 
-Status Database::DropInsertTrigger(const std::string& table_name) {
-  auto it = triggers_.find(table_name);
-  if (it == triggers_.end()) {
-    return Status::NotFound("no trigger on " + table_name + " in " + name_);
-  }
-  triggers_.erase(it);
-  return Status::OK();
-}
-
 int64_t Database::NextSequenceValue(const std::string& seq_name) {
-  std::lock_guard<std::mutex> lock(seq_mu_);
   return ++sequences_[seq_name];
 }
 
 size_t Database::TotalRows() const {
   size_t total = 0;
   for (const auto& [name, table] : tables_) total += table->size();
-  return total;
-}
-
-size_t Database::TotalBytes() const {
-  size_t total = 0;
-  for (const auto& [name, table] : tables_) total += table->ByteSize();
   return total;
 }
 

@@ -4,7 +4,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -24,11 +23,11 @@ using StoredProcedure =
     std::function<Status(Database* db, const std::vector<Value>& args)>;
 
 /// An insert trigger: fired after a row is inserted through
-/// Database::InsertWithTriggers. This is the federated engine's E1
-/// (message-stream) realization vehicle (paper Fig. 9a).
-using InsertTrigger = std::function<Status(Database* db,
-                                           const std::string& table_name,
-                                           const Row& inserted)>;
+/// Database::InsertWithTriggers, on the cells the caller inserted. This is
+/// the federated engine's E1 (message-stream) realization vehicle (paper
+/// Fig. 9a).
+using InsertTrigger = std::function<Status(
+    Database* db, const std::string& table_name, RowView inserted)>;
 
 /// A named database instance: a catalog of tables, sequences, stored
 /// procedures, and insert triggers. The benchmark scenario instantiates
@@ -48,36 +47,30 @@ class Database {
   Result<Table*> GetTable(const std::string& table_name);
   Result<const Table*> GetTable(const std::string& table_name) const;
   bool HasTable(const std::string& table_name) const;
-  Status DropTable(const std::string& table_name);
   std::vector<std::string> ListTables() const;
 
   /// Clears the content of every table (schemas survive). Used by the
   /// per-period "uninitialize all external systems" step.
   void ClearAllTables();
 
-  /// Inserts and fires the table's insert trigger, if any. Trigger errors
-  /// propagate; the row stays inserted (queue-table semantics).
-  Status InsertWithTriggers(const std::string& table_name, Row row);
+  /// Inserts and fires the table's insert trigger, if any, on `row`
+  /// itself. Trigger errors propagate; the row stays inserted (queue-table
+  /// semantics).
+  Status InsertWithTriggers(const std::string& table_name, RowView row);
 
   /// Registers/fires stored procedures.
   Status RegisterProcedure(const std::string& proc_name, StoredProcedure proc);
   Status CallProcedure(const std::string& proc_name,
                        const std::vector<Value>& args);
-  bool HasProcedure(const std::string& proc_name) const;
 
   /// Sets (replaces) the insert trigger for a table.
   Status SetInsertTrigger(const std::string& table_name, InsertTrigger trig);
-  Status DropInsertTrigger(const std::string& table_name);
 
   /// Monotone sequence generator (auto-created at first use, starts at 1).
-  /// Mutex-guarded: the federated engine draws instance ids from the engine
-  /// database's sequences on scheduler worker threads.
   int64_t NextSequenceValue(const std::string& seq_name);
 
   /// Total live rows across tables.
   size_t TotalRows() const;
-  /// Total approximate bytes across tables.
-  size_t TotalBytes() const;
   /// Sum of per-table IO counters.
   uint64_t TotalRowsRead() const;
   uint64_t TotalRowsWritten() const;
@@ -87,7 +80,6 @@ class Database {
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::map<std::string, StoredProcedure> procedures_;
   std::map<std::string, InsertTrigger> triggers_;
-  mutable std::mutex seq_mu_;  ///< Guards sequences_ only.
   std::map<std::string, int64_t> sequences_;
 };
 

@@ -1,14 +1,16 @@
 #include "src/storage/table.h"
 
-#include <cassert>
+#include <algorithm>
 #include <utility>
 
 namespace dipbench {
 
 Table::Table(std::string name, Schema schema)
-    : name_(std::move(name)), schema_(std::move(schema)) {}
+    : name_(std::move(name)),
+      schema_(std::move(schema)),
+      rows_(schema_.num_columns()) {}
 
-Status Table::CheckRow(const Row& row) const {
+Status Table::CheckRow(RowView row) const {
   if (row.size() != schema_.num_columns()) {
     return Status::TypeMismatch(
         "row arity " + std::to_string(row.size()) + " != schema arity " +
@@ -34,29 +36,29 @@ Status Table::CheckRow(const Row& row) const {
   return Status::OK();
 }
 
-size_t Table::PkHash(const Row& row) const {
+size_t Table::PkHash(RowView row) const {
   const std::vector<size_t>& pk = schema_.primary_key();
   return pk.empty() ? 0 : HashRowKey(row, pk);
 }
 
-bool Table::SameKey(const Row& a, const Row& b) const {
+bool Table::SameKey(RowView a, RowView b) const {
   for (size_t c : schema_.primary_key()) {
     if (a[c].Compare(b[c]) != 0) return false;
   }
   return true;
 }
 
-std::string Table::KeyString(const Row& row) const {
+std::string Table::KeyString(RowView row) const {
   std::string out;
   AppendRowKeyString(row, schema_.primary_key(), &out);
   return out;
 }
 
-size_t Table::FindSlotByKey(std::span<const Value> key) const {
+size_t Table::FindSlotByKey(RowView key) const {
   const std::vector<size_t>& pk = schema_.primary_key();
   if (pk.empty() || key.size() != pk.size()) return KeyIndex::kNotFound;
   return pk_index_.Find(HashRow(key), [&](size_t slot) {
-    const Row& row = rows_[slot];
+    RowView row = rows_[slot];
     for (size_t i = 0; i < pk.size(); ++i) {
       if (key[i].Compare(row[pk[i]]) != 0) return false;
     }
@@ -64,14 +66,20 @@ size_t Table::FindSlotByKey(std::span<const Value> key) const {
   });
 }
 
-size_t Table::FindSlotOfRow(const Row& row, size_t pk_hash) const {
+size_t Table::FindSlotOfRow(RowView row, size_t pk_hash) const {
   return pk_index_.Find(pk_hash,
                         [&](size_t slot) { return SameKey(rows_[slot], row); });
 }
 
-void Table::IndexRow(size_t slot, size_t pk_hash) {
+Status Table::AppendAndIndex(RowView row, size_t pk_hash) {
+  const size_t slot = rows_.size();
+  DIP_RETURN_NOT_OK(rows_.Append(row));
+  live_.push_back(true);
+  ++live_count_;
+  ++rows_written_;
   if (!schema_.primary_key().empty()) pk_index_.Insert(pk_hash, slot);
-  IndexSecondary(rows_[slot], slot);
+  IndexSecondary(row, slot);
+  return Status::OK();
 }
 
 void Table::UnindexRow(size_t slot) {
@@ -81,13 +89,13 @@ void Table::UnindexRow(size_t slot) {
   UnindexSecondary(rows_[slot], slot);
 }
 
-void Table::IndexSecondary(const Row& row, size_t slot) {
+void Table::IndexSecondary(RowView row, size_t slot) {
   for (auto& [name, idx] : secondary_) {
     idx.map.emplace(HashRowKey(row, idx.columns), slot);
   }
 }
 
-void Table::UnindexSecondary(const Row& row, size_t slot) {
+void Table::UnindexSecondary(RowView row, size_t slot) {
   for (auto& [name, idx] : secondary_) {
     auto range = idx.map.equal_range(HashRowKey(row, idx.columns));
     for (auto it = range.first; it != range.second; ++it) {
@@ -99,23 +107,17 @@ void Table::UnindexSecondary(const Row& row, size_t slot) {
   }
 }
 
-Status Table::Insert(Row row) {
+Status Table::Insert(RowView row) {
   DIP_RETURN_NOT_OK(CheckRow(row));
   const size_t pk_hash = PkHash(row);
   if (FindSlotOfRow(row, pk_hash) != KeyIndex::kNotFound) {
     return Status::AlreadyExists("duplicate key " + KeyString(row) + " in " +
                                  name_);
   }
-  rows_.push_back(std::move(row));
-  live_.push_back(true);
-  ++live_count_;
-  ++rows_written_;
-  IndexRow(rows_.size() - 1, pk_hash);
-  Touch();
-  return Status::OK();
+  return AppendAndIndex(row, pk_hash);
 }
 
-Status Table::InsertOrReplace(Row row) {
+Status Table::InsertOrReplace(RowView row) {
   DIP_RETURN_NOT_OK(CheckRow(row));
   const size_t pk_hash = PkHash(row);
   const size_t slot = FindSlotOfRow(row, pk_hash);
@@ -124,16 +126,10 @@ Status Table::InsertOrReplace(Row row) {
     live_[slot] = false;
     --live_count_;
   }
-  rows_.push_back(std::move(row));
-  live_.push_back(true);
-  ++live_count_;
-  ++rows_written_;
-  IndexRow(rows_.size() - 1, pk_hash);
-  Touch();
-  return Status::OK();
+  return AppendAndIndex(row, pk_hash);
 }
 
-Result<const Row*> Table::FindByKeyRef(std::span<const Value> key) const {
+Result<RowView> Table::FindByKeyRef(RowView key) const {
   if (schema_.primary_key().empty()) {
     return Status::InvalidArgument("table " + name_ + " has no primary key");
   }
@@ -142,24 +138,10 @@ Result<const Row*> Table::FindByKeyRef(std::span<const Value> key) const {
   }
   size_t slot = FindSlotByKey(key);
   ++rows_read_;
-  const Row* found = slot == KeyIndex::kNotFound ? nullptr : &rows_[slot];
-  return found;
+  return slot == KeyIndex::kNotFound ? RowView() : rows_[slot];
 }
 
-Result<Row> Table::FindByKey(const Row& key) const {
-  DIP_ASSIGN_OR_RETURN(const Row* found, FindByKeyRef(key));
-  if (found == nullptr) {
-    return Status::NotFound("key " + RowToString(key) + " not in " + name_);
-  }
-  return *found;
-}
-
-bool Table::ContainsKey(const Row& key) const {
-  ++rows_read_;
-  return FindSlotByKey(key) != KeyIndex::kNotFound;
-}
-
-size_t Table::DeleteWhere(const std::function<bool(const Row&)>& pred) {
+size_t Table::DeleteWhere(const std::function<bool(RowView)>& pred) {
   size_t removed = 0;
   for (size_t slot = 0; slot < rows_.size(); ++slot) {
     if (!live_[slot]) continue;
@@ -171,7 +153,6 @@ size_t Table::DeleteWhere(const std::function<bool(const Row&)>& pred) {
       ++removed;
     }
   }
-  if (removed > 0) Touch();
   return removed;
 }
 
@@ -181,22 +162,23 @@ void Table::Clear() {
   live_count_ = 0;
   pk_index_.Clear();
   for (auto& [name, idx] : secondary_) idx.map.clear();
-  Touch();
 }
 
-Result<size_t> Table::UpdateWhere(const std::function<bool(const Row&)>& pred,
-                                  const std::function<void(Row*)>& update) {
+Result<size_t> Table::UpdateWhere(
+    const std::function<bool(RowView)>& pred,
+    const std::function<void(MutableRowView)>& update) {
   const bool has_secondary = !secondary_.empty();
   size_t updated = 0;
   Row before;  // the row as it was before `update`; reused across rows
   for (size_t slot = 0; slot < rows_.size(); ++slot) {
     if (!live_[slot]) continue;
     ++rows_read_;
-    if (!pred(rows_[slot])) continue;
-    before = rows_[slot];
-    update(&rows_[slot]);
-    Status st = CheckRow(rows_[slot]);
-    if (st.ok() && !SameKey(before, rows_[slot])) {
+    MutableRowView row = rows_[slot];
+    if (!pred(row)) continue;
+    before.assign(row.begin(), row.end());
+    update(row);
+    Status st = CheckRow(row);
+    if (st.ok() && !SameKey(before, row)) {
       st = Status::ConstraintViolation(
           "update must not modify primary key of " + name_);
     }
@@ -204,22 +186,20 @@ Result<size_t> Table::UpdateWhere(const std::function<bool(const Row&)>& pred,
       // Put the row back as it was. Its index entries never moved: the
       // primary key is unchanged on success, and secondary entries move
       // only below.
-      rows_[slot] = std::move(before);
-      Touch();
+      std::ranges::move(before, row.begin());
       return st;
     }
     if (has_secondary) {
       UnindexSecondary(before, slot);
-      IndexSecondary(rows_[slot], slot);
+      IndexSecondary(row, slot);
     }
     ++updated;
     ++rows_written_;
   }
-  if (updated > 0) Touch();
   return updated;
 }
 
-void Table::ForEach(const std::function<void(const Row&)>& fn) const {
+void Table::ForEach(const std::function<void(RowView)>& fn) const {
   for (size_t slot = 0; slot < rows_.size(); ++slot) {
     if (!live_[slot]) continue;
     ++rows_read_;
@@ -227,26 +207,13 @@ void Table::ForEach(const std::function<void(const Row&)>& fn) const {
   }
 }
 
-size_t Table::ScanCursor::NextBatch(std::vector<Row>* out, size_t max_rows) {
-  size_t emitted = 0;
-  while (slot_ < table_->rows_.size() && emitted < max_rows) {
-    if (table_->live_[slot_]) {
-      ++table_->rows_read_;
-      out->push_back(table_->rows_[slot_]);
-      ++emitted;
-    }
-    ++slot_;
-  }
-  return emitted;
-}
-
-size_t Table::ScanCursor::NextBatchRefs(std::vector<const Row*>* out,
+size_t Table::ScanCursor::NextBatchRefs(std::vector<const Value*>* out,
                                         size_t max_rows) {
   size_t emitted = 0;
   while (slot_ < table_->rows_.size() && emitted < max_rows) {
     if (table_->live_[slot_]) {
       ++table_->rows_read_;
-      out->push_back(&table_->rows_[slot_]);
+      out->push_back(table_->rows_[slot_].data());
       ++emitted;
     }
     ++slot_;
@@ -254,12 +221,11 @@ size_t Table::ScanCursor::NextBatchRefs(std::vector<const Row*>* out,
   return emitted;
 }
 
-std::vector<Row> Table::ScanAll() const {
-  std::vector<Row> out;
+RowSlab Table::ScanAll() const {
+  RowSlab out(rows_.width());
   out.reserve(live_count_);
-  ScanCursor cursor = Scan();
-  while (cursor.NextBatch(&out, live_count_ + 1) > 0) {
-  }
+  ForEach(
+      [&](RowView row) { std::ranges::copy(row, out.AppendRow().begin()); });
   return out;
 }
 
@@ -281,8 +247,8 @@ Status Table::CreateIndex(const std::string& index_name,
   return Status::OK();
 }
 
-Result<std::vector<Row>> Table::LookupIndex(const std::string& index_name,
-                                            const Row& key) const {
+Result<RowSlab> Table::LookupIndex(const std::string& index_name,
+                                   RowView key) const {
   auto it = secondary_.find(index_name);
   if (it == secondary_.end()) {
     return Status::NotFound("no index " + index_name + " on " + name_);
@@ -291,44 +257,22 @@ Result<std::vector<Row>> Table::LookupIndex(const std::string& index_name,
   if (key.size() != idx.columns.size()) {
     return Status::InvalidArgument("index key arity mismatch");
   }
-  std::vector<Row> out;
+  RowSlab out(rows_.width());
   auto range = idx.map.equal_range(HashRow(key));
   for (auto kv = range.first; kv != range.second; ++kv) {
     const size_t slot = kv->second;
     if (!live_[slot]) continue;
-    const Row& row = rows_[slot];
+    RowView row = rows_[slot];
     bool match = true;
     for (size_t i = 0; i < key.size() && match; ++i) {
       match = key[i].Compare(row[idx.columns[i]]) == 0;
     }
     if (match) {
       ++rows_read_;
-      out.push_back(row);
+      std::ranges::copy(row, out.AppendRow().begin());
     }
   }
   return out;
-}
-
-size_t Table::ByteSize() const {
-  const uint64_t v = version();
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (byte_size_version_ == v) return byte_size_cache_;
-  }
-  size_t total = 0;
-  for (size_t slot = 0; slot < rows_.size(); ++slot) {
-    if (!live_[slot]) continue;
-    for (const auto& val : rows_[slot]) total += val.ByteSize();
-  }
-  // Re-validate before memoizing: a mutation that landed between the
-  // version read and the walk (e.g. an append-buffer flush) must not get
-  // its stale total cached under the newer version.
-  if (version() == v) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    byte_size_version_ = v;
-    byte_size_cache_ = total;
-  }
-  return total;
 }
 
 }  // namespace dipbench

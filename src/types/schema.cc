@@ -55,7 +55,7 @@ std::string Schema::ToString() const {
   return "(" + StrJoin(parts, ", ") + ")";
 }
 
-size_t HashRow(std::span<const Value> row) {
+size_t HashRow(RowView row) {
   size_t h = 0x345678;
   for (const auto& v : row) {
     h = h * 1000003 ^ v.Hash();
@@ -63,7 +63,7 @@ size_t HashRow(std::span<const Value> row) {
   return h;
 }
 
-size_t HashRowKey(const Row& row, const std::vector<size_t>& key_indexes) {
+size_t HashRowKey(RowView row, const std::vector<size_t>& key_indexes) {
   size_t h = 0x345678;
   for (size_t i : key_indexes) {
     h = h * 1000003 ^ (i < row.size() ? row[i].Hash() : 0);
@@ -71,7 +71,7 @@ size_t HashRowKey(const Row& row, const std::vector<size_t>& key_indexes) {
   return h;
 }
 
-bool RowsEqual(const Row& a, const Row& b) {
+bool RowsEqual(RowView a, RowView b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i].Compare(b[i]) != 0) return false;
@@ -79,7 +79,7 @@ bool RowsEqual(const Row& a, const Row& b) {
   return true;
 }
 
-void AppendRowKeyString(const Row& row, const std::vector<size_t>& key_indexes,
+void AppendRowKeyString(RowView row, const std::vector<size_t>& key_indexes,
                         std::string* out) {
   for (size_t i = 0; i < key_indexes.size(); ++i) {
     if (i > 0) out->push_back(',');
@@ -87,7 +87,7 @@ void AppendRowKeyString(const Row& row, const std::vector<size_t>& key_indexes,
   }
 }
 
-std::string RowToString(const Row& row) {
+std::string RowToString(RowView row) {
   std::vector<std::string> parts;
   parts.reserve(row.size());
   for (const auto& v : row) parts.push_back(v.ToString());

@@ -2,11 +2,11 @@
 #define DIPBENCH_TYPES_SCHEMA_H_
 
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/types/row_slab.h"
 #include "src/types/value.h"
 
 namespace dipbench {
@@ -70,29 +70,25 @@ class Schema {
   std::vector<size_t> primary_key_;
 };
 
-/// A tuple: one Value per schema column. Rows do not carry their schema;
-/// the containing table / operator provides it.
-using Row = std::vector<Value>;
-
 /// Hash of a full row (order-sensitive), consistent with Value::Hash.
 /// HashRow of the cells of `row` at `key_indexes` equals
 /// HashRowKey(row, key_indexes), so a key given as its own cells hashes
 /// like the key columns of a row holding it.
-size_t HashRow(std::span<const Value> row);
+size_t HashRow(RowView row);
 
 /// Hash of selected row fields (for join keys and DISTINCT keys).
-size_t HashRowKey(const Row& row, const std::vector<size_t>& key_indexes);
+size_t HashRowKey(RowView row, const std::vector<size_t>& key_indexes);
 
 /// Field-wise equality via Value::Compare.
-bool RowsEqual(const Row& a, const Row& b);
+bool RowsEqual(RowView a, RowView b);
 
 /// Renders a row as comma-separated values.
-std::string RowToString(const Row& row);
+std::string RowToString(RowView row);
 
 /// Appends selected row fields to *out, rendered exactly like RowToString
 /// of a row holding just those fields (key messages, serialized GROUP BY
 /// keys).
-void AppendRowKeyString(const Row& row, const std::vector<size_t>& key_indexes,
+void AppendRowKeyString(RowView row, const std::vector<size_t>& key_indexes,
                         std::string* out);
 
 }  // namespace dipbench

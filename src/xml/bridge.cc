@@ -9,7 +9,7 @@ Node RowSetToXml(const RowSet& rows, const std::string& root_name,
                  const std::string& row_name) {
   Node root(root_name);
   root.ReserveChildren(rows.rows.size());
-  for (const auto& row : rows.rows) {
+  for (RowView row : rows.rows) {
     Node* row_el = root.AddChild(row_name);
     row_el->ReserveChildren(rows.schema.num_columns());
     for (size_t i = 0; i < rows.schema.num_columns(); ++i) {
@@ -24,18 +24,26 @@ Node RowSetToXml(const RowSet& rows, const std::string& root_name,
   return root;
 }
 
-Result<Row> XmlToRow(const Node& element, const Schema& schema) {
-  Row row;
-  row.reserve(schema.num_columns());
-  for (const auto& col : schema.columns()) {
+namespace {
+
+/// Parses the leaves of `element` named like the columns of `schema` into
+/// `row`, one cell per column; a missing or empty leaf is NULL.
+Status ParseRow(const Node& element, const Schema& schema,
+                MutableRowView row) {
+  for (size_t i = 0; i < schema.num_columns(); ++i) {
+    const Column& col = schema.column(i);
     const Node* leaf = element.FindChild(col.name);
-    if (leaf == nullptr || leaf->text().empty()) {
-      row.push_back(Value::Null());
-      continue;
-    }
-    DIP_ASSIGN_OR_RETURN(Value v, Value::Parse(leaf->text(), col.type));
-    row.push_back(std::move(v));
+    if (leaf == nullptr || leaf->text().empty()) continue;
+    DIP_ASSIGN_OR_RETURN(row[i], Value::Parse(leaf->text(), col.type));
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Row> XmlToRow(const Node& element, const Schema& schema) {
+  Row row(schema.num_columns());
+  DIP_RETURN_NOT_OK(ParseRow(element, schema, row));
   return row;
 }
 
@@ -43,22 +51,21 @@ Result<RowSet> XmlToRowSet(const Node& root, const Schema& schema,
                            const std::string& row_name) {
   RowSet out;
   out.schema = schema;
+  out.rows.Reset(schema.num_columns());
   // A message whose document element IS the entity ("<order>...</order>")
   // yields exactly one row.
   if (root.name() == row_name) {
-    DIP_ASSIGN_OR_RETURN(Row row, XmlToRow(root, schema));
-    out.rows.push_back(std::move(row));
+    DIP_RETURN_NOT_OK(ParseRow(root, schema, out.rows.AppendRow()));
     return out;
   }
   for (const Node& child : root.children()) {
     if (child.name() != row_name) continue;
-    DIP_ASSIGN_OR_RETURN(Row row, XmlToRow(child, schema));
-    out.rows.push_back(std::move(row));
+    DIP_RETURN_NOT_OK(ParseRow(child, schema, out.rows.AppendRow()));
   }
   return out;
 }
 
-Node RowToXml(const Row& row, const Schema& schema,
+Node RowToXml(RowView row, const Schema& schema,
               const std::string& element_name) {
   Node el(element_name);
   size_t n = std::min(schema.num_columns(), row.size());

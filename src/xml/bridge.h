@@ -34,7 +34,7 @@ Result<RowSet> XmlToRowSet(const Node& root, const Schema& schema,
 Result<Row> XmlToRow(const Node& element, const Schema& schema);
 
 /// Renders a row as an element with one leaf child per column.
-Node RowToXml(const Row& row, const Schema& schema,
+Node RowToXml(RowView row, const Schema& schema,
               const std::string& element_name);
 
 }  // namespace xml

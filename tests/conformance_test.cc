@@ -121,12 +121,14 @@ TEST(DigestPropertyTest, SensitiveToAnySingleCellMutation) {
   // Nudge exactly one price cell in landscape B.
   bool done = false;
   auto updated = DwhOrdersTable(b->get())->UpdateWhere(
-      [&done](const Row&) {
+      [&done](RowView) {
         if (done) return false;
         done = true;
         return true;
       },
-      [](Row* row) { (*row)[6] = Value::Double((*row)[6].AsDouble() + 0.5); });
+      [](MutableRowView row) {
+        row[6] = Value::Double(row[6].AsDouble() + 0.5);
+      });
   ASSERT_TRUE(updated.ok());
   ASSERT_EQ(*updated, 1u);
 
@@ -343,13 +345,13 @@ TEST(ConformanceEndToEndTest, InjectedDivergenceIsCaughtShrunkAndReplayed) {
     if (!orders.ok()) return;
     bool done = false;
     (void)(*orders)->UpdateWhere(
-        [&done](const Row&) {
+        [&done](RowView) {
           if (done) return false;
           done = true;
           return true;
         },
-        [](Row* row) {
-          (*row)[6] = Value::Double((*row)[6].AsDouble() + 0.5);
+        [](MutableRowView row) {
+          row[6] = Value::Double(row[6].AsDouble() + 0.5);
         });
   };
 

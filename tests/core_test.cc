@@ -114,7 +114,7 @@ TEST_F(CoreTest, MtmMessageKinds) {
 
   RowSet rs;
   rs.schema = CustomerSchema();
-  rs.rows.push_back({Value::Int(1), Value::String("a")});
+  ASSERT_TRUE(rs.rows.Append({Value::Int(1), Value::String("a")}).ok());
   MtmMessage rows = MtmMessage::FromRows(std::move(rs));
   EXPECT_TRUE(rows.is_rows());
   EXPECT_EQ(rows.RowCount(), 1u);
@@ -419,7 +419,9 @@ TEST_F(CoreTest, FederatedEngineCreatesQueueTablesAndTriggers) {
   ASSERT_EQ(queue.num_columns(), 1u);
   EXPECT_EQ(queue.column(0).name, "tid");
   ASSERT_TRUE(engine.Deploy(CopyProcess("P05")).ok());
-  EXPECT_TRUE(engine.engine_db()->HasProcedure("exec_P05"));
+  // The deployed procedure's name is taken.
+  EXPECT_EQ(engine.engine_db()->RegisterProcedure("exec_P05", nullptr).code(),
+            StatusCode::kAlreadyExists);
 }
 
 TEST_F(CoreTest, FederatedEngineExecutesViaTrigger) {

@@ -164,8 +164,9 @@ TEST(InitializerTest, SeoulOverlapsBeijing) {
   Table* beijing = *(*scenario->db("asia_beijing"))->GetTable("sales");
   Table* seoul = *(*scenario->db("asia_seoul"))->GetTable("sales");
   size_t shared = 0;
-  seoul->ForEach([&](const Row& r) {
-    if (beijing->ContainsKey({r[0]})) ++shared;
+  seoul->ForEach([&](RowView r) {
+    Result<RowView> found = beijing->FindByKeyRef(r.first(1));
+    if (found.ok() && !found->empty()) ++shared;
   });
   EXPECT_GT(shared, 0u);            // P09's UNION DISTINCT has real work
   EXPECT_LT(shared, seoul->size()); // but Seoul has its own data too
@@ -361,7 +362,7 @@ TEST_F(PipelineTest, P12LoadsMasterIntoDwh) {
   EXPECT_EQ(GetTable("dwh_db", "city")->size(), 27u);
   // Master data flagged as integrated but not removed.
   size_t integrated = 0;
-  GetTable("cdb_db", "customer")->ForEach([&](const Row& r) {
+  GetTable("cdb_db", "customer")->ForEach([&](RowView r) {
     if (r[5].AsBool()) ++integrated;
   });
   EXPECT_GT(integrated, 0u);
@@ -380,7 +381,7 @@ TEST_F(PipelineTest, P13LoadsMovementAndRefreshesMv) {
   EXPECT_GT(GetTable("dwh_db", "orders_mv")->size(), 0u);
   // Clean movement removed from the CDB (delta semantics).
   size_t clean_left = 0;
-  GetTable("cdb_db", "orders")->ForEach([&](const Row& r) {
+  GetTable("cdb_db", "orders")->ForEach([&](RowView r) {
     if (!r[9].AsBool()) ++clean_left;
   });
   EXPECT_EQ(clean_left, 0u);

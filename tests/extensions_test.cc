@@ -70,8 +70,10 @@ class ExtensionsTest : public ::testing::Test {
                         RowSet out;
                         Table* t = *d->GetTable("customer");
                         out.schema = t->schema();
-                        auto hit = t->FindByKey({params[0]});
-                        if (hit.ok()) out.rows.push_back(*hit);
+                        auto hit = t->FindByKeyRef(RowView(params).first(1));
+                        if (hit.ok() && !hit->empty()) {
+                          DIP_RETURN_NOT_OK(out.rows.Append(*hit));
+                        }
                         return out;
                       })
                     .ok());
@@ -148,7 +150,7 @@ TEST_F(ExtensionsTest, EnrichCacheKeysByValueNotRenderedText) {
                           -> Result<RowSet> {
                         RowSet out;
                         out.schema.AddColumn("echoed", DataType::kDouble);
-                        out.rows.push_back({params[0]});
+                        DIP_RETURN_NOT_OK(out.rows.Append({params[0]}));
                         return out;
                       })
                   .ok());
@@ -156,9 +158,9 @@ TEST_F(ExtensionsTest, EnrichCacheKeysByValueNotRenderedText) {
   auto ctx = MakeCtx();
   RowSet in;
   in.schema.AddColumn("k", DataType::kDouble);
-  in.rows = {{Value::Double(1.0000001)},
-             {Value::Double(1.0000002)},
-             {Value::Double(1.0000001)}};
+  for (double k : {1.0000001, 1.0000002, 1.0000001}) {
+    ASSERT_TRUE(in.rows.Append({Value::Double(k)}).ok());
+  }
   ctx.Set("in", core::MtmMessage::FromRows(std::move(in)));
   net::NetStats before = ctx.net_stats();
   ASSERT_TRUE(core::Enrich("in", "out", "echo", "echo", "k")
@@ -167,7 +169,7 @@ TEST_F(ExtensionsTest, EnrichCacheKeysByValueNotRenderedText) {
   EXPECT_EQ(ctx.net_stats().interactions - before.interactions, 2u);
   auto rows = *ctx.Get("out")->Rows();
   ASSERT_EQ(rows->rows.size(), 3u);
-  for (const Row& r : rows->rows) {
+  for (RowView r : rows->rows) {
     ASSERT_EQ(r.size(), 2u);
     EXPECT_EQ(r[1].AsDouble(), r[0].AsDouble());
   }
@@ -185,7 +187,7 @@ TEST_F(ExtensionsTest, GroupByAggregates) {
   auto rows = *ctx.Get("agg")->Rows();
   EXPECT_EQ(rows->rows.size(), 3u);
   double total = 0;
-  for (const auto& r : rows->rows) total += r[1].AsDouble();
+  for (RowView r : rows->rows) total += r[1].AsDouble();
   EXPECT_DOUBLE_EQ(total, 450.0);  // sum 10..90
 }
 
@@ -197,8 +199,8 @@ TEST_F(ExtensionsTest, SortOrders) {
                   ->Execute(&ctx)
                   .ok());
   auto rows = *ctx.Get("sorted")->Rows();
-  EXPECT_DOUBLE_EQ(rows->rows.front()[2].AsDouble(), 90.0);
-  EXPECT_DOUBLE_EQ(rows->rows.back()[2].AsDouble(), 10.0);
+  EXPECT_DOUBLE_EQ(rows->rows[0][2].AsDouble(), 90.0);
+  EXPECT_DOUBLE_EQ(rows->rows[rows->rows.size() - 1][2].AsDouble(), 10.0);
 }
 
 TEST_F(ExtensionsTest, MulticastLoadsAllTargets) {
@@ -322,7 +324,7 @@ TEST_F(XmlFileEndpointTest, QueryParsesFile) {
 TEST_F(XmlFileEndpointTest, UpdateWritesFile) {
   RowSet rows;
   rows.schema = schema_;
-  rows.rows.push_back({Value::Int(7), Value::String("z")});
+  ASSERT_TRUE(rows.rows.Append({Value::Int(7), Value::String("z")}).ok());
   net::NetStats stats;
   auto written = ep_->Update("write_out", rows, &stats);
   ASSERT_TRUE(written.ok());
@@ -337,7 +339,7 @@ TEST_F(XmlFileEndpointTest, UpdateWritesFile) {
 TEST_F(XmlFileEndpointTest, AppendAccumulates) {
   RowSet rows;
   rows.schema = schema_;
-  rows.rows.push_back({Value::Int(1), Value::String("x")});
+  ASSERT_TRUE(rows.rows.Append({Value::Int(1), Value::String("x")}).ok());
   ASSERT_TRUE(ep_->Update("append_out", rows, nullptr).ok());
   ASSERT_TRUE(ep_->Update("append_out", rows, nullptr).ok());
   auto doc = xml::ParseXml(*store_.Read("log.xml"));

@@ -159,8 +159,8 @@ TEST_F(FailureTest, FederatedInstanceWithoutMessageLeavesNoTriggerContext) {
   EXPECT_EQ((*engine.engine_db()->GetTable("PX_queue"))->size(), 0u);
   // Its context is gone: an insert outside any instance must not run the
   // trigger body on it.
-  Status outside =
-      engine.engine_db()->InsertWithTriggers("PX_queue", {Value::Int(1000)});
+  const Value tid[] = {Value::Int(1000)};
+  Status outside = engine.engine_db()->InsertWithTriggers("PX_queue", tid);
   EXPECT_EQ(outside.code(), StatusCode::kInternal);
   EXPECT_NE(outside.message().find("trigger fired outside an instance"),
             std::string::npos)
@@ -270,8 +270,8 @@ TEST_F(VerifyFailureTest, DetectsFactRowWithUnknownCustomer) {
   Table* orders = GetTable("dwh_db", "orders");
   bool planted = false;
   auto updated = orders->UpdateWhere(
-      [&planted](const Row&) { return !std::exchange(planted, true); },
-      [](Row* r) { (*r)[1] = Value::Int(987654321); });
+      [&planted](RowView) { return !std::exchange(planted, true); },
+      [](MutableRowView r) { r[1] = Value::Int(987654321); });
   ASSERT_TRUE(updated.ok());
   ASSERT_EQ(*updated, 1u);
   auto report = VerifyIntegration(scenario_.get());
@@ -289,8 +289,8 @@ TEST_F(VerifyFailureTest, DetectsTamperedMartMv) {
   Table* mv = GetTable("dm_asia_db", "orders_mv");
   ASSERT_GT(mv->size(), 0u);
   auto updated = mv->UpdateWhere(
-      [](const Row&) { return true; },
-      [](Row* r) { (*r)[3] = Value::Double((*r)[3].AsDouble() + 1000.0); });
+      [](RowView) { return true; },
+      [](MutableRowView r) { r[3] = Value::Double(r[3].AsDouble() + 1000.0); });
   ASSERT_TRUE(updated.ok());
   auto report = VerifyIntegration(scenario_.get());
   ASSERT_FALSE(report.ok());

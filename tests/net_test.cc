@@ -109,7 +109,7 @@ TEST_F(EndpointTest, DatabaseEndpointUpdate) {
   ASSERT_TRUE(ep.RegisterUpdate("load", InsertCustomers()).ok());
   RowSet rows;
   rows.schema = (*db_.GetTable("customer"))->schema();
-  rows.rows.push_back({Value::Int(100), Value::String("new")});
+  ASSERT_TRUE(rows.rows.Append({Value::Int(100), Value::String("new")}).ok());
   NetStats stats;
   auto written = ep.Update("load", rows, &stats);
   ASSERT_TRUE(written.ok());
@@ -150,14 +150,16 @@ TEST_F(EndpointTest, WebServiceUpdateViaXml) {
   ASSERT_TRUE(ws.RegisterUpdate("load", InsertCustomers()).ok());
   RowSet rows;
   rows.schema = (*db_.GetTable("customer"))->schema();
-  rows.rows.push_back({Value::Int(200), Value::String("ws<load>")});
+  ASSERT_TRUE(
+      rows.rows.Append({Value::Int(200), Value::String("ws<load>")}).ok());
   NetStats stats;
   auto written = ws.Update("load", rows, &stats);
   ASSERT_TRUE(written.ok());
   EXPECT_EQ(*written, 1u);
   // Value survived the XML round trip, including escaping.
-  auto found = (*db_.GetTable("customer"))->FindByKey({Value::Int(200)});
-  ASSERT_TRUE(found.ok());
+  const Value key = Value::Int(200);
+  auto found = (*db_.GetTable("customer"))->FindByKeyRef({&key, 1});
+  ASSERT_TRUE(found.ok() && !found->empty());
   EXPECT_EQ((*found)[1].AsString(), "ws<load>");
 }
 
@@ -182,7 +184,7 @@ TEST_F(EndpointTest, SendMessageFiresTrigger) {
   int fired = 0;
   ASSERT_TRUE(db_.SetInsertTrigger("p04_queue",
                                    [&fired](Database*, const std::string&,
-                                            const Row&) {
+                                            RowView) {
                                      ++fired;
                                      return Status::OK();
                                    })

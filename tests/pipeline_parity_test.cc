@@ -303,6 +303,35 @@ TEST_F(PipelineParityTest, BatchBoundaries) {
   }
 }
 
+// Operators point into the rows a join was handed owned only once they stop
+// growing: a slab's cells move while it grows. Build and probe sides built
+// by a projection, longer than one batch, so the build slab grows across
+// batches and the probe side arrives as several owned batches.
+TEST_F(PipelineParityTest, OwnedJoinSidesAcrossBatches) {
+  for (size_t n : {kBatchCapacity + 1, 2 * kBatchCapacity + 53}) {
+    SCOPED_TRACE(testing::Message() << n << " rows");
+    Table data;
+    data.name = "data" + std::to_string(n);
+    data.schema.AddColumn("k", DataType::kInt64, false)
+        .AddColumn("v", DataType::kDouble);
+    for (size_t i = 0; i < n; ++i) {
+      data.rows.push_back(
+          {Value::Int(static_cast<int64_t>(i)), Value::Double(i * 0.5)});
+    }
+    ASSERT_TRUE(catalog_.Add(data).ok());
+    // Two build rows share each halved key.
+    ExprPtr half = Div(Col("k"), Lit(int64_t{2}));
+    Plan owned = Project(ScanTable(&data),
+                         {{"k2", half, DataType::kNull},
+                          {"w", Mul(Col("v"), Lit(2.0)), DataType::kNull}});
+    Plan keyed = Project(ScanTable(&data), {{"k", Col("k"), DataType::kNull},
+                                            {"k2", half, DataType::kNull}});
+    ExpectParity(HashJoin(ScanValues(&data), owned, {"k"}, {"k2"}));
+    ExpectParity(HashJoin(keyed, ScanTable(&data), {"k2"}, {"k"}));
+    ExpectParity(HashJoin(keyed, owned, {"k"}, {"k2"}));
+  }
+}
+
 // Four statements written out as plans, each labelled with the SELECT it
 // computes: the pipeline matches the oracle exactly, and the work it
 // charges stays pinned.

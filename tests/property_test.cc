@@ -40,10 +40,12 @@ RowSet MakeData(const SweepParam& p) {
   Rng rng(p.seed);
   DistributionSampler grp(p.dist, 10, p.seed ^ 0x9E);
   for (size_t i = 0; i < p.rows; ++i) {
-    rs.rows.push_back({Value::Int(static_cast<int64_t>(i)),
-                       Value::Int(static_cast<int64_t>(grp.Sample())),
-                       Value::Double(rng.NextDoubleIn(-100, 100)),
-                       Value::String(rng.NextString(4))});
+    EXPECT_TRUE(rs.rows
+                    .Append({Value::Int(static_cast<int64_t>(i)),
+                             Value::Int(static_cast<int64_t>(grp.Sample())),
+                             Value::Double(rng.NextDoubleIn(-100, 100)),
+                             Value::String(rng.NextString(4))})
+                    .ok());
   }
   return rs;
 }
@@ -82,7 +84,7 @@ TEST_P(RaPropertyTest, DistinctIsIdempotent) {
   RowSet data = MakeData(GetParam());
   // Duplicate every row once.
   RowSet doubled = data;
-  doubled.rows.insert(doubled.rows.end(), data.rows.begin(), data.rows.end());
+  for (RowView row : data.rows) ASSERT_TRUE(doubled.rows.Append(row).ok());
   ExecContext ctx;
   auto once = UnionDistinct({ScanValues(doubled)}, {})->Execute(&ctx);
   ASSERT_TRUE(once.ok());
@@ -95,10 +97,15 @@ TEST_P(RaPropertyTest, DistinctIsIdempotent) {
 TEST_P(RaPropertyTest, UnionDistinctCommutesOnKeys) {
   RowSet data = MakeData(GetParam());
   if (data.rows.size() < 4) return;
-  RowSet first = data, second = data;
-  first.rows.resize(data.rows.size() * 2 / 3);
-  second.rows.erase(second.rows.begin(),
-                    second.rows.begin() + data.rows.size() / 3);
+  RowSet first{data.schema, RowSlab()}, second{data.schema, RowSlab()};
+  for (size_t i = 0; i < data.rows.size(); ++i) {
+    if (i < data.rows.size() * 2 / 3) {
+      ASSERT_TRUE(first.rows.Append(data.rows[i]).ok());
+    }
+    if (i >= data.rows.size() / 3) {
+      ASSERT_TRUE(second.rows.Append(data.rows[i]).ok());
+    }
+  }
   ExecContext ctx;
   auto ab = UnionDistinct({ScanValues(first), ScanValues(second)}, {"k"})
                 ->Execute(&ctx);
@@ -661,33 +668,29 @@ TEST_P(StorageModelTest, MatchesMapReference) {
       }
       case 2: {  // delete
         size_t removed = table.DeleteWhere(
-            [key](const Row& r) { return r[0].AsInt() == key; });
+            [key](RowView r) { return r[0].AsInt() == key; });
         EXPECT_EQ(removed, model.erase(key));
         break;
       }
-      case 3: {  // point lookup, copying and borrowed
+      case 3: {  // point lookup
         const uint64_t read_before = table.rows_read();
-        auto found = table.FindByKey({Value::Int(key)});
         const Value cell = Value::Int(key);
         auto ref = table.FindByKeyRef({&cell, 1});
         ASSERT_TRUE(ref.ok());
-        EXPECT_EQ(table.rows_read() - read_before, 2u)
-            << "each lookup charges one row read, hit or miss";
+        EXPECT_EQ(table.rows_read() - read_before, 1u)
+            << "a lookup charges one row read, hit or miss";
         if (model.count(key)) {
-          ASSERT_TRUE(found.ok());
-          EXPECT_EQ((*found)[1].AsString(), model[key]);
-          ASSERT_NE(*ref, nullptr);
-          EXPECT_EQ((**ref)[1].AsString(), model[key]);
+          ASSERT_FALSE(ref->empty());
+          EXPECT_EQ((*ref)[1].AsString(), model[key]);
         } else {
-          EXPECT_TRUE(found.status().IsNotFound());
-          EXPECT_EQ(*ref, nullptr);
+          EXPECT_TRUE(ref->empty());
         }
         break;
       }
       default: {  // update
         auto updated = table.UpdateWhere(
-            [key](const Row& r) { return r[0].AsInt() == key; },
-            [](Row* r) { (*r)[1] = Value::String("UPD"); });
+            [key](RowView r) { return r[0].AsInt() == key; },
+            [](MutableRowView r) { r[1] = Value::String("UPD"); });
         ASSERT_TRUE(updated.ok());
         EXPECT_EQ(*updated, model.count(key));
         if (model.count(key)) model[key] = "UPD";
@@ -699,7 +702,7 @@ TEST_P(StorageModelTest, MatchesMapReference) {
   // Final full-content comparison.
   auto rows = table.ScanAll();
   ASSERT_EQ(rows.size(), model.size());
-  for (const auto& r : rows) {
+  for (RowView r : rows) {
     auto it = model.find(r[0].AsInt());
     ASSERT_NE(it, model.end());
     EXPECT_EQ(r[1].AsString(), it->second);
@@ -732,7 +735,7 @@ TEST_P(StorageModelTest, CompositeKeyMatchesMapReference) {
                Value::String(v)};
   };
   auto is_key = [](const Key& k) {
-    return [k](const Row& r) {
+    return [k](RowView r) {
       return r[0].AsInt() == k.first && r[1].AsString() == k.second;
     };
   };
@@ -757,34 +760,29 @@ TEST_P(StorageModelTest, CompositeKeyMatchesMapReference) {
       EXPECT_EQ(table.DeleteWhere(is_key(key)), model.erase(key));
     } else if (op < 75) {  // point lookups charge one read each, hit or miss
       const uint64_t read_before = table.rows_read();
-      auto found = table.FindByKey({Value::Int(key.first),
-                                    Value::String(key.second)});
       const Value cells[] = {Value::Int(key.first), Value::String(key.second)};
       auto ref = table.FindByKeyRef(cells);
       ASSERT_TRUE(ref.ok());
-      EXPECT_EQ(table.rows_read() - read_before, 2u);
+      EXPECT_EQ(table.rows_read() - read_before, 1u);
       auto it = model.find(key);
       if (it == model.end()) {
-        EXPECT_TRUE(found.status().IsNotFound());
-        EXPECT_EQ(*ref, nullptr);
+        EXPECT_TRUE(ref->empty());
       } else {
-        ASSERT_TRUE(found.ok());
-        EXPECT_EQ((*found)[2].AsString(), it->second);
-        ASSERT_NE(*ref, nullptr);
-        EXPECT_EQ((**ref)[2].AsString(), it->second);
+        ASSERT_FALSE(ref->empty());
+        EXPECT_EQ((*ref)[2].AsString(), it->second);
       }
     } else if (op < 85) {  // non-key update
       auto updated = table.UpdateWhere(
-          is_key(key), [](Row* r) { (*r)[2] = Value::String("UPD"); });
+          is_key(key), [](MutableRowView r) { r[2] = Value::String("UPD"); });
       ASSERT_TRUE(updated.ok());
       EXPECT_EQ(*updated, model.count(key));
       if (model.count(key)) model[key] = "UPD";
     } else if (op < 93) {  // key-changing update: rejected, row untouched
       Key target = random_key();
-      auto updated = table.UpdateWhere(is_key(key), [&](Row* r) {
-        (*r)[0] = Value::Int(target.first);
-        (*r)[1] = Value::String(target.second);
-        (*r)[2] = Value::String("MOVED");
+      auto updated = table.UpdateWhere(is_key(key), [&](MutableRowView r) {
+        r[0] = Value::Int(target.first);
+        r[1] = Value::String(target.second);
+        r[2] = Value::String("MOVED");
       });
       if (model.count(key) && target != key) {
         EXPECT_EQ(updated.status().code(), StatusCode::kConstraintViolation);
@@ -814,14 +812,15 @@ TEST_P(StorageModelTest, CompositeKeyMatchesMapReference) {
   }
   // Every model key is found through the index, and the scan agrees.
   for (const auto& [key, v] : model) {
-    auto found = table.FindByKey({Value::Int(key.first),
-                                  Value::String(key.second)});
-    ASSERT_TRUE(found.ok()) << key.first << "/" << key.second;
+    const Value cells[] = {Value::Int(key.first), Value::String(key.second)};
+    auto found = table.FindByKeyRef(cells);
+    ASSERT_TRUE(found.ok() && !found->empty())
+        << key.first << "/" << key.second;
     EXPECT_EQ((*found)[2].AsString(), v);
   }
   auto rows = table.ScanAll();
   ASSERT_EQ(rows.size(), model.size());
-  for (const auto& r : rows) {
+  for (RowView r : rows) {
     auto it = model.find({r[0].AsInt(), std::string(r[1].AsString())});
     ASSERT_NE(it, model.end());
     EXPECT_EQ(r[2].AsString(), it->second);

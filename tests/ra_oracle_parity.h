@@ -41,12 +41,17 @@ inline std::string CellText(const Value& v) {
   return "?";
 }
 
-inline std::string RowText(const Row& row) {
+inline std::string RowText(RowView row) {
   std::string out;
   for (size_t i = 0; i < row.size(); ++i) {
     out += (i ? " | " : "") + CellText(row[i]);
   }
   return out;
+}
+
+/// The rows of an oracle table as a RowSet.
+inline RowSet ToRowSet(const Table& table) {
+  return RowSet{table.schema, RowSlab::FromRows(table.rows).ValueOrDie()};
 }
 
 /// The storage tables behind scan leaves, and the RowSets ScanValuesRef
@@ -74,10 +79,9 @@ class Catalog {
       case Op::kScanTable:
         return dipbench::ScanTable(storage_.at(n.table));
       case Op::kScanValues:
-        return dipbench::ScanValues(RowSet{n.table->schema, n.table->rows});
+        return dipbench::ScanValues(ToRowSet(*n.table));
       case Op::kScanValuesRef:
-        borrowed_.push_back(std::make_unique<RowSet>(
-            RowSet{n.table->schema, n.table->rows}));
+        borrowed_.push_back(std::make_unique<RowSet>(ToRowSet(*n.table)));
         return dipbench::ScanValuesRef(borrowed_.back().get());
       case Op::kFilter:
         return dipbench::Filter(in[0], n.predicate);

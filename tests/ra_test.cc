@@ -15,6 +15,11 @@
 namespace dipbench {
 namespace {
 
+/// Test rows as one slab; they share one width.
+RowSlab Slab(const std::vector<Row>& rows) {
+  return RowSlab::FromRows(rows).ValueOrDie();
+}
+
 class RaTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -149,7 +154,7 @@ TEST_F(RaTest, FilterPredicateSemantics) {
     auto rs = c.plan->Execute(&ctx_);
     ASSERT_TRUE(rs.ok()) << rs.status();
     std::vector<int64_t> kept, expected;
-    for (const Row& row : rs->rows) kept.push_back(row[0].AsInt());
+    for (RowView row : rs->rows) kept.push_back(row[0].AsInt());
     for (int i = 0; i < kRows; ++i) {
       if (c.keep(i)) expected.push_back(i);
     }
@@ -199,7 +204,7 @@ TEST_F(RaTest, HashJoinMatchesForeignKeys) {
 TEST_F(RaTest, HashJoinNoMatches) {
   Schema s;
   s.AddColumn("custkey", DataType::kInt64, false);
-  RowSet lonely{std::move(s), {{Value::Int(999)}}};
+  RowSet lonely{std::move(s), Slab({{Value::Int(999)}})};
   auto rs = HashJoin(ScanValues(std::move(lonely)), ScanTable(customer_),
                      {"custkey"}, {"custkey"})
                 ->Execute(&ctx_);
@@ -219,7 +224,7 @@ TEST_F(RaTest, UnionDistinctByKey) {
 TEST_F(RaTest, DistinctWholeRow) {
   Schema s;
   s.AddColumn("v", DataType::kInt64);
-  RowSet dup{s, {{Value::Int(1)}, {Value::Int(1)}, {Value::Int(2)}}};
+  RowSet dup{s, Slab({{Value::Int(1)}, {Value::Int(1)}, {Value::Int(2)}})};
   auto rs = UnionDistinct({ScanValues(std::move(dup))}, {})->Execute(&ctx_);
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->rows.size(), 2u);
@@ -258,12 +263,11 @@ TEST_F(RaTest, AggregateGroupIdentityAcrossKeyMigration) {
   // cells, and groups come out in serialized-key order: "" < "10" < "5".
   Schema s;
   s.AddColumn("k", DataType::kInt64).AddColumn("v", DataType::kInt64);
-  RowSet in{s,
-            {{Value::Int(10), Value::Int(1)},
-             {Value::Int(5), Value::Int(2)},
-             {Value::Double(5.0), Value::Int(3)},
-             {Value::Null(), Value::Int(4)},
-             {Value::Int(5), Value::Int(5)}}};
+  RowSet in{s, Slab({{Value::Int(10), Value::Int(1)},
+                     {Value::Int(5), Value::Int(2)},
+                     {Value::Double(5.0), Value::Int(3)},
+                     {Value::Null(), Value::Int(4)},
+                     {Value::Int(5), Value::Int(5)}})};
   auto rs = Aggregate(ScanValues(in), {"k"},
                       {{"n", AggFunc::kCount, ""},
                        {"sum_v", AggFunc::kSum, "v"}})
@@ -333,7 +337,8 @@ TEST_F(RaTest, SumThatSeesADoubleKeepsDoubleArithmetic) {
   constexpr int64_t kTwo53 = int64_t{1} << 53;
   Schema s;
   s.AddColumn("v", DataType::kDouble);
-  RowSet in{s, {{Value::Int(kTwo53)}, {Value::Int(1)}, {Value::Double(1.0)}}};
+  RowSet in{s, Slab({{Value::Int(kTwo53)}, {Value::Int(1)},
+                     {Value::Double(1.0)}})};
   auto rs = Aggregate(ScanValues(in), {}, {{"total", AggFunc::kSum, "v"}})
                 ->Execute(&ctx_);
   ASSERT_TRUE(rs.ok()) << rs.status();
@@ -345,8 +350,8 @@ TEST_F(RaTest, SumThatSeesADoubleKeepsDoubleArithmetic) {
 TEST_F(RaTest, SortAscendingDescending) {
   auto rs = Sort(ScanTable(orders_), {{"total", false}})->Execute(&ctx_);
   ASSERT_TRUE(rs.ok());
-  EXPECT_DOUBLE_EQ(rs->rows.front()[2].AsDouble(), 100.0);
-  EXPECT_DOUBLE_EQ(rs->rows.back()[2].AsDouble(), 10.0);
+  EXPECT_DOUBLE_EQ(rs->rows[0][2].AsDouble(), 100.0);
+  EXPECT_DOUBLE_EQ(rs->rows[rs->rows.size() - 1][2].AsDouble(), 10.0);
 }
 
 TEST_F(RaTest, SortMultiKeyStable) {
@@ -430,7 +435,7 @@ TEST_F(RaTest, Int64ArithmeticIsChecked) {
                  ", y=" + std::to_string(y));
     const Row row{Value::Int(x), Value::Int(y)};
     Result<Value> scalar = expr->Eval(row, s);
-    Result<RowSet> batch = Project(ScanValues(RowSet{s, {row}}),
+    Result<RowSet> batch = Project(ScanValues(RowSet{s, Slab({row})}),
                                    {{"r", expr, DataType::kNull}})
                                ->Execute(&ctx_);
     if (!want) {

@@ -19,15 +19,23 @@ Row Cust(int64_t key, const std::string& name, double balance) {
   return Row{Value::Int(key), Value::String(name), Value::Double(balance)};
 }
 
+/// The live row with primary key `key`, or an empty view.
+RowView Find(const Table& t, int64_t key) {
+  const Value cell = Value::Int(key);
+  Result<RowView> found = t.FindByKeyRef({&cell, 1});
+  EXPECT_TRUE(found.ok()) << found.status();
+  return found.ok() ? *found : RowView();
+}
+
 TEST(TableTest, InsertAndLookup) {
   Table t("customer", CustomerSchema());
   ASSERT_TRUE(t.Insert(Cust(1, "alice", 10.0)).ok());
   ASSERT_TRUE(t.Insert(Cust(2, "bob", 20.0)).ok());
   EXPECT_EQ(t.size(), 2u);
-  auto row = t.FindByKey({Value::Int(2)});
-  ASSERT_TRUE(row.ok());
-  EXPECT_EQ((*row)[1].AsString(), "bob");
-  EXPECT_TRUE(t.FindByKey({Value::Int(9)}).status().IsNotFound());
+  RowView row = Find(t, 2);
+  ASSERT_FALSE(row.empty());
+  EXPECT_EQ(row[1].AsString(), "bob");
+  EXPECT_TRUE(Find(t, 9).empty());
 }
 
 TEST(TableTest, DuplicateKeyRejected) {
@@ -43,7 +51,7 @@ TEST(TableTest, InsertOrReplaceOverwrites) {
   ASSERT_TRUE(t.Insert(Cust(1, "alice", 10.0)).ok());
   ASSERT_TRUE(t.InsertOrReplace(Cust(1, "alice2", 99.0)).ok());
   EXPECT_EQ(t.size(), 1u);
-  EXPECT_EQ((*t.FindByKey({Value::Int(1)}))[1].AsString(), "alice2");
+  EXPECT_EQ(Find(t, 1)[1].AsString(), "alice2");
 }
 
 TEST(TableTest, ArityAndTypeChecked) {
@@ -72,58 +80,58 @@ TEST(TableTest, DeleteWhere) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(t.Insert(Cust(i, "c", i * 1.0)).ok());
   }
-  size_t removed = t.DeleteWhere(
-      [](const Row& r) { return r[0].AsInt() % 2 == 0; });
+  size_t removed =
+      t.DeleteWhere([](RowView r) { return r[0].AsInt() % 2 == 0; });
   EXPECT_EQ(removed, 5u);
   EXPECT_EQ(t.size(), 5u);
-  EXPECT_FALSE(t.ContainsKey({Value::Int(4)}));
-  EXPECT_TRUE(t.ContainsKey({Value::Int(5)}));
+  EXPECT_TRUE(Find(t, 4).empty());
+  EXPECT_FALSE(Find(t, 5).empty());
 }
 
 TEST(TableTest, KeyReusableAfterDelete) {
   Table t("customer", CustomerSchema());
   ASSERT_TRUE(t.Insert(Cust(1, "a", 1.0)).ok());
-  t.DeleteWhere([](const Row&) { return true; });
+  t.DeleteWhere([](RowView) { return true; });
   EXPECT_TRUE(t.Insert(Cust(1, "b", 2.0)).ok());
-  EXPECT_EQ((*t.FindByKey({Value::Int(1)}))[1].AsString(), "b");
+  EXPECT_EQ(Find(t, 1)[1].AsString(), "b");
 }
 
 TEST(TableTest, UpdateWhereMutates) {
   Table t("customer", CustomerSchema());
   ASSERT_TRUE(t.Insert(Cust(1, "a", 1.0)).ok());
   ASSERT_TRUE(t.Insert(Cust(2, "b", 2.0)).ok());
-  auto updated = t.UpdateWhere(
-      [](const Row& r) { return r[0].AsInt() == 2; },
-      [](Row* r) { (*r)[2] = Value::Double(42.0); });
+  auto updated =
+      t.UpdateWhere([](RowView r) { return r[0].AsInt() == 2; },
+                    [](MutableRowView r) { r[2] = Value::Double(42.0); });
   ASSERT_TRUE(updated.ok());
   EXPECT_EQ(*updated, 1u);
-  EXPECT_DOUBLE_EQ((*t.FindByKey({Value::Int(2)}))[2].AsDouble(), 42.0);
+  EXPECT_DOUBLE_EQ(Find(t, 2)[2].AsDouble(), 42.0);
 }
 
 TEST(TableTest, UpdateCannotChangePrimaryKey) {
   Table t("customer", CustomerSchema());
   ASSERT_TRUE(t.Insert(Cust(1, "a", 1.0)).ok());
-  auto updated = t.UpdateWhere([](const Row&) { return true; },
-                               [](Row* r) { (*r)[0] = Value::Int(2); });
+  auto updated = t.UpdateWhere([](RowView) { return true; },
+                               [](MutableRowView r) { r[0] = Value::Int(2); });
   EXPECT_EQ(updated.status().code(), StatusCode::kConstraintViolation);
   // The rejected row is back, untouched, under its old key only.
-  auto row = t.FindByKey({Value::Int(1)});
-  ASSERT_TRUE(row.ok()) << row.status();
-  EXPECT_EQ((*row)[1].AsString(), "a");
-  EXPECT_TRUE(t.FindByKey({Value::Int(2)}).status().IsNotFound());
+  RowView row = Find(t, 1);
+  ASSERT_FALSE(row.empty());
+  EXPECT_EQ(row[1].AsString(), "a");
+  EXPECT_TRUE(Find(t, 2).empty());
   EXPECT_EQ(t.size(), 1u);
 
   // A change onto an existing key leaves both rows as they were.
   ASSERT_TRUE(t.Insert(Cust(2, "b", 2.0)).ok());
-  updated = t.UpdateWhere([](const Row& r) { return r[0].AsInt() == 1; },
-                          [](Row* r) {
-                            (*r)[0] = Value::Int(2);
-                            (*r)[1] = Value::String("clobbered");
+  updated = t.UpdateWhere([](RowView r) { return r[0].AsInt() == 1; },
+                          [](MutableRowView r) {
+                            r[0] = Value::Int(2);
+                            r[1] = Value::String("clobbered");
                           });
   EXPECT_EQ(updated.status().code(), StatusCode::kConstraintViolation);
   EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ((*t.FindByKey({Value::Int(1)}))[1].AsString(), "a");
-  EXPECT_EQ((*t.FindByKey({Value::Int(2)}))[1].AsString(), "b");
+  EXPECT_EQ(Find(t, 1)[1].AsString(), "a");
+  EXPECT_EQ(Find(t, 2)[1].AsString(), "b");
   auto rows = t.ScanAll();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0][0].AsInt(), 1);
@@ -131,13 +139,13 @@ TEST(TableTest, UpdateCannotChangePrimaryKey) {
   EXPECT_EQ(rows[1][0].AsInt(), 2);
 
   // A schema violation is undone the same way.
-  updated = t.UpdateWhere([](const Row& r) { return r[0].AsInt() == 2; },
-                          [](Row* r) { (*r)[1] = Value::Int(7); });
+  updated = t.UpdateWhere([](RowView r) { return r[0].AsInt() == 2; },
+                          [](MutableRowView r) { r[1] = Value::Int(7); });
   EXPECT_EQ(updated.status().code(), StatusCode::kTypeMismatch);
-  EXPECT_EQ((*t.FindByKey({Value::Int(2)}))[1].AsString(), "b");
+  EXPECT_EQ(Find(t, 2)[1].AsString(), "b");
 }
 
-TEST(TableTest, BorrowedLookupChargesLikeFindByKey) {
+TEST(TableTest, BorrowedLookupChargesOneReadPerCall) {
   Table t("customer", CustomerSchema());
   ASSERT_TRUE(t.Insert(Cust(1, "a", 1.0)).ok());
   const Value hit = Value::Int(1);
@@ -145,16 +153,18 @@ TEST(TableTest, BorrowedLookupChargesLikeFindByKey) {
   uint64_t before = t.rows_read();
   auto found = t.FindByKeyRef({&hit, 1});
   ASSERT_TRUE(found.ok());
-  ASSERT_NE(*found, nullptr);
-  EXPECT_EQ((**found)[1].AsString(), "a");
+  ASSERT_FALSE(found->empty());
+  EXPECT_EQ((*found)[1].AsString(), "a");
   auto missed = t.FindByKeyRef({&miss, 1});
   ASSERT_TRUE(missed.ok());
-  EXPECT_EQ(*missed, nullptr);
+  EXPECT_TRUE(missed->empty());
   EXPECT_EQ(t.rows_read() - before, 2u);
-  // Errors charge nothing, on either lookup.
+  // Errors charge nothing.
   before = t.rows_read();
   EXPECT_EQ(t.FindByKeyRef({}).status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(t.FindByKey({}).status().code(), StatusCode::kInvalidArgument);
+  const Value wide[] = {Value::Int(1), Value::Int(2)};
+  EXPECT_EQ(t.FindByKeyRef(wide).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(t.rows_read(), before);
 }
 
@@ -172,19 +182,21 @@ TEST(TableTest, SecondaryIndexLookup) {
   ASSERT_TRUE(t.Insert(Cust(2, "smith", 2.0)).ok());
   ASSERT_TRUE(t.Insert(Cust(3, "jones", 3.0)).ok());
   ASSERT_TRUE(t.CreateIndex("by_name", {"name"}).ok());
-  auto rows = t.LookupIndex("by_name", {Value::String("smith")});
+  const Value smith = Value::String("smith");
+  auto rows = t.LookupIndex("by_name", {&smith, 1});
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 2u);
   // Index stays consistent across deletes.
-  t.DeleteWhere([](const Row& r) { return r[0].AsInt() == 1; });
-  EXPECT_EQ(t.LookupIndex("by_name", {Value::String("smith")})->size(), 1u);
+  t.DeleteWhere([](RowView r) { return r[0].AsInt() == 1; });
+  EXPECT_EQ(t.LookupIndex("by_name", {&smith, 1})->size(), 1u);
 }
 
 TEST(TableTest, IndexCreatedAfterRowsIndexesExisting) {
   Table t("customer", CustomerSchema());
   ASSERT_TRUE(t.Insert(Cust(1, "x", 1.0)).ok());
   ASSERT_TRUE(t.CreateIndex("by_name", {"name"}).ok());
-  EXPECT_EQ(t.LookupIndex("by_name", {Value::String("x")})->size(), 1u);
+  const Value x = Value::String("x");
+  EXPECT_EQ(t.LookupIndex("by_name", {&x, 1})->size(), 1u);
   EXPECT_FALSE(t.CreateIndex("by_name", {"name"}).ok());  // duplicate
   EXPECT_FALSE(t.CreateIndex("bad", {"zzz"}).ok());       // unknown column
 }
@@ -199,13 +211,6 @@ TEST(TableTest, ClearKeepsSchemaAndCounters) {
   EXPECT_TRUE(t.Insert(Cust(1, "x", 1.0)).ok());
 }
 
-TEST(TableTest, ByteSizeGrows) {
-  Table t("customer", CustomerSchema());
-  size_t empty = t.ByteSize();
-  ASSERT_TRUE(t.Insert(Cust(1, "somebody", 1.0)).ok());
-  EXPECT_GT(t.ByteSize(), empty);
-}
-
 TEST(DatabaseTest, CreateAndGetTable) {
   Database db("berlin");
   ASSERT_TRUE(db.CreateTable("customer", CustomerSchema()).ok());
@@ -218,30 +223,32 @@ TEST(DatabaseTest, CreateAndGetTable) {
   EXPECT_EQ(names[0], "customer");
 }
 
-TEST(DatabaseTest, DropTable) {
-  Database db("berlin");
-  ASSERT_TRUE(db.CreateTable("t", CustomerSchema()).ok());
-  EXPECT_TRUE(db.DropTable("t").ok());
-  EXPECT_FALSE(db.HasTable("t"));
-  EXPECT_TRUE(db.DropTable("t").IsNotFound());
-}
-
 TEST(DatabaseTest, InsertTriggerFires) {
   Database db("cdb");
   ASSERT_TRUE(db.CreateTable("queue", CustomerSchema()).ok());
   int fired = 0;
+  const Row inserted = Cust(7, "m", 0.0);
   ASSERT_TRUE(db.SetInsertTrigger("queue",
-                                  [&fired](Database*, const std::string&,
-                                           const Row& row) {
+                                  [&](Database*, const std::string&,
+                                      RowView row) {
+                                    // The trigger reads the caller's cells.
+                                    EXPECT_EQ(row.data(), inserted.data());
                                     fired += static_cast<int>(row[0].AsInt());
                                     return Status::OK();
                                   })
                   .ok());
-  ASSERT_TRUE(db.InsertWithTriggers("queue", Cust(7, "m", 0.0)).ok());
+  ASSERT_TRUE(db.InsertWithTriggers("queue", inserted).ok());
   EXPECT_EQ(fired, 7);
-  ASSERT_TRUE(db.DropInsertTrigger("queue").ok());
+  // Setting a trigger replaces the one before it.
+  ASSERT_TRUE(db.SetInsertTrigger(
+                    "queue",
+                    [](Database*, const std::string&, RowView) {
+                      return Status::OK();
+                    })
+                  .ok());
   ASSERT_TRUE(db.InsertWithTriggers("queue", Cust(8, "m", 0.0)).ok());
   EXPECT_EQ(fired, 7);  // unchanged
+  EXPECT_EQ((*db.GetTable("queue"))->size(), 2u);
 }
 
 TEST(DatabaseTest, TriggerErrorPropagatesButRowStays) {
@@ -249,7 +256,7 @@ TEST(DatabaseTest, TriggerErrorPropagatesButRowStays) {
   ASSERT_TRUE(db.CreateTable("queue", CustomerSchema()).ok());
   ASSERT_TRUE(db.SetInsertTrigger("queue",
                                   [](Database*, const std::string&,
-                                     const Row&) {
+                                     RowView) {
                                     return Status::ValidationError("bad msg");
                                   })
                   .ok());
@@ -269,7 +276,6 @@ TEST(DatabaseTest, StoredProcedures) {
                                                Value::Double(0.0)});
                            })
           .ok());
-  EXPECT_TRUE(db.HasProcedure("sp_add"));
   ASSERT_TRUE(db.CallProcedure("sp_add", {Value::Int(3)}).ok());
   EXPECT_EQ((*db.GetTable("t"))->size(), 1u);
   EXPECT_TRUE(db.CallProcedure("nope", {}).IsNotFound());
@@ -353,58 +359,87 @@ TEST(KeyIndexTest, GrowthRuleTombstonesAndClear) {
   }
 }
 
-// ByteSize is memoized per content version; every mutator must invalidate
-// the memo (the old bug: per-call recomputation made byte accounting O(n)
-// per charge — the fix caches, but a stale cache would corrupt the
-// communication-cost ledger, which is worse).
-TEST(TableTest, ByteSizeMemoTracksEveryMutation) {
+// --- The row slab under the table ------------------------------------------
+
+TEST(TableTest, RejectedUpdateRestoresCellsAndSecondaryEntry) {
   Table t("customer", CustomerSchema());
-
-  // Ground truth: recompute from a full scan, independent of the memo.
-  auto recomputed = [&t]() {
-    size_t total = 0;
-    t.ForEach([&total](const Row& row) {
-      for (const Value& v : row) total += v.ByteSize();
-    });
-    return total;
-  };
-  auto expect_consistent = [&](const char* what) {
-    size_t memoized = t.ByteSize();
-    EXPECT_EQ(memoized, recomputed()) << what;
-    // Second call with no interleaving mutation: served from the memo at
-    // the same version, same answer.
-    EXPECT_EQ(t.ByteSize(), memoized) << what;
-  };
-
-  expect_consistent("empty table");
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(t.Insert(Cust(i, "name" + std::to_string(i), i * 1.5)).ok());
-  }
-  uint64_t v_after_inserts = t.version();
-  expect_consistent("after inserts");
-  // Reading ByteSize must not bump the version (it would defeat caching).
-  EXPECT_EQ(t.version(), v_after_inserts);
-
-  ASSERT_TRUE(t.InsertOrReplace(Cust(7, "a much longer replacement name",
-                                     700.0))
-                  .ok());
-  expect_consistent("after replace");
-
-  ASSERT_TRUE(t.UpdateWhere([](const Row& r) { return r[0].AsInt() < 10; },
-                            [](Row* r) {
-                              (*r)[1] = Value::String("renamed-to-longer");
+  ASSERT_TRUE(t.Insert(Cust(1, "a", 1.0)).ok());
+  ASSERT_TRUE(t.Insert(Cust(2, "b", 2.0)).ok());
+  ASSERT_TRUE(t.CreateIndex("by_name", {"name"}).ok());
+  const Value a = Value::String("a"), b = Value::String("b"),
+              renamed = Value::String("renamed");
+  // Renames row 2, then breaks its balance column: the update is refused.
+  auto updated = t.UpdateWhere([](RowView r) { return r[0].AsInt() == 2; },
+                               [](MutableRowView r) {
+                                 r[1] = Value::String("renamed");
+                                 r[2] = Value::String("not a double");
+                               });
+  EXPECT_EQ(updated.status().code(), StatusCode::kTypeMismatch);
+  RowView row = Find(t, 2);
+  ASSERT_FALSE(row.empty());
+  EXPECT_EQ(row[1].AsString(), "b");
+  EXPECT_DOUBLE_EQ(row[2].AsDouble(), 2.0);
+  EXPECT_EQ(t.LookupIndex("by_name", {&b, 1})->size(), 1u);
+  EXPECT_EQ(t.LookupIndex("by_name", {&renamed, 1})->size(), 0u);
+  // An accepted rename moves the entry.
+  ASSERT_TRUE(t.UpdateWhere([](RowView r) { return r[0].AsInt() == 1; },
+                            [](MutableRowView r) {
+                              r[1] = Value::String("renamed");
                             })
                   .ok());
-  expect_consistent("after update");
+  EXPECT_EQ(t.LookupIndex("by_name", {&a, 1})->size(), 0u);
+  auto hits = t.LookupIndex("by_name", {&renamed, 1});
+  ASSERT_EQ(hits->size(), 1u);
+  EXPECT_EQ((*hits)[0][0].AsInt(), 1);
+}
 
-  EXPECT_EQ(t.DeleteWhere(
-                [](const Row& r) { return r[0].AsInt() % 3 == 0; }),
-            17u);
-  expect_consistent("after delete");
+TEST(TableTest, InsertOrReplaceKeepsInsertionOrderWithTombstone) {
+  Table t("customer", CustomerSchema());
+  for (int i = 1; i <= 3; ++i) ASSERT_TRUE(t.Insert(Cust(i, "c", 0.0)).ok());
+  ASSERT_TRUE(t.InsertOrReplace(Cust(1, "again", 9.0)).ok());
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.rows_written(), 4u);
+  // The replaced row is a tombstone; its successor comes last.
+  RowSlab rows = t.ScanAll();
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0][0].AsInt(), 2);
+  EXPECT_EQ(rows[1][0].AsInt(), 3);
+  EXPECT_EQ(rows[2][0].AsInt(), 1);
+  EXPECT_EQ(rows[2][1].AsString(), "again");
+  EXPECT_EQ(Find(t, 1)[1].AsString(), "again");
+}
 
+TEST(TableTest, FoundViewReadsItsRowUntilTheNextMutation) {
+  Table t("customer", CustomerSchema());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(t.Insert(Cust(i, "name" + std::to_string(i), i)).ok());
+  }
+  RowView row = Find(t, 17);
+  ASSERT_EQ(row.size(), 3u);
+  // Reads in between move nothing.
+  size_t seen = 0;
+  t.ForEach([&](RowView) { ++seen; });
+  EXPECT_EQ(seen, 50u);
+  EXPECT_FALSE(Find(t, 18).empty());
+  EXPECT_EQ(t.ScanAll().size(), 50u);
+  EXPECT_EQ(row.data(), Find(t, 17).data());
+  EXPECT_EQ(row[0].AsInt(), 17);
+  EXPECT_EQ(row[1].AsString(), "name17");
+}
+
+TEST(TableTest, ClearKeepsSlabCapacityAndIoCounters) {
+  Table t("customer", CustomerSchema());
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(t.Insert(Cust(i, "c", 0.0)).ok());
+  t.ForEach([](RowView) {});
+  const uint64_t read = t.rows_read(), written = t.rows_written();
+  const Value* block = Find(t, 0).data();
   t.Clear();
-  expect_consistent("after clear");
-  EXPECT_EQ(t.ByteSize(), 0u);
+  EXPECT_EQ(t.rows_read(), read + 1);  // the Find above
+  EXPECT_EQ(t.rows_written(), written);
+  // Refilled to its old size, the table reuses its slab: no cell moved.
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(t.Insert(Cust(i, "d", 0.0)).ok());
+  EXPECT_EQ(Find(t, 0).data(), block);
+  EXPECT_EQ(t.rows_written(), written + 64);
 }
 
 }  // namespace

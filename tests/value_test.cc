@@ -10,6 +10,7 @@
 #include <variant>
 #include <vector>
 
+#include "src/types/row_slab.h"
 #include "src/types/schema.h"
 #include "src/types/value.h"
 
@@ -308,6 +309,137 @@ TEST(RowTest, KeyHashSelectsColumns) {
 TEST(RowTest, ToStringJoins) {
   Row a{Value::Int(1), Value::String("x"), Value::Null()};
   EXPECT_EQ(RowToString(a), "1,x,");
+}
+
+// --- RowSlab ----------------------------------------------------------------
+
+TEST(RowSlabTest, RowOfTheWrongWidthIsRejected) {
+  RowSlab slab;
+  ASSERT_TRUE(slab.Append({Value::Int(1), Value::Int(2)}).ok());
+  EXPECT_EQ(slab.width(), 2u) << "an empty width-0 slab takes the row's";
+  EXPECT_EQ(slab.Append({Value::Int(3)}).code(), StatusCode::kTypeMismatch);
+  Row wide{Value::Int(1), Value::Int(2), Value::Int(3)};
+  EXPECT_EQ(slab.AppendMoved(wide).code(), StatusCode::kTypeMismatch);
+  EXPECT_EQ(wide[0].AsInt(), 1) << "a rejected row is not moved from";
+  RowSlab narrow(1);
+  ASSERT_TRUE(narrow.Append({Value::Int(9)}).ok());
+  EXPECT_EQ(slab.Append(std::move(narrow)).code(), StatusCode::kTypeMismatch);
+  EXPECT_EQ(slab.size(), 1u);
+  EXPECT_EQ(slab.cells().size(), 2u);
+
+  // A width given up front holds while the slab is empty, and after clear.
+  RowSlab fixed(3);
+  EXPECT_EQ(fixed.Append({Value::Int(1)}).code(), StatusCode::kTypeMismatch);
+  fixed.clear();
+  EXPECT_EQ(fixed.width(), 3u);
+  EXPECT_EQ(fixed.Append({Value::Int(1), Value::Int(2)}).code(),
+            StatusCode::kTypeMismatch);
+  EXPECT_TRUE(fixed.empty());
+  fixed.Reset(1);
+  EXPECT_TRUE(fixed.Append({Value::Int(1)}).ok());
+}
+
+TEST(RowSlabTest, ViewsIndexCellsInPlace) {
+  RowSlab slab(3);
+  for (int64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(
+        slab.Append({Value::Int(i), Value::Int(i * 10), Value::Null()}).ok());
+  }
+  ASSERT_EQ(slab.size(), 4u);
+  const RowSlab& read = slab;
+  for (size_t i = 0; i < slab.size(); ++i) {
+    RowView row = read[i];
+    EXPECT_EQ(row.size(), 3u);
+    EXPECT_EQ(row.data(), slab.cells().data() + 3 * i);
+    EXPECT_EQ(row[1].AsInt(), static_cast<int64_t>(i * 10));
+  }
+  // A mutable view writes the slab's own cells.
+  slab[2][2] = Value::String("set");
+  EXPECT_EQ(slab.cells()[8].AsString(), "set");
+  // Iteration yields the same views in order.
+  size_t i = 0;
+  for (RowView row : read) EXPECT_EQ(row.data(), read[i++].data());
+  EXPECT_EQ(i, 4u);
+  // AppendRow hands out a NULL row at the slab's width.
+  MutableRowView fresh = slab.AppendRow();
+  EXPECT_EQ(fresh.size(), 3u);
+  for (const Value& v : fresh) EXPECT_TRUE(v.is_null());
+  EXPECT_EQ(slab.size(), 5u);
+}
+
+TEST(RowSlabTest, ClearKeepsCapacityAndWidth) {
+  RowSlab slab(2);
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(slab.Append({Value::Int(i), Value::Int(i)}).ok());
+  }
+  const Value* block = slab[0].data();
+  slab.clear();
+  EXPECT_TRUE(slab.empty());
+  EXPECT_EQ(slab.width(), 2u);
+  // Refilling to the old size reuses the block: no cell moved.
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(slab.Append({Value::Int(-i), Value::Int(i)}).ok());
+  }
+  EXPECT_EQ(slab[0].data(), block);
+  EXPECT_EQ(slab[99][0].AsInt(), -99);
+}
+
+TEST(RowSlabTest, FromRowsEqualsAppendingRowByRow) {
+  const std::vector<Row> rows = {
+      {Value::Int(1), Value::String("a"), Value::Double(0.5)},
+      {Value::Null(), Value::String("a string longer than fourteen"),
+       Value::Int(2)},
+      {Value::Bool(true), Value::Date(20080412), Value::Null()}};
+  Result<RowSlab> built = RowSlab::FromRows(rows);
+  ASSERT_TRUE(built.ok()) << built.status();
+  RowSlab appended;
+  for (const Row& row : rows) ASSERT_TRUE(appended.Append(row).ok());
+  ASSERT_EQ(built->width(), appended.width());
+  ASSERT_EQ(built->size(), appended.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      const Value& a = (*built)[r][c];
+      const Value& b = appended[r][c];
+      EXPECT_EQ(a.type(), b.type()) << r << "," << c;
+      EXPECT_EQ(a.ToString(), b.ToString()) << r << "," << c;
+    }
+  }
+  EXPECT_EQ(RowSlab::FromRows({}).ValueOrDie().width(), 0u);
+  EXPECT_EQ(RowSlab::FromRows({{Value::Int(1)}, {}}).status().code(),
+            StatusCode::kTypeMismatch);
+}
+
+// Long strings live in one shared heap buffer. A slab copies, moves and
+// destroys the cells holding them like any vector of Values would: every
+// copy shares the buffer, and under ASan a missing release leaks and an
+// extra one frees twice.
+TEST(RowSlabTest, HeapStringCellsSurviveGrowthCopyClearAndDestruction) {
+  const std::string text = "a string well past the fourteen inline bytes";
+  const Value original = Value::String(text);
+  const char* buffer = original.AsString().data();
+  {
+    RowSlab slab(2);
+    for (int64_t i = 0; i < 2000; ++i) {  // grows, moving every cell
+      ASSERT_TRUE(slab.Append({Value::Int(i), original}).ok());
+    }
+    RowSlab copy = slab;
+    RowSlab moved;
+    ASSERT_TRUE(moved.Append(std::move(copy)).ok());  // adopted whole
+    EXPECT_TRUE(copy.empty());
+    ASSERT_TRUE(slab.AppendMoved(moved[0]).ok());
+    EXPECT_TRUE(moved[0][1].is_null()) << "a moved-from cell is NULL";
+    for (const RowSlab* s : {&slab, &moved}) {
+      for (size_t r = 1; r < s->size(); ++r) {
+        ASSERT_EQ((*s)[r][1].AsString().data(), buffer) << "shared, not copied";
+      }
+    }
+    const Value kept = slab[5][1];  // outlives the slabs below
+    slab.clear();
+    moved.Reset(1);
+    EXPECT_EQ(kept.AsString(), text);
+  }
+  EXPECT_EQ(original.AsString(), text);
+  EXPECT_EQ(original.AsString().data(), buffer);
 }
 
 }  // namespace

@@ -392,8 +392,11 @@ TEST(BridgeTest, RowSetRoundTrip) {
       .AddColumn("balance", DataType::kDouble);
   RowSet rs;
   rs.schema = s;
-  rs.rows.push_back({Value::Int(1), Value::String("li"), Value::Double(9.5)});
-  rs.rows.push_back({Value::Int(2), Value::Null(), Value::Double(-1.0)});
+  ASSERT_TRUE(
+      rs.rows.Append({Value::Int(1), Value::String("li"), Value::Double(9.5)})
+          .ok());
+  ASSERT_TRUE(
+      rs.rows.Append({Value::Int(2), Value::Null(), Value::Double(-1.0)}).ok());
 
   Node doc = RowSetToXml(rs, "resultset", "row");
   EXPECT_EQ(doc.child_count(), 2u);
