@@ -1,11 +1,11 @@
 // Side-by-side comparison of the two integration-system realizations.
 //
 // Runs the identical DIPBench workload against (a) the native dataflow
-// engine and (b) the federated-DBMS realization (queue tables + triggers +
-// stored procedures, paper Fig. 9) and prints per-process NAVG+ next to
-// each other — the paper's observation that relationally realized process
-// types optimize well while XML-message types do not becomes visible in
-// the ratio column.
+// engine and (b) the federated-DBMS realization (the costs of paper
+// Fig. 9's queue tables, triggers and stored procedures) and prints
+// per-process NAVG+ next to each other — the paper's observation that
+// relationally realized process types optimize well while XML-message
+// types do not becomes visible in the ratio column.
 
 #include <cstdio>
 

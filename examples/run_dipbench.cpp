@@ -4,7 +4,7 @@
 //   run_dipbench [--datasize=D] [--time=T] [--dist=uniform|zipf|normal]
 //                [--periods=N] [--engine=dataflow|federated|eai]
 //                [--worker-slots=W] [--error-rate=Q] [--plan-cache]
-//                [--csv] [--gnuplot] [--export-data=DIR] [--trace]
+//                [--csv] [--gnuplot] [--export-data=DIR]
 //
 // Reproduces the paper's reference-implementation experiments: runs the
 // pre/work/post phases over N benchmark periods and prints the DIPBench
@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
       .Define("csv", "print the per-process metric rows")
       .Define("gnuplot", "print the plot as gnuplot data")
       .Define("export-data", "export period 0's source data as XML flat "
-                             "files to this directory")
-      .Define("trace", "print the operator trace of the costliest instance");
+                             "files to this directory");
   auto usage_error = [&flags](const Status& st) {
     std::fprintf(stderr, "%s\n%s", st.ToString().c_str(),
                  flags.Usage().c_str());
@@ -77,7 +76,6 @@ int main(int argc, char** argv) {
         "run_dipbench: unknown distribution '" + dist + "'"));
   }
   const std::string engine_kind = flags.Get("engine", "dataflow");
-  const bool trace = flags.Has("trace");
   const std::string export_dir = flags.Get("export-data");
   if (flags.Has("export-data") && export_dir.empty()) {
     return usage_error(Status::InvalidArgument(
@@ -98,7 +96,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<core::EngineBase> engine =
       std::move(engine_result).ValueOrDie();
   engine->EnablePlanCache(flags.Has("plan-cache"));
-  engine->EnableTracing(trace);
 
   std::printf("%s  engine=%s\n", config.ToString().c_str(),
               engine_kind.c_str());
@@ -115,25 +112,6 @@ int main(int argc, char** argv) {
               result->verification.ToString().c_str());
   std::printf("virtual time: %.1f ms, wall time: %.1f ms\n",
               result->virtual_ms, result->wall_ms);
-  if (trace) {
-    // Operator drill-down of the costliest instance.
-    const core::InstanceRecord* worst = nullptr;
-    for (const auto& rec : engine->records()) {
-      if (worst == nullptr || rec.costs.Total() > worst->costs.Total()) {
-        worst = &rec;
-      }
-    }
-    if (worst != nullptr) {
-      std::printf("\ncostliest instance: %s (period %d, %.2f ms total)\n",
-                  worst->process_id.c_str(), worst->period,
-                  worst->costs.Total());
-      for (const auto& op : worst->trace) {
-        std::printf("  %8.3f ms (cc %7.3f, cm %6.3f, cp %7.3f)  %s\n",
-                    op.TotalMs(), op.cc_ms, op.cm_ms, op.cp_ms,
-                    op.op.c_str());
-      }
-    }
-  }
   if (flags.Has("csv")) {
     std::printf("\n%s", Monitor::ToCsv(result->per_process).c_str());
   }

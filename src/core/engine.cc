@@ -1,7 +1,6 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "src/net/fault.h"
@@ -117,7 +116,6 @@ Status EngineBase::RunInstance(const QueuedEvent& queued) {
           obs::Category::kManagement, attempt_start, track);
     }
     ProcessContext ctx(network_, &weights_);
-    ctx.EnableTracing(tracing_enabled_);
     ctx.BindObs(obs_, attempt_start + charge, track);
     if (ev.message != nullptr) {
       ctx.SetInput(MtmMessage::FromXml(ev.message));
@@ -134,9 +132,6 @@ Status EngineBase::RunInstance(const QueuedEvent& queued) {
     rec.costs.Add(ctx.costs());
     rec.net.Add(ctx.net_stats());
     rec.quality.Add(ctx.quality());
-    rec.trace.insert(rec.trace.end(),
-                     std::make_move_iterator(ctx.trace().begin()),
-                     std::make_move_iterator(ctx.trace().end()));
     if (attempt_span != 0) {
       if (!st.ok()) {
         obs_.trace()->Annotate(attempt_span, "error", st.ToString());
@@ -227,70 +222,19 @@ Status DataflowEngine::ExecuteInstance(const ProcessDefinition& def,
   return ExecuteBody(def.body, ctx);
 }
 
-FederatedEngine::FederatedEngine(net::Network* network, CostWeights weights,
-                                 int worker_slots)
-    : EngineBase("federated", network, weights, worker_slots) {}
-
-Status FederatedEngine::Deploy(const ProcessDefinition& def) {
-  DIP_RETURN_NOT_OK(EngineBase::Deploy(def));
-  if (def.event_type == EventType::kMessage) {
-    // Fig. 9a: a queue table per process plus an insert trigger that
-    // executes the integration process. The message passes by reference:
-    // the row keeps only its tid, and the trigger runs on the document the
-    // instance already holds.
-    Schema queue;
-    queue.AddColumn("tid", DataType::kInt64, false).SetPrimaryKey({"tid"});
-    DIP_RETURN_NOT_OK(
-        engine_db_.CreateTable(def.id + "_queue", std::move(queue)).status());
-    const std::string process_id = def.id;
-    DIP_RETURN_NOT_OK(engine_db_.SetInsertTrigger(
-        def.id + "_queue",
-        [this, process_id](Database*, const std::string&,
-                           RowView) -> Status {
-          if (current_ctx_ == nullptr) {
-            return Status::Internal("trigger fired outside an instance");
-          }
-          // Reading the message back ("evaluating the logical table
-          // inserted") is charged as the CLOB read.
-          current_ctx_->ChargeXmlNodes(current_ctx_->input().XmlNodes());
-          return ExecuteBody(processes_.at(process_id).body, current_ctx_);
-        }));
-  } else {
-    // Fig. 9b: the process becomes a stored procedure (no data input except
-    // configuration parameters), staging through temporary tables — our
-    // operators materialize between steps, which models exactly that.
-    const std::string process_id = def.id;
-    DIP_RETURN_NOT_OK(engine_db_.RegisterProcedure(
-        "exec_" + def.id,
-        [this, process_id](Database*, const std::vector<Value>&) -> Status {
-          if (current_ctx_ == nullptr) {
-            return Status::Internal("procedure outside an instance");
-          }
-          return ExecuteBody(processes_.at(process_id).body, current_ctx_);
-        }));
-  }
-  return Status::OK();
-}
-
 Status FederatedEngine::ExecuteInstance(const ProcessDefinition& def,
                                         ProcessContext* ctx) {
-  // The trigger and procedure bodies find the instance through
-  // current_ctx_; it must not outlive `ctx` on any exit path.
-  current_ctx_ = ctx;
-  struct ContextScope {
-    ProcessContext*& slot;
-    ~ContextScope() { slot = nullptr; }
-  } scope{current_ctx_};
   if (def.event_type == EventType::kMessage) {
+    // Fig. 9a: the message is inserted into the process's queue table as a
+    // CLOB, and the insert trigger reads it back ("evaluating the logical
+    // table inserted") before it runs the process. Both transfers are
+    // charged; the body runs on the submitted document.
     DIP_ASSIGN_OR_RETURN(auto doc, ctx->input().Xml());
-    // INSERT INTO <id>_queue VALUES (@tid) — the trigger runs the process.
-    int64_t tid = engine_db_.NextSequenceValue(def.id + "_tid");
-    ctx->ChargeXmlNodes(doc->SubtreeSize());  // the CLOB write
-    const Value row[] = {Value::Int(tid)};
-    return engine_db_.InsertWithTriggers(def.id + "_queue", row);
+    ctx->ChargeXmlNodes(doc->SubtreeSize());       // the CLOB write
+    ctx->ChargeXmlNodes(ctx->input().XmlNodes());  // the CLOB read
   }
-  // EXECUTE <procedure>.
-  return engine_db_.CallProcedure("exec_" + def.id, {});
+  // Fig. 9b: an E2 process is a stored procedure; calling it runs the body.
+  return ExecuteBody(def.body, ctx);
 }
 
 }  // namespace core

@@ -14,7 +14,6 @@
 #include "src/core/process.h"
 #include "src/core/retry.h"
 #include "src/net/endpoint.h"
-#include "src/storage/database.h"
 
 namespace dipbench {
 namespace core {
@@ -51,10 +50,6 @@ struct InstanceRecord {
   /// under a dead-lettering policy: it is parked here — marked failed,
   /// costs of every attempt charged — and the period went on without it.
   bool dead_lettered = false;
-  /// Per-operator drill-down (only when the engine's tracing is enabled).
-  /// Composite operators (SWITCH/FORK/VALIDATE/SUBPROCESS) report inclusive
-  /// costs; their nested operators appear before them in the list.
-  std::vector<OperatorTrace> trace;
 
   double ElapsedMs() const { return end_time - start_time; }
 };
@@ -141,11 +136,6 @@ class EngineBase : public IntegrationSystem {
   bool plan_cache_enabled() const { return plan_cache_enabled_; }
   static constexpr double kCachedPlanFraction = 0.1;
 
-  /// Per-operator cost tracing into InstanceRecord::trace (diagnostics;
-  /// off by default — traces cost memory on long runs).
-  void EnableTracing(bool enabled) { tracing_enabled_ = enabled; }
-  bool tracing_enabled() const { return tracing_enabled_; }
-
   /// Attaches an observer (src/obs): every executed instance emits a span
   /// per instance / operator / cost charge on the recorder (track = worker
   /// slot) and per-instance cost histograms + plan-cache and instance
@@ -169,10 +159,6 @@ class EngineBase : public IntegrationSystem {
   virtual Status ExecuteInstance(const ProcessDefinition& def,
                                  ProcessContext* ctx) = 0;
 
-  net::Network* network_;
-  CostWeights weights_;
-  std::map<std::string, ProcessDefinition> processes_;
-
  private:
   struct QueuedEvent {
     ProcessEvent ev;
@@ -188,6 +174,9 @@ class EngineBase : public IntegrationSystem {
   /// error aborts the run unless the retry policy dead-letters it.
   Status RunInstance(const QueuedEvent& queued);
 
+  net::Network* network_;
+  CostWeights weights_;
+  std::map<std::string, ProcessDefinition> processes_;
   std::string name_;
   std::priority_queue<QueuedEvent, std::vector<QueuedEvent>,
                       std::greater<QueuedEvent>>
@@ -197,7 +186,6 @@ class EngineBase : public IntegrationSystem {
   VirtualClock clock_;
   std::vector<InstanceRecord> records_;
   bool plan_cache_enabled_ = false;
-  bool tracing_enabled_ = false;
   std::set<std::string> cached_plans_;
   RetryPolicy retry_policy_;
   obs::ObsContext obs_;
@@ -222,30 +210,22 @@ class DataflowEngine : public EngineBase {
                          ProcessContext* ctx) override;
 };
 
-/// The federated-DBMS reference realization (paper Fig. 9): E1 processes
-/// are queue tables plus insert triggers; E2 processes are stored
-/// procedures staging through the engine database. Relational work is
-/// cheap (covered by the optimizer), XML work expensive (it is not).
+/// The federated-DBMS reference realization (paper Fig. 9), modelled by
+/// its costs. In Fig. 9a an E1 process is a queue table plus an insert
+/// trigger: an instance pays the CLOB write of its message and the
+/// trigger's CLOB read before the body runs. In Fig. 9b an E2 process is a
+/// stored procedure: the body runs directly. Relational work is cheap
+/// (covered by the optimizer), XML work expensive (it is not).
 class FederatedEngine : public EngineBase {
  public:
   explicit FederatedEngine(net::Network* network,
                            CostWeights weights = FederatedWeights(),
-                           int worker_slots = 4);
-
-  Status Deploy(const ProcessDefinition& def) override;
-
-  /// The internal "integration services" database holding queue tables and
-  /// temp staging tables (exposed for tests).
-  Database* engine_db() { return &engine_db_; }
+                           int worker_slots = 4)
+      : EngineBase("federated", network, weights, worker_slots) {}
 
  protected:
   Status ExecuteInstance(const ProcessDefinition& def,
                          ProcessContext* ctx) override;
-
- private:
-  Database engine_db_{"integration_services"};
-  // Live context for the currently executing trigger or procedure body.
-  ProcessContext* current_ctx_ = nullptr;
 };
 
 }  // namespace core

@@ -1,8 +1,6 @@
 #include "src/core/operators.h"
 
 #include <algorithm>
-#include <optional>
-#include <unordered_map>
 
 #include "src/xml/bridge.h"
 #include "src/xml/path.h"
@@ -22,22 +20,9 @@ Status ExecuteBody(const std::vector<OpPtr>& body, ProcessContext* ctx) {
                                ctx->ObsNow(), ctx->obs_track());
     }
     ctx->obs().Count("engine.operator_dispatches");
-    if (ctx->tracing()) {
-      CostBreakdown before = ctx->costs();
-      Status st = op->Execute(ctx);
-      OperatorTrace trace;
-      trace.op = op->Describe();
-      trace.cc_ms = ctx->costs().cc_ms - before.cc_ms;
-      trace.cm_ms = ctx->costs().cm_ms - before.cm_ms;
-      trace.cp_ms = ctx->costs().cp_ms - before.cp_ms;
-      ctx->AddTrace(std::move(trace));
-      if (rec != nullptr) rec->EndSpan(span_id, ctx->ObsNow());
-      if (!st.ok()) return st.WithContext(op->Describe());
-    } else {
-      Status st = op->Execute(ctx);
-      if (rec != nullptr) rec->EndSpan(span_id, ctx->ObsNow());
-      if (!st.ok()) return st.WithContext(op->Describe());
-    }
+    Status st = op->Execute(ctx);
+    if (rec != nullptr) rec->EndSpan(span_id, ctx->ObsNow());
+    if (!st.ok()) return st.WithContext(op->Describe());
   }
   return Status::OK();
 }
@@ -145,31 +130,6 @@ class InvokeUpdateOp : public Operator {
   std::string service_, op_, in_var_;
 };
 
-class InvokeSendOp : public Operator {
- public:
-  InvokeSendOp(std::string service, std::string queue, std::string in_var)
-      : service_(std::move(service)),
-        queue_(std::move(queue)),
-        in_var_(std::move(in_var)) {}
-  Status Execute(ProcessContext* ctx) const override {
-    ctx->ChargeOperator();
-    DIP_ASSIGN_OR_RETURN(MtmMessage msg, ctx->Get(in_var_));
-    DIP_ASSIGN_OR_RETURN(auto doc, msg.Xml());
-    DIP_ASSIGN_OR_RETURN(net::Endpoint * ep, ctx->network()->Get(service_));
-    net::NetStats stats;
-    DIP_RETURN_NOT_OK(ep->SendMessage(queue_, *doc, &stats));
-    ctx->ChargeComm(stats);
-    ctx->ChargeXmlNodes(doc->SubtreeSize());
-    return Status::OK();
-  }
-  std::string Describe() const override {
-    return "SEND " + in_var_ + " -> " + service_ + "." + queue_;
-  }
-
- private:
-  std::string service_, queue_, in_var_;
-};
-
 class InvokeProcOp : public Operator {
  public:
   InvokeProcOp(std::string service, std::string proc, std::vector<Value> args)
@@ -248,32 +208,6 @@ class XmlToRowsOp : public Operator {
   std::string row_name_;
 };
 
-class RowsToXmlOp : public Operator {
- public:
-  RowsToXmlOp(std::string in_var, std::string out_var, std::string root_name,
-              std::string row_name)
-      : in_var_(std::move(in_var)),
-        out_var_(std::move(out_var)),
-        root_name_(std::move(root_name)),
-        row_name_(std::move(row_name)) {}
-  Status Execute(ProcessContext* ctx) const override {
-    ctx->ChargeOperator();
-    DIP_ASSIGN_OR_RETURN(MtmMessage msg, ctx->Get(in_var_));
-    DIP_ASSIGN_OR_RETURN(auto rows, msg.Rows());
-    ctx->ChargeRows(rows->size());
-    xml::Node doc = xml::RowSetToXml(*rows, root_name_, row_name_);
-    ctx->ChargeXmlNodes(doc.SubtreeSize());
-    ctx->Set(out_var_, MtmMessage::FromXml(std::move(doc)));
-    return Status::OK();
-  }
-  std::string Describe() const override {
-    return "ROWS2XML " + in_var_ + " -> " + out_var_;
-  }
-
- private:
-  std::string in_var_, out_var_, root_name_, row_name_;
-};
-
 class SelectionOpImpl : public Operator {
  public:
   SelectionOpImpl(std::string in_var, std::string out_var, ExprPtr predicate)
@@ -325,39 +259,6 @@ class ProjectionOpImpl : public Operator {
  private:
   std::string in_var_, out_var_;
   std::vector<ProjectionItem> items_;
-};
-
-class JoinOpImpl : public Operator {
- public:
-  JoinOpImpl(std::string left_var, std::string right_var, std::string out_var,
-             std::vector<std::string> lkeys, std::vector<std::string> rkeys)
-      : left_var_(std::move(left_var)),
-        right_var_(std::move(right_var)),
-        out_var_(std::move(out_var)),
-        lkeys_(std::move(lkeys)),
-        rkeys_(std::move(rkeys)) {}
-  Status Execute(ProcessContext* ctx) const override {
-    ctx->ChargeOperator();
-    DIP_ASSIGN_OR_RETURN(MtmMessage lm, ctx->Get(left_var_));
-    DIP_ASSIGN_OR_RETURN(MtmMessage rm, ctx->Get(right_var_));
-    DIP_ASSIGN_OR_RETURN(auto lrows, lm.Rows());
-    DIP_ASSIGN_OR_RETURN(auto rrows, rm.Rows());
-    ExecContext ec;
-    DIP_ASSIGN_OR_RETURN(
-        RowSet out, HashJoin(ScanValuesRef(lrows.get()),
-                             ScanValuesRef(rrows.get()), lkeys_, rkeys_)
-                        ->Execute(&ec));
-    ctx->ChargeRows(ec.rows_processed);
-    ctx->Set(out_var_, MtmMessage::FromRows(std::move(out)));
-    return Status::OK();
-  }
-  std::string Describe() const override {
-    return "JOIN " + left_var_ + " x " + right_var_ + " -> " + out_var_;
-  }
-
- private:
-  std::string left_var_, right_var_, out_var_;
-  std::vector<std::string> lkeys_, rkeys_;
 };
 
 class UnionDistinctOpImpl : public Operator {
@@ -495,164 +396,6 @@ class SubprocessOp : public Operator {
   std::vector<OpPtr> ops_;
 };
 
-class EnrichOp : public Operator {
- public:
-  EnrichOp(std::string in_var, std::string out_var, std::string service,
-           std::string lookup_op, std::string key_column)
-      : in_var_(std::move(in_var)),
-        out_var_(std::move(out_var)),
-        service_(std::move(service)),
-        lookup_op_(std::move(lookup_op)),
-        key_column_(std::move(key_column)) {}
-
-  Status Execute(ProcessContext* ctx) const override {
-    ctx->ChargeOperator();
-    DIP_ASSIGN_OR_RETURN(MtmMessage msg, ctx->Get(in_var_));
-    DIP_ASSIGN_OR_RETURN(auto rows, msg.Rows());
-    DIP_ASSIGN_OR_RETURN(size_t key_idx,
-                         rows->schema.RequireIndexOf(key_column_));
-    DIP_ASSIGN_OR_RETURN(net::Endpoint * ep, ctx->network()->Get(service_));
-
-    // One lookup per distinct key. Keys are equal as storage keys are
-    // (Value::Hash and Value::Compare), never by their rendered text, which
-    // merges doubles that differ beyond "%.6g".
-    std::unordered_map<Value, std::optional<Row>, ValueHash> cache;
-    Schema lookup_schema;
-    for (RowView r : rows->rows) {
-      const Value& key = r[key_idx];
-      if (key.is_null() || cache.count(key) > 0) continue;
-      net::NetStats stats;
-      DIP_ASSIGN_OR_RETURN(RowSet hit, ep->Query(lookup_op_, {key}, &stats));
-      ctx->ChargeComm(stats);
-      if (!hit.rows.empty()) {
-        lookup_schema = hit.schema;
-        cache[key] = Row(hit.rows[0].begin(), hit.rows[0].end());
-      } else {
-        cache[key] = std::nullopt;
-      }
-    }
-    RowSet out;
-    out.schema = rows->schema;
-    for (const auto& col : lookup_schema.columns()) {
-      std::string name = col.name;
-      while (out.schema.HasColumn(name)) name = "e_" + name;
-      out.schema.AddColumn(name, col.type, /*nullable=*/true);
-    }
-    size_t appended = lookup_schema.num_columns();
-    out.rows.Reset(rows->rows.width() + appended);
-    out.rows.reserve(rows->rows.size());
-    for (RowView r : rows->rows) {
-      ctx->ChargeRows(1);
-      MutableRowView enriched = out.rows.AppendRow();
-      std::copy(r.begin(), r.end(), enriched.begin());
-      const std::optional<Row>* hit = nullptr;
-      if (!r[key_idx].is_null()) {
-        auto it = cache.find(r[key_idx]);
-        if (it != cache.end()) hit = &it->second;
-      }
-      if (hit != nullptr && hit->has_value()) {
-        std::copy_n((**hit).begin(), appended, enriched.begin() + r.size());
-      }
-    }
-    ctx->Set(out_var_, MtmMessage::FromRows(std::move(out)));
-    return Status::OK();
-  }
-
-  std::string Describe() const override {
-    return "ENRICH " + in_var_ + " via " + service_ + "." + lookup_op_;
-  }
-
- private:
-  std::string in_var_, out_var_, service_, lookup_op_, key_column_;
-};
-
-class GroupByOpImpl : public Operator {
- public:
-  GroupByOpImpl(std::string in_var, std::string out_var,
-                std::vector<std::string> group_by,
-                std::vector<AggregateItem> aggs)
-      : in_var_(std::move(in_var)),
-        out_var_(std::move(out_var)),
-        group_by_(std::move(group_by)),
-        aggs_(std::move(aggs)) {}
-  Status Execute(ProcessContext* ctx) const override {
-    ctx->ChargeOperator();
-    DIP_ASSIGN_OR_RETURN(MtmMessage msg, ctx->Get(in_var_));
-    DIP_ASSIGN_OR_RETURN(auto rows, msg.Rows());
-    ExecContext ec;
-    DIP_ASSIGN_OR_RETURN(
-        RowSet out,
-        Aggregate(ScanValuesRef(rows.get()), group_by_, aggs_)->Execute(&ec));
-    ctx->ChargeRows(ec.rows_processed);
-    ctx->Set(out_var_, MtmMessage::FromRows(std::move(out)));
-    return Status::OK();
-  }
-  std::string Describe() const override {
-    return "GROUPBY " + in_var_ + " -> " + out_var_;
-  }
-
- private:
-  std::string in_var_, out_var_;
-  std::vector<std::string> group_by_;
-  std::vector<AggregateItem> aggs_;
-};
-
-class SortOpImpl : public Operator {
- public:
-  SortOpImpl(std::string in_var, std::string out_var,
-             std::vector<SortKey> keys)
-      : in_var_(std::move(in_var)),
-        out_var_(std::move(out_var)),
-        keys_(std::move(keys)) {}
-  Status Execute(ProcessContext* ctx) const override {
-    ctx->ChargeOperator();
-    DIP_ASSIGN_OR_RETURN(MtmMessage msg, ctx->Get(in_var_));
-    DIP_ASSIGN_OR_RETURN(auto rows, msg.Rows());
-    ExecContext ec;
-    DIP_ASSIGN_OR_RETURN(
-        RowSet out, Sort(ScanValuesRef(rows.get()), keys_)->Execute(&ec));
-    ctx->ChargeRows(ec.rows_processed);
-    ctx->Set(out_var_, MtmMessage::FromRows(std::move(out)));
-    return Status::OK();
-  }
-  std::string Describe() const override {
-    return "SORT " + in_var_ + " -> " + out_var_;
-  }
-
- private:
-  std::string in_var_, out_var_;
-  std::vector<SortKey> keys_;
-};
-
-class MulticastOp : public Operator {
- public:
-  MulticastOp(std::string in_var,
-              std::vector<std::pair<std::string, std::string>> targets)
-      : in_var_(std::move(in_var)), targets_(std::move(targets)) {}
-  Status Execute(ProcessContext* ctx) const override {
-    ctx->ChargeOperator();
-    DIP_ASSIGN_OR_RETURN(MtmMessage msg, ctx->Get(in_var_));
-    DIP_ASSIGN_OR_RETURN(auto rows, msg.Rows());
-    for (const auto& [service, op] : targets_) {
-      DIP_ASSIGN_OR_RETURN(net::Endpoint * ep, ctx->network()->Get(service));
-      net::NetStats stats;
-      DIP_ASSIGN_OR_RETURN(size_t written, ep->Update(op, *rows, &stats));
-      ctx->ChargeComm(stats);
-      ctx->quality().rows_loaded += written;
-    }
-    ctx->ChargeRows(rows->size() * targets_.size());
-    return Status::OK();
-  }
-  std::string Describe() const override {
-    return "MULTICAST " + in_var_ + " to " +
-           std::to_string(targets_.size()) + " targets";
-  }
-
- private:
-  std::string in_var_;
-  std::vector<std::pair<std::string, std::string>> targets_;
-};
-
 class CustomOp : public Operator {
  public:
   CustomOp(std::string name, std::function<Status(ProcessContext*)> fn)
@@ -692,12 +435,6 @@ OpPtr InvokeUpdate(std::string service, std::string op, std::string in_var) {
   return std::make_shared<InvokeUpdateOp>(std::move(service), std::move(op),
                                           std::move(in_var));
 }
-OpPtr InvokeSend(std::string service, std::string queue_table,
-                 std::string in_var) {
-  return std::make_shared<InvokeSendOp>(std::move(service),
-                                        std::move(queue_table),
-                                        std::move(in_var));
-}
 OpPtr InvokeProc(std::string service, std::string proc,
                  std::vector<Value> args) {
   return std::make_shared<InvokeProcOp>(std::move(service), std::move(proc),
@@ -713,12 +450,6 @@ OpPtr XmlToRows(std::string in_var, std::string out_var, Schema schema,
   return std::make_shared<XmlToRowsOp>(std::move(in_var), std::move(out_var),
                                        std::move(schema), std::move(row_name));
 }
-OpPtr RowsToXml(std::string in_var, std::string out_var, std::string root_name,
-                std::string row_name) {
-  return std::make_shared<RowsToXmlOp>(std::move(in_var), std::move(out_var),
-                                       std::move(root_name),
-                                       std::move(row_name));
-}
 OpPtr Selection(std::string in_var, std::string out_var, ExprPtr predicate) {
   return std::make_shared<SelectionOpImpl>(
       std::move(in_var), std::move(out_var), std::move(predicate));
@@ -727,14 +458,6 @@ OpPtr Projection(std::string in_var, std::string out_var,
                  std::vector<ProjectionItem> items) {
   return std::make_shared<ProjectionOpImpl>(
       std::move(in_var), std::move(out_var), std::move(items));
-}
-OpPtr JoinOp(std::string left_var, std::string right_var, std::string out_var,
-             std::vector<std::string> left_keys,
-             std::vector<std::string> right_keys) {
-  return std::make_shared<JoinOpImpl>(std::move(left_var),
-                                      std::move(right_var), std::move(out_var),
-                                      std::move(left_keys),
-                                      std::move(right_keys));
 }
 OpPtr UnionDistinctOp(std::vector<std::string> in_vars,
                       std::vector<std::string> key_columns,
@@ -777,29 +500,6 @@ OpPtr Fork(std::vector<std::vector<OpPtr>> branches) {
 }
 OpPtr Subprocess(std::string name, std::vector<OpPtr> ops) {
   return std::make_shared<SubprocessOp>(std::move(name), std::move(ops));
-}
-OpPtr Enrich(std::string in_var, std::string out_var, std::string service,
-             std::string lookup_op, std::string key_column) {
-  return std::make_shared<EnrichOp>(std::move(in_var), std::move(out_var),
-                                    std::move(service), std::move(lookup_op),
-                                    std::move(key_column));
-}
-OpPtr GroupByOp(std::string in_var, std::string out_var,
-                std::vector<std::string> group_by,
-                std::vector<AggregateItem> aggregates) {
-  return std::make_shared<GroupByOpImpl>(std::move(in_var),
-                                         std::move(out_var),
-                                         std::move(group_by),
-                                         std::move(aggregates));
-}
-OpPtr SortOp(std::string in_var, std::string out_var,
-             std::vector<SortKey> keys) {
-  return std::make_shared<SortOpImpl>(std::move(in_var), std::move(out_var),
-                                      std::move(keys));
-}
-OpPtr Multicast(std::string in_var,
-                std::vector<std::pair<std::string, std::string>> targets) {
-  return std::make_shared<MulticastOp>(std::move(in_var), std::move(targets));
 }
 OpPtr Custom(std::string name, std::function<Status(ProcessContext*)> fn) {
   return std::make_shared<CustomOp>(std::move(name), std::move(fn));

@@ -16,9 +16,9 @@ namespace core {
 /// --- MTM operator constructors ---
 ///
 /// These build the operator vocabulary of the paper's Message
-/// Transformation Model: RECEIVE, ASSIGN, INVOKE, TRANSLATE, SWITCH,
-/// VALIDATE, SELECTION, PROJECTION, JOIN, UNION DISTINCT, FORK,
-/// SUBPROCESS — plus conversion bridges between XML and row payloads.
+/// Transformation Model that the 15 process types use: RECEIVE, ASSIGN,
+/// INVOKE, TRANSLATE, SWITCH, VALIDATE, SELECTION, PROJECTION, UNION
+/// DISTINCT, FORK, SUBPROCESS — plus the bridge from XML to row payloads.
 
 /// RECEIVE: binds the instance's input message to `out_var` (E1 processes
 /// start with this, paper Fig. 4).
@@ -41,11 +41,6 @@ OpPtr InvokeQueryXml(std::string service, std::string op,
 /// INVOKE (update): ships the row payload of `in_var` to `service`.`op`.
 OpPtr InvokeUpdate(std::string service, std::string op, std::string in_var);
 
-/// INVOKE (send): delivers the XML payload of `in_var` as a business
-/// message into `queue_table` at `service`.
-OpPtr InvokeSend(std::string service, std::string queue_table,
-                 std::string in_var);
-
 /// INVOKE (procedure): fires a stored procedure on the external system
 /// (the sp_runMasterDataCleansing / sp_runMovementDataCleansing calls of
 /// P12/P13).
@@ -60,10 +55,6 @@ OpPtr Translate(std::string in_var, std::string out_var,
 OpPtr XmlToRows(std::string in_var, std::string out_var, Schema schema,
                 std::string row_name);
 
-/// Converts rows to the generic XML result-set form.
-OpPtr RowsToXml(std::string in_var, std::string out_var, std::string root_name,
-                std::string row_name);
-
 /// SELECTION: row filter (paper P05/P06: "a selection is processed for
 /// filtering the right location").
 OpPtr Selection(std::string in_var, std::string out_var, ExprPtr predicate);
@@ -72,11 +63,6 @@ OpPtr Selection(std::string in_var, std::string out_var, ExprPtr predicate);
 /// executed in order to rename the attributes").
 OpPtr Projection(std::string in_var, std::string out_var,
                  std::vector<ProjectionItem> items);
-
-/// JOIN: inner hash equi-join of two row variables.
-OpPtr JoinOp(std::string left_var, std::string right_var, std::string out_var,
-             std::vector<std::string> left_keys,
-             std::vector<std::string> right_keys);
 
 /// UNION DISTINCT over row variables, distinct on `key_columns`
 /// (paper P03/P09: "a UNION DISTINCT concerning the Orderkey, Custkey and
@@ -116,28 +102,6 @@ OpPtr Fork(std::vector<std::vector<OpPtr>> branches);
 /// SUBPROCESS: invokes a named reusable operator sequence; charges a plan
 /// instantiation on entry (P14's subprocess structure).
 OpPtr Subprocess(std::string name, std::vector<OpPtr> ops);
-
-/// ENRICH: a lookup join against an external system. For every distinct
-/// value of `key_column` in the row payload of `in_var`, the operator
-/// queries `service`.`lookup_op` with that key and appends the columns of
-/// the first result row to every matching input row (NULLs when the lookup
-/// misses). This is the generic form of P04's master-data enrichment.
-OpPtr Enrich(std::string in_var, std::string out_var, std::string service,
-             std::string lookup_op, std::string key_column);
-
-/// GROUP BY: grouped aggregation over a row variable.
-OpPtr GroupByOp(std::string in_var, std::string out_var,
-                std::vector<std::string> group_by,
-                std::vector<AggregateItem> aggregates);
-
-/// SORT: orders the row payload (stable multi-key).
-OpPtr SortOp(std::string in_var, std::string out_var,
-             std::vector<SortKey> keys);
-
-/// MULTICAST: ships the same row payload to several update operations
-/// ((service, op) pairs) — publish/subscribe-style distribution.
-OpPtr Multicast(std::string in_var,
-                std::vector<std::pair<std::string, std::string>> targets);
 
 /// Escape hatch for scenario-specific steps (enrichment, flagging). The
 /// function must do its own cost charging via the context.

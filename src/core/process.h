@@ -35,15 +35,6 @@ struct QualityCounters {
   }
 };
 
-/// One executed operator of a traced instance: what ran and what it cost.
-struct OperatorTrace {
-  std::string op;      ///< Operator::Describe()
-  double cc_ms = 0.0;
-  double cm_ms = 0.0;
-  double cp_ms = 0.0;
-  double TotalMs() const { return cc_ms + cm_ms + cp_ms; }
-};
-
 /// Per-instance execution state: the variable environment (the msg1, msg2,
 /// ... of the paper's process diagrams), cost accumulation, and access to
 /// the external systems.
@@ -127,13 +118,6 @@ class ProcessContext {
   QualityCounters& quality() { return quality_; }
   const QualityCounters& quality() const { return quality_; }
 
-  /// --- operator tracing (drill-down diagnostics) ---
-  void EnableTracing(bool enabled) { tracing_ = enabled; }
-  bool tracing() const { return tracing_; }
-  void AddTrace(OperatorTrace trace) { trace_.push_back(std::move(trace)); }
-  std::vector<OperatorTrace>& trace() { return trace_; }
-  const std::vector<OperatorTrace>& trace() const { return trace_; }
-
   /// --- observability (src/obs) ---
   /// Binds the instance to an observer: spans emitted from this context
   /// are positioned at `base_ms + elapsed_ms()` on `track` (the engine
@@ -166,8 +150,6 @@ class ProcessContext {
   net::NetStats net_;
   double elapsed_ms_ = 0.0;
   QualityCounters quality_;
-  bool tracing_ = false;
-  std::vector<OperatorTrace> trace_;
   obs::ObsContext obs_;
   VirtualTime obs_base_ms_ = 0.0;
   int obs_track_ = 0;

@@ -20,7 +20,6 @@ using core::InvokeProc;
 using core::InvokeQuery;
 using core::InvokeQueryXml;
 using core::InvokeUpdate;
-using core::JoinOp;
 using core::MtmMessage;
 using core::OpPtr;
 using core::ProcessContext;

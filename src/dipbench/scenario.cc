@@ -449,12 +449,13 @@ Status Scenario::BuildCdb() {
           Value citykey = Value::Null();
           bool dirty = false;
           if (!r[c_city].is_null()) {
-            auto hits = city->LookupIndex("by_name", {&r[c_city], 1});
-            if (hits.ok() && !hits->empty()) {
-              citykey = (*hits)[0][0];
-            } else {
-              dirty = true;
-            }
+            bool found = false;
+            Status st = city->LookupIndex(
+                "by_name", {&r[c_city], 1}, [&](RowView hit) {
+                  if (!found) citykey = hit[0];
+                  found = true;
+                });
+            dirty = !st.ok() || !found;
           } else {
             dirty = true;
           }

@@ -74,12 +74,6 @@ Result<size_t> Endpoint::Update(const std::string& op, const RowSet& rows,
   return DoUpdate(op, rows, stats);
 }
 
-Status Endpoint::SendMessage(const std::string& queue_table,
-                             const xml::Node& message, NetStats* stats) {
-  DIP_RETURN_NOT_OK(MaybeInjectFault(stats));
-  return DoSendMessage(queue_table, message, stats);
-}
-
 Status Endpoint::CallProcedure(const std::string& proc,
                                const std::vector<Value>& args,
                                NetStats* stats) {
@@ -118,19 +112,8 @@ Result<size_t> Endpoint::DoUpdate(const std::string& op, const RowSet& rows,
     return Status::NotFound("no update op " + op + " on " + name_);
   }
   DIP_ASSIGN_OR_RETURN(size_t written, it->second(db_, rows));
-  // Memoized: a multicast that Updates the same RowSet against N targets
-  // sizes the payload once, not N times.
   Charge(rows.ByteSize(), 32, written, stats);
   return written;
-}
-
-Status Endpoint::DoSendMessage(const std::string& queue_table,
-                               const xml::Node& message, NetStats* stats) {
-  std::string text = xml::WriteXml(message);
-  int64_t tid = db_->NextSequenceValue(queue_table + "_seq");
-  const Value row[] = {Value::Int(tid), Value::String(text)};
-  Charge(text.size(), 16, 1, stats);
-  return db_->InsertWithTriggers(queue_table, row);
 }
 
 Status Endpoint::DoCallProcedure(const std::string& proc,

@@ -86,13 +86,6 @@ class Endpoint {
   Result<size_t> Update(const std::string& op, const RowSet& rows,
                         NetStats* stats);
 
-  /// Sends an XML business message to the endpoint, landing it in the named
-  /// queue table via Database::InsertWithTriggers (message-stream event
-  /// realization, paper Fig. 9a). The message text is stored as a string
-  /// column alongside a sequence id.
-  Status SendMessage(const std::string& queue_table, const xml::Node& message,
-                     NetStats* stats);
-
   /// Calls a stored procedure on the backing database.
   Status CallProcedure(const std::string& proc, const std::vector<Value>& args,
                        NetStats* stats);
@@ -106,8 +99,6 @@ class Endpoint {
                                        NetStats* stats);
   virtual Result<size_t> DoUpdate(const std::string& op, const RowSet& rows,
                                   NetStats* stats);
-  virtual Status DoSendMessage(const std::string& queue_table,
-                               const xml::Node& message, NetStats* stats);
   virtual Status DoCallProcedure(const std::string& proc,
                                  const std::vector<Value>& args,
                                  NetStats* stats);

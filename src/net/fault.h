@@ -28,8 +28,8 @@ struct FaultPhase {
 };
 
 /// Fault characteristics of one endpoint. All probabilities are per
-/// endpoint *call* (one Query/Update/SendMessage/CallProcedure counts as
-/// one call); all draws come from a seeded PRNG, so a faulty run is exactly
+/// endpoint *call* (one Query/QueryXml/Update/CallProcedure counts as one
+/// call); all draws come from a seeded PRNG, so a faulty run is exactly
 /// as reproducible as a clean one.
 struct FaultProfile {
   /// Probability that a call fails with an injected Unavailable error

@@ -189,11 +189,6 @@ Result<size_t> XmlFileEndpoint::DoUpdate(const std::string& op,
   return rows.size();
 }
 
-Status XmlFileEndpoint::DoSendMessage(const std::string&, const xml::Node&,
-                                    NetStats*) {
-  return Status::Unimplemented("flat-file systems accept no messages");
-}
-
 Status XmlFileEndpoint::DoCallProcedure(const std::string&,
                                       const std::vector<Value>&, NetStats*) {
   return Status::Unimplemented("flat-file systems have no procedures");

@@ -84,9 +84,7 @@ class XmlFileEndpoint : public Endpoint {
   Result<size_t> DoUpdate(const std::string& op, const RowSet& rows,
                           NetStats* stats) override;
 
-  /// Flat files expose no message queues or procedures.
-  Status DoSendMessage(const std::string&, const xml::Node&,
-                       NetStats*) override;
+  /// Flat files expose no procedures.
   Status DoCallProcedure(const std::string&, const std::vector<Value>&,
                          NetStats*) override;
 

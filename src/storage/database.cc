@@ -45,17 +45,6 @@ void Database::ClearAllTables() {
   for (auto& [name, table] : tables_) table->Clear();
 }
 
-Status Database::InsertWithTriggers(const std::string& table_name,
-                                    RowView row) {
-  DIP_ASSIGN_OR_RETURN(Table * table, GetTable(table_name));
-  DIP_RETURN_NOT_OK(table->Insert(row));
-  auto it = triggers_.find(table_name);
-  if (it != triggers_.end()) {
-    return it->second(this, table_name, row);
-  }
-  return Status::OK();
-}
-
 Status Database::RegisterProcedure(const std::string& proc_name,
                                    StoredProcedure proc) {
   if (procedures_.count(proc_name) > 0) {
@@ -72,15 +61,6 @@ Status Database::CallProcedure(const std::string& proc_name,
     return Status::NotFound("no procedure " + proc_name + " in " + name_);
   }
   return it->second(this, args);
-}
-
-Status Database::SetInsertTrigger(const std::string& table_name,
-                                  InsertTrigger trig) {
-  if (!HasTable(table_name)) {
-    return Status::NotFound("no table " + table_name + " in " + name_);
-  }
-  triggers_[table_name] = std::move(trig);
-  return Status::OK();
 }
 
 int64_t Database::NextSequenceValue(const std::string& seq_name) {

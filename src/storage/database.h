@@ -16,23 +16,14 @@ namespace dipbench {
 class Database;
 
 /// A stored procedure: receives the owning database and positional
-/// arguments. Used for the cleansing procedures of process types P12/P13
-/// and for the federated engine's E2 (time-event) process realization
-/// (paper Fig. 9b).
+/// arguments. Used for the cleansing and housekeeping procedures of process
+/// types P12/P13 and the materialized-view refreshes of P13 and P15.
 using StoredProcedure =
     std::function<Status(Database* db, const std::vector<Value>& args)>;
 
-/// An insert trigger: fired after a row is inserted through
-/// Database::InsertWithTriggers, on the cells the caller inserted. This is
-/// the federated engine's E1 (message-stream) realization vehicle (paper
-/// Fig. 9a).
-using InsertTrigger = std::function<Status(
-    Database* db, const std::string& table_name, RowView inserted)>;
-
-/// A named database instance: a catalog of tables, sequences, stored
-/// procedures, and insert triggers. The benchmark scenario instantiates
-/// eleven of these (paper Section VI: "one DBMS installation with eleven
-/// database instances").
+/// A named database instance: a catalog of tables, sequences and stored
+/// procedures. The benchmark scenario instantiates eleven of these (paper
+/// Section VI: "one DBMS installation with eleven database instances").
 class Database {
  public:
   explicit Database(std::string name) : name_(std::move(name)) {}
@@ -53,18 +44,10 @@ class Database {
   /// per-period "uninitialize all external systems" step.
   void ClearAllTables();
 
-  /// Inserts and fires the table's insert trigger, if any, on `row`
-  /// itself. Trigger errors propagate; the row stays inserted (queue-table
-  /// semantics).
-  Status InsertWithTriggers(const std::string& table_name, RowView row);
-
   /// Registers/fires stored procedures.
   Status RegisterProcedure(const std::string& proc_name, StoredProcedure proc);
   Status CallProcedure(const std::string& proc_name,
                        const std::vector<Value>& args);
-
-  /// Sets (replaces) the insert trigger for a table.
-  Status SetInsertTrigger(const std::string& table_name, InsertTrigger trig);
 
   /// Monotone sequence generator (auto-created at first use, starts at 1).
   int64_t NextSequenceValue(const std::string& seq_name);
@@ -79,7 +62,6 @@ class Database {
   std::string name_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::map<std::string, StoredProcedure> procedures_;
-  std::map<std::string, InsertTrigger> triggers_;
   std::map<std::string, int64_t> sequences_;
 };
 

@@ -247,8 +247,8 @@ Status Table::CreateIndex(const std::string& index_name,
   return Status::OK();
 }
 
-Result<RowSlab> Table::LookupIndex(const std::string& index_name,
-                                   RowView key) const {
+Status Table::LookupIndex(const std::string& index_name, RowView key,
+                          const std::function<void(RowView)>& fn) const {
   auto it = secondary_.find(index_name);
   if (it == secondary_.end()) {
     return Status::NotFound("no index " + index_name + " on " + name_);
@@ -257,7 +257,6 @@ Result<RowSlab> Table::LookupIndex(const std::string& index_name,
   if (key.size() != idx.columns.size()) {
     return Status::InvalidArgument("index key arity mismatch");
   }
-  RowSlab out(rows_.width());
   auto range = idx.map.equal_range(HashRow(key));
   for (auto kv = range.first; kv != range.second; ++kv) {
     const size_t slot = kv->second;
@@ -269,10 +268,10 @@ Result<RowSlab> Table::LookupIndex(const std::string& index_name,
     }
     if (match) {
       ++rows_read_;
-      std::ranges::copy(row, out.AppendRow().begin());
+      fn(row);
     }
   }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace dipbench

@@ -108,10 +108,11 @@ class Table {
   Status CreateIndex(const std::string& index_name,
                      const std::vector<std::string>& columns);
 
-  /// Copies of the rows whose indexed columns equal `key` (one Value per
-  /// index column).
-  Result<RowSlab> LookupIndex(const std::string& index_name,
-                              RowView key) const;
+  /// Hands each live row whose indexed columns equal `key` (one Value per
+  /// index column) to `fn`, charging one rows_read() per row. The views
+  /// are valid only during the call.
+  Status LookupIndex(const std::string& index_name, RowView key,
+                     const std::function<void(RowView)>& fn) const;
 
   /// Cumulative IO counters (monotone; survive Clear()).
   uint64_t rows_read() const { return rows_read_; }

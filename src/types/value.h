@@ -228,10 +228,6 @@ class alignas(8) Value {
 
 static_assert(sizeof(Value) == 16, "a Value is one 16-byte cell");
 
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-
 }  // namespace dipbench
 
 #endif  // DIPBENCH_TYPES_VALUE_H_

@@ -451,10 +451,9 @@ TEST(ClientTest, FullRunOnFederatedEngine) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->engine_name, "federated");
   EXPECT_EQ(result->per_process.size(), 15u);
-  // Queue tables exist for the five E1 process types.
-  for (const char* id : {"P01", "P02", "P04", "P08", "P10"}) {
-    EXPECT_TRUE(engine.engine_db()->HasTable(std::string(id) + "_queue"))
-        << id;
+  for (const auto& m : result->per_process) {
+    EXPECT_GT(m.instances, 0) << m.process_id;
+    EXPECT_EQ(m.errors, 0) << m.process_id;
   }
 }
 

@@ -1,5 +1,5 @@
-// Tests for the extension features: the EAI engine, the Enrich / GroupBy /
-// Sort / Multicast operators, and the XML flat-file endpoint.
+// Tests for the extension features: the EAI engine and the XML flat-file
+// endpoint.
 
 #include <gtest/gtest.h>
 
@@ -34,24 +34,7 @@ class ExtensionsTest : public ::testing::Test {
                                 Value::Double(i * 10.0)})
                       .ok());
     }
-    Schema cust;
-    cust.AddColumn("custkey", DataType::kInt64, false)
-        .AddColumn("segment", DataType::kString)
-        .SetPrimaryKey({"custkey"});
-    Table* customers = *db_->CreateTable("customer", cust);
-    for (int i = 1; i <= 2; ++i) {  // custkey 3 intentionally missing
-      ASSERT_TRUE(customers
-                      ->Insert({Value::Int(i),
-                                Value::String(i == 1 ? "GOLD" : "SILVER")})
-                      .ok());
-    }
-    Schema sink;
-    sink.AddColumn("orderkey", DataType::kInt64, false)
-        .AddColumn("custkey", DataType::kInt64)
-        .AddColumn("amount", DataType::kDouble)
-        .SetPrimaryKey({"orderkey"});
-    ASSERT_TRUE(db_->CreateTable("sink_a", sink).ok());
-    ASSERT_TRUE(db_->CreateTable("sink_b", sink).ok());
+    ASSERT_TRUE(db_->CreateTable("sink_a", OrdersSchema()).ok());
 
     auto ep = std::make_unique<net::DatabaseEndpoint>("d", db_.get(),
                                                       net::Channel(), 0.01);
@@ -63,158 +46,18 @@ class ExtensionsTest : public ::testing::Test {
                         return Query::From(*d->GetTable("orders")).Run(&ec);
                       })
                     .ok());
-    ASSERT_TRUE(ep->RegisterQuery(
-                      "lookup_customer",
-                      [](Database* d, const std::vector<Value>& params)
-                          -> Result<RowSet> {
-                        RowSet out;
-                        Table* t = *d->GetTable("customer");
-                        out.schema = t->schema();
-                        auto hit = t->FindByKeyRef(RowView(params).first(1));
-                        if (hit.ok() && !hit->empty()) {
-                          DIP_RETURN_NOT_OK(out.rows.Append(*hit));
-                        }
-                        return out;
-                      })
+    ASSERT_TRUE(ep->RegisterUpdate("load_sink_a",
+                                   [](Database* d, const RowSet& rows) {
+                                     return InsertInto(*d->GetTable("sink_a"),
+                                                       rows);
+                                   })
                     .ok());
-    for (const char* sink_name : {"sink_a", "sink_b"}) {
-      std::string table = sink_name;
-      ASSERT_TRUE(ep->RegisterUpdate(
-                        std::string("load_") + sink_name,
-                        [table](Database* d, const RowSet& rows) {
-                          return InsertInto(*d->GetTable(table), rows);
-                        })
-                      .ok());
-    }
     ASSERT_TRUE(net_.AddEndpoint(std::move(ep)).ok());
-  }
-
-  core::ProcessContext MakeCtx() {
-    return core::ProcessContext(&net_, &weights_);
   }
 
   std::unique_ptr<Database> db_;
   net::Network net_;
-  core::CostWeights weights_ = core::DataflowWeights();
 };
-
-TEST_F(ExtensionsTest, EnrichAppendsLookupColumns) {
-  auto ctx = MakeCtx();
-  ASSERT_TRUE(
-      core::InvokeQuery("d", "all_orders", {}, "orders")->Execute(&ctx).ok());
-  ASSERT_TRUE(core::Enrich("orders", "enriched", "d", "lookup_customer",
-                           "custkey")
-                  ->Execute(&ctx)
-                  .ok());
-  auto rows = *ctx.Get("enriched")->Rows();
-  ASSERT_EQ(rows->rows.size(), 9u);
-  // Lookup columns appended; key collision prefixed.
-  EXPECT_TRUE(rows->schema.HasColumn("e_custkey"));
-  EXPECT_TRUE(rows->schema.HasColumn("segment"));
-  size_t seg_idx = *rows->schema.IndexOf("segment");
-  int hits = 0, misses = 0;
-  for (const auto& r : rows->rows) {
-    if (r[seg_idx].is_null()) {
-      ++misses;  // custkey 3 has no master data
-      EXPECT_EQ(r[1].AsInt(), 3);
-    } else {
-      ++hits;
-    }
-  }
-  EXPECT_EQ(misses, 3);
-  EXPECT_EQ(hits, 6);
-  EXPECT_GT(ctx.costs().cc_ms, 0.0);  // lookups charged communication
-}
-
-TEST_F(ExtensionsTest, EnrichCachesDistinctKeys) {
-  auto ctx = MakeCtx();
-  ASSERT_TRUE(
-      core::InvokeQuery("d", "all_orders", {}, "orders")->Execute(&ctx).ok());
-  net::NetStats before = ctx.net_stats();
-  ASSERT_TRUE(core::Enrich("orders", "enriched", "d", "lookup_customer",
-                           "custkey")
-                  ->Execute(&ctx)
-                  .ok());
-  // 3 distinct custkeys -> exactly 3 lookup round trips, not 9.
-  EXPECT_EQ(ctx.net_stats().interactions - before.interactions, 3u);
-}
-
-TEST_F(ExtensionsTest, EnrichCacheKeysByValueNotRenderedText) {
-  // 1.0000001 and 1.0000002 both render as "1" under "%.6g"; they are
-  // distinct keys and each must get its own lookup result.
-  auto echo = std::make_unique<net::DatabaseEndpoint>("echo", db_.get(),
-                                                      net::Channel(), 0.01);
-  ASSERT_TRUE(echo->RegisterQuery(
-                      "echo",
-                      [](Database*, const std::vector<Value>& params)
-                          -> Result<RowSet> {
-                        RowSet out;
-                        out.schema.AddColumn("echoed", DataType::kDouble);
-                        DIP_RETURN_NOT_OK(out.rows.Append({params[0]}));
-                        return out;
-                      })
-                  .ok());
-  ASSERT_TRUE(net_.AddEndpoint(std::move(echo)).ok());
-  auto ctx = MakeCtx();
-  RowSet in;
-  in.schema.AddColumn("k", DataType::kDouble);
-  for (double k : {1.0000001, 1.0000002, 1.0000001}) {
-    ASSERT_TRUE(in.rows.Append({Value::Double(k)}).ok());
-  }
-  ctx.Set("in", core::MtmMessage::FromRows(std::move(in)));
-  net::NetStats before = ctx.net_stats();
-  ASSERT_TRUE(core::Enrich("in", "out", "echo", "echo", "k")
-                  ->Execute(&ctx)
-                  .ok());
-  EXPECT_EQ(ctx.net_stats().interactions - before.interactions, 2u);
-  auto rows = *ctx.Get("out")->Rows();
-  ASSERT_EQ(rows->rows.size(), 3u);
-  for (RowView r : rows->rows) {
-    ASSERT_EQ(r.size(), 2u);
-    EXPECT_EQ(r[1].AsDouble(), r[0].AsDouble());
-  }
-}
-
-TEST_F(ExtensionsTest, GroupByAggregates) {
-  auto ctx = MakeCtx();
-  ASSERT_TRUE(
-      core::InvokeQuery("d", "all_orders", {}, "orders")->Execute(&ctx).ok());
-  ASSERT_TRUE(core::GroupByOp("orders", "agg", {"custkey"},
-                              {{"total", AggFunc::kSum, "amount"},
-                               {"n", AggFunc::kCount, ""}})
-                  ->Execute(&ctx)
-                  .ok());
-  auto rows = *ctx.Get("agg")->Rows();
-  EXPECT_EQ(rows->rows.size(), 3u);
-  double total = 0;
-  for (RowView r : rows->rows) total += r[1].AsDouble();
-  EXPECT_DOUBLE_EQ(total, 450.0);  // sum 10..90
-}
-
-TEST_F(ExtensionsTest, SortOrders) {
-  auto ctx = MakeCtx();
-  ASSERT_TRUE(
-      core::InvokeQuery("d", "all_orders", {}, "orders")->Execute(&ctx).ok());
-  ASSERT_TRUE(core::SortOp("orders", "sorted", {{"amount", false}})
-                  ->Execute(&ctx)
-                  .ok());
-  auto rows = *ctx.Get("sorted")->Rows();
-  EXPECT_DOUBLE_EQ(rows->rows[0][2].AsDouble(), 90.0);
-  EXPECT_DOUBLE_EQ(rows->rows[rows->rows.size() - 1][2].AsDouble(), 10.0);
-}
-
-TEST_F(ExtensionsTest, MulticastLoadsAllTargets) {
-  auto ctx = MakeCtx();
-  ASSERT_TRUE(
-      core::InvokeQuery("d", "all_orders", {}, "orders")->Execute(&ctx).ok());
-  ASSERT_TRUE(core::Multicast("orders", {{"d", "load_sink_a"},
-                                         {"d", "load_sink_b"}})
-                  ->Execute(&ctx)
-                  .ok());
-  EXPECT_EQ((*db_->GetTable("sink_a"))->size(), 9u);
-  EXPECT_EQ((*db_->GetTable("sink_b"))->size(), 9u);
-  EXPECT_EQ(ctx.quality().rows_loaded, 18u);
-}
 
 TEST_F(ExtensionsTest, EaiEngineRunsProcesses) {
   core::DataflowEngine engine(&net_, core::EaiWeights(), 8, "eai");
@@ -368,10 +211,7 @@ TEST_F(XmlFileEndpointTest, RoundTripThroughProcess) {
   EXPECT_EQ(doc->FindChildren("rec").size(), 1u);
 }
 
-TEST_F(XmlFileEndpointTest, NoMessagesOrProcedures) {
-  xml::Node msg("m");
-  EXPECT_EQ(ep_->SendMessage("q", msg, nullptr).code(),
-            StatusCode::kUnimplemented);
+TEST_F(XmlFileEndpointTest, NoProcedures) {
   EXPECT_EQ(ep_->CallProcedure("p", {}, nullptr).code(),
             StatusCode::kUnimplemented);
 }

@@ -1,5 +1,5 @@
 // Failure-injection tests: unreachable/erroring external systems, broken
-// messages, trigger failures, verification catching corrupted target
+// messages, failing process bodies, verification catching corrupted target
 // state, and engine behavior at the edges.
 
 #include <gtest/gtest.h>
@@ -124,7 +124,7 @@ TEST_F(FailureTest, UnboundVariableIsNotFound) {
   EXPECT_NE(st.message().find("never_bound"), std::string::npos);
 }
 
-TEST_F(FailureTest, FederatedTriggerFailurePropagates) {
+TEST_F(FailureTest, FederatedBodyFailurePropagates) {
   core::FederatedEngine engine(&net_);
   core::ProcessDefinition def;
   def.id = "PX";
@@ -139,37 +139,27 @@ TEST_F(FailureTest, FederatedTriggerFailurePropagates) {
   Status st = engine.RunUntilIdle();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("exploded"), std::string::npos);
-  // The message still reached the queue table (Fig. 9a semantics: the
-  // insert happened; the trigger failed afterwards).
-  EXPECT_EQ((*engine.engine_db()->GetTable("PX_queue"))->size(), 1u);
 }
 
-TEST_F(FailureTest, FederatedInstanceWithoutMessageLeavesNoTriggerContext) {
+TEST_F(FailureTest, FederatedInstanceWithoutMessageFailsAlone) {
   core::FederatedEngine engine(&net_);
   core::ProcessDefinition def;
   def.id = "PX";
   def.event_type = core::EventType::kMessage;
   def.body = {core::Receive("m")};
   ASSERT_TRUE(engine.Deploy(def).ok());
-  // An E1 instance with no XML input fails before its queue insert.
+  // An E1 instance with no XML input fails before its body runs.
   ASSERT_TRUE(engine.Submit({"PX", 0.0, nullptr, 0}).ok());
   Status st = engine.RunUntilIdle();
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kTypeMismatch);
-  EXPECT_EQ((*engine.engine_db()->GetTable("PX_queue"))->size(), 0u);
-  // Its context is gone: an insert outside any instance must not run the
-  // trigger body on it.
-  const Value tid[] = {Value::Int(1000)};
-  Status outside = engine.engine_db()->InsertWithTriggers("PX_queue", tid);
-  EXPECT_EQ(outside.code(), StatusCode::kInternal);
-  EXPECT_NE(outside.message().find("trigger fired outside an instance"),
-            std::string::npos)
-      << outside;
-  // A well-formed message still runs through the queue table afterwards.
+  // A well-formed message still runs afterwards.
   ASSERT_TRUE(
       engine.Submit({"PX", 1.0, std::make_shared<xml::Node>("m"), 0}).ok());
   EXPECT_TRUE(engine.RunUntilIdle().ok());
-  EXPECT_EQ((*engine.engine_db()->GetTable("PX_queue"))->size(), 2u);
+  ASSERT_EQ(engine.records().size(), 2u);
+  EXPECT_FALSE(engine.records()[0].ok);
+  EXPECT_TRUE(engine.records()[1].ok);
 }
 
 TEST_F(FailureTest, SwitchConditionErrorPropagates) {

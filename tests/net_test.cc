@@ -4,7 +4,6 @@
 #include "src/net/endpoint.h"
 #include "src/ra/expr.h"
 #include "src/ra/query.h"
-#include "src/xml/parser.h"
 
 namespace dipbench {
 namespace net {
@@ -53,12 +52,6 @@ class EndpointTest : public ::testing::Test {
                              Value::String("c" + std::to_string(i))})
                       .ok());
     }
-    // Message queue table for SendMessage.
-    Schema queue;
-    queue.AddColumn("tid", DataType::kInt64, false)
-        .AddColumn("msg", DataType::kString)
-        .SetPrimaryKey({"tid"});
-    ASSERT_TRUE(db_.CreateTable("p04_queue", queue).ok());
   }
 
   QueryOp AllCustomers() {
@@ -161,38 +154,6 @@ TEST_F(EndpointTest, WebServiceUpdateViaXml) {
   auto found = (*db_.GetTable("customer"))->FindByKeyRef({&key, 1});
   ASSERT_TRUE(found.ok() && !found->empty());
   EXPECT_EQ((*found)[1].AsString(), "ws<load>");
-}
-
-TEST_F(EndpointTest, SendMessageLandsInQueue) {
-  DatabaseEndpoint ep("cdb", &db_, Channel(), 0.1);
-  xml::Node msg("Order");
-  msg.AddText("Custkey", "7");
-  NetStats stats;
-  ASSERT_TRUE(ep.SendMessage("p04_queue", msg, &stats).ok());
-  ASSERT_TRUE(ep.SendMessage("p04_queue", msg, &stats).ok());
-  Table* q = *db_.GetTable("p04_queue");
-  EXPECT_EQ(q->size(), 2u);
-  // Stored text parses back to the message.
-  auto rows = q->ScanAll();
-  auto parsed = xml::ParseXml(rows[0][1].AsString());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed->Equals(msg));
-  EXPECT_EQ(stats.interactions, 2u);
-}
-
-TEST_F(EndpointTest, SendMessageFiresTrigger) {
-  int fired = 0;
-  ASSERT_TRUE(db_.SetInsertTrigger("p04_queue",
-                                   [&fired](Database*, const std::string&,
-                                            RowView) {
-                                     ++fired;
-                                     return Status::OK();
-                                   })
-                  .ok());
-  DatabaseEndpoint ep("cdb", &db_, Channel(), 0.1);
-  xml::Node msg("Order");
-  ASSERT_TRUE(ep.SendMessage("p04_queue", msg, nullptr).ok());
-  EXPECT_EQ(fired, 1);
 }
 
 TEST_F(EndpointTest, CallProcedureChargesWork) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <thread>
@@ -510,7 +511,7 @@ TEST(MonitorPercentilesTest, ReadsEngineHistograms) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-operator trace of an engine instance.
+// Per-operator spans of an engine instance.
 // ---------------------------------------------------------------------------
 
 TEST(TracingTest, TraceRecordsOperatorsAndCosts) {
@@ -539,36 +540,51 @@ TEST(TracingTest, TraceRecordsOperatorsAndCosts) {
               core::Selection("m", "m2", Gt(Col("k"), Lit(int64_t{1})))};
 
   core::DataflowEngine engine(&net);
-  engine.EnableTracing(true);
+  TraceRecorder recorder;
+  engine.SetObserver(ObsContext(&recorder, nullptr));
   ASSERT_TRUE(engine.Deploy(def).ok());
   ASSERT_TRUE(engine.Submit({"T", 0.0, nullptr, 0}).ok());
   ASSERT_TRUE(engine.RunUntilIdle().ok());
   const auto& rec = engine.records()[0];
-  ASSERT_EQ(rec.trace.size(), 2u);
-  EXPECT_NE(rec.trace[0].op.find("INVOKE d.all"), std::string::npos);
-  EXPECT_NE(rec.trace[1].op.find("SELECTION"), std::string::npos);
-  EXPECT_GT(rec.trace[0].cc_ms, 0.0);
+
+  // The instance's operator spans, in execution order.
+  const std::vector<Span>& spans = recorder.spans();
+  auto instance = std::find_if(spans.begin(), spans.end(), [](const Span& sp) {
+    return sp.name == "instance T";
+  });
+  ASSERT_NE(instance, spans.end());
+  std::vector<const Span*> ops;
+  for (const Span& sp : spans) {
+    if (sp.parent == instance->id && sp.category == Category::kNone) {
+      ops.push_back(&sp);
+    }
+  }
+  ASSERT_EQ(ops.size(), 2u);
+  EXPECT_EQ(ops[0]->name, "INVOKE d.all -> m");
+  EXPECT_EQ(ops[1]->name.rfind("SELECTION ", 0), 0u) << ops[1]->name;
+
+  // The category-tagged spans under an operator are its costs.
+  auto cost_under = [&spans](const Span& op, Category category) {
+    double ms = 0;
+    for (const Span& sp : spans) {
+      if (sp.parent == op.id && sp.category == category) {
+        ms += sp.DurationMs();
+      }
+    }
+    return ms;
+  };
+  EXPECT_GT(cost_under(*ops[0], Category::kComm), 0.0);
   // Operator costs sum to the instance's cost minus admission management.
   double traced = 0;
-  for (const auto& tr : rec.trace) traced += tr.TotalMs();
+  for (const Span* op : ops) {
+    for (Category c :
+         {Category::kComm, Category::kManagement, Category::kProcessing}) {
+      traced += cost_under(*op, c);
+    }
+  }
   double admission = engine.weights().plan_instantiation_ms +
                      engine.weights().scheduling_ms;
   EXPECT_NEAR(traced, rec.costs.Total() - admission, 1e-9);
-}
-
-TEST(TracingTest, OffByDefault) {
-  Database db("d");
-  net::Network net;
-  core::ProcessDefinition def;
-  def.id = "T";
-  def.event_type = core::EventType::kMessage;
-  def.body = {core::Receive("m")};
-  core::DataflowEngine engine(&net);
-  ASSERT_TRUE(engine.Deploy(def).ok());
-  auto doc = std::make_shared<xml::Node>("m");
-  ASSERT_TRUE(engine.Submit({"T", 0.0, doc, 0}).ok());
-  ASSERT_TRUE(engine.RunUntilIdle().ok());
-  EXPECT_TRUE(engine.records()[0].trace.empty());
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/storage/database.h"
 #include "src/storage/table.h"
 
@@ -25,6 +28,17 @@ RowView Find(const Table& t, int64_t key) {
   Result<RowView> found = t.FindByKeyRef({&cell, 1});
   EXPECT_TRUE(found.ok()) << found.status();
   return found.ok() ? *found : RowView();
+}
+
+/// The custkeys of the rows the `by_name` index hands out for `name`, in
+/// the order it hands them out.
+std::vector<int64_t> ByName(const Table& t, const Value& name) {
+  std::vector<int64_t> keys;
+  Status st = t.LookupIndex("by_name", {&name, 1}, [&](RowView row) {
+    keys.push_back(row[0].AsInt());
+  });
+  EXPECT_TRUE(st.ok()) << st;
+  return keys;
 }
 
 TEST(TableTest, InsertAndLookup) {
@@ -183,20 +197,37 @@ TEST(TableTest, SecondaryIndexLookup) {
   ASSERT_TRUE(t.Insert(Cust(3, "jones", 3.0)).ok());
   ASSERT_TRUE(t.CreateIndex("by_name", {"name"}).ok());
   const Value smith = Value::String("smith");
-  auto rows = t.LookupIndex("by_name", {&smith, 1});
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 2u);
+  // One rows_read per live match, and every match is a smith.
+  uint64_t read = t.rows_read();
+  std::vector<int64_t> keys = ByName(t, smith);
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(t.rows_read() - read, 2u);
   // Index stays consistent across deletes.
   t.DeleteWhere([](RowView r) { return r[0].AsInt() == 1; });
-  EXPECT_EQ(t.LookupIndex("by_name", {&smith, 1})->size(), 1u);
+  read = t.rows_read();
+  EXPECT_EQ(ByName(t, smith), (std::vector<int64_t>{2}));
+  EXPECT_EQ(t.rows_read() - read, 1u);
+  // A miss reads nothing; an unknown index or a wrong-arity key is an
+  // error that hands out no row.
+  const Value nobody = Value::String("nobody");
+  read = t.rows_read();
+  EXPECT_TRUE(ByName(t, nobody).empty());
+  EXPECT_EQ(t.rows_read(), read);
+  int handed = 0;
+  auto count = [&handed](RowView) { ++handed; };
+  EXPECT_TRUE(t.LookupIndex("nope", {&smith, 1}, count).IsNotFound());
+  const Value two[] = {smith, smith};
+  EXPECT_EQ(t.LookupIndex("by_name", two, count).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(handed, 0);
 }
 
 TEST(TableTest, IndexCreatedAfterRowsIndexesExisting) {
   Table t("customer", CustomerSchema());
   ASSERT_TRUE(t.Insert(Cust(1, "x", 1.0)).ok());
   ASSERT_TRUE(t.CreateIndex("by_name", {"name"}).ok());
-  const Value x = Value::String("x");
-  EXPECT_EQ(t.LookupIndex("by_name", {&x, 1})->size(), 1u);
+  EXPECT_EQ(ByName(t, Value::String("x")), (std::vector<int64_t>{1}));
   EXPECT_FALSE(t.CreateIndex("by_name", {"name"}).ok());  // duplicate
   EXPECT_FALSE(t.CreateIndex("bad", {"zzz"}).ok());       // unknown column
 }
@@ -221,48 +252,6 @@ TEST(DatabaseTest, CreateAndGetTable) {
   auto names = db.ListTables();
   ASSERT_EQ(names.size(), 1u);
   EXPECT_EQ(names[0], "customer");
-}
-
-TEST(DatabaseTest, InsertTriggerFires) {
-  Database db("cdb");
-  ASSERT_TRUE(db.CreateTable("queue", CustomerSchema()).ok());
-  int fired = 0;
-  const Row inserted = Cust(7, "m", 0.0);
-  ASSERT_TRUE(db.SetInsertTrigger("queue",
-                                  [&](Database*, const std::string&,
-                                      RowView row) {
-                                    // The trigger reads the caller's cells.
-                                    EXPECT_EQ(row.data(), inserted.data());
-                                    fired += static_cast<int>(row[0].AsInt());
-                                    return Status::OK();
-                                  })
-                  .ok());
-  ASSERT_TRUE(db.InsertWithTriggers("queue", inserted).ok());
-  EXPECT_EQ(fired, 7);
-  // Setting a trigger replaces the one before it.
-  ASSERT_TRUE(db.SetInsertTrigger(
-                    "queue",
-                    [](Database*, const std::string&, RowView) {
-                      return Status::OK();
-                    })
-                  .ok());
-  ASSERT_TRUE(db.InsertWithTriggers("queue", Cust(8, "m", 0.0)).ok());
-  EXPECT_EQ(fired, 7);  // unchanged
-  EXPECT_EQ((*db.GetTable("queue"))->size(), 2u);
-}
-
-TEST(DatabaseTest, TriggerErrorPropagatesButRowStays) {
-  Database db("cdb");
-  ASSERT_TRUE(db.CreateTable("queue", CustomerSchema()).ok());
-  ASSERT_TRUE(db.SetInsertTrigger("queue",
-                                  [](Database*, const std::string&,
-                                     RowView) {
-                                    return Status::ValidationError("bad msg");
-                                  })
-                  .ok());
-  Status st = db.InsertWithTriggers("queue", Cust(1, "m", 0.0));
-  EXPECT_TRUE(st.IsValidationError());
-  EXPECT_EQ((*db.GetTable("queue"))->size(), 1u);
 }
 
 TEST(DatabaseTest, StoredProcedures) {
@@ -379,18 +368,16 @@ TEST(TableTest, RejectedUpdateRestoresCellsAndSecondaryEntry) {
   ASSERT_FALSE(row.empty());
   EXPECT_EQ(row[1].AsString(), "b");
   EXPECT_DOUBLE_EQ(row[2].AsDouble(), 2.0);
-  EXPECT_EQ(t.LookupIndex("by_name", {&b, 1})->size(), 1u);
-  EXPECT_EQ(t.LookupIndex("by_name", {&renamed, 1})->size(), 0u);
+  EXPECT_EQ(ByName(t, b), (std::vector<int64_t>{2}));
+  EXPECT_TRUE(ByName(t, renamed).empty());
   // An accepted rename moves the entry.
   ASSERT_TRUE(t.UpdateWhere([](RowView r) { return r[0].AsInt() == 1; },
                             [](MutableRowView r) {
                               r[1] = Value::String("renamed");
                             })
                   .ok());
-  EXPECT_EQ(t.LookupIndex("by_name", {&a, 1})->size(), 0u);
-  auto hits = t.LookupIndex("by_name", {&renamed, 1});
-  ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*hits)[0][0].AsInt(), 1);
+  EXPECT_TRUE(ByName(t, a).empty());
+  EXPECT_EQ(ByName(t, renamed), (std::vector<int64_t>{1}));
 }
 
 TEST(TableTest, InsertOrReplaceKeepsInsertionOrderWithTombstone) {
